@@ -27,7 +27,7 @@ from .errors import (
     ScopeError,
     UnitNotFoundError,
 )
-from .grouprings import GroupRing, inertia_module
+from .grouprings import group_ring, inertia_module
 from .lattices import (
     verify_extension_sequence,
     verify_kernel_presentation,
@@ -107,7 +107,7 @@ def cmd_monoid(args) -> dict:
 
 
 def _tate_rows(group):
-    ring = GroupRing(group)
+    ring = group_ring(group)
     fam = build_sets(group)
     subs = enumerate_subgroups(group)
     rows = []
@@ -133,7 +133,7 @@ def _tate_rows(group):
 def _kernel_rows(group):
     if not group.is_cyclic:
         raise ScopeError("kernel check requires a cyclic group")
-    ring = GroupRing(group)
+    ring = group_ring(group)
     fam = build_sets(group)
     rows = []
     for pair in fam.stilde:
@@ -143,7 +143,7 @@ def _kernel_rows(group):
 
 
 def _ext_rows(group):
-    ring = GroupRing(group)
+    ring = group_ring(group)
     fam = build_sets(group)
     rows = []
     for pair in fam.stilde:
@@ -175,7 +175,7 @@ def _triviality_rows(group):
 def _unit_rows(group):
     if len(prime_factors(group.order)) != 1:
         raise ScopeError("unit transport requires a group of prime power order")
-    ring = GroupRing(group)
+    ring = group_ring(group)
     fam = build_sets(group)
     rows = []
     for i, a in enumerate(fam.stilde):

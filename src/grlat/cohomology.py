@@ -33,7 +33,7 @@ from .abelian import (
     sylow,
 )
 from .errors import ParentMismatchError, PrecisionError, ScopeError
-from .grouprings import FiniteModule, GroupRing, inertia_module
+from .grouprings import FiniteModule, GroupRing, group_ring, inertia_module
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,7 @@ def closed_form_inertia_tate(
     big = dec.join(sub)
     c = inertia.meet(sub).order
     qd = quotient_data(group, big)
-    qring = GroupRing(qd.group)
+    qring = group_ring(qd.group)
     n = qring.n
     relations = [[c if i == j else 0 for j in range(n)] for i in range(n)]
     actions = [qring.translation_matrix(qd.proj(g)) for g in group.generators()]
@@ -256,7 +256,7 @@ def module_equivalent(
     x1, full1 = find_cyclic_generator(m1, cap)
     x2, full2 = find_cyclic_generator(m2, cap)
     if x1 is not None and x2 is not None:
-        ring = GroupRing(m1.group)
+        ring = group_ring(m1.group)
         a1 = annihilator_lattice(m1, x1, ring)
         a2 = annihilator_lattice(m2, x2, ring)
         return ComparisonOutcome(True, a1 == a2, "cyclic-annihilator")
@@ -633,7 +633,7 @@ def chi_analysis(
     decomposition predicts; the idempotents are additionally checked to
     sum to the identity at working precision.
     """
-    ring = GroupRing(group)
+    ring = group_ring(group)
     mod = inertia_module(ring, inertia, frob)
     mp = p_part(mod, p)
     e, _ = _p_exponent(mp.exponent(), p)
@@ -699,7 +699,7 @@ def component_triviality_pair(
     character class: (component is zero or cohomologically trivial,
     p-part of inertia is trivial or chi is nontrivial on the
     decomposition subgroup)."""
-    ring = GroupRing(group)
+    ring = group_ring(group)
     mod = inertia_module(ring, inertia, frob)
     mp = p_part(mod, p)
     comp = chi_component(mp, chi, prec)
@@ -738,7 +738,7 @@ def triviality_criterion(
     trivial-or-cohomologically-trivial exactly when the p-part of
     inertia is trivial or chi is nontrivial on the decomposition
     subgroup."""
-    ring = GroupRing(group)
+    ring = group_ring(group)
     mod = inertia_module(ring, inertia, frob)
     mp = p_part(mod, p)
     rows = []

@@ -1,10 +1,18 @@
 """Integral group rings of finite abelian groups, their ideal lattices,
 and finitely generated torsion modules.
 
-Ring elements are dense coefficient tuples over a fixed enumeration of
-the group, with int or Fraction entries.  A lattice in the rational
-group algebra is (den, rows): the row span of an integer HNF basis,
-divided by den, kept gcd-reduced so equal lattices compare equal.
+Ring elements are dense int or Fraction coefficient tuples over the
+enumeration of FinAbGroup.elements(): mixed radix, first coordinate
+fastest.  Group addition is index arithmetic on the radix digits:
+GroupRing.shift(j), cached per j, maps i to the index of
+elems[i] + elems[j] (a rotation for cyclic groups).  Translation
+permutes coefficients along it, multiplication scatters products along
+it, and the ideal generated by x is spanned by the translates of x.
+group_ring() memoises one ring per group.
+
+A lattice in the rational group algebra is (den, rows): the row span of
+an integer HNF basis, divided by den, kept gcd-reduced so equal
+lattices compare equal.
 
 Modules are presented as Z^n / (relation lattice) with one integer
 action matrix per group generator, acting on row vectors from the
@@ -15,8 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
 
 from . import intmat as im
 from .abelian import FinAbGroup, GroupElement, Subgroup
@@ -42,29 +50,36 @@ class GroupRing:
         self.group = group
         self.n = group.order
         self.elems = list(group.elements())
-        self._index = {e.coords: i for i, e in enumerate(self.elems)}
-        # difference table: sub[i][j] = index of elems[i] - elems[j]
-        self._sub = None
+        self._ids = tuple(range(self.n))
+        self._index = {e.coords: i for e, i in zip(self.elems, self._ids)}
+        self._shifts = [None] * self.n
 
     def index_of(self, elem: GroupElement) -> int:
         return self._index[elem.coords]
 
-    def _sub_table(self):
-        if self._sub is None:
-            n = self.n
-            tbl = []
-            for ei in self.elems:
-                row = [0] * n
-                for j, ej in enumerate(self.elems):
-                    row[j] = self._index[(ei - ej).coords]
-                tbl.append(row)
-            self._sub = tbl
-        return self._sub
+    def shift(self, j: int) -> tuple:
+        """shift(j)[i] is the index of elems[i] + elems[j]."""
+        perm = self._shifts[j]
+        if perm is None:
+            # add the radix digits of j one coordinate at a time
+            perm, stride = [0], 1
+            for d in self.group.factors:
+                c = j // stride % d
+                perm = [stride * ((c + t) % d) + p for t in range(d) for p in perm]
+                stride *= d
+            # store the shared index ints of _ids, not n fresh ones per shift
+            ids = self._ids
+            perm = self._shifts[j] = tuple([ids[k] for k in perm])
+        return perm
+
+    def _translated(self, coeffs, j: int) -> list:
+        """Coefficients of (coeffs) * delta_{elems[j]}."""
+        out = [0] * self.n
+        for k, c in zip(self.shift(j), coeffs):
+            out[k] = c
+        return out
 
     # -- element constructors ------------------------------------------------
-
-    def zero(self) -> "GroupRingElem":
-        return GroupRingElem(self, (0,) * self.n)
 
     def one(self) -> "GroupRingElem":
         return self.delta(self.group.zero())
@@ -94,28 +109,31 @@ class GroupRing:
     def full_norm(self) -> "GroupRingElem":
         return GroupRingElem(self, (1,) * self.n)
 
-    def augmentation_generators(self) -> list["GroupRingElem"]:
-        """delta_g - 1 over the group generators; they generate the
-        augmentation ideal as a ring ideal."""
-        one = self.one()
-        return [self.delta(g) - one for g in self.group.generators()]
-
     # -- matrices --------------------------------------------------------------
 
     def mult_matrix(self, x: "GroupRingElem"):
         """Rows M with (coeffs of y) @ M = coeffs of y*x."""
         if x.ring is not self:
             raise ParentMismatchError("element of a different ring")
-        sub = self._sub_table()
-        n = self.n
-        xc = x.coeffs
-        return [[xc[sub[k][i]] for k in range(n)] for i in range(n)]
+        # row i is x translated by elems[i]
+        return [self._translated(x.coeffs, i) for i in range(self.n)]
 
     def translation_matrix(self, elem: GroupElement):
         return self.mult_matrix(self.delta(elem))
 
     def __repr__(self):
         return f"GroupRing({self.group!r})"
+
+
+@lru_cache(maxsize=2)
+def group_ring(group: FinAbGroup) -> GroupRing:
+    """The shared GroupRing of group, memoised for the last two groups.
+
+    A spectrum run reuses one ring for every sample.  Commands that visit
+    many quotient groups (the Tate checks of verify) still evict and
+    rebuild rings; the bound keeps a long-running process from holding
+    the rings of earlier commands."""
+    return GroupRing(group)
 
 
 @dataclass(frozen=True)
@@ -145,32 +163,17 @@ class GroupRingElem:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        sub = self.ring._sub_table()
-        n = self.ring.n
-        a, b = self.coeffs, other.coeffs
-        out = [0] * n
-        for i, ai in enumerate(a):
+        ring = self.ring
+        b = other.coeffs
+        out = [0] * ring.n
+        for i, ai in enumerate(self.coeffs):
             if ai:
-                for k in range(n):
-                    bj = b[sub[k][i]]
+                for k, bj in zip(ring.shift(i), b):
                     if bj:
                         out[k] += ai * bj
-        return GroupRingElem(self.ring, tuple(out))
+        return GroupRingElem(ring, tuple(out))
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative powers are not defined here")
-        result = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
 
     @property
     def is_zero(self):
@@ -179,12 +182,12 @@ class GroupRingElem:
     def augmentation(self):
         return sum(self.coeffs)
 
-    def is_integral(self):
-        return all(isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1) for c in self.coeffs)
-
     def translate(self, elem: GroupElement) -> "GroupRingElem":
         """Multiply by delta_elem (a coefficient permutation)."""
-        return self * self.ring.delta(elem)
+        ring = self.ring
+        if elem.group != ring.group:
+            raise ParentMismatchError("element from a different group")
+        return GroupRingElem(ring, tuple(ring._translated(self.coeffs, ring.index_of(elem))))
 
     def __repr__(self):
         terms = []
@@ -196,15 +199,8 @@ class GroupRingElem:
 
 def _coeffs_to_int_rows(elems):
     """Common-denominator integer rows for a list of ring elements."""
-    den = 1
-    for e in elems:
-        for c in e.coeffs:
-            if isinstance(c, Fraction):
-                den = den * c.denominator // gcd(den, c.denominator)
-    rows = []
-    for e in elems:
-        rows.append([int(c * den) for c in e.coeffs])
-    return den, rows
+    den = lcm(*(c.denominator for e in elems for c in e.coeffs))
+    return den, [[int(c * den) for c in e.coeffs] for e in elems]
 
 
 class IdealLattice:
@@ -249,13 +245,11 @@ class IdealLattice:
         """Lattice spanned by elems; with orbit=True, their full G-orbit,
         i.e. the ideal they generate."""
         xs = list(elems)
-        if orbit:
-            orbit_elems = []
-            for x in xs:
-                for g in ring.elems:
-                    orbit_elems.append(x.translate(g))
-            xs = orbit_elems
+        if any(x.ring.group != ring.group for x in xs):
+            raise ParentMismatchError("element of a different group")
         den, rows = _coeffs_to_int_rows(xs)
+        if orbit:
+            rows = [ring._translated(r, j) for r in rows for j in range(ring.n)]
         return cls(ring, den, rows)
 
     # -- structure -----------------------------------------------------------
@@ -502,7 +496,7 @@ def inertia_module(ring: GroupRing, inertia: Subgroup, frob: GroupElement) -> Fi
     if inertia.group != group or frob.group != group:
         raise ParentMismatchError("inputs from a different group")
     qd = quotient_data(group, inertia)
-    qring = GroupRing(qd.group)
+    qring = group_ring(qd.group)
     fbar = qd.proj(frob)
     tau = qring.one() - qring.delta(-fbar) + qring.one().scale(inertia.order)
     rel = IdealLattice.from_elements(qring, [tau], orbit=True)

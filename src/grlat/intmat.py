@@ -60,20 +60,8 @@ def mat_transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[c * x for x in r] for r in a]
-
-
-def mat_eq(a, b):
-    return [list(r) for r in a] == [list(r) for r in b]
 
 
 def mat_pow(a, k):

@@ -41,7 +41,7 @@ from .errors import (
     ScopeError,
     UnitNotFoundError,
 )
-from .grouprings import GroupRing, GroupRingElem, IdealLattice
+from .grouprings import GroupRing, GroupRingElem, IdealLattice, group_ring
 
 
 @dataclass(frozen=True)
@@ -110,15 +110,6 @@ def backward_rep(
     return ShiftRep(-1, inertia, frob, lat)
 
 
-def _min_generator(sub: Subgroup) -> GroupElement:
-    # deterministic: first full-order element in enumeration order
-    n = sub.order
-    for e in sub.elements():
-        if e.order() == n:
-            return e
-    raise ScopeError("subgroup is not cyclic")
-
-
 @dataclass(frozen=True)
 class KernelReport:
     kernel_matches: bool
@@ -151,26 +142,22 @@ def verify_kernel_presentation(
     elif not inertia.contains(lift - frob):
         raise ContainmentError("lift is not in the coset of frob")
     n = ring.n
-    tau = _min_generator(inertia)
+    tau = inertia.cyclic_generator()
     t_minus_1 = ring.delta(tau) - ring.one()
     n_i = ring.norm_element(inertia)
     g = ring.one() - ring.delta(-lift) + ring.one().scale(inertia.order)
-    stacked = ring.mult_matrix(t_minus_1) + ring.mult_matrix(g)
-    kernel = im.left_kernel(stacked)
-    # claimed generators, closed under translation by the whole group
-    one_minus_tau = ring.one() - ring.delta(tau)
+    mg = ring.mult_matrix(g)
+    kernel = im.left_kernel(ring.mult_matrix(t_minus_1) + mg)
+    # claimed generators, closed under translation by the whole group:
+    # row i of mult_matrix(x) is x translated by elems[i]
     claimed = []
-    for gamma in ring.elems:
-        a = n_i.translate(gamma)
-        claimed.append(list(a.coeffs) + [0] * n)
-        b1 = g.translate(gamma)
-        b2 = one_minus_tau.translate(gamma)
-        claimed.append(list(b1.coeffs) + list(b2.coeffs))
+    for a, b1, b2 in zip(ring.mult_matrix(n_i), mg, ring.mult_matrix(-t_minus_1)):
+        claimed.append(a + [0] * n)
+        claimed.append(b1 + b2)
     kernel_matches = im.lattice_eq(kernel, claimed)
     proj = [row[:n] for row in kernel]
     ideal = IdealLattice.from_elements(ring, [n_i, g])
-    assert ideal.den == 1
-    projection_matches = im.lattice_eq(proj, [list(r) for r in ideal.basis])
+    projection_matches = ideal.den == 1 and im.lattice_eq(proj, [list(r) for r in ideal.basis])
     return KernelReport(kernel_matches, projection_matches)
 
 
@@ -356,7 +343,7 @@ def verify_unit_transport(
         prec = precision
     q = p**prec
     qd = quotient_data(group, inertia)
-    qring = GroupRing(qd.group)
+    qring = group_ring(qd.group)
     nbar = qring.n
     tmat = qring.mult_matrix(
         qring.one() - qring.delta(-qd.proj(frob_a))

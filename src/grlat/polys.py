@@ -55,13 +55,6 @@ def poly_mul(f, g):
     return trim(out)
 
 
-def poly_eval(f, x):
-    acc = 0
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
 def poly_divmod_monic(f, g):
     """(q, r) over Z with f = q*g + r, deg r < deg g; g must be monic."""
     if not g or g[-1] != 1:
@@ -115,18 +108,6 @@ def poly_divmod_fp(f, g, p):
             for j in range(dg + 1):
                 r[i - dg + j] = (r[i - dg + j] - c * g[j]) % p
     return trim(q), trim(r)
-
-
-def poly_gcd_fp(f, g, p):
-    a = poly_reduce_mod(f, p)
-    b = poly_reduce_mod(g, p)
-    while b:
-        _, r = poly_divmod_fp(a, b, p)
-        a, b = b, r
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = trim([(c * inv) % p for c in a])
-    return a
 
 
 def poly_bezout_fp(f, g, p):

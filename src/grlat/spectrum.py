@@ -16,7 +16,7 @@ from random import Random
 
 from .abelian import FinAbGroup, make_group, prime_factors
 from .errors import CapacityError, DegenerateElementError, ScopeError
-from .grouprings import GroupRing, GroupRingElem, IdealLattice
+from .grouprings import GroupRing, GroupRingElem, IdealLattice, group_ring
 from .polys import cyclotomic, resultant_monic
 
 MAX_RESAMPLE = 512
@@ -44,7 +44,7 @@ def _check_scope(p: int, r: int) -> None:
 def cyclic_ring(p: int, r: int) -> GroupRing:
     """Group ring Z[Z/p^r] with the generator at element index 1."""
     _check_scope(p, r)
-    return GroupRing(make_group([p**r]))
+    return group_ring(make_group([p**r]))
 
 
 def element_poly(x: GroupRingElem) -> list:
@@ -127,9 +127,8 @@ def build_sample(p: int, r: int, ucoeffs, epsilon: int = 1, attempts: int = 1) -
         res = resultant_monic(cyclotomic(p**i), fu)
         a_values.append(None if res == 0 else _ord_p(res, p))
     ideal = IdealLattice.from_elements(ring, [ring.full_norm(), x])
+    # the oracle identity sum(c_values) == snf_total is checked by the caller
     snf_total = _ord_p(ideal.integral_index(), p)
-    # the oracle identity; a failure here is a broken claim, not bad input
-    assert sum(c_values) == snf_total, (c_values, snf_total)
     return SpectrumSample(
         p,
         r,
@@ -155,6 +154,8 @@ def sample_spectrum(p: int, r: int, coeff_exp: int = 5, count: int = 100, seed: 
     _check_scope(p, r)
     if coeff_exp < 1:
         raise ScopeError("coeff_exp must be at least 1")
+    if count < 1:
+        raise ScopeError("sample count must be at least 1")
     n = p**r
     bound = p**coeff_exp
     samples = []

@@ -6,9 +6,15 @@ so repeated runs must be byte identical.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import grlat
+from grlat import spectrum
 from grlat.cli import main
 
 
@@ -124,6 +130,20 @@ def test_spectrum_usage_errors(capsys):
     assert code == 64 and "usage error" in err
     code, _, _ = run(["spectrum", "--p", "3", "--r", "0"], capsys)
     assert code == 64
+    for count in ("0", "-5"):
+        code, out, err = run(["spectrum", "--p", "3", "--r", "2", "--samples", count], capsys)
+        assert code == 64 and "usage error" in err and out == ""
+
+
+def test_spectrum_oracle_mismatch_fails_the_check(capsys, monkeypatch):
+    # a broken resultant side must reach the report and the exit code
+    real = spectrum.char_valuation
+    monkeypatch.setattr(spectrum, "char_valuation", lambda x, i: real(x, i) + 1)
+    code, out, _ = run(["spectrum", "--p", "3", "--r", "2", "--samples", "4", "--seed", "1"], capsys)
+    assert code == 2
+    assert "results.passes.oracle_identity\t0" in out
+    assert "results.checks\toracle_identity\tfail" in out
+    assert "verdict\tfail" in out
 
 
 def test_ingest_bundled_table(capsys):
@@ -181,3 +201,21 @@ def test_ingest_passing_table(tmp_path, capsys):
     assert code == 0
     assert "results.rowcount\t3" in out
     assert "results.attained\t2,4,9" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--p", "3", "--r", "2", "--samples", "8", "--seed", "1"],
+        ["verify", "9", "--checks", "kernel"],
+    ],
+)
+def test_optimized_interpreter_gives_identical_reports(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
+    runs = [
+        subprocess.run([sys.executable, *flags, "-m", "grlat", *argv], capture_output=True, env=env)
+        for flags in ([], ["-O"])
+    ]
+    plain, optimized = runs
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout == optimized.stdout and plain.stdout

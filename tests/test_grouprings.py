@@ -3,7 +3,15 @@
 The ideal-index test uses the classical character-product oracle: over
 a cyclic group of order n the index of the principal ideal (x) equals
 |Res(X^n - 1, f_x)|, computed independently by sympy.
+
+The differential tests check the index arithmetic (shift permutations)
+against a reference built from GroupElement addition and subtraction:
+the difference table sub[k][i] = index of elems[k] - elems[i].
 """
+
+from fractions import Fraction
+from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,12 +19,21 @@ from hypothesis import strategies as st
 from sympy import Poly, resultant
 from sympy.abc import X
 
+from grlat import intmat
 from grlat.abelian import Subgroup, make_group
-from grlat.errors import ContainmentError, InfiniteModuleError, ParentMismatchError
+from grlat.errors import (
+    CapacityError,
+    ContainmentError,
+    InfiniteModuleError,
+    NotFullRankError,
+    ParentMismatchError,
+)
 from grlat.grouprings import (
+    RING_ORDER_CAP,
     FiniteModule,
     GroupRing,
     IdealLattice,
+    group_ring,
     inertia_module,
     module_from_lattice_pair,
     regular_module,
@@ -164,3 +181,121 @@ def test_augmentation_multiplicative():
     x = r.from_coeffs(list(range(1, 9)))
     y = r.one() - r.delta(r.group.element((1, 3)))
     assert (x * y).augmentation() == x.augmentation() * y.augmentation()
+
+
+# -- differential tests against GroupElement arithmetic -----------------------
+
+DIFF_GROUPS = ([8], [2, 4], [3, 3], [2, 2, 2], [3, 9])
+
+
+def ref_sub(ring):
+    return [[ring.index_of(ek - ei) for ei in ring.elems] for ek in ring.elems]
+
+
+def ref_mul(ring, a, b):
+    sub = ref_sub(ring)
+    out = [0] * ring.n
+    for i, ai in enumerate(a):
+        if ai:
+            for k in range(ring.n):
+                bj = b[sub[k][i]]
+                if bj:
+                    out[k] += ai * bj
+    return tuple(out)
+
+
+def ref_mult_matrix(ring, xc):
+    sub = ref_sub(ring)
+    return [[xc[sub[k][i]] for k in range(ring.n)] for i in range(ring.n)]
+
+
+def ref_orbit_rows(ring, xs):
+    """(den, rows) of the translates of xs, by GroupElement arithmetic."""
+    translates = [ref_mul(ring, x.coeffs, ring.delta(g).coeffs) for x in xs for g in ring.elems]
+    den = lcm(*(Fraction(c).denominator for t in translates for c in t))
+    return den, [[int(c * den) for c in t] for t in translates]
+
+
+def coefficient(kind):
+    ints = st.integers(-7, 7)
+    if kind == "int":
+        return ints
+    return st.one_of(ints, st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+@st.composite
+def ring_elements(draw, count):
+    ring = group_ring(make_group(draw(st.sampled_from(DIFF_GROUPS))))
+    coeff = coefficient(draw(st.sampled_from(["int", "fraction"])))
+    elems = [ring.from_coeffs(draw(st.lists(coeff, min_size=ring.n, max_size=ring.n))) for _ in range(count)]
+    return ring, elems
+
+
+@given(ring_elements(2))
+@settings(max_examples=60, deadline=None)
+def test_mul_matches_reference(data):
+    ring, (x, y) = data
+    assert (x * y).coeffs == ref_mul(ring, x.coeffs, y.coeffs)
+
+
+@given(ring_elements(1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_translate_matches_reference(data, draw):
+    ring, (x,) = data
+    g = ring.elems[draw.draw(st.integers(0, ring.n - 1))]
+    assert x.translate(g).coeffs == ref_mul(ring, x.coeffs, ring.delta(g).coeffs)
+
+
+@given(ring_elements(1))
+@settings(max_examples=40, deadline=None)
+def test_mult_matrix_matches_reference(data):
+    ring, (x,) = data
+    assert ring.mult_matrix(x) == ref_mult_matrix(ring, x.coeffs)
+
+
+@given(ring_elements(2))
+@settings(max_examples=40, deadline=None)
+def test_orbit_lattice_matches_reference(data):
+    ring, xs = data
+    den, rows = ref_orbit_rows(ring, xs)
+    try:
+        ref = IdealLattice(ring, den, rows)
+    except NotFullRankError:
+        with pytest.raises(NotFullRankError):
+            IdealLattice.from_elements(ring, xs, orbit=True)
+        return
+    # the HNF sees the reference rows, in the reference order
+    with mock.patch.object(intmat, "hnf", wraps=intmat.hnf) as spy:
+        lat = IdealLattice.from_elements(ring, xs, orbit=True)
+    assert spy.call_args_list[0].args[0] == rows
+    assert (lat.den, lat.basis) == (ref.den, ref.basis)
+
+
+@pytest.mark.parametrize("factors", DIFF_GROUPS)
+def test_shift_is_group_addition(factors):
+    ring = GroupRing(make_group(factors))
+    for j, ej in enumerate(ring.elems):
+        assert ring.shift(j) == tuple(ring.index_of(ei + ej) for ei in ring.elems)
+
+
+def test_cyclic_shift_is_rotation():
+    ring = GroupRing(make_group([8]))
+    assert ring.shift(3) == (3, 4, 5, 6, 7, 0, 1, 2)
+
+
+def test_group_ring_memo_shares_one_ring():
+    assert group_ring(make_group([2, 4])) is group_ring(make_group([4, 2]))
+    assert group_ring(make_group([8])) is not group_ring(make_group([2, 4]))
+
+
+def test_group_ring_respects_order_cap():
+    big = make_group([RING_ORDER_CAP + 1])
+    for _ in range(2):  # a refused group is not memoised
+        with pytest.raises(CapacityError):
+            group_ring(big)
+
+
+def test_translate_rejects_foreign_element():
+    r8 = ring_of([8])
+    with pytest.raises(ParentMismatchError):
+        r8.one().translate(make_group([2, 4]).zero())
