@@ -46,6 +46,18 @@ def prime_factors(n):
     return out
 
 
+def p_split(n: int, p: int) -> tuple[int, int]:
+    """(e, rest) with |n| = p^e * rest and p not dividing rest."""
+    if n == 0:
+        raise ValueError("valuation of zero")
+    n = abs(n)
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e, n
+
+
 def make_group(factors) -> "FinAbGroup":
     """Build a group from arbitrary positive integer factors.
 
@@ -325,6 +337,13 @@ def cyclic_subgroup(elem: GroupElement) -> Subgroup:
     return Subgroup.from_generators(elem.group, [elem])
 
 
+def canonical_lift(sub: Subgroup, elem: GroupElement) -> GroupElement:
+    """Lexicographically smallest representative of elem + sub."""
+    if sub.group != elem.group:
+        raise ParentMismatchError("subgroup and element of different groups")
+    return min((elem + t for t in sub.elements()), key=lambda e: e.coords)
+
+
 def enumerate_subgroups(group: FinAbGroup, cap: int = SUBGROUP_CAP) -> list[Subgroup]:
     """All subgroups, by closing the cyclic ones under joins.
 
@@ -361,13 +380,9 @@ def sylow(group: FinAbGroup, p: int) -> Subgroup:
     """The p-Sylow subgroup (trivial when p does not divide the order)."""
     k = group.rank
     rows = []
-    for i in range(k):
-        d = group.factors[i]
-        pe = 1
-        while d % p == 0:
-            d //= p
-            pe *= p
-        rows.append([group.factors[i] // pe if j == i else 0 for j in range(k)])
+    for i, d in enumerate(group.factors):
+        rest = p_split(d, p)[1]
+        rows.append([rest if j == i else 0 for j in range(k)])
     return Subgroup(group, im.hnf(rows, k) if rows else [])
 
 
@@ -375,12 +390,8 @@ def sylow_complement(group: FinAbGroup, p: int) -> Subgroup:
     """The subgroup of order prime to p (the product of the other Sylows)."""
     k = group.rank
     rows = []
-    for i in range(k):
-        d = group.factors[i]
-        pe = 1
-        while d % p == 0:
-            d //= p
-            pe *= p
+    for i, d in enumerate(group.factors):
+        pe = p ** p_split(d, p)[0]
         rows.append([pe if j == i else 0 for j in range(k)])
     return Subgroup(group, im.hnf(rows, k) if rows else [])
 
@@ -428,13 +439,6 @@ class QuotientData:
             for i in range(qk)
         ]
         return Subgroup(self.group, im.hnf(rows, qk))
-
-    def pull(self, qsub: Subgroup) -> Subgroup:
-        if qsub.group != self.group:
-            raise ParentMismatchError("subgroup not in the quotient group")
-        vcols = [[r[i] for i in self._idx] for r in self._v]
-        lat = im.preimage_lattice(None, vcols, [list(r) for r in qsub.basis])
-        return Subgroup(self.source, lat)
 
 
 def quotient_data(group: FinAbGroup, sub: Subgroup) -> QuotientData:

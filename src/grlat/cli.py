@@ -279,18 +279,10 @@ def cmd_spectrum(args) -> dict:
     }
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _read_records(path, p, r):
+    # sympy is imported here so that loading the CLI does not pay for it
+    from sympy import isprime
+
     if path == "@bundled":
         src = resources.files("grlat.data").joinpath("classgroups_p3_r2.csv")
         fh = src.open("r", encoding="utf-8")
@@ -318,7 +310,7 @@ def _read_records(path, p, r):
                 ord_value = int(cells[2])
             except ValueError:
                 raise DataError(f"row {rownum}: q and ord_value must be integers")
-            if not _is_prime(q):
+            if not isprime(q):
                 raise DataError(f"row {rownum}: q={q} is not prime")
             if ord_value < 0:
                 raise DataError(f"row {rownum}: ord_value must be nonnegative")

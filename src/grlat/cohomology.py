@@ -20,6 +20,7 @@ cases; anything larger is reported as undecided rather than guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
 
 from . import intmat as im
@@ -29,11 +30,18 @@ from .abelian import (
     GroupElement,
     Subgroup,
     cyclic_subgroup,
+    p_split,
     quotient_data,
     sylow,
 )
 from .errors import ParentMismatchError, PrecisionError, ScopeError
-from .grouprings import FiniteModule, GroupRing, group_ring, inertia_module
+from .grouprings import (
+    FiniteModule,
+    GroupRing,
+    group_ring,
+    inertia_module,
+    quotient_module,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -61,34 +69,6 @@ def norm_matrix(module: FiniteModule, sub: Subgroup):
     return out
 
 
-def _coords_rows(basis_rows, vec_rows):
-    h, u, piv = im.hnf_with_transform(basis_rows)
-    pv = [next(j for j, x in enumerate(r) if x) for r in h]
-    out = []
-    for v in vec_rows:
-        c = im.span_coefficients(h, pv, list(v))
-        if c is None:
-            raise ParentMismatchError("vector not in the containing lattice")
-        x = [0] * len(basis_rows)
-        for ci, urow in zip(c, u):
-            if ci:
-                for j in range(len(x)):
-                    x[j] += ci * urow[j]
-        out.append(x)
-    return out
-
-
-def _quotient_module(module: FiniteModule, big_rows, small_rows) -> FiniteModule:
-    """The module big/small in the coordinates of big, with the induced action."""
-    coords_small = _coords_rows(big_rows, small_rows)
-    actions = []
-    for g in module.group.generators():
-        a = module.action_matrix(g)
-        img = [im.vec_mat(list(r), a) for r in big_rows]
-        actions.append(_coords_rows(big_rows, img))
-    return FiniteModule.build(module.group, coords_small, actions)
-
-
 def tate_cohomology(module: FiniteModule, sub: Subgroup) -> TateResult:
     if sub.group != module.group:
         raise ParentMismatchError("subgroup of a different group")
@@ -106,7 +86,8 @@ def tate_cohomology(module: FiniteModule, sub: Subgroup) -> TateResult:
 
     nm = norm_matrix(module, sub)
     norm_image = im.lattice_sum([im.vec_mat(list(e), nm) for e in im.identity(n)], rel)
-    h0 = _quotient_module(module, inv, [list(r) for r in norm_image])
+    gen_actions = [module.action_matrix(g) for g in module.group.generators()]
+    h0 = quotient_module(module.group, inv, norm_image, gen_actions)
 
     # norm kernel: x with x N in L
     ker = im.preimage_lattice(None, nm, rel)
@@ -116,7 +97,7 @@ def tate_cohomology(module: FiniteModule, sub: Subgroup) -> TateResult:
         for i in range(n):
             aug_rows.append([a[i][j] - (1 if i == j else 0) for j in range(n)])
     aug = im.hnf(aug_rows, n)
-    hm1 = _quotient_module(module, ker, aug)
+    hm1 = quotient_module(module.group, ker, aug, gen_actions)
     return TateResult(sub, h0, hm1)
 
 
@@ -156,13 +137,10 @@ def p_part(module: FiniteModule, p: int) -> FiniteModule:
     q-primary part for q != p, where p^e is invertible, and fixes the
     p-part, which p^e annihilates.
     """
-    exp = module.exponent()
-    pe = 1
-    while exp % p == 0:
-        exp //= p
-        pe *= p
-    if exp == 1:
+    e, rest = p_split(module.exponent(), p)
+    if rest == 1:
         return module
+    pe = p**e
     n = module.rank
     extra = [[pe if i == j else 0 for j in range(n)] for i in range(n)]
     return module.with_extra_relations(extra)
@@ -180,31 +158,26 @@ class ComparisonOutcome:
 
 
 def coset_representatives(module: FiniteModule, cap: int):
-    """All coset representatives of Z^g / relations, or None past cap."""
+    """An iterator over all coset representatives of Z^g / relations, or
+    None past cap.  Each is computed only when it is reached."""
     if module.order > cap:
         return None
     n = module.rank
     if n == 0:
-        return [[]]
+        return iter([[]])
     diag, u, v = im.snf_with_transform([list(r) for r in module.relations], n)
     vinv = im.unimodular_inverse(v)
-    reps = []
     idx = [i for i, d in enumerate(diag) if d > 1]
-    counters = [0] * len(idx)
-    while True:
-        y = [0] * n
-        for c, i in zip(counters, idx):
-            y[i] = c
-        reps.append(im.vec_mat(y, vinv))
-        k = 0
-        while k < len(idx):
-            counters[k] += 1
-            if counters[k] < diag[idx[k]]:
-                break
-            counters[k] = 0
-            k += 1
-        else:
-            return reps
+
+    def reps():
+        # idx[0] runs fastest: product() varies its last range fastest
+        for counters in product(*(range(diag[i]) for i in reversed(idx))):
+            y = [0] * n
+            for c, i in zip(reversed(counters), idx):
+                y[i] = c
+            yield im.vec_mat(y, vinv)
+
+    return reps()
 
 
 def find_cyclic_generator(module: FiniteModule, cap: int = 30_000):
@@ -329,7 +302,7 @@ def _hom_space_compare(m1, m2, cap, hom_dim_cap) -> ComparisonOutcome:
                 row[flat_index(i, j)] = rr[j]
             triv.append(row)
     triv = im.hnf(triv, g1 * g2)
-    coords = _coords_rows(sol, triv)
+    coords = im.lattice_quotient_coords(sol, triv)
     diag, u, v = im.snf_with_transform(coords, len(sol))
     hom_order = 1
     for d in diag:
@@ -403,15 +376,12 @@ def complement_generators(group: FinAbGroup, p: int):
     gens = []
     orders = []
     for j, d in enumerate(group.factors):
-        pe = 1
-        while d % p == 0:
-            d //= p
-            pe *= p
-        if d > 1:
+        e, m = p_split(d, p)
+        if m > 1:
             coords = [0] * group.rank
-            coords[j] = pe
+            coords[j] = p**e
             gens.append(group.element(tuple(coords)))
-            orders.append(d)
+            orders.append(m)
     return gens, orders
 
 
@@ -499,15 +469,6 @@ def _root_power_traces(m: int, p: int, prec: int):
     return traces
 
 
-def _p_exponent(n: int, p: int):
-    """(e, rest) with n = p^e * rest, p not dividing rest."""
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e, n
-
-
 def chi_idempotent_matrix(module: FiniteModule, chi: ChiClass, prec: int):
     """Action on the module of the conjugacy-class idempotent of chi,
     with entries reduced mod p^prec.
@@ -585,7 +546,7 @@ def chi_component(
     Exact as long as p^prec annihilates the module, which is the default
     precision; a smaller explicit precision raises."""
     p = chi.p
-    e, rest = _p_exponent(module.exponent(), p)
+    e, rest = p_split(module.exponent(), p)
     if rest != 1:
         raise ScopeError("module is not p-primary; take its p-part first")
     if prec is None:
@@ -636,7 +597,7 @@ def chi_analysis(
     ring = group_ring(group)
     mod = inertia_module(ring, inertia, frob)
     mp = p_part(mod, p)
-    e, _ = _p_exponent(mp.exponent(), p)
+    e, _ = p_split(mp.exponent(), p)
     eff = max(e, 1) if prec is None else prec
     rows = []
     prod = 1
@@ -687,34 +648,13 @@ def _chi_exponent_at(chi: ChiClass, orders, pparts, coords):
     return k
 
 
-def component_triviality_pair(
-    group: FinAbGroup,
-    inertia: Subgroup,
-    frob: GroupElement,
-    p: int,
-    chi: ChiClass,
-    prec: int | None = None,
-):
-    """Both sides of the component-triviality equivalence for one
-    character class: (component is zero or cohomologically trivial,
-    p-part of inertia is trivial or chi is nontrivial on the
-    decomposition subgroup)."""
-    ring = group_ring(group)
-    mod = inertia_module(ring, inertia, frob)
-    mp = p_part(mod, p)
-    comp = chi_component(mp, chi, prec)
-    lhs = comp.order == 1 or is_cohomologically_trivial(comp)
-    rhs = _predicted_component_triviality(group, inertia, frob, p, chi)
-    return lhs, rhs
-
-
 def _predicted_component_triviality(group, inertia, frob, p, chi) -> bool:
     gens, orders = complement_generators(group, p)
     if tuple(orders) != chi.gen_orders:
         raise ParentMismatchError("character domain does not match group")
     pparts = []
     for j, d in enumerate(group.factors):
-        e, rest = _p_exponent(d, p)
+        e, rest = p_split(d, p)
         if rest > 1:
             pparts.append(p**e)
     if inertia.order % p != 0:

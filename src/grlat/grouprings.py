@@ -449,31 +449,21 @@ class FiniteModule:
 def module_from_lattice_pair(big: IdealLattice, small: IdealLattice) -> FiniteModule:
     """The G-module big/small for nested G-stable lattices."""
     a, b = small._aligned(big)  # integer bases over a common denominator
-    coords_small = im.lattice_quotient_coords(b, a)
     ring = big.ring
-    n = ring.n
-    actions = []
-    for g in ring.group.generators():
-        m = ring.translation_matrix(g)
-        rows = []
-        for r in b:
-            img = im.vec_mat(r, m)
-            rows.append(_coords_in(b, img))
-        actions.append(rows)
-    return FiniteModule.build(ring.group, coords_small, actions)
+    gen_actions = [ring.translation_matrix(g) for g in ring.group.generators()]
+    return quotient_module(ring.group, b, a, gen_actions)
 
 
-def _coords_in(basis_rows, v):
-    h, u, piv = im.hnf_with_transform(basis_rows)
-    c = im.span_coefficients(h, [next(j for j, x in enumerate(r) if x) for r in h], list(v))
-    if c is None:
-        raise ContainmentError("vector not in lattice")
-    x = [0] * len(basis_rows)
-    for ci, urow in zip(c, u):
-        if ci:
-            for j in range(len(x)):
-                x[j] += ci * urow[j]
-    return x
+def quotient_module(group: FinAbGroup, big_rows, small_rows, gen_actions) -> FiniteModule:
+    """The module big/small in the coordinates of big, where the i-th
+    generator of group acts on the ambient Z^n by gen_actions[i].
+
+    One coordinates solve covers small and every generator image of big."""
+    k, s = len(big_rows), len(small_rows)
+    images = [im.vec_mat(list(r), a) for a in gen_actions for r in big_rows]
+    coords = im.lattice_quotient_coords(big_rows, [list(r) for r in small_rows] + images)
+    actions = [coords[s + i * k : s + (i + 1) * k] for i in range(len(gen_actions))]
+    return FiniteModule.build(group, coords[:s], actions)
 
 
 def regular_module(ring: GroupRing, rel: IdealLattice) -> FiniteModule:

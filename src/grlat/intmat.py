@@ -211,21 +211,6 @@ def span_coefficients(hrows, pivots, v):
     return coeffs
 
 
-def solve_left(a_rows, v):
-    """Some integer x with x @ A = v, or None."""
-    h, u, pivots = hnf_with_transform(a_rows)
-    c = span_coefficients(h, pivots, v)
-    if c is None:
-        return None
-    m = len(a_rows)
-    x = [0] * m
-    for ci, urow in zip(c, u):
-        if ci:
-            for j in range(m):
-                x[j] += ci * urow[j]
-    return x
-
-
 def snf_with_transform(rows, width=None):
     """Smith form.  Returns (diag, U, V): U @ A @ V = diag(diag), chained.
 

@@ -27,16 +27,16 @@ from math import gcd
 
 from . import intmat as im
 from .abelian import (
-    FinAbGroup,
     GroupElement,
     Subgroup,
+    canonical_lift,
     cyclic_subgroup,
+    p_split,
     prime_factors,
     quotient_data,
 )
 from .errors import (
     ContainmentError,
-    ParentMismatchError,
     PrecisionError,
     ScopeError,
     UnitNotFoundError,
@@ -57,18 +57,6 @@ class ShiftRep:
     inertia: Subgroup
     frob: GroupElement
     lattice: IdealLattice
-
-
-def canonical_lift(inertia: Subgroup, elem: GroupElement) -> GroupElement:
-    """Lexicographically smallest representative of elem + inertia."""
-    if inertia.group is not elem.group:
-        raise ParentMismatchError("subgroup and element of different groups")
-    best = None
-    for t in inertia.elements():
-        cand = elem + t
-        if best is None or cand.coords < best.coords:
-            best = cand
-    return best
 
 
 def forward_rep(
@@ -161,45 +149,6 @@ def verify_kernel_presentation(
     return KernelReport(kernel_matches, projection_matches)
 
 
-def _rational_solve_left(rows, target):
-    """The unique rational x with x @ rows = target, for rows of full
-    row rank; None when the system is inconsistent."""
-    k = len(rows)
-    width = len(target)
-    # columns of the transposed system, eliminated with fractions
-    aug = [[Fraction(rows[i][j]) for i in range(k)] + [Fraction(target[j])]
-           for j in range(width)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        piv = None
-        for i in range(r, width):
-            if aug[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pr = aug[r]
-        inv = Fraction(1) / pr[c]
-        aug[r] = [v * inv for v in pr]
-        for i in range(width):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    if r < k:
-        return None
-    for i in range(r, width):
-        if aug[i][k]:
-            return None
-    x = [Fraction(0)] * k
-    for row_idx, c in enumerate(pivots):
-        x[c] = aug[row_idx][k]
-    return x
-
-
 @dataclass(frozen=True)
 class ExtensionReport:
     image_matches: bool
@@ -250,28 +199,14 @@ def verify_extension_sequence(
     assert den == inertia.order
     coeff_rows = im.left_kernel(bk)
     w_rows = [im.vec_mat(c, basis) for c in coeff_rows]
-    pre = []
-    ok_pre = True
-    for w in w_rows:
-        a = _rational_solve_left(fnum, w)
-        if a is None:
-            ok_pre = False
-            break
-        pre.append(a)
-    if ok_pre:
-        lcm_den = 1
-        for row in pre:
-            for v in row:
-                lcm_den = lcm_den * v.denominator // gcd(lcm_den, v.denominator)
-        int_rows = [
-            [int(v * lcm_den) for v in row] for row in pre
-        ]
-        std = [
-            [lcm_den if i == j else 0 for j in range(nbar)] for i in range(nbar)
-        ]
-        preimage_is_standard = im.lattice_eq(int_rows, std)
-    else:
+    # the rows of fnum are disjoint 0/1 indicators of the cosets of I,
+    # covering G, so every rational preimage is already integral
+    try:
+        pre = im.lattice_quotient_coords(fnum, w_rows)
+    except ContainmentError:
         preimage_is_standard = False
+    else:
+        preimage_is_standard = im.lattice_eq(pre, im.identity(nbar))
     # (c) nu-image coordinates in L are a primitive rank-nbar sublattice
     hb, pivb = im.hnf_with_pivots(basis)
     coords = []
@@ -283,21 +218,12 @@ def verify_extension_sequence(
             break
         coords.append(c)
     if ok_c:
-        inv = im.invariant_factors(coords, n)
         diag = im.snf_diagonal(coords, n)
         rank = sum(1 for d in diag if d)
-        embedding_primitive = rank == nbar and not inv
+        embedding_primitive = rank == nbar and all(d <= 1 for d in diag)
     else:
         embedding_primitive = False
     return ExtensionReport(image_matches, preimage_is_standard, embedding_primitive)
-
-
-def _p_adic_valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0 and n:
-        n //= p
-        v += 1
-    return v
 
 
 def verify_unit_transport(
@@ -332,7 +258,7 @@ def verify_unit_transport(
     n = ring.n
     common = lat_a.den * inertia.order
     common = common * lat_b.den // gcd(common, lat_b.den)
-    needed = n * _p_adic_valuation(common, p) + 1
+    needed = n * p_split(common, p)[0] + 1
     if precision is None:
         prec = needed
     elif precision < needed:
@@ -354,11 +280,12 @@ def verify_unit_transport(
     stacked = [list(r) for r in tmat]
     for j in range(nbar):
         stacked.append([q if i == j else 0 for i in range(nbar)])
-    sol = im.solve_left(stacked, target)
-    if sol is None:
+    try:
+        sol = im.lattice_quotient_coords(stacked, [target])[0]
+    except ContainmentError:
         raise UnitNotFoundError(
             "no unit carries one coset difference to the other"
-        )
+        ) from None
     u = [c % q for c in sol[:nbar]]
     aug = sum(u) % q
     if aug % p == 0:

@@ -19,6 +19,7 @@ from .abelian import (
     FinAbGroup,
     GroupElement,
     Subgroup,
+    canonical_lift,
     cyclic_subgroup,
     enumerate_subgroups,
     is_elementary,
@@ -155,13 +156,7 @@ def build_sets(group: FinAbGroup) -> SetFamily:
             continue
         qd = quotient_data(group, inertia)
         for cbar in qd.group.elements():
-            lift = qd.lift(cbar)
-            best = lift
-            for t in inertia.elements():
-                cand = lift + t
-                if cand.coords < best.coords:
-                    best = cand
-            stilde.append(InertiaPair(inertia, best))
+            stilde.append(InertiaPair(inertia, canonical_lift(inertia, qd.lift(cbar))))
     stilde.sort(key=lambda pr: (pr.inertia.basis, pr.frob.coords))
     projection = tuple(
         s_index[(pr.inertia.basis, pr.decomposition.basis)] for pr in stilde

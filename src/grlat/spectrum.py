@@ -14,23 +14,12 @@ sample is the oracle identity the module exists to exercise.
 from dataclasses import dataclass
 from random import Random
 
-from .abelian import FinAbGroup, make_group, prime_factors
+from .abelian import FinAbGroup, make_group, p_split, prime_factors
 from .errors import CapacityError, DegenerateElementError, ScopeError
 from .grouprings import GroupRing, GroupRingElem, IdealLattice, group_ring
 from .polys import cyclotomic, resultant_monic
 
 MAX_RESAMPLE = 512
-
-
-def _ord_p(n: int, p: int) -> int:
-    if n == 0:
-        raise ValueError("valuation of zero")
-    n = abs(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def _check_scope(p: int, r: int) -> None:
@@ -70,7 +59,7 @@ def char_valuation(x: GroupRingElem, i: int) -> int:
     res = resultant_monic(cyclotomic(p**i), element_poly(x))
     if res == 0:
         raise DegenerateElementError(f"character at level {i} vanishes on the element")
-    return _ord_p(res, p)
+    return p_split(res, p)[0]
 
 
 @dataclass(frozen=True)
@@ -125,10 +114,10 @@ def build_sample(p: int, r: int, ucoeffs, epsilon: int = 1, attempts: int = 1) -
     fu = element_poly(u)
     for i in range(1, r + 1):
         res = resultant_monic(cyclotomic(p**i), fu)
-        a_values.append(None if res == 0 else _ord_p(res, p))
+        a_values.append(None if res == 0 else p_split(res, p)[0])
     ideal = IdealLattice.from_elements(ring, [ring.full_norm(), x])
     # the oracle identity sum(c_values) == snf_total is checked by the caller
-    snf_total = _ord_p(ideal.integral_index(), p)
+    snf_total = p_split(ideal.integral_index(), p)[0]
     return SpectrumSample(
         p,
         r,

@@ -8,6 +8,7 @@ the projection and reassembling.
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import multiplicity
 
 from grlat.abelian import (
     FinAbGroup,
@@ -18,6 +19,7 @@ from grlat.abelian import (
     is_elementary,
     make_group,
     noncyclic_sylow_primes,
+    p_split,
     prime_factors,
     quotient_data,
     sylow,
@@ -160,3 +162,21 @@ def test_element_enumeration_complete():
     elems = list(g.elements())
     assert len(elems) == 12
     assert len(set(elems)) == 12
+
+
+@given(
+    st.integers(min_value=-(10**30), max_value=10**30).filter(bool),
+    st.sampled_from([2, 3, 5, 7, 4, 6, 9]),
+    st.integers(min_value=0, max_value=40),
+)
+@settings(max_examples=200, deadline=None)
+def test_p_split_matches_sympy(base, p, k):
+    n = base * p**k
+    e, rest = p_split(n, p)
+    assert e == multiplicity(p, n)
+    assert p**e * rest == abs(n) and rest % p
+
+
+def test_p_split_rejects_zero():
+    with pytest.raises(ValueError):
+        p_split(0, 3)

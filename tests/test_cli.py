@@ -203,11 +203,26 @@ def test_ingest_passing_table(tmp_path, capsys):
     assert "results.attained\t2,4,9" in out
 
 
+def test_ingest_large_prime_finishes(tmp_path):
+    # a 31-digit prime q = 1 mod 9; trial division up to sqrt(q) never ends
+    table = write_table(tmp_path, ["1000000000000000000000000000099,-4,2"])
+    env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "grlat", "ingest", table, "--p", "3", "--r", "2"],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0
+    assert b"verdict\tpass" in done.stdout
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["spectrum", "--p", "3", "--r", "2", "--samples", "8", "--seed", "1"],
         ["verify", "9", "--checks", "kernel"],
+        ["verify", "9", "--checks", "tate,ext,triviality,unit"],
     ],
 )
 def test_optimized_interpreter_gives_identical_reports(argv):

@@ -12,6 +12,7 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 import grlat.intmat as im
+from grlat.errors import ContainmentError
 
 small_entries = st.integers(min_value=-30, max_value=30)
 
@@ -96,13 +97,32 @@ def test_right_kernel_anchor():
 @settings(max_examples=100, deadline=None)
 def test_solve_left_roundtrip(rows, x):
     v = im.vec_mat(x, rows)
-    sol = im.solve_left([list(r) for r in rows], list(v))
-    assert sol is not None
+    [sol] = im.lattice_quotient_coords([list(r) for r in rows], [list(v)])
     assert im.vec_mat(sol, rows) == list(v)
 
 
 def test_solve_left_no_solution():
-    assert im.solve_left([[2, 0], [0, 2]], [1, 0]) is None
+    with pytest.raises(ContainmentError):
+        im.lattice_quotient_coords([[2, 0], [0, 2]], [[1, 0]])
+
+
+@given(st.integers(min_value=1, max_value=4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_lattice_quotient_coords_members_and_non_members(m, data):
+    vec = st.lists(small_entries, min_size=3, max_size=3)
+    big = data.draw(st.lists(vec, min_size=m, max_size=m))
+    xs = data.draw(st.lists(st.lists(small_entries, min_size=m, max_size=m), max_size=3))
+    members = [im.vec_mat(x, big) for x in xs]
+    coords = im.lattice_quotient_coords(big, members)
+    assert [im.vec_mat(c, big) for c in coords] == members
+    # v lies in the lattice exactly when adding it leaves the HNF unchanged
+    v = data.draw(vec)
+    if im.hnf(big + [v], 3) == im.hnf(big, 3):
+        [c] = im.lattice_quotient_coords(big, [v])
+        assert im.vec_mat(c, big) == v
+    else:
+        with pytest.raises(ContainmentError):
+            im.lattice_quotient_coords(big, members + [v])
 
 
 def test_lattice_index_and_eq():

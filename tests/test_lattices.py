@@ -6,9 +6,14 @@ exercised on small groups here (wider sweeps live in the acceptance
 suite).
 """
 
+from fractions import Fraction
+from math import lcm
+
 import pytest
 
-from grlat.abelian import Subgroup, cyclic_subgroup, make_group
+import grlat.intmat as im
+from grlat import lattices
+from grlat.abelian import Subgroup, canonical_lift, cyclic_subgroup, make_group
 from grlat.errors import (
     ContainmentError,
     ParentMismatchError,
@@ -16,9 +21,9 @@ from grlat.errors import (
     ScopeError,
 )
 from grlat.grouprings import GroupRing
+from grlat.monoid import build_sets
 from grlat.lattices import (
     backward_rep,
-    canonical_lift,
     forward_rep,
     verify_extension_sequence,
     verify_kernel_presentation,
@@ -124,6 +129,87 @@ def test_extension_sequence_examples():
         assert rep.ok, (facs, gens, frob)
         assert rep.image_matches and rep.preimage_is_standard
         assert rep.embedding_primitive
+
+
+def _fraction_solve_left(rows, target):
+    """Reference: the unique rational x with x @ rows = target, for rows
+    of full row rank, by Gaussian elimination over Fraction; None when
+    the system is inconsistent or the rows are dependent."""
+    k = len(rows)
+    width = len(target)
+    aug = [[Fraction(rows[i][j]) for i in range(k)] + [Fraction(target[j])]
+           for j in range(width)]
+    pivots = []
+    r = 0
+    for c in range(k):
+        piv = next((i for i in range(r, width) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [v * inv for v in aug[r]]
+        for i in range(width):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    if r < k or any(aug[i][k] for i in range(r, width)):
+        return None
+    x = [Fraction(0)] * k
+    for row_idx, c in enumerate(pivots):
+        x[c] = aug[row_idx][k]
+    return x
+
+
+def _fraction_preimage_is_standard(fnum, w_rows):
+    """The preimage step of the extension check as a Fraction solve:
+    solve each row, clear the common denominator D and compare with
+    D times the standard lattice."""
+    pre = [_fraction_solve_left(fnum, w) for w in w_rows]
+    if any(a is None for a in pre):
+        return False, None
+    den = lcm(*(v.denominator for row in pre for v in row))
+    int_rows = [[int(v * den) for v in row] for row in pre]
+    nbar = len(fnum)
+    std = [[den if i == j else 0 for j in range(nbar)] for i in range(nbar)]
+    return im.lattice_eq(int_rows, std), pre
+
+
+@pytest.mark.parametrize("facs", [[9], [27], [3, 3], [15], [2, 4]])
+def test_extension_preimage_matches_fraction_solve(facs, monkeypatch):
+    """The integral coordinates solve of the preimage step agrees with
+    the rational solve on every coset-indicator system the check meets."""
+    systems = []
+
+    class Recorder:
+        def __getattr__(self, name):
+            return getattr(im, name)
+
+        def lattice_quotient_coords(self, big, small):
+            try:
+                out = im.lattice_quotient_coords(big, small)
+            except ContainmentError:
+                systems.append((big, small, None))
+                raise
+            systems.append((big, small, out))
+            return out
+
+    monkeypatch.setattr(lattices, "im", Recorder())
+    r = ring_of(facs)
+    pairs = build_sets(r.group).stilde
+    for pair in pairs:
+        verify_extension_sequence(r, pair.inertia, pair.frob)
+    assert len(systems) == len(pairs)
+    for fnum, w_rows, coords in systems:
+        # the rows are 0/1 indicators of disjoint sets covering G
+        assert all(v in (0, 1) for row in fnum for v in row)
+        assert [sum(col) for col in zip(*fnum)] == [1] * r.n
+        ref_standard, ref = _fraction_preimage_is_standard(fnum, w_rows)
+        assert (coords is None) == (ref is None)
+        if coords is not None:
+            assert coords == ref
+            assert im.lattice_eq(coords, im.identity(len(fnum))) == ref_standard
 
 
 def test_unit_transport_positive():
