@@ -304,9 +304,30 @@ class Subgroup:
     def elements(self, cap: int = ELEMENT_CAP) -> list[GroupElement]:
         if self.order > cap:
             raise CapacityError(f"subgroup of order {self.order} exceeds cap {cap}")
-        out = [e for e in self.group.elements() if self.contains(e)]
-        assert len(out) == self.order
-        return out
+        # close the generators under addition mod the factors: S + m*g is
+        # either S or disjoint from it, so adding multiples of g stops at
+        # the first coset that is already in S
+        factors = self.group.factors
+        pts = {(0,) * self.group.rank}
+        for g in self.generators():
+            coset = list(pts)
+            while True:
+                coset = [
+                    tuple((a + b) % d for a, b, d in zip(x, g.coords, factors))
+                    for x in coset
+                ]
+                if coset[0] in pts:
+                    break
+                pts.update(coset)
+        if len(pts) != self.order:
+            raise ContainmentError(
+                f"basis of {self!r} does not contain the relation lattice"
+            )
+        # FinAbGroup.elements() order: the first coordinate varies fastest
+        return [
+            GroupElement(self.group, c)
+            for c in sorted(pts, key=lambda c: c[::-1])
+        ]
 
     def cyclic_generator(self) -> GroupElement:
         n = self.order

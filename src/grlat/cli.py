@@ -10,10 +10,11 @@ seed reproduce byte-identical output.
 import argparse
 import csv
 import json
+import math
 import sys
 from importlib import resources
 
-from .abelian import enumerate_subgroups, make_group, prime_factors
+from .abelian import ELEMENT_CAP, enumerate_subgroups, make_group, prime_factors
 from .cohomology import (
     closed_form_inertia_tate,
     module_equivalent,
@@ -62,6 +63,11 @@ def parse_group_spec(spec: str):
         factors = [int(tok) for tok in spec.split(",")]
     except ValueError:
         raise InvalidFactorError(f"group spec {spec!r} is not a comma-separated integer list")
+    # refuse an oversized group before make_group factors its factors;
+    # a factor below 1 is make_group's usage error, whatever the product
+    order = math.prod(factors)
+    if order > ELEMENT_CAP and all(f >= 1 for f in factors):
+        raise CapacityError(f"group of order {order} exceeds element cap {ELEMENT_CAP}")
     return make_group(factors)
 
 

@@ -202,24 +202,32 @@ def beta(family: SetFamily, pair: DecompositionPair) -> tuple:
     """Image of an (I, D) pair: the 0/1 vector over the target tuples
     marking every (p, H, Istar, Dstar) with D inside H and the images of
     I and D in the maximal p-quotient equal to Istar and Dstar."""
+    return _beta_values(family, [pair])[0]
+
+
+def _beta_values(family: SetFamily, pairs) -> list:
+    """beta of each pair, building each maximal p-quotient once."""
     group = family.group
-    images = {}
-    for p in sorted(prime_factors(pair.inertia.order)):
-        qd_p = quotient_data(group, sylow_complement(group, p))
-        images[p] = (qd_p.push(pair.inertia), qd_p.push(pair.dec))
+    targets = family.t_tuples
+    # the basis comparison is a dict lookup, so only the target tuples
+    # with matching images reach the HNF containment test D <= H
+    by_images = {}
+    for i, t in enumerate(targets):
+        by_images.setdefault((t.p, t.istar, t.dstar), []).append(i)
+    quotients = {}
     out = []
-    for t in family.t_tuples:
-        hit = 0
-        img = images.get(t.p)
-        if (
-            img is not None
-            and pair.dec.is_subset_of(t.h)
-            and img[0] == t.istar
-            and img[1] == t.dstar
-        ):
-            hit = 1
-        out.append(hit)
-    return tuple(out)
+    for pair in pairs:
+        vec = [0] * len(targets)
+        for p in prime_factors(pair.inertia.order):
+            if p not in quotients:
+                quotients[p] = quotient_data(group, sylow_complement(group, p))
+            qd_p = quotients[p]
+            key = (p, qd_p.push(pair.inertia), qd_p.push(pair.dec))
+            for i in by_images.get(key, ()):
+                if pair.dec.is_subset_of(targets[i].h):
+                    vec[i] = 1
+        out.append(tuple(vec))
+    return out
 
 
 def cardinality_formulas(group: FinAbGroup):
@@ -238,43 +246,56 @@ def cardinality_formulas(group: FinAbGroup):
     return s_val, t_val
 
 
-def _vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _vec_le(a, b):
-    return all(x <= y for x, y in zip(a, b))
+def _bitmask(vec) -> int:
+    """The 0/1 vector as an int with bit i set where vec[i] is 1."""
+    out = 0
+    for i, x in enumerate(vec):
+        if x:
+            if x != 1:
+                raise ScopeError("membership vectors must be 0/1")
+            out |= 1 << i
+    return out
 
 
 class _MonoidMembership:
-    """Decides membership in the monoid generated by 0/1-free generator
+    """Decides membership in the monoid generated by 0/1 generator
     vectors, by depth-first search over dominated generator subtractions
-    with a shared memo."""
+    with a shared memo.
+
+    Vectors are bitmasks: g <= v is g & v == g, and v - g is v ^ g.  A
+    dominated 0/1 vector subtracted from a 0/1 vector leaves a 0/1
+    vector, so the search never leaves bitmasks.  Whether a vector is a
+    sum of generators does not depend on the order they are tried in.
+    """
 
     def __init__(self, generators):
-        self.gens = sorted(set(g for g in generators if any(g)), reverse=True)
+        self.gens = sorted({_bitmask(g) for g in generators} - {0}, reverse=True)
         self.memo = {}
 
     def contains(self, vec) -> bool:
-        if not any(vec):
+        return self._contains(_bitmask(vec))
+
+    def _contains(self, v: int) -> bool:
+        if not v:
             return True
-        if vec in self.memo:
-            return self.memo[vec]
-        self.memo[vec] = False  # cuts cycles; sums only shrink, so safe
+        if v in self.memo:
+            return self.memo[v]
+        self.memo[v] = False  # cuts cycles; sums only shrink, so safe
         out = False
         for g in self.gens:
-            if _vec_le(g, vec) and self.contains(_vec_sub(vec, g)):
+            if g & v == g and self._contains(v ^ g):
                 out = True
                 break
-        self.memo[vec] = out
+        self.memo[v] = out
         return out
 
     def decomposable(self, vec) -> bool:
         """vec = a + b with both parts nonzero members."""
+        v = _bitmask(vec)
         for g in self.gens:
-            if _vec_le(g, vec):
-                rest = _vec_sub(vec, g)
-                if any(rest) and self.contains(rest):
+            if g & v == g:
+                rest = v ^ g
+                if rest and self._contains(rest):
                     return True
         return False
 
@@ -329,7 +350,7 @@ def analyze_monoid(
         raise ScopeError("bound must be at least 2")
     family = build_sets(group)
     s_pairs = family.s_pairs
-    beta_values = tuple(beta(family, pr) for pr in s_pairs)
+    beta_values = tuple(_beta_values(family, s_pairs))
     pair_index = {
         (pr.inertia.basis, pr.dec.basis): i for i, pr in enumerate(s_pairs)
     }
@@ -391,32 +412,41 @@ def _vector_count(k: int, bound: int) -> int:
 
 
 def _bounded_injectivity(generators, bound: int) -> bool:
-    """All formal nonnegative combinations of the generators with
-    coordinate sum <= bound have pairwise distinct values."""
+    """All formal nonnegative combinations of the generators (vectors
+    with nonnegative entries) with coordinate sum <= bound have pairwise
+    distinct values."""
     k = len(generators)
     count = _vector_count(k, bound)
     if count > VECTOR_CAP:
         raise CapacityError(
             f"{count} candidate vectors exceed the cap {VECTOR_CAP}"
         )
-    width = len(generators[0]) if generators else 0
-    zero = (0,) * width
-    seen = {zero: (0,) * k}
-    frontier = [(zero, (0,) * k, 0)]
+    # pack each generator into one int, a field per coordinate wide
+    # enough for bound copies of the largest entry, so that adding
+    # packed values adds the vectors with no carry between fields
+    top = max((max(g, default=0) for g in generators), default=0)
+    shift = (bound * top).bit_length()
+    packed = [
+        sum(c << (i * shift) for i, c in enumerate(g)) for g in generators
+    ]
+    # frontier[i]: values of the multisets of the current size whose
+    # largest generator index is i (the empty multiset sits at 0).
+    # Extending only by indices >= i builds each multiset once, as a
+    # nondecreasing index sequence, so a value seen before is always
+    # a collision between two distinct multisets: injectivity fails.
+    seen = {0}
+    frontier = [[0]] + [[] for _ in range(k - 1)]
     for _ in range(bound):
         nxt = []
-        for val, expo, start in frontier:
-            for idx in range(start, k):
-                g = generators[idx]
-                nval = tuple(a + b for a, b in zip(val, g))
-                nexpo = list(expo)
-                nexpo[idx] += 1
-                nexpo = tuple(nexpo)
-                prev = seen.get(nval)
-                if prev is not None and prev != nexpo:
-                    return False
-                seen[nval] = nexpo
-                nxt.append((nval, nexpo, idx))
+        prefix = []
+        for idx, g in enumerate(packed):
+            prefix += frontier[idx]
+            vals = [v + g for v in prefix]
+            fresh = set(vals)
+            if len(fresh) != len(vals) or not seen.isdisjoint(fresh):
+                return False
+            seen |= fresh
+            nxt.append(vals)
         frontier = nxt
     return True
 

@@ -25,7 +25,7 @@ from grlat.abelian import (
     sylow,
     sylow_complement,
 )
-from grlat.errors import InvalidFactorError
+from grlat.errors import ContainmentError, InvalidFactorError
 
 
 def test_make_group_canonicalizes():
@@ -94,6 +94,23 @@ def test_cyclic_subgroup_order_matches_element(factors, data):
     coords = tuple(data.draw(st.integers(0, d - 1)) for d in factors)
     e = g.element(coords)
     assert cyclic_subgroup(e).order == e.order()
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [(8,), (2, 4), (3, 3), (2, 2, 2), (3, 9), (4, 8), (2, 2, 12), (2, 2, 2, 2)],
+)
+def test_subgroup_elements_match_membership_scan(factors):
+    # the closure of the generators, in the order of G.elements()
+    g = make_group(list(factors))
+    for h in enumerate_subgroups(g):
+        assert h.elements() == [e for e in g.elements() if h.contains(e)], h
+
+
+def test_subgroup_elements_rejects_a_basis_without_the_relations():
+    # 3Z does not contain 4Z, so this basis describes no subgroup of Z/4
+    with pytest.raises(ContainmentError):
+        Subgroup(make_group([4]), [[3]]).elements()
 
 
 def test_structure_invariants():

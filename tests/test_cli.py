@@ -217,12 +217,28 @@ def test_ingest_large_prime_finishes(tmp_path):
     assert b"verdict\tpass" in done.stdout
 
 
+@pytest.mark.parametrize("spec", ["999999999999999989", "1001,1000"])
+def test_oversized_group_spec_is_refused_at_once(spec):
+    # the spec's order is checked before its factors are factored; trial
+    # division of the 18-digit prime would run for minutes
+    env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "grlat", "monoid", spec],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 65
+    assert b"exceeds element cap" in done.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["spectrum", "--p", "3", "--r", "2", "--samples", "8", "--seed", "1"],
         ["verify", "9", "--checks", "kernel"],
         ["verify", "9", "--checks", "tate,ext,triviality,unit"],
+        ["monoid", "2,2,12"],
     ],
 )
 def test_optimized_interpreter_gives_identical_reports(argv):

@@ -7,10 +7,16 @@ injectivity sweep is pinned.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grlat.abelian import make_group, prime_factors, sylow
 from grlat.errors import CapacityError, ScopeError
 from grlat.monoid import (
+    VECTOR_CAP,
+    _bounded_injectivity,
+    _MonoidMembership,
+    _vector_count,
     analyze_monoid,
     beta,
     build_sets,
@@ -144,3 +150,141 @@ def test_sprime_vs_t_count_law():
 def test_subgroup_recovery():
     for facs in ([9], [3, 3], [2, 6], [30]):
         assert subgroup_recovery_ok(make_group(facs)), facs
+
+
+# -- reference implementations on dense tuples ------------------------------
+# Verbatim copies of the tuple-based membership search and injectivity
+# sweep that the packed-integer versions replaced; the differential tests
+# below hold the new code to their verdicts.
+
+
+def _vec_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _vec_le(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+class _TupleMonoidMembership:
+    """Decides membership in the monoid generated by 0/1-free generator
+    vectors, by depth-first search over dominated generator subtractions
+    with a shared memo."""
+
+    def __init__(self, generators):
+        self.gens = sorted(set(g for g in generators if any(g)), reverse=True)
+        self.memo = {}
+
+    def contains(self, vec) -> bool:
+        if not any(vec):
+            return True
+        if vec in self.memo:
+            return self.memo[vec]
+        self.memo[vec] = False  # cuts cycles; sums only shrink, so safe
+        out = False
+        for g in self.gens:
+            if _vec_le(g, vec) and self.contains(_vec_sub(vec, g)):
+                out = True
+                break
+        self.memo[vec] = out
+        return out
+
+    def decomposable(self, vec) -> bool:
+        """vec = a + b with both parts nonzero members."""
+        for g in self.gens:
+            if _vec_le(g, vec):
+                rest = _vec_sub(vec, g)
+                if any(rest) and self.contains(rest):
+                    return True
+        return False
+
+
+def _tuple_bounded_injectivity(generators, bound: int) -> bool:
+    """All formal nonnegative combinations of the generators with
+    coordinate sum <= bound have pairwise distinct values."""
+    k = len(generators)
+    count = _vector_count(k, bound)
+    if count > VECTOR_CAP:
+        raise CapacityError(
+            f"{count} candidate vectors exceed the cap {VECTOR_CAP}"
+        )
+    width = len(generators[0]) if generators else 0
+    zero = (0,) * width
+    seen = {zero: (0,) * k}
+    frontier = [(zero, (0,) * k, 0)]
+    for _ in range(bound):
+        nxt = []
+        for val, expo, start in frontier:
+            for idx in range(start, k):
+                g = generators[idx]
+                nval = tuple(a + b for a, b in zip(val, g))
+                nexpo = list(expo)
+                nexpo[idx] += 1
+                nexpo = tuple(nexpo)
+                prev = seen.get(nval)
+                if prev is not None and prev != nexpo:
+                    return False
+                seen[nval] = nexpo
+                nxt.append((nval, nexpo, idx))
+        frontier = nxt
+    return True
+
+
+@st.composite
+def zero_one_generators(draw, max_size):
+    """A list of 0/1 vectors of one width in 1..40, possibly with a
+    repeated vector and the zero vector mixed in."""
+    width = draw(st.integers(1, 40))
+    vec = st.tuples(*[st.integers(0, 1)] * width)
+    gens = draw(st.lists(vec, max_size=max_size))
+    if gens and draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), draw(st.sampled_from(gens)))
+    if draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), (0,) * width)
+    return width, gens
+
+
+@given(zero_one_generators(max_size=10), st.integers(2, 5))
+@settings(max_examples=300, deadline=None)
+@example((2, [(1, 0), (0, 1)]), 5)
+@example((3, [(1, 1, 0), (0, 0, 1), (1, 1, 1)]), 5)
+@example((1, [(1,), (0,)]), 2)
+def test_bounded_injectivity_matches_tuple_sweep(case, bound):
+    # bound 5 needs 3-bit fields: with 2-bit fields 4*(1,0) would carry
+    # into the packed value of (0,1)
+    _, gens = case
+    assert _bounded_injectivity(gens, bound) == _tuple_bounded_injectivity(gens, bound)
+
+
+def test_bounded_injectivity_verdicts_on_anchors():
+    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    assert _bounded_injectivity(units, 5)
+    assert not _bounded_injectivity(units + [units[0]], 2)
+    assert not _bounded_injectivity(units + [(0, 0, 0, 0)], 2)
+    # (1,1,0,0) + (0,0,1,1) equals the generator (1,1,1,1)
+    assert not _bounded_injectivity([(1, 1, 0, 0), (0, 0, 1, 1), (1, 1, 1, 1)], 2)
+    assert _bounded_injectivity([], 3)
+
+
+@given(zero_one_generators(max_size=9), st.data())
+@settings(max_examples=300, deadline=None)
+def test_membership_matches_tuple_search(case, data):
+    width, gens = case
+    vec = st.tuples(*[st.integers(0, 1)] * width)
+    queries = list(gens) + data.draw(st.lists(vec, max_size=6))
+    # unions of generators: those of disjoint generators are their sums,
+    # so members and non-members both occur
+    pick = st.lists(st.sampled_from(gens or [(0,) * width]), max_size=4)
+    for picks in data.draw(st.lists(pick, max_size=4)):
+        queries.append(tuple(max(c) for c in zip((0,) * width, *picks)))
+    new, old = _MonoidMembership(gens), _TupleMonoidMembership(gens)
+    for q in queries:
+        assert new.contains(q) == old.contains(q), q
+        assert new.decomposable(q) == old.decomposable(q), q
+
+
+def test_membership_refuses_non_zero_one_vectors():
+    with pytest.raises(ScopeError):
+        _MonoidMembership([(1, 2)])
+    with pytest.raises(ScopeError):
+        _MonoidMembership([(1, 0)]).contains((2, 0))
