@@ -137,6 +137,15 @@ class FinAbGroup:
     def zero(self) -> "GroupElement":
         return GroupElement(self, (0,) * self.rank)
 
+    def index_of(self, elem: "GroupElement") -> int:
+        """Position of elem in elements(): its mixed-radix index, first
+        coordinate fastest."""
+        out, stride = 0, 1
+        for c, d in zip(elem.coords, self.factors):
+            out += c * stride
+            stride *= d
+        return out
+
     def generators(self) -> list["GroupElement"]:
         return [
             self.element(tuple(1 if j == i else 0 for j in range(self.rank)))
@@ -487,22 +496,6 @@ def noncyclic_sylow_primes(factors: tuple[int, ...]):
     if len(factors) < 2:
         return frozenset()
     return frozenset(prime_factors(factors[-2]))
-
-
-def elementary_primes(factors: tuple[int, ...]):
-    """Primes p such that the group is (p-group) x (cyclic prime-to-p).
-
-    For a cyclic nontrivial group this is every prime divisor of the
-    order; for the trivial group the convention here is the empty set.
-    """
-    nc = noncyclic_sylow_primes(factors)
-    if len(nc) > 1:
-        return frozenset()
-    if len(nc) == 1:
-        return nc
-    if not factors:
-        return frozenset()
-    return frozenset(prime_factors(factors[-1]))
 
 
 def is_elementary(factors: tuple[int, ...]) -> bool:

@@ -442,6 +442,10 @@ def main(argv=None) -> int:
     except (InvalidFactorError, ScopeError) as e:
         print(f"grlat: usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except GrlatError as e:
+        # a check the results depend on failed inside a computation
+        print(f"grlat: check failed: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_CHECK
     emit(report, args.json, sys.stdout)
     return EXIT_OK if report["verdict"] == "pass" else EXIT_CHECK
 

@@ -33,11 +33,11 @@ from .abelian import (
     p_split,
     quotient_data,
     sylow,
+    sylow_complement,
 )
 from .errors import ParentMismatchError, PrecisionError, ScopeError
 from .grouprings import (
     FiniteModule,
-    GroupRing,
     group_ring,
     inertia_module,
     quotient_module,
@@ -86,8 +86,7 @@ def tate_cohomology(module: FiniteModule, sub: Subgroup) -> TateResult:
 
     nm = norm_matrix(module, sub)
     norm_image = im.lattice_sum([im.vec_mat(list(e), nm) for e in im.identity(n)], rel)
-    gen_actions = [module.action_matrix(g) for g in module.group.generators()]
-    h0 = quotient_module(module.group, inv, norm_image, gen_actions)
+    h0 = quotient_module(module.group, inv, norm_image, module.gen_actions)
 
     # norm kernel: x with x N in L
     ker = im.preimage_lattice(None, nm, rel)
@@ -97,7 +96,7 @@ def tate_cohomology(module: FiniteModule, sub: Subgroup) -> TateResult:
         for i in range(n):
             aug_rows.append([a[i][j] - (1 if i == j else 0) for j in range(n)])
     aug = im.hnf(aug_rows, n)
-    hm1 = quotient_module(module.group, ker, aug, gen_actions)
+    hm1 = quotient_module(module.group, ker, aug, module.gen_actions)
     return TateResult(sub, h0, hm1)
 
 
@@ -193,18 +192,17 @@ def find_cyclic_generator(module: FiniteModule, cap: int = 30_000):
         return None, False
     n = module.rank
     rel = [list(r) for r in module.relations]
-    acts = [module.action_matrix(g) for g in module.group.elements()]
     for x in reps:
-        rows = [im.vec_mat(x, a) for a in acts] + rel
+        rows = [im.vec_mat(x, a) for a in module.actions] + rel
         h = im.hnf(rows, n)
         if len(h) == n and all(h[i][i] == 1 for i in range(n)):
             return x, True
     return None, True
 
 
-def annihilator_lattice(module: FiniteModule, x, ring: GroupRing):
+def annihilator_lattice(module: FiniteModule, x):
     """The lattice {c in Z^{|G|} : sum_g c_g (x.g) lies in relations}."""
-    rows = [im.vec_mat(list(x), module.action_matrix(g)) for g in ring.elems]
+    rows = [im.vec_mat(list(x), a) for a in module.actions]
     return im.preimage_lattice(None, rows, [list(r) for r in module.relations])
 
 
@@ -229,9 +227,8 @@ def module_equivalent(
     x1, full1 = find_cyclic_generator(m1, cap)
     x2, full2 = find_cyclic_generator(m2, cap)
     if x1 is not None and x2 is not None:
-        ring = group_ring(m1.group)
-        a1 = annihilator_lattice(m1, x1, ring)
-        a2 = annihilator_lattice(m2, x2, ring)
+        a1 = annihilator_lattice(m1, x1)
+        a2 = annihilator_lattice(m2, x2)
         return ComparisonOutcome(True, a1 == a2, "cyclic-annihilator")
     if x1 is None and full1 and x2 is not None:
         return ComparisonOutcome(True, False, "cyclicity-mismatch")
@@ -366,23 +363,19 @@ class ChiClass:
         return not any(self.values)
 
 
-def complement_generators(group: FinAbGroup, p: int):
+def complement_generators(group: FinAbGroup, p: int) -> tuple:
     """Canonical generators of the prime-to-p part of the group.
 
-    Returns (gens, orders): gens[i] is p^a * e_j for the j-th standard
-    generator e_j of order p^a * m_j, orders[i] = m_j; factors with
-    trivial prime-to-p part are skipped.
+    The j-th standard generator e_j, of order p^a * m with m prime to p,
+    contributes the generator p^a * e_j of order m, recorded as the
+    triple (j, p^a, m); factors with m = 1 are skipped.
     """
-    gens = []
-    orders = []
+    out = []
     for j, d in enumerate(group.factors):
         e, m = p_split(d, p)
         if m > 1:
-            coords = [0] * group.rank
-            coords[j] = p**e
-            gens.append(group.element(tuple(coords)))
-            orders.append(m)
-    return gens, orders
+            out.append((j, p**e, m))
+    return tuple(out)
 
 
 def _classes_from_orders(gen_orders, p: int) -> list[ChiClass]:
@@ -410,11 +403,7 @@ def _classes_from_orders(gen_orders, p: int) -> list[ChiClass]:
 def character_classes(group: FinAbGroup, p: int) -> list[ChiClass]:
     """Conjugacy classes of characters of the prime-to-p part of the
     group under exponent-multiplication by p, canonical order."""
-    _, orders = complement_generators(group, p)
-    for m in orders:
-        if m % p == 0:
-            raise ValueError("generator orders must be prime to p")
-    return _classes_from_orders(tuple(orders), p)
+    return _classes_from_orders(tuple(m for _, _, m in complement_generators(group, p)), p)
 
 
 _LIFT_CACHE: dict = {}
@@ -480,59 +469,26 @@ def chi_idempotent_matrix(module: FiniteModule, chi: ChiClass, prec: int):
     """
     p = chi.p
     q = p**prec
-    gens, orders = complement_generators(module.group, p)
-    if tuple(orders) != chi.gen_orders:
+    group = module.group
+    gens = complement_generators(group, p)
+    if tuple(m for _, _, m in gens) != chi.gen_orders:
         raise ParentMismatchError("character domain does not match group")
     n = module.rank
-    size = 1
-    for mi in orders:
-        size *= mi
-    inv_size = pow(size % q, -1, q) if q > 1 else 0
+    part = sylow_complement(group, p)
+    inv_size = pow(part.order % q, -1, q) if q > 1 else 0
     m = chi.order
     traces = _root_power_traces(m, p, prec)
-    # chi(gens[i]) = zeta_m ^ cexp[i]
-    cexp = []
-    for b, mi in zip(chi.values, orders):
-        assert (b * m) % mi == 0
-        cexp.append((b * m // mi) % m)
-    gen_pows = []
-    for g, mi in zip(gens, orders):
-        a = module.action_matrix(g)
-        pows = [im.identity(n)]
-        for _ in range(mi - 1):
-            nxt = im.mat_mul(pows[-1], a)
-            pows.append([[x % q for x in row] for row in nxt])
-        gen_pows.append(pows)
     out = im.zeros(n, n)
-    coords = [0] * len(orders)
-    while True:
-        e_val = 0
-        for y, c in zip(coords, cexp):
-            e_val = (e_val + y * c) % m
-        coeff = (traces[(-e_val) % m] * inv_size) % q
+    for d in part.elements():
+        coeff = traces[-_chi_exponent_at(chi, gens, d.coords) % m] * inv_size % q
         if coeff:
-            act = im.identity(n)
-            for pows, y in zip(gen_pows, coords):
-                if y:
-                    act = im.mat_mul(act, pows[y])
-            for i in range(n):
-                row = out[i]
-                arow = act[i]
-                for j in range(n):
-                    row[j] = (row[j] + coeff * arow[j]) % q
-        k = len(coords) - 1
-        while k >= 0:
-            coords[k] += 1
-            if coords[k] < orders[k]:
-                break
-            coords[k] = 0
-            k -= 1
-        if k < 0:
-            break
+            for row, arow in zip(out, module.action_matrix(d)):
+                for j, x in enumerate(arow):
+                    row[j] += coeff * x
+    out = [[x % q for x in row] for row in out]
     sq = im.mat_mul(out, out)
-    assert all(
-        (sq[i][j] - out[i][j]) % q == 0 for i in range(n) for j in range(n)
-    ), "idempotent check failed"
+    if any((x - y) % q for srow, row in zip(sq, out) for x, y in zip(srow, row)):
+        raise PrecisionError(f"chi idempotent is not idempotent mod {p}^{prec}")
     return out
 
 
@@ -564,60 +520,7 @@ def chi_component(
 
 
 # ---------------------------------------------------------------------------
-# inertia-module analysis bundles
-
-
-@dataclass(frozen=True)
-class ChiComponentRow:
-    chi: ChiClass
-    component: FiniteModule
-
-
-@dataclass(frozen=True)
-class ChiAnalysis:
-    module: FiniteModule
-    rows: tuple
-    partition_ok: bool
-
-
-def chi_analysis(
-    group: FinAbGroup,
-    inertia: Subgroup,
-    frob: GroupElement,
-    p: int,
-    prec: int | None = None,
-) -> ChiAnalysis:
-    """All chi-components of the p-part of the inertia module.
-
-    partition_ok records that the component orders multiply to the order
-    of the p-part, which is what exactness of the idempotent
-    decomposition predicts; the idempotents are additionally checked to
-    sum to the identity at working precision.
-    """
-    ring = group_ring(group)
-    mod = inertia_module(ring, inertia, frob)
-    mp = p_part(mod, p)
-    e, _ = p_split(mp.exponent(), p)
-    eff = max(e, 1) if prec is None else prec
-    rows = []
-    prod = 1
-    total = im.zeros(mp.rank, mp.rank)
-    for chi in character_classes(group, p):
-        comp = chi_component(mp, chi, prec)
-        rows.append(ChiComponentRow(chi, comp))
-        prod *= comp.order
-        if e > 0:
-            ep = chi_idempotent_matrix(mp, chi, eff)
-            total = im.mat_add(total, ep)
-    if e > 0:
-        q = p**eff
-        n = mp.rank
-        assert all(
-            (total[i][j] - (1 if i == j else 0)) % q == 0
-            for i in range(n)
-            for j in range(n)
-        ), "idempotents do not sum to the identity"
-    return ChiAnalysis(mp, tuple(rows), prod == mp.order)
+# the triviality criterion
 
 
 @dataclass(frozen=True)
@@ -637,31 +540,31 @@ class CriterionReport:
     all_agree: bool
 
 
-def _chi_exponent_at(chi: ChiClass, orders, pparts, coords):
+def _chi_exponent_at(chi: ChiClass, gens, coords):
     """Exponent k with chi(projection of the element to the prime-to-p
-    part) = zeta_m^k, for an element given by its group coordinates."""
+    part) = zeta_m^k, for an element given by its group coordinates and
+    gens = complement_generators(group, chi.p).
+
+    Coordinate x on a factor of order p^a * mi projects to y times the
+    generator p^a * e_j of the prime-to-p part, where y * p^a = x mod mi;
+    chi sends that generator to zeta_m^(b * m / mi)."""
     m = chi.order
     k = 0
-    for b, mi, pe, x in zip(chi.values, orders, pparts, coords):
-        y = (x * pow(pe, -1, mi)) % mi
-        k = (k + y * ((b * m) // mi)) % m
+    for b, (j, pe, mi) in zip(chi.values, gens):
+        y = coords[j] * pow(pe, -1, mi) % mi
+        k = (k + y * (b * m // mi)) % m
     return k
 
 
 def _predicted_component_triviality(group, inertia, frob, p, chi) -> bool:
-    gens, orders = complement_generators(group, p)
-    if tuple(orders) != chi.gen_orders:
+    gens = complement_generators(group, p)
+    if tuple(m for _, _, m in gens) != chi.gen_orders:
         raise ParentMismatchError("character domain does not match group")
-    pparts = []
-    for j, d in enumerate(group.factors):
-        e, rest = p_split(d, p)
-        if rest > 1:
-            pparts.append(p**e)
     if inertia.order % p != 0:
         return True
     dec = inertia.join(cyclic_subgroup(frob))
     for g in dec.generators():
-        if _chi_exponent_at(chi, orders, pparts, g.coords) != 0:
+        if _chi_exponent_at(chi, gens, g.coords) != 0:
             return True
     return False
 

@@ -17,13 +17,15 @@ lattices compare equal.
 Modules are presented as Z^n / (relation lattice) with one integer
 action matrix per group generator, acting on row vectors from the
 right.  Finiteness (full-rank relations) is enforced at construction.
+The matrix of any group element comes from FiniteModule.actions, one
+cached walk of the group per module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from . import intmat as im
@@ -51,11 +53,10 @@ class GroupRing:
         self.n = group.order
         self.elems = list(group.elements())
         self._ids = tuple(range(self.n))
-        self._index = {e.coords: i for e, i in zip(self.elems, self._ids)}
         self._shifts = [None] * self.n
 
     def index_of(self, elem: GroupElement) -> int:
-        return self._index[elem.coords]
+        return self.group.index_of(elem)
 
     def shift(self, j: int) -> tuple:
         """shift(j)[i] is the index of elems[i] + elems[j]."""
@@ -258,14 +259,6 @@ class IdealLattice:
         """[Z^n : den * L], the index of the cleared-denominator lattice."""
         return im.lattice_index([list(r) for r in self.basis], self.ring.n)
 
-    def index_in(self, other: "IdealLattice") -> int:
-        """[other : self]; raises ContainmentError if self is not inside other."""
-        inv = self.invariants_in(other)
-        out = 1
-        for d in inv:
-            out *= d
-        return out
-
     def invariants_in(self, other: "IdealLattice") -> tuple:
         """Invariant factors of other/self (requires self <= other)."""
         a, b = self._aligned(other)
@@ -294,14 +287,6 @@ class IdealLattice:
         a = [[c * (l // self.den) for c in r] for r in self.basis]
         h, piv = im.hnf_with_pivots(a)
         return im.in_span(h, piv, v)
-
-    def is_gamma_stable(self) -> bool:
-        for g in self.ring.group.generators():
-            m = self.ring.translation_matrix(g)
-            imb = [im.vec_mat(list(r), m) for r in self.basis]
-            if not im.lattice_contains([list(r) for r in self.basis], imb):
-                return False
-        return True
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -396,14 +381,26 @@ class FiniteModule:
         inv = self.invariants()
         return inv[-1] if inv else 1
 
+    @cached_property
+    def actions(self) -> tuple:
+        """The matrix of every element of the group, in elements() order.
+
+        elements() is mixed radix with the first coordinate fastest, so
+        the table over the first i factors, multiplied by the i-th
+        generator matrix t times, is its t-th block over i+1 factors:
+        one mat_mul per element."""
+        table = [im.identity(self.rank)]
+        for d, a in zip(self.group.factors, self.gen_actions):
+            block = table
+            for _ in range(d - 1):
+                block = [im.mat_mul(m, a) for m in block]
+                table += block
+        return tuple(im.frozen(m) for m in table)
+
     def action_matrix(self, elem: GroupElement):
         if elem.group != self.group:
             raise ParentMismatchError("element of a different group")
-        out = im.identity(self.rank)
-        for c, a in zip(elem.coords, self.gen_actions):
-            if c:
-                out = im.mat_mul(out, im.mat_pow([list(r) for r in a], c))
-        return out
+        return self.actions[self.group.index_of(elem)]
 
     def validate(self):
         n = self.rank
@@ -446,14 +443,6 @@ class FiniteModule:
         return f"FiniteModule(order={self.order}, invariants={self.invariants()})"
 
 
-def module_from_lattice_pair(big: IdealLattice, small: IdealLattice) -> FiniteModule:
-    """The G-module big/small for nested G-stable lattices."""
-    a, b = small._aligned(big)  # integer bases over a common denominator
-    ring = big.ring
-    gen_actions = [ring.translation_matrix(g) for g in ring.group.generators()]
-    return quotient_module(ring.group, b, a, gen_actions)
-
-
 def quotient_module(group: FinAbGroup, big_rows, small_rows, gen_actions) -> FiniteModule:
     """The module big/small in the coordinates of big, where the i-th
     generator of group acts on the ambient Z^n by gen_actions[i].
@@ -464,14 +453,6 @@ def quotient_module(group: FinAbGroup, big_rows, small_rows, gen_actions) -> Fin
     coords = im.lattice_quotient_coords(big_rows, [list(r) for r in small_rows] + images)
     actions = [coords[s + i * k : s + (i + 1) * k] for i in range(len(gen_actions))]
     return FiniteModule.build(group, coords[:s], actions)
-
-
-def regular_module(ring: GroupRing, rel: IdealLattice) -> FiniteModule:
-    """Z[G]/rel as a module, for an integral G-stable full-rank ideal lattice."""
-    if rel.den != 1:
-        raise ContainmentError("relation lattice must be integral")
-    actions = [ring.translation_matrix(g) for g in ring.group.generators()]
-    return FiniteModule.build(ring.group, [list(r) for r in rel.basis], actions)
 
 
 def inertia_module(ring: GroupRing, inertia: Subgroup, frob: GroupElement) -> FiniteModule:

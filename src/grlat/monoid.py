@@ -449,21 +449,3 @@ def _bounded_injectivity(generators, bound: int) -> bool:
             nxt.append(vals)
         frontier = nxt
     return True
-
-
-def subgroup_recovery_ok(group: FinAbGroup) -> bool:
-    """Every subgroup D equals the intersection of all H containing D
-    with cyclic quotient G/H."""
-    subs = enumerate_subgroups(group)
-    cyc = []
-    for h in subs:
-        if quotient_data(group, h).group.is_cyclic:
-            cyc.append(h)
-    for d in subs:
-        acc = None
-        for h in cyc:
-            if d.is_subset_of(h):
-                acc = h if acc is None else acc.meet(h)
-        if acc is None or acc != d:
-            return False
-    return True

@@ -14,7 +14,6 @@ from grlat.abelian import (
     FinAbGroup,
     Subgroup,
     cyclic_subgroup,
-    elementary_primes,
     enumerate_subgroups,
     is_elementary,
     make_group,
@@ -168,10 +167,6 @@ def test_helper_prime_classifiers():
     assert noncyclic_sylow_primes((2, 6)) == frozenset({2})
     assert noncyclic_sylow_primes((30,)) == frozenset()
     assert noncyclic_sylow_primes((6, 6)) == frozenset({2, 3})
-    assert elementary_primes((2, 6)) == frozenset({2})
-    assert elementary_primes((3, 3)) == frozenset({3})
-    assert elementary_primes((30,)) == frozenset({2, 3, 5})
-    assert elementary_primes((6, 6)) == frozenset()
 
 
 def test_element_enumeration_complete():
@@ -179,6 +174,7 @@ def test_element_enumeration_complete():
     elems = list(g.elements())
     assert len(elems) == 12
     assert len(set(elems)) == 12
+    assert [g.index_of(e) for e in elems] == list(range(12))
 
 
 @given(

@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 
 import grlat
-from grlat import spectrum
+from grlat import cli, spectrum
 from grlat.cli import main
+from grlat.errors import ContainmentError
 
 
 def run(argv, capsys):
@@ -102,6 +103,27 @@ def test_verify_propfree_alias(capsys):
     assert code_alias == code_plain == 0
     assert out_alias == out_plain
     assert "config.checks\ttriviality" in out_alias
+
+
+@pytest.mark.parametrize("spec", ["2,6", "3,6"])
+def test_verify_triviality_noncyclic_mixed_prime(spec, capsys):
+    # at p = 2 (p = 3) the first factor has no prime-to-p part, so the
+    # characters live on the second factor alone
+    code, out, _ = run(["verify", spec, "--checks", "triviality"], capsys)
+    assert code == 0
+    assert "verdict\tpass" in out
+
+
+def test_failed_internal_check_exits_2_without_traceback(capsys, monkeypatch):
+    def broken_sweep(group):
+        raise ContainmentError("relations not stable under generator 0")
+
+    monkeypatch.setattr(cli, "_triviality_rows", broken_sweep)
+    code, out, err = run(["verify", "9", "--checks", "triviality"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err == "grlat: check failed: ContainmentError: relations not stable under generator 0\n"
 
 
 def test_verify_byte_identical_repeat(capsys):
@@ -238,6 +260,7 @@ def test_oversized_group_spec_is_refused_at_once(spec):
         ["spectrum", "--p", "3", "--r", "2", "--samples", "8", "--seed", "1"],
         ["verify", "9", "--checks", "kernel"],
         ["verify", "9", "--checks", "tate,ext,triviality,unit"],
+        ["verify", "2,6", "--checks", "triviality"],
         ["monoid", "2,2,12"],
     ],
 )

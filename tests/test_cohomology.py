@@ -8,11 +8,12 @@ modules, not just as abelian groups.
 
 import pytest
 
-from grlat.abelian import Subgroup, cyclic_subgroup, make_group, prime_factors
+from grlat import intmat as im
+from grlat.abelian import Subgroup, cyclic_subgroup, make_group, p_split, prime_factors
 from grlat.cohomology import (
     ChiClass,
+    _root_power_traces,
     character_classes,
-    chi_analysis,
     chi_component,
     chi_idempotent_matrix,
     closed_form_inertia_tate,
@@ -26,7 +27,14 @@ from grlat.cohomology import (
     triviality_criterion,
 )
 from grlat.errors import ParentMismatchError, PrecisionError, ScopeError
-from grlat.grouprings import FiniteModule, GroupRing, IdealLattice, inertia_module, regular_module
+from grlat.grouprings import FiniteModule, GroupRing, IdealLattice, group_ring, inertia_module
+from grlat.monoid import build_sets
+
+
+def regular_quotient(ring, x):
+    """Z[G]/(x), with G acting by translation."""
+    rel = IdealLattice.from_elements(ring, [x])
+    return FiniteModule.build(ring.group, rel.basis, [ring.translation_matrix(g) for g in ring.group.generators()])
 
 
 def full_inertia_module(n):
@@ -51,7 +59,7 @@ def test_tate_full_group_anchor():
 def test_tate_induced_module_vanishes():
     # Z[G]/p is induced from the trivial subgroup, so cohomologically trivial
     ring = GroupRing(make_group([9]))
-    mod = regular_module(ring, IdealLattice.from_elements(ring, [ring.one().scale(3)]))
+    mod = regular_quotient(ring, ring.one().scale(3))
     for h in (Subgroup.full(ring.group), cyclic_subgroup(ring.group.element((3,)))):
         t = tate_cohomology(mod, h)
         assert t.h0.order == 1 and t.hminus1.order == 1
@@ -74,7 +82,6 @@ def test_tate_exponent_bound():
 
 def test_closed_form_matches_brute_force_small():
     from grlat.abelian import enumerate_subgroups
-    from grlat.monoid import build_sets
 
     for facs in ([9], [3, 3]):
         g = make_group(facs)
@@ -108,7 +115,7 @@ def test_cohomological_triviality_anchors():
     ring = GroupRing(make_group([3]))
     # non-zero-divisor quotient of the regular module
     x = ring.one().scale(2) - ring.delta(ring.group.element((2,)))
-    mod = regular_module(ring, IdealLattice.from_elements(ring, [x]))
+    mod = regular_quotient(ring, x)
     assert mod.order == 7
     assert is_cohomologically_trivial(mod)
     # full inertia module over Z/3 is not c.t.
@@ -144,11 +151,11 @@ def test_character_classes_counts():
 
 
 def test_complement_generators_orders():
-    g = make_group([3, 36])
-    gens, orders = complement_generators(g, 3)
-    # prime-to-3 parts: 36 -> 4; the Z/3 factor disappears
-    assert tuple(orders) == (4,)
-    assert all(e.group == g for e in gens)
+    # prime-to-3 parts: 36 = 9 * 4 gives the generator 9 * e_1 of order 4;
+    # the Z/3 factor disappears
+    assert complement_generators(make_group([3, 36]), 3) == ((1, 9, 4),)
+    assert complement_generators(make_group([2, 6]), 2) == ((1, 2, 3),)
+    assert complement_generators(make_group([6, 30]), 5) == ((0, 1, 6), (1, 5, 6))
 
 
 def test_chi_idempotent_and_components():
@@ -171,14 +178,6 @@ def test_chi_idempotent_and_components():
     # p = 3 side: single class swallows the whole 3-part
     m3 = p_part(mod, 3)
     assert chi_component(m3, character_classes(g, 3)[0]).order == m3.order == 9
-
-
-def test_chi_analysis_report():
-    g = make_group([9])
-    i3 = cyclic_subgroup(g.element((3,)))
-    rep = chi_analysis(g, i3, g.element((1,)), 7)
-    assert rep.partition_ok
-    assert sorted(r.component.order for r in rep.rows) == [1, 1, 1, 1, 7]
 
 
 def test_chi_component_guards():
@@ -212,9 +211,9 @@ def test_component_triviality_pair_anchors():
 
 
 def test_triviality_criterion_sweep_small():
-    from grlat.monoid import build_sets
-
-    for facs in ([9], [3, 3], [15]):
+    # 2,6 and 3,6 have a factor with trivial prime-to-p part ahead of one
+    # without, so chi must read the coordinates of the factors it lives on
+    for facs in ([9], [3, 3], [15], [2, 6], [3, 6]):
         g = make_group(facs)
         for pair in build_sets(g).stilde:
             for p in sorted(prime_factors(g.order)):
@@ -243,7 +242,7 @@ def test_module_equivalent_invariant_mismatch_fast():
 
 def test_coset_representatives_and_generator_search():
     ring = GroupRing(make_group([3]))
-    mod = regular_module(ring, IdealLattice.from_elements(ring, [ring.one().scale(2)]))
+    mod = regular_quotient(ring, ring.one().scale(2))
     reps = list(coset_representatives(mod, cap=100))
     assert len(reps) == mod.order == 8
     x, complete = find_cyclic_generator(mod)
@@ -253,3 +252,98 @@ def test_coset_representatives_and_generator_search():
     flat = FiniteModule.build(g, [[3, 0], [0, 3]], [[[1, 0], [0, 1]]])
     x, complete = find_cyclic_generator(flat)
     assert complete and x is None
+
+
+# -- reference: the chi idempotent from per-generator power tables ----------
+# Verbatim copies of the generator list and the odometer over mod-q power
+# tables that the sum over the prime-to-p part replaced, less the final
+# idempotency assert (now a PrecisionError in the tested code).
+
+
+def ref_complement_generators(group, p):
+    gens = []
+    orders = []
+    for j, d in enumerate(group.factors):
+        e, m = p_split(d, p)
+        if m > 1:
+            coords = [0] * group.rank
+            coords[j] = p**e
+            gens.append(group.element(tuple(coords)))
+            orders.append(m)
+    return gens, orders
+
+
+def ref_chi_idempotent_matrix(module, chi, prec):
+    p = chi.p
+    q = p**prec
+    gens, orders = ref_complement_generators(module.group, p)
+    if tuple(orders) != chi.gen_orders:
+        raise ParentMismatchError("character domain does not match group")
+    n = module.rank
+    size = 1
+    for mi in orders:
+        size *= mi
+    inv_size = pow(size % q, -1, q) if q > 1 else 0
+    m = chi.order
+    traces = _root_power_traces(m, p, prec)
+    # chi(gens[i]) = zeta_m ^ cexp[i]
+    cexp = []
+    for b, mi in zip(chi.values, orders):
+        assert (b * m) % mi == 0
+        cexp.append((b * m // mi) % m)
+    gen_pows = []
+    for g, mi in zip(gens, orders):
+        a = module.action_matrix(g)
+        pows = [im.identity(n)]
+        for _ in range(mi - 1):
+            nxt = im.mat_mul(pows[-1], a)
+            pows.append([[x % q for x in row] for row in nxt])
+        gen_pows.append(pows)
+    out = im.zeros(n, n)
+    coords = [0] * len(orders)
+    while True:
+        e_val = 0
+        for y, c in zip(coords, cexp):
+            e_val = (e_val + y * c) % m
+        coeff = (traces[(-e_val) % m] * inv_size) % q
+        if coeff:
+            act = im.identity(n)
+            for pows, y in zip(gen_pows, coords):
+                if y:
+                    act = im.mat_mul(act, pows[y])
+            for i in range(n):
+                row = out[i]
+                arow = act[i]
+                for j in range(n):
+                    row[j] = (row[j] + coeff * arow[j]) % q
+        k = len(coords) - 1
+        while k >= 0:
+            coords[k] += 1
+            if coords[k] < orders[k]:
+                break
+            coords[k] = 0
+            k -= 1
+        if k < 0:
+            break
+    return out
+
+
+@pytest.mark.parametrize("factors", [[6], [12], [15], [3, 6], [2, 6]])
+def test_chi_idempotents_match_power_tables_and_sum_to_one(factors):
+    g = make_group(factors)
+    ring = group_ring(g)
+    for pair in build_sets(g).stilde:
+        mod = inertia_module(ring, pair.inertia, pair.frob)
+        for p in g.primes():
+            mp = p_part(mod, p)
+            e, _ = p_split(mp.exponent(), p)
+            for prec in {max(e, 1), e + 1}:
+                q = p**prec
+                total = im.zeros(mp.rank, mp.rank)
+                for chi in character_classes(g, p):
+                    ep = chi_idempotent_matrix(mp, chi, prec)
+                    assert ep == ref_chi_idempotent_matrix(mp, chi, prec), (factors, pair, p, chi)
+                    total = im.mat_add(total, ep)
+                assert all(
+                    (x - (i == j)) % q == 0 for i, row in enumerate(total) for j, x in enumerate(row)
+                ), (factors, pair, p)

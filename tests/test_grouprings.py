@@ -20,7 +20,8 @@ from sympy import Poly, resultant
 from sympy.abc import X
 
 from grlat import intmat
-from grlat.abelian import Subgroup, make_group
+from grlat.abelian import Subgroup, enumerate_subgroups, make_group
+from grlat.cohomology import tate_cohomology
 from grlat.errors import (
     CapacityError,
     ContainmentError,
@@ -35,9 +36,9 @@ from grlat.grouprings import (
     IdealLattice,
     group_ring,
     inertia_module,
-    module_from_lattice_pair,
-    regular_module,
+    quotient_module,
 )
+from grlat.monoid import build_sets
 
 
 def ring_of(factors):
@@ -89,9 +90,9 @@ def test_ideal_lattice_gamma_stable_and_scale():
     r = ring_of([3, 3])
     x = r.one() - r.delta(r.group.element((1, 2))) + r.one().scale(3)
     lat = IdealLattice.from_elements(r, [x])
-    assert lat.is_gamma_stable()
+    assert all(lat.contains(lat.multiply_element(r.delta(g))) for g in r.group.generators())
     # 4L sits inside 2L with index 2^rank
-    assert lat.scale(4).index_in(lat.scale(2)) == 2 ** r.n
+    assert lat.scale(4).invariants_in(lat.scale(2)) == (2,) * r.n
 
 
 def test_sum_meet_modularity():
@@ -119,7 +120,7 @@ def test_contains_element_respects_denominator():
 def test_regular_quotient_invariants_anchor():
     r = ring_of([3])
     three = IdealLattice.from_elements(r, [r.one().scale(3)])
-    mod = regular_module(r, three)
+    mod = FiniteModule.build(r.group, three.basis, [r.translation_matrix(g) for g in r.group.generators()])
     # 3 Z[Z/3] inside Z[Z/3]: quotient is (Z/3)^3
     assert mod.invariants() == (3, 3, 3)
     assert mod.order == 27
@@ -160,13 +161,13 @@ def test_finite_module_validates_action_stability():
         FiniteModule.build(g, [[2, 0], [0, 4]], [[[0, 1], [1, 0]]])
 
 
-def test_module_from_lattice_pair_matches_index():
+def test_quotient_module_matches_index():
     r = ring_of([4])
     big = IdealLattice.standard(r)
     small = IdealLattice.from_elements(r, [r.one().scale(2)])
-    mod = module_from_lattice_pair(big, small)
-    assert mod.order == small.index_in(big)
-    assert mod.invariants() == (2, 2, 2, 2)
+    actions = [r.translation_matrix(g) for g in r.group.generators()]
+    mod = quotient_module(r.group, big.basis, small.basis, actions)
+    assert mod.invariants() == small.invariants_in(big) == (2, 2, 2, 2)
 
 
 def test_parent_mismatch_rejected():
@@ -299,3 +300,35 @@ def test_translate_rejects_foreign_element():
     r8 = ring_of([8])
     with pytest.raises(ParentMismatchError):
         r8.one().translate(make_group([2, 4]).zero())
+
+
+# -- the action table against per-element mat_pow products -------------------
+# ref_action_matrix is a verbatim copy of FiniteModule.action_matrix before
+# the cached table (intmat spelled out).
+
+
+def ref_action_matrix(self, elem):
+    if elem.group != self.group:
+        raise ParentMismatchError("element of a different group")
+    out = intmat.identity(self.rank)
+    for c, a in zip(elem.coords, self.gen_actions):
+        if c:
+            out = intmat.mat_mul(out, intmat.mat_pow([list(r) for r in a], c))
+    return out
+
+
+@pytest.mark.parametrize("factors", [[8], [2, 4], [3, 3], [2, 6], [12], [15], [2, 2, 2]])
+def test_action_table_matches_mat_pow_products(factors):
+    g = make_group(factors)
+    ring = group_ring(g)
+    subs = enumerate_subgroups(g)
+    for pair in build_sets(g).stilde:
+        mod = inertia_module(ring, pair.inertia, pair.frob)
+        modules = [mod]
+        for h in subs:
+            t = tate_cohomology(mod, h)
+            modules += [t.h0, t.hminus1]
+        for m in modules:
+            assert len(m.actions) == g.order
+            for e in g.elements():
+                assert m.action_matrix(e) == intmat.frozen(ref_action_matrix(m, e)), (factors, pair, e)

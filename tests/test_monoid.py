@@ -6,11 +6,13 @@ direct enumeration), and the degradation path of the bounded
 injectivity sweep is pinned.
 """
 
+from functools import reduce
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grlat.abelian import make_group, prime_factors, sylow
+from grlat.abelian import Subgroup, enumerate_subgroups, make_group, prime_factors, quotient_data, sylow
 from grlat.errors import CapacityError, ScopeError
 from grlat.monoid import (
     VECTOR_CAP,
@@ -21,7 +23,6 @@ from grlat.monoid import (
     beta,
     build_sets,
     cardinality_formulas,
-    subgroup_recovery_ok,
 )
 
 FROZEN_COUNTS = {
@@ -148,8 +149,15 @@ def test_sprime_vs_t_count_law():
 
 
 def test_subgroup_recovery():
+    # every subgroup D is the meet of the subgroups H containing D with
+    # cyclic quotient G/H
     for facs in ([9], [3, 3], [2, 6], [30]):
-        assert subgroup_recovery_ok(make_group(facs)), facs
+        g = make_group(facs)
+        subs = enumerate_subgroups(g)
+        cyc = [h for h in subs if quotient_data(g, h).group.is_cyclic]
+        for d in subs:
+            over = [h for h in cyc if d.is_subset_of(h)]
+            assert over and reduce(Subgroup.meet, over) == d, (facs, d)
 
 
 # -- reference implementations on dense tuples ------------------------------
