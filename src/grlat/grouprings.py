@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from . import intmat as im
 from .abelian import FinAbGroup, GroupElement, Subgroup
@@ -256,8 +256,9 @@ class IdealLattice:
     # -- structure -----------------------------------------------------------
 
     def integral_index(self) -> int:
-        """[Z^n : den * L], the index of the cleared-denominator lattice."""
-        return im.lattice_index([list(r) for r in self.basis], self.ring.n)
+        """[Z^n : den * L], the index of the cleared-denominator lattice:
+        the product of the pivots of the full-rank HNF basis."""
+        return prod(r[i] for i, r in enumerate(self.basis))
 
     def invariants_in(self, other: "IdealLattice") -> tuple:
         """Invariant factors of other/self (requires self <= other)."""
@@ -280,14 +281,6 @@ class IdealLattice:
         b, a = other._aligned(self)
         return im.lattice_contains(a, b)
 
-    def contains_element(self, x: GroupRingElem) -> bool:
-        den, rows = _coeffs_to_int_rows([x])
-        l = den * self.den // gcd(den, self.den)
-        v = [c * (l // den) for c in rows[0]]
-        a = [[c * (l // self.den) for c in r] for r in self.basis]
-        h, piv = im.hnf_with_pivots(a)
-        return im.in_span(h, piv, v)
-
     # -- arithmetic ------------------------------------------------------------
 
     def scale(self, q) -> "IdealLattice":
@@ -304,16 +297,6 @@ class IdealLattice:
         m = self.ring.mult_matrix(xi)
         out = [im.vec_mat(list(r), m) for r in self.basis]
         return IdealLattice(self.ring, self.den * den, out)
-
-    def sum(self, other: "IdealLattice") -> "IdealLattice":
-        a, b = self._aligned(other)
-        l = self.den * other.den // gcd(self.den, other.den)
-        return IdealLattice(self.ring, l, a + b)
-
-    def meet(self, other: "IdealLattice") -> "IdealLattice":
-        a, b = self._aligned(other)
-        l = self.den * other.den // gcd(self.den, other.den)
-        return IdealLattice(self.ring, l, im.lattice_intersection(a, b))
 
     def elements(self) -> list[GroupRingElem]:
         """Basis rows as ring elements (with the denominator applied)."""

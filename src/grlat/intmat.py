@@ -60,10 +60,6 @@ def mat_transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_pow(a, k):
     n = len(a)
     result = identity(n)

@@ -17,6 +17,15 @@ extension of the full group ring by the norm line, and two pairs with
 the same inertia and decomposition data are related by multiplication
 by an explicit unit, checked p-adically at a precision that certifies
 exact equality of local lattices.
+
+The kernel check is an index identity, not a kernel computation.  With
+g = 1 - lift^{-1} + #I, every character chi has
+Re chi(g) = 1 - Re chi(lift)^{-1} + #I >= #I >= 2, so det M_g != 0 and
+g is not a zero divisor.  The first projection is then injective on the
+kernel K, its image is {a : a (tau - 1) in g Z[G]}, of index
+|det M_g| / [Z[G] : (tau - 1, g)], and Z[G]/(tau - 1, g) is
+Z[G/I]/(gbar).  Once the claimed generators lie in K, K equals their
+span exactly when [Z[G] : (N_I, g)] * [Z[G/I] : (gbar)] = |det M_g|.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from .abelian import (
     Subgroup,
     canonical_lift,
     cyclic_subgroup,
+    make_group,
     p_split,
     prime_factors,
     quotient_data,
@@ -59,6 +69,11 @@ class ShiftRep:
     lattice: IdealLattice
 
 
+def _shift_generator(ring: GroupRing, order: int, lift: GroupElement) -> GroupRingElem:
+    """The element 1 - lift^{-1} + order of ring."""
+    return ring.one() - ring.delta(-lift) + ring.one().scale(order)
+
+
 def forward_rep(
     ring: GroupRing,
     inertia: Subgroup,
@@ -79,7 +94,7 @@ def forward_rep(
     elif not inertia.contains(lift - frob):
         raise ContainmentError("lift is not in the coset of frob")
     n_i = ring.norm_element(inertia)
-    gtilde = ring.one() - ring.delta(-lift) + ring.one().scale(inertia.order)
+    gtilde = _shift_generator(ring, inertia.order, lift)
     lat = IdealLattice.from_elements(ring, [n_i, gtilde])
     return ShiftRep(1, inertia, lift, lat)
 
@@ -119,34 +134,50 @@ def verify_kernel_presentation(
     For tau a generator of (cyclic, nontrivial) inertia and
     g = 1 - lift^{-1} + #I, the kernel of (a, b) |-> a (tau - 1) + b g
     inside Z[G]^2 is claimed to be generated over the group ring by
-    (N_I, 0) and (g, 1 - tau).  Both that equality and the claim that
-    the first projection of the kernel is the ideal (N_I, g) are checked
-    as exact lattice identities.
+    (N_I, 0) and (g, 1 - tau), and its first projection to be the ideal
+    (N_I, g), which is the forward representative.  Both are certified
+    by the index identity of the module docstring.
     """
     if inertia.is_trivial or not inertia.is_cyclic:
         raise ScopeError("inertia must be nontrivial cyclic")
-    if lift is None:
-        lift = canonical_lift(inertia, frob)
-    elif not inertia.contains(lift - frob):
-        raise ContainmentError("lift is not in the coset of frob")
-    n = ring.n
-    tau = inertia.cyclic_generator()
-    t_minus_1 = ring.delta(tau) - ring.one()
-    n_i = ring.norm_element(inertia)
-    g = ring.one() - ring.delta(-lift) + ring.one().scale(inertia.order)
-    mg = ring.mult_matrix(g)
-    kernel = im.left_kernel(ring.mult_matrix(t_minus_1) + mg)
-    # claimed generators, closed under translation by the whole group:
-    # row i of mult_matrix(x) is x translated by elems[i]
-    claimed = []
-    for a, b1, b2 in zip(ring.mult_matrix(n_i), mg, ring.mult_matrix(-t_minus_1)):
-        claimed.append(a + [0] * n)
-        claimed.append(b1 + b2)
-    kernel_matches = im.lattice_eq(kernel, claimed)
-    proj = [row[:n] for row in kernel]
-    ideal = IdealLattice.from_elements(ring, [n_i, g])
-    projection_matches = ideal.den == 1 and im.lattice_eq(proj, [list(r) for r in ideal.basis])
-    return KernelReport(kernel_matches, projection_matches)
+    rep = forward_rep(ring, inertia, frob, lift)
+    g = _shift_generator(ring, inertia.order, rep.frob)
+    claimed = [
+        (ring.norm_element(inertia), ring.one().scale(0)),
+        (g, ring.one() - ring.delta(inertia.cyclic_generator())),
+    ]
+    return _kernel_identity(ring, inertia, g, claimed, rep.lattice)
+
+
+def _kernel_identity(
+    ring: GroupRing,
+    inertia: Subgroup,
+    g: GroupRingElem,
+    claimed,
+    projection: IdealLattice,
+) -> KernelReport:
+    """The kernel check over a cyclic group for claimed generators (x, y)
+    of the kernel of (a, b) |-> a (tau - 1) + b g, where projection is
+    the ideal that the x generate.
+
+    The claim holds when every x (tau - 1) + y g vanishes (phi is
+    Z[G]-linear, so the translates follow) and
+    [Z[G] : projection] * [Z[G/I] : (gbar)] = |det M_g|.
+    """
+    t_minus_1 = ring.delta(inertia.cyclic_generator()) - ring.one()
+    contained = all((x * t_minus_1 + y * g).is_zero for x, y in claimed)
+    det_g = IdealLattice.from_elements(ring, [g]).integral_index()
+    # I is the subgroup of the indices divisible by k = n/#I, so G -> G/I
+    # is reduction mod k and gbar folds the coefficients of g
+    k = ring.n // inertia.order
+    qring = group_ring(make_group([k]))
+    gbar = qring.from_coeffs(sum(g.coeffs[c::k]) for c in range(k))
+    quotient_index = IdealLattice.from_elements(qring, [gbar]).integral_index()
+    projection_matches = (
+        projection.den == 1
+        and projection.integral_index() * quotient_index == det_g
+    )
+    return KernelReport(contained and projection_matches, projection_matches)
 
 
 @dataclass(frozen=True)
@@ -196,7 +227,10 @@ def verify_extension_sequence(
     for dbar in cosets:
         x = n_i.translate(qd.lift(dbar))
         fnum.append(list(x.coeffs))
-    assert den == inertia.order
+    if den != inertia.order:
+        raise ContainmentError(
+            f"backward representative has denominator {den}, not #I = {inertia.order}"
+        )
     coeff_rows = im.left_kernel(bk)
     w_rows = [im.vec_mat(c, basis) for c in coeff_rows]
     # the rows of fnum are disjoint 0/1 indicators of the cosets of I,
@@ -309,7 +343,10 @@ def verify_unit_transport(
     nu = ring.norm_element(inertia).scale(Fraction(1, inertia.order))
     w = ring.one() + nu * (utilde - ring.one())
     transported = lat_a.multiply_element(w)
-    assert common % transported.den == 0 and common % lat_b.den == 0
+    if common % transported.den or common % lat_b.den:
+        raise ContainmentError(
+            "transported lattice is not inside (1/common) Z[G]"
+        )
     rows_a = [
         [v * (common // transported.den) for v in row]
         for row in transported.basis

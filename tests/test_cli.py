@@ -259,8 +259,10 @@ def test_oversized_group_spec_is_refused_at_once(spec):
     [
         ["spectrum", "--p", "3", "--r", "2", "--samples", "8", "--seed", "1"],
         ["verify", "9", "--checks", "kernel"],
+        ["verify", "16", "--checks", "kernel"],
         ["verify", "9", "--checks", "tate,ext,triviality,unit"],
         ["verify", "2,6", "--checks", "triviality"],
+        ["verify", "21", "--checks", "triviality"],
         ["monoid", "2,2,12"],
     ],
 )

@@ -343,7 +343,7 @@ def test_chi_idempotents_match_power_tables_and_sum_to_one(factors):
                 for chi in character_classes(g, p):
                     ep = chi_idempotent_matrix(mp, chi, prec)
                     assert ep == ref_chi_idempotent_matrix(mp, chi, prec), (factors, pair, p, chi)
-                    total = im.mat_add(total, ep)
+                    total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, ep)]
                 assert all(
                     (x - (i == j)) % q == 0 for i, row in enumerate(total) for j, x in enumerate(row)
                 ), (factors, pair, p)

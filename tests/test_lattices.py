@@ -3,26 +3,38 @@
 Frozen index anchors pin the forward representative's dependence on the
 coset lift; the kernel, extension and unit-transport certificates are
 exercised on small groups here (wider sweeps live in the acceptance
-suite).
+suite).  The kernel check's index identity is compared with the
+left-kernel route it replaced, kept here as the reference.
 """
 
+import ast
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
 import grlat.intmat as im
 from grlat import lattices
-from grlat.abelian import Subgroup, canonical_lift, cyclic_subgroup, make_group
+from grlat.abelian import (
+    Subgroup,
+    canonical_lift,
+    cyclic_subgroup,
+    enumerate_subgroups,
+    make_group,
+    quotient_data,
+)
 from grlat.errors import (
     ContainmentError,
     ParentMismatchError,
     PrecisionError,
     ScopeError,
 )
-from grlat.grouprings import GroupRing
+from grlat.grouprings import GroupRing, IdealLattice, group_ring
 from grlat.monoid import build_sets
 from grlat.lattices import (
+    KernelReport,
+    _kernel_identity,
     backward_rep,
     forward_rep,
     verify_extension_sequence,
@@ -113,6 +125,105 @@ def test_kernel_presentation_z27_spot():
     assert rep.kernel_matches and rep.projection_matches
     with pytest.raises(ScopeError):
         verify_kernel_presentation(r, Subgroup.trivial(r.group), r.group.zero())
+
+
+def shift_generator(ring, order, lift):
+    return ring.one() - ring.delta(-lift) + ring.one().scale(order)
+
+
+def claimed_generators(ring, inertia, lift, norm_scale=1, tau_scale=1):
+    """(N_I, 0) and (g, 1 - tau); norm_scale multiplies N_I and tau_scale
+    multiplies 1 - tau, to perturb the claim."""
+    tau = inertia.cyclic_generator()
+    g = shift_generator(ring, inertia.order, lift)
+    zero = ring.one().scale(0)
+    return [
+        (ring.norm_element(inertia).scale(norm_scale), zero),
+        (g, (ring.one() - ring.delta(tau)).scale(tau_scale)),
+    ]
+
+
+def ref_kernel_presentation(ring, inertia, lift, claimed):
+    """Reference: the left-kernel route.  The kernel of
+    (a, b) |-> a (tau - 1) + b g is computed as a left kernel and compared
+    with the translates of the claimed generators, and its first
+    projection with the ideal of their first components."""
+    n = ring.n
+    tau = inertia.cyclic_generator()
+    t_minus_1 = ring.delta(tau) - ring.one()
+    g = ring.one() - ring.delta(-lift) + ring.one().scale(inertia.order)
+    mg = ring.mult_matrix(g)
+    kernel = im.left_kernel(ring.mult_matrix(t_minus_1) + mg)
+    rows = []
+    for x, y in claimed:
+        for a, b in zip(ring.mult_matrix(x), ring.mult_matrix(y)):
+            rows.append(a + b)
+    kernel_matches = im.lattice_eq(kernel, rows)
+    proj = [row[:n] for row in kernel]
+    ideal = IdealLattice.from_elements(ring, [x for x, _ in claimed])
+    projection_matches = ideal.den == 1 and im.lattice_eq(proj, [list(r) for r in ideal.basis])
+    return KernelReport(kernel_matches, projection_matches)
+
+
+def test_kernel_identity_matches_left_kernel_on_cyclic_pairs():
+    for n in range(2, 41):
+        r = group_ring(make_group([n]))
+        for pair in build_sets(r.group).stilde:
+            lift = canonical_lift(pair.inertia, pair.frob)
+            ref = ref_kernel_presentation(r, pair.inertia, lift, claimed_generators(r, pair.inertia, lift))
+            assert verify_kernel_presentation(r, pair.inertia, pair.frob) == ref, (n, pair)
+
+
+@pytest.mark.parametrize("facs", [[4], [6], [9]])
+def test_kernel_identity_matches_left_kernel_on_every_lift(facs):
+    r = ring_of(facs)
+    for sub in enumerate_subgroups(r.group):
+        if sub.is_trivial:
+            continue
+        for frob in r.group.elements():
+            for t in sub.elements():
+                lift = frob + t
+                ref = ref_kernel_presentation(r, sub, lift, claimed_generators(r, sub, lift))
+                assert verify_kernel_presentation(r, sub, frob, lift) == ref, (facs, sub, frob, lift)
+
+
+@pytest.mark.parametrize("facs", [[4], [6], [9]])
+def test_kernel_identity_refutes_perturbed_claims(facs):
+    r = ring_of(facs)
+    failed = 0
+    for pair in build_sets(r.group).stilde:
+        lift = canonical_lift(pair.inertia, pair.frob)
+        for scales in ((2, 1), (1, 2)):
+            claimed = claimed_generators(r, pair.inertia, lift, *scales)
+            projection = IdealLattice.from_elements(r, [x for x, _ in claimed])
+            g = shift_generator(r, pair.inertia.order, lift)
+            rep = _kernel_identity(r, pair.inertia, g, claimed, projection)
+            assert rep == ref_kernel_presentation(r, pair.inertia, lift, claimed), (pair, scales)
+            failed += not rep.ok
+    assert failed
+
+
+@pytest.mark.parametrize("facs", [[8], [9], [12], [16]])
+def test_tau_minus_one_index_is_quotient_principal_index(facs):
+    """[Z[G] : (tau - 1, g)] = [Z[G/I] : (gbar)], since Z[G]/(tau - 1) is Z[G/I]."""
+    r = ring_of(facs)
+    for pair in build_sets(r.group).stilde:
+        inertia = pair.inertia
+        lift = canonical_lift(inertia, pair.frob)
+        t_minus_1 = r.delta(inertia.cyclic_generator()) - r.one()
+        g = shift_generator(r, inertia.order, lift)
+        qd = quotient_data(r.group, inertia)
+        q = GroupRing(qd.group)
+        gbar = shift_generator(q, inertia.order, qd.proj(lift))
+        assert (
+            IdealLattice.from_elements(r, [t_minus_1, g]).integral_index()
+            == IdealLattice.from_elements(q, [gbar]).integral_index()
+        ), (facs, pair)
+
+
+def test_lattices_module_has_no_assert():
+    tree = ast.parse(Path(lattices.__file__).read_text())
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
 
 def test_extension_sequence_examples():
