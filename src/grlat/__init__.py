@@ -18,6 +18,7 @@ from .errors import (
     ContainmentError,
     DegenerateElementError,
     GrlatError,
+    IdentityCheckError,
     InfiniteModuleError,
     InvalidFactorError,
     NotFullRankError,
@@ -34,6 +35,7 @@ __all__ = [
     "ContainmentError",
     "DegenerateElementError",
     "GrlatError",
+    "IdentityCheckError",
     "InfiniteModuleError",
     "InvalidFactorError",
     "NotFullRankError",

@@ -22,6 +22,7 @@ from .errors import (
     CapacityError,
     ContainmentError,
     InvalidFactorError,
+    NotFullRankError,
     ParentMismatchError,
 )
 
@@ -478,7 +479,8 @@ def quotient_data(group: FinAbGroup, sub: Subgroup) -> QuotientData:
     if k == 0:
         return QuotientData(group, group, sub, (), (), (), ())
     diag, u, v = im.snf_with_transform([list(r) for r in sub.basis], k)
-    assert len(diag) == k and all(d > 0 for d in diag)
+    if len(diag) != k or not all(d > 0 for d in diag):
+        raise NotFullRankError("subgroup basis does not have full rank")
     idx = tuple(i for i, d in enumerate(diag) if d > 1)
     q = FinAbGroup(tuple(diag[i] for i in idx))
     vinv = im.unimodular_inverse(v)

@@ -12,15 +12,17 @@ modules again, so the residual action can be compared.
 
 Module comparison deliberately avoids automorphism enumeration: two
 cyclic modules over the same ring are isomorphic exactly when their
-annihilator lattices coincide, and a generator search over the cosets
-certifies cyclicity.  A bounded Hom-space sweep covers small non-cyclic
-cases; anything larger is reported as undecided rather than guessed.
+annihilator lattices coincide.  A generator is sought among the basis
+vectors first, whatever the module's size, and an exhaustive walk over
+the cosets of a small module proves it is not cyclic; a large module
+with no basis-vector generator is reported as undecided rather than
+guessed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from math import gcd
 
 from . import intmat as im
@@ -156,10 +158,16 @@ class ComparisonOutcome:
     method: str
 
 
-def coset_representatives(module: FiniteModule, cap: int):
+# Past this order a module is not walked coset by coset: without a
+# basis-vector generator its comparison is reported undecided.
+GENERATOR_SEARCH_CAP = 30_000
+
+
+def coset_representatives(module: FiniteModule):
     """An iterator over all coset representatives of Z^g / relations, or
-    None past cap.  Each is computed only when it is reached."""
-    if module.order > cap:
+    None past GENERATOR_SEARCH_CAP.  Each is computed only when it is
+    reached."""
+    if module.order > GENERATOR_SEARCH_CAP:
         return None
     n = module.rank
     if n == 0:
@@ -179,25 +187,25 @@ def coset_representatives(module: FiniteModule, cap: int):
     return reps()
 
 
-def find_cyclic_generator(module: FiniteModule, cap: int = 30_000):
-    """(generator coords, searched_all): a coset rep generating the module
-    over the group ring, or None.  searched_all=False means capacity ran
-    out before the search was complete."""
-    if module.order == 1:
-        return [0] * module.rank, True
-    reps = coset_representatives(module, cap)
-    if reps is None:
-        return None, False
-    if module.group.order > cap:
-        return None, False
+def find_cyclic_generator(module: FiniteModule):
+    """(generator coords, searched_all): a vector generating the module
+    over the group ring, or None.
+
+    The basis vectors e_1..e_g are tried first, at one HNF each and
+    whatever the module's order.  Only a module of order at most
+    GENERATOR_SEARCH_CAP is then walked coset by coset, which proves it
+    is not cyclic; searched_all=False means no generator was found and
+    the module was too large to walk."""
     n = module.rank
+    if module.order == 1:
+        return [0] * n, True
     rel = [list(r) for r in module.relations]
-    for x in reps:
-        rows = [im.vec_mat(x, a) for a in module.actions] + rel
-        h = im.hnf(rows, n)
+    reps = coset_representatives(module)
+    for x in chain(im.identity(n), reps or ()):
+        h = im.hnf([im.vec_mat(x, a) for a in module.actions] + rel, n)
         if len(h) == n and all(h[i][i] == 1 for i in range(n)):
             return x, True
-    return None, True
+    return None, reps is not None
 
 
 def annihilator_lattice(module: FiniteModule, x):
@@ -206,16 +214,16 @@ def annihilator_lattice(module: FiniteModule, x):
     return im.preimage_lattice(None, rows, [list(r) for r in module.relations])
 
 
-def module_equivalent(
-    m1: FiniteModule, m2: FiniteModule, cap: int = 30_000, hom_dim_cap: int = 256
-) -> ComparisonOutcome:
+def module_equivalent(m1: FiniteModule, m2: FiniteModule) -> ComparisonOutcome:
     """Decide whether two finite modules over the same group are
     isomorphic as modules.
 
-    Route 1: abelian invariants must match.  Route 2: if both are cyclic
-    over the group ring, isomorphism is equality of annihilator lattices.
-    Route 3: bounded Hom-space sweep.  Whatever remains is reported
-    undecided rather than approximated.
+    Route 1: abelian invariants must match.  Route 2: two cyclic modules
+    over the group ring are isomorphic exactly when their annihilator
+    lattices coincide (every generator of a cyclic module has the same
+    annihilator), and a cyclic module is never isomorphic to one proven
+    non-cyclic.  Whatever remains is reported undecided rather than
+    approximated.
     """
     if m1.group != m2.group:
         raise ParentMismatchError("modules over different groups")
@@ -224,110 +232,17 @@ def module_equivalent(
     if m1.order == 1:
         return ComparisonOutcome(True, True, "both-trivial")
 
-    x1, full1 = find_cyclic_generator(m1, cap)
-    x2, full2 = find_cyclic_generator(m2, cap)
+    x1, full1 = find_cyclic_generator(m1)
+    x2, full2 = find_cyclic_generator(m2)
     if x1 is not None and x2 is not None:
         a1 = annihilator_lattice(m1, x1)
         a2 = annihilator_lattice(m2, x2)
         return ComparisonOutcome(True, a1 == a2, "cyclic-annihilator")
-    if x1 is None and full1 and x2 is not None:
-        return ComparisonOutcome(True, False, "cyclicity-mismatch")
-    if x2 is None and full2 and x1 is not None:
-        return ComparisonOutcome(True, False, "cyclicity-mismatch")
-    if x1 is None and x2 is None and full1 and full2:
-        return _hom_space_compare(m1, m2, cap, hom_dim_cap)
-    return ComparisonOutcome(False, None, "skipped:generator-search-capacity")
-
-
-def _hom_space_compare(m1, m2, cap, hom_dim_cap) -> ComparisonOutcome:
-    g1, g2 = m1.rank, m2.rank
-    if g1 * g2 > hom_dim_cap:
-        return ComparisonOutcome(False, None, "skipped:hom-dimension")
-    rel2 = [list(r) for r in m2.relations]
-
-    # unknown flat vector phi of length g1*g2; conditions stack into one map
-    def flat_index(i, j):
-        return i * g2 + j
-
-    conditions = []
-    for r in m1.relations:
-        # row r of relations must map into rel2: map phi -> r.Phi
-        mat = im.zeros(g1 * g2, g2)
-        for i in range(g1):
-            if r[i]:
-                for j in range(g2):
-                    mat[flat_index(i, j)][j] += r[i]
-        conditions.append(mat)
-    for ga, gb in zip(m1.gen_actions, m2.gen_actions):
-        a = [list(row) for row in ga]
-        b = [list(row) for row in gb]
-        # rows of A.Phi - Phi.B must land in rel2
-        for i in range(g1):
-            mat = im.zeros(g1 * g2, g2)
-            for k in range(g1):
-                if a[i][k]:
-                    for j in range(g2):
-                        mat[flat_index(k, j)][j] += a[i][k]
-            for j in range(g2):
-                for jj in range(g2):
-                    if b[j][jj]:
-                        mat[flat_index(i, j)][jj] -= b[j][jj]
-            conditions.append(mat)
-    width = g2 * len(conditions)
-    fmat = [[0] * width for _ in range(g1 * g2)]
-    for ci, mat in enumerate(conditions):
-        for r in range(g1 * g2):
-            row = mat[r]
-            base = ci * g2
-            for j in range(g2):
-                if row[j]:
-                    fmat[r][base + j] = row[j]
-    tgt = []
-    for ci in range(len(conditions)):
-        for rr in rel2:
-            row = [0] * width
-            for j in range(g2):
-                row[ci * g2 + j] = rr[j]
-            tgt.append(row)
-    sol = im.preimage_lattice(None, fmat, tgt, width)
-    # trivial homs: every row of phi inside rel2
-    triv = []
-    for i in range(g1):
-        for rr in rel2:
-            row = [0] * (g1 * g2)
-            for j in range(g2):
-                row[flat_index(i, j)] = rr[j]
-            triv.append(row)
-    triv = im.hnf(triv, g1 * g2)
-    coords = im.lattice_quotient_coords(sol, triv)
-    diag, u, v = im.snf_with_transform(coords, len(sol))
-    hom_order = 1
-    for d in diag:
-        hom_order *= max(d, 1)
-    if hom_order > cap:
-        return ComparisonOutcome(False, None, "skipped:hom-count")
-    vinv = im.unimodular_inverse(v)
-    idx = [i for i, d in enumerate(diag) if d > 1]
-    counters = [0] * len(idx)
-    while True:
-        y = [0] * len(sol)
-        for c, i in zip(counters, idx):
-            y[i] = c
-        w = im.vec_mat(im.vec_mat(y, vinv), sol)
-        phi_rows = [[w[flat_index(i, j)] for j in range(g2)] for i in range(g1)]
-        full = im.hnf(phi_rows + rel2, g2)
-        if len(full) == g2 and all(full[i][i] == 1 for i in range(g2)):
-            return ComparisonOutcome(True, True, "hom-search")
-        k = 0
-        while k < len(idx):
-            counters[k] += 1
-            if counters[k] < diag[idx[k]]:
-                break
-            counters[k] = 0
-            k += 1
-        else:
-            break
-    return ComparisonOutcome(True, False, "hom-search")
+    if not (full1 and full2):
+        return ComparisonOutcome(False, None, "skipped:generator-search-capacity")
+    if x1 is None and x2 is None:
+        return ComparisonOutcome(False, None, "skipped:both-noncyclic")
+    return ComparisonOutcome(True, False, "cyclicity-mismatch")
 
 
 # ---------------------------------------------------------------------------

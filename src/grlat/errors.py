@@ -25,6 +25,10 @@ class NotFullRankError(GrlatError):
     """A lattice that must have full rank in its ambient space does not."""
 
 
+class IdentityCheckError(GrlatError):
+    """An identity that exact arithmetic guarantees failed to hold."""
+
+
 class ContainmentError(GrlatError):
     """A lattice or module that must contain another does not."""
 

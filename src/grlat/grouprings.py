@@ -238,10 +238,6 @@ class IdealLattice:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def standard(cls, ring: GroupRing) -> "IdealLattice":
-        return cls(ring, 1, im.identity(ring.n))
-
-    @classmethod
     def from_elements(cls, ring: GroupRing, elems, orbit: bool = True) -> "IdealLattice":
         """Lattice spanned by elems; with orbit=True, their full G-orbit,
         i.e. the ideal they generate."""
@@ -260,36 +256,7 @@ class IdealLattice:
         the product of the pivots of the full-rank HNF basis."""
         return prod(r[i] for i, r in enumerate(self.basis))
 
-    def invariants_in(self, other: "IdealLattice") -> tuple:
-        """Invariant factors of other/self (requires self <= other)."""
-        a, b = self._aligned(other)
-        coords = im.lattice_quotient_coords(b, a)  # rows of self in basis of other
-        return im.invariant_factors(coords, self.ring.n)
-
-    def _aligned(self, other):
-        """Integer bases of self and other over a common denominator."""
-        if self.ring is not other.ring:
-            raise ParentMismatchError("lattices in different rings")
-        l = self.den * other.den // gcd(self.den, other.den)
-        sa = l // self.den
-        sb = l // other.den
-        a = [[x * sa for x in r] for r in self.basis]
-        b = [[x * sb for x in r] for r in other.basis]
-        return a, b
-
-    def contains(self, other: "IdealLattice") -> bool:
-        b, a = other._aligned(self)
-        return im.lattice_contains(a, b)
-
     # -- arithmetic ------------------------------------------------------------
-
-    def scale(self, q) -> "IdealLattice":
-        q = Fraction(q)
-        if q <= 0:
-            raise ValueError("scale factor must be positive")
-        num, d = q.numerator, q.denominator
-        rows = [[x * num for x in r] for r in self.basis]
-        return IdealLattice(self.ring, self.den * d, rows)
 
     def multiply_element(self, x: GroupRingElem) -> "IdealLattice":
         den, rows = _coeffs_to_int_rows([x])
@@ -297,27 +264,6 @@ class IdealLattice:
         m = self.ring.mult_matrix(xi)
         out = [im.vec_mat(list(r), m) for r in self.basis]
         return IdealLattice(self.ring, self.den * den, out)
-
-    def elements(self) -> list[GroupRingElem]:
-        """Basis rows as ring elements (with the denominator applied)."""
-        out = []
-        for r in self.basis:
-            if self.den == 1:
-                out.append(self.ring.from_coeffs(tuple(r)))
-            else:
-                out.append(self.ring.from_coeffs(tuple(Fraction(x, self.den) for x in r)))
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IdealLattice)
-            and self.ring is other.ring
-            and self.den == other.den
-            and self.basis == other.basis
-        )
-
-    def __hash__(self):
-        return hash((id(self.ring), self.den, self.basis))
 
     def __repr__(self):
         return f"IdealLattice(den={self.den}, index={self.integral_index()})"

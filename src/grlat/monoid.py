@@ -198,15 +198,11 @@ def build_sets(group: FinAbGroup) -> SetFamily:
     )
 
 
-def beta(family: SetFamily, pair: DecompositionPair) -> tuple:
-    """Image of an (I, D) pair: the 0/1 vector over the target tuples
-    marking every (p, H, Istar, Dstar) with D inside H and the images of
-    I and D in the maximal p-quotient equal to Istar and Dstar."""
-    return _beta_values(family, [pair])[0]
-
-
 def _beta_values(family: SetFamily, pairs) -> list:
-    """beta of each pair, building each maximal p-quotient once."""
+    """beta of each (I, D) pair: the 0/1 vector over the target tuples
+    marking every (p, H, Istar, Dstar) with D inside H and the images of
+    I and D in the maximal p-quotient equal to Istar and Dstar.  Each
+    maximal p-quotient is built once."""
     group = family.group
     targets = family.t_tuples
     # the basis comparison is a dict lookup, so only the target tuples
@@ -271,9 +267,6 @@ class _MonoidMembership:
     def __init__(self, generators):
         self.gens = sorted({_bitmask(g) for g in generators} - {0}, reverse=True)
         self.memo = {}
-
-    def contains(self, vec) -> bool:
-        return self._contains(_bitmask(vec))
 
     def _contains(self, v: int) -> bool:
         if not v:

@@ -4,15 +4,17 @@ Polynomials are tuples of int coefficients, constant term first, no
 trailing zeros (the zero polynomial is the empty tuple).  Nothing here
 is asymptotically clever; degrees stay small (< 100) in every caller.
 
-The Hensel lift is the linear-convergence version and asserts its own
+The Hensel lift is the linear-convergence version and checks its own
 congruences at every step, since downstream valuation computations are
 only trustworthy if the lifted factor is exact to the stated precision.
+Every such check raises IdentityCheckError, so it survives python -O.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from .errors import IdentityCheckError
 from .intmat import det as _int_det
 
 
@@ -84,7 +86,8 @@ def cyclotomic(m):
     for d in range(1, m):
         if m % d == 0:
             q, r = poly_divmod_monic(num, cyclotomic(d))
-            assert r == (), (m, d)
+            if r:
+                raise IdentityCheckError(f"cyclotomic({d}) does not divide the quotient for m={m}")
             num = q
     return num
 
@@ -127,7 +130,8 @@ def poly_bezout_fp(f, g, p):
     s = trim([(c * inv) % p for c in s0])
     t = trim([(c * inv) % p for c in t0])
     chk = poly_reduce_mod(poly_add(poly_mul(s, f), poly_mul(t, g)), p)
-    assert chk == (1,)
+    if chk != (1,):
+        raise IdentityCheckError(f"Bezout coefficients do not combine to 1 mod {p}")
     return s, t
 
 
@@ -135,7 +139,7 @@ def hensel_lift(f, h0, g0, p, prec):
     """Lift f = h0*g0 (mod p), h0 monic, to f = h*g (mod p^prec).
 
     Returns (h, g) with h monic of the same degree as h0, h = h0 mod p.
-    Uses the linear iteration; every step asserts its congruence.
+    Uses the linear iteration; every step checks its congruence.
     """
     h0 = poly_reduce_mod(h0, p)
     g0 = poly_reduce_mod(g0, p)
@@ -159,8 +163,10 @@ def hensel_lift(f, h0, g0, p, prec):
         h = poly_reduce_mod(poly_add(h, poly_scale(u, pk)), modulus)
         g = poly_reduce_mod(poly_add(g, poly_scale(w, pk)), modulus)
         pk = modulus
-        assert h[-1] == 1 and len(h) == len(h0)
-        assert poly_reduce_mod(poly_sub(f, poly_mul(h, g)), pk) == ()
+        if len(h) != len(h0) or h[-1] != 1:
+            raise IdentityCheckError(f"lifted factor is not monic of degree {deg(h0)} mod {pk}")
+        if poly_reduce_mod(poly_sub(f, poly_mul(h, g)), pk):
+            raise IdentityCheckError(f"f != h*g mod {pk} after a Hensel step")
     return h, g
 
 
@@ -184,13 +190,14 @@ def factor_cyclotomic_mod_p(m, p):
     _, factors = poly.factor_list()
     out = []
     for fac, mult in factors:
-        assert mult == 1
+        if mult != 1:
+            raise IdentityCheckError(f"cyclotomic({m}) is not squarefree mod {p}")
         coeffs = [int(c) % p for c in reversed(fac.all_coeffs())]
         out.append(trim(coeffs))
     out.sort()
     # all factors share one degree: the order of p mod m
-    degs = {len(f) - 1 for f in out}
-    assert len(degs) == 1
+    if len({len(f) - 1 for f in out}) != 1:
+        raise IdentityCheckError(f"factors of cyclotomic({m}) mod {p} differ in degree")
     return out
 
 

@@ -5,6 +5,7 @@ Exit code contract: 0 all checks pass, 2 a check failed, 64 usage,
 so repeated runs must be byte identical.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -124,6 +125,15 @@ def test_failed_internal_check_exits_2_without_traceback(capsys, monkeypatch):
     assert out == ""
     assert "Traceback" not in err
     assert err == "grlat: check failed: ContainmentError: relations not stable under generator 0\n"
+
+
+@pytest.mark.parametrize("spec", ["30", "32"])
+def test_verify_decides_every_tate_row(spec, capsys):
+    # some Tate groups here are too large for the exhaustive coset walk;
+    # a basis-vector generator still decides every row
+    code, out, _ = run(["verify", spec], capsys)
+    assert code == 0
+    assert "undecided" not in out
 
 
 def test_verify_byte_identical_repeat(capsys):
@@ -252,6 +262,17 @@ def test_oversized_group_spec_is_refused_at_once(spec):
     )
     assert done.returncode == 65
     assert b"exceeds element cap" in done.stderr
+
+
+def test_package_has_no_assert():
+    # every check the reports depend on must survive python -O
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(grlat.__file__).parent.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not offenders
 
 
 @pytest.mark.parametrize(

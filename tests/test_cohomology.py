@@ -11,6 +11,7 @@ import pytest
 from grlat import intmat as im
 from grlat.abelian import Subgroup, cyclic_subgroup, make_group, p_split, prime_factors
 from grlat.cohomology import (
+    GENERATOR_SEARCH_CAP,
     ChiClass,
     _root_power_traces,
     character_classes,
@@ -243,7 +244,7 @@ def test_module_equivalent_invariant_mismatch_fast():
 def test_coset_representatives_and_generator_search():
     ring = GroupRing(make_group([3]))
     mod = regular_quotient(ring, ring.one().scale(2))
-    reps = list(coset_representatives(mod, cap=100))
+    reps = list(coset_representatives(mod))
     assert len(reps) == mod.order == 8
     x, complete = find_cyclic_generator(mod)
     assert complete and x is not None
@@ -252,6 +253,55 @@ def test_coset_representatives_and_generator_search():
     flat = FiniteModule.build(g, [[3, 0], [0, 3]], [[[1, 0], [0, 1]]])
     x, complete = find_cyclic_generator(flat)
     assert complete and x is None
+
+
+def test_module_equivalent_cyclicity_mismatch():
+    # (Z/3)^2 with trivial action against the uniserial Z/3[C3]/(tau-1)^2:
+    # the same abelian group, but only the second is cyclic
+    g = make_group([3])
+    flat = FiniteModule.build(g, [[3, 0], [0, 3]], [[[1, 0], [0, 1]]])
+    uniserial = FiniteModule.build(g, [[3, 0], [0, 3]], [[[1, 1], [0, 1]]])
+    assert flat.invariants() == uniserial.invariants()
+    out = module_equivalent(flat, uniserial)
+    assert (out.decided, out.isomorphic, out.method) == (True, False, "cyclicity-mismatch")
+    out = module_equivalent(uniserial, flat)
+    assert (out.decided, out.isomorphic, out.method) == (True, False, "cyclicity-mismatch")
+    # two modules proven non-cyclic are not compared
+    out = module_equivalent(flat, flat)
+    assert (out.decided, out.method) == (False, "skipped:both-noncyclic")
+
+
+def test_generator_search_past_the_cap():
+    # Z/2[C16] has 2^16 elements, too many to walk, and e_1 generates it
+    ring = GroupRing(make_group([16]))
+    regular = regular_quotient(ring, ring.one().scale(2))
+    assert regular.order > GENERATOR_SEARCH_CAP
+    assert coset_representatives(regular) is None
+    x, complete = find_cyclic_generator(regular)
+    assert complete and x == [1] + [0] * 15
+    out = module_equivalent(regular, regular)
+    assert (out.decided, out.isomorphic, out.method) == (True, True, "cyclic-annihilator")
+    # (Z/2)^16 with trivial action: no basis vector generates and the
+    # walk that would prove it non-cyclic is over the cap
+    g = make_group([2])
+    n = 16
+    flat = FiniteModule.build(g, [[2 * (i == j) for j in range(n)] for i in range(n)], [im.identity(n)])
+    assert flat.order > GENERATOR_SEARCH_CAP
+    assert find_cyclic_generator(flat) == (None, False)
+    out = module_equivalent(flat, flat)
+    assert (out.decided, out.method) == (False, "skipped:generator-search-capacity")
+
+
+def test_prediction_is_generated_by_the_first_basis_vector():
+    from grlat.abelian import enumerate_subgroups
+
+    g = make_group([3, 3])
+    for pair in build_sets(g).stilde:
+        for h in enumerate_subgroups(g):
+            pred = closed_form_inertia_tate(g, pair.inertia, pair.frob, h)
+            if pred.order > 1:
+                x, _ = find_cyclic_generator(pred)
+                assert x == im.identity(pred.rank)[0], (pair, h)
 
 
 # -- reference: the chi idempotent from per-generator power tables ----------
