@@ -16,8 +16,8 @@ from importlib import resources
 
 from .abelian import ELEMENT_CAP, enumerate_subgroups, make_group, prime_factors
 from .cohomology import (
-    closed_form_inertia_tate,
-    module_equivalent,
+    prediction_data,
+    prediction_verdict,
     tate_cohomology,
     triviality_criterion,
 )
@@ -112,23 +112,17 @@ def cmd_monoid(args) -> dict:
     }
 
 
-def _tate_rows(group):
+def _tate_rows(fam):
+    group = fam.group
     ring = group_ring(group)
-    fam = build_sets(group)
     subs = enumerate_subgroups(group)
     rows = []
     for pair in fam.stilde:
         mod = inertia_module(ring, pair.inertia, pair.frob)
         for h in subs:
             t = tate_cohomology(mod, h)
-            pred = closed_form_inertia_tate(group, pair.inertia, pair.frob, h)
-            statuses = []
-            for m in (t.h0, t.hminus1):
-                out = module_equivalent(m, pred)
-                if not out.decided:
-                    statuses.append("undecided")
-                else:
-                    statuses.append("pass" if out.isomorphic else "fail")
+            big, c = prediction_data(group, pair.inertia, pair.frob, h)
+            statuses = [prediction_verdict(m, big, c) for m in (t.h0, t.hminus1)]
             status = "pass" if statuses == ["pass", "pass"] else ";".join(statuses)
             rows.append(
                 ["tate", fmt_sub(pair.inertia), fmt_elem(pair.frob), fmt_sub(h), status]
@@ -136,11 +130,8 @@ def _tate_rows(group):
     return rows
 
 
-def _kernel_rows(group):
-    if not group.is_cyclic:
-        raise ScopeError("kernel check requires a cyclic group")
-    ring = group_ring(group)
-    fam = build_sets(group)
+def _kernel_rows(fam):
+    ring = group_ring(fam.group)
     rows = []
     for pair in fam.stilde:
         rep = verify_kernel_presentation(ring, pair.inertia, pair.frob)
@@ -148,9 +139,8 @@ def _kernel_rows(group):
     return rows
 
 
-def _ext_rows(group):
-    ring = group_ring(group)
-    fam = build_sets(group)
+def _ext_rows(fam):
+    ring = group_ring(fam.group)
     rows = []
     for pair in fam.stilde:
         rep = verify_extension_sequence(ring, pair.inertia, pair.frob)
@@ -158,8 +148,8 @@ def _ext_rows(group):
     return rows
 
 
-def _triviality_rows(group):
-    fam = build_sets(group)
+def _triviality_rows(fam):
+    group = fam.group
     rows = []
     for pair in fam.stilde:
         for p in sorted(prime_factors(group.order)):
@@ -178,11 +168,8 @@ def _triviality_rows(group):
     return rows
 
 
-def _unit_rows(group):
-    if len(prime_factors(group.order)) != 1:
-        raise ScopeError("unit transport requires a group of prime power order")
-    ring = group_ring(group)
-    fam = build_sets(group)
+def _unit_rows(fam):
+    ring = group_ring(fam.group)
     rows = []
     for i, a in enumerate(fam.stilde):
         for b in fam.stilde[i + 1 :]:
@@ -214,6 +201,11 @@ def _parse_checks(group, spec):
             raise ScopeError(f"unknown check {tok!r}; choose from {','.join(VERIFY_CHECKS)}")
         if tok not in names:
             names.append(tok)
+    # refused before any index set is built
+    if "kernel" in names and not group.is_cyclic:
+        raise ScopeError("kernel check requires a cyclic group")
+    if "unit" in names and len(prime_factors(group.order)) != 1:
+        raise ScopeError("unit transport requires a group of prime power order")
     return names
 
 
@@ -227,9 +219,10 @@ def cmd_verify(args) -> dict:
         "triviality": _triviality_rows,
         "unit": _unit_rows,
     }
+    fam = build_sets(group)
     rows = []
     for name in names:
-        rows.extend(sweeps[name](group))
+        rows.extend(sweeps[name](fam))
     passed = sum(r[-1] == "pass" for r in rows)
     checks = [[name, _flag(all(r[-1] == "pass" for r in rows if r[0] == name))] for name in names]
     return {

@@ -10,13 +10,16 @@ subgroup H of the acting group, the two Tate groups in play are
 both computed as quotients of explicit lattices in Z^g and returned as
 modules again, so the residual action can be compared.
 
-Module comparison deliberately avoids automorphism enumeration: two
-cyclic modules over the same ring are isomorphic exactly when their
-annihilator lattices coincide.  A generator is sought among the basis
-vectors first, whatever the module's size, and an exhaustive walk over
-the cosets of a small module proves it is not cyclic; a large module
-with no basis-vector generator is reported as undecided rather than
-guessed.
+The Tate groups of an inertia module are checked against the closed
+form (Z/c)[G/B] = Z[G]/J, J = (c, b - 1 : b in B), which is never built.
+Z[G] is commutative, so every generator of a cyclic module has the
+module's annihilator, and a module is isomorphic to Z[G]/J exactly when
+its order is c^[G:B], J annihilates it, and it is cyclic.  The first two
+are an order comparison and row memberships in the relation lattice.  A
+generator is sought among the basis vectors first, whatever the
+module's size, and an exhaustive walk over the cosets of a small module
+proves it is not cyclic; a large module with no basis-vector generator
+is reported as undecided rather than guessed.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .abelian import (
     Subgroup,
     cyclic_subgroup,
     p_split,
-    quotient_data,
     sylow,
     sylow_complement,
 )
@@ -102,24 +104,6 @@ def tate_cohomology(module: FiniteModule, sub: Subgroup) -> TateResult:
     return TateResult(sub, h0, hm1)
 
 
-def closed_form_inertia_tate(
-    group: FinAbGroup, inertia: Subgroup, frob: GroupElement, sub: Subgroup
-) -> FiniteModule:
-    """Predicted Tate module of an inertia module: the group ring of the
-    quotient by (decomposition subgroup + sub), modulo #(inertia meet sub)."""
-    from .abelian import cyclic_subgroup
-
-    dec = inertia.join(cyclic_subgroup(frob))
-    big = dec.join(sub)
-    c = inertia.meet(sub).order
-    qd = quotient_data(group, big)
-    qring = group_ring(qd.group)
-    n = qring.n
-    relations = [[c if i == j else 0 for j in range(n)] for i in range(n)]
-    actions = [qring.translation_matrix(qd.proj(g)) for g in group.generators()]
-    return FiniteModule.build(group, relations, actions)
-
-
 def is_cohomologically_trivial(module: FiniteModule) -> bool:
     """Nakayama test: both Tate groups vanish for every Sylow subgroup."""
     if module.order == 1:
@@ -148,14 +132,7 @@ def p_part(module: FiniteModule, p: int) -> FiniteModule:
 
 
 # ---------------------------------------------------------------------------
-# module comparison
-
-
-@dataclass(frozen=True)
-class ComparisonOutcome:
-    decided: bool
-    isomorphic: bool | None
-    method: str
+# comparison with the predicted Tate module
 
 
 # Past this order a module is not walked coset by coset: without a
@@ -208,41 +185,44 @@ def find_cyclic_generator(module: FiniteModule):
     return None, reps is not None
 
 
-def annihilator_lattice(module: FiniteModule, x):
-    """The lattice {c in Z^{|G|} : sum_g c_g (x.g) lies in relations}."""
-    rows = [im.vec_mat(list(x), a) for a in module.actions]
-    return im.preimage_lattice(None, rows, [list(r) for r in module.relations])
+def prediction_data(
+    group: FinAbGroup, inertia: Subgroup, frob: GroupElement, sub: Subgroup
+) -> tuple[Subgroup, int]:
+    """(B, c) of the predicted Tate module (Z/c)[G/B] of an inertia
+    module: B = inertia + <frob> + sub and c = #(inertia meet sub)."""
+    if inertia.group != group or frob.group != group or sub.group != group:
+        raise ParentMismatchError("inputs from a different group")
+    big = inertia.join(cyclic_subgroup(frob)).join(sub)
+    return big, inertia.meet(sub).order
 
 
-def module_equivalent(m1: FiniteModule, m2: FiniteModule) -> ComparisonOutcome:
-    """Decide whether two finite modules over the same group are
-    isomorphic as modules.
+def prediction_verdict(module: FiniteModule, big: Subgroup, c: int) -> str:
+    """'pass' if the module is isomorphic to (Z/c)[G/B] = Z[G]/J with
+    J = (c, b - 1 : b in B), 'fail' if it is not, and 'undecided' for a
+    module too large to walk that has no basis-vector generator.
 
-    Route 1: abelian invariants must match.  Route 2: two cyclic modules
-    over the group ring are isomorphic exactly when their annihilator
-    lattices coincide (every generator of a cyclic module has the same
-    annihilator), and a cyclic module is never isomorphic to one proven
-    non-cyclic.  Whatever remains is reported undecided rather than
-    approximated.
-    """
-    if m1.group != m2.group:
-        raise ParentMismatchError("modules over different groups")
-    if m1.invariants() != m2.invariants():
-        return ComparisonOutcome(True, False, "abelian-invariants")
-    if m1.order == 1:
-        return ComparisonOutcome(True, True, "both-trivial")
-
-    x1, full1 = find_cyclic_generator(m1)
-    x2, full2 = find_cyclic_generator(m2)
-    if x1 is not None and x2 is not None:
-        a1 = annihilator_lattice(m1, x1)
-        a2 = annihilator_lattice(m2, x2)
-        return ComparisonOutcome(True, a1 == a2, "cyclic-annihilator")
-    if not (full1 and full2):
-        return ComparisonOutcome(False, None, "skipped:generator-search-capacity")
-    if x1 is None and x2 is None:
-        return ComparisonOutcome(False, None, "skipped:both-noncyclic")
-    return ComparisonOutcome(True, False, "cyclicity-mismatch")
+    The module is isomorphic to Z[G]/J exactly when it has order
+    c^[G:B], J annihilates it, and it is cyclic: a generator x gives
+    M = Z[G]/Ann(x), Ann(x) = Ann(M) contains J, and the orders force
+    equality."""
+    group = module.group
+    if big.group != group:
+        raise ParentMismatchError("subgroup of a different group")
+    if module.order != c ** (group.order // big.order):
+        return "fail"
+    n = module.rank
+    h, piv = im.hnf_with_pivots([list(r) for r in module.relations], n)
+    # J annihilates M: the rows of c and of A_b - 1 lie in the relations
+    j_rows = [[c * (i == j) for j in range(n)] for i in range(n)]
+    for b in big.generators():
+        a = module.action_matrix(b)
+        j_rows += [[a[i][j] - (i == j) for j in range(n)] for i in range(n)]
+    if not all(im.in_span(h, piv, r) for r in j_rows):
+        return "fail"
+    x, searched_all = find_cyclic_generator(module)
+    if x is not None:
+        return "pass"
+    return "fail" if searched_all else "undecided"
 
 
 # ---------------------------------------------------------------------------

@@ -125,10 +125,9 @@ class SetFamily:
         }
 
 
-def _cyclic_quotient_pairs(group: FinAbGroup):
-    """(I, D) pairs over the given group with I nontrivial elementary
-    and D/I cyclic, canonically ordered."""
-    subs = enumerate_subgroups(group)
+def _cyclic_quotient_pairs(group: FinAbGroup, subs):
+    """(I, D) pairs over the given group, whose subgroups are subs, with
+    I nontrivial elementary and D/I cyclic, canonically ordered."""
     out = []
     for inertia in subs:
         if inertia.is_trivial or not is_elementary(inertia.structure()):
@@ -146,7 +145,7 @@ def build_sets(group: FinAbGroup) -> SetFamily:
     from generator pairs to (I, D) pairs and the local pair sets over
     each maximal p-quotient."""
     subs = enumerate_subgroups(group)
-    s_pairs = _cyclic_quotient_pairs(group)
+    s_pairs = _cyclic_quotient_pairs(group, subs)
     s_index = {
         (pr.inertia.basis, pr.dec.basis): i for i, pr in enumerate(s_pairs)
     }
@@ -166,7 +165,7 @@ def build_sets(group: FinAbGroup) -> SetFamily:
     t_tuples = []
     for p in primes:
         qd_p = quotient_data(group, sylow_complement(group, p))
-        s_p[p] = tuple(_cyclic_quotient_pairs(qd_p.group))
+        s_p[p] = tuple(_cyclic_quotient_pairs(qd_p.group, enumerate_subgroups(qd_p.group)))
         hs = []
         for h in subs:
             qh = quotient_data(group, h)

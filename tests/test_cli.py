@@ -18,6 +18,7 @@ import grlat
 from grlat import cli, spectrum
 from grlat.cli import main
 from grlat.errors import ContainmentError
+from grlat.monoid import build_sets
 
 
 def run(argv, capsys):
@@ -93,6 +94,31 @@ def test_verify_unknown_check(capsys):
     assert code == 64 and "usage error" in err
 
 
+def test_verify_builds_index_sets_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(group):
+        calls.append(group)
+        return build_sets(group)
+
+    monkeypatch.setattr(cli, "build_sets", counted)
+    code, out, _ = run(["verify", "9"], capsys)
+    assert code == 0
+    assert "config.checks\ttate,kernel,ext,triviality,unit" in out
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spec, checks", [("3,3", "tate,kernel"), ("6", "tate,unit")])
+def test_inapplicable_check_refused_before_any_sweep(spec, checks, capsys, monkeypatch):
+    def never(group):
+        raise AssertionError("index sets built for a refused command")
+
+    monkeypatch.setattr(cli, "build_sets", never)
+    code, out, err = run(["verify", spec, "--checks", checks], capsys)
+    assert code == 64 and out == ""
+    assert "usage error" in err
+
+
 def test_verify_inapplicable_check(capsys):
     code, _, err = run(["verify", "3,3", "--checks", "kernel"], capsys)
     assert code == 64
@@ -116,7 +142,7 @@ def test_verify_triviality_noncyclic_mixed_prime(spec, capsys):
 
 
 def test_failed_internal_check_exits_2_without_traceback(capsys, monkeypatch):
-    def broken_sweep(group):
+    def broken_sweep(fam):
         raise ContainmentError("relations not stable under generator 0")
 
     monkeypatch.setattr(cli, "_triviality_rows", broken_sweep)
@@ -285,6 +311,7 @@ def test_package_has_no_assert():
         ["verify", "2,6", "--checks", "triviality"],
         ["verify", "21", "--checks", "triviality"],
         ["monoid", "2,2,12"],
+        ["verify", "3,3", "--checks", "tate"],
     ],
 )
 def test_optimized_interpreter_gives_identical_reports(argv):

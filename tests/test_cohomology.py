@@ -1,15 +1,25 @@
 """Tate cohomology, the closed-form comparison, character components.
 
 Brute-force Tate groups come straight from the definition (invariants /
-norm image, norm kernel / augmentation image); the closed-form routine
-predicts both groups for inertia modules, and the two must agree as
-modules, not just as abelian groups.
+norm image, norm kernel / augmentation image); the closed form predicts
+both groups for inertia modules, and the two must agree as modules, not
+just as abelian groups.
 """
+
+from dataclasses import dataclass
 
 import pytest
 
 from grlat import intmat as im
-from grlat.abelian import Subgroup, cyclic_subgroup, make_group, p_split, prime_factors
+from grlat.abelian import (
+    Subgroup,
+    cyclic_subgroup,
+    enumerate_subgroups,
+    make_group,
+    p_split,
+    prime_factors,
+    quotient_data,
+)
 from grlat.cohomology import (
     GENERATOR_SEARCH_CAP,
     ChiClass,
@@ -17,13 +27,13 @@ from grlat.cohomology import (
     character_classes,
     chi_component,
     chi_idempotent_matrix,
-    closed_form_inertia_tate,
     complement_generators,
     coset_representatives,
     find_cyclic_generator,
     is_cohomologically_trivial,
-    module_equivalent,
     p_part,
+    prediction_data,
+    prediction_verdict,
     tate_cohomology,
     triviality_criterion,
 )
@@ -82,8 +92,6 @@ def test_tate_exponent_bound():
 
 
 def test_closed_form_matches_brute_force_small():
-    from grlat.abelian import enumerate_subgroups
-
     for facs in ([9], [3, 3]):
         g = make_group(facs)
         ring = GroupRing(g)
@@ -91,25 +99,25 @@ def test_closed_form_matches_brute_force_small():
             mod = inertia_module(ring, pair.inertia, pair.frob)
             for h in enumerate_subgroups(g):
                 t = tate_cohomology(mod, h)
-                pred = closed_form_inertia_tate(g, pair.inertia, pair.frob, h)
+                big, c = prediction_data(g, pair.inertia, pair.frob, h)
                 for side in (t.h0, t.hminus1):
-                    out = module_equivalent(side, pred)
-                    assert out.decided and out.isomorphic, (facs, pair, h)
+                    assert prediction_verdict(side, big, c) == "pass", (facs, pair, h)
 
 
 def test_closed_form_anchor_values():
     # I = D = G = Z/3, H = G: prediction Z[1]/(3) = Z/3
     g = make_group([3])
-    pred = closed_form_inertia_tate(g, Subgroup.full(g), g.zero(), Subgroup.full(g))
-    assert pred.invariants() == (3,)
+    assert prediction_data(g, Subgroup.full(g), g.zero(), Subgroup.full(g)) == (Subgroup.full(g), 3)
     # trivial H: #(I meet H) = 1 kills the module
-    pred = closed_form_inertia_tate(g, Subgroup.full(g), g.zero(), Subgroup.trivial(g))
-    assert pred.order == 1
+    assert prediction_data(g, Subgroup.full(g), g.zero(), Subgroup.trivial(g)) == (Subgroup.full(g), 1)
     # G = Z/9, I = <3>, frob generating, H = <3>: quotient trivial, Z/3
     g9 = make_group([9])
     i3 = cyclic_subgroup(g9.element((3,)))
-    pred = closed_form_inertia_tate(g9, i3, g9.element((1,)), i3)
-    assert pred.invariants() == (3,)
+    assert prediction_data(g9, i3, g9.element((1,)), i3) == (Subgroup.full(g9), 3)
+    # I = <3>, frob = 0, H trivial: Z[G/I] = Z[C3] modulo 1, the zero module
+    assert prediction_data(g9, i3, g9.zero(), Subgroup.trivial(g9)) == (i3, 1)
+    with pytest.raises(ParentMismatchError):
+        prediction_data(g, i3, g9.zero(), i3)
 
 
 def test_cohomological_triviality_anchors():
@@ -222,23 +230,30 @@ def test_triviality_criterion_sweep_small():
                 assert rep.all_agree, (facs, pair, p)
 
 
-def test_module_equivalent_distinguishes_twists():
+def test_prediction_verdict_distinguishes_twists():
+    # Z/5 with a generator of Z/4 acting by 2 against (Z/5)[G/G] = Z/5
+    # with trivial action: the same order, killed by 5, but G acts
     g = make_group([4])
-    m_twist = FiniteModule.build(g, [[5]], [[[2]]])  # sigma acts by 2 mod 5
+    m_twist = FiniteModule.build(g, [[5]], [[[2]]])
     m_triv = FiniteModule.build(g, [[5]], [[[1]]])
-    out = module_equivalent(m_twist, m_triv)
-    assert out.decided and not out.isomorphic
-    same = module_equivalent(m_twist, m_twist)
-    assert same.decided and same.isomorphic
+    assert prediction_verdict(m_twist, Subgroup.full(g), 5) == "fail"
+    assert prediction_verdict(m_triv, Subgroup.full(g), 5) == "pass"
+    # with B trivial the prediction is Z/5[C4], of order 5^4
+    assert prediction_verdict(m_twist, Subgroup.trivial(g), 5) == "fail"
 
 
-def test_module_equivalent_invariant_mismatch_fast():
+def test_prediction_verdict_order_and_exponent_mismatch():
     g = make_group([2])
-    a = FiniteModule.build(g, [[2]], [[[1]]])
-    b = FiniteModule.build(g, [[4]], [[[1]]])
-    out = module_equivalent(a, b)
-    assert out.decided and not out.isomorphic
-    assert out.method == "abelian-invariants"
+    z2 = FiniteModule.build(g, [[2]], [[[1]]])
+    assert prediction_verdict(z2, Subgroup.full(g), 4) == "fail"
+    # Z/4 with trivial action has the order of Z/2[C2] = (Z/2)[G/1] but
+    # is not killed by 2
+    z4 = FiniteModule.build(g, [[4]], [[[1]]])
+    assert z4.order == 2 ** g.order
+    assert prediction_verdict(z4, Subgroup.trivial(g), 2) == "fail"
+    assert prediction_verdict(z4, Subgroup.full(g), 4) == "pass"
+    with pytest.raises(ParentMismatchError):
+        prediction_verdict(z4, Subgroup.full(make_group([4])), 4)
 
 
 def test_coset_representatives_and_generator_search():
@@ -255,53 +270,135 @@ def test_coset_representatives_and_generator_search():
     assert complete and x is None
 
 
-def test_module_equivalent_cyclicity_mismatch():
-    # (Z/3)^2 with trivial action against the uniserial Z/3[C3]/(tau-1)^2:
-    # the same abelian group, but only the second is cyclic
-    g = make_group([3])
+def test_prediction_verdict_cyclicity_mismatch():
+    # (Z/3)^2 with trivial action against Z/3[C2] = (Z/3)[G/1], C2 swapping
+    # the coordinates: the same abelian group, both killed by 3 and by
+    # the trivial B, but only the second is cyclic; the walk proves the
+    # first is not
+    g = make_group([2])
     flat = FiniteModule.build(g, [[3, 0], [0, 3]], [[[1, 0], [0, 1]]])
-    uniserial = FiniteModule.build(g, [[3, 0], [0, 3]], [[[1, 1], [0, 1]]])
-    assert flat.invariants() == uniserial.invariants()
-    out = module_equivalent(flat, uniserial)
-    assert (out.decided, out.isomorphic, out.method) == (True, False, "cyclicity-mismatch")
-    out = module_equivalent(uniserial, flat)
-    assert (out.decided, out.isomorphic, out.method) == (True, False, "cyclicity-mismatch")
-    # two modules proven non-cyclic are not compared
-    out = module_equivalent(flat, flat)
-    assert (out.decided, out.method) == (False, "skipped:both-noncyclic")
+    regular = FiniteModule.build(g, [[3, 0], [0, 3]], [[[0, 1], [1, 0]]])
+    assert flat.invariants() == regular.invariants()
+    assert find_cyclic_generator(flat) == (None, True)
+    assert prediction_verdict(flat, Subgroup.trivial(g), 3) == "fail"
+    assert prediction_verdict(regular, Subgroup.trivial(g), 3) == "pass"
 
 
 def test_generator_search_past_the_cap():
     # Z/2[C16] has 2^16 elements, too many to walk, and e_1 generates it
-    ring = GroupRing(make_group([16]))
+    g = make_group([16])
+    ring = GroupRing(g)
     regular = regular_quotient(ring, ring.one().scale(2))
     assert regular.order > GENERATOR_SEARCH_CAP
     assert coset_representatives(regular) is None
     x, complete = find_cyclic_generator(regular)
     assert complete and x == [1] + [0] * 15
-    out = module_equivalent(regular, regular)
-    assert (out.decided, out.isomorphic, out.method) == (True, True, "cyclic-annihilator")
-    # (Z/2)^16 with trivial action: no basis vector generates and the
-    # walk that would prove it non-cyclic is over the cap
-    g = make_group([2])
+    assert prediction_verdict(regular, Subgroup.trivial(g), 2) == "pass"
+    # (Z/2)^16 with trivial action: the order and annihilator of
+    # Z/2[C16], but no basis vector generates and the walk that would
+    # prove it non-cyclic is over the cap
     n = 16
     flat = FiniteModule.build(g, [[2 * (i == j) for j in range(n)] for i in range(n)], [im.identity(n)])
     assert flat.order > GENERATOR_SEARCH_CAP
     assert find_cyclic_generator(flat) == (None, False)
-    out = module_equivalent(flat, flat)
-    assert (out.decided, out.method) == (False, "skipped:generator-search-capacity")
+    assert prediction_verdict(flat, Subgroup.trivial(g), 2) == "undecided"
 
 
 def test_prediction_is_generated_by_the_first_basis_vector():
-    from grlat.abelian import enumerate_subgroups
-
     g = make_group([3, 3])
     for pair in build_sets(g).stilde:
         for h in enumerate_subgroups(g):
-            pred = closed_form_inertia_tate(g, pair.inertia, pair.frob, h)
+            pred = ref_closed_form_inertia_tate(g, pair.inertia, pair.frob, h)
+            big, c = prediction_data(g, pair.inertia, pair.frob, h)
+            assert prediction_verdict(pred, big, c) == "pass", (pair, h)
             if pred.order > 1:
                 x, _ = find_cyclic_generator(pred)
                 assert x == im.identity(pred.rank)[0], (pair, h)
+
+
+# -- reference: the prediction built as a module, compared two-sidedly ----
+# Verbatim copies of the closed-form module, the annihilator lattice and
+# the two-sided module comparison that the prediction's defining ideal
+# replaced.
+
+
+@dataclass(frozen=True)
+class RefComparisonOutcome:
+    decided: bool
+    isomorphic: bool | None
+    method: str
+
+
+def ref_closed_form_inertia_tate(group, inertia, frob, sub):
+    """Predicted Tate module of an inertia module: the group ring of the
+    quotient by (decomposition subgroup + sub), modulo #(inertia meet sub)."""
+    dec = inertia.join(cyclic_subgroup(frob))
+    big = dec.join(sub)
+    c = inertia.meet(sub).order
+    qd = quotient_data(group, big)
+    qring = group_ring(qd.group)
+    n = qring.n
+    relations = [[c if i == j else 0 for j in range(n)] for i in range(n)]
+    actions = [qring.translation_matrix(qd.proj(g)) for g in group.generators()]
+    return FiniteModule.build(group, relations, actions)
+
+
+def ref_annihilator_lattice(module, x):
+    """The lattice {c in Z^{|G|} : sum_g c_g (x.g) lies in relations}."""
+    rows = [im.vec_mat(list(x), a) for a in module.actions]
+    return im.preimage_lattice(None, rows, [list(r) for r in module.relations])
+
+
+def ref_module_equivalent(m1, m2):
+    """Decide whether two finite modules over the same group are
+    isomorphic as modules.
+
+    Route 1: abelian invariants must match.  Route 2: two cyclic modules
+    over the group ring are isomorphic exactly when their annihilator
+    lattices coincide (every generator of a cyclic module has the same
+    annihilator), and a cyclic module is never isomorphic to one proven
+    non-cyclic.  Whatever remains is reported undecided rather than
+    approximated.
+    """
+    if m1.group != m2.group:
+        raise ParentMismatchError("modules over different groups")
+    if m1.invariants() != m2.invariants():
+        return RefComparisonOutcome(True, False, "abelian-invariants")
+    if m1.order == 1:
+        return RefComparisonOutcome(True, True, "both-trivial")
+
+    x1, full1 = find_cyclic_generator(m1)
+    x2, full2 = find_cyclic_generator(m2)
+    if x1 is not None and x2 is not None:
+        a1 = ref_annihilator_lattice(m1, x1)
+        a2 = ref_annihilator_lattice(m2, x2)
+        return RefComparisonOutcome(True, a1 == a2, "cyclic-annihilator")
+    if not (full1 and full2):
+        return RefComparisonOutcome(False, None, "skipped:generator-search-capacity")
+    if x1 is None and x2 is None:
+        return RefComparisonOutcome(False, None, "skipped:both-noncyclic")
+    return RefComparisonOutcome(True, False, "cyclicity-mismatch")
+
+
+# 1999 (pair, H) rows in all
+OLD_ROUTE_GROUPS = ([9], [27], [3, 3], [15], [3, 9], [2, 4], [2, 6], [12], [16], [2, 2, 2])
+
+
+@pytest.mark.parametrize("factors", OLD_ROUTE_GROUPS)
+def test_prediction_verdict_matches_two_sided_comparison(factors):
+    g = make_group(factors)
+    ring = group_ring(g)
+    subs = enumerate_subgroups(g)
+    for pair in build_sets(g).stilde:
+        mod = inertia_module(ring, pair.inertia, pair.frob)
+        for h in subs:
+            t = tate_cohomology(mod, h)
+            pred = ref_closed_form_inertia_tate(g, pair.inertia, pair.frob, h)
+            big, c = prediction_data(g, pair.inertia, pair.frob, h)
+            for side in (t.h0, t.hminus1):
+                out = ref_module_equivalent(side, pred)
+                old = ("pass" if out.isomorphic else "fail") if out.decided else "undecided"
+                assert prediction_verdict(side, big, c) == old, (factors, pair, h)
 
 
 # -- reference: the chi idempotent from per-generator power tables ----------
