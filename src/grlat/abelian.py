@@ -2,9 +2,12 @@
 
 A group is a chain of invariant factors d_1 | d_2 | ... | d_k, all >= 2,
 and its elements are coordinate tuples mod the d_i.  A subgroup is stored
-as the row-HNF basis of its preimage lattice L with
-diag(d) Z^k <= L <= Z^k, which makes joins, meets, images and preimages
-plain lattice arithmetic (see intmat).
+as the canonical row-HNF basis of its preimage lattice L with
+diag(d) Z^k <= L <= Z^k: a square upper-triangular matrix with its
+pivots on the diagonal.  Joins, meets, images and preimages are plain
+lattice arithmetic (see intmat), and the order (a pivot product),
+membership, the structure and the canonical coset lift are read off
+the stored basis by reduction, with no second HNF.
 
 make_group() accepts any factor list and CRT-normalizes it, so callers
 can say make_group([6, 3]) and get the canonical chain (3, 6).
@@ -57,6 +60,12 @@ def p_split(n: int, p: int) -> tuple[int, int]:
         n //= p
         e += 1
     return e, n
+
+
+def _diagonal(entries):
+    """The diagonal matrix of entries, a square HNF when they are positive."""
+    k = len(entries)
+    return [[d if j == i else 0 for j in range(k)] for i, d in enumerate(entries)]
 
 
 def make_group(factors) -> "FinAbGroup":
@@ -128,12 +137,12 @@ class FinAbGroup:
         return sorted(prime_factors(self.order))
 
     def element(self, coords) -> "GroupElement":
-        coords = tuple(c % d for c, d in zip(coords, self.factors))
+        coords = tuple(coords)
         if len(coords) != self.rank:
             raise InvalidFactorError(
                 f"need {self.rank} coordinates, got {len(coords)}"
             )
-        return GroupElement(self, coords)
+        return GroupElement(self, tuple(c % d for c, d in zip(coords, self.factors)))
 
     def zero(self) -> "GroupElement":
         return GroupElement(self, (0,) * self.rank)
@@ -148,10 +157,7 @@ class FinAbGroup:
         return out
 
     def generators(self) -> list["GroupElement"]:
-        return [
-            self.element(tuple(1 if j == i else 0 for j in range(self.rank)))
-            for i in range(self.rank)
-        ]
+        return [self.element(r) for r in im.identity(self.rank)]
 
     def elements(self, cap: int = ELEMENT_CAP) -> Iterator["GroupElement"]:
         if self.order > cap:
@@ -221,7 +227,9 @@ class GroupElement:
 
 
 class Subgroup:
-    """Subgroup of a FinAbGroup, held as the HNF basis of its preimage lattice."""
+    """Subgroup of a FinAbGroup, held as the canonical square HNF basis of
+    its preimage lattice; order, membership, structure and the canonical
+    coset lift are all read off that basis."""
 
     __slots__ = ("group", "basis")
 
@@ -233,7 +241,7 @@ class Subgroup:
 
     @classmethod
     def trivial(cls, group: FinAbGroup) -> "Subgroup":
-        return cls(group, [[group.factors[i] if j == i else 0 for j in range(group.rank)] for i in range(group.rank)])
+        return cls(group, _diagonal(group.factors))
 
     @classmethod
     def full(cls, group: FinAbGroup) -> "Subgroup":
@@ -241,32 +249,26 @@ class Subgroup:
 
     @classmethod
     def from_generators(cls, group: FinAbGroup, gens) -> "Subgroup":
-        rows = [list(g.coords) for g in gens]
         for g in gens:
             if g.group != group:
                 raise ParentMismatchError("generator from a different group")
-        rows += [
-            [group.factors[i] if j == i else 0 for j in range(group.rank)]
-            for i in range(group.rank)
-        ]
+        rows = [list(g.coords) for g in gens] + _diagonal(group.factors)
         return cls(group, im.hnf(rows, group.rank))
 
     # -- basic data ---------------------------------------------------------
 
     @property
     def order(self) -> int:
-        k = self.group.rank
-        if k == 0:
-            return 1
-        return self.group.order // im.lattice_index(self.basis, k)
+        return self.group.order // im.hnf_index(self.basis)
 
     def structure(self) -> tuple[int, ...]:
-        """Invariant factors of this subgroup as an abstract group."""
+        """Invariant factors of this subgroup as an abstract group: the
+        Smith form of the rows d_i e_i in basis coordinates."""
         k = self.group.rank
-        if k == 0 or self.order == 1:
-            return ()
-        dmat = [[self.group.factors[i] if j == i else 0 for j in range(k)] for i in range(k)]
-        coords = im.lattice_quotient_coords(self.basis, dmat)
+        rel = _diagonal(self.group.factors)
+        coords = [im.span_coefficients(self.basis, range(k), r) for r in rel]
+        if None in coords:
+            raise ContainmentError(f"basis of {self!r} does not contain the relations")
         return im.invariant_factors(coords, k)
 
     def as_group(self) -> FinAbGroup:
@@ -290,15 +292,17 @@ class Subgroup:
 
     # -- predicates and arithmetic ------------------------------------------
 
+    def _spans(self, row) -> bool:
+        return im.in_span(self.basis, range(len(self.basis)), row)
+
     def contains(self, elem: GroupElement) -> bool:
         if elem.group != self.group:
             raise ParentMismatchError("element from a different group")
-        h, piv = self.basis, [next(j for j, x in enumerate(r) if x) for r in self.basis]
-        return im.in_span(list(map(list, self.basis)), piv, list(elem.coords))
+        return self._spans(elem.coords)
 
     def is_subset_of(self, other: "Subgroup") -> bool:
         self._check(other)
-        return im.lattice_contains(list(map(list, other.basis)), list(map(list, self.basis)))
+        return all(other._spans(r) for r in self.basis)
 
     def join(self, other: "Subgroup") -> "Subgroup":
         self._check(other)
@@ -306,10 +310,7 @@ class Subgroup:
 
     def meet(self, other: "Subgroup") -> "Subgroup":
         self._check(other)
-        return Subgroup(
-            self.group,
-            im.lattice_intersection(list(map(list, self.basis)), list(map(list, other.basis))),
-        )
+        return Subgroup(self.group, im.lattice_intersection(self.basis, other.basis))
 
     def elements(self, cap: int = ELEMENT_CAP) -> list[GroupElement]:
         if self.order > cap:
@@ -369,10 +370,13 @@ def cyclic_subgroup(elem: GroupElement) -> Subgroup:
 
 
 def canonical_lift(sub: Subgroup, elem: GroupElement) -> GroupElement:
-    """Lexicographically smallest representative of elem + sub."""
+    """Lexicographically smallest representative of elem + sub: elem
+    reduced against the HNF basis, which leaves each coordinate at the
+    least value the earlier coordinates allow (Cohen, GTM 138, 2.4.3)."""
     if sub.group != elem.group:
         raise ParentMismatchError("subgroup and element of different groups")
-    return min((elem + t for t in sub.elements()), key=lambda e: e.coords)
+    _, rem = im.reduce_against(sub.basis, range(len(sub.basis)), elem.coords)
+    return GroupElement(sub.group, tuple(rem))
 
 
 def enumerate_subgroups(group: FinAbGroup, cap: int = SUBGROUP_CAP) -> list[Subgroup]:
@@ -409,22 +413,12 @@ def enumerate_subgroups(group: FinAbGroup, cap: int = SUBGROUP_CAP) -> list[Subg
 
 def sylow(group: FinAbGroup, p: int) -> Subgroup:
     """The p-Sylow subgroup (trivial when p does not divide the order)."""
-    k = group.rank
-    rows = []
-    for i, d in enumerate(group.factors):
-        rest = p_split(d, p)[1]
-        rows.append([rest if j == i else 0 for j in range(k)])
-    return Subgroup(group, im.hnf(rows, k) if rows else [])
+    return Subgroup(group, _diagonal([p_split(d, p)[1] for d in group.factors]))
 
 
 def sylow_complement(group: FinAbGroup, p: int) -> Subgroup:
     """The subgroup of order prime to p (the product of the other Sylows)."""
-    k = group.rank
-    rows = []
-    for i, d in enumerate(group.factors):
-        pe = p ** p_split(d, p)[0]
-        rows.append([pe if j == i else 0 for j in range(k)])
-    return Subgroup(group, im.hnf(rows, k) if rows else [])
+    return Subgroup(group, _diagonal([p ** p_split(d, p)[0] for d in group.factors]))
 
 
 @dataclass(frozen=True)
@@ -463,13 +457,8 @@ class QuotientData:
         if sub.group != self.source:
             raise ParentMismatchError("subgroup not in the source group")
         vcols = [[r[i] for i in self._idx] for r in self._v]
-        rows = [im.vec_mat(list(b), vcols) for b in sub.basis]
-        qk = self.group.rank
-        rows += [
-            [self.group.factors[i] if j == i else 0 for j in range(qk)]
-            for i in range(qk)
-        ]
-        return Subgroup(self.group, im.hnf(rows, qk))
+        rows = [im.vec_mat(b, vcols) for b in sub.basis] + _diagonal(self.group.factors)
+        return Subgroup(self.group, im.hnf(rows, self.group.rank))
 
 
 def quotient_data(group: FinAbGroup, sub: Subgroup) -> QuotientData:

@@ -14,7 +14,7 @@ import math
 import sys
 from importlib import resources
 
-from .abelian import ELEMENT_CAP, enumerate_subgroups, make_group, prime_factors
+from .abelian import ELEMENT_CAP, make_group, prime_factors
 from .cohomology import (
     prediction_data,
     prediction_verdict,
@@ -115,11 +115,10 @@ def cmd_monoid(args) -> dict:
 def _tate_rows(fam):
     group = fam.group
     ring = group_ring(group)
-    subs = enumerate_subgroups(group)
     rows = []
     for pair in fam.stilde:
         mod = inertia_module(ring, pair.inertia, pair.frob)
-        for h in subs:
+        for h in fam.subgroups:
             t = tate_cohomology(mod, h)
             big, c = prediction_data(group, pair.inertia, pair.frob, h)
             statuses = [prediction_verdict(m, big, c) for m in (t.h0, t.hminus1)]
@@ -171,9 +170,10 @@ def _triviality_rows(fam):
 def _unit_rows(fam):
     ring = group_ring(fam.group)
     rows = []
+    # equal projections: the same inertia and decomposition subgroups
     for i, a in enumerate(fam.stilde):
-        for b in fam.stilde[i + 1 :]:
-            if a.inertia != b.inertia or a.decomposition != b.decomposition:
+        for j, b in enumerate(fam.stilde[i + 1 :], i + 1):
+            if fam.projection[i] != fam.projection[j]:
                 continue
             try:
                 ok = verify_unit_transport(ring, a.inertia, a.frob, b.frob)

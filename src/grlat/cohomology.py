@@ -211,13 +211,12 @@ def prediction_verdict(module: FiniteModule, big: Subgroup, c: int) -> str:
     if module.order != c ** (group.order // big.order):
         return "fail"
     n = module.rank
-    h, piv = im.hnf_with_pivots([list(r) for r in module.relations], n)
     # J annihilates M: the rows of c and of A_b - 1 lie in the relations
     j_rows = [[c * (i == j) for j in range(n)] for i in range(n)]
     for b in big.generators():
         a = module.action_matrix(b)
         j_rows += [[a[i][j] - (i == j) for j in range(n)] for i in range(n)]
-    if not all(im.in_span(h, piv, r) for r in j_rows):
+    if not all(im.in_span(module.relations, range(n), r) for r in j_rows):
         return "fail"
     x, searched_all = find_cyclic_generator(module)
     if x is not None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from . import intmat as im
 from .abelian import FinAbGroup, GroupElement, Subgroup
@@ -254,7 +254,7 @@ class IdealLattice:
     def integral_index(self) -> int:
         """[Z^n : den * L], the index of the cleared-denominator lattice:
         the product of the pivots of the full-rank HNF basis."""
-        return prod(r[i] for i, r in enumerate(self.basis))
+        return im.hnf_index(self.basis)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -273,9 +273,11 @@ class IdealLattice:
 class FiniteModule:
     """Finite module Z^n / relations with an abelian group action.
 
-    gen_actions[i] is the integer matrix of the i-th group generator,
-    acting on row vectors from the right.  The relation lattice must be
-    full rank (otherwise the module is infinite and rejected).
+    relations is the canonical square HNF of the relation lattice, which
+    must be full rank (otherwise the module is infinite and rejected);
+    the order (its pivot product) and every membership test of validate
+    are read off it.  gen_actions[i] is the integer matrix of the i-th
+    group generator, acting on row vectors from the right.
     """
 
     group: FinAbGroup
@@ -297,9 +299,7 @@ class FiniteModule:
 
     @property
     def order(self) -> int:
-        if self.rank == 0:
-            return 1
-        return im.lattice_index([list(r) for r in self.relations], self.rank)
+        return im.hnf_index(self.relations)
 
     def invariants(self) -> tuple:
         if self.rank == 0:
@@ -333,12 +333,11 @@ class FiniteModule:
 
     def validate(self):
         n = self.rank
-        rel = [list(r) for r in self.relations]
-        h, piv = im.hnf_with_pivots(rel, n)
+        h, piv = self.relations, range(n)
         for gi, a in enumerate(self.gen_actions):
             a = [list(r) for r in a]
             # relations must be stable under the action
-            for r in rel:
+            for r in h:
                 if not im.in_span(h, piv, im.vec_mat(r, a)):
                     raise ContainmentError(
                         f"relations not stable under generator {gi}"

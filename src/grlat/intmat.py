@@ -9,13 +9,16 @@ Conventions:
   * vectors are rows, maps act on the right (x -> x @ A),
   * hnf() returns the canonical row Hermite form: echelon, positive
     pivots, entries above each pivot reduced into [0, pivot),
+  * a full-rank square HNF has its pivots on the diagonal, so callers
+    that store one test membership with in_span(h, range(n), v) and
+    take its index with hnf_index(h), without a second HNF,
   * snf_with_transform() returns (diag, U, V) with U @ A @ V diagonal,
     diag[i] | diag[i+1], U and V unimodular.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 
 
 def mat_copy(rows):
@@ -353,22 +356,10 @@ def lattice_eq(a_rows, b_rows):
     return hnf(a_rows) == hnf(b_rows)
 
 
-def lattice_contains(outer_rows, inner_rows):
-    h, piv = hnf_with_pivots(outer_rows)
-    return all(in_span(h, piv, r) for r in inner_rows)
-
-
-def lattice_index(rows, width):
-    """|Z^width / L| for a full-rank lattice L; raises on rank deficiency."""
-    from .errors import NotFullRankError
-
-    h, piv = hnf_with_pivots(rows, width)
-    if len(h) != width:
-        raise NotFullRankError(f"lattice has rank {len(h)} < {width}")
-    out = 1
-    for k, col in enumerate(piv):
-        out *= h[k][col]
-    return out
+def hnf_index(h):
+    """|Z^n / L| for the lattice L spanned by a full-rank square HNF h:
+    the product of its pivots, which sit on the diagonal."""
+    return prod(r[i] for i, r in enumerate(h))
 
 
 def lattice_intersection(a_rows, b_rows):

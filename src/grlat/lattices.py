@@ -242,11 +242,10 @@ def verify_extension_sequence(
     else:
         preimage_is_standard = im.lattice_eq(pre, im.identity(nbar))
     # (c) nu-image coordinates in L are a primitive rank-nbar sublattice
-    hb, pivb = im.hnf_with_pivots(basis)
     coords = []
     ok_c = True
     for row in fnum:
-        c = im.span_coefficients(hb, pivb, row)
+        c = im.span_coefficients(basis, range(n), row)
         if c is None:
             ok_c = False
             break

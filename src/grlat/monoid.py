@@ -28,7 +28,7 @@ from .abelian import (
     sylow,
     sylow_complement,
 )
-from .errors import CapacityError, ParentMismatchError, ScopeError
+from .errors import CapacityError, ScopeError
 
 # decomposition searches and bounded injectivity sweeps refuse to spawn
 # more candidate vectors than this
@@ -38,18 +38,11 @@ VECTOR_CAP = 400_000
 @dataclass(frozen=True)
 class InertiaPair:
     """(I, phi): nontrivial elementary inertia plus a coset of G/I,
-    stored through its canonical (lex-least) lift."""
+    stored through its canonical (lex-least) lift.  build_sets, the only
+    constructor, picks I and the lift itself."""
 
     inertia: Subgroup
     frob: GroupElement
-
-    def __post_init__(self):
-        if self.inertia.group != self.frob.group:
-            raise ParentMismatchError("subgroup and element parents differ")
-        if self.inertia.is_trivial:
-            raise ScopeError("inertia must be nontrivial")
-        if not is_elementary(self.inertia.structure()):
-            raise ScopeError("inertia must be elementary")
 
     @property
     def decomposition(self) -> Subgroup:
@@ -58,21 +51,11 @@ class InertiaPair:
 
 @dataclass(frozen=True)
 class DecompositionPair:
-    """(I, D) with I nontrivial elementary, I inside D, D/I cyclic."""
+    """(I, D) with I nontrivial elementary, I inside D, D/I cyclic;
+    _cyclic_quotient_pairs, the only constructor, makes those tests."""
 
     inertia: Subgroup
     dec: Subgroup
-
-    def __post_init__(self):
-        if self.inertia.is_trivial:
-            raise ScopeError("inertia must be nontrivial")
-        if not is_elementary(self.inertia.structure()):
-            raise ScopeError("inertia must be elementary")
-        if not self.inertia.is_subset_of(self.dec):
-            raise ScopeError("inertia must sit inside the decomposition part")
-        qd = quotient_data(self.inertia.group, self.inertia)
-        if not qd.push(self.dec).is_cyclic:
-            raise ScopeError("quotient dec/inertia must be cyclic")
 
     def sort_key(self):
         return (self.inertia.basis, self.dec.basis)
@@ -97,6 +80,7 @@ class LocalTuple:
 class SetFamily:
     """All index sets of one group, in canonical order.
 
+    subgroups: every subgroup, as enumerate_subgroups lists them;
     stilde: the (I, phi) generator pairs; s_pairs: the (I, D) pairs;
     projection[i]: index into s_pairs of the image of stilde[i];
     s_p: per-prime pair lists over the maximal p-quotients;
@@ -106,6 +90,7 @@ class SetFamily:
     """
 
     group: FinAbGroup
+    subgroups: tuple
     stilde: tuple
     s_pairs: tuple
     projection: tuple
@@ -125,17 +110,26 @@ class SetFamily:
         }
 
 
-def _cyclic_quotient_pairs(group: FinAbGroup, subs):
-    """(I, D) pairs over the given group, whose subgroups are subs, with
-    I nontrivial elementary and D/I cyclic, canonically ordered."""
-    out = []
-    for inertia in subs:
-        if inertia.is_trivial or not is_elementary(inertia.structure()):
-            continue
-        qd = quotient_data(group, inertia)
-        for dec in subs:
-            if inertia.is_subset_of(dec) and qd.push(dec).is_cyclic:
-                out.append(DecompositionPair(inertia, dec))
+def _inertias(group: FinAbGroup, subs):
+    """(I, quotient data of G/I) for every nontrivial elementary I in
+    subs, the subgroups of group."""
+    return [
+        (inertia, quotient_data(group, inertia))
+        for inertia in subs
+        if not inertia.is_trivial and is_elementary(inertia.structure())
+    ]
+
+
+def _cyclic_quotient_pairs(inertias, subs):
+    """(I, D) pairs with (I, G/I) from inertias and D from subs, the
+    subgroups of the same group, where I lies in D and D/I is cyclic;
+    canonically ordered."""
+    out = [
+        DecompositionPair(inertia, dec)
+        for inertia, qd in inertias
+        for dec in subs
+        if inertia.is_subset_of(dec) and qd.push(dec).is_cyclic
+    ]
     out.sort(key=DecompositionPair.sort_key)
     return out
 
@@ -143,57 +137,59 @@ def _cyclic_quotient_pairs(group: FinAbGroup, subs):
 def build_sets(group: FinAbGroup) -> SetFamily:
     """Enumerate every index set of the group, including the projection
     from generator pairs to (I, D) pairs and the local pair sets over
-    each maximal p-quotient."""
+    each maximal p-quotient.  Each subgroup is tested once for being an
+    inertia group and once for a cyclic quotient."""
     subs = enumerate_subgroups(group)
-    s_pairs = _cyclic_quotient_pairs(group, subs)
+    inertias = _inertias(group, subs)
+    s_pairs = _cyclic_quotient_pairs(inertias, subs)
     s_index = {
         (pr.inertia.basis, pr.dec.basis): i for i, pr in enumerate(s_pairs)
     }
-    stilde = []
-    for inertia in subs:
-        if inertia.is_trivial or not is_elementary(inertia.structure()):
-            continue
-        qd = quotient_data(group, inertia)
-        for cbar in qd.group.elements():
-            stilde.append(InertiaPair(inertia, canonical_lift(inertia, qd.lift(cbar))))
+    stilde = [
+        InertiaPair(inertia, canonical_lift(inertia, qd.lift(cbar)))
+        for inertia, qd in inertias
+        for cbar in qd.group.elements()
+    ]
     stilde.sort(key=lambda pr: (pr.inertia.basis, pr.frob.coords))
     projection = tuple(
         s_index[(pr.inertia.basis, pr.decomposition.basis)] for pr in stilde
     )
-    primes = sorted(prime_factors(group.order))
+    # (H, #G/H) for every H with G/H cyclic, tested once per H
+    cyclic_quotients = [
+        (h, group.order // h.order)
+        for h in subs
+        if quotient_data(group, h).group.is_cyclic
+    ]
     s_p = {}
     t_tuples = []
-    for p in primes:
-        qd_p = quotient_data(group, sylow_complement(group, p))
-        s_p[p] = tuple(_cyclic_quotient_pairs(qd_p.group, enumerate_subgroups(qd_p.group)))
-        hs = []
-        for h in subs:
-            qh = quotient_data(group, h)
-            if qh.group.is_cyclic and qh.group.order % p != 0:
-                hs.append(h)
-        for h in hs:
-            for pr in s_p[p]:
-                t_tuples.append(LocalTuple(p, h, pr.inertia, pr.dec))
+    for p in sorted(prime_factors(group.order)):
+        qgroup = quotient_data(group, sylow_complement(group, p)).group
+        qsubs = enumerate_subgroups(qgroup)
+        s_p[p] = tuple(_cyclic_quotient_pairs(_inertias(qgroup, qsubs), qsubs))
+        t_tuples += [
+            LocalTuple(p, h, pr.inertia, pr.dec)
+            for h, quotient_order in cyclic_quotients
+            if quotient_order % p
+            for pr in s_p[p]
+        ]
     t_tuples.sort(key=LocalTuple.sort_key)
-    s_prime = tuple(
-        i
-        for i, pr in enumerate(s_pairs)
-        if not pr.dec.is_cyclic or len(prime_factors(pr.inertia.order)) == 1
-    )
-    s_dprime = tuple(
-        i
-        for i, pr in enumerate(s_pairs)
-        if len(prime_factors(pr.inertia.order)) == 1
-    )
+    s_prime, s_dprime = [], []
+    for i, pr in enumerate(s_pairs):
+        prime_power = len(prime_factors(pr.inertia.order)) == 1
+        if prime_power or not pr.dec.is_cyclic:
+            s_prime.append(i)
+        if prime_power:
+            s_dprime.append(i)
     return SetFamily(
         group,
+        tuple(subs),
         tuple(stilde),
         tuple(s_pairs),
         projection,
         s_p,
         tuple(t_tuples),
-        s_prime,
-        s_dprime,
+        tuple(s_prime),
+        tuple(s_dprime),
     )
 
 

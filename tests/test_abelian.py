@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import multiplicity
 
+import grlat.intmat as im
 from grlat.abelian import (
     FinAbGroup,
     Subgroup,
+    canonical_lift,
     cyclic_subgroup,
     enumerate_subgroups,
     is_elementary,
@@ -24,7 +26,7 @@ from grlat.abelian import (
     sylow,
     sylow_complement,
 )
-from grlat.errors import ContainmentError, InvalidFactorError
+from grlat.errors import ContainmentError, InvalidFactorError, ParentMismatchError
 
 
 def test_make_group_canonicalizes():
@@ -36,6 +38,15 @@ def test_make_group_canonicalizes():
         make_group([0])
     with pytest.raises(InvalidFactorError):
         make_group([-3])
+
+
+def test_element_refuses_a_wrong_number_of_coordinates():
+    g = make_group([2, 4])
+    assert g.element((3, 6)).coords == (1, 2)
+    with pytest.raises(InvalidFactorError):
+        g.element((1,))
+    with pytest.raises(InvalidFactorError):
+        g.element((1, 2, 3))
 
 
 def test_prime_factors():
@@ -193,3 +204,52 @@ def test_p_split_matches_sympy(base, p, k):
 def test_p_split_rejects_zero():
     with pytest.raises(ValueError):
         p_split(0, 3)
+
+
+# reference routes that read a subgroup through a fresh HNF or its
+# element list, as the subgroup code did before it read its stored basis
+
+
+def ref_canonical_lift(sub: Subgroup, elem):
+    """Lexicographically smallest representative of elem + sub."""
+    if sub.group != elem.group:
+        raise ParentMismatchError("subgroup and element of different groups")
+    return min((elem + t for t in sub.elements()), key=lambda e: e.coords)
+
+
+def ref_structure(sub: Subgroup):
+    k = sub.group.rank
+    if k == 0 or sub.order == 1:
+        return ()
+    dmat = [[sub.group.factors[i] if j == i else 0 for j in range(k)] for i in range(k)]
+    coords = im.lattice_quotient_coords(sub.basis, dmat)
+    return im.invariant_factors(coords, k)
+
+
+def ref_is_subset_of(inner: Subgroup, outer: Subgroup):
+    h, piv = im.hnf_with_pivots(list(map(list, outer.basis)))
+    return all(im.in_span(h, piv, r) for r in map(list, inner.basis))
+
+
+DIFFERENTIAL_GROUPS = [
+    (12,), (2, 4), (3, 3), (2, 2, 2), (4, 8), (2, 6), (3, 9), (2, 2, 4), (6, 6), (2, 2, 2, 2),
+]
+
+
+@pytest.mark.parametrize("factors", DIFFERENTIAL_GROUPS)
+def test_stored_basis_facts_match_reference_routes(factors):
+    g = make_group(list(factors))
+    elems = list(g.elements())
+    subs = enumerate_subgroups(g)
+    for h in subs:
+        assert h.order == len(h.elements()), h
+        assert h.structure() == ref_structure(h), h
+        for e in elems:
+            assert canonical_lift(h, e) == ref_canonical_lift(h, e), (h, e)
+        for other in subs:
+            assert h.is_subset_of(other) == ref_is_subset_of(h, other), (h, other)
+
+
+def test_structure_rejects_a_basis_without_the_relations():
+    with pytest.raises(ContainmentError):
+        Subgroup(make_group([4]), [[3]]).structure()

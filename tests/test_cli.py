@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import grlat
-from grlat import cli, spectrum
+from grlat import abelian, cli, spectrum
+from grlat.abelian import make_group
 from grlat.cli import main
 from grlat.errors import ContainmentError
 from grlat.monoid import build_sets
@@ -101,11 +102,27 @@ def test_verify_builds_index_sets_once(capsys, monkeypatch):
         calls.append(group)
         return build_sets(group)
 
+    # every binding of enumerate_subgroups in the package counts its calls
+    enumerations = []
+    original = abelian.enumerate_subgroups
+
+    def counted_enumeration(group, *args):
+        enumerations.append(group)
+        return original(group, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("grlat") and getattr(module, "enumerate_subgroups", None) is original:
+            monkeypatch.setattr(module, "enumerate_subgroups", counted_enumeration)
+    build_sets(make_group([9]))
+    alone = len(enumerations)
+    enumerations.clear()
+
     monkeypatch.setattr(cli, "build_sets", counted)
     code, out, _ = run(["verify", "9"], capsys)
     assert code == 0
     assert "config.checks\ttate,kernel,ext,triviality,unit" in out
     assert len(calls) == 1
+    assert len(enumerations) == alone > 0
 
 
 @pytest.mark.parametrize("spec, checks", [("3,3", "tate,kernel"), ("6", "tate,unit")])
@@ -311,6 +328,7 @@ def test_package_has_no_assert():
         ["verify", "2,6", "--checks", "triviality"],
         ["verify", "21", "--checks", "triviality"],
         ["monoid", "2,2,12"],
+        ["monoid", "2,2,2,2"],
         ["verify", "3,3", "--checks", "tate"],
     ],
 )

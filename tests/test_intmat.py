@@ -31,7 +31,8 @@ def test_hnf_idempotent_known():
     rows = [[6, 0, 0], [0, 10, 0], [0, 0, 15], [1, 1, 1]]
     h = im.hnf(rows, 3)
     assert im.hnf(h, 3) == h
-    assert im.lattice_index([list(r) for r in h], 3) == im.lattice_index(rows, 3)
+    assert im.hnf_index(h) == abs(im.det(h)) == 30
+    assert all(im.in_span(h, range(3), r) for r in rows)
 
 
 @given(square(3))
@@ -128,12 +129,13 @@ def test_lattice_quotient_coords_members_and_non_members(m, data):
 def test_lattice_index_and_eq():
     a = [[2, 0], [0, 3]]
     b = [[2, 3], [2, -3]]
-    assert im.lattice_index(a, 2) == 6
-    assert im.lattice_index(b, 2) == 12
+    ha, hb = im.hnf(a, 2), im.hnf(b, 2)
+    assert im.hnf_index(ha) == 6
+    assert im.hnf_index(hb) == 12
     assert im.lattice_eq(a, [[2, 0], [2, 3]])
     assert not im.lattice_eq(a, b)
-    assert im.lattice_contains(a, b)
-    assert not im.lattice_contains(b, a)
+    assert all(im.in_span(ha, range(2), r) for r in b)
+    assert not all(im.in_span(hb, range(2), r) for r in a)
 
 
 @given(square(2), square(2))

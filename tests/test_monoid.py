@@ -6,16 +6,30 @@ direct enumeration), and the degradation path of the bounded
 injectivity sweep is pinned.
 """
 
+import dataclasses
 from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grlat.abelian import Subgroup, enumerate_subgroups, make_group, prime_factors, quotient_data, sylow
-from grlat.errors import CapacityError, ScopeError
+from grlat.abelian import (
+    Subgroup,
+    enumerate_subgroups,
+    is_elementary,
+    make_group,
+    prime_factors,
+    quotient_data,
+    sylow,
+    sylow_complement,
+)
+from grlat.errors import CapacityError, ParentMismatchError, ScopeError
 from grlat.monoid import (
     VECTOR_CAP,
+    DecompositionPair,
+    InertiaPair,
+    LocalTuple,
+    SetFamily,
     _beta_values,
     _bitmask,
     _bounded_injectivity,
@@ -297,3 +311,124 @@ def test_membership_refuses_non_zero_one_vectors():
         _MonoidMembership([(1, 2)])
     with pytest.raises(ScopeError):
         _MonoidMembership([(1, 0)]).decomposable((2, 0))
+
+
+# The index sets as they were built before build_sets made each subgroup
+# test once: _cyclic_quotient_pairs and the stilde loop each retest every
+# subgroup, "G/H cyclic" is tested per (H, p), the pairs re-check
+# themselves on construction, and each coset's lift is the least element
+# of the coset's listing.
+
+
+def ref_inertia_pair_checks(inertia, frob):
+    if inertia.group != frob.group:
+        raise ParentMismatchError("subgroup and element parents differ")
+    if inertia.is_trivial:
+        raise ScopeError("inertia must be nontrivial")
+    if not is_elementary(inertia.structure()):
+        raise ScopeError("inertia must be elementary")
+
+
+def ref_decomposition_pair_checks(inertia, dec):
+    if inertia.is_trivial:
+        raise ScopeError("inertia must be nontrivial")
+    if not is_elementary(inertia.structure()):
+        raise ScopeError("inertia must be elementary")
+    if not inertia.is_subset_of(dec):
+        raise ScopeError("inertia must sit inside the decomposition part")
+    qd = quotient_data(inertia.group, inertia)
+    if not qd.push(dec).is_cyclic:
+        raise ScopeError("quotient dec/inertia must be cyclic")
+
+
+def ref_canonical_lift(sub, elem):
+    return min((elem + t for t in sub.elements()), key=lambda e: e.coords)
+
+
+def ref_cyclic_quotient_pairs(group, subs):
+    out = []
+    for inertia in subs:
+        if inertia.is_trivial or not is_elementary(inertia.structure()):
+            continue
+        qd = quotient_data(group, inertia)
+        for dec in subs:
+            if inertia.is_subset_of(dec) and qd.push(dec).is_cyclic:
+                ref_decomposition_pair_checks(inertia, dec)
+                out.append(DecompositionPair(inertia, dec))
+    out.sort(key=DecompositionPair.sort_key)
+    return out
+
+
+def ref_build_sets(group):
+    subs = enumerate_subgroups(group)
+    s_pairs = ref_cyclic_quotient_pairs(group, subs)
+    s_index = {
+        (pr.inertia.basis, pr.dec.basis): i for i, pr in enumerate(s_pairs)
+    }
+    stilde = []
+    for inertia in subs:
+        if inertia.is_trivial or not is_elementary(inertia.structure()):
+            continue
+        qd = quotient_data(group, inertia)
+        for cbar in qd.group.elements():
+            frob = ref_canonical_lift(inertia, qd.lift(cbar))
+            ref_inertia_pair_checks(inertia, frob)
+            stilde.append(InertiaPair(inertia, frob))
+    stilde.sort(key=lambda pr: (pr.inertia.basis, pr.frob.coords))
+    projection = tuple(
+        s_index[(pr.inertia.basis, pr.decomposition.basis)] for pr in stilde
+    )
+    primes = sorted(prime_factors(group.order))
+    s_p = {}
+    t_tuples = []
+    for p in primes:
+        qd_p = quotient_data(group, sylow_complement(group, p))
+        s_p[p] = tuple(ref_cyclic_quotient_pairs(qd_p.group, enumerate_subgroups(qd_p.group)))
+        hs = []
+        for h in subs:
+            qh = quotient_data(group, h)
+            if qh.group.is_cyclic and qh.group.order % p != 0:
+                hs.append(h)
+        for h in hs:
+            for pr in s_p[p]:
+                t_tuples.append(LocalTuple(p, h, pr.inertia, pr.dec))
+    t_tuples.sort(key=LocalTuple.sort_key)
+    s_prime = tuple(
+        i
+        for i, pr in enumerate(s_pairs)
+        if not pr.dec.is_cyclic or len(prime_factors(pr.inertia.order)) == 1
+    )
+    s_dprime = tuple(
+        i
+        for i, pr in enumerate(s_pairs)
+        if len(prime_factors(pr.inertia.order)) == 1
+    )
+    return SetFamily(
+        group,
+        tuple(subs),
+        tuple(stilde),
+        tuple(s_pairs),
+        projection,
+        s_p,
+        tuple(t_tuples),
+        s_prime,
+        s_dprime,
+    )
+
+
+# the order <= 100 catalogue of acceptance criterion 3
+CATALOGUE_100 = (
+    [9], [12], [15], [27], [30], [45], [64], [97], [100],
+    [3, 3], [2, 4], [3, 9], [2, 2, 4], [5, 5], [4, 8], [2, 2, 2, 2],
+    [3, 3, 3], [7, 7], [2, 32],
+    [3, 6], [2, 6], [6, 6], [2, 30], [2, 2, 12], [10, 10], [3, 21],
+    [2, 50], [4, 12], [2, 2, 18],
+)
+
+
+@pytest.mark.parametrize("factors", CATALOGUE_100, ids=str)
+def test_build_sets_matches_reference(factors):
+    g = make_group(factors)
+    fam, ref = build_sets(g), ref_build_sets(g)
+    for field in dataclasses.fields(SetFamily):
+        assert getattr(fam, field.name) == getattr(ref, field.name), field.name
