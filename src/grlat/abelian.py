@@ -6,8 +6,11 @@ as the canonical row-HNF basis of its preimage lattice L with
 diag(d) Z^k <= L <= Z^k: a square upper-triangular matrix with its
 pivots on the diagonal.  Joins, meets, images and preimages are plain
 lattice arithmetic (see intmat), and the order (a pivot product),
-membership, the structure and the canonical coset lift are read off
-the stored basis by reduction, with no second HNF.
+membership and the canonical coset lift are read off the stored basis
+by reduction, with no second HNF.  Its residues (intmat.hnf_residues)
+are a transversal of G/S made of canonical lifts, the invariants of a
+quotient S/T are one Smith form of T's rows in S's coordinates, and
+enumerate_subgroups builds each of these bases once, directly.
 
 make_group() accepts any factor list and CRT-normalizes it, so callers
 can say make_group([6, 3]) and get the canonical chain (3, 6).
@@ -16,7 +19,6 @@ can say make_group([6, 3]) and get the canonical chain (3, 6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from math import gcd
 from typing import Iterator
 
@@ -160,22 +162,13 @@ class FinAbGroup:
         return [self.element(r) for r in im.identity(self.rank)]
 
     def elements(self, cap: int = ELEMENT_CAP) -> Iterator["GroupElement"]:
+        """The elements, first coordinate fastest: the residues of the
+        relation lattice diag(d)."""
         if self.order > cap:
             raise CapacityError(
                 f"group of order {self.order} exceeds element cap {cap}"
             )
-        coords = [0] * self.rank
-        while True:
-            yield GroupElement(self, tuple(coords))
-            i = 0
-            while i < self.rank:
-                coords[i] += 1
-                if coords[i] < self.factors[i]:
-                    break
-                coords[i] = 0
-                i += 1
-            else:
-                return
+        return (GroupElement(self, x) for x in im.hnf_residues(_diagonal(self.factors)))
 
     def __repr__(self):
         if not self.factors:
@@ -261,15 +254,25 @@ class Subgroup:
     def order(self) -> int:
         return self.group.order // im.hnf_index(self.basis)
 
-    def structure(self) -> tuple[int, ...]:
-        """Invariant factors of this subgroup as an abstract group: the
-        Smith form of the rows d_i e_i in basis coordinates."""
+    def quotient_structure(self, sub: "Subgroup"):
+        """Invariant factors of self/sub: the Smith form of sub's rows in
+        the coordinates of self's basis, or None when sub is not inside
+        self."""
+        self._check(sub)
         k = self.group.rank
-        rel = _diagonal(self.group.factors)
-        coords = [im.span_coefficients(self.basis, range(k), r) for r in rel]
+        coords = [im.span_coefficients(self.basis, range(k), r) for r in sub.basis]
         if None in coords:
-            raise ContainmentError(f"basis of {self!r} does not contain the relations")
+            return None
         return im.invariant_factors(coords, k)
+
+    def structure(self) -> tuple[int, ...]:
+        """Invariant factors of this subgroup as an abstract group: its
+        quotient by the trivial subgroup, whose rows d_i e_i it must
+        contain."""
+        out = self.quotient_structure(Subgroup.trivial(self.group))
+        if out is None:
+            raise ContainmentError(f"basis of {self!r} does not contain the relations")
+        return out
 
     def as_group(self) -> FinAbGroup:
         return FinAbGroup(self.structure())
@@ -283,12 +286,7 @@ class Subgroup:
         return self.order == 1
 
     def generators(self) -> list[GroupElement]:
-        out = []
-        for row in self.basis:
-            e = self.group.element(row)
-            if not e.is_zero:
-                out.append(e)
-        return out
+        return [e for e in map(self.group.element, self.basis) if not e.is_zero]
 
     # -- predicates and arithmetic ------------------------------------------
 
@@ -369,6 +367,13 @@ def cyclic_subgroup(elem: GroupElement) -> Subgroup:
     return Subgroup.from_generators(elem.group, [elem])
 
 
+def decomposition_subgroup(inertia: Subgroup, frob: GroupElement) -> Subgroup:
+    """I + <frob>, as one HNF of I's stored basis and the row frob."""
+    if inertia.group != frob.group:
+        raise ParentMismatchError("subgroup and element of different groups")
+    return Subgroup(inertia.group, im.hnf([*inertia.basis, frob.coords], inertia.group.rank))
+
+
 def canonical_lift(sub: Subgroup, elem: GroupElement) -> GroupElement:
     """Lexicographically smallest representative of elem + sub: elem
     reduced against the HNF basis, which leaves each coordinate at the
@@ -379,34 +384,56 @@ def canonical_lift(sub: Subgroup, elem: GroupElement) -> GroupElement:
     return GroupElement(sub.group, tuple(rem))
 
 
-def enumerate_subgroups(group: FinAbGroup, cap: int = SUBGROUP_CAP) -> list[Subgroup]:
-    """All subgroups, by closing the cyclic ones under joins.
+def _torsion_residues(block, m):
+    """The residues t of a full-rank square HNF block (see
+    intmat.hnf_residues) with m*t in its span.  Column by column, m*t_j
+    must clear, modulo the pivot h, what reducing the earlier columns
+    left there: t_j runs over one class mod h/g with g = gcd(m, h), or
+    over none when g does not divide that entry."""
+    found = [((), (0,) * len(block))]  # (prefix, what is left to clear)
+    for j, row in enumerate(block):
+        h = row[j]
+        g = gcd(m, h)
+        step = h // g
+        inv = pow(m // g, -1, step)
+        rest = row[j + 1 :]
+        found = [
+            (t + (x,), tuple(a - (left[0] + m * x) // h * b for a, b in zip(left[1:], rest)))
+            for t, left in found
+            if left[0] % g == 0
+            for x in range(-left[0] // g * inv % step, h, step)
+        ]
+    return [t for t, _ in found]
 
-    Every subgroup is a join of cyclic subgroups, so the closure is
-    complete.  Raises CapacityError if the count passes cap or the group
-    itself is too large to iterate.
+
+def enumerate_subgroups(group: FinAbGroup, cap: int = SUBGROUP_CAP) -> list[Subgroup]:
+    """All subgroups, each built once as its stored basis, sorted by
+    (order, basis).
+
+    A basis is the square HNF of a lattice L with diag(d) Z^k <= L, and
+    it is built from the bottom row up: row i has a pivot h dividing d_i
+    and entries above each later pivot j reduced into [0, h_jj), and
+    only tails t with (d_i/h) t in the span of the rows below are made,
+    which puts d_i e_i in L.  The rows from i down are a subgroup of the
+    last factors, and identity rows above extend each to a subgroup of
+    the group, so a partial list past cap already proves the group has
+    more than cap subgroups: CapacityError.
     """
-    cyclics = []
-    seen = set()
-    for e in group.elements():
-        s = cyclic_subgroup(e)
-        if s.basis not in seen:
-            seen.add(s.basis)
-            cyclics.append(s)
-    subs = {s.basis: s for s in cyclics}
-    frontier = list(cyclics)
-    while frontier:
-        cur = frontier.pop()
-        for c in cyclics:
-            j = cur.join(c)
-            if j.basis not in subs:
-                if len(subs) >= cap:
-                    raise CapacityError(
-                        f"more than {cap} subgroups in {group!r}"
-                    )
-                subs[j.basis] = j
-                frontier.append(j)
-    out = list(subs.values())
+    d = group.factors
+    k = len(d)
+    partial = [()]
+    for i in reversed(range(k)):
+        grown = []
+        divisors = [h for h in range(1, d[i] + 1) if d[i] % h == 0]
+        for rows in partial:
+            block = [r[i + 1 :] for r in rows]
+            for h in divisors:
+                for tail in _torsion_residues(block, d[i] // h):
+                    if len(grown) >= cap:
+                        raise CapacityError(f"more than {cap} subgroups in {group!r}")
+                    grown.append(((0,) * i + (h, *tail), *rows))
+        partial = grown
+    out = [Subgroup(group, rows) for rows in partial]
     out.sort(key=lambda s: (s.order, s.basis))
     return out
 

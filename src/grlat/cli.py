@@ -9,6 +9,7 @@ seed reproduce byte-identical output.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -382,7 +383,10 @@ def emit(report: dict, as_json: bool, out) -> None:
 # parser
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    # built once per process: argparse's parsers hold reference cycles,
+    # which a parser per call would leave for the cyclic collector
     parser = _Parser(prog="grlat", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -25,7 +25,7 @@ is reported as undecided rather than guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain
 from math import gcd
 
 from . import intmat as im
@@ -34,7 +34,7 @@ from .abelian import (
     FinAbGroup,
     GroupElement,
     Subgroup,
-    cyclic_subgroup,
+    decomposition_subgroup,
     p_split,
     sylow,
     sylow_complement,
@@ -61,16 +61,8 @@ class TateResult:
 
 def norm_matrix(module: FiniteModule, sub: Subgroup):
     """Matrix of the sum of the actions of all elements of sub."""
-    n = module.rank
-    out = im.zeros(n, n)
-    for e in sub.elements():
-        a = module.action_matrix(e)
-        for i in range(n):
-            row = out[i]
-            arow = a[i]
-            for j in range(n):
-                row[j] += arow[j]
-    return out
+    mats = [module.action_matrix(e) for e in sub.elements()]
+    return [[sum(col) for col in zip(*rows)] for rows in zip(*mats)]
 
 
 def tate_cohomology(module: FiniteModule, sub: Subgroup) -> TateResult:
@@ -141,27 +133,12 @@ GENERATOR_SEARCH_CAP = 30_000
 
 
 def coset_representatives(module: FiniteModule):
-    """An iterator over all coset representatives of Z^g / relations, or
-    None past GENERATOR_SEARCH_CAP.  Each is computed only when it is
-    reached."""
+    """An iterator over the coset representatives of Z^g / relations,
+    the residues of the stored relation HNF, or None past
+    GENERATOR_SEARCH_CAP."""
     if module.order > GENERATOR_SEARCH_CAP:
         return None
-    n = module.rank
-    if n == 0:
-        return iter([[]])
-    diag, u, v = im.snf_with_transform([list(r) for r in module.relations], n)
-    vinv = im.unimodular_inverse(v)
-    idx = [i for i, d in enumerate(diag) if d > 1]
-
-    def reps():
-        # idx[0] runs fastest: product() varies its last range fastest
-        for counters in product(*(range(diag[i]) for i in reversed(idx))):
-            y = [0] * n
-            for c, i in zip(reversed(counters), idx):
-                y[i] = c
-            yield im.vec_mat(y, vinv)
-
-    return reps()
+    return im.hnf_residues(module.relations)
 
 
 def find_cyclic_generator(module: FiniteModule):
@@ -192,7 +169,7 @@ def prediction_data(
     module: B = inertia + <frob> + sub and c = #(inertia meet sub)."""
     if inertia.group != group or frob.group != group or sub.group != group:
         raise ParentMismatchError("inputs from a different group")
-    big = inertia.join(cyclic_subgroup(frob)).join(sub)
+    big = decomposition_subgroup(inertia, frob).join(sub)
     return big, inertia.meet(sub).order
 
 
@@ -456,7 +433,7 @@ def _predicted_component_triviality(group, inertia, frob, p, chi) -> bool:
         raise ParentMismatchError("character domain does not match group")
     if inertia.order % p != 0:
         return True
-    dec = inertia.join(cyclic_subgroup(frob))
+    dec = decomposition_subgroup(inertia, frob)
     for g in dec.generators():
         if _chi_exponent_at(chi, gens, g.coords) != 0:
             return True

@@ -11,18 +11,16 @@ Conventions:
     pivots, entries above each pivot reduced into [0, pivot),
   * a full-rank square HNF has its pivots on the diagonal, so callers
     that store one test membership with in_span(h, range(n), v) and
-    take its index with hnf_index(h), without a second HNF,
+    take its index with hnf_index(h) and walk its cosets with
+    hnf_residues(h), without a second HNF,
   * snf_with_transform() returns (diag, U, V) with U @ A @ V diagonal,
     diag[i] | diag[i+1], U and V unimodular.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from math import gcd, prod
-
-
-def mat_copy(rows):
-    return [list(r) for r in rows]
 
 
 def zeros(m, n):
@@ -64,17 +62,13 @@ def mat_transpose(a):
 
 
 def mat_pow(a, k):
-    n = len(a)
-    result = identity(n)
-    base = mat_copy(a)
+    result = identity(len(a))
     while k:
         if k & 1:
-            result = mat_mul(result, base)
-        base_next = None
+            result = mat_mul(result, a)
         k >>= 1
         if k:
-            base_next = mat_mul(base, base)
-            base = base_next
+            a = mat_mul(a, a)
     return result
 
 
@@ -174,7 +168,7 @@ def left_kernel(rows, width=None):
     if m == 0:
         return []
     h, u, pivots = hnf_with_transform(rows, width)
-    return [u[i] for i in range(len(pivots), m)]
+    return u[len(pivots) :]
 
 
 def right_kernel(rows):
@@ -362,6 +356,14 @@ def hnf_index(h):
     return prod(r[i] for i, r in enumerate(h))
 
 
+def hnf_residues(h):
+    """The vectors x with 0 <= x_i < h[i][i], first coordinate fastest,
+    for a full-rank square HNF h: the remainders reduce_against leaves,
+    so one per coset of Z^n / L (Cohen, GTM 138, 2.4.3)."""
+    for x in product(*(range(h[i][i]) for i in reversed(range(len(h))))):
+        yield x[::-1]
+
+
 def lattice_intersection(a_rows, b_rows):
     """Basis of (row span A) ∩ (row span B)."""
     if not a_rows or not b_rows:
@@ -369,9 +371,7 @@ def lattice_intersection(a_rows, b_rows):
     stacked = [list(r) for r in a_rows] + [[-x for x in r] for r in b_rows]
     ker = left_kernel(stacked)
     na = len(a_rows)
-    out = []
-    for k in ker:
-        out.append(vec_mat(k[:na], a_rows))
+    out = [vec_mat(k[:na], a_rows) for k in ker]
     return hnf(out) if out else []
 
 
@@ -415,12 +415,7 @@ def lattice_quotient_coords(big_rows, small_rows):
         c = span_coefficients(h, piv, r)
         if c is None:
             raise ContainmentError("sublattice not contained in the big lattice")
-        x = [0] * len(big_rows)
-        for ci, urow in zip(c, u):
-            if ci:
-                for j in range(len(x)):
-                    x[j] += ci * urow[j]
-        coords.append(x)
+        coords.append(vec_mat(c, u))
     return coords
 
 

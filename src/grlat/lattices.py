@@ -39,7 +39,7 @@ from .abelian import (
     GroupElement,
     Subgroup,
     canonical_lift,
-    cyclic_subgroup,
+    decomposition_subgroup,
     make_group,
     p_split,
     prime_factors,
@@ -219,14 +219,13 @@ def verify_extension_sequence(
     bk = im.mat_mul(basis, kcols)
     full_rows = [[den * v for v in row] for row in kcols]
     image_matches = im.lattice_eq(bk, full_rows)
-    # (b) preimage of L under multiplication by nu is the standard lattice
-    qd = quotient_data(ring.group, inertia)
-    cosets = list(qd.group.elements())
-    nbar = len(cosets)
-    fnum = []
-    for dbar in cosets:
-        x = n_i.translate(qd.lift(dbar))
-        fnum.append(list(x.coeffs))
+    # (b) preimage of L under multiplication by nu is the standard lattice;
+    # a row per coset of I, in any order: neither fact below depends on it
+    fnum = [
+        list(n_i.translate(GroupElement(ring.group, x)).coeffs)
+        for x in im.hnf_residues(inertia.basis)
+    ]
+    nbar = len(fnum)
     if den != inertia.order:
         raise ContainmentError(
             f"backward representative has denominator {den}, not #I = {inertia.order}"
@@ -241,21 +240,12 @@ def verify_extension_sequence(
         preimage_is_standard = False
     else:
         preimage_is_standard = im.lattice_eq(pre, im.identity(nbar))
-    # (c) nu-image coordinates in L are a primitive rank-nbar sublattice
-    coords = []
-    ok_c = True
-    for row in fnum:
-        c = im.span_coefficients(basis, range(n), row)
-        if c is None:
-            ok_c = False
-            break
-        coords.append(c)
-    if ok_c:
-        diag = im.snf_diagonal(coords, n)
-        rank = sum(1 for d in diag if d)
-        embedding_primitive = rank == nbar and all(d <= 1 for d in diag)
-    else:
-        embedding_primitive = False
+    # (c) nu-image coordinates in L are a primitive rank-nbar sublattice:
+    # all nbar <= n Smith invariants are 1
+    coords = [im.span_coefficients(basis, range(n), row) for row in fnum]
+    embedding_primitive = None not in coords and all(
+        d == 1 for d in im.snf_diagonal(coords, n)
+    )
     return ExtensionReport(image_matches, preimage_is_standard, embedding_primitive)
 
 
@@ -282,8 +272,8 @@ def verify_unit_transport(
     if len(ps) != 1:
         raise ScopeError("unit transport needs a nontrivial p-group")
     p = ps[0]
-    dec_a = inertia.join(cyclic_subgroup(frob_a))
-    dec_b = inertia.join(cyclic_subgroup(frob_b))
+    dec_a = decomposition_subgroup(inertia, frob_a)
+    dec_b = decomposition_subgroup(inertia, frob_b)
     if dec_a != dec_b:
         raise ScopeError("pairs have different decomposition subgroups")
     lat_a = backward_rep(ring, inertia, frob_a).lattice
@@ -292,14 +282,11 @@ def verify_unit_transport(
     common = lat_a.den * inertia.order
     common = common * lat_b.den // gcd(common, lat_b.den)
     needed = n * p_split(common, p)[0] + 1
-    if precision is None:
-        prec = needed
-    elif precision < needed:
+    prec = needed if precision is None else precision
+    if prec < needed:
         raise PrecisionError(
             f"precision p^{precision} below certified bound p^{needed}"
         )
-    else:
-        prec = precision
     q = p**prec
     qd = quotient_data(group, inertia)
     qring = group_ring(qd.group)

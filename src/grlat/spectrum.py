@@ -14,7 +14,7 @@ sample is the oracle identity the module exists to exercise.
 from dataclasses import dataclass
 from random import Random
 
-from .abelian import FinAbGroup, make_group, p_split, prime_factors
+from .abelian import make_group, p_split, prime_factors
 from .errors import CapacityError, DegenerateElementError, ScopeError
 from .grouprings import GroupRing, GroupRingElem, IdealLattice, group_ring
 from .polys import cyclotomic, resultant_monic

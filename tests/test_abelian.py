@@ -1,9 +1,13 @@
 """Finite abelian groups, subgroup lattices, quotients, Sylow parts.
 
 Subgroup counts for small groups are classical and serve as frozen
-anchors; the quotient machinery is checked by pushing elements through
-the projection and reassembling.
+anchors, together with closed forms (Galois numbers, the gcd sum for
+Z_m x Z_n) and the join closure the enumeration replaced; the quotient
+machinery is checked by pushing elements through the projection and
+reassembling.
 """
+
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +18,10 @@ import grlat.intmat as im
 from grlat.abelian import (
     FinAbGroup,
     Subgroup,
+    SUBGROUP_CAP,
     canonical_lift,
     cyclic_subgroup,
+    decomposition_subgroup,
     enumerate_subgroups,
     is_elementary,
     make_group,
@@ -26,7 +32,7 @@ from grlat.abelian import (
     sylow,
     sylow_complement,
 )
-from grlat.errors import ContainmentError, InvalidFactorError, ParentMismatchError
+from grlat.errors import CapacityError, ContainmentError, InvalidFactorError, ParentMismatchError
 
 
 def test_make_group_canonicalizes():
@@ -253,3 +259,115 @@ def test_stored_basis_facts_match_reference_routes(factors):
 def test_structure_rejects_a_basis_without_the_relations():
     with pytest.raises(ContainmentError):
         Subgroup(make_group([4]), [[3]]).structure()
+
+
+# -- the subgroup lattice against the join closure and closed forms -------
+
+
+def ref_enumerate_subgroups(group, cap=SUBGROUP_CAP):
+    """All subgroups, by closing the cyclic ones under joins (the
+    enumeration before subgroups were built directly as HNFs)."""
+    cyclics = []
+    seen = set()
+    for e in group.elements():
+        s = cyclic_subgroup(e)
+        if s.basis not in seen:
+            seen.add(s.basis)
+            cyclics.append(s)
+    subs = {s.basis: s for s in cyclics}
+    frontier = list(cyclics)
+    while frontier:
+        cur = frontier.pop()
+        for c in cyclics:
+            j = cur.join(c)
+            if j.basis not in subs:
+                if len(subs) >= cap:
+                    raise CapacityError(
+                        f"more than {cap} subgroups in {group!r}"
+                    )
+                subs[j.basis] = j
+                frontier.append(j)
+    out = list(subs.values())
+    out.sort(key=lambda s: (s.order, s.basis))
+    return out
+
+
+def invariant_chains(budget, prev=1):
+    """Every chain d_1 | d_2 | ... with d_1 a multiple of prev, all
+    d_i >= 2 and product <= budget: each abelian group once."""
+    yield ()
+    for d in range(max(prev, 2), budget + 1, prev):
+        for rest in invariant_chains(budget // d, d):
+            yield (d, *rest)
+
+
+def test_enumeration_matches_the_join_closure():
+    # every abelian group of order <= 64, and the larger groups of
+    # acceptance criterion 3's catalogue
+    chains = list(invariant_chains(64))
+    assert len(chains) == 117
+    for factors in chains + [(97,), (100,), (10, 10), (2, 50), (2, 2, 18)]:
+        g = FinAbGroup(factors)
+        assert enumerate_subgroups(g) == ref_enumerate_subgroups(g), factors
+
+
+@pytest.mark.parametrize(
+    "p, counts", [(2, [2, 5, 16, 67, 374, 2825]), (3, [2, 6, 28, 212])]
+)
+def test_elementary_abelian_counts_are_galois_numbers(p, counts):
+    for n, count in enumerate(counts, 1):
+        assert len(enumerate_subgroups(make_group([p] * n))) == count
+
+
+def test_rank_two_counts_are_gcd_sums():
+    # Hampejs, Holighaus, Toth and Wiesmeyr (2014): Z_m x Z_n has
+    # sum over a | m, b | n of gcd(a, b) subgroups
+    divisors = {n: [a for a in range(1, n + 1) if n % a == 0] for n in range(1, 41)}
+    for n in range(1, 41):
+        for m in range(1, n + 1):
+            count = sum(gcd(a, b) for a in divisors[m] for b in divisors[n])
+            assert len(enumerate_subgroups(make_group([m, n]))) == count, (m, n)
+
+
+def test_enumeration_refuses_past_the_cap():
+    with pytest.raises(CapacityError):
+        enumerate_subgroups(make_group([2] * 7))
+    with pytest.raises(CapacityError):
+        enumerate_subgroups(make_group([2, 2, 2, 2]), cap=66)
+    assert len(enumerate_subgroups(make_group([2, 2, 2, 2]), cap=67)) == 67
+
+
+@pytest.mark.parametrize("factors", [(12,), (2, 4), (3, 9), (2, 2, 4), (2, 6, 6)])
+def test_hnf_residues_are_the_canonical_lifts_of_the_cosets(factors):
+    g = make_group(list(factors))
+    for h in enumerate_subgroups(g):
+        lifts = [g.element(x) for x in im.hnf_residues(h.basis)]
+        assert len(lifts) == g.order // h.order, h
+        assert all(canonical_lift(h, e) == e for e in lifts), h
+        # canonical lifts are coset invariants, so distinct lifts are
+        # distinct cosets
+        assert len(set(lifts)) == len(lifts), h
+
+
+@pytest.mark.parametrize("factors", [(12,), (2, 4), (3, 9), (2, 2, 4), (6, 6)])
+def test_quotient_structure_matches_the_pushed_quotient(factors):
+    g = make_group(list(factors))
+    subs = enumerate_subgroups(g)
+    for big in subs:
+        for small in subs:
+            got = big.quotient_structure(small)
+            if not small.is_subset_of(big):
+                assert got is None, (big, small)
+                continue
+            assert got == quotient_data(g, small).push(big).structure(), (big, small)
+        assert big.quotient_structure(Subgroup.trivial(g)) == big.structure()
+
+
+@pytest.mark.parametrize("factors", [(12,), (2, 4), (3, 9), (2, 2, 2)])
+def test_decomposition_subgroup_is_the_join_with_the_cyclic_subgroup(factors):
+    g = make_group(list(factors))
+    for inertia in enumerate_subgroups(g):
+        for frob in g.elements():
+            assert decomposition_subgroup(inertia, frob) == inertia.join(cyclic_subgroup(frob))
+    with pytest.raises(ParentMismatchError):
+        decomposition_subgroup(Subgroup.full(g), make_group([5]).zero())

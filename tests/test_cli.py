@@ -307,6 +307,43 @@ def test_oversized_group_spec_is_refused_at_once(spec):
     assert b"exceeds element cap" in done.stderr
 
 
+@pytest.mark.parametrize("spec", ["2,2,2,2,2,2,2", "2,2,2,2,2,2,2,2", "2,2,2,2,2,2", "1000,1000"])
+def test_oversized_sweep_is_refused_at_once(spec):
+    # the first two have more than SUBGROUP_CAP subgroups; the last two
+    # have fewer, but more than PAIR_CAP candidate (I, D) pairs
+    env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "grlat", "monoid", spec],
+        capture_output=True,
+        env=env,
+        timeout=5,
+    )
+    assert done.returncode == 65
+    assert done.stdout == b""
+    assert b"capacity exceeded" in done.stderr
+
+
+def test_main_leaves_no_cyclic_garbage():
+    # the parser is built once per process, so a call of main leaves
+    # nothing for the cyclic collector; a fresh interpreter starts clean
+    script = (
+        "import contextlib, gc, io\n"
+        "from grlat.cli import main\n"
+        "argvs = [['verify', '7', '--checks', 'kernel'], ['monoid', '3,3'], ['verify', '9'],\n"
+        "         ['spectrum', '--p', '3', '--r', '2', '--samples', '4']]\n"
+        "found = []\n"
+        "for argv in argvs:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        main(argv)\n"
+        "    found.append(gc.collect())\n"
+        "print(found)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == b"[0, 0, 0, 0]\n"
+
+
 def test_package_has_no_assert():
     # every check the reports depend on must survive python -O
     offenders = [
@@ -330,6 +367,7 @@ def test_package_has_no_assert():
         ["monoid", "2,2,12"],
         ["monoid", "2,2,2,2"],
         ["verify", "3,3", "--checks", "tate"],
+        ["verify", "2,2,2", "--checks", "tate,ext"],
     ],
 )
 def test_optimized_interpreter_gives_identical_reports(argv):
