@@ -10,7 +10,9 @@ membership and the canonical coset lift are read off the stored basis
 by reduction, with no second HNF.  Its residues (intmat.hnf_residues)
 are a transversal of G/S made of canonical lifts, the invariants of a
 quotient S/T are one Smith form of T's rows in S's coordinates, and
-enumerate_subgroups builds each of these bases once, directly.
+enumerate_subgroups builds each of these bases once, directly.  A
+quotient G/S is read in the Smith coordinates of S's basis
+(intmat.smith_coordinates): x -> x P mod d.
 
 make_group() accepts any factor list and CRT-normalizes it, so callers
 can say make_group([6, 3]) and get the canonical chain (3, 6).
@@ -62,12 +64,6 @@ def p_split(n: int, p: int) -> tuple[int, int]:
         n //= p
         e += 1
     return e, n
-
-
-def _diagonal(entries):
-    """The diagonal matrix of entries, a square HNF when they are positive."""
-    k = len(entries)
-    return [[d if j == i else 0 for j in range(k)] for i, d in enumerate(entries)]
 
 
 def make_group(factors) -> "FinAbGroup":
@@ -168,7 +164,7 @@ class FinAbGroup:
             raise CapacityError(
                 f"group of order {self.order} exceeds element cap {cap}"
             )
-        return (GroupElement(self, x) for x in im.hnf_residues(_diagonal(self.factors)))
+        return (GroupElement(self, x) for x in im.hnf_residues(im.diagonal(self.factors)))
 
     def __repr__(self):
         if not self.factors:
@@ -234,7 +230,7 @@ class Subgroup:
 
     @classmethod
     def trivial(cls, group: FinAbGroup) -> "Subgroup":
-        return cls(group, _diagonal(group.factors))
+        return cls(group, im.diagonal(group.factors))
 
     @classmethod
     def full(cls, group: FinAbGroup) -> "Subgroup":
@@ -245,7 +241,7 @@ class Subgroup:
         for g in gens:
             if g.group != group:
                 raise ParentMismatchError("generator from a different group")
-        rows = [list(g.coords) for g in gens] + _diagonal(group.factors)
+        rows = [list(g.coords) for g in gens] + im.diagonal(group.factors)
         return cls(group, im.hnf(rows, group.rank))
 
     # -- basic data ---------------------------------------------------------
@@ -273,9 +269,6 @@ class Subgroup:
         if out is None:
             raise ContainmentError(f"basis of {self!r} does not contain the relations")
         return out
-
-    def as_group(self) -> FinAbGroup:
-        return FinAbGroup(self.structure())
 
     @property
     def is_cyclic(self) -> bool:
@@ -363,10 +356,6 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.group!r})"
 
 
-def cyclic_subgroup(elem: GroupElement) -> Subgroup:
-    return Subgroup.from_generators(elem.group, [elem])
-
-
 def decomposition_subgroup(inertia: Subgroup, frob: GroupElement) -> Subgroup:
     """I + <frob>, as one HNF of I's stored basis and the row frob."""
     if inertia.group != frob.group:
@@ -440,69 +429,44 @@ def enumerate_subgroups(group: FinAbGroup, cap: int = SUBGROUP_CAP) -> list[Subg
 
 def sylow(group: FinAbGroup, p: int) -> Subgroup:
     """The p-Sylow subgroup (trivial when p does not divide the order)."""
-    return Subgroup(group, _diagonal([p_split(d, p)[1] for d in group.factors]))
+    return Subgroup(group, im.diagonal([p_split(d, p)[1] for d in group.factors]))
 
 
 def sylow_complement(group: FinAbGroup, p: int) -> Subgroup:
     """The subgroup of order prime to p (the product of the other Sylows)."""
-    return Subgroup(group, _diagonal([p ** p_split(d, p)[0] for d in group.factors]))
+    return Subgroup(group, im.diagonal([p ** p_split(d, p)[0] for d in group.factors]))
 
 
 @dataclass(frozen=True)
 class QuotientData:
-    """A quotient G/S with explicit projection and section maps.
-
-    proj is x -> (x @ V)[idx] mod s computed from the Smith form of the
-    subgroup lattice; lift sends a quotient element to one preimage.
-    """
+    """A quotient G/S in Smith coordinates: proj is x -> x P mod d, for
+    the invariants d of G/S and the columns P of intmat.smith_coordinates
+    of S's basis."""
 
     source: FinAbGroup
     group: FinAbGroup
-    kernel: Subgroup
-    _v: tuple
-    _vinv: tuple
-    _snf: tuple
-    _idx: tuple
+    _p: tuple
 
     def proj(self, elem: GroupElement) -> GroupElement:
         if elem.group != self.source:
             raise ParentMismatchError("element not in the source group")
-        y = im.vec_mat(list(elem.coords), [list(r) for r in self._v])
-        return self.group.element(tuple(y[i] for i in self._idx))
-
-    def lift(self, qelem: GroupElement) -> GroupElement:
-        if qelem.group != self.group:
-            raise ParentMismatchError("element not in the quotient group")
-        k = self.source.rank
-        y = [0] * k
-        for c, i in zip(qelem.coords, self._idx):
-            y[i] = c
-        x = im.vec_mat(y, [list(r) for r in self._vinv])
-        return self.source.element(tuple(x))
+        return self.group.element(im.vec_mat(elem.coords, self._p))
 
     def push(self, sub: Subgroup) -> Subgroup:
         if sub.group != self.source:
             raise ParentMismatchError("subgroup not in the source group")
-        vcols = [[r[i] for i in self._idx] for r in self._v]
-        rows = [im.vec_mat(b, vcols) for b in sub.basis] + _diagonal(self.group.factors)
+        rows = [im.vec_mat(b, self._p) for b in sub.basis] + im.diagonal(self.group.factors)
         return Subgroup(self.group, im.hnf(rows, self.group.rank))
 
 
 def quotient_data(group: FinAbGroup, sub: Subgroup) -> QuotientData:
     if sub.group != group:
         raise ParentMismatchError("subgroup of a different group")
-    k = group.rank
-    if k == 0:
-        return QuotientData(group, group, sub, (), (), (), ())
-    diag, u, v = im.snf_with_transform([list(r) for r in sub.basis], k)
-    if len(diag) != k or not all(d > 0 for d in diag):
+    coords = im.smith_coordinates(sub.basis, group.rank)
+    if coords is None:
         raise NotFullRankError("subgroup basis does not have full rank")
-    idx = tuple(i for i, d in enumerate(diag) if d > 1)
-    q = FinAbGroup(tuple(diag[i] for i in idx))
-    vinv = im.unimodular_inverse(v)
-    return QuotientData(
-        group, q, sub, im.frozen(v), im.frozen(vinv), tuple(diag), idx
-    )
+    d, p, _ = coords
+    return QuotientData(group, FinAbGroup(d), im.frozen(p))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ subgroup H of the acting group, the two Tate groups in play are
     H^-1 = (kernel of the norm on M) / (augmentation image + L)
 
 both computed as quotients of explicit lattices in Z^g and returned as
-modules again, so the residual action can be compared.
+modules again, so the residual action can be compared.  Every module
+comes in Smith coordinates (see grouprings): L = diag(d) and g is the
+number of invariants d_i of M = (+) Z/d_i, whatever rank it was built
+from.
 
 The Tate groups of an inertia module are checked against the closed
 form (Z/c)[G/B] = Z[G]/J, J = (c, b - 1 : b in B), which is never built.
@@ -117,10 +120,7 @@ def p_part(module: FiniteModule, p: int) -> FiniteModule:
     e, rest = p_split(module.exponent(), p)
     if rest == 1:
         return module
-    pe = p**e
-    n = module.rank
-    extra = [[pe if i == j else 0 for j in range(n)] for i in range(n)]
-    return module.with_extra_relations(extra)
+    return module.with_extra_relations(im.diagonal([p**e] * module.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +134,7 @@ GENERATOR_SEARCH_CAP = 30_000
 
 def coset_representatives(module: FiniteModule):
     """An iterator over the coset representatives of Z^g / relations,
-    the residues of the stored relation HNF, or None past
-    GENERATOR_SEARCH_CAP."""
+    the residues of diag(d), or None past GENERATOR_SEARCH_CAP."""
     if module.order > GENERATOR_SEARCH_CAP:
         return None
     return im.hnf_residues(module.relations)
@@ -189,7 +188,7 @@ def prediction_verdict(module: FiniteModule, big: Subgroup, c: int) -> str:
         return "fail"
     n = module.rank
     # J annihilates M: the rows of c and of A_b - 1 lie in the relations
-    j_rows = [[c * (i == j) for j in range(n)] for i in range(n)]
+    j_rows = im.diagonal([c] * n)
     for b in big.generators():
         a = module.action_matrix(b)
         j_rows += [[a[i][j] - (i == j) for j in range(n)] for i in range(n)]
@@ -357,8 +356,10 @@ def chi_idempotent_matrix(module: FiniteModule, chi: ChiClass, prec: int):
                 for j, x in enumerate(arow):
                     row[j] += coeff * x
     out = [[x % q for x in row] for row in out]
+    # column j of a module map is only defined mod d_j
+    mods = [gcd(q, d) for d in module.invariants()]
     sq = im.mat_mul(out, out)
-    if any((x - y) % q for srow, row in zip(sq, out) for x, y in zip(srow, row)):
+    if any((x - y) % m for srow, row in zip(sq, out) for x, y, m in zip(srow, row, mods)):
         raise PrecisionError(f"chi idempotent is not idempotent mod {p}^{prec}")
     return out
 

@@ -14,11 +14,14 @@ A lattice in the rational group algebra is (den, rows): the row span of
 an integer HNF basis, divided by den, kept gcd-reduced so equal
 lattices compare equal.
 
-Modules are presented as Z^n / (relation lattice) with one integer
-action matrix per group generator, acting on row vectors from the
-right.  Finiteness (full-rank relations) is enforced at construction.
-The matrix of any group element comes from FiniteModule.actions, one
-cached walk of the group per module.
+A finite module is stored in Smith coordinates: as an abelian group it
+is (+) Z/d_i with d_i > 1 and d_i | d_(i+1), its relations are diag(d),
+and each group generator acts by an integer matrix on row vectors from
+the right, column j reduced mod d_j.  FiniteModule.build takes any
+full-rank presentation Z^n / L and moves it there with
+intmat.smith_coordinates, so every later step works at rank len(d),
+not n.  The matrix of any group element comes from
+FiniteModule.actions, one cached walk of the group per module.
 """
 
 from __future__ import annotations
@@ -269,15 +272,20 @@ class IdealLattice:
         return f"IdealLattice(den={self.den}, index={self.integral_index()})"
 
 
+def _mod_columns(rows, d):
+    """rows with column j reduced mod d[j]: the same map into (+) Z/d_j."""
+    return [[x % m for x, m in zip(row, d)] for row in rows]
+
+
 @dataclass(frozen=True)
 class FiniteModule:
-    """Finite module Z^n / relations with an abelian group action.
+    """Finite module (+) Z/d_i with an abelian group action, in Smith
+    coordinates.
 
-    relations is the canonical square HNF of the relation lattice, which
-    must be full rank (otherwise the module is infinite and rejected);
-    the order (its pivot product) and every membership test of validate
-    are read off it.  gen_actions[i] is the integer matrix of the i-th
-    group generator, acting on row vectors from the right.
+    relations is diag(d) with d_i > 1 and d_i | d_(i+1), so rank is the
+    number of invariants, and the order and every membership test are
+    read off the diagonal.  gen_actions[i] is the integer matrix of the
+    i-th group generator, acting on row vectors from the right.
     """
 
     group: FinAbGroup
@@ -287,13 +295,25 @@ class FiniteModule:
 
     @classmethod
     def build(cls, group: FinAbGroup, relations, gen_actions) -> "FiniteModule":
+        """The module Z^n / L, L the span of relations, where generator i
+        acts by gen_actions[i], moved to Smith coordinates: with
+        (d, P, Q) = intmat.smith_coordinates(L), the action A becomes
+        Q A P.  L must be full rank and stable under every A."""
         n = len(gen_actions[0]) if gen_actions else (len(relations[0]) if relations else 0)
-        h = im.hnf([list(r) for r in relations], n)
-        if len(h) != n:
+        coords = im.smith_coordinates(relations, n)
+        if coords is None:
             raise InfiniteModuleError(
-                f"relation lattice has rank {len(h)} < {n}; module is infinite"
+                f"relation lattice has rank < {n}; module is infinite"
             )
-        mod = cls(group, n, im.frozen(h), tuple(im.frozen(a) for a in gen_actions))
+        d, p, q = coords
+        actions = []
+        for gi, a in enumerate(gen_actions):
+            ap = im.mat_mul(a, p)
+            # x lies in L exactly when x P = 0 mod d
+            if any(map(any, _mod_columns([im.vec_mat(r, ap) for r in relations], d))):
+                raise ContainmentError(f"relations not stable under generator {gi}")
+            actions.append(im.frozen(_mod_columns(im.mat_mul(q, ap), d)))
+        mod = cls(group, len(d), im.frozen(im.diagonal(d)), tuple(actions))
         mod.validate()
         return mod
 
@@ -302,9 +322,7 @@ class FiniteModule:
         return im.hnf_index(self.relations)
 
     def invariants(self) -> tuple:
-        if self.rank == 0:
-            return ()
-        return im.invariant_factors([list(r) for r in self.relations], self.rank)
+        return tuple(r[i] for i, r in enumerate(self.relations))
 
     def exponent(self) -> int:
         inv = self.invariants()
@@ -332,36 +350,25 @@ class FiniteModule:
         return self.actions[self.group.index_of(elem)]
 
     def validate(self):
-        n = self.rank
-        h, piv = self.relations, range(n)
-        for gi, a in enumerate(self.gen_actions):
-            a = [list(r) for r in a]
-            # relations must be stable under the action
-            for r in h:
-                if not im.in_span(h, piv, im.vec_mat(r, a)):
-                    raise ContainmentError(
-                        f"relations not stable under generator {gi}"
-                    )
-            # generator order annihilates the quotient
-            d = self.group.factors[gi]
-            ad = im.mat_pow(a, d)
-            for i in range(n):
-                row = [ad[i][j] - (1 if i == j else 0) for j in range(n)]
-                if not im.in_span(h, piv, row):
-                    raise ContainmentError(
-                        f"generator {gi} does not have order dividing {d} on the module"
-                    )
-        # pairwise commutation on the quotient
-        for i in range(len(self.gen_actions)):
-            for j in range(i + 1, len(self.gen_actions)):
-                a = [list(r) for r in self.gen_actions[i]]
-                b = [list(r) for r in self.gen_actions[j]]
-                ab = im.mat_mul(a, b)
-                ba = im.mat_mul(b, a)
-                for r in range(n):
-                    row = [ab[r][c] - ba[r][c] for c in range(n)]
-                    if not im.in_span(h, piv, row):
-                        raise ContainmentError("generator actions do not commute on the module")
+        """Each generator has order dividing its group factor on the
+        module, and the generators commute: matrix identities that
+        hold column j mod d_j."""
+        d = self.invariants()
+
+        def vanishes(a, b):
+            return not any((x - y) % m for ra, rb in zip(a, b) for x, y, m in zip(ra, rb, d))
+
+        eye = im.identity(self.rank)
+        gens = self.gen_actions
+        for gi, (a, order) in enumerate(zip(gens, self.group.factors)):
+            if not vanishes(im.mat_pow(a, order), eye):
+                raise ContainmentError(
+                    f"generator {gi} does not have order dividing {order} on the module"
+                )
+        for i, a in enumerate(gens):
+            for b in gens[i + 1 :]:
+                if not vanishes(im.mat_mul(a, b), im.mat_mul(b, a)):
+                    raise ContainmentError("generator actions do not commute on the module")
 
     def with_extra_relations(self, extra_rows) -> "FiniteModule":
         rows = [list(r) for r in self.relations] + [list(r) for r in extra_rows]
@@ -372,8 +379,9 @@ class FiniteModule:
 
 
 def quotient_module(group: FinAbGroup, big_rows, small_rows, gen_actions) -> FiniteModule:
-    """The module big/small in the coordinates of big, where the i-th
-    generator of group acts on the ambient Z^n by gen_actions[i].
+    """The module big/small, where the i-th generator of group acts on
+    the ambient Z^n by gen_actions[i], presented in the coordinates of
+    big and stored in its Smith coordinates by FiniteModule.build.
 
     One coordinates solve covers small and every generator image of big."""
     k, s = len(big_rows), len(small_rows)

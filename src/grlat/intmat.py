@@ -13,8 +13,13 @@ Conventions:
     that store one test membership with in_span(h, range(n), v) and
     take its index with hnf_index(h) and walk its cosets with
     hnf_residues(h), without a second HNF,
-  * snf_with_transform() returns (diag, U, V) with U @ A @ V diagonal,
-    diag[i] | diag[i+1], U and V unimodular.
+  * snf_with_transform() returns (diag, V, V^-1): U @ A @ V = diag(diag)
+    for a unimodular U it does not keep, and diag[i] | diag[i+1],
+  * smith_coordinates() keeps the invariants d_i > 1 of a full-rank A
+    and the matching columns P of V and rows Q of V^-1: x -> x P mod d
+    is an isomorphism Z^n / L -> (+) Z/d_i (Cohen, GTM 138, 2.4) with
+    inverse y -> y Q, the coordinates every quotient group and finite
+    module is stored in.
 """
 
 from __future__ import annotations
@@ -27,8 +32,15 @@ def zeros(m, n):
     return [[0] * n for _ in range(m)]
 
 
+def diagonal(entries):
+    """The square matrix with entries on its diagonal; a full-rank HNF
+    when they are positive."""
+    k = len(entries)
+    return [[d if j == i else 0 for j in range(k)] for i, d in enumerate(entries)]
+
+
 def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return diagonal([1] * n)
 
 
 def mat_mul(a, b):
@@ -135,16 +147,6 @@ def hnf(rows, width=None):
     return rows[: len(pivots)]
 
 
-def hnf_with_pivots(rows, width=None):
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    if width is None:
-        width = len(rows[0])
-    pivots = _echelon(rows, width)
-    return rows[: len(pivots)], pivots
-
-
 def hnf_with_transform(rows, width=None):
     """Return (H, U, pivots) with U unimodular, U @ A = [H; 0].
 
@@ -205,10 +207,12 @@ def span_coefficients(hrows, pivots, v):
 
 
 def snf_with_transform(rows, width=None):
-    """Smith form.  Returns (diag, U, V): U @ A @ V = diag(diag), chained.
+    """Smith form.  Returns (diag, V, Vinv): U @ A @ V = diag(diag), chained.
 
     diag has length min(m, width), nonnegative entries, diag[i] | diag[i+1];
-    trailing zeros indicate rank deficiency.  U, V are unimodular.
+    trailing zeros indicate rank deficiency.  V is unimodular and Vinv is
+    its inverse, kept by undoing each column operation on V as a row
+    operation on Vinv.  U is not kept.
 
     At each position t the pivot is reduced until it divides every entry of
     the trailing block before moving on, so the chain holds by construction.
@@ -219,8 +223,8 @@ def snf_with_transform(rows, width=None):
     for r in a:
         if len(r) != n:
             raise ValueError("ragged matrix")
-    u = identity(m)
     v = identity(n)
+    vinv = identity(n)
     limit = min(m, n)
     t = 0
     while t < limit:
@@ -236,12 +240,12 @@ def snf_with_transform(rows, width=None):
         _, bi, bj = best
         if bi != t:
             a[bi], a[t] = a[t], a[bi]
-            u[bi], u[t] = u[t], u[bi]
         if bj != t:
             for row in a:
                 row[bj], row[t] = row[t], row[bj]
             for row in v:
                 row[bj], row[t] = row[t], row[bj]
+            vinv[bj], vinv[t] = vinv[t], vinv[bj]
         piv = a[t][t]
         # reduce column t below the pivot
         col_clean = True
@@ -252,14 +256,12 @@ def snf_with_transform(rows, width=None):
                     ai, at = a[i], a[t]
                     for j in range(t, n):
                         ai[j] -= q * at[j]
-                    ui, ut = u[i], u[t]
-                    for j in range(m):
-                        ui[j] -= q * ut[j]
                 if a[i][t]:
                     col_clean = False
         if not col_clean:
             continue
-        # reduce row t right of the pivot
+        # reduce row t right of the pivot: column j -= q column t, so
+        # row t of Vinv += q row j
         row_clean = True
         for j in range(t + 1, n):
             if a[t][j]:
@@ -269,6 +271,9 @@ def snf_with_transform(rows, width=None):
                         row[j] -= q * row[t]
                     for row in v:
                         row[j] -= q * row[t]
+                    vt, vj = vinv[t], vinv[j]
+                    for c in range(n):
+                        vt[c] += q * vj[c]
                 if a[t][j]:
                     row_clean = False
         if not row_clean:
@@ -287,18 +292,28 @@ def snf_with_transform(rows, width=None):
             ai, at = a[offender], a[t]
             for j in range(t, n):
                 at[j] += ai[j]
-            ui, ut = u[offender], u[t]
-            for j in range(m):
-                ut[j] += ui[j]
             continue
         if piv < 0:
             for j in range(t, n):
                 a[t][j] = -a[t][j]
-            for j in range(m):
-                u[t][j] = -u[t][j]
         t += 1
     diag = [a[i][i] for i in range(limit)]
-    return diag, u, v
+    return diag, v, vinv
+
+
+def smith_coordinates(rows, width):
+    """(d, P, Q) for the lattice L spanned by rows in Z^width, or None
+    when L is not full rank.
+
+    d are the invariants d_i > 1 of Z^width / L, P the matching columns
+    of V and Q the matching rows of V^-1 (see snf_with_transform):
+    x -> x P mod d maps Z^width / L onto (+) Z/d_i, and y -> y Q maps
+    back.  x lies in L exactly when x P = 0 mod d."""
+    diag, v, vinv = snf_with_transform(rows, width)
+    if len(diag) < width or 0 in diag:
+        return None
+    idx = [i for i, d in enumerate(diag) if d > 1]
+    return tuple(diag[i] for i in idx), [[r[i] for i in idx] for r in v], [vinv[i] for i in idx]
 
 
 def snf_diagonal(rows, width=None):
@@ -393,16 +408,6 @@ def preimage_lattice(domain_rows, f_matrix, target_rows, width_target=None):
     nd = len(domain_rows)
     out = [vec_mat(k[:nd], domain_rows) for k in ker]
     return hnf(out, len(domain_rows[0]) if domain_rows else 0) if out else []
-
-
-def unimodular_inverse(v):
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(v)
-    h, u, piv = hnf_with_transform(v)
-    if len(h) != n or any(h[i][i] != 1 for i in range(n)):
-        raise ValueError("matrix is not unimodular")
-    # U @ V = H = I  =>  V^{-1} = U
-    return u
 
 
 def lattice_quotient_coords(big_rows, small_rows):

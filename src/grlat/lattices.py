@@ -297,9 +297,7 @@ def verify_unit_transport(
     target = list(
         (qring.one() - qring.delta(-qd.proj(frob_b))).coeffs
     )
-    stacked = [list(r) for r in tmat]
-    for j in range(nbar):
-        stacked.append([q if i == j else 0 for i in range(nbar)])
+    stacked = [list(r) for r in tmat] + im.diagonal([q] * nbar)
     try:
         sol = im.lattice_quotient_coords(stacked, [target])[0]
     except ContainmentError:
@@ -321,10 +319,12 @@ def verify_unit_transport(
         if not fixed:
             raise UnitNotFoundError("solution space contains no unit")
     # lift u along the canonical coset representatives and form the
-    # multiplier w = 1 + nu (u~ - 1)
+    # multiplier w = 1 + nu (u~ - 1); nu absorbs translation by I, so
+    # any transversal gives the same w
     ucoeffs = [0] * n
-    for idx, dbar in enumerate(qring.elems):
-        ucoeffs[ring.index_of(qd.lift(dbar))] += u[idx]
+    for x in im.hnf_residues(inertia.basis):
+        rep = GroupElement(group, x)
+        ucoeffs[ring.index_of(rep)] = u[qring.index_of(qd.proj(rep))]
     utilde = ring.from_coeffs(tuple(ucoeffs))
     nu = ring.norm_element(inertia).scale(Fraction(1, inertia.order))
     w = ring.one() + nu * (utilde - ring.one())
@@ -340,5 +340,5 @@ def verify_unit_transport(
     rows_b = [
         [v * (common // lat_b.den) for v in row] for row in lat_b.basis
     ]
-    mod_rows = [[q if i == j else 0 for j in range(n)] for i in range(n)]
+    mod_rows = im.diagonal([q] * n)
     return im.lattice_eq(rows_a + mod_rows, rows_b + mod_rows)

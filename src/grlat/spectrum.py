@@ -16,17 +16,24 @@ from random import Random
 
 from .abelian import make_group, p_split, prime_factors
 from .errors import CapacityError, DegenerateElementError, ScopeError
-from .grouprings import GroupRing, GroupRingElem, IdealLattice, group_ring
+from .grouprings import RING_ORDER_CAP, GroupRing, GroupRingElem, IdealLattice, group_ring
 from .polys import cyclotomic, resultant_monic
 
 MAX_RESAMPLE = 512
 
 
-def _check_scope(p: int, r: int) -> None:
+def _check_scope(p: int, r: int, ring: bool = True) -> None:
+    """Refuse r < 1 and a p that is not an odd prime.  With ring, first
+    refuse a ring Z[Z/p^r] past RING_ORDER_CAP, before p is factored or
+    a coefficient is drawn; 3^r already exceeds the cap once r passes
+    its bit length, so p**r stays small."""
     if r < 1:
         raise ScopeError("level r must be at least 1")
-    facs = prime_factors(p)
-    if p < 3 or p % 2 == 0 or facs != {p: 1}:
+    if p < 3 or p % 2 == 0:
+        raise ScopeError("p must be an odd prime")
+    if ring and (r > RING_ORDER_CAP.bit_length() or p**r > RING_ORDER_CAP):
+        raise CapacityError(f"group ring of Z/{p}^{r} exceeds ring cap {RING_ORDER_CAP}")
+    if prime_factors(p) != {p: 1}:
         raise ScopeError("p must be an odd prime")
 
 
@@ -90,7 +97,7 @@ def predicted_membership(v: int, p: int, r: int, n: int = 1) -> bool:
     """Whether v lies in {rn, r(n+1), ..., r(n+p-1)} or beyond r(n+p-1)."""
     if n < 1:
         raise ScopeError("n must be at least 1")
-    _check_scope(p, r)
+    _check_scope(p, r, ring=False)
     top = r * (n + p - 1)
     if v > top:
         return True

@@ -6,6 +6,7 @@ so repeated runs must be byte identical.
 """
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -210,6 +211,28 @@ def test_spectrum_usage_errors(capsys):
         assert code == 64 and "usage error" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 3^40 coefficients would be drawn before the ring is built
+        ["--p", "3", "--r", "40", "--samples", "1"],
+        # trial division of an 18-digit prime would run for minutes
+        ["--p", "1000000000000000003", "--r", "1"],
+    ],
+)
+def test_oversized_spectrum_ring_is_refused_at_once(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "grlat", "spectrum", *argv],
+        capture_output=True,
+        env=env,
+        timeout=10,
+    )
+    assert done.returncode == 65
+    assert done.stdout == b""
+    assert b"exceeds ring cap" in done.stderr
+
+
 def test_spectrum_oracle_mismatch_fails_the_check(capsys, monkeypatch):
     # a broken resultant side must reach the report and the exit code
     real = spectrum.char_valuation
@@ -321,6 +344,23 @@ def test_oversized_sweep_is_refused_at_once(spec):
     assert done.returncode == 65
     assert done.stdout == b""
     assert b"capacity exceeded" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["verify", "64", "--checks", "tate"], "5a4225905e359ee4757c2fe2576d12bb8a1e9122c867838ec10c9a85af4a2f4d"),
+        (["verify", "2,16", "--checks", "tate"], "d006da521c0d336907c9222aac9da69667fb3a612bbf4144d0c3c12188993468"),
+        (["verify", "100", "--checks", "triviality"], "2abfbcb5b1299e98bbad3199f71b2bd15bf4a6bf2e8953c2cc1c7884dfb0d0b6"),
+    ],
+    ids=["64-tate", "2,16-tate", "100-triviality"],
+)
+def test_large_verify_reports_are_pinned(argv, digest):
+    # sha256 of the reports as printed when modules were kept at rank |G/I|
+    env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "grlat", *argv], capture_output=True, env=env, timeout=120)
+    assert done.returncode == 0
+    assert hashlib.sha256(done.stdout).hexdigest() == digest
 
 
 def test_main_leaves_no_cyclic_garbage():

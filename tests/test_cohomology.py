@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import pytest
 
+from grlat import cohomology
 from grlat import intmat as im
 from grlat.abelian import (
     Subgroup,
-    cyclic_subgroup,
     enumerate_subgroups,
     make_group,
     p_split,
@@ -71,7 +71,7 @@ def test_tate_induced_module_vanishes():
     # Z[G]/p is induced from the trivial subgroup, so cohomologically trivial
     ring = GroupRing(make_group([9]))
     mod = regular_quotient(ring, ring.one().scale(3))
-    for h in (Subgroup.full(ring.group), cyclic_subgroup(ring.group.element((3,)))):
+    for h in (Subgroup.full(ring.group), Subgroup.from_generators(ring.group, [ring.group.element((3,))])):
         t = tate_cohomology(mod, h)
         assert t.h0.order == 1 and t.hminus1.order == 1
 
@@ -82,8 +82,8 @@ def test_tate_exponent_bound():
     mod = inertia_module(ring, inertia, ring.group.element((0, 1)))
     for h in (
         Subgroup.full(ring.group),
-        cyclic_subgroup(ring.group.element((0, 3))),
-        cyclic_subgroup(ring.group.element((1, 3))),
+        Subgroup.from_generators(ring.group, [ring.group.element((0, 3))]),
+        Subgroup.from_generators(ring.group, [ring.group.element((1, 3))]),
     ):
         t = tate_cohomology(mod, h)
         for m in (t.h0, t.hminus1):
@@ -112,7 +112,7 @@ def test_closed_form_anchor_values():
     assert prediction_data(g, Subgroup.full(g), g.zero(), Subgroup.trivial(g)) == (Subgroup.full(g), 1)
     # G = Z/9, I = <3>, frob generating, H = <3>: quotient trivial, Z/3
     g9 = make_group([9])
-    i3 = cyclic_subgroup(g9.element((3,)))
+    i3 = Subgroup.from_generators(g9, [g9.element((3,))])
     assert prediction_data(g9, i3, g9.element((1,)), i3) == (Subgroup.full(g9), 3)
     # I = <3>, frob = 0, H trivial: Z[G/I] = Z[C3] modulo 1, the zero module
     assert prediction_data(g9, i3, g9.zero(), Subgroup.trivial(g9)) == (i3, 1)
@@ -170,7 +170,7 @@ def test_complement_generators_orders():
 def test_chi_idempotent_and_components():
     g = make_group([9])
     ring = GroupRing(g)
-    i3 = cyclic_subgroup(g.element((3,)))
+    i3 = Subgroup.from_generators(g, [g.element((3,))])
     mod = inertia_module(ring, i3, g.element((1,)))  # order 63 = 9 * 7
     m7 = p_part(mod, 7)
     classes = character_classes(g, 7)
@@ -192,7 +192,7 @@ def test_chi_idempotent_and_components():
 def test_chi_component_guards():
     g = make_group([9])
     ring = GroupRing(g)
-    i3 = cyclic_subgroup(g.element((3,)))
+    i3 = Subgroup.from_generators(g, [g.element((3,))])
     mod = inertia_module(ring, i3, g.element((1,)))  # order 63, not 7-primary
     chi = character_classes(g, 7)[0]
     with pytest.raises(ScopeError):
@@ -215,7 +215,7 @@ def test_component_triviality_pair_anchors():
     assert pair(g, Subgroup.full(g), 3, character_classes(g, 3)[0]) == (False, False)
     # inertia with trivial 3-part: both sides true
     g15 = make_group([15])
-    i5 = cyclic_subgroup(g15.element((3,)))  # order 5
+    i5 = Subgroup.from_generators(g15, [g15.element((3,))])  # order 5
     assert pair(g15, i5, 3, character_classes(g15, 3)[0]) == (True, True)
 
 
@@ -332,7 +332,7 @@ class RefComparisonOutcome:
 def ref_closed_form_inertia_tate(group, inertia, frob, sub):
     """Predicted Tate module of an inertia module: the group ring of the
     quotient by (decomposition subgroup + sub), modulo #(inertia meet sub)."""
-    dec = inertia.join(cyclic_subgroup(frob))
+    dec = inertia.join(Subgroup.from_generators(frob.group, [frob]))
     big = dec.join(sub)
     c = inertia.meet(sub).order
     qd = quotient_data(group, big)
@@ -494,3 +494,62 @@ def test_chi_idempotents_match_power_tables_and_sum_to_one(factors):
                 assert all(
                     (x - (i == j)) % q == 0 for i, row in enumerate(total) for j, x in enumerate(row)
                 ), (factors, pair, p)
+
+
+def test_chi_idempotent_check_catches_corrupted_traces(monkeypatch):
+    # Z/3 + Z/9 with C2 acting by -1, the sign component of its own
+    # 3-part.  Column 0 of the stored action is only defined mod 3, so
+    # mod 9 the idempotent reads 4 there: idempotent mod gcd(9, 3) only
+    g = make_group([2])
+    mod = FiniteModule.build(g, [[3, 0], [0, 9]], [[[-1, 0], [0, -1]]])
+    assert mod.invariants() == (3, 9)
+    sign = ChiClass(3, (2,), (1,))
+    assert chi_idempotent_matrix(mod, sign, 2) == [[4, 0], [0, 1]]
+    # doubled traces give 2e, whose square 4e is not 2e on the module
+    real = cohomology._root_power_traces
+    monkeypatch.setattr(
+        cohomology, "_root_power_traces", lambda m, p, prec: [2 * t for t in real(m, p, prec)]
+    )
+    with pytest.raises(PrecisionError):
+        chi_idempotent_matrix(mod, sign, 2)
+
+
+# -- reference: inertia modules kept at rank |G/I| ----------------------------
+# The presentation before modules moved to Smith coordinates: the HNF of
+# the ideal (tau-bar) and the translation actions of Z[G/I], put into the
+# dataclass directly.  tate_cohomology reads any full-rank HNF relations.
+
+
+def ref_inertia_module(ring, inertia, frob):
+    group = ring.group
+    qd = quotient_data(group, inertia)
+    qring = group_ring(qd.group)
+    fbar = qd.proj(frob)
+    tau = qring.one() - qring.delta(-fbar) + qring.one().scale(inertia.order)
+    rel = IdealLattice.from_elements(qring, [tau], orbit=True)
+    actions = [im.frozen(qring.translation_matrix(qd.proj(g))) for g in group.generators()]
+    return FiniteModule(group, qring.n, rel.basis, tuple(actions))
+
+
+# criterion 4's catalogue: 668 (pair, H) rows
+CRITERION_4_GROUPS = ([9], [27], [3, 3], [15], [3, 9])
+
+
+@pytest.mark.parametrize("factors", CRITERION_4_GROUPS)
+def test_smith_presentation_matches_the_build_rank_presentation(factors):
+    g = make_group(factors)
+    ring = group_ring(g)
+    subs = enumerate_subgroups(g)
+    for pair in build_sets(g).stilde:
+        mod = inertia_module(ring, pair.inertia, pair.frob)
+        ref = ref_inertia_module(ring, pair.inertia, pair.frob)
+        d = mod.invariants()
+        assert all(x > 1 for x in d) and all(b % a == 0 for a, b in zip(d, d[1:]))
+        assert mod.relations == tuple(tuple(x if i == j else 0 for j in range(len(d))) for i, x in enumerate(d))
+        assert d == im.invariant_factors(ref.relations, ref.rank), (factors, pair)
+        for h in subs:
+            t, t_ref = tate_cohomology(mod, h), tate_cohomology(ref, h)
+            big, c = prediction_data(g, pair.inertia, pair.frob, h)
+            for side, ref_side in ((t.h0, t_ref.h0), (t.hminus1, t_ref.hminus1)):
+                assert side.invariants() == ref_side.invariants(), (factors, pair, h)
+                assert prediction_verdict(side, big, c) == prediction_verdict(ref_side, big, c), (factors, pair, h)

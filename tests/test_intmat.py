@@ -5,6 +5,8 @@ tested here both on frozen anchors and on hypothesis-generated
 matrices, with sympy as the independent oracle where one exists.
 """
 
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,21 +57,39 @@ def test_snf_matches_sympy(rows):
 @given(square(3))
 @settings(max_examples=80, deadline=None)
 def test_snf_transform_consistent(rows):
-    diag, u, v = im.snf_with_transform([list(r) for r in rows], 3)
-    prod = im.mat_mul(im.mat_mul(u, [list(r) for r in rows]), v)
-    for i in range(len(prod)):
-        for j in range(3):
-            assert prod[i][j] == (diag[i] if i == j else 0)
+    rows = [list(r) for r in rows]
+    diag, v, vinv = im.snf_with_transform(rows, 3)
+    # Vinv is the inverse of V, and A V spans the lattice of diag(diag)
+    assert im.mat_mul(v, vinv) == im.identity(3)
+    assert im.hnf(im.mat_mul(rows, v), 3) == im.hnf(im.diagonal(diag), 3)
     # divisibility chain
     nz = [d for d in diag if d]
     for a, b in zip(nz, nz[1:]):
         assert b % a == 0
 
 
+@given(square(3), st.lists(small_entries, min_size=3, max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_smith_coordinates_are_an_isomorphism(rows, x):
+    coords = im.smith_coordinates(rows, 3)
+    if im.det(rows) == 0:
+        assert coords is None
+        return
+    d, p, q = coords
+    assert all(a > 1 for a in d) and all(b % a == 0 for a, b in zip(d, d[1:]))
+    assert prod(d) == abs(im.det(rows))
+    # y -> y Q P is the identity on (+) Z/d_i
+    qp = im.mat_mul(q, p)
+    assert all((a - b) % m == 0 for r, s in zip(im.identity(len(d)), qp) for a, b, m in zip(r, s, d))
+    # x P = 0 mod d exactly when x lies in the lattice
+    in_lattice = im.in_span(im.hnf(rows, 3), range(3), x)
+    assert in_lattice == all(a % m == 0 for a, m in zip(im.vec_mat(x, p), d))
+
+
 @given(square(3))
 @settings(max_examples=80, deadline=None)
 def test_hnf_preserves_row_space(rows):
-    h, piv = im.hnf_with_pivots([list(r) for r in rows], 3)
+    h, _, piv = im.hnf_with_transform([list(r) for r in rows], 3)
     for r in rows:
         assert im.in_span(h, piv, list(r))
 
@@ -143,9 +163,9 @@ def test_lattice_index_and_eq():
 def test_sum_contains_intersection(a, b):
     s = im.lattice_sum([list(r) for r in a], [list(r) for r in b])
     i = im.lattice_intersection([list(r) for r in a], [list(r) for r in b])
+    h, _, piv = im.hnf_with_transform(s, 2)
     for r in i:
-        hp = im.hnf_with_pivots(s, 2)
-        assert im.in_span(hp[0], hp[1], list(r))
+        assert im.in_span(h, piv, list(r))
 
 
 def test_preimage_lattice_anchor():
@@ -156,17 +176,9 @@ def test_preimage_lattice_anchor():
     assert im.lattice_eq(pre, [[2, 0], [0, 2]])
 
 
-@given(square(3))
-@settings(max_examples=60, deadline=None)
-def test_unimodular_inverse(rows):
-    h, u, piv = im.hnf_with_transform([list(r) for r in rows], 3)
-    uin = im.unimodular_inverse(u)
-    assert im.mat_mul(u, uin) == im.identity(len(u))
-
-
 def test_span_coefficients_roundtrip():
     rows = [[1, 2, 0], [0, 3, 1]]
-    h, piv = im.hnf_with_pivots([list(r) for r in rows], 3)
+    h, _, piv = im.hnf_with_transform([list(r) for r in rows], 3)
     v = [2, 7, 1]  # 2*r0 + r1
     c = im.span_coefficients(h, piv, v)
     assert c is not None

@@ -17,7 +17,6 @@ from grlat import lattices
 from grlat.abelian import (
     Subgroup,
     canonical_lift,
-    cyclic_subgroup,
     enumerate_subgroups,
     make_group,
     quotient_data,
@@ -47,7 +46,7 @@ def ring_of(facs):
 
 def test_canonical_lift_is_lex_least():
     g = make_group([9])
-    i3 = cyclic_subgroup(g.element((3,)))
+    i3 = Subgroup.from_generators(g, [g.element((3,))])
     # coset of 5 is {5, 8, 2}; lex-least coordinate tuple is (2,)
     assert canonical_lift(i3, g.element((5,))).coords == (2,)
     assert canonical_lift(i3, g.element((3,))).coords == (0,)
@@ -70,7 +69,7 @@ def test_forward_rep_depends_on_lift():
 
 def test_forward_rep_anchor_z9():
     r = ring_of([9])
-    i3 = cyclic_subgroup(r.group.element((3,)))
+    i3 = Subgroup.from_generators(r.group, [r.group.element((3,))])
     frob = r.group.element((1,))
     indices = set()
     for k in (1, 4, 7):
@@ -86,14 +85,14 @@ def test_forward_rep_guards():
     with pytest.raises(ScopeError):
         forward_rep(r, Subgroup.full(r.group), r.group.zero())
     rc = ring_of([9])
-    i3 = cyclic_subgroup(rc.group.element((3,)))
+    i3 = Subgroup.from_generators(rc.group, [rc.group.element((3,))])
     with pytest.raises(ContainmentError):
         forward_rep(rc, i3, rc.group.element((1,)), lift=rc.group.element((2,)))
 
 
 def test_backward_rep_lift_independent():
     r = ring_of([9])
-    i3 = cyclic_subgroup(r.group.element((3,)))
+    i3 = Subgroup.from_generators(r.group, [r.group.element((3,))])
     lat1 = backward_rep(r, i3, r.group.element((1,))).lattice
     lat4 = backward_rep(r, i3, r.group.element((4,))).lattice
     assert (lat1.den, lat1.basis) == (lat4.den, lat4.basis)
@@ -121,7 +120,7 @@ def test_kernel_presentation_small_sweep():
 
 def test_kernel_presentation_z27_spot():
     r = ring_of([27])
-    i3 = cyclic_subgroup(r.group.element((9,)))
+    i3 = Subgroup.from_generators(r.group, [r.group.element((9,))])
     rep = verify_kernel_presentation(r, i3, r.group.element((1,)))
     assert rep.kernel_matches and rep.projection_matches
     with pytest.raises(ScopeError):
@@ -322,7 +321,7 @@ def test_extension_preimage_matches_fraction_solve(facs, monkeypatch):
 def test_unit_transport_positive():
     # same inertia, same decomposition group, genuinely different cosets
     r9 = ring_of([9])
-    i3 = cyclic_subgroup(r9.group.element((3,)))
+    i3 = Subgroup.from_generators(r9.group, [r9.group.element((3,))])
     assert verify_unit_transport(r9, i3, r9.group.element((1,)), r9.group.element((2,)))
     r33 = ring_of([3, 3])
     i = Subgroup.from_generators(r33.group, [r33.group.element((1, 0))])
@@ -330,19 +329,19 @@ def test_unit_transport_positive():
         r33, i, r33.group.element((0, 1)), r33.group.element((0, 2))
     )
     r8 = ring_of([8])
-    i2 = cyclic_subgroup(r8.group.element((4,)))
+    i2 = Subgroup.from_generators(r8.group, [r8.group.element((4,))])
     assert verify_unit_transport(r8, i2, r8.group.element((1,)), r8.group.element((3,)))
 
 
 def test_unit_transport_guards():
     r9 = ring_of([9])
-    i3 = cyclic_subgroup(r9.group.element((3,)))
+    i3 = Subgroup.from_generators(r9.group, [r9.group.element((3,))])
     # different decomposition subgroups
     with pytest.raises(ScopeError):
         verify_unit_transport(r9, i3, r9.group.element((1,)), r9.group.element((3,)))
     # not a p-group
     r6 = ring_of([6])
-    i2 = cyclic_subgroup(r6.group.element((3,)))
+    i2 = Subgroup.from_generators(r6.group, [r6.group.element((3,))])
     with pytest.raises(ScopeError):
         verify_unit_transport(r6, i2, r6.group.element((1,)), r6.group.element((5,)))
     # user precision below the certified bound
@@ -354,7 +353,7 @@ def test_unit_transport_guards():
 
 def test_unit_transport_explicit_precision_ok():
     r9 = ring_of([9])
-    i3 = cyclic_subgroup(r9.group.element((3,)))
+    i3 = Subgroup.from_generators(r9.group, [r9.group.element((3,))])
     ok = verify_unit_transport(
         r9, i3, r9.group.element((1,)), r9.group.element((2,)), precision=40
     )

@@ -370,8 +370,9 @@ def ref_build_sets(group):
         if inertia.is_trivial or not is_elementary(inertia.structure()):
             continue
         qd = quotient_data(group, inertia)
+        preimage = {qd.proj(e): e for e in group.elements()}
         for cbar in qd.group.elements():
-            frob = ref_canonical_lift(inertia, qd.lift(cbar))
+            frob = ref_canonical_lift(inertia, preimage[cbar])
             ref_inertia_pair_checks(inertia, frob)
             stilde.append(InertiaPair(inertia, frob))
     stilde.sort(key=lambda pr: (pr.inertia.basis, pr.frob.coords))

@@ -1,0 +1,54 @@
+"""The benchmark's tracer against the package.
+
+bench/tracer.py wraps grlat functions and the methods of a few classes
+that it looks up by name (abelian.QuotientData, grouprings.FiniteModule
+and others).  bench/tests is not part of this suite, so this test
+installs the tracer in a fresh interpreter and runs one small command
+under it: a renamed class or layer fails here rather than in a traced
+benchmark run.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import contextlib, io, json
+import tracer
+t = tracer.Tracer()
+t.install()
+from grlat.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["verify", "9", "--checks", "tate,triviality,unit"])
+calls = {}
+for name, _parent, n, _total, _own in t.report()["spans"]:
+    calls[name] = calls.get(name, 0) + n
+print(json.dumps({"code": code, "calls": calls}))
+"""
+
+
+def test_tracer_installs_and_counts_the_layers():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")])
+    done = subprocess.run(
+        [sys.executable, "-c", SCRIPT], capture_output=True, text=True, env=env, cwd=ROOT, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["code"] == 0
+    for span in (
+        "abelian.quotient_data",
+        "abelian.QuotientData.proj",
+        "abelian.Subgroup.elements",
+        "grouprings.FiniteModule.build",
+        "grouprings.GroupRing.__init__",
+        "intmat.snf_with_transform",
+        "cohomology.tate_cohomology",
+        "cohomology.triviality_criterion",
+        "lattices.verify_unit_transport",
+    ):
+        assert out["calls"].get(span, 0) > 0, span
