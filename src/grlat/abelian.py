@@ -54,6 +54,15 @@ def prime_factors(n):
     return out
 
 
+def is_prime(n: int) -> bool:
+    """Trial division below 2^32 (2^16 steps); sympy.isprime above."""
+    if n < 1 << 32:
+        return n > 1 and prime_factors(n) == {n: 1}
+    from sympy import isprime
+
+    return isprime(n)
+
+
 def p_split(n: int, p: int) -> tuple[int, int]:
     """(e, rest) with |n| = p^e * rest and p not dividing rest."""
     if n == 0:
@@ -301,7 +310,8 @@ class Subgroup:
 
     def meet(self, other: "Subgroup") -> "Subgroup":
         self._check(other)
-        return Subgroup(self.group, im.lattice_intersection(self.basis, other.basis))
+        eye = im.identity(self.group.rank)
+        return Subgroup(self.group, im.preimage_lattice(self.basis, eye, other.basis))
 
     def elements(self, cap: int = ELEMENT_CAP) -> list[GroupElement]:
         if self.order > cap:

@@ -10,12 +10,13 @@ seed reproduce byte-identical output.
 import argparse
 import csv
 import functools
+import gc
 import json
 import math
 import sys
 from importlib import resources
 
-from .abelian import ELEMENT_CAP, make_group, prime_factors
+from .abelian import ELEMENT_CAP, is_prime, make_group, prime_factors
 from .cohomology import (
     prediction_data,
     prediction_verdict,
@@ -280,9 +281,6 @@ def cmd_spectrum(args) -> dict:
 
 
 def _read_records(path, p, r):
-    # sympy is imported here so that loading the CLI does not pay for it
-    from sympy import isprime
-
     if path == "@bundled":
         src = resources.files("grlat.data").joinpath("classgroups_p3_r2.csv")
         fh = src.open("r", encoding="utf-8")
@@ -310,7 +308,7 @@ def _read_records(path, p, r):
                 ord_value = int(cells[2])
             except ValueError:
                 raise DataError(f"row {rownum}: q and ord_value must be integers")
-            if not isprime(q):
+            if not is_prime(q):
                 raise DataError(f"row {rownum}: q={q} is not prime")
             if ord_value < 0:
                 raise DataError(f"row {rownum}: ord_value must be nonnegative")
@@ -385,8 +383,8 @@ def emit(report: dict, as_json: bool, out) -> None:
 
 @functools.cache
 def build_parser() -> _Parser:
-    # built once per process: argparse's parsers hold reference cycles,
-    # which a parser per call would leave for the cyclic collector
+    # built once per process; argparse's formatters leave reference cycles
+    # while it is built, collected here so that no call of main leaves any
     parser = _Parser(prog="grlat", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -422,6 +420,7 @@ def build_parser() -> _Parser:
     p_ingest.add_argument("--r", type=int, required=True)
     p_ingest.add_argument("--json", action="store_true")
     p_ingest.set_defaults(func=cmd_ingest)
+    gc.collect()
     return parser
 
 

@@ -11,7 +11,10 @@ both computed as quotients of explicit lattices in Z^g and returned as
 modules again, so the residual action can be compared.  Every module
 comes in Smith coordinates (see grouprings): L = diag(d) and g is the
 number of invariants d_i of M = (+) Z/d_i, whatever rank it was built
-from.
+from.  The invariants are one kernel: the preimage of L^k under the k
+maps A_h - 1 of H's generators side by side.  Both Tate groups are
+FiniteModule.subquotient of M, so they inherit its validated action
+and are not checked again.
 
 The Tate groups of an inertia module are checked against the closed
 form (Z/c)[G/B] = Z[G]/J, J = (c, b - 1 : b in B), which is never built.
@@ -43,12 +46,7 @@ from .abelian import (
     sylow_complement,
 )
 from .errors import ParentMismatchError, PrecisionError, ScopeError
-from .grouprings import (
-    FiniteModule,
-    group_ring,
-    inertia_module,
-    quotient_module,
-)
+from .grouprings import FiniteModule, group_ring, inertia_module
 
 
 # ---------------------------------------------------------------------------
@@ -73,29 +71,25 @@ def tate_cohomology(module: FiniteModule, sub: Subgroup) -> TateResult:
         raise ParentMismatchError("subgroup of a different group")
     n = module.rank
     rel = [list(r) for r in module.relations]
-    gens = sub.generators()
-
-    # invariants: x with x(A_h - 1) in L for the subgroup generators
-    inv = im.identity(n)
-    for h in gens:
-        a = module.action_matrix(h)
-        d = [[a[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-        pre = im.preimage_lattice(None, d, rel)
-        inv = im.lattice_intersection(inv, pre)
-
+    # A_h - 1 for the generators h of sub
+    diffs = [
+        [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(module.action_matrix(h))]
+        for h in sub.generators()
+    ]
+    k = len(diffs)
+    # invariants: x with x(A_h - 1) in L for every h, one kernel with the
+    # maps side by side and L repeated in each block of the target
+    side = [[x for d in diffs for x in d[i]] for i in range(n)]
+    target = [[0] * (b * n) + r + [0] * ((k - 1 - b) * n) for b in range(k) for r in rel]
+    inv = im.preimage_lattice(None, side, target)
     nm = norm_matrix(module, sub)
     norm_image = im.lattice_sum([im.vec_mat(list(e), nm) for e in im.identity(n)], rel)
-    h0 = quotient_module(module.group, inv, norm_image, module.gen_actions)
+    h0 = module.subquotient(inv, norm_image)
 
     # norm kernel: x with x N in L
     ker = im.preimage_lattice(None, nm, rel)
-    aug_rows = list(rel)
-    for h in gens:
-        a = module.action_matrix(h)
-        for i in range(n):
-            aug_rows.append([a[i][j] - (1 if i == j else 0) for j in range(n)])
-    aug = im.hnf(aug_rows, n)
-    hm1 = quotient_module(module.group, ker, aug, module.gen_actions)
+    aug = im.hnf(rel + [row for d in diffs for row in d], n)
+    hm1 = module.subquotient(ker, aug)
     return TateResult(sub, h0, hm1)
 
 
@@ -165,11 +159,11 @@ def prediction_data(
     group: FinAbGroup, inertia: Subgroup, frob: GroupElement, sub: Subgroup
 ) -> tuple[Subgroup, int]:
     """(B, c) of the predicted Tate module (Z/c)[G/B] of an inertia
-    module: B = inertia + <frob> + sub and c = #(inertia meet sub)."""
+    module: B = inertia + <frob> + sub and c = #(I meet H) = #I #H / #(I + H)."""
     if inertia.group != group or frob.group != group or sub.group != group:
         raise ParentMismatchError("inputs from a different group")
     big = decomposition_subgroup(inertia, frob).join(sub)
-    return big, inertia.meet(sub).order
+    return big, inertia.order * sub.order // inertia.join(sub).order
 
 
 def prediction_verdict(module: FiniteModule, big: Subgroup, c: int) -> str:

@@ -20,7 +20,10 @@ and each group generator acts by an integer matrix on row vectors from
 the right, column j reduced mod d_j.  FiniteModule.build takes any
 full-rank presentation Z^n / L and moves it there with
 intmat.smith_coordinates, so every later step works at rank len(d),
-not n.  The matrix of any group element comes from
+not n, and validates the action.  A Tate group, p-part or
+chi-component is FiniteModule.subquotient of a validated module: the
+same Smith step, no second validation, as the induced action keeps its
+parent's identities.  The matrix of any group element comes from
 FiniteModule.actions, one cached walk of the group per module.
 """
 
@@ -296,15 +299,19 @@ class FiniteModule:
     @classmethod
     def build(cls, group: FinAbGroup, relations, gen_actions) -> "FiniteModule":
         """The module Z^n / L, L the span of relations, where generator i
-        acts by gen_actions[i], moved to Smith coordinates: with
-        (d, P, Q) = intmat.smith_coordinates(L), the action A becomes
-        Q A P.  L must be full rank and stable under every A."""
+        acts by gen_actions[i], moved to Smith coordinates and validated.
+        L must be full rank and stable under every action."""
         n = len(gen_actions[0]) if gen_actions else (len(relations[0]) if relations else 0)
+        mod = cls._in_smith_coordinates(group, n, relations, gen_actions)
+        mod.validate()
+        return mod
+
+    @classmethod
+    def _in_smith_coordinates(cls, group, n, relations, gen_actions) -> "FiniteModule":
+        """Z^n / L in intmat.smith_coordinates (d, P, Q); L A <= L, A -> Q A P."""
         coords = im.smith_coordinates(relations, n)
         if coords is None:
-            raise InfiniteModuleError(
-                f"relation lattice has rank < {n}; module is infinite"
-            )
+            raise InfiniteModuleError(f"relation lattice has rank < {n}; module is infinite")
         d, p, q = coords
         actions = []
         for gi, a in enumerate(gen_actions):
@@ -313,9 +320,22 @@ class FiniteModule:
             if any(map(any, _mod_columns([im.vec_mat(r, ap) for r in relations], d))):
                 raise ContainmentError(f"relations not stable under generator {gi}")
             actions.append(im.frozen(_mod_columns(im.mat_mul(q, ap), d)))
-        mod = cls(group, len(d), im.frozen(im.diagonal(d)), tuple(actions))
-        mod.validate()
-        return mod
+        return cls(group, len(d), im.frozen(im.diagonal(d)), tuple(actions))
+
+    def subquotient(self, big, small) -> "FiniteModule":
+        """big / small for stable lattices relations <= small <= big of
+        Z^rank, big a full-rank square HNF: coordinates by reduction
+        against big, then the Smith step.  Not validated again: the
+        induced action keeps the identities this module's action has."""
+        k = len(big)
+
+        def coords(v):
+            c = im.span_coefficients(big, range(k), v)
+            if c is None:
+                raise ContainmentError("sublattice not contained in the big lattice")
+            return c
+        actions = [[coords(im.vec_mat(r, a)) for r in big] for a in self.gen_actions]
+        return self._in_smith_coordinates(self.group, k, [coords(r) for r in small], actions)
 
     @property
     def order(self) -> int:
@@ -372,23 +392,10 @@ class FiniteModule:
 
     def with_extra_relations(self, extra_rows) -> "FiniteModule":
         rows = [list(r) for r in self.relations] + [list(r) for r in extra_rows]
-        return FiniteModule.build(self.group, rows, self.gen_actions)
+        return self.subquotient(im.identity(self.rank), rows)
 
     def __repr__(self):
         return f"FiniteModule(order={self.order}, invariants={self.invariants()})"
-
-
-def quotient_module(group: FinAbGroup, big_rows, small_rows, gen_actions) -> FiniteModule:
-    """The module big/small, where the i-th generator of group acts on
-    the ambient Z^n by gen_actions[i], presented in the coordinates of
-    big and stored in its Smith coordinates by FiniteModule.build.
-
-    One coordinates solve covers small and every generator image of big."""
-    k, s = len(big_rows), len(small_rows)
-    images = [im.vec_mat(list(r), a) for a in gen_actions for r in big_rows]
-    coords = im.lattice_quotient_coords(big_rows, [list(r) for r in small_rows] + images)
-    actions = [coords[s + i * k : s + (i + 1) * k] for i in range(len(gen_actions))]
-    return FiniteModule.build(group, coords[:s], actions)
 
 
 def inertia_module(ring: GroupRing, inertia: Subgroup, frob: GroupElement) -> FiniteModule:

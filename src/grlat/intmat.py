@@ -379,17 +379,6 @@ def hnf_residues(h):
         yield x[::-1]
 
 
-def lattice_intersection(a_rows, b_rows):
-    """Basis of (row span A) ∩ (row span B)."""
-    if not a_rows or not b_rows:
-        return []
-    stacked = [list(r) for r in a_rows] + [[-x for x in r] for r in b_rows]
-    ker = left_kernel(stacked)
-    na = len(a_rows)
-    out = [vec_mat(k[:na], a_rows) for k in ker]
-    return hnf(out) if out else []
-
-
 def preimage_lattice(domain_rows, f_matrix, target_rows, width_target=None):
     """Basis of {x in row span(domain) : x @ F in row span(target)}.
 

@@ -14,7 +14,7 @@ sample is the oracle identity the module exists to exercise.
 from dataclasses import dataclass
 from random import Random
 
-from .abelian import make_group, p_split, prime_factors
+from .abelian import is_prime, make_group, p_split, prime_factors
 from .errors import CapacityError, DegenerateElementError, ScopeError
 from .grouprings import RING_ORDER_CAP, GroupRing, GroupRingElem, IdealLattice, group_ring
 from .polys import cyclotomic, resultant_monic
@@ -24,7 +24,7 @@ MAX_RESAMPLE = 512
 
 def _check_scope(p: int, r: int, ring: bool = True) -> None:
     """Refuse r < 1 and a p that is not an odd prime.  With ring, first
-    refuse a ring Z[Z/p^r] past RING_ORDER_CAP, before p is factored or
+    refuse a ring Z[Z/p^r] past RING_ORDER_CAP, before p is tested or
     a coefficient is drawn; 3^r already exceeds the cap once r passes
     its bit length, so p**r stays small."""
     if r < 1:
@@ -33,7 +33,7 @@ def _check_scope(p: int, r: int, ring: bool = True) -> None:
         raise ScopeError("p must be an odd prime")
     if ring and (r > RING_ORDER_CAP.bit_length() or p**r > RING_ORDER_CAP):
         raise CapacityError(f"group ring of Z/{p}^{r} exceeds ring cap {RING_ORDER_CAP}")
-    if prime_factors(p) != {p: 1}:
+    if not is_prime(p):
         raise ScopeError("p must be an odd prime")
 
 

@@ -12,7 +12,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import multiplicity
+from sympy import isprime, multiplicity
 
 import grlat.intmat as im
 from grlat.abelian import (
@@ -23,6 +23,7 @@ from grlat.abelian import (
     decomposition_subgroup,
     enumerate_subgroups,
     is_elementary,
+    is_prime,
     make_group,
     noncyclic_sylow_primes,
     p_split,
@@ -57,6 +58,11 @@ def test_element_refuses_a_wrong_number_of_coordinates():
 def test_prime_factors():
     assert prime_factors(360) == {2: 3, 3: 2, 5: 1}
     assert prime_factors(1) == {}
+
+
+def test_is_prime_matches_sympy_on_both_sides_of_two_to_the_32():
+    for n in [*range(-3, 200), 2**31 - 1, 2**32 - 5, 2**32 + 15, 2**61 - 1, (2**31 - 1) * (2**61 - 1)]:
+        assert is_prime(n) == isprime(n), n
 
 
 def test_element_arithmetic_mod_factors():

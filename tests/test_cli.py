@@ -315,6 +315,40 @@ def test_ingest_large_prime_finishes(tmp_path):
     assert b"verdict\tpass" in done.stdout
 
 
+@pytest.mark.parametrize(
+    "p, code",
+    [
+        ("1000000000000000003", 2),
+        # (2^31 - 1)(2^61 - 1): no factor below 2^31, so trial division never ends
+        ("4951760154835678088235319297", 64),
+    ],
+)
+def test_ingest_tests_a_large_p_at_once(p, code):
+    env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "grlat", "ingest", "@bundled", "--p", p, "--r", "1"],
+        capture_output=True,
+        env=env,
+        timeout=10,
+    )
+    assert done.returncode == code
+
+
+def test_spectrum_does_not_import_sympy():
+    # the ring cap keeps p <= 4096 here, where primality is trial division
+    script = (
+        "import contextlib, io, sys\n"
+        "from grlat.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['spectrum', '--p', '3', '--r', '2', '--samples', '2'])\n"
+        "print(code, 'sympy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == b"0 False\n"
+
+
 @pytest.mark.parametrize("spec", ["999999999999999989", "1001,1000"])
 def test_oversized_group_spec_is_refused_at_once(spec):
     # the spec's order is checked before its factors are factored; trial
@@ -352,11 +386,15 @@ def test_oversized_sweep_is_refused_at_once(spec):
         (["verify", "64", "--checks", "tate"], "5a4225905e359ee4757c2fe2576d12bb8a1e9122c867838ec10c9a85af4a2f4d"),
         (["verify", "2,16", "--checks", "tate"], "d006da521c0d336907c9222aac9da69667fb3a612bbf4144d0c3c12188993468"),
         (["verify", "100", "--checks", "triviality"], "2abfbcb5b1299e98bbad3199f71b2bd15bf4a6bf2e8953c2cc1c7884dfb0d0b6"),
+        (["verify", "2,2,2", "--checks", "tate"], "2d33d37b4e0a7be9078073ccdd462559e80e50ed6ab1bf117e17468c62801f57"),
+        (["verify", "2,2,4", "--checks", "tate"], "5e71449cc9c0e51346d321525e0e94f7d33774069d586586f2c5b31aeb5a3018"),
     ],
-    ids=["64-tate", "2,16-tate", "100-triviality"],
+    ids=["64-tate", "2,16-tate", "100-triviality", "2,2,2-tate", "2,2,4-tate"],
 )
 def test_large_verify_reports_are_pinned(argv, digest):
-    # sha256 of the reports as printed when modules were kept at rank |G/I|
+    # sha256 of the reports as printed when modules were kept at rank |G/I|;
+    # the rank-3 groups as printed when each Tate group was rebuilt and
+    # validated from a fresh presentation
     env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-m", "grlat", *argv], capture_output=True, env=env, timeout=120)
     assert done.returncode == 0

@@ -553,3 +553,69 @@ def test_smith_presentation_matches_the_build_rank_presentation(factors):
             for side, ref_side in ((t.h0, t_ref.h0), (t.hminus1, t_ref.hminus1)):
                 assert side.invariants() == ref_side.invariants(), (factors, pair, h)
                 assert prediction_verdict(side, big, c) == prediction_verdict(ref_side, big, c), (factors, pair, h)
+
+
+# -- reference: Tate groups built as fresh presentations ------------------------
+# Verbatim copies of the route before FiniteModule.subquotient: the
+# invariants as one preimage and one intersection per generator of H, and
+# each quotient re-solved against its big lattice and rebuilt, validation
+# included, by FiniteModule.build.
+
+
+def ref_lattice_intersection(a_rows, b_rows):
+    """Basis of (row span A) ∩ (row span B)."""
+    if not a_rows or not b_rows:
+        return []
+    stacked = [list(r) for r in a_rows] + [[-x for x in r] for r in b_rows]
+    ker = im.left_kernel(stacked)
+    na = len(a_rows)
+    out = [im.vec_mat(k[:na], a_rows) for k in ker]
+    return im.hnf(out) if out else []
+
+
+def ref_quotient_module(group, big_rows, small_rows, gen_actions):
+    k, s = len(big_rows), len(small_rows)
+    images = [im.vec_mat(list(r), a) for a in gen_actions for r in big_rows]
+    coords = im.lattice_quotient_coords(big_rows, [list(r) for r in small_rows] + images)
+    actions = [coords[s + i * k : s + (i + 1) * k] for i in range(len(gen_actions))]
+    return FiniteModule.build(group, coords[:s], actions)
+
+
+def ref_tate_cohomology(module, sub):
+    n = module.rank
+    rel = [list(r) for r in module.relations]
+    gens = sub.generators()
+
+    inv = im.identity(n)
+    for h in gens:
+        a = module.action_matrix(h)
+        d = [[a[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+        pre = im.preimage_lattice(None, d, rel)
+        inv = ref_lattice_intersection(inv, pre)
+
+    nm = cohomology.norm_matrix(module, sub)
+    norm_image = im.lattice_sum([im.vec_mat(list(e), nm) for e in im.identity(n)], rel)
+    h0 = ref_quotient_module(module.group, inv, norm_image, module.gen_actions)
+
+    ker = im.preimage_lattice(None, nm, rel)
+    aug_rows = list(rel)
+    for h in gens:
+        a = module.action_matrix(h)
+        for i in range(n):
+            aug_rows.append([a[i][j] - (1 if i == j else 0) for j in range(n)])
+    aug = im.hnf(aug_rows, n)
+    hm1 = ref_quotient_module(module.group, ker, aug, module.gen_actions)
+    return h0, hm1
+
+
+# 1999 + 3105 (pair, H) rows; 2,2,4 has subgroups H of rank 3
+@pytest.mark.parametrize("factors", OLD_ROUTE_GROUPS + ([2, 2, 4],))
+def test_subquotient_tate_groups_match_the_rebuilt_presentations(factors):
+    g = make_group(factors)
+    ring = group_ring(g)
+    subs = enumerate_subgroups(g)
+    for pair in build_sets(g).stilde:
+        mod = inertia_module(ring, pair.inertia, pair.frob)
+        for h in subs:
+            t = tate_cohomology(mod, h)
+            assert (t.h0, t.hminus1) == ref_tate_cohomology(mod, h), (factors, pair, h)

@@ -36,7 +36,6 @@ from grlat.grouprings import (
     IdealLattice,
     group_ring,
     inertia_module,
-    quotient_module,
 )
 from grlat.monoid import build_sets
 
@@ -142,13 +141,31 @@ def test_finite_module_validates_action_stability():
         FiniteModule.build(g, [[2, 0], [0, 4]], [[[0, 1], [1, 0]]])
 
 
-def test_quotient_module_matches_index():
+def test_finite_module_validates_generator_order():
+    g = make_group([2])
+    # multiplication by 2 on Z/5 keeps 5Z but has order 4, not dividing 2
+    with pytest.raises(ContainmentError, match="order dividing 2"):
+        FiniteModule.build(g, [[5]], [[[2]]])
+
+
+def test_finite_module_validates_commutation():
+    g = make_group([2, 2])
+    # the swap and diag(1, -1) are involutions on (Z/3)^2 that do not commute
+    with pytest.raises(ContainmentError, match="do not commute"):
+        FiniteModule.build(g, [[3, 0], [0, 3]], [[[0, 1], [1, 0]], [[1, 0], [0, 2]]])
+
+
+def test_subquotient_matches_index():
     r = ring_of([4])
-    small = IdealLattice.from_elements(r, [r.one().scale(2)])
     actions = [r.translation_matrix(g) for g in r.group.generators()]
-    mod = quotient_module(r.group, intmat.identity(r.n), small.basis, actions)
+    parent = FiniteModule.build(r.group, intmat.diagonal([8] * r.n), actions)
+    small = IdealLattice.from_elements(r, [r.one().scale(2)])
+    mod = parent.subquotient(intmat.identity(r.n), small.basis)
     assert mod.invariants() == (2, 2, 2, 2)
     assert mod.order == small.integral_index()
+    assert parent.subquotient(small.basis, parent.relations).invariants() == (4, 4, 4, 4)
+    with pytest.raises(ContainmentError):
+        parent.subquotient(small.basis, intmat.identity(r.n))
 
 
 def test_parent_mismatch_rejected():

@@ -162,7 +162,7 @@ def test_lattice_index_and_eq():
 @settings(max_examples=60, deadline=None)
 def test_sum_contains_intersection(a, b):
     s = im.lattice_sum([list(r) for r in a], [list(r) for r in b])
-    i = im.lattice_intersection([list(r) for r in a], [list(r) for r in b])
+    i = im.preimage_lattice([list(r) for r in a], im.identity(2), [list(r) for r in b])
     h, _, piv = im.hnf_with_transform(s, 2)
     for r in i:
         assert im.in_span(h, piv, list(r))

@@ -45,6 +45,7 @@ def test_tracer_installs_and_counts_the_layers():
         "abelian.QuotientData.proj",
         "abelian.Subgroup.elements",
         "grouprings.FiniteModule.build",
+        "grouprings.FiniteModule.subquotient",
         "grouprings.GroupRing.__init__",
         "intmat.snf_with_transform",
         "cohomology.tate_cohomology",
