@@ -1,9 +1,10 @@
 """Exact linear algebra over the integers.
 
 Matrices are lists (or tuples) of rows of Python ints; a lattice is the
-row span of such a matrix.  Everything here is exact: no floats, no
-modular shortcuts.  Arbitrary precision is load-bearing, since several
-callers cross-check valuations of large determinants.
+row span of such a matrix.  Everything here is exact: no floats, and
+the one modular routine, smith_valuations, certifies its own precision.
+Arbitrary precision is load-bearing, since several callers cross-check
+valuations of large determinants.
 
 Conventions:
   * vectors are rows, maps act on the right (x -> x @ A),
@@ -19,13 +20,17 @@ Conventions:
     and the matching columns P of V and rows Q of V^-1: x -> x P mod d
     is an isomorphism Z^n / L -> (+) Z/d_i (Cohen, GTM 138, 2.4) with
     inverse y -> y Q, the coordinates every quotient group and finite
-    module is stored in.
+    module is stored in,
+  * smith_valuations() gives only the p-parts of the Smith invariants
+    of a full-rank lattice, by elimination mod p^k with no HNF.
 """
 
 from __future__ import annotations
 
 from itertools import product
 from math import gcd, prod
+
+from .errors import ContainmentError, NotFullRankError
 
 
 def zeros(m, n):
@@ -316,6 +321,71 @@ def smith_coordinates(rows, width):
     return tuple(diag[i] for i in idx), [[r[i] for i in idx] for r in v], [vinv[i] for i in idx]
 
 
+def smith_valuations(rows, width, p, start):
+    """Sorted exponents e_i of the p-parts p^e_i of the Smith invariants
+    of the full-rank lattice L spanned by rows in Z^width, so that
+    sum(e_i) = v_p([Z^width : L]); p must be prime.
+
+    No HNF and no determinant: eliminate modulo p^k, always on an entry
+    of least valuation (Storjohann, Algorithms for Matrix Canonical
+    Forms, 2000).  Unimodular moves keep the Smith form mod p^k, which
+    is diag(p^min(e_i, k)), so a pass that finds width pivots of
+    valuation < k has found every e_i exactly.  Otherwise k doubles,
+    from start.  A nonzero width x width minor, at most the Hadamard
+    bound H of the rows in absolute value, is a multiple of the index;
+    so once p^k > H a failed pass proves L rank-deficient and raises
+    NotFullRankError."""
+    if p < 2 or start < 1:
+        raise ValueError("need a prime p and a start precision k >= 1")
+    hadamard_sq = prod(sorted((sum(x * x for x in r) for r in rows), reverse=True)[:width])
+    k = start
+    while True:
+        vals = _smith_valuations_mod(rows, width, p, k)
+        if vals is not None:
+            return vals
+        if p ** (2 * k) > hadamard_sq:
+            raise NotFullRankError(f"rows do not span a full-rank lattice in Z^{width}")
+        k *= 2
+
+
+def _smith_valuations_mod(rows, width, p, k):
+    """The e_i of smith_valuations when all are < k, else None.
+
+    The working rows hold the remaining block divided by p^shift, where
+    p^shift is its least valuation, so they live mod p^(k - shift) and a
+    pivot is any entry prime to p.  Clearing the pivot's column by row
+    moves leaves the pivot row as the only one touched by the column
+    moves that would clear it, so that row and column are dropped."""
+    q = p**k
+    a = [[x % q for x in r] for r in rows]
+    vals = []
+    shift = 0
+    while len(vals) < width:
+        piv = next(((i, j) for i, r in enumerate(a) for j, x in enumerate(r) if x % p), None)
+        if piv is None:
+            shift += 1
+            if shift == k:
+                return None
+            q //= p
+            a = [[x // p for x in r] for r in a]
+            continue
+        i, j = piv
+        prow = a.pop(i)
+        inv = pow(prow[j], -1, q)
+        prow = [x * inv % q for x in prow]
+        rest = []
+        for r in a:
+            f = r[j]
+            if f:
+                r = [(x - f * y) % q for x, y in zip(r, prow)]
+            del r[j]
+            if any(r):
+                rest.append(r)
+        a = rest
+        vals.append(shift)
+    return vals
+
+
 def snf_diagonal(rows, width=None):
     diag, _, _ = snf_with_transform(rows, width)
     return diag
@@ -401,8 +471,6 @@ def preimage_lattice(domain_rows, f_matrix, target_rows, width_target=None):
 
 def lattice_quotient_coords(big_rows, small_rows):
     """Coordinates X with X @ big = small, exact; raises ContainmentError."""
-    from .errors import ContainmentError
-
     h, u, piv = hnf_with_transform(big_rows)
     coords = []
     for r in small_rows:

@@ -2,13 +2,21 @@
 
 Samples elements x = (sigma - 1)*u + p^r*eps in Z[Z/p^r], computes the
 valuation c_i of each cyclotomic character value by an integer
-resultant, cross-checks the sum of the c_i against the p-valuation of
-a quotient cardinality obtained from a Smith form, and tests whether
-the total lands in the predicted value set.
+resultant, and tests whether their total lands in the predicted value
+set.  Beside it, snf_total is v_p of the index [Z[G] : (N, x)], read off
+the p-parts of the Smith invariants of the ideal's lattice by
+intmat.smith_valuations: elimination modulo p^k on the row N and the
+n translates of x, with no HNF of the whole lattice.
 
-The two totals come from genuinely independent computations (resultant
-arithmetic vs integer lattice indices), so their agreement on every
-sample is the oracle identity the module exists to exercise.
+The two totals stay independent: the resultants never see the lattice,
+and the Smith route never sees a resultant, since its starting
+precision k = rp depends on p and r alone and its answer certifies
+itself (width pivots of valuation < k are exact, else k doubles).
+Their agreement on every sample is the oracle identity the module
+exists to exercise; the spectrum command checks it.
+
+The resultants are most of a sample's cost, and that cost grows steeply
+with the ring order, so sampling refuses rings past SPECTRUM_ORDER_CAP.
 """
 
 from dataclasses import dataclass
@@ -16,23 +24,28 @@ from random import Random
 
 from .abelian import is_prime, make_group, p_split, prime_factors
 from .errors import CapacityError, DegenerateElementError, ScopeError
-from .grouprings import RING_ORDER_CAP, GroupRing, GroupRingElem, IdealLattice, group_ring
+from .grouprings import GroupRing, GroupRingElem, group_ring
+from .intmat import smith_valuations
 from .polys import cyclotomic, resultant_monic
 
 MAX_RESAMPLE = 512
+# largest ring order p^r sampled, far below grouprings.RING_ORDER_CAP:
+# one sample takes about 1.9 s at p = 79 (the worst order it admits),
+# 2.1 s at 83, 5.5 s at 101 and 18 s at 127 on a 2-core machine
+SPECTRUM_ORDER_CAP = 81
 
 
 def _check_scope(p: int, r: int, ring: bool = True) -> None:
     """Refuse r < 1 and a p that is not an odd prime.  With ring, first
-    refuse a ring Z[Z/p^r] past RING_ORDER_CAP, before p is tested or
-    a coefficient is drawn; 3^r already exceeds the cap once r passes
+    refuse a ring Z[Z/p^r] past SPECTRUM_ORDER_CAP, before p is tested
+    or a coefficient is drawn; 3^r already exceeds the cap once r passes
     its bit length, so p**r stays small."""
     if r < 1:
         raise ScopeError("level r must be at least 1")
     if p < 3 or p % 2 == 0:
         raise ScopeError("p must be an odd prime")
-    if ring and (r > RING_ORDER_CAP.bit_length() or p**r > RING_ORDER_CAP):
-        raise CapacityError(f"group ring of Z/{p}^{r} exceeds ring cap {RING_ORDER_CAP}")
+    if ring and (r > SPECTRUM_ORDER_CAP.bit_length() or p**r > SPECTRUM_ORDER_CAP):
+        raise CapacityError(f"group ring of Z/{p}^{r} exceeds ring cap {SPECTRUM_ORDER_CAP} of spectrum")
     if not is_prime(p):
         raise ScopeError("p must be an odd prime")
 
@@ -122,9 +135,11 @@ def build_sample(p: int, r: int, ucoeffs, epsilon: int = 1, attempts: int = 1) -
     for i in range(1, r + 1):
         res = resultant_monic(cyclotomic(p**i), fu)
         a_values.append(None if res == 0 else p_split(res, p)[0])
-    ideal = IdealLattice.from_elements(ring, [ring.full_norm(), x])
-    # the oracle identity sum(c_values) == snf_total is checked by the caller
-    snf_total = p_split(ideal.integral_index(), p)[0]
+    # v_p of [Z[G] : (N, x)] from N once (its translates are all N) and
+    # the n translates of x.  Precision p^(rp) exceeds every low-case
+    # total r(1 + a_1) <= r(p - 1), so only a high-case sample can need
+    # a doubling.  The caller checks sum(c_values) == snf_total.
+    snf_total = sum(smith_valuations([ring.full_norm().coeffs, *ring.mult_matrix(x)], n, p, r * p))
     return SpectrumSample(
         p,
         r,

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -231,6 +232,23 @@ def test_oversized_spectrum_ring_is_refused_at_once(argv):
     assert done.returncode == 65
     assert done.stdout == b""
     assert b"exceeds ring cap" in done.stderr
+
+
+@pytest.mark.parametrize("p, r", [("83", "1"), ("5", "3")])
+def test_spectrum_order_past_its_cap_is_refused_at_once(p, r):
+    # the resultants of one sample at 83 take about 2 s, at 125 about 1.5 s
+    env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
+    t0 = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "grlat", "spectrum", "--p", p, "--r", r, "--samples", "1"],
+        capture_output=True,
+        env=env,
+        timeout=10,
+    )
+    elapsed = time.monotonic() - t0
+    assert done.returncode == 65 and done.stdout == b""
+    assert b"exceeds ring cap" in done.stderr
+    assert elapsed < 2.0
 
 
 def test_spectrum_oracle_mismatch_fails_the_check(capsys, monkeypatch):

@@ -8,13 +8,13 @@ matrices, with sympy as the independent oracle where one exists.
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy import Matrix
+from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 import grlat.intmat as im
-from grlat.errors import ContainmentError
+from grlat.errors import ContainmentError, NotFullRankError
 
 small_entries = st.integers(min_value=-30, max_value=30)
 
@@ -194,3 +194,67 @@ def test_invariant_factors_anchor():
     assert im.invariant_factors([[2, 0], [0, 4]], 2) == (2, 4)
     # Z^2 / <(1,1),(0,3)>: invariants (1,3) filtered to (3,)? keep full diagonal contract
     assert im.invariant_factors([[1, 1], [0, 3]], 2)[-1] == 3
+
+
+def valuation(d, p):
+    e = 0
+    while d % p == 0:
+        d //= p
+        e += 1
+    return e
+
+
+@st.composite
+def full_rank_rows(draw):
+    """(rows, width, p): up to two more rows than width, entries scaled by
+    small powers of p so that the p-parts are often nontrivial."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    width = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=width, max_value=width + 2))
+    rows = [
+        [draw(small_entries) * p ** draw(st.integers(0, 3)) for _ in range(width)] for _ in range(m)
+    ]
+    assume(Matrix(rows).rank() == width)
+    return rows, width, p
+
+
+@given(full_rank_rows(), st.integers(min_value=1, max_value=4))
+@settings(max_examples=150, deadline=None)
+def test_smith_valuations_match_sympy(case, start):
+    rows, width, p = case
+    s = smith_normal_form(Matrix(rows), domain=ZZ)
+    theirs = sorted(valuation(abs(s[i, i]), p) for i in range(width))
+    assert im.smith_valuations(rows, width, p, start) == theirs
+
+
+def test_smith_valuations_double_past_the_start(monkeypatch):
+    passes = []
+    real = im._smith_valuations_mod
+
+    def counted(rows, width, p, k):
+        passes.append(k)
+        return real(rows, width, p, k)
+
+    monkeypatch.setattr(im, "_smith_valuations_mod", counted)
+    for p, k0 in ((2, 3), (3, 6), (5, 2)):
+        passes.clear()
+        rows = im.diagonal([p ** (k0 + 5), 1, 1])
+        rows[1][0] = 1  # a mixed row keeps it from being diagonal already
+        assert im.smith_valuations(rows, 3, p, k0) == [0, 0, k0 + 5]
+        assert passes[0] == k0 and len(passes) >= 2 and passes[-1] > k0 + 5
+
+
+@pytest.mark.parametrize(
+    "rows, width",
+    [
+        ([[1, 2], [2, 4]], 2),
+        ([[3, 6, 9], [1, 1, 1], [4, 7, 10]], 3),  # third row = first + second
+        ([[1, 0, 0], [0, 1, 0]], 3),  # too few rows
+        ([[0, 0], [0, 0], [1, 5]], 2),
+        ([[0, 0]], 2),
+    ],
+)
+def test_smith_valuations_refuse_rank_deficiency(rows, width):
+    for p in (2, 3, 7):
+        with pytest.raises(NotFullRankError):
+            im.smith_valuations(rows, width, p, 1)

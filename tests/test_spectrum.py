@@ -1,17 +1,23 @@
 """Valuation spectrum sampling: anchors, determinism, claim checks.
 
 The frozen anchors were computed by hand from resultants of small
-cyclotomic polynomials; the oracle identity (resultant total equals the
-Smith-form total) is asserted inside the builder itself, so every
-constructed sample re-proves it.
+cyclotomic polynomials.  The builder does not check the oracle identity
+(resultant total equals the Smith-form total): it records both totals,
+and the spectrum command's oracle_identity check compares them.  Here
+the property test compares them on random elements, and the p-local
+Smith total is checked against the global HNF index it replaced.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grlat.abelian import p_split
 from grlat.errors import CapacityError, DegenerateElementError, ScopeError
+from grlat.grouprings import RING_ORDER_CAP, IdealLattice
 from grlat.spectrum import (
+    SPECTRUM_ORDER_CAP,
+    _check_scope,
     build_sample,
     char_valuation,
     cyclic_ring,
@@ -151,3 +157,22 @@ def test_membership_predicate_shape(v, pr, n):
         assert v % r == 0 and r * n <= v <= top
     else:
         assert v % r != 0 or v < r * n
+
+
+@pytest.mark.parametrize("p, r", [(3, 2), (3, 3), (5, 2)])
+def test_snf_total_matches_the_global_hnf_index(p, r):
+    # the global route the p-local Smith valuations replaced
+    ring = cyclic_ring(p, r)
+    for s in sample_spectrum(p, r, count=200, seed=7):
+        x = ring.from_coeffs(list(s.x))
+        index = IdealLattice.from_elements(ring, [ring.full_norm(), x]).integral_index()
+        assert s.snf_total == p_split(index, p)[0], s
+
+
+def test_order_cap_keeps_every_documented_order():
+    assert SPECTRUM_ORDER_CAP <= RING_ORDER_CAP
+    for p, r in ((3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (3, 4), (79, 1)):
+        _check_scope(p, r)
+    for p, r in ((83, 1), (5, 3), (3, 5), (7, 3)):
+        with pytest.raises(CapacityError):
+            _check_scope(p, r)
