@@ -10,6 +10,10 @@ Conventions:
   * vectors are rows, maps act on the right (x -> x @ A),
   * hnf() returns the canonical row Hermite form: echelon, positive
     pivots, entries above each pivot reduced into [0, pivot),
+  * hnf() and hnf_with_transform() share one elimination, _echelon:
+    rows filed under their leading column, the least entry of a column
+    as pivot, and each reduction touching only the pivot row's nonzeros,
+    which keeps the sparse orbit matrices of ideal lattices cheap,
   * a full-rank square HNF has its pivots on the diagonal, so callers
     that store one test membership with in_span(h, range(n), v) and
     take its index with hnf_index(h) and walk its cosets with
@@ -89,55 +93,80 @@ def mat_pow(a, k):
     return result
 
 
-def _echelon(mat, width, reduce_above=True):
-    """In-place row echelon with gcd pivoting.  Returns pivot column list.
+def _leading(row, start, width):
+    """The first column in [start, width) where row is nonzero, else width."""
+    for j in range(start, width):
+        if row[j]:
+            return j
+    return width
 
-    Rows at index >= len(pivots) are zero in columns < width on exit.
-    Entries stay small: the least |entry| is always the working pivot,
-    and floor-division leaves remainders in [0, pivot).
+
+def _echelon(mat, width):
+    """In-place canonical row Hermite form on the first width columns, by
+    least-entry elimination (Cohen, GTM 138, 2.4.2).  Returns the pivot
+    columns; mat[:len(pivots)] is the HNF and every later row is zero in
+    columns < width.
+
+    Each row is filed once under its leading column, so column c works
+    only on the rows that start there.  A round picks the entry of least
+    |value| in the bucket (the first found; a unit stops the search) and
+    subtracts floor multiples of its row from the others at the pivot
+    row's nonzero positions only, leaving remainders below |pivot| in
+    absolute value; a row whose entry at c becomes 0 moves to the bucket
+    of its next nonzero column.  Entries stay small since the pivot is
+    always least.  Finally each entry above a pivot is reduced into
+    [0, pivot).
     """
-    m = len(mat)
+    buckets = [[] for _ in range(width + 1)]
+    for row in mat:
+        buckets[_leading(row, 0, width)].append(row)
+    out = []
     pivots = []
-    top = 0
     for col in range(width):
-        if top == m:
-            break
-        while True:
-            nz = [i for i in range(top, m) if mat[i][col]]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(mat[i][col]))
-            if i0 != top:
-                mat[i0], mat[top] = mat[top], mat[i0]
-            if len(nz) == 1:
-                break
-            piv = mat[top][col]
-            prow = mat[top]
-            for i in range(top + 1, m):
-                row = mat[i]
+        bucket = buckets[col]
+        while len(bucket) > 1:
+            prow = bucket[0]
+            least = abs(prow[col])
+            if least > 1:
+                for row in bucket:
+                    a = abs(row[col])
+                    if a < least:
+                        prow, least = row, a
+                        if a == 1:
+                            break
+            piv = prow[col]
+            nz = [j for j in range(col, len(prow)) if prow[j]]
+            keep = [prow]
+            for row in bucket:
+                if row is prow:
+                    continue
+                q = row[col] // piv
+                for j in nz:
+                    row[j] -= q * prow[j]
                 if row[col]:
-                    q = row[col] // piv
-                    if q:
-                        for j in range(col, len(row)):
-                            row[j] -= q * prow[j]
-        if top < m and mat[top][col]:
-            if mat[top][col] < 0:
-                mat[top] = [-x for x in mat[top]]
+                    keep.append(row)
+                else:
+                    buckets[_leading(row, col + 1, width)].append(row)
+            bucket = keep
+        if bucket:
+            prow = bucket[0]
+            if prow[col] < 0:
+                for j in range(col, len(prow)):
+                    prow[j] = -prow[j]
+            out.append(prow)
             pivots.append(col)
-            top += 1
-    if reduce_above:
-        # increasing order: step k only touches columns >= pivots[k], so
-        # already-canonical earlier pivot columns stay put
-        for k in range(len(pivots)):
-            col = pivots[k]
-            piv = mat[k][col]
-            prow = mat[k]
-            for i in range(k):
-                q = mat[i][col] // piv
-                if q:
-                    row = mat[i]
-                    for j in range(col, len(row)):
-                        row[j] -= q * prow[j]
+    # increasing order: step k only touches columns >= pivots[k], so
+    # already-canonical earlier pivot columns stay put
+    for k, col in enumerate(pivots):
+        prow = out[k]
+        piv = prow[col]
+        nz = [j for j in range(col, len(prow)) if prow[j]]
+        for row in out[:k]:
+            q = row[col] // piv
+            if q:
+                for j in nz:
+                    row[j] -= q * prow[j]
+    mat[:] = out + buckets[width]
     return pivots
 
 

@@ -16,7 +16,9 @@ Their agreement on every sample is the oracle identity the module
 exists to exercise; the spectrum command checks it.
 
 The resultants are most of a sample's cost, and that cost grows steeply
-with the ring order, so sampling refuses rings past SPECTRUM_ORDER_CAP.
+with the ring order and with the coefficient size, so sampling refuses
+rings past SPECTRUM_ORDER_CAP and coefficient exponents past
+COEFF_EXP_CAP.
 """
 
 from dataclasses import dataclass
@@ -33,6 +35,11 @@ MAX_RESAMPLE = 512
 # one sample takes about 1.9 s at p = 79 (the worst order it admits),
 # 2.1 s at 83, 5.5 s at 101 and 18 s at 127 on a 2-core machine
 SPECTRUM_ORDER_CAP = 81
+# largest --coeff-exp sampled: one sample at p = 79 costs 1.25x the
+# default 5's at 6, 1.8x at 7, 2.1x at 8 and 3x at 10 (0.86, 1.08, 1.53,
+# 1.83 and 2.5 s, timed together on a 2-core machine), so 6 keeps every
+# accepted sample near the cost documented for the default
+COEFF_EXP_CAP = 6
 
 
 def _check_scope(p: int, r: int, ring: bool = True) -> None:
@@ -165,6 +172,8 @@ def sample_spectrum(p: int, r: int, coeff_exp: int = 5, count: int = 100, seed: 
     _check_scope(p, r)
     if coeff_exp < 1:
         raise ScopeError("coeff_exp must be at least 1")
+    if coeff_exp > COEFF_EXP_CAP:
+        raise CapacityError(f"coefficient exponent {coeff_exp} exceeds cap {COEFF_EXP_CAP} of spectrum")
     if count < 1:
         raise ScopeError("sample count must be at least 1")
     n = p**r

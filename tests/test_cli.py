@@ -212,6 +212,19 @@ def test_spectrum_usage_errors(capsys):
         assert code == 64 and "usage error" in err and out == ""
 
 
+def run_spectrum(argv):
+    """`python -m grlat spectrum argv` in a fresh interpreter, and its wall time."""
+    env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
+    t0 = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "grlat", "spectrum", *argv],
+        capture_output=True,
+        env=env,
+        timeout=10,
+    )
+    return done, time.monotonic() - t0
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -222,13 +235,7 @@ def test_spectrum_usage_errors(capsys):
     ],
 )
 def test_oversized_spectrum_ring_is_refused_at_once(argv):
-    env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-m", "grlat", "spectrum", *argv],
-        capture_output=True,
-        env=env,
-        timeout=10,
-    )
+    done, _ = run_spectrum(argv)
     assert done.returncode == 65
     assert done.stdout == b""
     assert b"exceeds ring cap" in done.stderr
@@ -237,17 +244,18 @@ def test_oversized_spectrum_ring_is_refused_at_once(argv):
 @pytest.mark.parametrize("p, r", [("83", "1"), ("5", "3")])
 def test_spectrum_order_past_its_cap_is_refused_at_once(p, r):
     # the resultants of one sample at 83 take about 2 s, at 125 about 1.5 s
-    env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
-    t0 = time.monotonic()
-    done = subprocess.run(
-        [sys.executable, "-m", "grlat", "spectrum", "--p", p, "--r", r, "--samples", "1"],
-        capture_output=True,
-        env=env,
-        timeout=10,
-    )
-    elapsed = time.monotonic() - t0
+    done, elapsed = run_spectrum(["--p", p, "--r", r, "--samples", "1"])
     assert done.returncode == 65 and done.stdout == b""
     assert b"exceeds ring cap" in done.stderr
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("p, r, exp", [("79", "1", "10"), ("3", "3", "2000")])
+def test_spectrum_coeff_exp_past_its_cap_is_refused_at_once(p, r, exp):
+    # one sample at p = 79 costs three times the default's at --coeff-exp 10
+    done, elapsed = run_spectrum(["--p", p, "--r", r, "--samples", "1", "--coeff-exp", exp])
+    assert done.returncode == 65 and done.stdout == b""
+    assert b"coefficient exponent" in done.stderr and b"exceeds cap" in done.stderr
     assert elapsed < 2.0
 
 

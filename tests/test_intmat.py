@@ -2,7 +2,10 @@
 
 The HNF/SNF/determinant/kernel code underneath everything else is
 tested here both on frozen anchors and on hypothesis-generated
-matrices, with sympy as the independent oracle where one exists.
+matrices, with sympy as the independent oracle where one exists.  The
+sparse HNF elimination is also compared entry for entry with the dense
+elimination it replaced, kept here as ref_echelon, on tall sparse
+matrices and group-ring orbit matrices.
 """
 
 from math import prod
@@ -11,12 +14,109 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Matrix
-from sympy.matrices.normalforms import smith_normal_form
+from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 import grlat.intmat as im
+from grlat.abelian import make_group
 from grlat.errors import ContainmentError, NotFullRankError
+from grlat.grouprings import group_ring
 
 small_entries = st.integers(min_value=-30, max_value=30)
+
+
+def ref_echelon(mat, width, reduce_above=True):
+    """In-place row echelon with gcd pivoting.  Returns pivot column list.
+
+    Rows at index >= len(pivots) are zero in columns < width on exit.
+    Entries stay small: the least |entry| is always the working pivot,
+    and floor-division leaves remainders in [0, pivot).
+    """
+    m = len(mat)
+    pivots = []
+    top = 0
+    for col in range(width):
+        if top == m:
+            break
+        while True:
+            nz = [i for i in range(top, m) if mat[i][col]]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(mat[i][col]))
+            if i0 != top:
+                mat[i0], mat[top] = mat[top], mat[i0]
+            if len(nz) == 1:
+                break
+            piv = mat[top][col]
+            prow = mat[top]
+            for i in range(top + 1, m):
+                row = mat[i]
+                if row[col]:
+                    q = row[col] // piv
+                    if q:
+                        for j in range(col, len(row)):
+                            row[j] -= q * prow[j]
+        if top < m and mat[top][col]:
+            if mat[top][col] < 0:
+                mat[top] = [-x for x in mat[top]]
+            pivots.append(col)
+            top += 1
+    if reduce_above:
+        # increasing order: step k only touches columns >= pivots[k], so
+        # already-canonical earlier pivot columns stay put
+        for k in range(len(pivots)):
+            col = pivots[k]
+            piv = mat[k][col]
+            prow = mat[k]
+            for i in range(k):
+                q = mat[i][col] // piv
+                if q:
+                    row = mat[i]
+                    for j in range(col, len(row)):
+                        row[j] -= q * prow[j]
+    return pivots
+
+
+def ref_hnf(rows, width):
+    """hnf() as it was computed by the dense elimination above."""
+    rows = [list(r) for r in rows]
+    pivots = ref_echelon(rows, width)
+    return rows[: len(pivots)]
+
+
+@st.composite
+def sparse_tall(draw):
+    """(rows, width): up to 2w + 2 rows of width w <= 8, mostly zero, with
+    some all-zero columns, duplicate rows and zero rows."""
+    width = draw(st.integers(min_value=1, max_value=8))
+    m = draw(st.integers(min_value=1, max_value=2 * width + 2))
+    dead = draw(st.sets(st.integers(0, width - 1), max_size=width // 2))
+
+    def entry(j):
+        if j in dead or draw(st.integers(0, 3)):
+            return 0
+        return draw(small_entries)
+
+    rows = [[entry(j) for j in range(width)] for _ in range(m)]
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+        rows[i] = list(rows[draw(st.integers(0, m - 1))]) if draw(st.booleans()) else [0] * width
+    return rows, width
+
+
+ORBIT_GROUPS = ([8], [2, 4], [3, 3], [12])
+
+
+@st.composite
+def orbit_matrices(draw):
+    """(rows, n): the stacked orbits in Z[G] of one or two random elements
+    with one to three nonzero coefficients, as the ideal lattices are."""
+    ring = group_ring(make_group(draw(st.sampled_from(ORBIT_GROUPS))))
+    rows = []
+    for _ in range(draw(st.integers(1, 2))):
+        coeffs = [0] * ring.n
+        for i in draw(st.lists(st.integers(0, ring.n - 1), min_size=1, max_size=3)):
+            coeffs[i] = draw(st.integers(-6, 6))
+        rows += ring.mult_matrix(ring.from_coeffs(coeffs))
+    return rows, ring.n
 
 
 def square(n):
@@ -94,16 +194,60 @@ def test_hnf_preserves_row_space(rows):
         assert im.in_span(h, piv, list(r))
 
 
-@given(st.lists(st.lists(small_entries, min_size=4, max_size=4), min_size=2, max_size=3))
+@given(st.one_of(sparse_tall(), orbit_matrices()))
+@settings(max_examples=200, deadline=None)
+def test_hnf_matches_the_dense_reference(case):
+    rows, width = case
+    assert im.hnf(rows, width) == ref_hnf(rows, width)
+
+
+@given(st.integers(min_value=1, max_value=5), st.data())
 @settings(max_examples=80, deadline=None)
-def test_left_kernel_annihilates(rows):
-    ker = im.left_kernel([list(r) for r in rows])
+def test_hnf_spans_the_lattice_of_sympys_hnf(n, data):
+    rows = data.draw(st.lists(st.lists(small_entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    assume(im.det(rows) != 0)
+    h = im.hnf(rows, n)
+    # sympy's HNF is column-style: the columns of HNF(A^T) span the row
+    # lattice of A, as a lower-triangular basis; reversed coordinates make
+    # it an echelon basis in_span can reduce against
+    t = hermite_normal_form(Matrix(rows).T)
+    theirs = [[int(x) for x in t.col(j)] for j in range(n)]
+    flipped = [r[::-1] for r in reversed(theirs)]
+    assert im.hnf_index(h) == prod(theirs[i][i] for i in range(n)) == abs(im.det(rows))
+    assert all(im.in_span(h, range(n), r) for r in theirs)
+    assert all(im.in_span(flipped, range(n), r[::-1]) for r in h)
+
+
+@given(st.one_of(sparse_tall(), orbit_matrices()))
+@settings(max_examples=120, deadline=None)
+def test_hnf_with_transform_contract(case):
+    rows, width = case
+    m = len(rows)
+    h, u, pivots = im.hnf_with_transform(rows, width)
+    assert h == im.hnf(rows, width) and len(pivots) == len(h)
+    assert len(u) == m and all(len(r) == m for r in u)
+    assert abs(im.det(u)) == 1
+    assert im.mat_mul(u, rows) == h + im.zeros(m - len(h), width)
+
+
+dense_wide = st.lists(st.lists(small_entries, min_size=4, max_size=4), min_size=2, max_size=3)
+
+
+@given(st.one_of(dense_wide.map(lambda rows: (rows, 4)), sparse_tall()))
+@settings(max_examples=120, deadline=None)
+def test_left_kernel_annihilates(case):
+    rows, width = case
+    ker = im.left_kernel([list(r) for r in rows], width)
     for k in ker:
         out = im.vec_mat(k, rows)
         assert all(x == 0 for x in out)
     # kernel rank + row rank = number of rows
-    rank = len(im.hnf([list(r) for r in rows], 4))
+    rank = len(im.hnf([list(r) for r in rows], width))
     assert len(ker) == len(rows) - rank
+    # saturated: Z^m / span(ker) is torsion-free, so every x with x A = 0
+    # is an integer combination of the basis
+    if ker:
+        assert im.snf_diagonal(ker, len(rows)) == [1] * len(ker)
 
 
 def test_right_kernel_anchor():

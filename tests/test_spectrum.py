@@ -16,6 +16,7 @@ from grlat.abelian import p_split
 from grlat.errors import CapacityError, DegenerateElementError, ScopeError
 from grlat.grouprings import RING_ORDER_CAP, IdealLattice
 from grlat.spectrum import (
+    COEFF_EXP_CAP,
     SPECTRUM_ORDER_CAP,
     _check_scope,
     build_sample,
@@ -176,3 +177,12 @@ def test_order_cap_keeps_every_documented_order():
     for p, r in ((83, 1), (5, 3), (3, 5), (7, 3)):
         with pytest.raises(CapacityError):
             _check_scope(p, r)
+
+
+def test_coeff_exp_cap_keeps_the_default_and_refuses_before_drawing(monkeypatch):
+    assert COEFF_EXP_CAP >= 5
+    assert len(sample_spectrum(3, 2, coeff_exp=COEFF_EXP_CAP, count=1)) == 1
+    monkeypatch.setattr("grlat.spectrum.build_sample", pytest.fail)
+    for e in (COEFF_EXP_CAP + 1, 2000):
+        with pytest.raises(CapacityError):
+            sample_spectrum(79, 1, coeff_exp=e, count=1)
