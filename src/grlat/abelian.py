@@ -166,12 +166,12 @@ class FinAbGroup:
     def generators(self) -> list["GroupElement"]:
         return [self.element(r) for r in im.identity(self.rank)]
 
-    def elements(self, cap: int = ELEMENT_CAP) -> Iterator["GroupElement"]:
+    def elements(self) -> Iterator["GroupElement"]:
         """The elements, first coordinate fastest: the residues of the
         relation lattice diag(d)."""
-        if self.order > cap:
+        if self.order > ELEMENT_CAP:
             raise CapacityError(
-                f"group of order {self.order} exceeds element cap {cap}"
+                f"group of order {self.order} exceeds element cap {ELEMENT_CAP}"
             )
         return (GroupElement(self, x) for x in im.hnf_residues(im.diagonal(self.factors)))
 
@@ -313,9 +313,9 @@ class Subgroup:
         eye = im.identity(self.group.rank)
         return Subgroup(self.group, im.preimage_lattice(self.basis, eye, other.basis))
 
-    def elements(self, cap: int = ELEMENT_CAP) -> list[GroupElement]:
-        if self.order > cap:
-            raise CapacityError(f"subgroup of order {self.order} exceeds cap {cap}")
+    def elements(self) -> list[GroupElement]:
+        if self.order > ELEMENT_CAP:
+            raise CapacityError(f"subgroup of order {self.order} exceeds cap {ELEMENT_CAP}")
         # close the generators under addition mod the factors: S + m*g is
         # either S or disjoint from it, so adding multiples of g stops at
         # the first coset that is already in S
@@ -461,12 +461,6 @@ class QuotientData:
         if elem.group != self.source:
             raise ParentMismatchError("element not in the source group")
         return self.group.element(im.vec_mat(elem.coords, self._p))
-
-    def push(self, sub: Subgroup) -> Subgroup:
-        if sub.group != self.source:
-            raise ParentMismatchError("subgroup not in the source group")
-        rows = [im.vec_mat(b, self._p) for b in sub.basis] + im.diagonal(self.group.factors)
-        return Subgroup(self.group, im.hnf(rows, self.group.rank))
 
 
 def quotient_data(group: FinAbGroup, sub: Subgroup) -> QuotientData:

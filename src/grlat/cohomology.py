@@ -440,7 +440,6 @@ def triviality_criterion(
     inertia: Subgroup,
     frob: GroupElement,
     p: int,
-    prec: int | None = None,
 ) -> CriterionReport:
     """Check, for every character class of the prime-to-p part, that the
     chi-component of the p-part of the inertia module is
@@ -452,7 +451,7 @@ def triviality_criterion(
     mp = p_part(mod, p)
     rows = []
     for chi in character_classes(group, p):
-        comp = chi_component(mp, chi, prec)
+        comp = chi_component(mp, chi)
         lhs = comp.order == 1 or is_cohomologically_trivial(comp)
         rhs = _predicted_component_triviality(group, inertia, frob, p, chi)
         rows.append(CriterionRow(chi, lhs, rhs))

@@ -1,7 +1,7 @@
 """Integral group rings of finite abelian groups, their ideal lattices,
 and finitely generated torsion modules.
 
-Ring elements are dense int or Fraction coefficient tuples over the
+Ring elements are dense integer coefficient tuples over the
 enumeration of FinAbGroup.elements(): mixed radix, first coordinate
 fastest.  Group addition is index arithmetic on the radix digits:
 GroupRing.shift(j), cached per j, maps i to the index of
@@ -10,9 +10,9 @@ permutes coefficients along it, multiplication scatters products along
 it, and the ideal generated by x is spanned by the translates of x.
 group_ring() memoises one ring per group.
 
-A lattice in the rational group algebra is (den, rows): the row span of
-an integer HNF basis, divided by den, kept gcd-reduced so equal
-lattices compare equal.
+An ideal lattice is a full-rank lattice in Z[G], stored as its
+canonical integer row-HNF basis so equal lattices compare equal; the
+backward representative L, inside (1/#I) Z[G], is stored as #I L.
 
 A finite module is stored in Smith coordinates: as an abelian group it
 is (+) Z/d_i with d_i > 1 and d_i | d_(i+1), its relations are diag(d),
@@ -30,9 +30,7 @@ FiniteModule.actions, one cached walk of the group per module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
 
 from . import intmat as im
 from .abelian import FinAbGroup, GroupElement, Subgroup
@@ -50,10 +48,10 @@ RING_ORDER_CAP = 4096
 class GroupRing:
     """Z[G] for a finite abelian G, with cached index arithmetic."""
 
-    def __init__(self, group: FinAbGroup, cap: int = RING_ORDER_CAP):
-        if group.order > cap:
+    def __init__(self, group: FinAbGroup):
+        if group.order > RING_ORDER_CAP:
             raise CapacityError(
-                f"group of order {group.order} exceeds ring cap {cap}"
+                f"group of order {group.order} exceeds ring cap {RING_ORDER_CAP}"
             )
         self.group = group
         self.n = group.order
@@ -167,7 +165,7 @@ class GroupRingElem:
         return GroupRingElem(self.ring, tuple(c * a for a in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.scale(other)
         self._check(other)
         ring = self.ring
@@ -204,75 +202,51 @@ class GroupRingElem:
         return " + ".join(terms) if terms else "0"
 
 
-def _coeffs_to_int_rows(elems):
-    """Common-denominator integer rows for a list of ring elements."""
-    den = lcm(*(c.denominator for e in elems for c in e.coeffs))
-    return den, [[int(c * den) for c in e.coeffs] for e in elems]
-
-
 class IdealLattice:
-    """A full-rank lattice (1/den) * rowspan(basis) inside Q[G].
+    """A full-rank lattice rowspan(basis) inside Z[G]; basis is a canonical
+    int row-HNF, so equal lattices have identical bases."""
 
-    basis is a canonical integer row-HNF; gcd(den, content(basis)) = 1,
-    so equal lattices have identical (den, basis).
-    """
+    __slots__ = ("ring", "basis")
 
-    __slots__ = ("ring", "den", "basis")
-
-    def __init__(self, ring: GroupRing, den: int, rows):
-        if den < 1:
-            raise ValueError("denominator must be positive")
-        h = im.hnf([list(r) for r in rows], ring.n)
+    def __init__(self, ring: GroupRing, rows):
+        h = im.hnf(rows, ring.n)
         if len(h) != ring.n:
             raise NotFullRankError(
                 f"lattice rank {len(h)} < ring rank {ring.n}"
             )
-        g = den
-        for r in h:
-            for x in r:
-                if x:
-                    g = gcd(g, x)
-            if g == 1:
-                break
-        if g > 1:
-            den //= g
-            h = [[x // g for x in r] for r in h]
         self.ring = ring
-        self.den = den
         self.basis = im.frozen(h)
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def from_elements(cls, ring: GroupRing, elems, orbit: bool = True) -> "IdealLattice":
-        """Lattice spanned by elems; with orbit=True, their full G-orbit,
-        i.e. the ideal they generate."""
+    def from_elements(cls, ring: GroupRing, elems) -> "IdealLattice":
+        """The ideal generated by elems, spanned by their full G-orbit;
+        a coefficient that is not an int is refused before any HNF."""
         xs = list(elems)
         if any(x.ring.group != ring.group for x in xs):
             raise ParentMismatchError("element of a different group")
-        den, rows = _coeffs_to_int_rows(xs)
-        if orbit:
-            rows = [ring._translated(r, j) for r in rows for j in range(ring.n)]
-        return cls(ring, den, rows)
+        if not all(isinstance(c, int) for x in xs for c in x.coeffs):
+            raise TypeError("ideal lattices need int coefficients")
+        return cls(ring, [ring._translated(x.coeffs, j) for x in xs for j in range(ring.n)])
 
     # -- structure -----------------------------------------------------------
 
     def integral_index(self) -> int:
-        """[Z^n : den * L], the index of the cleared-denominator lattice:
-        the product of the pivots of the full-rank HNF basis."""
+        """[Z^n : L], the product of the pivots of the HNF basis."""
         return im.hnf_index(self.basis)
 
     # -- arithmetic ------------------------------------------------------------
 
     def multiply_element(self, x: GroupRingElem) -> "IdealLattice":
-        den, rows = _coeffs_to_int_rows([x])
-        xi = self.ring.from_coeffs(tuple(rows[0]))
-        m = self.ring.mult_matrix(xi)
-        out = [im.vec_mat(list(r), m) for r in self.basis]
-        return IdealLattice(self.ring, self.den * den, out)
+        """The lattice L x, for x in this ring."""
+        if not all(isinstance(c, int) for c in x.coeffs):
+            raise TypeError("ideal lattices need int coefficients")
+        m = self.ring.mult_matrix(x)
+        return IdealLattice(self.ring, [im.vec_mat(list(r), m) for r in self.basis])
 
     def __repr__(self):
-        return f"IdealLattice(den={self.den}, index={self.integral_index()})"
+        return f"IdealLattice(index={self.integral_index()})"
 
 
 def _mod_columns(rows, d):
@@ -413,7 +387,7 @@ def inertia_module(ring: GroupRing, inertia: Subgroup, frob: GroupElement) -> Fi
     qring = group_ring(qd.group)
     fbar = qd.proj(frob)
     tau = qring.one() - qring.delta(-fbar) + qring.one().scale(inertia.order)
-    rel = IdealLattice.from_elements(qring, [tau], orbit=True)
+    rel = IdealLattice.from_elements(qring, [tau])
     # the parent group acts through the quotient
     actions = [qring.translation_matrix(qd.proj(g)) for g in group.generators()]
     return FiniteModule.build(group, [list(r) for r in rel.basis], actions)

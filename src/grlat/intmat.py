@@ -478,7 +478,7 @@ def hnf_residues(h):
         yield x[::-1]
 
 
-def preimage_lattice(domain_rows, f_matrix, target_rows, width_target=None):
+def preimage_lattice(domain_rows, f_matrix, target_rows):
     """Basis of {x in row span(domain) : x @ F in row span(target)}.
 
     domain_rows may be None meaning the standard lattice Z^a.
@@ -486,8 +486,7 @@ def preimage_lattice(domain_rows, f_matrix, target_rows, width_target=None):
     a = len(f_matrix)
     if domain_rows is None:
         domain_rows = identity(a)
-    if width_target is None:
-        width_target = len(f_matrix[0]) if f_matrix else 0
+    width_target = len(f_matrix[0]) if f_matrix else 0
     images = [vec_mat(r, f_matrix) for r in domain_rows]
     stacked = images + [[-x for x in r] for r in target_rows]
     if not stacked:

@@ -7,7 +7,8 @@ N_I and the element 1 - lift(phi)^{-1} + #I; it depends on the chosen
 coset lift.  The backward representative exists over any finite abelian
 group: with nu = N_I / #I it is spanned by nu and 1 - nu*phi^{-1}
 inside (1/#I) Z[G], and is exactly independent of the lift because
-nu absorbs translation by I.
+nu absorbs translation by I.  It is stored scaled by #I, as the
+integral ideal (N_I, #I - N_I phi^{-1}).
 
 The verification routines certify, with exact integer arithmetic, the
 three structural facts the representatives rest on: the kernel of
@@ -31,8 +32,6 @@ span exactly when [Z[G] : (N_I, g)] * [Z[G/I] : (gbar)] = |det M_g|.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 
 from . import intmat as im
 from .abelian import (
@@ -60,7 +59,8 @@ class ShiftRep:
 
     direction +1 is the forward (ideal) representative and records the
     lift actually used in frob; direction -1 is the backward
-    representative, for which frob is any representative of the coset.
+    representative, for which frob is any representative of the coset
+    and lattice is the backward lattice scaled by #I.
     """
 
     direction: int
@@ -103,13 +103,14 @@ def backward_rep(
     ring: GroupRing, inertia: Subgroup, frob: GroupElement
 ) -> ShiftRep:
     """Backward representative: the lattice (nu, 1 - nu phi^{-1}) with
-    nu = N_I / #I, inside (1/#I) Z[G].  Independent of the coset lift;
+    nu = N_I / #I, inside (1/#I) Z[G], stored scaled by #I as the ideal
+    (N_I, #I - N_I phi^{-1}) of Z[G].  Independent of the coset lift;
     inertia must be nontrivial."""
     if inertia.is_trivial:
         raise ScopeError("backward representative needs nontrivial inertia")
-    nu = ring.norm_element(inertia).scale(Fraction(1, inertia.order))
-    w2 = ring.one() - nu * ring.delta(-frob)
-    lat = IdealLattice.from_elements(ring, [nu, w2])
+    n_i = ring.norm_element(inertia)
+    w2 = ring.one().scale(inertia.order) - n_i * ring.delta(-frob)
+    lat = IdealLattice.from_elements(ring, [n_i, w2])
     return ShiftRep(-1, inertia, frob, lat)
 
 
@@ -173,10 +174,7 @@ def _kernel_identity(
     qring = group_ring(make_group([k]))
     gbar = qring.from_coeffs(sum(g.coeffs[c::k]) for c in range(k))
     quotient_index = IdealLattice.from_elements(qring, [gbar]).integral_index()
-    projection_matches = (
-        projection.den == 1
-        and projection.integral_index() * quotient_index == det_g
-    )
+    projection_matches = projection.integral_index() * quotient_index == det_g
     return KernelReport(contained and projection_matches, projection_matches)
 
 
@@ -209,15 +207,14 @@ def verify_extension_sequence(
     """
     lat = backward_rep(ring, inertia, frob).lattice
     n = ring.n
-    den = lat.den
     basis = [list(r) for r in lat.basis]
     n_i = ring.norm_element(inertia)
     mn = ring.mult_matrix(n_i)
     ker_rows = im.right_kernel(mn)
     kcols = im.mat_transpose(ker_rows)
-    # (a) image under pi agrees with the image of the full group ring
+    # (a) pi of the stored lattice #I L agrees with #I pi(Z[G])
     bk = im.mat_mul(basis, kcols)
-    full_rows = [[den * v for v in row] for row in kcols]
+    full_rows = [[inertia.order * v for v in row] for row in kcols]
     image_matches = im.lattice_eq(bk, full_rows)
     # (b) preimage of L under multiplication by nu is the standard lattice;
     # a row per coset of I, in any order: neither fact below depends on it
@@ -226,10 +223,6 @@ def verify_extension_sequence(
         for x in im.hnf_residues(inertia.basis)
     ]
     nbar = len(fnum)
-    if den != inertia.order:
-        raise ContainmentError(
-            f"backward representative has denominator {den}, not #I = {inertia.order}"
-        )
     coeff_rows = im.left_kernel(bk)
     w_rows = [im.vec_mat(c, basis) for c in coeff_rows]
     # the rows of fnum are disjoint 0/1 indicators of the cosets of I,
@@ -279,9 +272,7 @@ def verify_unit_transport(
     lat_a = backward_rep(ring, inertia, frob_a).lattice
     lat_b = backward_rep(ring, inertia, frob_b).lattice
     n = ring.n
-    common = lat_a.den * inertia.order
-    common = common * lat_b.den // gcd(common, lat_b.den)
-    needed = n * p_split(common, p)[0] + 1
+    needed = 2 * n * p_split(inertia.order, p)[0] + 1
     prec = needed if precision is None else precision
     if prec < needed:
         raise PrecisionError(
@@ -307,38 +298,26 @@ def verify_unit_transport(
     u = [c % q for c in sol[:nbar]]
     aug = sum(u) % q
     if aug % p == 0:
-        fixed = False
         for row in im.left_kernel(stacked):
             k = [c % q for c in row[:nbar]]
             ka = sum(k) % q
             if ka % p:
                 c = ((1 - aug) * pow(ka, -1, q)) % q
                 u = [(a + c * b) % q for a, b in zip(u, k)]
-                fixed = True
                 break
-        if not fixed:
+        else:
             raise UnitNotFoundError("solution space contains no unit")
     # lift u along the canonical coset representatives and form the
-    # multiplier w = 1 + nu (u~ - 1); nu absorbs translation by I, so
-    # any transversal gives the same w
+    # multiplier W = #I w = #I + N_I (u~ - 1); N_I absorbs translation by
+    # I, so any transversal gives the same W; compare #I^2 A w = (#I A) W
+    # with #I^2 B = #I (#I B), from the stored #I A and #I B
     ucoeffs = [0] * n
     for x in im.hnf_residues(inertia.basis):
         rep = GroupElement(group, x)
         ucoeffs[ring.index_of(rep)] = u[qring.index_of(qd.proj(rep))]
     utilde = ring.from_coeffs(tuple(ucoeffs))
-    nu = ring.norm_element(inertia).scale(Fraction(1, inertia.order))
-    w = ring.one() + nu * (utilde - ring.one())
-    transported = lat_a.multiply_element(w)
-    if common % transported.den or common % lat_b.den:
-        raise ContainmentError(
-            "transported lattice is not inside (1/common) Z[G]"
-        )
-    rows_a = [
-        [v * (common // transported.den) for v in row]
-        for row in transported.basis
-    ]
-    rows_b = [
-        [v * (common // lat_b.den) for v in row] for row in lat_b.basis
-    ]
+    w = ring.one().scale(inertia.order) + ring.norm_element(inertia) * (utilde - ring.one())
+    rows_a = [list(r) for r in lat_a.multiply_element(w).basis]
+    rows_b = [[inertia.order * v for v in row] for row in lat_b.basis]
     mod_rows = im.diagonal([q] * n)
     return im.lattice_eq(rows_a + mod_rows, rows_b + mod_rows)

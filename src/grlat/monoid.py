@@ -24,10 +24,9 @@ from .abelian import (
     decomposition_subgroup,
     enumerate_subgroups,
     is_elementary,
+    p_split,
     prime_factors,
-    quotient_data,
     sylow,
-    sylow_complement,
 )
 from .errors import CapacityError, ScopeError
 
@@ -145,6 +144,18 @@ def _cyclic_quotient_pairs(inertias, subs):
     return out
 
 
+def _p_quotient(group: FinAbGroup, p: int) -> FinAbGroup:
+    """The maximal p-quotient G/G_{p'}: (+) Z/p^{v_p(d_i)} over the d_i p divides."""
+    return FinAbGroup(tuple(q for q in (p ** p_split(d, p)[0] for d in group.factors) if q > 1))
+
+
+def _push(sub: Subgroup, qgroup: FinAbGroup) -> Subgroup:
+    """The image of sub in qgroup = _p_quotient(G, p): the d_i that p
+    divides are the last ones, and the quotient map reduces their coordinates."""
+    rows = [b[len(b) - qgroup.rank :] for b in sub.basis] + im.diagonal(qgroup.factors)
+    return Subgroup(qgroup, im.hnf(rows, qgroup.rank))
+
+
 def build_sets(group: FinAbGroup) -> SetFamily:
     """Enumerate every index set of the group, including the projection
     from generator pairs to (I, D) pairs and the local pair sets over
@@ -176,8 +187,7 @@ def build_sets(group: FinAbGroup) -> SetFamily:
     s_p = {}
     t_tuples = []
     for p in sorted(prime_factors(group.order)):
-        qgroup = quotient_data(group, sylow_complement(group, p)).group
-        qsubs = enumerate_subgroups(qgroup)
+        qsubs = enumerate_subgroups(_p_quotient(group, p))
         s_p[p] = tuple(_cyclic_quotient_pairs(_inertias(qsubs), qsubs))
         t_tuples += [
             LocalTuple(p, h, pr.inertia, pr.dec)
@@ -210,7 +220,7 @@ def _beta_values(family: SetFamily, pairs) -> list:
     """beta of each (I, D) pair: the 0/1 vector over the target tuples
     marking every (p, H, Istar, Dstar) with D inside H and the images of
     I and D in the maximal p-quotient equal to Istar and Dstar.  Each
-    maximal p-quotient is built once."""
+    subgroup is pushed once per prime: a D recurs under many I."""
     group = family.group
     targets = family.t_tuples
     # the basis comparison is a dict lookup, so only the target tuples
@@ -218,15 +228,16 @@ def _beta_values(family: SetFamily, pairs) -> list:
     by_images = {}
     for i, t in enumerate(targets):
         by_images.setdefault((t.p, t.istar, t.dstar), []).append(i)
-    quotients = {}
+    quotients = {p: _p_quotient(group, p) for p in prime_factors(group.order)}
+    pushed = {}
     out = []
     for pair in pairs:
         vec = [0] * len(targets)
         for p in prime_factors(pair.inertia.order):
-            if p not in quotients:
-                quotients[p] = quotient_data(group, sylow_complement(group, p))
-            qd_p = quotients[p]
-            key = (p, qd_p.push(pair.inertia), qd_p.push(pair.dec))
+            for sub in (pair.inertia, pair.dec):
+                if (p, sub) not in pushed:
+                    pushed[p, sub] = _push(sub, quotients[p])
+            key = (p, pushed[p, pair.inertia], pushed[p, pair.dec])
             for i in by_images.get(key, ()):
                 if pair.dec.is_subset_of(targets[i].h):
                     vec[i] = 1

@@ -175,13 +175,19 @@ def test_quotient_data_roundtrip():
                 assert qd.proj(e).is_zero == sub.contains(e), (sub, e)
 
 
+def push(qd, sub):
+    """The image of sub in the quotient qd, generated by the images of
+    its generators."""
+    return Subgroup.from_generators(qd.group, [qd.proj(x) for x in sub.generators()])
+
+
 def test_quotient_push_subgroup():
     g = make_group([3, 9])
     h = Subgroup.from_generators(g, [g.element((0, 3))])
     qd = quotient_data(g, h)
-    full_image = qd.push(Subgroup.full(g))
+    full_image = push(qd, Subgroup.full(g))
     assert full_image.order == qd.group.order
-    assert qd.push(h).is_trivial
+    assert push(qd, h).is_trivial
 
 
 def test_helper_prime_classifiers():
@@ -364,7 +370,7 @@ def test_quotient_structure_matches_the_pushed_quotient(factors):
             if not small.is_subset_of(big):
                 assert got is None, (big, small)
                 continue
-            assert got == quotient_data(g, small).push(big).structure(), (big, small)
+            assert got == push(quotient_data(g, small), big).structure(), (big, small)
         assert big.quotient_structure(Subgroup.trivial(g)) == big.structure()
 
 

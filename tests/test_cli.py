@@ -459,6 +459,24 @@ def test_package_has_no_assert():
     assert not offenders
 
 
+def test_package_is_integral():
+    # every lattice and ring element is integral: no module imports fractions
+    def imported(node):
+        if isinstance(node, ast.Import):
+            return [a.name for a in node.names]
+        if isinstance(node, ast.ImportFrom):
+            return [node.module or ""]
+        return []
+
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(grlat.__file__).parent.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if any(name.split(".")[0] == "fractions" for name in imported(node))
+    ]
+    assert not offenders
+
+
 @pytest.mark.parametrize(
     "argv",
     [

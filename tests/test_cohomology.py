@@ -526,7 +526,7 @@ def ref_inertia_module(ring, inertia, frob):
     qring = group_ring(qd.group)
     fbar = qd.proj(frob)
     tau = qring.one() - qring.delta(-fbar) + qring.one().scale(inertia.order)
-    rel = IdealLattice.from_elements(qring, [tau], orbit=True)
+    rel = IdealLattice.from_elements(qring, [tau])
     actions = [im.frozen(qring.translation_matrix(qd.proj(g))) for g in group.generators()]
     return FiniteModule(group, qring.n, rel.basis, tuple(actions))
 

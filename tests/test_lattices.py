@@ -4,28 +4,36 @@ Frozen index anchors pin the forward representative's dependence on the
 coset lift; the kernel, extension and unit-transport certificates are
 exercised on small groups here (wider sweeps live in the acceptance
 suite).  The kernel check's index identity is compared with the
-left-kernel route it replaced, kept here as the reference.
+left-kernel route it replaced, kept here as the reference, and the
+backward lattice stored as #I L with the rational (den, basis) route
+it replaced.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
 import grlat.intmat as im
 from grlat import lattices
 from grlat.abelian import (
+    GroupElement,
     Subgroup,
     canonical_lift,
+    decomposition_subgroup,
     enumerate_subgroups,
     make_group,
+    p_split,
+    prime_factors,
     quotient_data,
 )
 from grlat.errors import (
     ContainmentError,
+    NotFullRankError,
     ParentMismatchError,
     PrecisionError,
     ScopeError,
+    UnitNotFoundError,
 )
 from grlat.grouprings import GroupRing, IdealLattice, group_ring
 from grlat.monoid import build_sets
@@ -95,11 +103,9 @@ def test_backward_rep_lift_independent():
     i3 = Subgroup.from_generators(r.group, [r.group.element((3,))])
     lat1 = backward_rep(r, i3, r.group.element((1,))).lattice
     lat4 = backward_rep(r, i3, r.group.element((4,))).lattice
-    assert (lat1.den, lat1.basis) == (lat4.den, lat4.basis)
-    assert lat1.den == i3.order == 3
+    assert lat1.basis == lat4.basis
     for g in r.group.generators():
         moved = lat1.multiply_element(r.delta(g))
-        assert moved.den == lat1.den
         assert all(im.in_span(lat1.basis, range(r.n), row) for row in moved.basis)
     with pytest.raises(ScopeError):
         backward_rep(r, Subgroup.trivial(r.group), r.group.element((1,)))
@@ -161,7 +167,7 @@ def ref_kernel_presentation(ring, inertia, lift, claimed):
     kernel_matches = im.lattice_eq(kernel, rows)
     proj = [row[:n] for row in kernel]
     ideal = IdealLattice.from_elements(ring, [x for x, _ in claimed])
-    projection_matches = ideal.den == 1 and im.lattice_eq(proj, [list(r) for r in ideal.basis])
+    projection_matches = im.lattice_eq(proj, [list(r) for r in ideal.basis])
     return KernelReport(kernel_matches, projection_matches)
 
 
@@ -358,3 +364,162 @@ def test_unit_transport_explicit_precision_ok():
         r9, i3, r9.group.element((1,)), r9.group.element((2,)), precision=40
     )
     assert ok
+
+
+# -- the rational route the integral backward lattice replaced ----------------
+
+
+class RefLattice:
+    """The lattice (1/den) * rowspan(basis) inside Q[G]: basis a canonical
+    integer row-HNF and gcd(den, content(basis)) = 1, so equal lattices
+    have identical (den, basis)."""
+
+    def __init__(self, ring, den, rows):
+        h = im.hnf([list(r) for r in rows], ring.n)
+        if len(h) != ring.n:
+            raise NotFullRankError(f"lattice rank {len(h)} < ring rank {ring.n}")
+        g = den
+        for r in h:
+            for x in r:
+                if x:
+                    g = gcd(g, x)
+        if g > 1:
+            den //= g
+            h = [[x // g for x in r] for r in h]
+        self.ring = ring
+        self.den = den
+        self.basis = im.frozen(h)
+
+    @classmethod
+    def from_elements(cls, ring, elems):
+        den, rows = ref_coeffs_to_int_rows(elems)
+        return cls(ring, den, [ring._translated(r, j) for r in rows for j in range(ring.n)])
+
+    def multiply_element(self, x):
+        den, rows = ref_coeffs_to_int_rows([x])
+        m = self.ring.mult_matrix(self.ring.from_coeffs(tuple(rows[0])))
+        return RefLattice(self.ring, self.den * den, [im.vec_mat(list(r), m) for r in self.basis])
+
+
+def ref_coeffs_to_int_rows(elems):
+    den = lcm(*(Fraction(c).denominator for e in elems for c in e.coeffs))
+    return den, [[int(c * den) for c in e.coeffs] for e in elems]
+
+
+def ref_backward_rep(ring, inertia, frob):
+    """(nu, 1 - nu phi^{-1}) with nu = N_I / #I, over Fraction."""
+    nu = ring.norm_element(inertia).scale(Fraction(1, inertia.order))
+    w2 = ring.one() - nu * ring.delta(-frob)
+    return RefLattice.from_elements(ring, [nu, w2])
+
+
+def ref_verify_unit_transport(ring, inertia, frob_a, frob_b):
+    """Unit transport on the rational lattices, compared inside
+    (1/common) Z[G] at precision n * v_p(common) + 1."""
+    group = ring.group
+    (p,) = prime_factors(group.order)
+    if decomposition_subgroup(inertia, frob_a) != decomposition_subgroup(inertia, frob_b):
+        raise ScopeError("pairs have different decomposition subgroups")
+    lat_a = ref_backward_rep(ring, inertia, frob_a)
+    lat_b = ref_backward_rep(ring, inertia, frob_b)
+    n = ring.n
+    common = lat_a.den * inertia.order
+    common = common * lat_b.den // gcd(common, lat_b.den)
+    prec = n * p_split(common, p)[0] + 1
+    q = p**prec
+    qd = quotient_data(group, inertia)
+    qring = group_ring(qd.group)
+    nbar = qring.n
+    tmat = qring.mult_matrix(qring.one() - qring.delta(-qd.proj(frob_a)))
+    target = list((qring.one() - qring.delta(-qd.proj(frob_b))).coeffs)
+    stacked = [list(r) for r in tmat] + im.diagonal([q] * nbar)
+    try:
+        sol = im.lattice_quotient_coords(stacked, [target])[0]
+    except ContainmentError:
+        raise UnitNotFoundError("no unit carries one coset difference to the other") from None
+    u = [c % q for c in sol[:nbar]]
+    aug = sum(u) % q
+    if aug % p == 0:
+        fixed = False
+        for row in im.left_kernel(stacked):
+            k = [c % q for c in row[:nbar]]
+            ka = sum(k) % q
+            if ka % p:
+                c = ((1 - aug) * pow(ka, -1, q)) % q
+                u = [(a + c * b) % q for a, b in zip(u, k)]
+                fixed = True
+                break
+        if not fixed:
+            raise UnitNotFoundError("solution space contains no unit")
+    ucoeffs = [0] * n
+    for x in im.hnf_residues(inertia.basis):
+        rep = GroupElement(group, x)
+        ucoeffs[ring.index_of(rep)] = u[qring.index_of(qd.proj(rep))]
+    utilde = ring.from_coeffs(tuple(ucoeffs))
+    nu = ring.norm_element(inertia).scale(Fraction(1, inertia.order))
+    w = ring.one() + nu * (utilde - ring.one())
+    transported = lat_a.multiply_element(w)
+    rows_a = [[v * (common // transported.den) for v in row] for row in transported.basis]
+    rows_b = [[v * (common // lat_b.den) for v in row] for row in lat_b.basis]
+    mod_rows = im.diagonal([q] * n)
+    return im.lattice_eq(rows_a + mod_rows, rows_b + mod_rows)
+
+
+def unit_outcome(check, ring, inertia, frob_a, frob_b):
+    try:
+        return check(ring, inertia, frob_a, frob_b)
+    except UnitNotFoundError:
+        return "no unit"
+
+
+@pytest.mark.parametrize("facs", [[9], [27], [3, 3], [15], [3, 9]])
+def test_backward_rep_is_the_rational_lattice_scaled_by_the_inertia_order(facs):
+    r = group_ring(make_group(facs))
+    for pair in build_sets(r.group).stilde:
+        ref = ref_backward_rep(r, pair.inertia, pair.frob)
+        assert ref.den == pair.inertia.order, pair
+        assert backward_rep(r, pair.inertia, pair.frob).lattice.basis == ref.basis, pair
+
+
+def test_unit_transport_repairs_the_augmentation_on_frobenius_in_inertia():
+    # frob_a, frob_b in I: both coset differences vanish, the first
+    # solution is u = 0, and a kernel row must make its augmentation a unit
+    r9 = ring_of([9])
+    i3 = Subgroup.from_generators(r9.group, [r9.group.element((3,))])
+    args = (r9, i3, r9.group.element((0,)), r9.group.element((3,)))
+    assert verify_unit_transport(*args) is True
+    assert ref_verify_unit_transport(*args) is True
+
+
+@pytest.mark.parametrize("facs", [[8], [9], [2, 4], [3, 3]])
+def test_unit_transport_matches_the_rational_route_on_frobenius_in_inertia(facs):
+    r = group_ring(make_group(facs))
+    for inertia in {pair.inertia for pair in build_sets(r.group).stilde}:
+        elems = list(inertia.elements())
+        for a in elems:
+            for b in elems:
+                args = (r, inertia, a, b)
+                assert unit_outcome(verify_unit_transport, *args) == unit_outcome(
+                    ref_verify_unit_transport, *args
+                ), (facs, inertia, a, b)
+
+
+# each group with its number of equal-projection pairs; 2,2,2 has none
+@pytest.mark.parametrize(
+    "facs, pairs",
+    [([8], 1), ([9], 1), ([27], 17), ([2, 4], 2), ([3, 3], 4), ([2, 2, 2], 0), ([3, 9], 56)],
+)
+def test_unit_transport_matches_the_rational_route(facs, pairs):
+    r = group_ring(make_group(facs))
+    fam = build_sets(r.group)
+    compared = 0
+    for i, a in enumerate(fam.stilde):
+        for j, b in enumerate(fam.stilde[i + 1 :], i + 1):
+            if fam.projection[i] != fam.projection[j]:
+                continue
+            args = (r, a.inertia, a.frob, b.frob)
+            assert unit_outcome(verify_unit_transport, *args) == unit_outcome(
+                ref_verify_unit_transport, *args
+            ), (facs, a, b)
+            compared += 1
+    assert compared == pairs

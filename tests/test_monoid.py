@@ -34,11 +34,14 @@ from grlat.monoid import (
     _bitmask,
     _bounded_injectivity,
     _MonoidMembership,
+    _p_quotient,
+    _push,
     _vector_count,
     analyze_monoid,
     build_sets,
     cardinality_formulas,
 )
+from test_abelian import push
 
 FROZEN_COUNTS = {
     (9,): {"stilde": 4, "s": 3, "t": 3, "s_prime": 3, "s_dprime": 3},
@@ -337,7 +340,7 @@ def ref_decomposition_pair_checks(inertia, dec):
     if not inertia.is_subset_of(dec):
         raise ScopeError("inertia must sit inside the decomposition part")
     qd = quotient_data(inertia.group, inertia)
-    if not qd.push(dec).is_cyclic:
+    if not push(qd, dec).is_cyclic:
         raise ScopeError("quotient dec/inertia must be cyclic")
 
 
@@ -352,7 +355,7 @@ def ref_cyclic_quotient_pairs(group, subs):
             continue
         qd = quotient_data(group, inertia)
         for dec in subs:
-            if inertia.is_subset_of(dec) and qd.push(dec).is_cyclic:
+            if inertia.is_subset_of(dec) and push(qd, dec).is_cyclic:
                 ref_decomposition_pair_checks(inertia, dec)
                 out.append(DecompositionPair(inertia, dec))
     out.sort(key=DecompositionPair.sort_key)
@@ -425,6 +428,19 @@ CATALOGUE_100 = (
     [3, 6], [2, 6], [6, 6], [2, 30], [2, 2, 12], [10, 10], [3, 21],
     [2, 50], [4, 12], [2, 2, 18],
 )
+
+
+@pytest.mark.parametrize("factors", CATALOGUE_100, ids=str)
+def test_diagonal_p_quotient_matches_the_smith_quotient(factors):
+    """The maximal p-quotient read off the diagonal is the Smith quotient
+    by the p-complement, and pushes every subgroup to the same image."""
+    g = make_group(factors)
+    subs = enumerate_subgroups(g)
+    for p in prime_factors(g.order):
+        qd = quotient_data(g, sylow_complement(g, p))
+        assert _p_quotient(g, p) == qd.group, p
+        for sub in subs:
+            assert _push(sub, qd.group) == push(qd, sub), (p, sub)
 
 
 @pytest.mark.parametrize("factors", CATALOGUE_100, ids=str)
