@@ -4,7 +4,7 @@ Matrices are lists (or tuples) of rows of Python ints; a lattice is the
 row span of such a matrix.  Everything here is exact: no floats, and
 the one modular routine, smith_valuations, certifies its own precision.
 Arbitrary precision is load-bearing, since several callers cross-check
-valuations of large determinants.
+valuations of large lattice indices.
 
 Conventions:
   * vectors are rows, maps act on the right (x -> x @ A),
@@ -423,34 +423,6 @@ def snf_diagonal(rows, width=None):
 def invariant_factors(rows, width=None):
     """Positive Smith invariants > 1 of coker (Z^width / row span)."""
     return tuple(d for d in snf_diagonal(rows, width) if d > 1)
-
-
-def det(rows):
-    """Bareiss fraction-free determinant."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[i], a[k] = a[k], a[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        akk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            ai, ak = a[i], a[k]
-            for j in range(k + 1, n):
-                ai[j] = (ai[j] * akk - aik * ak[j]) // prev
-            ai[k] = 0
-        prev = akk
-    return sign * a[n - 1][n - 1]
 
 
 def lattice_sum(*lattices):

@@ -17,7 +17,12 @@ generators over the group ring, the backward representative sits in an
 extension of the full group ring by the norm line, and two pairs with
 the same inertia and decomposition data are related by multiplication
 by an explicit unit, checked p-adically at a precision that certifies
-exact equality of local lattices.
+exact equality of local lattices.  The last two certify less than
+that reads: the backward lattice holds 1 - nu phi^{-1} and nu phi^{-1},
+a translate of nu, so it is Z[G] + nu Z[G] whatever phi is.  The
+extension facts depend on I alone, and the unit check's lattice
+comparison holds for any multiplier whose u~ has augmentation prime to
+p: that check rests on solving u (1 - phi_a^{-1}) = 1 - phi_b^{-1}.
 
 The kernel check is an index identity, not a kernel computation.  With
 g = 1 - lift^{-1} + #I, every character chi has
@@ -214,7 +219,8 @@ def verify_extension_sequence(
     kcols = im.mat_transpose(ker_rows)
     # (a) pi of the stored lattice #I L agrees with #I pi(Z[G])
     bk = im.mat_mul(basis, kcols)
-    full_rows = [[inertia.order * v for v in row] for row in kcols]
+    order = inertia.order
+    full_rows = [[order * v for v in row] for row in kcols]
     image_matches = im.lattice_eq(bk, full_rows)
     # (b) preimage of L under multiplication by nu is the standard lattice;
     # a row per coset of I, in any order: neither fact below depends on it
@@ -316,8 +322,9 @@ def verify_unit_transport(
         rep = GroupElement(group, x)
         ucoeffs[ring.index_of(rep)] = u[qring.index_of(qd.proj(rep))]
     utilde = ring.from_coeffs(tuple(ucoeffs))
-    w = ring.one().scale(inertia.order) + ring.norm_element(inertia) * (utilde - ring.one())
+    order = inertia.order
+    w = ring.one().scale(order) + ring.norm_element(inertia) * (utilde - ring.one())
     rows_a = [list(r) for r in lat_a.multiply_element(w).basis]
-    rows_b = [[inertia.order * v for v in row] for row in lat_b.basis]
+    rows_b = [[order * v for v in row] for row in lat_b.basis]
     mod_rows = im.diagonal([q] * n)
     return im.lattice_eq(rows_a + mod_rows, rows_b + mod_rows)

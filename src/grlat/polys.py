@@ -15,7 +15,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import IdentityCheckError
-from .intmat import det as _int_det
 
 
 def trim(coeffs):
@@ -213,14 +212,3 @@ def mult_matrix_mod(f_monic, g):
         cur = poly_divmod_monic(trim([0] + list(cur)), f_monic)[1]
     return rows
 
-
-def resultant_monic(f_monic, g):
-    """prod g(alpha) over the roots of monic f, as an exact integer.
-
-    Computed as the determinant of multiplication by g on Z[X]/(f).
-    Agrees with the Sylvester resultant up to sign; callers only ever
-    use the absolute value or its p-adic valuation.
-    """
-    if len(f_monic) - 1 == 0:
-        return 1
-    return _int_det(mult_matrix_mod(f_monic, g))

@@ -1,24 +1,31 @@
 """Valuation spectrum experiments over cyclic p-power group rings.
 
 Samples elements x = (sigma - 1)*u + p^r*eps in Z[Z/p^r], computes the
-valuation c_i of each cyclotomic character value by an integer
-resultant, and tests whether their total lands in the predicted value
-set.  Beside it, snf_total is v_p of the index [Z[G] : (N, x)], read off
-the p-parts of the Smith invariants of the ideal's lattice by
+valuation c_i = v_p Res(Phi_{p^i}, x) of each cyclotomic character
+value, and tests whether their total lands in the predicted value set.
+Beside it, snf_total is v_p of the index [Z[G] : (N, x)], read off the
+p-parts of the Smith invariants of the ideal's lattice by
 intmat.smith_valuations: elimination modulo p^k on the row N and the
 n translates of x, with no HNF of the whole lattice.
 
-The two totals stay independent: the resultants never see the lattice,
-and the Smith route never sees a resultant, since its starting
+A character valuation is read off the Eisenstein expansion, with no
+resultant: Z_p[zeta_{p^i}] is totally ramified of degree
+e = phi(p^i) with uniformizer T = zeta - 1 (Washington, GTM 83, ch. 1),
+so f(zeta) = sum_{j<e} a_j T^j has valuation min_j (e v_p(a_j) + j),
+the terms having distinct valuations mod e.  That costs O(e^2)
+additions, against O(e^3) operations on growing integers for the
+determinant of multiplication by f on Z[X]/(Phi_{p^i}).
+
+The two totals stay independent: the character side never sees the
+lattice, and the Smith route never sees f(zeta), since its starting
 precision k = rp depends on p and r alone and its answer certifies
 itself (width pivots of valuation < k are exact, else k doubles).
 Their agreement on every sample is the oracle identity the module
 exists to exercise; the spectrum command checks it.
 
-The resultants are most of a sample's cost, and that cost grows steeply
-with the ring order and with the coefficient size, so sampling refuses
-rings past SPECTRUM_ORDER_CAP and coefficient exponents past
-COEFF_EXP_CAP.
+The Smith route is most of a sample's cost, and the whole grows
+steeply with the ring order, so sampling refuses rings past
+SPECTRUM_ORDER_CAP and coefficient exponents past COEFF_EXP_CAP.
 """
 
 from dataclasses import dataclass
@@ -28,17 +35,16 @@ from .abelian import is_prime, make_group, p_split, prime_factors
 from .errors import CapacityError, DegenerateElementError, ScopeError
 from .grouprings import GroupRing, GroupRingElem, group_ring
 from .intmat import smith_valuations
-from .polys import cyclotomic, resultant_monic
 
 MAX_RESAMPLE = 512
 # largest ring order p^r sampled, far below grouprings.RING_ORDER_CAP:
-# one sample takes about 1.9 s at p = 79 (the worst order it admits),
-# 2.1 s at 83, 5.5 s at 101 and 18 s at 127 on a 2-core machine
+# one sample takes about 0.39 s at p = 79 (the worst order it admits),
+# 0.48 s at 83, 1.1 s at 101 and 3.6 s at 127 on a 2-core machine
 SPECTRUM_ORDER_CAP = 81
-# largest --coeff-exp sampled: one sample at p = 79 costs 1.25x the
-# default 5's at 6, 1.8x at 7, 2.1x at 8 and 3x at 10 (0.86, 1.08, 1.53,
-# 1.83 and 2.5 s, timed together on a 2-core machine), so 6 keeps every
-# accepted sample near the cost documented for the default
+# largest --coeff-exp sampled.  The cost hardly grows with coefficient
+# size (the Smith side works modulo p^k): one sample at p = 79 takes
+# 0.38-0.40 s at every exponent from 5 to 10 on a 2-core machine; the
+# cap keeps the accepted inputs to the documented and tested ones
 COEFF_EXP_CAP = 6
 
 
@@ -72,21 +78,48 @@ def element_poly(x: GroupRingElem) -> list:
     return list(x.coeffs)
 
 
+def _level_valuation(f, p: int, i: int) -> int | None:
+    """v_p of Res(Phi_{p^i}, f), or None when f(zeta_{p^i}) = 0.
+
+    f is any coefficient list, constant term first.  It is folded mod
+    X^{p^i} - 1, reduced mod Phi_{p^i}, shifted to X = 1 + T, and the
+    valuation is min_j (e v_p(a_j) + j) over the nonzero coefficients
+    a_j of T^j, with e = phi(p^i).
+    """
+    q = p ** (i - 1)
+    m = p * q
+    e = m - q
+    g = [0] * m
+    for k, c in enumerate(f):
+        g[k % m] += c
+    # X^(e + t) = -(X^t + X^(q + t) + ... + X^((p - 2) q + t)) mod Phi_{p^i}
+    top = g[e:]
+    g = [c - top[k % q] for k, c in enumerate(g[:e])]
+    # Taylor shift by repeated synthetic division: g[lo] is final after
+    # the pass that starts at lo
+    for lo in range(e - 1):
+        for k in range(e - 2, lo - 1, -1):
+            g[k] += g[k + 1]
+    vals = [e * p_split(a, p)[0] + j for j, a in enumerate(g) if a]
+    return min(vals) if vals else None
+
+
 def char_valuation(x: GroupRingElem, i: int) -> int:
     """p-adic valuation of the i-th level character value of x.
 
-    Equals ord_p of Res(Phi_{p^i}, f_x); by total ramification of the
-    p^i-th cyclotomic field at p this is the normalized additive local
-    valuation of the character value.  Raises if the character kills x.
+    By total ramification of the p^i-th cyclotomic field at p this is
+    the normalized additive local valuation of the character value, and
+    equals v_p of Res(Phi_{p^i}, f_x); it is read off the expansion of
+    the value in powers of zeta - 1.  Raises if the character kills x.
     """
     m = x.ring.group.order
     p = min(prime_factors(m))
     if i < 1 or p**i > m:
         raise ScopeError("character level out of range")
-    res = resultant_monic(cyclotomic(p**i), element_poly(x))
-    if res == 0:
+    v = _level_valuation(element_poly(x), p, i)
+    if v is None:
         raise DegenerateElementError(f"character at level {i} vanishes on the element")
-    return p_split(res, p)[0]
+    return v
 
 
 @dataclass(frozen=True)
@@ -137,11 +170,8 @@ def build_sample(p: int, r: int, ucoeffs, epsilon: int = 1, attempts: int = 1) -
     sigma = ring.delta(ring.group.element((1,)))
     x = (sigma - ring.one()) * u + ring.one().scale(p**r * epsilon)
     c_values = tuple(char_valuation(x, i) for i in range(1, r + 1))
-    a_values = []
     fu = element_poly(u)
-    for i in range(1, r + 1):
-        res = resultant_monic(cyclotomic(p**i), fu)
-        a_values.append(None if res == 0 else p_split(res, p)[0])
+    a_values = [_level_valuation(fu, p, i) for i in range(1, r + 1)]
     # v_p of [Z[G] : (N, x)] from N once (its translates are all N) and
     # the n translates of x.  Precision p^(rp) exceeds every low-case
     # total r(1 + a_1) <= r(p - 1), so only a high-case sample can need

@@ -243,7 +243,7 @@ def test_oversized_spectrum_ring_is_refused_at_once(argv):
 
 @pytest.mark.parametrize("p, r", [("83", "1"), ("5", "3")])
 def test_spectrum_order_past_its_cap_is_refused_at_once(p, r):
-    # the resultants of one sample at 83 take about 2 s, at 125 about 1.5 s
+    # one sample at 83 takes about 0.5 s, at 125 about 0.3 s
     done, elapsed = run_spectrum(["--p", p, "--r", r, "--samples", "1"])
     assert done.returncode == 65 and done.stdout == b""
     assert b"exceeds ring cap" in done.stderr
@@ -252,7 +252,7 @@ def test_spectrum_order_past_its_cap_is_refused_at_once(p, r):
 
 @pytest.mark.parametrize("p, r, exp", [("79", "1", "10"), ("3", "3", "2000")])
 def test_spectrum_coeff_exp_past_its_cap_is_refused_at_once(p, r, exp):
-    # one sample at p = 79 costs three times the default's at --coeff-exp 10
+    # refused before a coefficient is drawn
     done, elapsed = run_spectrum(["--p", p, "--r", r, "--samples", "1", "--coeff-exp", exp])
     assert done.returncode == 65 and done.stdout == b""
     assert b"coefficient exponent" in done.stderr and b"exceeds cap" in done.stderr
@@ -260,9 +260,26 @@ def test_spectrum_coeff_exp_past_its_cap_is_refused_at_once(p, r, exp):
 
 
 def test_spectrum_oracle_mismatch_fails_the_check(capsys, monkeypatch):
-    # a broken resultant side must reach the report and the exit code
+    # a broken character side must reach the report and the exit code
     real = spectrum.char_valuation
     monkeypatch.setattr(spectrum, "char_valuation", lambda x, i: real(x, i) + 1)
+    code, out, _ = run(["spectrum", "--p", "3", "--r", "2", "--samples", "4", "--seed", "1"], capsys)
+    assert code == 2
+    assert "results.passes.oracle_identity\t0" in out
+    assert "results.checks\toracle_identity\tfail" in out
+    assert "verdict\tfail" in out
+
+
+def test_spectrum_smith_side_mismatch_fails_the_check(capsys, monkeypatch):
+    # a broken Smith side must reach the report and the exit code too
+    real = spectrum.smith_valuations
+
+    def off_by_one(*args):
+        vals = list(real(*args))
+        vals[0] += 1
+        return vals
+
+    monkeypatch.setattr(spectrum, "smith_valuations", off_by_one)
     code, out, _ = run(["spectrum", "--p", "3", "--r", "2", "--samples", "4", "--seed", "1"], capsys)
     assert code == 2
     assert "results.passes.oracle_identity\t0" in out

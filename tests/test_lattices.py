@@ -523,3 +523,46 @@ def test_unit_transport_matches_the_rational_route(facs, pairs):
             ), (facs, a, b)
             compared += 1
     assert compared == pairs
+
+
+@pytest.mark.parametrize("facs", [[9], [27], [3, 3], [15], [3, 9]])
+def test_backward_rep_is_the_ideal_of_the_inertia_norm_and_order(facs):
+    # L = (nu, 1 - nu phi^-1) contains nu phi^-1, a translate of nu, so
+    # it contains 1 and #I L = (N_I, #I) whatever phi is
+    r = group_ring(make_group(facs))
+    for pair in build_sets(r.group).stilde:
+        norm_and_order = IdealLattice.from_elements(
+            r, [r.norm_element(pair.inertia), r.one().scale(pair.inertia.order)]
+        )
+        assert backward_rep(r, pair.inertia, pair.frob).lattice.basis == norm_and_order.basis, pair
+
+
+@pytest.mark.parametrize("facs", [[8], [9], [27], [2, 4], [3, 3]])
+def test_unit_comparison_also_accepts_an_unrelated_multiplier(facs):
+    # A characterisation of current behaviour: the backward lattice is a
+    # ring, so its final comparison (the last lines of
+    # verify_unit_transport, restated here at the same precision) holds
+    # for any multiplier W = #I + N_I (u~ - 1) whose u~ has augmentation
+    # prime to p, not only for the solved unit; here u~ = 1 + 3 (phi - 1).
+    # The equal-(I, D) claim therefore rests on the solve for u alone.
+    r = group_ring(make_group(facs))
+    fam = build_sets(r.group)
+    (p,) = prime_factors(r.n)
+    compared = 0
+    for i, a in enumerate(fam.stilde):
+        for j, b in enumerate(fam.stilde[i + 1 :], i + 1):
+            if fam.projection[i] != fam.projection[j]:
+                continue
+            assert verify_unit_transport(r, a.inertia, a.frob, b.frob)
+            order = a.inertia.order
+            q = p ** (2 * r.n * p_split(order, p)[0] + 1)
+            utilde = r.one() + (r.delta(a.frob) - r.one()).scale(3)
+            w = r.one().scale(order) + r.norm_element(a.inertia) * (utilde - r.one())
+            lat_a = backward_rep(r, a.inertia, a.frob).lattice
+            lat_b = backward_rep(r, b.inertia, b.frob).lattice
+            rows_a = [list(row) for row in lat_a.multiply_element(w).basis]
+            rows_b = [[order * v for v in row] for row in lat_b.basis]
+            mod_rows = im.diagonal([q] * r.n)
+            assert im.lattice_eq(rows_a + mod_rows, rows_b + mod_rows), (facs, a, b)
+            compared += 1
+    assert compared > 0

@@ -2,23 +2,30 @@
 
 The frozen anchors were computed by hand from resultants of small
 cyclotomic polynomials.  The builder does not check the oracle identity
-(resultant total equals the Smith-form total): it records both totals,
+(character total equals the Smith-form total): it records both totals,
 and the spectrum command's oracle_identity check compares them.  Here
 the property test compares them on random elements, and the p-local
-Smith total is checked against the global HNF index it replaced.
+Smith total is checked against the global HNF index it replaced.  The
+character valuations, read off the expansion in zeta - 1, are checked
+against v_p of the multiplication-matrix resultant they replaced and of
+sympy's resultant.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Poly, resultant
+from sympy.abc import x as X
 
 from grlat.abelian import p_split
 from grlat.errors import CapacityError, DegenerateElementError, ScopeError
 from grlat.grouprings import RING_ORDER_CAP, IdealLattice
+from grlat.polys import cyclotomic, poly_mul
 from grlat.spectrum import (
     COEFF_EXP_CAP,
     SPECTRUM_ORDER_CAP,
     _check_scope,
+    _level_valuation,
     build_sample,
     char_valuation,
     cyclic_ring,
@@ -26,6 +33,7 @@ from grlat.spectrum import (
     sample_spectrum,
     verify_claims,
 )
+from reference import ref_resultant_monic
 
 
 def test_anchor_zero_u():
@@ -186,3 +194,62 @@ def test_coeff_exp_cap_keeps_the_default_and_refuses_before_drawing(monkeypatch)
     for e in (COEFF_EXP_CAP + 1, 2000):
         with pytest.raises(CapacityError):
             sample_spectrum(79, 1, coeff_exp=e, count=1)
+
+
+def resultant_valuation(res, p):
+    return None if res == 0 else p_split(res, p)[0]
+
+
+# (p, i, r): the level-i character of Z[Z/p^r] for every accepted p^r
+# of the ring orders up to 3^4 and 5^2, and p = 7, 11, 79 at level 1
+LEVELS = [(3, i, r) for r in range(1, 5) for i in range(1, r + 1)]
+LEVELS += [(5, 1, 1), (5, 1, 2), (5, 2, 2), (7, 1, 1), (7, 1, 2), (11, 1, 1), (79, 1, 1)]
+
+
+@st.composite
+def level_inputs(draw, levels=LEVELS, coeff_exp=6):
+    """(f, p, i): f unreduced of length up to p^r, scaled by a power of
+    p, or a multiple of Phi_{p^i} (so the character kills it), or zero."""
+    p, i, r = draw(st.sampled_from(levels))
+    bound = p**coeff_exp
+    length = draw(st.integers(0, p**r))
+    f = draw(st.lists(st.integers(-bound, bound), min_size=length, max_size=length))
+    kind = draw(st.sampled_from(["plain", "scaled", "killed", "zero"]))
+    if kind == "scaled":
+        f = [c * p ** draw(st.integers(1, 4)) for c in f]
+    elif kind == "killed":
+        f = list(poly_mul(cyclotomic(p**i), f[: p**r - p**i + p ** (i - 1)] or [1]))
+    elif kind == "zero":
+        f = [0] * len(f)
+    return f, p, i
+
+
+@given(level_inputs())
+@settings(max_examples=150, deadline=None)
+def test_level_valuation_matches_the_reference_resultant(case):
+    f, p, i = case
+    res = ref_resultant_monic(cyclotomic(p**i), f)
+    assert _level_valuation(f, p, i) == resultant_valuation(res, p)
+
+
+SMALL_LEVELS = [(3, 1, 2), (3, 2, 2), (3, 2, 3), (5, 1, 2), (5, 2, 2), (7, 1, 1), (11, 1, 1)]
+
+
+@given(level_inputs(SMALL_LEVELS, 3))
+@settings(max_examples=40, deadline=None)
+def test_level_valuation_matches_sympys_resultant(case):
+    f, p, i = case
+    phi = Poly(list(reversed(cyclotomic(p**i))), X)
+    res = int(resultant(phi, Poly(list(reversed(f)), X))) if any(f) else 0
+    assert _level_valuation(f, p, i) == resultant_valuation(res, p)
+
+
+def test_level_valuation_anchors():
+    # Res(Phi_9, 9) = 9^6; Phi_27(1) = 3; the norm of zeta - 1 is p
+    assert _level_valuation([9], 3, 2) == 12
+    assert _level_valuation([-1, 1], 3, 3) == 1
+    assert _level_valuation([-1, 1], 79, 1) == 1
+    # X^9 = 1 on every character of Z/9, so X^9 - 1 folds to zero
+    assert _level_valuation([-1] + [0] * 8 + [1], 3, 2) is None
+    assert _level_valuation(cyclotomic(25), 5, 2) is None
+    assert _level_valuation([], 5, 1) is None
