@@ -141,11 +141,15 @@ def _kernel_rows(fam):
 
 
 def _ext_rows(fam):
+    # the backward representative depends on the inertia group alone, so
+    # each inertia group is checked once and its verdict printed per pair
     ring = group_ring(fam.group)
     rows = []
+    verdicts = {}
     for pair in fam.stilde:
-        rep = verify_extension_sequence(ring, pair.inertia, pair.frob)
-        rows.append(["ext", fmt_sub(pair.inertia), fmt_elem(pair.frob), "-", _flag(rep.ok)])
+        if pair.inertia not in verdicts:
+            verdicts[pair.inertia] = _flag(verify_extension_sequence(ring, pair.inertia).ok)
+        rows.append(["ext", fmt_sub(pair.inertia), fmt_elem(pair.frob), "-", verdicts[pair.inertia]])
     return rows
 
 

@@ -12,7 +12,8 @@ group_ring() memoises one ring per group.
 
 An ideal lattice is a full-rank lattice in Z[G], stored as its
 canonical integer row-HNF basis so equal lattices compare equal; the
-backward representative L, inside (1/#I) Z[G], is stored as #I L.
+backward representative of an inertia group I, L = Z[G] + nu Z[G] with
+nu = N_I / #I, is stored as the ideal #I L = (N_I, #I).
 
 A finite module is stored in Smith coordinates: as an abelian group it
 is (+) Z/d_i with d_i > 1 and d_i | d_(i+1), its relations are diag(d),

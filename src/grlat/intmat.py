@@ -363,15 +363,17 @@ def smith_valuations(rows, width, p, start):
     from start.  A nonzero width x width minor, at most the Hadamard
     bound H of the rows in absolute value, is a multiple of the index;
     so once p^k > H a failed pass proves L rank-deficient and raises
-    NotFullRankError."""
+    NotFullRankError.  H is computed at the first failed pass only."""
     if p < 2 or start < 1:
         raise ValueError("need a prime p and a start precision k >= 1")
-    hadamard_sq = prod(sorted((sum(x * x for x in r) for r in rows), reverse=True)[:width])
+    hadamard_sq = None
     k = start
     while True:
         vals = _smith_valuations_mod(rows, width, p, k)
         if vals is not None:
             return vals
+        if hadamard_sq is None:
+            hadamard_sq = prod(sorted((sum(x * x for x in r) for r in rows), reverse=True)[:width])
         if p ** (2 * k) > hadamard_sq:
             raise NotFullRankError(f"rows do not span a full-rank lattice in Z^{width}")
         k *= 2

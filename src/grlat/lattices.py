@@ -1,28 +1,26 @@
-"""Shift representatives of module classes and their verification.
+"""Lattice representatives of module classes and their verification.
 
 Attached to a pair (I, phi) of an inertia subgroup and a Frobenius coset
 are two group-ring lattices.  The forward representative lives over a
 cyclic group and is the integral ideal generated by the inertia norm
 N_I and the element 1 - lift(phi)^{-1} + #I; it depends on the chosen
 coset lift.  The backward representative exists over any finite abelian
-group: with nu = N_I / #I it is spanned by nu and 1 - nu*phi^{-1}
-inside (1/#I) Z[G], and is exactly independent of the lift because
-nu absorbs translation by I.  It is stored scaled by #I, as the
-integral ideal (N_I, #I - N_I phi^{-1}).
+group: with nu = N_I / #I it is the lattice (nu, 1 - nu phi^{-1})
+inside (1/#I) Z[G].  That lattice holds nu phi^{-1}, a translate of nu,
+hence 1, so it is Z[G] + nu Z[G] whatever phi is, and depends on I
+alone.  It is stored scaled by #I, as the integral ideal (N_I, #I).
 
 The verification routines certify, with exact integer arithmetic, the
-three structural facts the representatives rest on: the kernel of
+structural facts the representatives rest on: the kernel of
 (a, b) |-> a (tau - 1) + b (1 - phi^{-1} + #I) has the expected two
-generators over the group ring, the backward representative sits in an
-extension of the full group ring by the norm line, and two pairs with
-the same inertia and decomposition data are related by multiplication
-by an explicit unit, checked p-adically at a precision that certifies
-exact equality of local lattices.  The last two certify less than
-that reads: the backward lattice holds 1 - nu phi^{-1} and nu phi^{-1},
-a translate of nu, so it is Z[G] + nu Z[G] whatever phi is.  The
-extension facts depend on I alone, and the unit check's lattice
-comparison holds for any multiplier whose u~ has augmentation prime to
-p: that check rests on solving u (1 - phi_a^{-1}) = 1 - phi_b^{-1}.
+generators over the group ring; the backward representative sits in an
+extension of the full group ring by the norm line, a fact about I
+alone; and two pairs with the same inertia and decomposition data are
+related by an explicit unit u of Z_p[G/I] with
+u (1 - phi_a^{-1}) = 1 - phi_b^{-1}.  That last claim rests on the
+solve for u: the lattice comparison that follows it passes for any
+multiplier whose u~ has augmentation prime to p, as the backward
+lattice is a ring.
 
 The kernel check is an index identity, not a kernel computation.  With
 g = 1 - lift^{-1} + #I, every character chi has
@@ -58,25 +56,19 @@ from .errors import (
 from .grouprings import GroupRing, GroupRingElem, IdealLattice, group_ring
 
 
-@dataclass(frozen=True)
-class ShiftRep:
-    """One lattice representative of the class of a pair (I, phi).
-
-    direction +1 is the forward (ideal) representative and records the
-    lift actually used in frob; direction -1 is the backward
-    representative, for which frob is any representative of the coset
-    and lattice is the backward lattice scaled by #I.
-    """
-
-    direction: int
-    inertia: Subgroup
-    frob: GroupElement
-    lattice: IdealLattice
-
-
-def _shift_generator(ring: GroupRing, order: int, lift: GroupElement) -> GroupRingElem:
-    """The element 1 - lift^{-1} + order of ring."""
-    return ring.one() - ring.delta(-lift) + ring.one().scale(order)
+def _forward_generator(
+    ring: GroupRing, inertia: Subgroup, frob: GroupElement, lift: GroupElement | None
+) -> tuple[GroupElement, GroupRingElem]:
+    """The lift used and g = 1 - lift^{-1} + #I of the forward
+    representative.  Default lift: the canonical (lex-least) coset
+    representative."""
+    if not ring.group.is_cyclic:
+        raise ScopeError("forward representative needs a cyclic group")
+    if lift is None:
+        lift = canonical_lift(inertia, frob)
+    elif not inertia.contains(lift - frob):
+        raise ContainmentError("lift is not in the coset of frob")
+    return lift, ring.one() - ring.delta(-lift) + ring.one().scale(inertia.order)
 
 
 def forward_rep(
@@ -84,39 +76,26 @@ def forward_rep(
     inertia: Subgroup,
     frob: GroupElement,
     lift: GroupElement | None = None,
-) -> ShiftRep:
+) -> tuple[GroupElement, IdealLattice]:
     """Forward representative: the ideal (N_I, 1 - lift^{-1} + #I).
 
     Only defined over cyclic groups; the lattice genuinely depends on
-    the chosen lift of the coset frob + I, so the lift used is returned.
-    Default lift: the canonical (lex-least) coset representative.
+    the chosen lift of the coset frob + I, so (lift used, lattice) is
+    returned.
     """
-    group = ring.group
-    if not group.is_cyclic:
-        raise ScopeError("forward representative needs a cyclic group")
-    if lift is None:
-        lift = canonical_lift(inertia, frob)
-    elif not inertia.contains(lift - frob):
-        raise ContainmentError("lift is not in the coset of frob")
-    n_i = ring.norm_element(inertia)
-    gtilde = _shift_generator(ring, inertia.order, lift)
-    lat = IdealLattice.from_elements(ring, [n_i, gtilde])
-    return ShiftRep(1, inertia, lift, lat)
+    lift, g = _forward_generator(ring, inertia, frob, lift)
+    return lift, IdealLattice.from_elements(ring, [ring.norm_element(inertia), g])
 
 
-def backward_rep(
-    ring: GroupRing, inertia: Subgroup, frob: GroupElement
-) -> ShiftRep:
-    """Backward representative: the lattice (nu, 1 - nu phi^{-1}) with
-    nu = N_I / #I, inside (1/#I) Z[G], stored scaled by #I as the ideal
-    (N_I, #I - N_I phi^{-1}) of Z[G].  Independent of the coset lift;
-    inertia must be nontrivial."""
+def backward_rep(ring: GroupRing, inertia: Subgroup) -> IdealLattice:
+    """Backward representative of every pair with inertia I: the lattice
+    Z[G] + nu Z[G] with nu = N_I / #I, stored scaled by #I as the ideal
+    (N_I, #I) of Z[G].  Inertia must be nontrivial."""
     if inertia.is_trivial:
         raise ScopeError("backward representative needs nontrivial inertia")
-    n_i = ring.norm_element(inertia)
-    w2 = ring.one().scale(inertia.order) - n_i * ring.delta(-frob)
-    lat = IdealLattice.from_elements(ring, [n_i, w2])
-    return ShiftRep(-1, inertia, frob, lat)
+    return IdealLattice.from_elements(
+        ring, [ring.norm_element(inertia), ring.one().scale(inertia.order)]
+    )
 
 
 @dataclass(frozen=True)
@@ -146,13 +125,13 @@ def verify_kernel_presentation(
     """
     if inertia.is_trivial or not inertia.is_cyclic:
         raise ScopeError("inertia must be nontrivial cyclic")
-    rep = forward_rep(ring, inertia, frob, lift)
-    g = _shift_generator(ring, inertia.order, rep.frob)
+    _, g = _forward_generator(ring, inertia, frob, lift)
     claimed = [
         (ring.norm_element(inertia), ring.one().scale(0)),
         (g, ring.one() - ring.delta(inertia.cyclic_generator())),
     ]
-    return _kernel_identity(ring, inertia, g, claimed, rep.lattice)
+    projection = IdealLattice.from_elements(ring, [x for x, _ in claimed])
+    return _kernel_identity(ring, inertia, g, claimed, projection)
 
 
 def _kernel_identity(
@@ -198,11 +177,9 @@ class ExtensionReport:
         )
 
 
-def verify_extension_sequence(
-    ring: GroupRing, inertia: Subgroup, frob: GroupElement
-) -> ExtensionReport:
-    """Certify that the backward representative L sits in the same
-    extension as the full group ring.
+def verify_extension_sequence(ring: GroupRing, inertia: Subgroup) -> ExtensionReport:
+    """Certify that the backward representative L of inertia I sits in
+    the same extension as the full group ring.
 
     With nu = N_I/#I and pi the projection of Q[G] killing exactly
     nu Q[G], three exact facts are checked: pi(L) = pi(Z[G]); the
@@ -210,7 +187,7 @@ def verify_extension_sequence(
     Z[G/I]; and the coordinates of the nu-image inside L form a
     primitive full-rank sublattice (all Smith invariants 1).
     """
-    lat = backward_rep(ring, inertia, frob).lattice
+    lat = backward_rep(ring, inertia)
     n = ring.n
     basis = [list(r) for r in lat.basis]
     n_i = ring.norm_element(inertia)
@@ -260,11 +237,13 @@ def verify_unit_transport(
 
     Requires the group to be a p-group and the two pairs to share both
     inertia and decomposition subgroup.  A unit u of Z_p[G/I] with
-    u (1 - phi_a^{-1}) = 1 - phi_b^{-1} is solved for modulo p^M; the
-    multiplier w = 1 + nu (u~ - 1) then carries lattice A onto lattice
-    B up to rows in p^M Z^n, and M is chosen large enough that equality
-    of the two lattices modulo p^M Z^n certifies equality of their
-    p-adic completions.  Returns that equality; a missing unit raises.
+    u (1 - phi_a^{-1}) = 1 - phi_b^{-1} is solved for modulo p^M, and
+    the backward lattice L of I is compared with L w, for the multiplier
+    w = 1 + nu (u~ - 1), modulo p^M Z^n; M is large enough that this
+    equality certifies equality of the p-adic completions.  L is a ring,
+    so L w is in L, and the comparison passes whenever aug(u~) is prime
+    to p, which the solve already ensures: the claim rests on the solve
+    for u.  Returns that equality; a missing unit raises.
     """
     group = ring.group
     ps = sorted(prime_factors(group.order))
@@ -275,8 +254,7 @@ def verify_unit_transport(
     dec_b = decomposition_subgroup(inertia, frob_b)
     if dec_a != dec_b:
         raise ScopeError("pairs have different decomposition subgroups")
-    lat_a = backward_rep(ring, inertia, frob_a).lattice
-    lat_b = backward_rep(ring, inertia, frob_b).lattice
+    lat = backward_rep(ring, inertia)
     n = ring.n
     needed = 2 * n * p_split(inertia.order, p)[0] + 1
     prec = needed if precision is None else precision
@@ -315,8 +293,8 @@ def verify_unit_transport(
             raise UnitNotFoundError("solution space contains no unit")
     # lift u along the canonical coset representatives and form the
     # multiplier W = #I w = #I + N_I (u~ - 1); N_I absorbs translation by
-    # I, so any transversal gives the same W; compare #I^2 A w = (#I A) W
-    # with #I^2 B = #I (#I B), from the stored #I A and #I B
+    # I, so any transversal gives the same W; compare #I^2 L w = (#I L) W
+    # with #I^2 L = #I (#I L), from the stored #I L
     ucoeffs = [0] * n
     for x in im.hnf_residues(inertia.basis):
         rep = GroupElement(group, x)
@@ -324,7 +302,7 @@ def verify_unit_transport(
     utilde = ring.from_coeffs(tuple(ucoeffs))
     order = inertia.order
     w = ring.one().scale(order) + ring.norm_element(inertia) * (utilde - ring.one())
-    rows_a = [list(r) for r in lat_a.multiply_element(w).basis]
-    rows_b = [[order * v for v in row] for row in lat_b.basis]
+    rows_a = [list(r) for r in lat.multiply_element(w).basis]
+    rows_b = [[order * v for v in row] for row in lat.basis]
     mod_rows = im.diagonal([q] * n)
     return im.lattice_eq(rows_a + mod_rows, rows_b + mod_rows)

@@ -431,13 +431,16 @@ def test_oversized_sweep_is_refused_at_once(spec):
         (["verify", "100", "--checks", "triviality"], "2abfbcb5b1299e98bbad3199f71b2bd15bf4a6bf2e8953c2cc1c7884dfb0d0b6"),
         (["verify", "2,2,2", "--checks", "tate"], "2d33d37b4e0a7be9078073ccdd462559e80e50ed6ab1bf117e17468c62801f57"),
         (["verify", "2,2,4", "--checks", "tate"], "5e71449cc9c0e51346d321525e0e94f7d33774069d586586f2c5b31aeb5a3018"),
+        (["verify", "243", "--checks", "ext"], "f2e2768599b8c8f436abd8194f5863972ec342e36fc7af7b97f98ecd713a1221"),
+        (["verify", "256", "--checks", "ext"], "b1008508e64c3c67d5bc51583c310da27d7b0dec08d1c3e4450306b5a4795404"),
     ],
-    ids=["64-tate", "2,16-tate", "100-triviality", "2,2,2-tate", "2,2,4-tate"],
+    ids=["64-tate", "2,16-tate", "100-triviality", "2,2,2-tate", "2,2,4-tate", "243-ext", "256-ext"],
 )
 def test_large_verify_reports_are_pinned(argv, digest):
     # sha256 of the reports as printed when modules were kept at rank |G/I|;
     # the rank-3 groups as printed when each Tate group was rebuilt and
-    # validated from a fresh presentation
+    # validated from a fresh presentation; the ext sweeps as printed when
+    # the backward lattice was rebuilt and checked for every pair
     env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-m", "grlat", *argv], capture_output=True, env=env, timeout=120)
     assert done.returncode == 0

@@ -5,8 +5,8 @@ coset lift; the kernel, extension and unit-transport certificates are
 exercised on small groups here (wider sweeps live in the acceptance
 suite).  The kernel check's index identity is compared with the
 left-kernel route it replaced, kept here as the reference, and the
-backward lattice stored as #I L with the rational (den, basis) route
-it replaced.
+backward lattice of an inertia group, stored as #I L, with the per-pair
+rational (den, basis) route it replaced, for every Frobenius.
 """
 
 from fractions import Fraction
@@ -69,8 +69,8 @@ def test_forward_rep_depends_on_lift():
     zero = r.group.zero()
     idx = {}
     for k in range(3):
-        rep = forward_rep(r, full, zero, lift=r.group.element((k,)))
-        idx[k] = rep.lattice.integral_index()
+        _, lat = forward_rep(r, full, zero, lift=r.group.element((k,)))
+        idx[k] = lat.integral_index()
     assert idx[0] == 9
     assert idx[1] == idx[2] == 21
 
@@ -81,11 +81,12 @@ def test_forward_rep_anchor_z9():
     frob = r.group.element((1,))
     indices = set()
     for k in (1, 4, 7):
-        rep = forward_rep(r, i3, frob, lift=r.group.element((k,)))
-        indices.add(rep.lattice.integral_index())
+        lift, lat = forward_rep(r, i3, frob, lift=r.group.element((k,)))
+        assert lift.coords == (k,)
+        indices.add(lat.integral_index())
     assert indices == {4161}
     # default lift is the canonical one
-    assert forward_rep(r, i3, frob).frob.coords == (1,)
+    assert forward_rep(r, i3, frob)[0].coords == (1,)
 
 
 def test_forward_rep_guards():
@@ -96,19 +97,6 @@ def test_forward_rep_guards():
     i3 = Subgroup.from_generators(rc.group, [rc.group.element((3,))])
     with pytest.raises(ContainmentError):
         forward_rep(rc, i3, rc.group.element((1,)), lift=rc.group.element((2,)))
-
-
-def test_backward_rep_lift_independent():
-    r = ring_of([9])
-    i3 = Subgroup.from_generators(r.group, [r.group.element((3,))])
-    lat1 = backward_rep(r, i3, r.group.element((1,))).lattice
-    lat4 = backward_rep(r, i3, r.group.element((4,))).lattice
-    assert lat1.basis == lat4.basis
-    for g in r.group.generators():
-        moved = lat1.multiply_element(r.delta(g))
-        assert all(im.in_span(lat1.basis, range(r.n), row) for row in moved.basis)
-    with pytest.raises(ScopeError):
-        backward_rep(r, Subgroup.trivial(r.group), r.group.element((1,)))
 
 
 def test_kernel_presentation_small_sweep():
@@ -228,17 +216,12 @@ def test_tau_minus_one_index_is_quotient_principal_index(facs):
 
 
 def test_extension_sequence_examples():
-    cases = [
-        ([9], [(3,)], (1,)),
-        ([9], [(1,)], (0,)),
-        ([3, 3], [(1, 0)], (0, 1)),
-        ([15], [(3,)], (1,)),
-    ]
-    for facs, gens, frob in cases:
+    cases = [([9], [(3,)]), ([9], [(1,)]), ([3, 3], [(1, 0)]), ([15], [(3,)])]
+    for facs, gens in cases:
         r = ring_of(facs)
         sub = Subgroup.from_generators(r.group, [r.group.element(c) for c in gens])
-        rep = verify_extension_sequence(r, sub, r.group.element(frob))
-        assert rep.ok, (facs, gens, frob)
+        rep = verify_extension_sequence(r, sub)
+        assert rep.ok, (facs, gens)
         assert rep.image_matches and rep.preimage_is_standard
         assert rep.embedding_primitive
 
@@ -291,7 +274,8 @@ def _fraction_preimage_is_standard(fnum, w_rows):
 @pytest.mark.parametrize("facs", [[9], [27], [3, 3], [15], [2, 4]])
 def test_extension_preimage_matches_fraction_solve(facs, monkeypatch):
     """The integral coordinates solve of the preimage step agrees with
-    the rational solve on every coset-indicator system the check meets."""
+    the rational solve on every coset-indicator system the check meets,
+    one per inertia group."""
     systems = []
 
     class Recorder:
@@ -309,10 +293,10 @@ def test_extension_preimage_matches_fraction_solve(facs, monkeypatch):
 
     monkeypatch.setattr(lattices, "im", Recorder())
     r = ring_of(facs)
-    pairs = build_sets(r.group).stilde
-    for pair in pairs:
-        verify_extension_sequence(r, pair.inertia, pair.frob)
-    assert len(systems) == len(pairs)
+    inertias = {pair.inertia for pair in build_sets(r.group).stilde}
+    for inertia in inertias:
+        verify_extension_sequence(r, inertia)
+    assert len(systems) == len(inertias)
     for fnum, w_rows, coords in systems:
         # the rows are 0/1 indicators of disjoint sets covering G
         assert all(v in (0, 1) for row in fnum for v in row)
@@ -472,13 +456,18 @@ def unit_outcome(check, ring, inertia, frob_a, frob_b):
         return "no unit"
 
 
-@pytest.mark.parametrize("facs", [[9], [27], [3, 3], [15], [3, 9]])
+@pytest.mark.parametrize("facs", [[9], [27], [3, 3], [15], [3, 9], [8], [2, 4], [2, 16]])
 def test_backward_rep_is_the_rational_lattice_scaled_by_the_inertia_order(facs):
+    # the per-pair rational lattice, for every phi, is the one lattice of I
     r = group_ring(make_group(facs))
-    for pair in build_sets(r.group).stilde:
-        ref = ref_backward_rep(r, pair.inertia, pair.frob)
-        assert ref.den == pair.inertia.order, pair
-        assert backward_rep(r, pair.inertia, pair.frob).lattice.basis == ref.basis, pair
+    for inertia in {pair.inertia for pair in build_sets(r.group).stilde}:
+        lat = backward_rep(r, inertia)
+        for frob in r.group.elements():
+            ref = ref_backward_rep(r, inertia, frob)
+            assert ref.den == inertia.order, (inertia, frob)
+            assert lat.basis == ref.basis, (inertia, frob)
+    with pytest.raises(ScopeError):
+        backward_rep(r, Subgroup.trivial(r.group))
 
 
 def test_unit_transport_repairs_the_augmentation_on_frobenius_in_inertia():
@@ -528,13 +517,15 @@ def test_unit_transport_matches_the_rational_route(facs, pairs):
 @pytest.mark.parametrize("facs", [[9], [27], [3, 3], [15], [3, 9]])
 def test_backward_rep_is_the_ideal_of_the_inertia_norm_and_order(facs):
     # L = (nu, 1 - nu phi^-1) contains nu phi^-1, a translate of nu, so
-    # it contains 1 and #I L = (N_I, #I) whatever phi is
+    # it contains 1 and the per-pair ideal #I L = (N_I, #I - N_I phi^-1)
+    # is (N_I, #I) whatever phi is
     r = group_ring(make_group(facs))
     for pair in build_sets(r.group).stilde:
-        norm_and_order = IdealLattice.from_elements(
-            r, [r.norm_element(pair.inertia), r.one().scale(pair.inertia.order)]
+        n_i = r.norm_element(pair.inertia)
+        per_pair = IdealLattice.from_elements(
+            r, [n_i, r.one().scale(pair.inertia.order) - n_i * r.delta(-pair.frob)]
         )
-        assert backward_rep(r, pair.inertia, pair.frob).lattice.basis == norm_and_order.basis, pair
+        assert backward_rep(r, pair.inertia).basis == per_pair.basis, pair
 
 
 @pytest.mark.parametrize("facs", [[8], [9], [27], [2, 4], [3, 3]])
@@ -558,10 +549,9 @@ def test_unit_comparison_also_accepts_an_unrelated_multiplier(facs):
             q = p ** (2 * r.n * p_split(order, p)[0] + 1)
             utilde = r.one() + (r.delta(a.frob) - r.one()).scale(3)
             w = r.one().scale(order) + r.norm_element(a.inertia) * (utilde - r.one())
-            lat_a = backward_rep(r, a.inertia, a.frob).lattice
-            lat_b = backward_rep(r, b.inertia, b.frob).lattice
-            rows_a = [list(row) for row in lat_a.multiply_element(w).basis]
-            rows_b = [[order * v for v in row] for row in lat_b.basis]
+            lat = backward_rep(r, a.inertia)
+            rows_a = [list(row) for row in lat.multiply_element(w).basis]
+            rows_b = [[order * v for v in row] for row in lat.basis]
             mod_rows = im.diagonal([q] * r.n)
             assert im.lattice_eq(rows_a + mod_rows, rows_b + mod_rows), (facs, a, b)
             compared += 1
