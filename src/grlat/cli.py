@@ -284,7 +284,7 @@ def cmd_spectrum(args) -> dict:
     }
 
 
-def _read_records(path, p, r):
+def _read_records(path):
     if path == "@bundled":
         src = resources.files("grlat.data").joinpath("classgroups_p3_r2.csv")
         fh = src.open("r", encoding="utf-8")
@@ -321,7 +321,7 @@ def _read_records(path, p, r):
 
 
 def cmd_ingest(args) -> dict:
-    records = _read_records(args.table, args.p, args.r)
+    records = _read_records(args.table)
     modulus = args.p**args.r
     rows = []
     attained = set()

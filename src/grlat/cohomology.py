@@ -45,7 +45,7 @@ from .abelian import (
     sylow,
     sylow_complement,
 )
-from .errors import ParentMismatchError, PrecisionError, ScopeError
+from .errors import IdentityCheckError, ParentMismatchError, PrecisionError, ScopeError
 from .grouprings import FiniteModule, group_ring, inertia_module
 
 
@@ -273,52 +273,55 @@ def character_classes(group: FinAbGroup, p: int) -> list[ChiClass]:
 _LIFT_CACHE: dict = {}
 
 
-def lifted_cyclotomic_factor(m: int, p: int, prec: int):
-    """A canonical monic factor of the m-th cyclotomic polynomial over
-    the p-adics, truncated mod p^prec: the Hensel lift of the lex-least
-    irreducible factor mod p.  Exact for m = 1."""
-    key = (m, p, prec)
-    if key in _LIFT_CACHE:
-        return _LIFT_CACHE[key]
-    if m == 1:
-        out = (-1, 1)
-    else:
-        factors = polys.factor_cyclotomic_mod_p(m, p)
-        h0 = factors[0]
-        if len(factors) == 1:
-            out = polys.cyclotomic(m)
-        else:
-            g0 = (1,)
-            for f in factors[1:]:
-                g0 = polys.poly_reduce_mod(polys.poly_mul(g0, f), p)
-            h, _ = polys.hensel_lift(polys.cyclotomic(m), h0, g0, p, prec)
-            out = h
-    _LIFT_CACHE[key] = out
-    return out
-
-
-_TRACE_CACHE: dict = {}
+def _cyclic_mul(a, b, q):
+    """Product in (Z/q)[C_m] of two length-m coefficient lists."""
+    m = len(a)
+    out = [0] * m
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[(i + j) % m] += x * y
+    return [c % q for c in out]
 
 
 def _root_power_traces(m: int, p: int, prec: int):
     """traces[k] = trace of zeta^k from Z_p[zeta] down to Z_p, mod
-    p^prec, for zeta a root of the canonical lifted factor of the m-th
-    cyclotomic polynomial; k = 0..m-1."""
+    p^prec, for zeta a root of the p-adic factor of the m-th cyclotomic
+    polynomial that reduces to its lex-least irreducible factor h0 mod p
+    (x - 1 for m = 1); k = 0..m-1.
+
+    The traces mod p are read off F_p[X]/(h0).  They give the idempotent
+    e = (1/m) sum_k Tr(x^-k) s^k of F_p[C_m], which e <- 3e^2 - 2e^3
+    lifts to (Z/p^prec)[C_m], each step squaring the precision.  An
+    idempotent lifts uniquely modulo the nilpotent ideal (p), so the
+    lift is the p-adic idempotent of zeta's Frobenius orbit mod p^prec,
+    and Tr(zeta^k) = m * e_(-k).
+    """
     key = (m, p, prec)
-    if key in _TRACE_CACHE:
-        return _TRACE_CACHE[key]
-    h = lifted_cyclotomic_factor(m, p, prec)
-    q = p**prec
-    traces = []
+    if key in _LIFT_CACHE:
+        return _LIFT_CACHE[key]
+    if prec < 1:
+        raise PrecisionError("root power traces need precision at least p^1")
+    h0 = (-1, 1) if m == 1 else polys.factor_cyclotomic_mod_p(m, p)[0]
+    tr0 = []
     xk = (1,)
     for _ in range(m):
-        mat = polys.mult_matrix_mod(h, xk)
-        tr = sum(mat[i][i] for i in range(len(mat))) % q
-        traces.append(tr)
-        xk = polys.poly_mul(xk, (0, 1))
-        _, xk = polys.poly_divmod_monic(xk, h)
-        xk = polys.poly_reduce_mod(xk, q)
-    _TRACE_CACHE[key] = traces
+        mat = polys.mult_matrix_mod(h0, xk)
+        tr0.append(sum(mat[i][i] for i in range(len(mat))) % p)
+        _, xk = polys.poly_divmod_monic(polys.poly_mul(xk, (0, 1)), h0)
+        xk = polys.poly_reduce_mod(xk, p)
+    inv_m = pow(m, -1, p)
+    e0 = [tr0[-k % m] * inv_m % p for k in range(m)]
+    q = p**prec
+    e, exact = e0, 1
+    while exact < prec:
+        sq = _cyclic_mul(e, e, q)
+        e = [(3 * a - 2 * b) % q for a, b in zip(sq, _cyclic_mul(sq, e, q))]
+        exact *= 2
+    if _cyclic_mul(e, e, q) != e or [c % p for c in e] != e0:
+        raise IdentityCheckError(f"lifted idempotent of C_{m} is not idempotent mod {p}^{prec}")
+    traces = [m * e[-k % m] % q for k in range(m)]
+    _LIFT_CACHE[key] = traces
     return traces
 
 

@@ -1,13 +1,14 @@
-"""Polynomial helpers over Z and Z/p^k.
+"""Polynomial helpers over Z: cyclotomic polynomials, their factors
+mod p, and multiplication matrices.
 
 Polynomials are tuples of int coefficients, constant term first, no
 trailing zeros (the zero polynomial is the empty tuple).  Nothing here
 is asymptotically clever; degrees stay small (< 100) in every caller.
 
-The Hensel lift is the linear-convergence version and checks its own
-congruences at every step, since downstream valuation computations are
-only trustworthy if the lifted factor is exact to the stated precision.
-Every such check raises IdentityCheckError, so it survives python -O.
+A factor mod p is all the p-adic input there is: cohomology lifts the
+idempotent such a factor cuts out of F_p[C_m], not the factor itself.
+Every identity check here raises IdentityCheckError, so it survives
+python -O.
 """
 
 from __future__ import annotations
@@ -22,26 +23,6 @@ def trim(coeffs):
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def deg(f):
-    return len(f) - 1
-
-
-def poly_add(f, g):
-    n = max(len(f), len(g))
-    return trim([(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)])
-
-
-def poly_sub(f, g):
-    n = max(len(f), len(g))
-    return trim([(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)])
-
-
-def poly_scale(f, c):
-    if c == 0:
-        return ()
-    return trim([c * x for x in f])
 
 
 def poly_mul(f, g):
@@ -89,84 +70,6 @@ def cyclotomic(m):
                 raise IdentityCheckError(f"cyclotomic({d}) does not divide the quotient for m={m}")
             num = q
     return num
-
-
-# ---------------------------------------------------------------------------
-# arithmetic mod a prime
-
-
-def poly_divmod_fp(f, g, p):
-    g = poly_reduce_mod(g, p)
-    if not g:
-        raise ZeroDivisionError("division by zero polynomial")
-    inv_lead = pow(g[-1], -1, p)
-    r = [c % p for c in f]
-    dg = len(g) - 1
-    q = [0] * max(0, len(r) - dg)
-    for i in range(len(r) - 1, dg - 1, -1):
-        c = (r[i] * inv_lead) % p
-        if c:
-            q[i - dg] = c
-            for j in range(dg + 1):
-                r[i - dg + j] = (r[i - dg + j] - c * g[j]) % p
-    return trim(q), trim(r)
-
-
-def poly_bezout_fp(f, g, p):
-    """(s, t) with s*f + t*g = 1 mod p; requires gcd(f, g) = 1 mod p."""
-    a = poly_reduce_mod(f, p)
-    b = poly_reduce_mod(g, p)
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while b:
-        q, r = poly_divmod_fp(a, b, p)
-        a, b = b, r
-        s0, s1 = s1, poly_reduce_mod(poly_sub(s0, poly_mul(q, s1)), p)
-        t0, t1 = t1, poly_reduce_mod(poly_sub(t0, poly_mul(q, t1)), p)
-    if len(a) != 1:
-        raise ValueError("polynomials are not coprime mod p")
-    inv = pow(a[0], -1, p)
-    s = trim([(c * inv) % p for c in s0])
-    t = trim([(c * inv) % p for c in t0])
-    chk = poly_reduce_mod(poly_add(poly_mul(s, f), poly_mul(t, g)), p)
-    if chk != (1,):
-        raise IdentityCheckError(f"Bezout coefficients do not combine to 1 mod {p}")
-    return s, t
-
-
-def hensel_lift(f, h0, g0, p, prec):
-    """Lift f = h0*g0 (mod p), h0 monic, to f = h*g (mod p^prec).
-
-    Returns (h, g) with h monic of the same degree as h0, h = h0 mod p.
-    Uses the linear iteration; every step checks its congruence.
-    """
-    h0 = poly_reduce_mod(h0, p)
-    g0 = poly_reduce_mod(g0, p)
-    if not h0 or h0[-1] != 1:
-        raise ValueError("h0 must be monic mod p")
-    diff = poly_reduce_mod(poly_sub(f, poly_mul(h0, g0)), p)
-    if diff:
-        raise ValueError("f != h0*g0 mod p")
-    s, t = poly_bezout_fp(h0, g0, p)
-    h, g = h0, g0
-    pk = p
-    while pk < p ** prec:
-        modulus = pk * p
-        # e = (f - h*g) / pk, valid mod p
-        fullerr = poly_sub(f, poly_mul(h, g))
-        e = trim([(c // pk) % p for c in poly_reduce_mod(fullerr, modulus)])
-        # u = t*e mod h0 (keeps h monic, same degree); w = s*e + q*g0
-        te = poly_mul(t, e)
-        q, u = poly_divmod_fp(te, h0, p)
-        w = poly_reduce_mod(poly_add(poly_mul(s, e), poly_mul(q, g0)), p)
-        h = poly_reduce_mod(poly_add(h, poly_scale(u, pk)), modulus)
-        g = poly_reduce_mod(poly_add(g, poly_scale(w, pk)), modulus)
-        pk = modulus
-        if len(h) != len(h0) or h[-1] != 1:
-            raise IdentityCheckError(f"lifted factor is not monic of degree {deg(h0)} mod {pk}")
-        if poly_reduce_mod(poly_sub(f, poly_mul(h, g)), pk):
-            raise IdentityCheckError(f"f != h*g mod {pk} after a Hensel step")
-    return h, g
 
 
 def factor_cyclotomic_mod_p(m, p):

@@ -132,13 +132,11 @@ class SpectrumSample:
 
     p: int
     r: int
-    u: tuple
     epsilon: int
     x: tuple
     c_values: tuple
     a_values: tuple
     snf_total: int
-    membership: bool
     attempts: int
 
     @property
@@ -180,13 +178,11 @@ def build_sample(p: int, r: int, ucoeffs, epsilon: int = 1, attempts: int = 1) -
     return SpectrumSample(
         p,
         r,
-        tuple(ucoeffs),
         epsilon,
         tuple(x.coeffs),
         c_values,
         tuple(a_values),
         snf_total,
-        predicted_membership(snf_total, p, r, 1),
         attempts,
     )
 

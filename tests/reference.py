@@ -4,9 +4,18 @@ ref_det is the Bareiss determinant and ref_resultant_monic the
 multiplication-matrix resultant that spectrum's character valuations
 used before they were read off the Eisenstein expansion; both are
 checked against sympy in the tests that use them.
+
+ref_root_power_traces is the Hensel route to the traces of a p-adic
+cyclotomic root that cohomology used before it lifted the idempotent
+instead: the lex-least factor of Phi_m mod p is lifted to mod p^prec by
+the linear Hensel iteration, and the traces of the powers of X are read
+off Z[X]/(h).  The polynomial helpers it needs come with it.  The
+routines are verbatim apart from their names and the two memo dicts.
 """
 
-from grlat.polys import mult_matrix_mod
+from grlat import polys
+from grlat.errors import IdentityCheckError
+from grlat.polys import mult_matrix_mod, poly_mul, poly_reduce_mod, trim
 
 
 def ref_det(rows):
@@ -47,3 +56,138 @@ def ref_resultant_monic(f_monic, g):
     if len(f_monic) - 1 == 0:
         return 1
     return ref_det(mult_matrix_mod(f_monic, g))
+
+
+# -- the Hensel route to root power traces ----------------------------------
+
+
+def deg(f):
+    return len(f) - 1
+
+
+def poly_add(f, g):
+    n = max(len(f), len(g))
+    return trim([(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)])
+
+
+def poly_sub(f, g):
+    n = max(len(f), len(g))
+    return trim([(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)])
+
+
+def poly_scale(f, c):
+    if c == 0:
+        return ()
+    return trim([c * x for x in f])
+
+
+def ref_poly_divmod_fp(f, g, p):
+    g = poly_reduce_mod(g, p)
+    if not g:
+        raise ZeroDivisionError("division by zero polynomial")
+    inv_lead = pow(g[-1], -1, p)
+    r = [c % p for c in f]
+    dg = len(g) - 1
+    q = [0] * max(0, len(r) - dg)
+    for i in range(len(r) - 1, dg - 1, -1):
+        c = (r[i] * inv_lead) % p
+        if c:
+            q[i - dg] = c
+            for j in range(dg + 1):
+                r[i - dg + j] = (r[i - dg + j] - c * g[j]) % p
+    return trim(q), trim(r)
+
+
+def ref_poly_bezout_fp(f, g, p):
+    """(s, t) with s*f + t*g = 1 mod p; requires gcd(f, g) = 1 mod p."""
+    a = poly_reduce_mod(f, p)
+    b = poly_reduce_mod(g, p)
+    s0, s1 = (1,), ()
+    t0, t1 = (), (1,)
+    while b:
+        q, r = ref_poly_divmod_fp(a, b, p)
+        a, b = b, r
+        s0, s1 = s1, poly_reduce_mod(poly_sub(s0, poly_mul(q, s1)), p)
+        t0, t1 = t1, poly_reduce_mod(poly_sub(t0, poly_mul(q, t1)), p)
+    if len(a) != 1:
+        raise ValueError("polynomials are not coprime mod p")
+    inv = pow(a[0], -1, p)
+    s = trim([(c * inv) % p for c in s0])
+    t = trim([(c * inv) % p for c in t0])
+    chk = poly_reduce_mod(poly_add(poly_mul(s, f), poly_mul(t, g)), p)
+    if chk != (1,):
+        raise IdentityCheckError(f"Bezout coefficients do not combine to 1 mod {p}")
+    return s, t
+
+
+def ref_hensel_lift(f, h0, g0, p, prec):
+    """Lift f = h0*g0 (mod p), h0 monic, to f = h*g (mod p^prec).
+
+    Returns (h, g) with h monic of the same degree as h0, h = h0 mod p.
+    Uses the linear iteration; every step checks its congruence.
+    """
+    h0 = poly_reduce_mod(h0, p)
+    g0 = poly_reduce_mod(g0, p)
+    if not h0 or h0[-1] != 1:
+        raise ValueError("h0 must be monic mod p")
+    diff = poly_reduce_mod(poly_sub(f, poly_mul(h0, g0)), p)
+    if diff:
+        raise ValueError("f != h0*g0 mod p")
+    s, t = ref_poly_bezout_fp(h0, g0, p)
+    h, g = h0, g0
+    pk = p
+    while pk < p ** prec:
+        modulus = pk * p
+        # e = (f - h*g) / pk, valid mod p
+        fullerr = poly_sub(f, poly_mul(h, g))
+        e = trim([(c // pk) % p for c in poly_reduce_mod(fullerr, modulus)])
+        # u = t*e mod h0 (keeps h monic, same degree); w = s*e + q*g0
+        te = poly_mul(t, e)
+        q, u = ref_poly_divmod_fp(te, h0, p)
+        w = poly_reduce_mod(poly_add(poly_mul(s, e), poly_mul(q, g0)), p)
+        h = poly_reduce_mod(poly_add(h, poly_scale(u, pk)), modulus)
+        g = poly_reduce_mod(poly_add(g, poly_scale(w, pk)), modulus)
+        pk = modulus
+        if len(h) != len(h0) or h[-1] != 1:
+            raise IdentityCheckError(f"lifted factor is not monic of degree {deg(h0)} mod {pk}")
+        if poly_reduce_mod(poly_sub(f, poly_mul(h, g)), pk):
+            raise IdentityCheckError(f"f != h*g mod {pk} after a Hensel step")
+    return h, g
+
+
+def ref_lifted_cyclotomic_factor(m, p, prec):
+    """A canonical monic factor of the m-th cyclotomic polynomial over
+    the p-adics, truncated mod p^prec: the Hensel lift of the lex-least
+    irreducible factor mod p.  Exact for m = 1."""
+    if m == 1:
+        out = (-1, 1)
+    else:
+        factors = polys.factor_cyclotomic_mod_p(m, p)
+        h0 = factors[0]
+        if len(factors) == 1:
+            out = polys.cyclotomic(m)
+        else:
+            g0 = (1,)
+            for f in factors[1:]:
+                g0 = polys.poly_reduce_mod(polys.poly_mul(g0, f), p)
+            h, _ = ref_hensel_lift(polys.cyclotomic(m), h0, g0, p, prec)
+            out = h
+    return out
+
+
+def ref_root_power_traces(m, p, prec):
+    """traces[k] = trace of zeta^k from Z_p[zeta] down to Z_p, mod
+    p^prec, for zeta a root of the canonical lifted factor of the m-th
+    cyclotomic polynomial; k = 0..m-1."""
+    h = ref_lifted_cyclotomic_factor(m, p, prec)
+    q = p**prec
+    traces = []
+    xk = (1,)
+    for _ in range(m):
+        mat = polys.mult_matrix_mod(h, xk)
+        tr = sum(mat[i][i] for i in range(len(mat))) % q
+        traces.append(tr)
+        xk = polys.poly_mul(xk, (0, 1))
+        _, xk = polys.poly_divmod_monic(xk, h)
+        xk = polys.poly_reduce_mod(xk, q)
+    return traces

@@ -433,8 +433,20 @@ def test_oversized_sweep_is_refused_at_once(spec):
         (["verify", "2,2,4", "--checks", "tate"], "5e71449cc9c0e51346d321525e0e94f7d33774069d586586f2c5b31aeb5a3018"),
         (["verify", "243", "--checks", "ext"], "f2e2768599b8c8f436abd8194f5863972ec342e36fc7af7b97f98ecd713a1221"),
         (["verify", "256", "--checks", "ext"], "b1008508e64c3c67d5bc51583c310da27d7b0dec08d1c3e4450306b5a4795404"),
+        (["verify", "28", "--checks", "triviality"], "4a6e86b9fbb75a54c505d2bb84147d9245ee8bb33e69217c844fe015c6c6d28f"),
+        (["verify", "63", "--checks", "triviality"], "c205a9378a1108daf3b33d0e7c92c04c48d59a14d78b8ca6b98403236df53fdb"),
     ],
-    ids=["64-tate", "2,16-tate", "100-triviality", "2,2,2-tate", "2,2,4-tate", "243-ext", "256-ext"],
+    ids=[
+        "64-tate",
+        "2,16-tate",
+        "100-triviality",
+        "2,2,2-tate",
+        "2,2,4-tate",
+        "243-ext",
+        "256-ext",
+        "28-triviality",
+        "63-triviality",
+    ],
 )
 def test_large_verify_reports_are_pinned(argv, digest):
     # sha256 of the reports as printed when modules were kept at rank |G/I|;
@@ -506,6 +518,7 @@ def test_package_is_integral():
         ["verify", "9", "--checks", "tate,ext,triviality,unit"],
         ["verify", "2,6", "--checks", "triviality"],
         ["verify", "21", "--checks", "triviality"],
+        ["verify", "28", "--checks", "triviality"],
         ["monoid", "2,2,12"],
         ["monoid", "2,2,2,2"],
         ["verify", "3,3", "--checks", "tate"],

@@ -7,6 +7,7 @@ just as abelian groups.
 """
 
 from dataclasses import dataclass
+from math import gcd
 
 import pytest
 
@@ -40,6 +41,7 @@ from grlat.cohomology import (
 from grlat.errors import ParentMismatchError, PrecisionError, ScopeError
 from grlat.grouprings import FiniteModule, GroupRing, IdealLattice, group_ring, inertia_module
 from grlat.monoid import build_sets
+from reference import ref_root_power_traces
 
 
 def regular_quotient(ring, x):
@@ -494,6 +496,22 @@ def test_chi_idempotents_match_power_tables_and_sum_to_one(factors):
                 assert all(
                     (x - (i == j)) % q == 0 for i, row in enumerate(total) for j, x in enumerate(row)
                 ), (factors, pair, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_root_power_traces_match_the_hensel_route(p, monkeypatch):
+    # every m < 40 prime to p at six precisions, 1104 cases over the six
+    # primes; a fresh memo, so every case is computed here
+    monkeypatch.setattr(cohomology, "_LIFT_CACHE", {})
+    for m in range(1, 40):
+        if gcd(m, p) == 1:
+            for prec in (1, 2, 3, 4, 5, 7):
+                assert _root_power_traces(m, p, prec) == ref_root_power_traces(m, p, prec), (m, p, prec)
+
+
+def test_root_power_traces_need_precision():
+    with pytest.raises(PrecisionError):
+        _root_power_traces(7, 2, 0)
 
 
 def test_chi_idempotent_check_catches_corrupted_traces(monkeypatch):

@@ -10,6 +10,11 @@ least prime dividing #I:
   killing nu Q[G], so `image_matches` fails and nothing else;
 - (p N_I, #I) keeps that image, but its nu-part is p times too small,
   so the preimage and embedding facts fail and `image_matches` holds.
+
+The triviality check is run with its prediction negated, and with the
+lex-least factor of a split Phi_m mod p replaced by X^d + 1 (for Phi_7
+mod 2, X^3 + 1 divides neither factor); the idempotent its traces give
+is not idempotent mod p, and the lift refuses it.
 """
 
 import contextlib
@@ -17,9 +22,10 @@ import io
 
 import pytest
 
-from grlat import lattices
+from grlat import cohomology, lattices, polys
 from grlat.abelian import make_group, prime_factors
 from grlat.cli import EXIT_CHECK, main
+from grlat.errors import IdentityCheckError
 from grlat.grouprings import IdealLattice, group_ring
 from grlat.lattices import ExtensionReport
 from grlat.monoid import build_sets
@@ -75,10 +81,51 @@ def test_ext_refutes_a_sublattice_of_p_power_index(facs, generators, flags, monk
         assert lattices.verify_extension_sequence(ring, inertia) == flags, (facs, inertia)
 
 
-def test_verify_ext_exits_2_on_a_wrong_backward_lattice(monkeypatch):
-    monkeypatch.setattr(lattices, "backward_rep", wrong_backward_rep(index_too_large_order))
+def run_main(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["verify", "9", "--checks", "ext"])
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def test_verify_ext_exits_2_on_a_wrong_backward_lattice(monkeypatch):
+    monkeypatch.setattr(lattices, "backward_rep", wrong_backward_rep(index_too_large_order))
+    code, out = run_main(["verify", "9", "--checks", "ext"])
     assert code == EXIT_CHECK
-    assert "verdict\tfail" in out.getvalue()
+    assert "verdict\tfail" in out
+
+
+def test_verify_triviality_exits_2_on_a_negated_prediction(monkeypatch):
+    real = cohomology._predicted_component_triviality
+    monkeypatch.setattr(cohomology, "_predicted_component_triviality", lambda *args: not real(*args))
+    code, out = run_main(["verify", "15", "--checks", "triviality"])
+    assert code == EXIT_CHECK
+    assert "verdict\tfail" in out
+
+
+def non_factor_first(monkeypatch):
+    real = polys.factor_cyclotomic_mod_p
+
+    def factors(m, p):
+        fs = real(m, p)
+        if len(fs) == 1:
+            return fs
+        d = len(fs[0]) - 1
+        return [(1,) + (0,) * (d - 1) + (1,), *fs[1:]]
+
+    monkeypatch.setattr(polys, "factor_cyclotomic_mod_p", factors)
+    # the memo would hand back traces computed from the true factor
+    monkeypatch.setattr(cohomology, "_LIFT_CACHE", {})
+
+
+def test_root_power_traces_refuse_a_non_factor(monkeypatch):
+    non_factor_first(monkeypatch)
+    # Phi_7 = (X^3 + X + 1)(X^3 + X^2 + 1) mod 2; X^3 + 1 divides neither
+    with pytest.raises(IdentityCheckError):
+        cohomology._root_power_traces(7, 2, 3)
+
+
+def test_verify_triviality_exits_2_on_a_non_factor(monkeypatch):
+    non_factor_first(monkeypatch)
+    code, _ = run_main(["verify", "28", "--checks", "triviality"])
+    assert code == EXIT_CHECK

@@ -1,11 +1,13 @@
-"""Polynomial helpers: cyclotomics, mod-p factor lifting, resultants.
+"""Polynomial helpers: cyclotomics, factors mod p, resultants, and the
+reference Hensel lift.
 
 sympy provides the oracle for cyclotomic coefficients and resultants.
 The resultant under test is the reference ref_resultant_monic, against
-which spectrum's character valuations are checked.  Resultant signs are
-compared by absolute value only; it computes a multiplication-matrix
-determinant whose sign convention differs from the Sylvester matrix for
-odd degree pairs.
+which spectrum's character valuations are checked; the Hensel lift is
+the reference route against which cohomology's root power traces are
+checked.  Resultant signs are compared by absolute value only; it
+computes a multiplication-matrix determinant whose sign convention
+differs from the Sylvester matrix for odd degree pairs.
 """
 
 from hypothesis import given, settings
@@ -14,7 +16,15 @@ from sympy import Poly, cyclotomic_poly, resultant
 from sympy.abc import x
 
 import grlat.polys as pl
-from reference import ref_resultant_monic
+from reference import (
+    deg,
+    poly_add,
+    poly_sub,
+    ref_hensel_lift,
+    ref_lifted_cyclotomic_factor,
+    ref_poly_divmod_fp,
+    ref_resultant_monic,
+)
 
 
 def as_sympy(coeffs):
@@ -52,9 +62,9 @@ def test_poly_mul_matches_sympy(f, g):
 def test_divmod_monic_roundtrip(f):
     g = [2, 0, 1]  # X^2 + 2, monic
     q, r = pl.poly_divmod_monic(f, g)
-    recomposed = pl.poly_add(pl.poly_mul(q, g), r)
+    recomposed = poly_add(pl.poly_mul(q, g), r)
     assert pl.trim(recomposed) == pl.trim(f)
-    assert pl.deg(r) < 2
+    assert deg(r) < 2
 
 
 @given(st.integers(2, 40), coeffs)
@@ -80,13 +90,13 @@ def test_resultant_constant_and_valuation_anchors():
 def test_factor_cyclotomic_mod_p():
     # Phi_4 = X^2+1 splits mod 5 (5 = 1 mod 4) into two linears
     fs = pl.factor_cyclotomic_mod_p(4, 5)
-    assert len(fs) == 2 and all(pl.deg(h) == 1 for h in fs)
+    assert len(fs) == 2 and all(deg(h) == 1 for h in fs)
     # mod 3, the class of 3 has order 2 in (Z/4)*: irreducible of degree 2
     fs = pl.factor_cyclotomic_mod_p(4, 3)
-    assert len(fs) == 1 and pl.deg(fs[0]) == 2
+    assert len(fs) == 1 and deg(fs[0]) == 2
     # factor degree = multiplicative order of p mod m; ord_7(2) = 3
     fs = pl.factor_cyclotomic_mod_p(7, 2)
-    assert len(fs) == 2 and all(pl.deg(h) == 3 for h in fs)
+    assert len(fs) == 2 and all(deg(h) == 3 for h in fs)
     assert fs == sorted(fs)
 
 
@@ -95,19 +105,17 @@ def test_hensel_lift_factor():
     p, prec = 3, 4
     f = pl.cyclotomic(4)
     h0 = pl.factor_cyclotomic_mod_p(4, p)[0]
-    g0 = pl.poly_divmod_fp(f, h0, p)[0]
-    h, g = pl.hensel_lift(f, h0, g0, p, prec)
+    g0 = ref_poly_divmod_fp(f, h0, p)[0]
+    h, g = ref_hensel_lift(f, h0, g0, p, prec)
     q = p**prec
-    diff = pl.poly_sub(f, pl.poly_mul(h, g))
+    diff = poly_sub(f, pl.poly_mul(h, g))
     assert all(c % q == 0 for c in diff)
-    assert h[-1] == 1 and pl.deg(h) == pl.deg(h0)
+    assert h[-1] == 1 and deg(h) == deg(h0)
 
 
 def test_lifted_factor_root_is_primitive():
-    from grlat.cohomology import lifted_cyclotomic_factor
-
     # h | Phi_8 mod 3^5; multiplication by X on Z[X]/(h) has order 8 mod 3^5
-    h = lifted_cyclotomic_factor(8, 3, 5)
+    h = ref_lifted_cyclotomic_factor(8, 3, 5)
     q = 3**5
     mat = pl.mult_matrix_mod(h, [0, 1])
     power = [row[:] for row in mat]
