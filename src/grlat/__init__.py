@@ -3,7 +3,7 @@ lattices, Tate cohomology and valuation spectra.
 
 Subpackage map:
   intmat      exact integer linear algebra (HNF, SNF, kernels, lattices)
-  polys       integer/modular polynomial helpers, cyclotomics, Hensel lifting
+  polys       integer polynomial helpers, cyclotomics and their factors mod p
   abelian     finite abelian groups, their subgroups and quotients
   grouprings  integral group rings, ideal lattices, finite modules
   cohomology  Tate cohomology of finite modules, character components

@@ -290,7 +290,8 @@ def _root_power_traces(m: int, p: int, prec: int):
     polynomial that reduces to its lex-least irreducible factor h0 mod p
     (x - 1 for m = 1); k = 0..m-1.
 
-    The traces mod p are read off F_p[X]/(h0).  They give the idempotent
+    The traces mod p are the power sums of the roots of h0, read off its
+    coefficients by Newton's identities.  They give the idempotent
     e = (1/m) sum_k Tr(x^-k) s^k of F_p[C_m], which e <- 3e^2 - 2e^3
     lifts to (Z/p^prec)[C_m], each step squaring the precision.  An
     idempotent lifts uniquely modulo the nilpotent ideal (p), so the
@@ -303,13 +304,12 @@ def _root_power_traces(m: int, p: int, prec: int):
     if prec < 1:
         raise PrecisionError("root power traces need precision at least p^1")
     h0 = (-1, 1) if m == 1 else polys.factor_cyclotomic_mod_p(m, p)[0]
-    tr0 = []
-    xk = (1,)
-    for _ in range(m):
-        mat = polys.mult_matrix_mod(h0, xk)
-        tr0.append(sum(mat[i][i] for i in range(len(mat))) % p)
-        _, xk = polys.poly_divmod_monic(polys.poly_mul(xk, (0, 1)), h0)
-        xk = polys.poly_reduce_mod(xk, p)
+    d = len(h0) - 1
+    tr0 = [d % p]
+    for k in range(1, m):
+        s = k * h0[d - k] if k <= d else 0
+        s += sum(h0[d - i] * tr0[k - i] for i in range(1, min(k, d + 1)))
+        tr0.append(-s % p)
     inv_m = pow(m, -1, p)
     e0 = [tr0[-k % m] * inv_m % p for k in range(m)]
     q = p**prec
@@ -361,26 +361,19 @@ def chi_idempotent_matrix(module: FiniteModule, chi: ChiClass, prec: int):
     return out
 
 
-def chi_component(
-    module: FiniteModule, chi: ChiClass, prec: int | None = None
-) -> FiniteModule:
+def chi_component(module: FiniteModule, chi: ChiClass) -> FiniteModule:
     """The direct summand of a p-primary module cut out by the
     conjugacy-class idempotent of chi, presented as the quotient of the
     module by (1 - e_chi).
 
-    Exact as long as p^prec annihilates the module, which is the default
-    precision; a smaller explicit precision raises."""
+    Exact, as the idempotent is taken mod the module exponent p^e."""
     p = chi.p
     e, rest = p_split(module.exponent(), p)
     if rest != 1:
         raise ScopeError("module is not p-primary; take its p-part first")
-    if prec is None:
-        prec = max(e, 1)
-    if prec < e:
-        raise PrecisionError(f"precision p^{prec} below module exponent p^{e}")
     if e == 0:
         return module
-    ep = chi_idempotent_matrix(module, chi, prec)
+    ep = chi_idempotent_matrix(module, chi, e)
     n = module.rank
     extra = [
         [(1 if i == j else 0) - ep[i][j] for j in range(n)] for i in range(n)
@@ -455,7 +448,7 @@ def triviality_criterion(
     rows = []
     for chi in character_classes(group, p):
         comp = chi_component(mp, chi)
-        lhs = comp.order == 1 or is_cohomologically_trivial(comp)
+        lhs = is_cohomologically_trivial(comp)
         rhs = _predicted_component_triviality(group, inertia, frob, p, chi)
         rows.append(CriterionRow(chi, lhs, rhs))
     return CriterionReport(tuple(rows), all(r.agree for r in rows))

@@ -207,11 +207,6 @@ def left_kernel(rows, width=None):
     return u[len(pivots) :]
 
 
-def right_kernel(rows):
-    """Basis of {y (column) : A @ y = 0}, returned as rows."""
-    return left_kernel(mat_transpose(rows))
-
-
 def reduce_against(hrows, pivots, v):
     """Reduce v against an echelon basis.  Returns (coeffs, remainder)."""
     v = list(v)

@@ -14,9 +14,10 @@ The verification routines certify, with exact integer arithmetic, the
 structural facts the representatives rest on: the kernel of
 (a, b) |-> a (tau - 1) + b (1 - phi^{-1} + #I) has the expected two
 generators over the group ring; the backward representative sits in an
-extension of the full group ring by the norm line, a fact about I
-alone; and two pairs with the same inertia and decomposition data are
-related by an explicit unit u of Z_p[G/I] with
+extension of the full group ring by the norm line, which holds exactly
+when the stored lattice is (N_I, #I), so that check cannot fail on the
+lattice backward_rep builds; and two pairs with the same inertia and
+decomposition data are related by an explicit unit u of Z_p[G/I] with
 u (1 - phi_a^{-1}) = 1 - phi_b^{-1}.  That last claim rests on the
 solve for u: the lattice comparison that follows it passes for any
 multiplier whose u~ has augmentation prime to p, as the backward
@@ -49,7 +50,6 @@ from .abelian import (
 )
 from .errors import (
     ContainmentError,
-    PrecisionError,
     ScopeError,
     UnitNotFoundError,
 )
@@ -165,16 +165,11 @@ def _kernel_identity(
 @dataclass(frozen=True)
 class ExtensionReport:
     image_matches: bool
-    preimage_is_standard: bool
     embedding_primitive: bool
 
     @property
     def ok(self) -> bool:
-        return (
-            self.image_matches
-            and self.preimage_is_standard
-            and self.embedding_primitive
-        )
+        return self.image_matches and self.embedding_primitive
 
 
 def verify_extension_sequence(ring: GroupRing, inertia: Subgroup) -> ExtensionReport:
@@ -182,47 +177,36 @@ def verify_extension_sequence(ring: GroupRing, inertia: Subgroup) -> ExtensionRe
     the same extension as the full group ring.
 
     With nu = N_I/#I and pi the projection of Q[G] killing exactly
-    nu Q[G], three exact facts are checked: pi(L) = pi(Z[G]); the
-    preimage of L under multiplication by nu on Q[G/I] is exactly
-    Z[G/I]; and the coordinates of the nu-image inside L form a
-    primitive full-rank sublattice (all Smith invariants 1).
+    nu Q[G], two exact facts are checked on the stored #I L: pi(#I L)
+    = #I pi(Z[G]); and N_I Z[G] is a primitive sublattice of #I L (all
+    Smith invariants of its coordinates 1), so the nu-part of L is
+    exactly nu Z[G].  An integer vector killed by pi is constant on the
+    cosets of I, a sum of rows of N_I Z[G]; so the two facts hold
+    exactly when #I L is the ideal (N_I, #I), as backward_rep builds it.
     """
     lat = backward_rep(ring, inertia)
     n = ring.n
     basis = [list(r) for r in lat.basis]
     n_i = ring.norm_element(inertia)
-    mn = ring.mult_matrix(n_i)
-    ker_rows = im.right_kernel(mn)
-    kcols = im.mat_transpose(ker_rows)
+    # M_{N_I} is symmetric (N_I is I-invariant and I = -I), so its left
+    # kernel is the kernel of pi as columns
+    kcols = im.mat_transpose(im.left_kernel(ring.mult_matrix(n_i)))
     # (a) pi of the stored lattice #I L agrees with #I pi(Z[G])
     bk = im.mat_mul(basis, kcols)
     order = inertia.order
     full_rows = [[order * v for v in row] for row in kcols]
     image_matches = im.lattice_eq(bk, full_rows)
-    # (b) preimage of L under multiplication by nu is the standard lattice;
-    # a row per coset of I, in any order: neither fact below depends on it
+    # (b) the rows of N_I Z[G], one 0/1 indicator per coset of I in any
+    # order, have coordinates in #I L with all Smith invariants 1
     fnum = [
         list(n_i.translate(GroupElement(ring.group, x)).coeffs)
         for x in im.hnf_residues(inertia.basis)
     ]
-    nbar = len(fnum)
-    coeff_rows = im.left_kernel(bk)
-    w_rows = [im.vec_mat(c, basis) for c in coeff_rows]
-    # the rows of fnum are disjoint 0/1 indicators of the cosets of I,
-    # covering G, so every rational preimage is already integral
-    try:
-        pre = im.lattice_quotient_coords(fnum, w_rows)
-    except ContainmentError:
-        preimage_is_standard = False
-    else:
-        preimage_is_standard = im.lattice_eq(pre, im.identity(nbar))
-    # (c) nu-image coordinates in L are a primitive rank-nbar sublattice:
-    # all nbar <= n Smith invariants are 1
     coords = [im.span_coefficients(basis, range(n), row) for row in fnum]
     embedding_primitive = None not in coords and all(
         d == 1 for d in im.snf_diagonal(coords, n)
     )
-    return ExtensionReport(image_matches, preimage_is_standard, embedding_primitive)
+    return ExtensionReport(image_matches, embedding_primitive)
 
 
 def verify_unit_transport(
@@ -230,7 +214,6 @@ def verify_unit_transport(
     inertia: Subgroup,
     frob_a: GroupElement,
     frob_b: GroupElement,
-    precision: int | None = None,
 ) -> bool:
     """Transport the backward representative of (I, phi_a) onto that of
     (I, phi_b) by an explicit unit multiplier, p-adically.
@@ -239,11 +222,12 @@ def verify_unit_transport(
     inertia and decomposition subgroup.  A unit u of Z_p[G/I] with
     u (1 - phi_a^{-1}) = 1 - phi_b^{-1} is solved for modulo p^M, and
     the backward lattice L of I is compared with L w, for the multiplier
-    w = 1 + nu (u~ - 1), modulo p^M Z^n; M is large enough that this
-    equality certifies equality of the p-adic completions.  L is a ring,
-    so L w is in L, and the comparison passes whenever aug(u~) is prime
-    to p, which the solve already ensures: the claim rests on the solve
-    for u.  Returns that equality; a missing unit raises.
+    w = 1 + nu (u~ - 1), modulo p^M Z^n; M = 2 n v_p(#I) + 1 is large
+    enough that this equality certifies equality of the p-adic
+    completions.  L is a ring, so L w is in L, and the comparison passes
+    whenever aug(u~) is prime to p, which the solve already ensures: the
+    claim rests on the solve for u.  Returns that equality; a missing
+    unit raises.
     """
     group = ring.group
     ps = sorted(prime_factors(group.order))
@@ -256,13 +240,7 @@ def verify_unit_transport(
         raise ScopeError("pairs have different decomposition subgroups")
     lat = backward_rep(ring, inertia)
     n = ring.n
-    needed = 2 * n * p_split(inertia.order, p)[0] + 1
-    prec = needed if precision is None else precision
-    if prec < needed:
-        raise PrecisionError(
-            f"precision p^{precision} below certified bound p^{needed}"
-        )
-    q = p**prec
+    q = p ** (2 * n * p_split(inertia.order, p)[0] + 1)
     qd = quotient_data(group, inertia)
     qring = group_ring(qd.group)
     nbar = qring.n

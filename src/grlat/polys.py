@@ -1,5 +1,5 @@
-"""Polynomial helpers over Z: cyclotomic polynomials, their factors
-mod p, and multiplication matrices.
+"""Polynomial helpers over Z: cyclotomic polynomials and their factors
+mod p.
 
 Polynomials are tuples of int coefficients, constant term first, no
 trailing zeros (the zero polynomial is the empty tuple).  Nothing here
@@ -25,18 +25,6 @@ def trim(coeffs):
     return tuple(c)
 
 
-def poly_mul(f, g):
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] += a * b
-    return trim(out)
-
-
 def poly_divmod_monic(f, g):
     """(q, r) over Z with f = q*g + r, deg r < deg g; g must be monic."""
     if not g or g[-1] != 1:
@@ -51,10 +39,6 @@ def poly_divmod_monic(f, g):
             for j in range(dg + 1):
                 r[i - dg + j] -= c * g[j]
     return trim(q), trim(r)
-
-
-def poly_reduce_mod(f, modulus):
-    return trim([c % modulus for c in f])
 
 
 @lru_cache(maxsize=None)
@@ -101,17 +85,3 @@ def factor_cyclotomic_mod_p(m, p):
     if len({len(f) - 1 for f in out}) != 1:
         raise IdentityCheckError(f"factors of cyclotomic({m}) mod {p} differ in degree")
     return out
-
-
-def mult_matrix_mod(f_monic, g):
-    """Matrix (rows) of multiplication by g on Z[X]/(f_monic), basis 1..X^{d-1}."""
-    d = len(f_monic) - 1
-    _, gr = poly_divmod_monic(g, f_monic)
-    rows = []
-    cur = gr
-    for i in range(d):
-        rows.append([cur[j] if j < len(cur) else 0 for j in range(d)])
-        # multiply by X and reduce
-        cur = poly_divmod_monic(trim([0] + list(cur)), f_monic)[1]
-    return rows
-

@@ -9,13 +9,51 @@ ref_root_power_traces is the Hensel route to the traces of a p-adic
 cyclotomic root that cohomology used before it lifted the idempotent
 instead: the lex-least factor of Phi_m mod p is lifted to mod p^prec by
 the linear Hensel iteration, and the traces of the powers of X are read
-off Z[X]/(h).  The polynomial helpers it needs come with it.  The
-routines are verbatim apart from their names and the two memo dicts.
+off Z[X]/(h).  The polynomial helpers it needs come with it, including
+the multiplication matrix and the product and reduction mod a modulus
+that cohomology used to read its traces mod p before Newton's
+identities.  The routines are verbatim apart from their names and the
+two memo dicts.
+
+ref_preimage_is_standard is the fact the extension check dropped as a
+restatement of its embedding test: the preimage under multiplication by
+nu of the nu-part of a lattice is exactly Z[G/I].
 """
 
+import grlat.intmat as im
 from grlat import polys
-from grlat.errors import IdentityCheckError
-from grlat.polys import mult_matrix_mod, poly_mul, poly_reduce_mod, trim
+from grlat.abelian import GroupElement
+from grlat.errors import ContainmentError, IdentityCheckError
+from grlat.polys import poly_divmod_monic, trim
+
+
+def poly_mul(f, g):
+    if not f or not g:
+        return ()
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                if b:
+                    out[i + j] += a * b
+    return trim(out)
+
+
+def poly_reduce_mod(f, modulus):
+    return trim([c % modulus for c in f])
+
+
+def mult_matrix_mod(f_monic, g):
+    """Matrix (rows) of multiplication by g on Z[X]/(f_monic), basis 1..X^{d-1}."""
+    d = len(f_monic) - 1
+    _, gr = poly_divmod_monic(g, f_monic)
+    rows = []
+    cur = gr
+    for i in range(d):
+        rows.append([cur[j] if j < len(cur) else 0 for j in range(d)])
+        # multiply by X and reduce
+        cur = poly_divmod_monic(trim([0] + list(cur)), f_monic)[1]
+    return rows
 
 
 def ref_det(rows):
@@ -169,7 +207,7 @@ def ref_lifted_cyclotomic_factor(m, p, prec):
         else:
             g0 = (1,)
             for f in factors[1:]:
-                g0 = polys.poly_reduce_mod(polys.poly_mul(g0, f), p)
+                g0 = poly_reduce_mod(poly_mul(g0, f), p)
             h, _ = ref_hensel_lift(polys.cyclotomic(m), h0, g0, p, prec)
             out = h
     return out
@@ -184,10 +222,41 @@ def ref_root_power_traces(m, p, prec):
     traces = []
     xk = (1,)
     for _ in range(m):
-        mat = polys.mult_matrix_mod(h, xk)
+        mat = mult_matrix_mod(h, xk)
         tr = sum(mat[i][i] for i in range(len(mat))) % q
         traces.append(tr)
-        xk = polys.poly_mul(xk, (0, 1))
-        _, xk = polys.poly_divmod_monic(xk, h)
-        xk = polys.poly_reduce_mod(xk, q)
+        xk = poly_mul(xk, (0, 1))
+        _, xk = poly_divmod_monic(xk, h)
+        xk = poly_reduce_mod(xk, q)
     return traces
+
+
+# -- the preimage fact of the extension check -------------------------------
+
+
+def ref_preimage_is_standard(ring, inertia, lat):
+    """For a lattice lat (stored as #I L), whether the preimage of
+    L meet nu Q[G] under multiplication by nu is exactly Z[G/I]: the
+    coordinates over the coset indicators of the vectors of lat killed
+    by the projection pi of Q[G] with kernel nu Q[G] span Z^[G:I]."""
+    basis = [list(r) for r in lat.basis]
+    n_i = ring.norm_element(inertia)
+    mn = ring.mult_matrix(n_i)
+    ker_rows = im.left_kernel(im.mat_transpose(mn))
+    kcols = im.mat_transpose(ker_rows)
+    bk = im.mat_mul(basis, kcols)
+    # a row per coset of I, in any order
+    fnum = [
+        list(n_i.translate(GroupElement(ring.group, x)).coeffs)
+        for x in im.hnf_residues(inertia.basis)
+    ]
+    nbar = len(fnum)
+    coeff_rows = im.left_kernel(bk)
+    w_rows = [im.vec_mat(c, basis) for c in coeff_rows]
+    # the rows of fnum are disjoint 0/1 indicators of the cosets of I,
+    # covering G, so every rational preimage is already integral
+    try:
+        pre = im.lattice_quotient_coords(fnum, w_rows)
+    except ContainmentError:
+        return False
+    return im.lattice_eq(pre, im.identity(nbar))

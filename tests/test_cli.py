@@ -435,6 +435,9 @@ def test_oversized_sweep_is_refused_at_once(spec):
         (["verify", "256", "--checks", "ext"], "b1008508e64c3c67d5bc51583c310da27d7b0dec08d1c3e4450306b5a4795404"),
         (["verify", "28", "--checks", "triviality"], "4a6e86b9fbb75a54c505d2bb84147d9245ee8bb33e69217c844fe015c6c6d28f"),
         (["verify", "63", "--checks", "triviality"], "c205a9378a1108daf3b33d0e7c92c04c48d59a14d78b8ca6b98403236df53fdb"),
+        (["verify", "2,2,2,2", "--checks", "ext"], "ba3f3130fb2c5e35d14724685f86c1cd933348425c352fd0c4502932c0062e73"),
+        (["verify", "4,16", "--checks", "ext"], "252a41fce22094703a7c0c5af27fcc46c605a9c656ef584889aa4c95a128f0d3"),
+        (["verify", "81", "--checks", "unit"], "6ddc960636daabd6f2930e364ac4e7a63486d70503613110726231e701238517"),
     ],
     ids=[
         "64-tate",
@@ -446,13 +449,18 @@ def test_oversized_sweep_is_refused_at_once(spec):
         "256-ext",
         "28-triviality",
         "63-triviality",
+        "2,2,2,2-ext",
+        "4,16-ext",
+        "81-unit",
     ],
 )
 def test_large_verify_reports_are_pinned(argv, digest):
     # sha256 of the reports as printed when modules were kept at rank |G/I|;
     # the rank-3 groups as printed when each Tate group was rebuilt and
     # validated from a fresh presentation; the ext sweeps as printed when
-    # the backward lattice was rebuilt and checked for every pair
+    # the backward lattice was rebuilt and checked for every pair; the
+    # noncyclic ext sweeps and the unit sweep as printed when ext also
+    # solved for the preimage of the nu-part and unit took a precision
     env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-m", "grlat", *argv], capture_output=True, env=env, timeout=120)
     assert done.returncode == 0

@@ -200,8 +200,6 @@ def test_chi_component_guards():
     with pytest.raises(ScopeError):
         chi_component(mod, chi)
     m7 = p_part(mod, 7)
-    with pytest.raises(PrecisionError):
-        chi_component(m7, chi, prec=0)
     other = make_group([3, 3])
     with pytest.raises(ParentMismatchError):
         chi_idempotent_matrix(m7, character_classes(other, 7)[0], 1)

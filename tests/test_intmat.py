@@ -252,9 +252,9 @@ def test_left_kernel_annihilates(case):
         assert im.snf_diagonal(ker, len(rows)) == [1] * len(ker)
 
 
-def test_right_kernel_anchor():
+def test_left_kernel_anchor():
     # x + y + z = 0 over Z: kernel rank 2
-    ker = im.right_kernel([[1, 1, 1]])
+    ker = im.left_kernel([[1], [1], [1]])
     assert len(ker) == 2
     for k in ker:
         assert sum(k) == 0
