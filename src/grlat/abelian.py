@@ -341,13 +341,6 @@ class Subgroup:
             for c in sorted(pts, key=lambda c: c[::-1])
         ]
 
-    def cyclic_generator(self) -> GroupElement:
-        n = self.order
-        for e in self.elements():
-            if e.order() == n:
-                return e
-        raise InvalidFactorError("subgroup is not cyclic")
-
     def _check(self, other):
         if self.group != other.group:
             raise ParentMismatchError("subgroups of different groups")

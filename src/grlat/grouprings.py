@@ -4,8 +4,8 @@ and finitely generated torsion modules.
 Ring elements are dense integer coefficient tuples over the
 enumeration of FinAbGroup.elements(): mixed radix, first coordinate
 fastest.  Group addition is index arithmetic on the radix digits:
-GroupRing.shift(j), cached per j, maps i to the index of
-elems[i] + elems[j] (a rotation for cyclic groups).  Translation
+GroupRing.shift(j), cached per j, maps i to the index of the sum of
+elements i and j (a rotation for cyclic groups).  Translation
 permutes coefficients along it, multiplication scatters products along
 it, and the ideal generated by x is spanned by the translates of x.
 group_ring() memoises one ring per group.
@@ -56,7 +56,6 @@ class GroupRing:
             )
         self.group = group
         self.n = group.order
-        self.elems = list(group.elements())
         self._ids = tuple(range(self.n))
         self._shifts = [None] * self.n
 
@@ -64,7 +63,7 @@ class GroupRing:
         return self.group.index_of(elem)
 
     def shift(self, j: int) -> tuple:
-        """shift(j)[i] is the index of elems[i] + elems[j]."""
+        """shift(j)[i] is the index of the sum of elements i and j."""
         perm = self._shifts[j]
         if perm is None:
             # add the radix digits of j one coordinate at a time
@@ -79,7 +78,7 @@ class GroupRing:
         return perm
 
     def _translated(self, coeffs, j: int) -> list:
-        """Coefficients of (coeffs) * delta_{elems[j]}."""
+        """Coefficients of (coeffs) * delta_{element j}."""
         out = [0] * self.n
         for k, c in zip(self.shift(j), coeffs):
             out[k] = c
@@ -121,14 +120,11 @@ class GroupRing:
         """Rows M with (coeffs of y) @ M = coeffs of y*x."""
         if x.ring is not self:
             raise ParentMismatchError("element of a different ring")
-        # row i is x translated by elems[i]
+        # row i is x translated by element i
         return [self._translated(x.coeffs, i) for i in range(self.n)]
 
     def translation_matrix(self, elem: GroupElement):
         return self.mult_matrix(self.delta(elem))
-
-    def __repr__(self):
-        return f"GroupRing({self.group!r})"
 
 
 @lru_cache(maxsize=2)
@@ -195,13 +191,6 @@ class GroupRingElem:
             raise ParentMismatchError("element from a different group")
         return GroupRingElem(ring, tuple(ring._translated(self.coeffs, ring.index_of(elem))))
 
-    def __repr__(self):
-        terms = []
-        for c, e in zip(self.coeffs, self.ring.elems):
-            if c:
-                terms.append(f"{c}*d{e.coords}")
-        return " + ".join(terms) if terms else "0"
-
 
 class IdealLattice:
     """A full-rank lattice rowspan(basis) inside Z[G]; basis is a canonical
@@ -245,9 +234,6 @@ class IdealLattice:
             raise TypeError("ideal lattices need int coefficients")
         m = self.ring.mult_matrix(x)
         return IdealLattice(self.ring, [im.vec_mat(list(r), m) for r in self.basis])
-
-    def __repr__(self):
-        return f"IdealLattice(index={self.integral_index()})"
 
 
 def _mod_columns(rows, d):
@@ -368,9 +354,6 @@ class FiniteModule:
     def with_extra_relations(self, extra_rows) -> "FiniteModule":
         rows = [list(r) for r in self.relations] + [list(r) for r in extra_rows]
         return self.subquotient(im.identity(self.rank), rows)
-
-    def __repr__(self):
-        return f"FiniteModule(order={self.order}, invariants={self.invariants()})"
 
 
 def inertia_module(ring: GroupRing, inertia: Subgroup, frob: GroupElement) -> FiniteModule:

@@ -32,9 +32,9 @@ Conventions:
 from __future__ import annotations
 
 from itertools import product
-from math import gcd, prod
+from math import prod
 
-from .errors import ContainmentError, NotFullRankError
+from .errors import NotFullRankError
 
 
 def zeros(m, n):
@@ -464,18 +464,6 @@ def preimage_lattice(domain_rows, f_matrix, target_rows):
     nd = len(domain_rows)
     out = [vec_mat(k[:nd], domain_rows) for k in ker]
     return hnf(out, len(domain_rows[0]) if domain_rows else 0) if out else []
-
-
-def lattice_quotient_coords(big_rows, small_rows):
-    """Coordinates X with X @ big = small, exact; raises ContainmentError."""
-    h, u, piv = hnf_with_transform(big_rows)
-    coords = []
-    for r in small_rows:
-        c = span_coefficients(h, piv, r)
-        if c is None:
-            raise ContainmentError("sublattice not contained in the big lattice")
-        coords.append(vec_mat(c, u))
-    return coords
 
 
 def frozen(rows):

@@ -18,10 +18,14 @@ extension of the full group ring by the norm line, which holds exactly
 when the stored lattice is (N_I, #I), so that check cannot fail on the
 lattice backward_rep builds; and two pairs with the same inertia and
 decomposition data are related by an explicit unit u of Z_p[G/I] with
-u (1 - phi_a^{-1}) = 1 - phi_b^{-1}.  That last claim rests on the
-solve for u: the lattice comparison that follows it passes for any
-multiplier whose u~ has augmentation prime to p, as the backward
-lattice is a ring.
+u (1 - phi_a^{-1}) = 1 - phi_b^{-1}.  The same D gives phi_b = k phi_a
+mod I with p not dividing k, and the witness is the geometric sum
+u = sum_{t<k} phi_a^{-t}, which telescopes to the identity; its
+augmentation k is prime to p, so u is a unit of the local ring
+Z_p[G/I].  The identity is checked exactly on N_I Z[G], a faithful copy
+of Z[G/I].  That last claim rests on the witness: the lattice
+comparison that follows it passes for any multiplier whose u~ has
+augmentation prime to p, as the backward lattice is a ring.
 
 The kernel check is an index identity, not a kernel computation.  With
 g = 1 - lift^{-1} + #I, every character chi has
@@ -46,7 +50,6 @@ from .abelian import (
     make_group,
     p_split,
     prime_factors,
-    quotient_data,
 )
 from .errors import (
     ContainmentError,
@@ -116,11 +119,12 @@ def verify_kernel_presentation(
 ) -> KernelReport:
     """Certify the two-generator presentation of the relation kernel.
 
-    For tau a generator of (cyclic, nontrivial) inertia and
-    g = 1 - lift^{-1} + #I, the kernel of (a, b) |-> a (tau - 1) + b g
-    inside Z[G]^2 is claimed to be generated over the group ring by
-    (N_I, 0) and (g, 1 - tau), and its first projection to be the ideal
-    (N_I, g), which is the forward representative.  Both are certified
+    For tau the generator h of (cyclic, nontrivial) inertia read off its
+    stored basis [[h]], and g = 1 - lift^{-1} + #I, the kernel of
+    (a, b) |-> a (tau - 1) + b g inside Z[G]^2 is claimed to be
+    generated over the group ring by (N_I, 0) and (g, 1 - tau), and its
+    first projection to be the ideal (N_I, g), which is the forward
+    representative.  Both are certified
     by the index identity of the module docstring.
     """
     if inertia.is_trivial or not inertia.is_cyclic:
@@ -128,7 +132,7 @@ def verify_kernel_presentation(
     _, g = _forward_generator(ring, inertia, frob, lift)
     claimed = [
         (ring.norm_element(inertia), ring.one().scale(0)),
-        (g, ring.one() - ring.delta(inertia.cyclic_generator())),
+        (g, ring.one() - ring.delta(ring.group.element(inertia.basis[0]))),
     ]
     projection = IdealLattice.from_elements(ring, [x for x, _ in claimed])
     return _kernel_identity(ring, inertia, g, claimed, projection)
@@ -149,7 +153,8 @@ def _kernel_identity(
     Z[G]-linear, so the translates follow) and
     [Z[G] : projection] * [Z[G/I] : (gbar)] = |det M_g|.
     """
-    t_minus_1 = ring.delta(inertia.cyclic_generator()) - ring.one()
+    # G is cyclic, so I = <h> has the stored basis [[h]] and tau = h
+    t_minus_1 = ring.delta(ring.group.element(inertia.basis[0])) - ring.one()
     contained = all((x * t_minus_1 + y * g).is_zero for x, y in claimed)
     det_g = IdealLattice.from_elements(ring, [g]).integral_index()
     # I is the subgroup of the indices divisible by k = n/#I, so G -> G/I
@@ -219,15 +224,20 @@ def verify_unit_transport(
     (I, phi_b) by an explicit unit multiplier, p-adically.
 
     Requires the group to be a p-group and the two pairs to share both
-    inertia and decomposition subgroup.  A unit u of Z_p[G/I] with
-    u (1 - phi_a^{-1}) = 1 - phi_b^{-1} is solved for modulo p^M, and
-    the backward lattice L of I is compared with L w, for the multiplier
-    w = 1 + nu (u~ - 1), modulo p^M Z^n; M = 2 n v_p(#I) + 1 is large
-    enough that this equality certifies equality of the p-adic
+    inertia and decomposition subgroup.  Then phi_b = k phi_a mod I for
+    the least such k >= 1, and k is prime to p, and the witness
+    u = sum_{t<k} phi_a^{-t} telescopes to u (1 - phi_a^{-1}) =
+    1 - phi_a^{-k} = 1 - phi_b^{-1} in Z[G/I].  Its augmentation k is
+    prime to p, so u is a unit of the local ring Z_p[G/I].  The identity
+    is checked exactly on N_I Z[G], a faithful copy of Z[G/I] (x mod I
+    |-> N_I x), with u~ = sum_{t<k} delta(-t phi_a) in Z[G].  The
+    backward lattice L of I is then compared with L w, for the
+    multiplier w = 1 + nu (u~ - 1), modulo p^M Z^n; M = 2 n v_p(#I) + 1
+    is large enough that this equality certifies equality of the p-adic
     completions.  L is a ring, so L w is in L, and the comparison passes
-    whenever aug(u~) is prime to p, which the solve already ensures: the
-    claim rests on the solve for u.  Returns that equality; a missing
-    unit raises.
+    whenever aug(u~) is prime to p: the claim rests on the witness.
+    Returns that equality; a missing k or a witness that fails its
+    identity raises.
     """
     group = ring.group
     ps = sorted(prime_factors(group.order))
@@ -238,48 +248,28 @@ def verify_unit_transport(
     dec_b = decomposition_subgroup(inertia, frob_b)
     if dec_a != dec_b:
         raise ScopeError("pairs have different decomposition subgroups")
+    # k phi_a runs through <phi_a> with period ord(phi_a)
+    k = next(
+        (k for k in range(1, frob_a.order() + 1) if inertia.contains(frob_a.scale(k) - frob_b)),
+        None,
+    )
+    if k is None or k % p == 0:
+        raise UnitNotFoundError("no unit carries one coset difference to the other")
+    ucoeffs = [0] * ring.n
+    for t in range(k):
+        ucoeffs[ring.index_of(frob_a.scale(-t))] += 1
+    utilde = ring.from_coeffs(ucoeffs)
+    n_i = ring.norm_element(inertia)
+    one = ring.one()
+    if n_i * (utilde * (one - ring.delta(-frob_a))) != n_i * (one - ring.delta(-frob_b)):
+        raise UnitNotFoundError("the witness does not carry one coset difference to the other")
+    # the multiplier W = #I w = #I + N_I (u~ - 1); compare
+    # #I^2 L w = (#I L) W with #I^2 L = #I (#I L), from the stored #I L
     lat = backward_rep(ring, inertia)
     n = ring.n
     q = p ** (2 * n * p_split(inertia.order, p)[0] + 1)
-    qd = quotient_data(group, inertia)
-    qring = group_ring(qd.group)
-    nbar = qring.n
-    tmat = qring.mult_matrix(
-        qring.one() - qring.delta(-qd.proj(frob_a))
-    )
-    target = list(
-        (qring.one() - qring.delta(-qd.proj(frob_b))).coeffs
-    )
-    stacked = [list(r) for r in tmat] + im.diagonal([q] * nbar)
-    try:
-        sol = im.lattice_quotient_coords(stacked, [target])[0]
-    except ContainmentError:
-        raise UnitNotFoundError(
-            "no unit carries one coset difference to the other"
-        ) from None
-    u = [c % q for c in sol[:nbar]]
-    aug = sum(u) % q
-    if aug % p == 0:
-        for row in im.left_kernel(stacked):
-            k = [c % q for c in row[:nbar]]
-            ka = sum(k) % q
-            if ka % p:
-                c = ((1 - aug) * pow(ka, -1, q)) % q
-                u = [(a + c * b) % q for a, b in zip(u, k)]
-                break
-        else:
-            raise UnitNotFoundError("solution space contains no unit")
-    # lift u along the canonical coset representatives and form the
-    # multiplier W = #I w = #I + N_I (u~ - 1); N_I absorbs translation by
-    # I, so any transversal gives the same W; compare #I^2 L w = (#I L) W
-    # with #I^2 L = #I (#I L), from the stored #I L
-    ucoeffs = [0] * n
-    for x in im.hnf_residues(inertia.basis):
-        rep = GroupElement(group, x)
-        ucoeffs[ring.index_of(rep)] = u[qring.index_of(qd.proj(rep))]
-    utilde = ring.from_coeffs(tuple(ucoeffs))
     order = inertia.order
-    w = ring.one().scale(order) + ring.norm_element(inertia) * (utilde - ring.one())
+    w = one.scale(order) + n_i * (utilde - one)
     rows_a = [list(r) for r in lat.multiply_element(w).basis]
     rows_b = [[order * v for v in row] for row in lat.basis]
     mod_rows = im.diagonal([q] * n)

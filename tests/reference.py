@@ -18,12 +18,39 @@ two memo dicts.
 ref_preimage_is_standard is the fact the extension check dropped as a
 restatement of its embedding test: the preimage under multiplication by
 nu of the nu-part of a lattice is exactly Z[G/I].
+
+ref_lattice_quotient_coords is the exact solve X @ big = small by an
+HNF with transform that unit transport used to find its unit modulo
+p^M before it exhibited the geometric-sum witness; the references
+above and several test helpers solve with it.
+
+RefLattice, ref_backward_rep and ref_verify_unit_transport are the
+per-pair rational route the integral backward lattice replaced: the
+lattice (nu, 1 - nu phi^{-1}) over Fraction for every Frobenius, and
+unit transport between two such lattices by a unit solved for modulo
+p^M, with the augmentation repaired by a kernel row.
 """
+
+from fractions import Fraction
+from math import gcd, lcm
 
 import grlat.intmat as im
 from grlat import polys
-from grlat.abelian import GroupElement
-from grlat.errors import ContainmentError, IdentityCheckError
+from grlat.abelian import (
+    GroupElement,
+    decomposition_subgroup,
+    p_split,
+    prime_factors,
+    quotient_data,
+)
+from grlat.errors import (
+    ContainmentError,
+    IdentityCheckError,
+    NotFullRankError,
+    ScopeError,
+    UnitNotFoundError,
+)
+from grlat.grouprings import group_ring
 from grlat.polys import poly_divmod_monic, trim
 
 
@@ -231,6 +258,21 @@ def ref_root_power_traces(m, p, prec):
     return traces
 
 
+# -- the exact solve X @ big = small ----------------------------------------
+
+
+def ref_lattice_quotient_coords(big_rows, small_rows):
+    """Coordinates X with X @ big = small, exact; raises ContainmentError."""
+    h, u, piv = im.hnf_with_transform(big_rows)
+    coords = []
+    for r in small_rows:
+        c = im.span_coefficients(h, piv, r)
+        if c is None:
+            raise ContainmentError("sublattice not contained in the big lattice")
+        coords.append(im.vec_mat(c, u))
+    return coords
+
+
 # -- the preimage fact of the extension check -------------------------------
 
 
@@ -256,7 +298,106 @@ def ref_preimage_is_standard(ring, inertia, lat):
     # the rows of fnum are disjoint 0/1 indicators of the cosets of I,
     # covering G, so every rational preimage is already integral
     try:
-        pre = im.lattice_quotient_coords(fnum, w_rows)
+        pre = ref_lattice_quotient_coords(fnum, w_rows)
     except ContainmentError:
         return False
     return im.lattice_eq(pre, im.identity(nbar))
+
+
+# -- the rational route the integral backward lattice replaced ---------------
+
+
+class RefLattice:
+    """The lattice (1/den) * rowspan(basis) inside Q[G]: basis a canonical
+    integer row-HNF and gcd(den, content(basis)) = 1, so equal lattices
+    have identical (den, basis)."""
+
+    def __init__(self, ring, den, rows):
+        h = im.hnf([list(r) for r in rows], ring.n)
+        if len(h) != ring.n:
+            raise NotFullRankError(f"lattice rank {len(h)} < ring rank {ring.n}")
+        g = den
+        for r in h:
+            for x in r:
+                if x:
+                    g = gcd(g, x)
+        if g > 1:
+            den //= g
+            h = [[x // g for x in r] for r in h]
+        self.ring = ring
+        self.den = den
+        self.basis = im.frozen(h)
+
+    @classmethod
+    def from_elements(cls, ring, elems):
+        den, rows = ref_coeffs_to_int_rows(elems)
+        return cls(ring, den, [ring._translated(r, j) for r in rows for j in range(ring.n)])
+
+    def multiply_element(self, x):
+        den, rows = ref_coeffs_to_int_rows([x])
+        m = self.ring.mult_matrix(self.ring.from_coeffs(tuple(rows[0])))
+        return RefLattice(self.ring, self.den * den, [im.vec_mat(list(r), m) for r in self.basis])
+
+
+def ref_coeffs_to_int_rows(elems):
+    den = lcm(*(Fraction(c).denominator for e in elems for c in e.coeffs))
+    return den, [[int(c * den) for c in e.coeffs] for e in elems]
+
+
+def ref_backward_rep(ring, inertia, frob):
+    """(nu, 1 - nu phi^{-1}) with nu = N_I / #I, over Fraction."""
+    nu = ring.norm_element(inertia).scale(Fraction(1, inertia.order))
+    w2 = ring.one() - nu * ring.delta(-frob)
+    return RefLattice.from_elements(ring, [nu, w2])
+
+
+def ref_verify_unit_transport(ring, inertia, frob_a, frob_b):
+    """Unit transport on the rational lattices, compared inside
+    (1/common) Z[G] at precision n * v_p(common) + 1."""
+    group = ring.group
+    (p,) = prime_factors(group.order)
+    if decomposition_subgroup(inertia, frob_a) != decomposition_subgroup(inertia, frob_b):
+        raise ScopeError("pairs have different decomposition subgroups")
+    lat_a = ref_backward_rep(ring, inertia, frob_a)
+    lat_b = ref_backward_rep(ring, inertia, frob_b)
+    n = ring.n
+    common = lat_a.den * inertia.order
+    common = common * lat_b.den // gcd(common, lat_b.den)
+    prec = n * p_split(common, p)[0] + 1
+    q = p**prec
+    qd = quotient_data(group, inertia)
+    qring = group_ring(qd.group)
+    nbar = qring.n
+    tmat = qring.mult_matrix(qring.one() - qring.delta(-qd.proj(frob_a)))
+    target = list((qring.one() - qring.delta(-qd.proj(frob_b))).coeffs)
+    stacked = [list(r) for r in tmat] + im.diagonal([q] * nbar)
+    try:
+        sol = ref_lattice_quotient_coords(stacked, [target])[0]
+    except ContainmentError:
+        raise UnitNotFoundError("no unit carries one coset difference to the other") from None
+    u = [c % q for c in sol[:nbar]]
+    aug = sum(u) % q
+    if aug % p == 0:
+        fixed = False
+        for row in im.left_kernel(stacked):
+            k = [c % q for c in row[:nbar]]
+            ka = sum(k) % q
+            if ka % p:
+                c = ((1 - aug) * pow(ka, -1, q)) % q
+                u = [(a + c * b) % q for a, b in zip(u, k)]
+                fixed = True
+                break
+        if not fixed:
+            raise UnitNotFoundError("solution space contains no unit")
+    ucoeffs = [0] * n
+    for x in im.hnf_residues(inertia.basis):
+        rep = GroupElement(group, x)
+        ucoeffs[ring.index_of(rep)] = u[qring.index_of(qd.proj(rep))]
+    utilde = ring.from_coeffs(tuple(ucoeffs))
+    nu = ring.norm_element(inertia).scale(Fraction(1, inertia.order))
+    w = ring.one() + nu * (utilde - ring.one())
+    transported = lat_a.multiply_element(w)
+    rows_a = [[v * (common // transported.den) for v in row] for row in transported.basis]
+    rows_b = [[v * (common // lat_b.den) for v in row] for row in lat_b.basis]
+    mod_rows = im.diagonal([q] * n)
+    return im.lattice_eq(rows_a + mod_rows, rows_b + mod_rows)

@@ -438,6 +438,8 @@ def test_oversized_sweep_is_refused_at_once(spec):
         (["verify", "2,2,2,2", "--checks", "ext"], "ba3f3130fb2c5e35d14724685f86c1cd933348425c352fd0c4502932c0062e73"),
         (["verify", "4,16", "--checks", "ext"], "252a41fce22094703a7c0c5af27fcc46c605a9c656ef584889aa4c95a128f0d3"),
         (["verify", "81", "--checks", "unit"], "6ddc960636daabd6f2930e364ac4e7a63486d70503613110726231e701238517"),
+        (["verify", "64", "--checks", "unit"], "4136d55a3a639736f82baab81e31979b840c43bba0b61f78125cde71aef2590f"),
+        (["verify", "4,16", "--checks", "unit"], "38bc1cab972ab466aed29086ee3a49afc24b371527d2be9e8c2388d87340d157"),
     ],
     ids=[
         "64-tate",
@@ -452,6 +454,8 @@ def test_oversized_sweep_is_refused_at_once(spec):
         "2,2,2,2-ext",
         "4,16-ext",
         "81-unit",
+        "64-unit",
+        "4,16-unit",
     ],
 )
 def test_large_verify_reports_are_pinned(argv, digest):
@@ -460,7 +464,9 @@ def test_large_verify_reports_are_pinned(argv, digest):
     # validated from a fresh presentation; the ext sweeps as printed when
     # the backward lattice was rebuilt and checked for every pair; the
     # noncyclic ext sweeps and the unit sweep as printed when ext also
-    # solved for the preimage of the nu-part and unit took a precision
+    # solved for the preimage of the nu-part and unit took a precision;
+    # the 64 and 4,16 unit sweeps as printed when unit solved for u
+    # modulo p^M instead of exhibiting the geometric-sum witness
     env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-m", "grlat", *argv], capture_output=True, env=env, timeout=120)
     assert done.returncode == 0
@@ -531,6 +537,7 @@ def test_package_is_integral():
         ["monoid", "2,2,2,2"],
         ["verify", "3,3", "--checks", "tate"],
         ["verify", "2,2,2", "--checks", "tate,ext"],
+        ["verify", "27", "--checks", "unit"],
     ],
 )
 def test_optimized_interpreter_gives_identical_reports(argv):

@@ -41,7 +41,7 @@ from grlat.cohomology import (
 from grlat.errors import ParentMismatchError, PrecisionError, ScopeError
 from grlat.grouprings import FiniteModule, GroupRing, IdealLattice, group_ring, inertia_module
 from grlat.monoid import build_sets
-from reference import ref_root_power_traces
+from reference import ref_lattice_quotient_coords, ref_root_power_traces
 
 
 def regular_quotient(ring, x):
@@ -592,7 +592,7 @@ def ref_lattice_intersection(a_rows, b_rows):
 def ref_quotient_module(group, big_rows, small_rows, gen_actions):
     k, s = len(big_rows), len(small_rows)
     images = [im.vec_mat(list(r), a) for a in gen_actions for r in big_rows]
-    coords = im.lattice_quotient_coords(big_rows, [list(r) for r in small_rows] + images)
+    coords = ref_lattice_quotient_coords(big_rows, [list(r) for r in small_rows] + images)
     actions = [coords[s + i * k : s + (i + 1) * k] for i in range(len(gen_actions))]
     return FiniteModule.build(group, coords[:s], actions)
 

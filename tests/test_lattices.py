@@ -6,20 +6,20 @@ exercised on small groups here (wider sweeps live in the acceptance
 suite).  The kernel check's index identity is compared with the
 left-kernel route it replaced, kept here as the reference, and the
 backward lattice of an inertia group, stored as #I L, with the per-pair
-rational (den, basis) route it replaced, for every Frobenius.
+rational (den, basis) route it replaced, for every Frobenius.  Unit
+transport's geometric-sum witness is compared with the unit that route
+solved for modulo p^M.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 import pytest
 
 import grlat.intmat as im
 from grlat.abelian import (
-    GroupElement,
     Subgroup,
     canonical_lift,
-    decomposition_subgroup,
     enumerate_subgroups,
     make_group,
     p_split,
@@ -28,7 +28,6 @@ from grlat.abelian import (
 )
 from grlat.errors import (
     ContainmentError,
-    NotFullRankError,
     ParentMismatchError,
     ScopeError,
     UnitNotFoundError,
@@ -46,7 +45,12 @@ from grlat.lattices import (
 )
 
 import reference
-from reference import ref_preimage_is_standard
+from reference import (
+    ref_backward_rep,
+    ref_lattice_quotient_coords,
+    ref_preimage_is_standard,
+    ref_verify_unit_transport,
+)
 
 
 def ring_of(facs):
@@ -129,7 +133,7 @@ def shift_generator(ring, order, lift):
 def claimed_generators(ring, inertia, lift, norm_scale=1, tau_scale=1):
     """(N_I, 0) and (g, 1 - tau); norm_scale multiplies N_I and tau_scale
     multiplies 1 - tau, to perturb the claim."""
-    tau = inertia.cyclic_generator()
+    tau = ring.group.element(inertia.basis[0])
     g = shift_generator(ring, inertia.order, lift)
     zero = ring.one().scale(0)
     return [
@@ -144,7 +148,7 @@ def ref_kernel_presentation(ring, inertia, lift, claimed):
     with the translates of the claimed generators, and its first
     projection with the ideal of their first components."""
     n = ring.n
-    tau = inertia.cyclic_generator()
+    tau = ring.group.element(inertia.basis[0])
     t_minus_1 = ring.delta(tau) - ring.one()
     g = ring.one() - ring.delta(-lift) + ring.one().scale(inertia.order)
     mg = ring.mult_matrix(g)
@@ -205,7 +209,7 @@ def test_tau_minus_one_index_is_quotient_principal_index(facs):
     for pair in build_sets(r.group).stilde:
         inertia = pair.inertia
         lift = canonical_lift(inertia, pair.frob)
-        t_minus_1 = r.delta(inertia.cyclic_generator()) - r.one()
+        t_minus_1 = r.delta(r.group.element(inertia.basis[0])) - r.one()
         g = shift_generator(r, inertia.order, lift)
         qd = quotient_data(r.group, inertia)
         q = GroupRing(qd.group)
@@ -278,20 +282,16 @@ def test_extension_preimage_matches_fraction_solve(facs, monkeypatch):
     meets on the backward lattices, one per inertia group."""
     systems = []
 
-    class Recorder:
-        def __getattr__(self, name):
-            return getattr(im, name)
+    def recorder(big, small):
+        try:
+            out = ref_lattice_quotient_coords(big, small)
+        except ContainmentError:
+            systems.append((big, small, None))
+            raise
+        systems.append((big, small, out))
+        return out
 
-        def lattice_quotient_coords(self, big, small):
-            try:
-                out = im.lattice_quotient_coords(big, small)
-            except ContainmentError:
-                systems.append((big, small, None))
-                raise
-            systems.append((big, small, out))
-            return out
-
-    monkeypatch.setattr(reference, "im", Recorder())
+    monkeypatch.setattr(reference, "ref_lattice_quotient_coords", recorder)
     r = ring_of(facs)
     inertias = {pair.inertia for pair in build_sets(r.group).stilde}
     verdicts = [ref_preimage_is_standard(r, i, backward_rep(r, i)) for i in inertias]
@@ -335,105 +335,6 @@ def test_unit_transport_guards():
         verify_unit_transport(r6, i2, r6.group.element((1,)), r6.group.element((5,)))
 
 
-# -- the rational route the integral backward lattice replaced ----------------
-
-
-class RefLattice:
-    """The lattice (1/den) * rowspan(basis) inside Q[G]: basis a canonical
-    integer row-HNF and gcd(den, content(basis)) = 1, so equal lattices
-    have identical (den, basis)."""
-
-    def __init__(self, ring, den, rows):
-        h = im.hnf([list(r) for r in rows], ring.n)
-        if len(h) != ring.n:
-            raise NotFullRankError(f"lattice rank {len(h)} < ring rank {ring.n}")
-        g = den
-        for r in h:
-            for x in r:
-                if x:
-                    g = gcd(g, x)
-        if g > 1:
-            den //= g
-            h = [[x // g for x in r] for r in h]
-        self.ring = ring
-        self.den = den
-        self.basis = im.frozen(h)
-
-    @classmethod
-    def from_elements(cls, ring, elems):
-        den, rows = ref_coeffs_to_int_rows(elems)
-        return cls(ring, den, [ring._translated(r, j) for r in rows for j in range(ring.n)])
-
-    def multiply_element(self, x):
-        den, rows = ref_coeffs_to_int_rows([x])
-        m = self.ring.mult_matrix(self.ring.from_coeffs(tuple(rows[0])))
-        return RefLattice(self.ring, self.den * den, [im.vec_mat(list(r), m) for r in self.basis])
-
-
-def ref_coeffs_to_int_rows(elems):
-    den = lcm(*(Fraction(c).denominator for e in elems for c in e.coeffs))
-    return den, [[int(c * den) for c in e.coeffs] for e in elems]
-
-
-def ref_backward_rep(ring, inertia, frob):
-    """(nu, 1 - nu phi^{-1}) with nu = N_I / #I, over Fraction."""
-    nu = ring.norm_element(inertia).scale(Fraction(1, inertia.order))
-    w2 = ring.one() - nu * ring.delta(-frob)
-    return RefLattice.from_elements(ring, [nu, w2])
-
-
-def ref_verify_unit_transport(ring, inertia, frob_a, frob_b):
-    """Unit transport on the rational lattices, compared inside
-    (1/common) Z[G] at precision n * v_p(common) + 1."""
-    group = ring.group
-    (p,) = prime_factors(group.order)
-    if decomposition_subgroup(inertia, frob_a) != decomposition_subgroup(inertia, frob_b):
-        raise ScopeError("pairs have different decomposition subgroups")
-    lat_a = ref_backward_rep(ring, inertia, frob_a)
-    lat_b = ref_backward_rep(ring, inertia, frob_b)
-    n = ring.n
-    common = lat_a.den * inertia.order
-    common = common * lat_b.den // gcd(common, lat_b.den)
-    prec = n * p_split(common, p)[0] + 1
-    q = p**prec
-    qd = quotient_data(group, inertia)
-    qring = group_ring(qd.group)
-    nbar = qring.n
-    tmat = qring.mult_matrix(qring.one() - qring.delta(-qd.proj(frob_a)))
-    target = list((qring.one() - qring.delta(-qd.proj(frob_b))).coeffs)
-    stacked = [list(r) for r in tmat] + im.diagonal([q] * nbar)
-    try:
-        sol = im.lattice_quotient_coords(stacked, [target])[0]
-    except ContainmentError:
-        raise UnitNotFoundError("no unit carries one coset difference to the other") from None
-    u = [c % q for c in sol[:nbar]]
-    aug = sum(u) % q
-    if aug % p == 0:
-        fixed = False
-        for row in im.left_kernel(stacked):
-            k = [c % q for c in row[:nbar]]
-            ka = sum(k) % q
-            if ka % p:
-                c = ((1 - aug) * pow(ka, -1, q)) % q
-                u = [(a + c * b) % q for a, b in zip(u, k)]
-                fixed = True
-                break
-        if not fixed:
-            raise UnitNotFoundError("solution space contains no unit")
-    ucoeffs = [0] * n
-    for x in im.hnf_residues(inertia.basis):
-        rep = GroupElement(group, x)
-        ucoeffs[ring.index_of(rep)] = u[qring.index_of(qd.proj(rep))]
-    utilde = ring.from_coeffs(tuple(ucoeffs))
-    nu = ring.norm_element(inertia).scale(Fraction(1, inertia.order))
-    w = ring.one() + nu * (utilde - ring.one())
-    transported = lat_a.multiply_element(w)
-    rows_a = [[v * (common // transported.den) for v in row] for row in transported.basis]
-    rows_b = [[v * (common // lat_b.den) for v in row] for row in lat_b.basis]
-    mod_rows = im.diagonal([q] * n)
-    return im.lattice_eq(rows_a + mod_rows, rows_b + mod_rows)
-
-
 def unit_outcome(check, ring, inertia, frob_a, frob_b):
     try:
         return check(ring, inertia, frob_a, frob_b)
@@ -456,8 +357,9 @@ def test_backward_rep_is_the_rational_lattice_scaled_by_the_inertia_order(facs):
 
 
 def test_unit_transport_repairs_the_augmentation_on_frobenius_in_inertia():
-    # frob_a, frob_b in I: both coset differences vanish, the first
-    # solution is u = 0, and a kernel row must make its augmentation a unit
+    # frob_a, frob_b in I: both coset differences vanish; the rational
+    # route's first solution is u = 0, and a kernel row must make its
+    # augmentation a unit, while the witness is u = 1 (k = 1)
     r9 = ring_of([9])
     i3 = Subgroup.from_generators(r9.group, [r9.group.element((3,))])
     args = (r9, i3, r9.group.element((0,)), r9.group.element((3,)))
@@ -519,8 +421,8 @@ def test_unit_comparison_also_accepts_an_unrelated_multiplier(facs):
     # ring, so its final comparison (the last lines of
     # verify_unit_transport, restated here at the same precision) holds
     # for any multiplier W = #I + N_I (u~ - 1) whose u~ has augmentation
-    # prime to p, not only for the solved unit; here u~ = 1 + 3 (phi - 1).
-    # The equal-(I, D) claim therefore rests on the solve for u alone.
+    # prime to p, not only for the witness; here u~ = 1 + 3 (phi - 1).
+    # The equal-(I, D) claim therefore rests on the witness alone.
     r = group_ring(make_group(facs))
     fam = build_sets(r.group)
     (p,) = prime_factors(r.n)

@@ -22,26 +22,47 @@ lex-least factor of a split Phi_m mod p replaced by X^d + 1 (for Phi_7
 mod 2, X^3 + 1 divides neither factor); the idempotent its traces give
 is not idempotent mod p, and the lift refuses it.
 
+Unit transport is run with the decomposition guard bypassed, on every
+pair of pairs with the same inertia I and different decomposition
+subgroups D: no unit of Z_p[G/I] carries one coset difference to the
+other there (phi_b = k phi_a mod I forces p | k, or has no solution),
+so both the witness and the rational route's solve must refuse each
+pair.  Through `cli.main`, the same bypass with a family whose
+projection merges pairs by inertia alone puts such pairs in the unit
+sweep, which must exit 2.
+
 Through `cli.main`, every other check is fed a wrong ingredient and must
 exit 2: a Tate prediction with c off by one, an inertia norm scaled by a
 prime dividing #I in the kernel check, and one flipped bit of the
-monoid's beta marking.
+monoid's beta marking.  Each remaining flag of the spectrum and monoid
+reports gets its own ingredient, and every other flag of that report
+must still pass:
+
+- spectrum `membership`: a membership parameter n off by one, so the
+  sampled totals miss the predicted set;
+- spectrum `claims`: one sample whose epsilon is divisible by p;
+- monoid `injective_on_irreducibles`: two equal beta images on the
+  irreducible locus;
+- monoid `counts_consistent`: one target tuple listed twice;
+- monoid `bounded_injectivity`: four images with two sums of two equal.
 """
 
 import contextlib
+import dataclasses
 import io
 import random
 
 import pytest
 
+import reference
 from grlat import cli, cohomology, lattices, monoid, polys
 from grlat.abelian import make_group, prime_factors
 from grlat.cli import EXIT_CHECK, main
-from grlat.errors import IdentityCheckError
+from grlat.errors import IdentityCheckError, UnitNotFoundError
 from grlat.grouprings import GroupRing, IdealLattice, group_ring
 from grlat.lattices import ExtensionReport
 from grlat.monoid import build_sets
-from reference import ref_preimage_is_standard
+from reference import ref_preimage_is_standard, ref_verify_unit_transport
 
 GROUPS = ([9], [27], [3, 3], [2, 4], [15])
 
@@ -277,3 +298,146 @@ def test_monoid_exits_2_on_a_flipped_beta_bit(spec, check, monkeypatch):
     code, out = run_main(["monoid", spec])
     assert code == EXIT_CHECK
     assert f"{check}\tfail" in out
+
+
+# -- unit transport between pairs of different decomposition subgroups --------
+
+
+def bypass_decomposition_guard(monkeypatch):
+    # both routes compare decomposition_subgroup(I, phi_a) with that of
+    # phi_b; answering I for every phi lets every same-I pair through
+    for module in (lattices, reference):
+        monkeypatch.setattr(module, "decomposition_subgroup", lambda inertia, frob: inertia)
+
+
+def refused(check, *args):
+    try:
+        check(*args)
+    except UnitNotFoundError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "facs, pairs",
+    [([9], 2), ([27], 22), ([3, 3], 8), ([2, 4], 19), ([8], 6), ([16], 27), ([3, 9], 100)],
+)
+def test_unit_transport_refuses_pairs_of_different_decomposition(facs, pairs, monkeypatch):
+    ring = group_ring(make_group(facs))
+    stilde = build_sets(ring.group).stilde
+    bypass_decomposition_guard(monkeypatch)
+    compared = 0
+    for i, a in enumerate(stilde):
+        for b in stilde[i + 1 :]:
+            if a.inertia != b.inertia or a.decomposition == b.decomposition:
+                continue
+            args = (ring, a.inertia, a.frob, b.frob)
+            assert refused(lattices.verify_unit_transport, *args), (facs, a, b)
+            assert refused(ref_verify_unit_transport, *args), (facs, a, b)
+            compared += 1
+    assert compared == pairs
+
+
+def test_verify_unit_exits_2_on_pairs_merged_by_inertia(monkeypatch):
+    bypass_decomposition_guard(monkeypatch)
+    real = cli.build_sets
+
+    def merged_by_inertia(group):
+        fam = real(group)
+        return dataclasses.replace(fam, projection=tuple(pair.inertia for pair in fam.stilde))
+
+    monkeypatch.setattr(cli, "build_sets", merged_by_inertia)
+    code, out = run_main(["verify", "9", "--checks", "unit"])
+    assert code == EXIT_CHECK
+    rows = [line for line in out.splitlines() if line.startswith("results.rows\tunit\t")]
+    # Z/9 has one equal-(I, D) pair and two pairs of different D
+    assert sorted(line.rsplit("\t", 1)[1] for line in rows) == ["fail", "fail", "pass"]
+
+
+# -- the remaining flags of the spectrum and monoid reports -------------------
+
+
+def failed_checks(out):
+    checks = [line.split("\t")[1:] for line in out.splitlines() if line.startswith("results.checks\t")]
+    return [name for name, flag in checks if flag != "pass"]
+
+
+SPECTRUM = ["spectrum", "--p", "3", "--r", "2", "--samples", "8", "--seed", "1"]
+
+
+def test_spectrum_membership_exits_2_on_a_parameter_off_by_one():
+    # totals 2 and 6 are attained; with n = 2 the predicted set starts at 4
+    code, out = run_main([*SPECTRUM, "--n", "2"])
+    assert code == EXIT_CHECK
+    assert failed_checks(out) == ["membership"]
+
+
+def test_spectrum_claims_exit_2_on_an_epsilon_divisible_by_p(monkeypatch):
+    real = cli.sample_spectrum
+
+    def first_epsilon_p(p, *args):
+        first, *rest = real(p, *args)
+        return [dataclasses.replace(first, epsilon=p), *rest]
+
+    monkeypatch.setattr(cli, "sample_spectrum", first_epsilon_p)
+    code, out = run_main(SPECTRUM)
+    assert code == EXIT_CHECK
+    assert failed_checks(out) == ["claims"]
+    assert "results.passes.claims\t7" in out
+
+
+def corrupt_beta(monkeypatch, corrupt):
+    real = monoid._beta_values
+
+    def corrupted(family, pairs):
+        out = real(family, pairs)
+        corrupt(out, family.s_prime)
+        return out
+
+    monkeypatch.setattr(monoid, "_beta_values", corrupted)
+
+
+@pytest.mark.parametrize("spec", ["2,6", "2,2,3"])
+def test_monoid_exits_2_on_two_equal_irreducible_images(spec, monkeypatch):
+    def equal_images(out, s_prime):
+        out[s_prime[1]] = out[s_prime[0]]
+
+    corrupt_beta(monkeypatch, equal_images)
+    code, out = run_main(["monoid", spec])
+    assert code == EXIT_CHECK
+    assert failed_checks(out) == ["injective_on_irreducibles"]
+
+
+@pytest.mark.parametrize("spec", ["9", "3,3"])
+def test_monoid_exits_2_on_a_target_tuple_listed_twice(spec, monkeypatch):
+    real = monoid.build_sets
+
+    def one_more_target(group):
+        fam = real(group)
+        return dataclasses.replace(fam, t_tuples=fam.t_tuples + fam.t_tuples[-1:])
+
+    monkeypatch.setattr(monoid, "build_sets", one_more_target)
+    code, out = run_main(["monoid", spec])
+    assert code == EXIT_CHECK
+    assert failed_checks(out) == ["counts_consistent"]
+
+
+@pytest.mark.parametrize("spec", ["27", "3,3"])
+def test_monoid_exits_2_on_two_equal_sums_of_images(spec, monkeypatch):
+    # from unit images e0..e3: e0 + e1, e2, e0 + e2, e1 are distinct and
+    # irreducible, and (e0 + e1) + e2 = (e0 + e2) + e1
+    def equal_sums(out, s_prime):
+        a, b, c, d = s_prime[:4]
+        e0, e1, e2 = out[a], out[b], out[c]
+        assert all(sum(e) == 1 for e in (e0, e1, e2, out[d]))
+        out[a], out[b], out[c], out[d] = (
+            tuple(map(sum, zip(e0, e1))),
+            e2,
+            tuple(map(sum, zip(e0, e2))),
+            e1,
+        )
+
+    corrupt_beta(monkeypatch, equal_sums)
+    code, out = run_main(["monoid", spec])
+    assert code == EXIT_CHECK
+    assert failed_checks(out) == ["bounded_injectivity"]
