@@ -226,15 +226,6 @@ class IdealLattice:
         """[Z^n : L], the product of the pivots of the HNF basis."""
         return im.hnf_index(self.basis)
 
-    # -- arithmetic ------------------------------------------------------------
-
-    def multiply_element(self, x: GroupRingElem) -> "IdealLattice":
-        """The lattice L x, for x in this ring."""
-        if not all(isinstance(c, int) for c in x.coeffs):
-            raise TypeError("ideal lattices need int coefficients")
-        m = self.ring.mult_matrix(x)
-        return IdealLattice(self.ring, [im.vec_mat(list(r), m) for r in self.basis])
-
 
 def _mod_columns(rows, d):
     """rows with column j reduced mod d[j]: the same map into (+) Z/d_j."""

@@ -23,9 +23,13 @@ mod I with p not dividing k, and the witness is the geometric sum
 u = sum_{t<k} phi_a^{-t}, which telescopes to the identity; its
 augmentation k is prime to p, so u is a unit of the local ring
 Z_p[G/I].  The identity is checked exactly on N_I Z[G], a faithful copy
-of Z[G/I].  That last claim rests on the witness: the lattice
-comparison that follows it passes for any multiplier whose u~ has
-augmentation prime to p, as the backward lattice is a ring.
+of Z[G/I], and a unit row computes nothing else: k, p not dividing k,
+and that identity.  Comparing the backward lattice L with L w, for
+w = 1 + nu (u~ - 1), modulo a power of p cannot fail once p does not
+divide k, so that comparison lives in the tests as an oracle: L is a
+ring holding w, so L w is in L, and [L : L w] = |det M_w| is the norm
+of u~ over Q[G/I] (w acts as 1 off nu Q[G]), which is k^|G/I| mod p as
+F_p[G/I] is local with residue field F_p.
 
 The kernel check is an index identity, not a kernel computation.  With
 g = 1 - lift^{-1} + #I, every character chi has
@@ -48,7 +52,6 @@ from .abelian import (
     canonical_lift,
     decomposition_subgroup,
     make_group,
-    p_split,
     prime_factors,
 )
 from .errors import (
@@ -230,14 +233,11 @@ def verify_unit_transport(
     1 - phi_a^{-k} = 1 - phi_b^{-1} in Z[G/I].  Its augmentation k is
     prime to p, so u is a unit of the local ring Z_p[G/I].  The identity
     is checked exactly on N_I Z[G], a faithful copy of Z[G/I] (x mod I
-    |-> N_I x), with u~ = sum_{t<k} delta(-t phi_a) in Z[G].  The
-    backward lattice L of I is then compared with L w, for the
-    multiplier w = 1 + nu (u~ - 1), modulo p^M Z^n; M = 2 n v_p(#I) + 1
-    is large enough that this equality certifies equality of the p-adic
-    completions.  L is a ring, so L w is in L, and the comparison passes
-    whenever aug(u~) is prime to p: the claim rests on the witness.
-    Returns that equality; a missing k or a witness that fails its
-    identity raises.
+    |-> N_I x), with u~ = sum_{t<k} delta(-t phi_a) in Z[G].  Returns
+    True once it holds; a missing k, a k divisible by p or a witness
+    that fails its identity raises.  The p-adic comparison of the
+    backward lattice L with L w, w = 1 + nu (u~ - 1), is a test oracle
+    only: with p not dividing k it cannot fail (module docstring).
     """
     group = ring.group
     ps = sorted(prime_factors(group.order))
@@ -263,14 +263,4 @@ def verify_unit_transport(
     one = ring.one()
     if n_i * (utilde * (one - ring.delta(-frob_a))) != n_i * (one - ring.delta(-frob_b)):
         raise UnitNotFoundError("the witness does not carry one coset difference to the other")
-    # the multiplier W = #I w = #I + N_I (u~ - 1); compare
-    # #I^2 L w = (#I L) W with #I^2 L = #I (#I L), from the stored #I L
-    lat = backward_rep(ring, inertia)
-    n = ring.n
-    q = p ** (2 * n * p_split(inertia.order, p)[0] + 1)
-    order = inertia.order
-    w = one.scale(order) + n_i * (utilde - one)
-    rows_a = [list(r) for r in lat.multiply_element(w).basis]
-    rows_b = [[order * v for v in row] for row in lat.basis]
-    mod_rows = im.diagonal([q] * n)
-    return im.lattice_eq(rows_a + mod_rows, rows_b + mod_rows)
+    return True

@@ -29,6 +29,15 @@ per-pair rational route the integral backward lattice replaced: the
 lattice (nu, 1 - nu phi^{-1}) over Fraction for every Frobenius, and
 unit transport between two such lattices by a unit solved for modulo
 p^M, with the augmentation repaired by a kernel row.
+
+ref_unit_comparison is the last step unit transport took after its
+witness identity, before the identity alone decided a unit row: the
+backward lattice, stored as #I L, times W = #I + N_I (u~ - 1) equals
+#I (#I L) modulo p^(2 n v_p(#I) + 1), with #I L W spanned by the
+basis rows of #I L times M_W.  It cannot fail when aug(u~) is
+prime to p, as L is a ring holding w = W / #I and det M_w is then prime
+to p.  ref_unit_witness builds the u~ = sum_{t<k} delta(-t phi_a) that
+unit transport exhibits for a pair, or None when no k prime to p exists.
 """
 
 from fractions import Fraction
@@ -51,6 +60,7 @@ from grlat.errors import (
     UnitNotFoundError,
 )
 from grlat.grouprings import group_ring
+from grlat.lattices import backward_rep
 from grlat.polys import poly_divmod_monic, trim
 
 
@@ -399,5 +409,44 @@ def ref_verify_unit_transport(ring, inertia, frob_a, frob_b):
     transported = lat_a.multiply_element(w)
     rows_a = [[v * (common // transported.den) for v in row] for row in transported.basis]
     rows_b = [[v * (common // lat_b.den) for v in row] for row in lat_b.basis]
+    mod_rows = im.diagonal([q] * n)
+    return im.lattice_eq(rows_a + mod_rows, rows_b + mod_rows)
+
+
+# -- the comparison a unit row made after its witness -------------------------
+
+
+def ref_unit_witness(ring, inertia, frob_a, frob_b):
+    """u~ = sum_{t<k} delta(-t phi_a) for the least k >= 1 with
+    k phi_a = phi_b mod I, or None when there is none or p | k."""
+    (p,) = prime_factors(ring.n)
+    k = next(
+        (k for k in range(1, frob_a.order() + 1) if inertia.contains(frob_a.scale(k) - frob_b)),
+        None,
+    )
+    if k is None or k % p == 0:
+        return None
+    ucoeffs = [0] * ring.n
+    for t in range(k):
+        ucoeffs[ring.index_of(frob_a.scale(-t))] += 1
+    return ring.from_coeffs(ucoeffs)
+
+
+def ref_unit_comparison(ring, inertia, utilde):
+    """Whether the backward lattice L of I equals L w, w = 1 + nu (u~ - 1),
+    modulo p^(2 n v_p(#I) + 1)."""
+    (p,) = prime_factors(ring.n)
+    one = ring.one()
+    n_i = ring.norm_element(inertia)
+    # the multiplier W = #I w = #I + N_I (u~ - 1); compare
+    # #I^2 L w = (#I L) W with #I^2 L = #I (#I L), from the stored #I L
+    lat = backward_rep(ring, inertia)
+    n = ring.n
+    q = p ** (2 * n * p_split(inertia.order, p)[0] + 1)
+    order = inertia.order
+    w = one.scale(order) + n_i * (utilde - one)
+    m = ring.mult_matrix(w)
+    rows_a = [im.vec_mat(list(r), m) for r in lat.basis]
+    rows_b = [[order * v for v in row] for row in lat.basis]
     mod_rows = im.diagonal([q] * n)
     return im.lattice_eq(rows_a + mod_rows, rows_b + mod_rows)

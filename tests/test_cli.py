@@ -440,6 +440,7 @@ def test_oversized_sweep_is_refused_at_once(spec):
         (["verify", "81", "--checks", "unit"], "6ddc960636daabd6f2930e364ac4e7a63486d70503613110726231e701238517"),
         (["verify", "64", "--checks", "unit"], "4136d55a3a639736f82baab81e31979b840c43bba0b61f78125cde71aef2590f"),
         (["verify", "4,16", "--checks", "unit"], "38bc1cab972ab466aed29086ee3a49afc24b371527d2be9e8c2388d87340d157"),
+        (["verify", "128", "--checks", "unit"], "3a5a3a0e639f4370940e64764c40d2f1bf89917c2c9001db604c17b1f698fd1e"),
     ],
     ids=[
         "64-tate",
@@ -456,6 +457,7 @@ def test_oversized_sweep_is_refused_at_once(spec):
         "81-unit",
         "64-unit",
         "4,16-unit",
+        "128-unit",
     ],
 )
 def test_large_verify_reports_are_pinned(argv, digest):
@@ -466,7 +468,9 @@ def test_large_verify_reports_are_pinned(argv, digest):
     # noncyclic ext sweeps and the unit sweep as printed when ext also
     # solved for the preimage of the nu-part and unit took a precision;
     # the 64 and 4,16 unit sweeps as printed when unit solved for u
-    # modulo p^M instead of exhibiting the geometric-sum witness
+    # modulo p^M instead of exhibiting the geometric-sum witness; the
+    # 128 unit sweep as printed when a unit row also compared L w with L
+    # modulo p^M after its witness
     env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-m", "grlat", *argv], capture_output=True, env=env, timeout=120)
     assert done.returncode == 0

@@ -8,11 +8,14 @@ left-kernel route it replaced, kept here as the reference, and the
 backward lattice of an inertia group, stored as #I L, with the per-pair
 rational (den, basis) route it replaced, for every Frobenius.  Unit
 transport's geometric-sum witness is compared with the unit that route
-solved for modulo p^M.
+solved for modulo p^M, and the p-adic lattice comparison a unit row
+made after its witness, kept in the reference, is checked to pass
+wherever the witness does.
 """
 
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 import pytest
 
@@ -22,8 +25,6 @@ from grlat.abelian import (
     canonical_lift,
     enumerate_subgroups,
     make_group,
-    p_split,
-    prime_factors,
     quotient_data,
 )
 from grlat.errors import (
@@ -49,12 +50,25 @@ from reference import (
     ref_backward_rep,
     ref_lattice_quotient_coords,
     ref_preimage_is_standard,
+    ref_unit_comparison,
+    ref_unit_witness,
     ref_verify_unit_transport,
 )
+from test_acceptance import P_GROUPS_27
 
 
 def ring_of(facs):
     return GroupRing(make_group(facs))
+
+
+def unit_pairs(group):
+    """The pairs of pairs a unit sweep compares: equal projections, so
+    the same inertia and decomposition subgroups."""
+    fam = build_sets(group)
+    for i, a in enumerate(fam.stilde):
+        for j, b in enumerate(fam.stilde[i + 1 :], i + 1):
+            if fam.projection[i] == fam.projection[j]:
+                yield a, b
 
 
 def test_canonical_lift_is_lex_least():
@@ -387,17 +401,13 @@ def test_unit_transport_matches_the_rational_route_on_frobenius_in_inertia(facs)
 )
 def test_unit_transport_matches_the_rational_route(facs, pairs):
     r = group_ring(make_group(facs))
-    fam = build_sets(r.group)
     compared = 0
-    for i, a in enumerate(fam.stilde):
-        for j, b in enumerate(fam.stilde[i + 1 :], i + 1):
-            if fam.projection[i] != fam.projection[j]:
-                continue
-            args = (r, a.inertia, a.frob, b.frob)
-            assert unit_outcome(verify_unit_transport, *args) == unit_outcome(
-                ref_verify_unit_transport, *args
-            ), (facs, a, b)
-            compared += 1
+    for a, b in unit_pairs(r.group):
+        args = (r, a.inertia, a.frob, b.frob)
+        assert unit_outcome(verify_unit_transport, *args) == unit_outcome(
+            ref_verify_unit_transport, *args
+        ), (facs, a, b)
+        compared += 1
     assert compared == pairs
 
 
@@ -417,29 +427,46 @@ def test_backward_rep_is_the_ideal_of_the_inertia_norm_and_order(facs):
 
 @pytest.mark.parametrize("facs", [[8], [9], [27], [2, 4], [3, 3]])
 def test_unit_comparison_also_accepts_an_unrelated_multiplier(facs):
-    # A characterisation of current behaviour: the backward lattice is a
-    # ring, so its final comparison (the last lines of
-    # verify_unit_transport, restated here at the same precision) holds
-    # for any multiplier W = #I + N_I (u~ - 1) whose u~ has augmentation
-    # prime to p, not only for the witness; here u~ = 1 + 3 (phi - 1).
-    # The equal-(I, D) claim therefore rests on the witness alone.
+    # A characterisation: the backward lattice is a ring, so the p-adic
+    # comparison of L w with L holds for any multiplier
+    # W = #I + N_I (u~ - 1) whose u~ has augmentation prime to p, not
+    # only for the witness; here u~ = 1 + 3 (phi - 1).  The equal-(I, D)
+    # claim therefore rests on the witness alone.
     r = group_ring(make_group(facs))
-    fam = build_sets(r.group)
-    (p,) = prime_factors(r.n)
     compared = 0
-    for i, a in enumerate(fam.stilde):
-        for j, b in enumerate(fam.stilde[i + 1 :], i + 1):
-            if fam.projection[i] != fam.projection[j]:
-                continue
-            assert verify_unit_transport(r, a.inertia, a.frob, b.frob)
-            order = a.inertia.order
-            q = p ** (2 * r.n * p_split(order, p)[0] + 1)
-            utilde = r.one() + (r.delta(a.frob) - r.one()).scale(3)
-            w = r.one().scale(order) + r.norm_element(a.inertia) * (utilde - r.one())
-            lat = backward_rep(r, a.inertia)
-            rows_a = [list(row) for row in lat.multiply_element(w).basis]
-            rows_b = [[order * v for v in row] for row in lat.basis]
-            mod_rows = im.diagonal([q] * r.n)
-            assert im.lattice_eq(rows_a + mod_rows, rows_b + mod_rows), (facs, a, b)
-            compared += 1
+    for a, b in unit_pairs(r.group):
+        assert verify_unit_transport(r, a.inertia, a.frob, b.frob)
+        utilde = r.one() + (r.delta(a.frob) - r.one()).scale(3)
+        assert ref_unit_comparison(r, a.inertia, utilde), (facs, a, b)
+        compared += 1
     assert compared > 0
+
+
+def test_unit_comparison_passes_wherever_the_witness_does():
+    # over criterion 6's catalogue, the comparison that no longer decides
+    # a unit row passes on every witness
+    compared = 0
+    for facs in P_GROUPS_27:
+        r = group_ring(make_group(facs))
+        for a, b in unit_pairs(r.group):
+            assert verify_unit_transport(r, a.inertia, a.frob, b.frob), (facs, a, b)
+            utilde = ref_unit_witness(r, a.inertia, a.frob, b.frob)
+            assert ref_unit_comparison(r, a.inertia, utilde), (facs, a, b)
+            compared += 1
+    assert compared == 242
+
+
+@pytest.mark.parametrize("facs, pairs", [([27], 17), ([3, 9], 56)])
+def test_unit_transport_builds_no_lattice(facs, pairs):
+    # a unit row is decided by the witness identity alone
+    r = group_ring(make_group(facs))
+    compared = 0
+    with mock.patch.object(im, "lattice_eq", wraps=im.lattice_eq) as eq_spy, mock.patch.object(
+        IdealLattice, "__init__", autospec=True, side_effect=IdealLattice.__init__
+    ) as lattice_spy:
+        for a, b in unit_pairs(r.group):
+            assert verify_unit_transport(r, a.inertia, a.frob, b.frob), (facs, a, b)
+            compared += 1
+    assert compared == pairs
+    assert not eq_spy.called
+    assert not lattice_spy.called
