@@ -116,10 +116,9 @@ def cmd_monoid(args) -> dict:
 
 def _tate_rows(fam):
     group = fam.group
-    ring = group_ring(group)
     rows = []
     for pair in fam.stilde:
-        mod = inertia_module(ring, pair.inertia, pair.frob)
+        mod = inertia_module(pair.inertia, pair.frob)
         for h in fam.subgroups:
             t = tate_cohomology(mod, h)
             big, c = prediction_data(group, pair.inertia, pair.frob, h)

@@ -10,11 +10,11 @@ subgroup H of the acting group, the two Tate groups in play are
 both computed as quotients of explicit lattices in Z^g and returned as
 modules again, so the residual action can be compared.  Every module
 comes in Smith coordinates (see grouprings): L = diag(d) and g is the
-number of invariants d_i of M = (+) Z/d_i, whatever rank it was built
-from.  The invariants are one kernel: the preimage of L^k under the k
-maps A_h - 1 of H's generators side by side.  Both Tate groups are
-FiniteModule.subquotient of M, so they inherit its validated action
-and are not checked again.
+number of invariants d_i of M = (+) Z/d_i (an inertia module is
+(Z/(a^f - 1))^[G:D]).  The invariants are one kernel: the preimage of
+L^k under the k maps A_h - 1 of H's generators side by side.  Both
+Tate groups are FiniteModule.subquotient of M, so they inherit its
+validated action and are not checked again.
 
 The Tate groups of an inertia module are checked against the closed
 form (Z/c)[G/B] = Z[G]/J, J = (c, b - 1 : b in B), which is never built.
@@ -46,7 +46,7 @@ from .abelian import (
     sylow_complement,
 )
 from .errors import IdentityCheckError, ParentMismatchError, PrecisionError, ScopeError
-from .grouprings import FiniteModule, group_ring, inertia_module
+from .grouprings import FiniteModule, inertia_module
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +442,7 @@ def triviality_criterion(
     trivial-or-cohomologically-trivial exactly when the p-part of
     inertia is trivial or chi is nontrivial on the decomposition
     subgroup."""
-    ring = group_ring(group)
-    mod = inertia_module(ring, inertia, frob)
+    mod = inertia_module(inertia, frob)
     mp = p_part(mod, p)
     rows = []
     for chi in character_classes(group, p):

@@ -25,7 +25,8 @@ not n, and validates the action.  A Tate group, p-part or
 chi-component is FiniteModule.subquotient of a validated module: the
 same Smith step, no second validation, as the induced action keeps its
 parent's identities.  The matrix of any group element comes from
-FiniteModule.actions, one cached walk of the group per module.
+FiniteModule.actions, one cached walk of the group per module.  An
+inertia module is written down in closed form (inertia_module).
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import intmat as im
-from .abelian import FinAbGroup, GroupElement, Subgroup
+from .abelian import FinAbGroup, GroupElement, Subgroup, canonical_lift, decomposition_subgroup
 from .errors import (
     CapacityError,
     ContainmentError,
+    IdentityCheckError,
     InfiniteModuleError,
     NotFullRankError,
     ParentMismatchError,
@@ -123,18 +125,11 @@ class GroupRing:
         # row i is x translated by element i
         return [self._translated(x.coeffs, i) for i in range(self.n)]
 
-    def translation_matrix(self, elem: GroupElement):
-        return self.mult_matrix(self.delta(elem))
-
 
 @lru_cache(maxsize=2)
 def group_ring(group: FinAbGroup) -> GroupRing:
-    """The shared GroupRing of group, memoised for the last two groups.
-
-    A spectrum run reuses one ring for every sample.  Commands that visit
-    many quotient groups (the Tate checks of verify) still evict and
-    rebuild rings; the bound keeps a long-running process from holding
-    the rings of earlier commands."""
+    """The shared GroupRing of group, memoised for the last two groups;
+    a spectrum run reuses one ring for every sample."""
     return GroupRing(group)
 
 
@@ -347,22 +342,42 @@ class FiniteModule:
         return self.subquotient(im.identity(self.rank), rows)
 
 
-def inertia_module(ring: GroupRing, inertia: Subgroup, frob: GroupElement) -> FiniteModule:
-    """The module Z[G/I] / (1 - fbar^{-1} + #I) attached to (I, frob).
+def inertia_module(inertia: Subgroup, frob: GroupElement) -> FiniteModule:
+    """M = Z[G/I] / (a - fbar^-1), a = 1 + #I, for (I, frob), G acting through
+    G/I.  With D = I + <frob>, f = [D : I] and m = a^f - 1, M is induced from
+    Z/m along <fbar> (Brown, Cohomology of Groups, GTM 87, III.5): N =
+    (Z/m)^[G:D], one e_t per canonical lift t of G/D, g sending e_t to
+    a^-j e_t' for t + g = t' + j frob mod I.  The witness, checked exactly
+    (else IdentityCheckError), is that e_0 is killed by A_(-frob) - a and
+    by A_i - 1 for the generators i of I.  So x -> e_0 x maps M onto N (t
+    sends e_0 to a unit times e_t), and |M| = |det(a - fbar^-1)| =
+    prod_chi (a - chi(fbar)^-1) = m^[G:D] = |N|.  M = N = 0 when m = 1."""
+    dec = decomposition_subgroup(inertia, frob)
+    a = 1 + inertia.order
+    m = a ** (dec.order // inertia.order) - 1
+    actions = _induced_actions(inertia, dec, frob, pow(a, -1, m), m)
+    rank = inertia.group.order // dec.order if m > 1 else 0
+    e0 = [1] + [0] * (rank - 1)
+    for elem, scale in [(-frob, a), *((i, 1) for i in inertia.generators())] if rank else []:
+        v = e0  # e_0 times the matrix of elem, one generator at a time
+        for c, mat in zip(elem.coords, actions):
+            for _ in range(c):
+                v = [x % m for x in im.vec_mat(v, mat)]
+        if v != [scale % m] + e0[1:]:
+            raise IdentityCheckError(f"e_0 is not killed by a - fbar^-1 and by I at {frob!r}")
+    return FiniteModule.build(inertia.group, im.diagonal([m] * rank), actions)
 
-    The parent group acts through its quotient by I; frob is any element
-    of the parent whose class mod I plays the Frobenius role.
-    """
-    from .abelian import quotient_data
 
-    group = ring.group
-    if inertia.group != group or frob.group != group:
-        raise ParentMismatchError("inputs from a different group")
-    qd = quotient_data(group, inertia)
-    qring = group_ring(qd.group)
-    fbar = qd.proj(frob)
-    tau = qring.one() - qring.delta(-fbar) + qring.one().scale(inertia.order)
-    rel = IdealLattice.from_elements(qring, [tau])
-    # the parent group acts through the quotient
-    actions = [qring.translation_matrix(qd.proj(g)) for g in group.generators()]
-    return FiniteModule.build(group, [list(r) for r in rel.basis], actions)
+def _induced_actions(inertia: Subgroup, dec: Subgroup, frob: GroupElement, unit: int, m: int):
+    """The generator matrices of inertia_module's N, fbar acting as unit."""
+    lifts = [GroupElement(inertia.group, t) for t in im.hnf_residues(dec.basis)] if m > 1 else []
+    index = {t: k for k, t in enumerate(lifts)}
+    steps = {canonical_lift(inertia, frob.scale(j)): j for j in range(dec.order // inertia.order)}
+    actions = []
+    for g in inertia.group.generators():
+        mat = im.zeros(len(lifts), len(lifts))
+        for row, t in zip(mat, lifts):
+            moved = canonical_lift(dec, t + g)
+            row[index[moved]] = pow(unit, steps[canonical_lift(inertia, t + g - moved)], m)
+        actions.append(mat)
+    return actions

@@ -14,6 +14,7 @@ generator images, and the freeness verdict for the image monoid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import intmat as im
@@ -412,12 +413,8 @@ def analyze_monoid(
 
 
 def _vector_count(k: int, bound: int) -> int:
-    count = 1
-    num = 1
-    for i in range(1, bound + 1):
-        num = num * (k + i - 1) // i
-        count += num
-    return count
+    """#{v in N^k : sum(v) <= bound}, by the hockey-stick identity."""
+    return math.comb(k + bound, k)
 
 
 def _bounded_injectivity(generators, bound: int) -> bool:
@@ -445,7 +442,7 @@ def _bounded_injectivity(generators, bound: int) -> bool:
     # a collision between two distinct multisets: injectivity fails.
     seen = {0}
     frontier = [[0]] + [[] for _ in range(k - 1)]
-    for _ in range(bound):
+    for _ in range(bound if k else 0):
         nxt = []
         prefix = []
         for idx, g in enumerate(packed):

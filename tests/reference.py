@@ -38,6 +38,12 @@ basis rows of #I L times M_W.  It cannot fail when aug(u~) is
 prime to p, as L is a ring holding w = W / #I and det M_w is then prime
 to p.  ref_unit_witness builds the u~ = sum_{t<k} delta(-t phi_a) that
 unit transport exhibits for a pair, or None when no k prime to p exists.
+
+ref_inertia_presentation and ref_inertia_module are the route
+inertia_module took before it wrote its module down in closed form: the
+HNF of the ideal (a - fbar^-1), a = 1 + #I, in the group ring of the
+quotient G/I, with G acting by translation through the quotient, at
+rank |G/I|; FiniteModule.build then moves it to Smith coordinates.
 """
 
 from fractions import Fraction
@@ -59,7 +65,7 @@ from grlat.errors import (
     ScopeError,
     UnitNotFoundError,
 )
-from grlat.grouprings import group_ring
+from grlat.grouprings import FiniteModule, IdealLattice, group_ring
 from grlat.lattices import backward_rep
 from grlat.polys import poly_divmod_monic, trim
 
@@ -450,3 +456,23 @@ def ref_unit_comparison(ring, inertia, utilde):
     rows_b = [[order * v for v in row] for row in lat.basis]
     mod_rows = im.diagonal([q] * n)
     return im.lattice_eq(rows_a + mod_rows, rows_b + mod_rows)
+
+
+# -- the orbit route to an inertia module ------------------------------------
+
+
+def ref_inertia_presentation(inertia, frob):
+    """(relations, actions) of Z[G/I] / (a - fbar^-1) at rank |G/I|: the
+    HNF of the orbit of a - fbar^-1 and the translation matrices of the
+    images of G's generators."""
+    group = inertia.group
+    qd = quotient_data(group, inertia)
+    qring = group_ring(qd.group)
+    tau = qring.one().scale(1 + inertia.order) - qring.delta(-qd.proj(frob))
+    rel = IdealLattice.from_elements(qring, [tau])
+    actions = [qring.mult_matrix(qring.delta(qd.proj(g))) for g in group.generators()]
+    return [list(r) for r in rel.basis], actions
+
+
+def ref_inertia_module(inertia, frob):
+    return FiniteModule.build(inertia.group, *ref_inertia_presentation(inertia, frob))

@@ -147,10 +147,9 @@ def test_criterion_4_tate_closed_form(announce):
     failures = []
     for facs in MODULE_CATALOGUE:
         g = make_group(facs)
-        ring = GroupRing(g)
         subs = enumerate_subgroups(g)
         for pair in build_sets(g).stilde:
-            mod = inertia_module(ring, pair.inertia, pair.frob)
+            mod = inertia_module(pair.inertia, pair.frob)
             for h in subs:
                 cases += 1
                 t = tate_cohomology(mod, h)

@@ -441,6 +441,8 @@ def test_oversized_sweep_is_refused_at_once(spec):
         (["verify", "64", "--checks", "unit"], "4136d55a3a639736f82baab81e31979b840c43bba0b61f78125cde71aef2590f"),
         (["verify", "4,16", "--checks", "unit"], "38bc1cab972ab466aed29086ee3a49afc24b371527d2be9e8c2388d87340d157"),
         (["verify", "128", "--checks", "unit"], "3a5a3a0e639f4370940e64764c40d2f1bf89917c2c9001db604c17b1f698fd1e"),
+        (["verify", "243", "--checks", "triviality"], "5446b1d3197e36f6b90c4cce943104161016f36a8440d6900af8ac6105a21892"),
+        (["verify", "2,2,8", "--checks", "triviality"], "1f3c230d4e3ac9fc8d4342b8ca3f9d5a7483dadbbe95cabea30f2cb7f4d21299"),
     ],
     ids=[
         "64-tate",
@@ -458,6 +460,8 @@ def test_oversized_sweep_is_refused_at_once(spec):
         "64-unit",
         "4,16-unit",
         "128-unit",
+        "243-triviality",
+        "2,2,8-triviality",
     ],
 )
 def test_large_verify_reports_are_pinned(argv, digest):
@@ -470,7 +474,9 @@ def test_large_verify_reports_are_pinned(argv, digest):
     # the 64 and 4,16 unit sweeps as printed when unit solved for u
     # modulo p^M instead of exhibiting the geometric-sum witness; the
     # 128 unit sweep as printed when a unit row also compared L w with L
-    # modulo p^M after its witness
+    # modulo p^M after its witness; the 243 and 2,2,8 triviality sweeps
+    # as printed when each inertia module was the Smith form of its orbit
+    # lattice in Z[G/I]
     env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-m", "grlat", *argv], capture_output=True, env=env, timeout=120)
     assert done.returncode == 0

@@ -10,11 +10,14 @@ from dataclasses import dataclass
 from math import gcd
 
 import pytest
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import smith_normal_form
 
 from grlat import cohomology
 from grlat import intmat as im
 from grlat.abelian import (
     Subgroup,
+    decomposition_subgroup,
     enumerate_subgroups,
     make_group,
     p_split,
@@ -41,18 +44,23 @@ from grlat.cohomology import (
 from grlat.errors import ParentMismatchError, PrecisionError, ScopeError
 from grlat.grouprings import FiniteModule, GroupRing, IdealLattice, group_ring, inertia_module
 from grlat.monoid import build_sets
-from reference import ref_lattice_quotient_coords, ref_root_power_traces
+from reference import (
+    ref_inertia_module,
+    ref_inertia_presentation,
+    ref_lattice_quotient_coords,
+    ref_root_power_traces,
+)
 
 
 def regular_quotient(ring, x):
     """Z[G]/(x), with G acting by translation."""
     rel = IdealLattice.from_elements(ring, [x])
-    return FiniteModule.build(ring.group, rel.basis, [ring.translation_matrix(g) for g in ring.group.generators()])
+    return FiniteModule.build(ring.group, rel.basis, [ring.mult_matrix(ring.delta(g)) for g in ring.group.generators()])
 
 
 def full_inertia_module(n):
     ring = GroupRing(make_group([n]))
-    return ring, inertia_module(ring, Subgroup.full(ring.group), ring.group.zero())
+    return ring, inertia_module(Subgroup.full(ring.group), ring.group.zero())
 
 
 def test_tate_trivial_subgroup_vanishes():
@@ -81,7 +89,7 @@ def test_tate_induced_module_vanishes():
 def test_tate_exponent_bound():
     ring = GroupRing(make_group([3, 9]))
     inertia = Subgroup.from_generators(ring.group, [ring.group.element((1, 0))])
-    mod = inertia_module(ring, inertia, ring.group.element((0, 1)))
+    mod = inertia_module(inertia, ring.group.element((0, 1)))
     for h in (
         Subgroup.full(ring.group),
         Subgroup.from_generators(ring.group, [ring.group.element((0, 3))]),
@@ -96,9 +104,8 @@ def test_tate_exponent_bound():
 def test_closed_form_matches_brute_force_small():
     for facs in ([9], [3, 3]):
         g = make_group(facs)
-        ring = GroupRing(g)
         for pair in build_sets(g).stilde:
-            mod = inertia_module(ring, pair.inertia, pair.frob)
+            mod = inertia_module(pair.inertia, pair.frob)
             for h in enumerate_subgroups(g):
                 t = tate_cohomology(mod, h)
                 big, c = prediction_data(g, pair.inertia, pair.frob, h)
@@ -133,14 +140,14 @@ def test_cohomological_triviality_anchors():
     _, bad = full_inertia_module(3)
     assert not is_cohomologically_trivial(bad)
     # trivial inertia: every local part trivial, module c.t.
-    triv = inertia_module(ring, Subgroup.trivial(ring.group), ring.group.element((1,)))
+    triv = inertia_module(Subgroup.trivial(ring.group), ring.group.element((1,)))
     assert is_cohomologically_trivial(triv)
 
 
 def test_p_part():
     ring = GroupRing(make_group([15]))
     inertia = Subgroup.full(ring.group)
-    mod = inertia_module(ring, inertia, ring.group.zero())  # Z/15 trivial action
+    mod = inertia_module(inertia, ring.group.zero())  # Z/15 trivial action
     m3 = p_part(mod, 3)
     m5 = p_part(mod, 5)
     assert m3.order == 3 and m5.order == 5
@@ -171,9 +178,8 @@ def test_complement_generators_orders():
 
 def test_chi_idempotent_and_components():
     g = make_group([9])
-    ring = GroupRing(g)
     i3 = Subgroup.from_generators(g, [g.element((3,))])
-    mod = inertia_module(ring, i3, g.element((1,)))  # order 63 = 9 * 7
+    mod = inertia_module(i3, g.element((1,)))  # order 63 = 9 * 7
     m7 = p_part(mod, 7)
     classes = character_classes(g, 7)
     orders = []
@@ -193,9 +199,8 @@ def test_chi_idempotent_and_components():
 
 def test_chi_component_guards():
     g = make_group([9])
-    ring = GroupRing(g)
     i3 = Subgroup.from_generators(g, [g.element((3,))])
-    mod = inertia_module(ring, i3, g.element((1,)))  # order 63, not 7-primary
+    mod = inertia_module(i3, g.element((1,)))  # order 63, not 7-primary
     chi = character_classes(g, 7)[0]
     with pytest.raises(ScopeError):
         chi_component(mod, chi)
@@ -339,7 +344,7 @@ def ref_closed_form_inertia_tate(group, inertia, frob, sub):
     qring = group_ring(qd.group)
     n = qring.n
     relations = [[c if i == j else 0 for j in range(n)] for i in range(n)]
-    actions = [qring.translation_matrix(qd.proj(g)) for g in group.generators()]
+    actions = [qring.mult_matrix(qring.delta(qd.proj(g))) for g in group.generators()]
     return FiniteModule.build(group, relations, actions)
 
 
@@ -387,10 +392,9 @@ OLD_ROUTE_GROUPS = ([9], [27], [3, 3], [15], [3, 9], [2, 4], [2, 6], [12], [16],
 @pytest.mark.parametrize("factors", OLD_ROUTE_GROUPS)
 def test_prediction_verdict_matches_two_sided_comparison(factors):
     g = make_group(factors)
-    ring = group_ring(g)
     subs = enumerate_subgroups(g)
     for pair in build_sets(g).stilde:
-        mod = inertia_module(ring, pair.inertia, pair.frob)
+        mod = inertia_module(pair.inertia, pair.frob)
         for h in subs:
             t = tate_cohomology(mod, h)
             pred = ref_closed_form_inertia_tate(g, pair.inertia, pair.frob, h)
@@ -478,9 +482,8 @@ def ref_chi_idempotent_matrix(module, chi, prec):
 @pytest.mark.parametrize("factors", [[6], [12], [15], [3, 6], [2, 6]])
 def test_chi_idempotents_match_power_tables_and_sum_to_one(factors):
     g = make_group(factors)
-    ring = group_ring(g)
     for pair in build_sets(g).stilde:
-        mod = inertia_module(ring, pair.inertia, pair.frob)
+        mod = inertia_module(pair.inertia, pair.frob)
         for p in g.primes():
             mp = p_part(mod, p)
             e, _ = p_split(mp.exponent(), p)
@@ -530,45 +533,62 @@ def test_chi_idempotent_check_catches_corrupted_traces(monkeypatch):
         chi_idempotent_matrix(mod, sign, 2)
 
 
-# -- reference: inertia modules kept at rank |G/I| ----------------------------
-# The presentation before modules moved to Smith coordinates: the HNF of
-# the ideal (tau-bar) and the translation actions of Z[G/I], put into the
-# dataclass directly.  tate_cohomology reads any full-rank HNF relations.
-
-
-def ref_inertia_module(ring, inertia, frob):
-    group = ring.group
-    qd = quotient_data(group, inertia)
-    qring = group_ring(qd.group)
-    fbar = qd.proj(frob)
-    tau = qring.one() - qring.delta(-fbar) + qring.one().scale(inertia.order)
-    rel = IdealLattice.from_elements(qring, [tau])
-    actions = [im.frozen(qring.translation_matrix(qd.proj(g))) for g in group.generators()]
-    return FiniteModule(group, qring.n, rel.basis, tuple(actions))
-
+# -- reference: inertia modules by the orbit route ----------------------------
+# The closed form against the route it replaced (reference.ref_inertia_module):
+# the HNF of the orbit of a - fbar^-1 in Z[G/I], moved to Smith coordinates
+# by FiniteModule.build.
 
 # criterion 4's catalogue: 668 (pair, H) rows
 CRITERION_4_GROUPS = ([9], [27], [3, 3], [15], [3, 9])
 
+ORBIT_ROUTE_GROUPS = (
+    [8], [16], [2, 4], [2, 2, 2], [64], [81], [100], [128],
+    [2, 2, 8], [4, 16], [2, 2, 2, 2], [3, 27],
+)
 
-@pytest.mark.parametrize("factors", CRITERION_4_GROUPS)
+
+@pytest.mark.parametrize("factors", CRITERION_4_GROUPS + ORBIT_ROUTE_GROUPS)
 def test_smith_presentation_matches_the_build_rank_presentation(factors):
     g = make_group(factors)
-    ring = group_ring(g)
+    for pair in build_sets(g).stilde:
+        mod = inertia_module(pair.inertia, pair.frob)
+        dec = decomposition_subgroup(pair.inertia, pair.frob)
+        a = 1 + pair.inertia.order
+        m = a ** (dec.order // pair.inertia.order) - 1
+        d = (m,) * (g.order // dec.order) if m > 1 else ()
+        assert mod.relations == im.frozen(im.diagonal(d)), (factors, pair)
+        assert d == ref_inertia_module(pair.inertia, pair.frob).invariants(), (factors, pair)
+
+
+# criterion 4's catalogue and 8, 2,4 and 2,2,2
+@pytest.mark.parametrize("factors", CRITERION_4_GROUPS + ([8], [2, 4], [2, 2, 2]))
+def test_closed_form_tate_groups_match_the_orbit_route(factors):
+    g = make_group(factors)
     subs = enumerate_subgroups(g)
     for pair in build_sets(g).stilde:
-        mod = inertia_module(ring, pair.inertia, pair.frob)
-        ref = ref_inertia_module(ring, pair.inertia, pair.frob)
-        d = mod.invariants()
-        assert all(x > 1 for x in d) and all(b % a == 0 for a, b in zip(d, d[1:]))
-        assert mod.relations == tuple(tuple(x if i == j else 0 for j in range(len(d))) for i, x in enumerate(d))
-        assert d == im.invariant_factors(ref.relations, ref.rank), (factors, pair)
+        mod = inertia_module(pair.inertia, pair.frob)
+        ref = ref_inertia_module(pair.inertia, pair.frob)
         for h in subs:
             t, t_ref = tate_cohomology(mod, h), tate_cohomology(ref, h)
             big, c = prediction_data(g, pair.inertia, pair.frob, h)
             for side, ref_side in ((t.h0, t_ref.h0), (t.hminus1, t_ref.hminus1)):
                 assert side.invariants() == ref_side.invariants(), (factors, pair, h)
                 assert prediction_verdict(side, big, c) == prediction_verdict(ref_side, big, c), (factors, pair, h)
+
+
+@pytest.mark.parametrize("factors", CRITERION_4_GROUPS + ([8], [16], [2, 4], [2, 2, 2]))
+def test_orbit_route_invariants_match_sympy(factors):
+    g = make_group(factors)
+    checked = 0
+    for pair in build_sets(g).stilde:
+        if g.order // pair.inertia.order > 16:
+            continue
+        rel, _ = ref_inertia_presentation(pair.inertia, pair.frob)
+        snf = smith_normal_form(Matrix(rel), domain=ZZ)
+        want = tuple(sorted(x for x in (abs(int(snf[i, i])) for i in range(len(rel))) if x > 1))
+        assert ref_inertia_module(pair.inertia, pair.frob).invariants() == want, (factors, pair)
+        checked += 1
+    assert checked
 
 
 # -- reference: Tate groups built as fresh presentations ------------------------
@@ -628,10 +648,9 @@ def ref_tate_cohomology(module, sub):
 @pytest.mark.parametrize("factors", OLD_ROUTE_GROUPS + ([2, 2, 4],))
 def test_subquotient_tate_groups_match_the_rebuilt_presentations(factors):
     g = make_group(factors)
-    ring = group_ring(g)
     subs = enumerate_subgroups(g)
     for pair in build_sets(g).stilde:
-        mod = inertia_module(ring, pair.inertia, pair.frob)
+        mod = inertia_module(pair.inertia, pair.frob)
         for h in subs:
             t = tate_cohomology(mod, h)
             assert (t.h0, t.hminus1) == ref_tate_cohomology(mod, h), (factors, pair, h)

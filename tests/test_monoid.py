@@ -7,11 +7,17 @@ injectivity sweep is pinned.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import grlat
 
 from grlat.abelian import (
     Subgroup,
@@ -140,6 +146,29 @@ def test_bound_degradation():
 def test_bound_guard():
     with pytest.raises(ScopeError):
         analyze_monoid(make_group([9]), bound=1)
+
+
+def test_vector_count_is_the_sum_of_multiset_counts():
+    # the loop _vector_count used to run: C(k + i - 1, i) for i <= bound
+    for k in range(30):
+        for bound in range(30):
+            count = num = 1
+            for i in range(1, bound + 1):
+                num = num * (k + i - 1) // i
+                count += num
+            assert _vector_count(k, bound) == count, (k, bound)
+
+
+@pytest.mark.parametrize("spec, code", [("4", 65), ("2", 65), ("1", 0)])
+def test_a_huge_bound_is_refused_or_needs_no_rounds(spec, code):
+    # the candidate count is read off a binomial, not summed bound times,
+    # and a group with no irreducible generators runs no rounds
+    env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "grlat", "monoid", spec, "--bound", "100000000000"],
+        capture_output=True, env=env, timeout=5,
+    )
+    assert done.returncode == code, done.stderr
 
 
 def test_sprime_vs_t_count_law():

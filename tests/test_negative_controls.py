@@ -22,6 +22,13 @@ lex-least factor of a split Phi_m mod p replaced by X^d + 1 (for Phi_7
 mod 2, X^3 + 1 divides neither factor); the idempotent its traces give
 is not idempotent mod p, and the lift refuses it.
 
+The inertia module is built with the exponent of its Frobenius flipped,
+fbar acting as a instead of a^-1 (a = 1 + #I): on Z/9 with #I = 3 and
+phi = 1, a = 4 and a^-1 = 16 differ modulo a^3 - 1 = 63, so the witness
+that e_0 is killed by A_(-phi) - a must refuse it, and the tate and
+triviality sweeps must exit 2.  For f <= 2 the sign cannot show, as
+a^-1 = a^(f-1) modulo a^f - 1.
+
 Unit transport is run with the decomposition guard bypassed, on every
 pair of pairs with the same inertia I and different decomposition
 subgroups D: no unit of Z_p[G/I] carries one coset difference to the
@@ -55,11 +62,11 @@ import random
 import pytest
 
 import reference
-from grlat import cli, cohomology, lattices, monoid, polys
-from grlat.abelian import make_group, prime_factors
+from grlat import cli, cohomology, grouprings, lattices, monoid, polys
+from grlat.abelian import Subgroup, make_group, prime_factors
 from grlat.cli import EXIT_CHECK, main
 from grlat.errors import IdentityCheckError, UnitNotFoundError
-from grlat.grouprings import GroupRing, IdealLattice, group_ring
+from grlat.grouprings import GroupRing, IdealLattice, group_ring, inertia_module
 from grlat.lattices import ExtensionReport
 from grlat.monoid import build_sets
 from reference import ref_preimage_is_standard, ref_verify_unit_transport
@@ -227,6 +234,32 @@ def test_verify_triviality_exits_2_on_a_negated_prediction(monkeypatch):
     code, out = run_main(["verify", "15", "--checks", "triviality"])
     assert code == EXIT_CHECK
     assert "verdict\tfail" in out
+
+
+def flipped_frobenius_exponent(monkeypatch):
+    real = grouprings._induced_actions
+    monkeypatch.setattr(
+        grouprings,
+        "_induced_actions",
+        lambda inertia, dec, frob, unit, m: real(inertia, dec, frob, pow(unit, -1, m), m),
+    )
+
+
+def test_inertia_module_refuses_a_flipped_frobenius_exponent(monkeypatch):
+    g = make_group([9])
+    inertia = Subgroup.from_generators(g, [g.element((3,))])
+    assert inertia_module(inertia, g.element((1,))).invariants() == (63,)
+    flipped_frobenius_exponent(monkeypatch)
+    with pytest.raises(IdentityCheckError):
+        inertia_module(inertia, g.element((1,)))
+
+
+@pytest.mark.parametrize("check", ["tate", "triviality"])
+def test_verify_exits_2_on_a_flipped_frobenius_exponent(check, monkeypatch):
+    flipped_frobenius_exponent(monkeypatch)
+    code, out = run_main(["verify", "9", "--checks", check])
+    assert code == EXIT_CHECK
+    assert out == ""
 
 
 def non_factor_first(monkeypatch):

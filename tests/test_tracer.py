@@ -41,8 +41,8 @@ def test_tracer_installs_and_counts_the_layers():
     out = json.loads(done.stdout)
     assert out["code"] == 0
     for span in (
-        "abelian.quotient_data",
-        "abelian.QuotientData.proj",
+        "abelian.canonical_lift",
+        "abelian.decomposition_subgroup",
         "abelian.Subgroup.elements",
         "grouprings.FiniteModule.build",
         "grouprings.FiniteModule.subquotient",
