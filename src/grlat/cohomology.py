@@ -61,9 +61,24 @@ class TateResult:
 
 
 def norm_matrix(module: FiniteModule, sub: Subgroup):
-    """Matrix of the sum of the actions of all elements of sub."""
-    mats = [module.action_matrix(e) for e in sub.elements()]
-    return [[sum(col) for col in zip(*rows)] for rows in zip(*mats)]
+    """Matrix of the sum of the actions of all elements of sub.
+
+    sub.basis is a square HNF, so its rows h_j, h_(j+1), ... span S_j,
+    the elements of sub whose first j coordinates vanish, and the t h_j
+    with t < o_j = factor_j / basis[j][j] represent S_j / S_(j+1).
+    So the norm of sub = S_0 is the product over j of 1 + A + ... +
+    A^(o_j - 1), A = A_(h_j)."""
+    out = im.identity(module.rank)
+    for j, (row, factor) in enumerate(zip(sub.basis, sub.group.factors)):
+        if factor == row[j]:
+            continue
+        a = module.action_matrix(sub.group.element(row))
+        # out <- sum_t A^t out, the sparse A on the left of every product
+        term = out
+        for _ in range(factor // row[j] - 1):
+            term = im.mat_mul(a, term)
+            out = [[x + y for x, y in zip(r, s)] for r, s in zip(out, term)]
+    return out
 
 
 def tate_cohomology(module: FiniteModule, sub: Subgroup) -> TateResult:
@@ -138,19 +153,24 @@ def find_cyclic_generator(module: FiniteModule):
     """(generator coords, searched_all): a vector generating the module
     over the group ring, or None.
 
-    The basis vectors e_1..e_g are tried first, at one HNF each and
-    whatever the module's order.  Only a module of order at most
-    GENERATOR_SEARCH_CAP is then walked coset by coset, which proves it
-    is not cyclic; searched_all=False means no generator was found and
-    the module was too large to walk."""
+    x generates when the span of x and the relations, grown by its
+    images under the generator matrices until it stops growing, is Z^g.
+    The basis vectors e_1..e_g are tried first, whatever the module's
+    order.  Only a module of order at most GENERATOR_SEARCH_CAP is then
+    walked coset by coset, which proves it is not cyclic;
+    searched_all=False means no generator was found and the module was
+    too large to walk."""
     n = module.rank
     if module.order == 1:
         return [0] * n, True
     rel = [list(r) for r in module.relations]
     reps = coset_representatives(module)
     for x in chain(im.identity(n), reps or ()):
-        h = im.hnf([im.vec_mat(x, a) for a in module.actions] + rel, n)
-        if len(h) == n and all(h[i][i] == 1 for i in range(n)):
+        span, last = im.hnf([x] + rel, n), None
+        while span != last and im.hnf_index(span) > 1:
+            last = span
+            span = im.hnf(span + [im.vec_mat(r, a) for a in module.gen_actions for r in span], n)
+        if im.hnf_index(span) == 1:
             return x, True
     return None, reps is not None
 

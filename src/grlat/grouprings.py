@@ -24,15 +24,15 @@ intmat.smith_coordinates, so every later step works at rank len(d),
 not n, and validates the action.  A Tate group, p-part or
 chi-component is FiniteModule.subquotient of a validated module: the
 same Smith step, no second validation, as the induced action keeps its
-parent's identities.  The matrix of any group element comes from
-FiniteModule.actions, one cached walk of the group per module.  An
-inertia module is written down in closed form (inertia_module).
+parent's identities.  The matrix of a group element is the product of
+its generators' matrix powers.  An inertia module is written down in
+closed form (inertia_module).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import intmat as im
 from .abelian import FinAbGroup, GroupElement, Subgroup, canonical_lift, decomposition_subgroup
@@ -295,26 +295,16 @@ class FiniteModule:
         inv = self.invariants()
         return inv[-1] if inv else 1
 
-    @cached_property
-    def actions(self) -> tuple:
-        """The matrix of every element of the group, in elements() order.
-
-        elements() is mixed radix with the first coordinate fastest, so
-        the table over the first i factors, multiplied by the i-th
-        generator matrix t times, is its t-th block over i+1 factors:
-        one mat_mul per element."""
-        table = [im.identity(self.rank)]
-        for d, a in zip(self.group.factors, self.gen_actions):
-            block = table
-            for _ in range(d - 1):
-                block = [im.mat_mul(m, a) for m in block]
-                table += block
-        return tuple(im.frozen(m) for m in table)
-
     def action_matrix(self, elem: GroupElement):
+        """The matrix of elem, the product of A_i^(c_i) over its
+        coordinates c_i, entries left unreduced."""
         if elem.group != self.group:
             raise ParentMismatchError("element of a different group")
-        return self.actions[self.group.index_of(elem)]
+        out = im.identity(self.rank)
+        for c, a in zip(elem.coords, self.gen_actions):
+            if c:
+                out = im.mat_mul(out, im.mat_pow(a, c))
+        return im.frozen(out)
 
     def validate(self):
         """Each generator has order dividing its group factor on the

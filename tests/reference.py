@@ -44,9 +44,19 @@ inertia_module took before it wrote its module down in closed form: the
 HNF of the ideal (a - fbar^-1), a = 1 + #I, in the group ring of the
 quotient G/I, with G acting by translation through the quotient, at
 rank |G/I|; FiniteModule.build then moves it to Smith coordinates.
+
+ref_action_matrix is FiniteModule.action_matrix as it was before the
+module cached a table of every element's matrix (intmat spelled out):
+the product of the generator matrices' powers, unreduced.
+ref_norm_matrix is the element sum that norm_matrix was before it took
+the product of geometric sums over the rows of the subgroup's HNF, and
+ref_find_cyclic_generator the generator search that tested x by its
+images under every element of the group, one HNF of |G| rows each,
+before it grew the span of x by the generator matrices alone.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 import grlat.intmat as im
@@ -58,10 +68,12 @@ from grlat.abelian import (
     prime_factors,
     quotient_data,
 )
+from grlat.cohomology import coset_representatives
 from grlat.errors import (
     ContainmentError,
     IdentityCheckError,
     NotFullRankError,
+    ParentMismatchError,
     ScopeError,
     UnitNotFoundError,
 )
@@ -476,3 +488,36 @@ def ref_inertia_presentation(inertia, frob):
 
 def ref_inertia_module(inertia, frob):
     return FiniteModule.build(inertia.group, *ref_inertia_presentation(inertia, frob))
+
+
+# -- element matrices, norms and generators over the whole group --------------
+
+
+def ref_action_matrix(self, elem):
+    if elem.group != self.group:
+        raise ParentMismatchError("element of a different group")
+    out = im.identity(self.rank)
+    for c, a in zip(elem.coords, self.gen_actions):
+        if c:
+            out = im.mat_mul(out, im.mat_pow([list(r) for r in a], c))
+    return out
+
+
+def ref_norm_matrix(module, sub):
+    """Matrix of the sum of the actions of all elements of sub."""
+    mats = [module.action_matrix(e) for e in sub.elements()]
+    return [[sum(col) for col in zip(*rows)] for rows in zip(*mats)]
+
+
+def ref_find_cyclic_generator(module):
+    n = module.rank
+    if module.order == 1:
+        return [0] * n, True
+    rel = [list(r) for r in module.relations]
+    reps = coset_representatives(module)
+    actions = [ref_action_matrix(module, e) for e in module.group.elements()]
+    for x in chain(im.identity(n), reps or ()):
+        h = im.hnf([im.vec_mat(x, a) for a in actions] + rel, n)
+        if len(h) == n and all(h[i][i] == 1 for i in range(n)):
+            return x, True
+    return None, reps is not None

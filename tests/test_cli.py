@@ -443,6 +443,7 @@ def test_oversized_sweep_is_refused_at_once(spec):
         (["verify", "128", "--checks", "unit"], "3a5a3a0e639f4370940e64764c40d2f1bf89917c2c9001db604c17b1f698fd1e"),
         (["verify", "243", "--checks", "triviality"], "5446b1d3197e36f6b90c4cce943104161016f36a8440d6900af8ac6105a21892"),
         (["verify", "2,2,8", "--checks", "triviality"], "1f3c230d4e3ac9fc8d4342b8ca3f9d5a7483dadbbe95cabea30f2cb7f4d21299"),
+        (["verify", "256", "--checks", "triviality"], "42446ccfc0347e2a1af404620a8d5272451b18e036bdf8a3d8c72e7727042f90"),
     ],
     ids=[
         "64-tate",
@@ -462,6 +463,7 @@ def test_oversized_sweep_is_refused_at_once(spec):
         "128-unit",
         "243-triviality",
         "2,2,8-triviality",
+        "256-triviality",
     ],
 )
 def test_large_verify_reports_are_pinned(argv, digest):
@@ -476,7 +478,8 @@ def test_large_verify_reports_are_pinned(argv, digest):
     # 128 unit sweep as printed when a unit row also compared L w with L
     # modulo p^M after its witness; the 243 and 2,2,8 triviality sweeps
     # as printed when each inertia module was the Smith form of its orbit
-    # lattice in Z[G/I]
+    # lattice in Z[G/I]; the 256 triviality sweep as printed when every
+    # module cached the matrix of each group element
     env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-m", "grlat", *argv], capture_output=True, env=env, timeout=120)
     assert done.returncode == 0

@@ -45,9 +45,11 @@ from grlat.errors import ParentMismatchError, PrecisionError, ScopeError
 from grlat.grouprings import FiniteModule, GroupRing, IdealLattice, group_ring, inertia_module
 from grlat.monoid import build_sets
 from reference import (
+    ref_find_cyclic_generator,
     ref_inertia_module,
     ref_inertia_presentation,
     ref_lattice_quotient_coords,
+    ref_norm_matrix,
     ref_root_power_traces,
 )
 
@@ -197,6 +199,21 @@ def test_chi_idempotent_and_components():
     assert chi_component(m3, character_classes(g, 3)[0]).order == m3.order == 9
 
 
+def test_chi_idempotent_on_a_p_group_multiplies_only_to_check_idempotence(monkeypatch):
+    # the prime-to-p part of Z/256 at p = 2 is trivial, so the sum runs
+    # over one identity matrix; no matrix of another group element is made
+    g = make_group([256])
+    i4 = Subgroup.from_generators(g, [g.element((64,))])
+    mod = p_part(inertia_module(i4, g.element((4,))), 2)
+    assert mod.rank == 4
+    (chi,) = character_classes(g, 2)
+    calls = []
+    mat_mul = cohomology.im.mat_mul
+    monkeypatch.setattr(cohomology.im, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
+    chi_idempotent_matrix(mod, chi, p_split(mod.exponent(), 2)[0])
+    assert len(calls) <= 1
+
+
 def test_chi_component_guards():
     g = make_group([9])
     i3 = Subgroup.from_generators(g, [g.element((3,))])
@@ -275,6 +292,20 @@ def test_coset_representatives_and_generator_search():
     assert complete and x is None
 
 
+def test_closure_generator_search_matches_the_image_route_on_hand_built_modules():
+    ring = GroupRing(make_group([3]))
+    modules = [
+        regular_quotient(ring, ring.one().scale(2)),
+        FiniteModule.build(ring.group, [[3, 0], [0, 3]], [[[1, 0], [0, 1]]]),
+        # C2 acting as diag(1, 2) on Z/3 + Z/3: neither basis vector
+        # generates, (1, 1) does, and only the coset walk finds it
+        FiniteModule.build(make_group([2]), [[3, 0], [0, 3]], [[[1, 0], [0, 2]]]),
+    ]
+    for mod in modules:
+        assert find_cyclic_generator(mod) == ref_find_cyclic_generator(mod)
+    assert find_cyclic_generator(modules[-1]) == ((1, 1), True)
+
+
 def test_prediction_verdict_cyclicity_mismatch():
     # (Z/3)^2 with trivial action against Z/3[C2] = (Z/3)[G/1], C2 swapping
     # the coordinates: the same abelian group, both killed by 3 and by
@@ -350,7 +381,7 @@ def ref_closed_form_inertia_tate(group, inertia, frob, sub):
 
 def ref_annihilator_lattice(module, x):
     """The lattice {c in Z^{|G|} : sum_g c_g (x.g) lies in relations}."""
-    rows = [im.vec_mat(list(x), a) for a in module.actions]
+    rows = [im.vec_mat(list(x), module.action_matrix(g)) for g in module.group.elements()]
     return im.preimage_lattice(None, rows, [list(r) for r in module.relations])
 
 
@@ -403,6 +434,25 @@ def test_prediction_verdict_matches_two_sided_comparison(factors):
                 out = ref_module_equivalent(side, pred)
                 old = ("pass" if out.isomorphic else "fail") if out.decided else "undecided"
                 assert prediction_verdict(side, big, c) == old, (factors, pair, h)
+
+
+@pytest.mark.parametrize("factors", OLD_ROUTE_GROUPS)
+def test_norm_and_generator_search_match_the_whole_group_routes(factors):
+    # the norm as a product of geometric sums over sub.basis against the
+    # element sum, column j compared mod d_j as a module map is only
+    # defined there; the closure generator test against the images
+    # under every element of the group, on every Tate group
+    g = make_group(factors)
+    subs = enumerate_subgroups(g)
+    for pair in build_sets(g).stilde:
+        mod = inertia_module(pair.inertia, pair.frob)
+        d = mod.invariants()
+        for h in subs:
+            nm, ref = cohomology.norm_matrix(mod, h), ref_norm_matrix(mod, h)
+            assert all((x - y) % m == 0 for r, s in zip(nm, ref) for x, y, m in zip(r, s, d)), (factors, pair, h)
+            t = tate_cohomology(mod, h)
+            for side in (t.h0, t.hminus1):
+                assert find_cyclic_generator(side) == ref_find_cyclic_generator(side), (factors, pair, h)
 
 
 # -- reference: the chi idempotent from per-generator power tables ----------
@@ -629,7 +679,7 @@ def ref_tate_cohomology(module, sub):
         pre = im.preimage_lattice(None, d, rel)
         inv = ref_lattice_intersection(inv, pre)
 
-    nm = cohomology.norm_matrix(module, sub)
+    nm = ref_norm_matrix(module, sub)
     norm_image = im.lattice_sum([im.vec_mat(list(e), nm) for e in im.identity(n)], rel)
     h0 = ref_quotient_module(module.group, inv, norm_image, module.gen_actions)
 
