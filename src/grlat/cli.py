@@ -16,7 +16,7 @@ import math
 import sys
 from importlib import resources
 
-from .abelian import ELEMENT_CAP, is_prime, make_group, prime_factors
+from .abelian import ELEMENT_CAP, is_prime, make_group, p_split, prime_factors
 from .cohomology import (
     prediction_data,
     prediction_verdict,
@@ -30,14 +30,14 @@ from .errors import (
     ScopeError,
     UnitNotFoundError,
 )
-from .grouprings import group_ring, inertia_module
+from .grouprings import check_ring_order, group_ring, inertia_module
 from .lattices import (
     verify_extension_sequence,
     verify_kernel_presentation,
     verify_unit_transport,
 )
 from .monoid import analyze_monoid, build_sets
-from .spectrum import predicted_membership, sample_spectrum, verify_claims
+from .spectrum import _check_scope, predicted_membership, sample_spectrum, verify_claims
 
 EXIT_OK = 0
 EXIT_CHECK = 2
@@ -46,6 +46,8 @@ EXIT_CAPACITY = 65
 EXIT_DATA = 66
 
 VERIFY_CHECKS = ("tate", "kernel", "ext", "triviality", "unit")
+# the sweeps that build the group ring Z[G]
+RING_CHECKS = frozenset({"kernel", "ext", "unit"})
 CHECK_ALIASES = {"propfree": "triviality"}
 
 
@@ -217,6 +219,9 @@ def _parse_checks(group, spec):
 def cmd_verify(args) -> dict:
     group = parse_group_spec(args.group)
     names = _parse_checks(group, args.checks)
+    # refused before any sweep runs, not when the first ring sweep is reached
+    if RING_CHECKS.intersection(names):
+        check_ring_order(group.order)
     sweeps = {
         "tate": _tate_rows,
         "kernel": _kernel_rows,
@@ -320,13 +325,15 @@ def _read_records(path):
 
 
 def cmd_ingest(args) -> dict:
+    # refused before the table is read, even when it has no rows
+    _check_scope(args.p, args.r, ring=False)
     records = _read_records(args.table)
-    modulus = args.p**args.r
     rows = []
     attained = set()
     congruence = membership = 0
     for rownum, q, tag, ord_value in records:
-        cong_ok = q % modulus == 1
+        # q is prime, so q - 1 >= 1; v_p(q - 1) >= r is q = 1 mod p^r
+        cong_ok = p_split(q - 1, args.p)[0] >= args.r
         memb_ok = predicted_membership(ord_value, args.p, args.r, 1)
         congruence += cong_ok
         membership += memb_ok

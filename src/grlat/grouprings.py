@@ -48,14 +48,17 @@ from .errors import (
 RING_ORDER_CAP = 4096
 
 
+def check_ring_order(order: int) -> None:
+    """Refuse a group ring of more than RING_ORDER_CAP elements."""
+    if order > RING_ORDER_CAP:
+        raise CapacityError(f"group of order {order} exceeds ring cap {RING_ORDER_CAP}")
+
+
 class GroupRing:
     """Z[G] for a finite abelian G, with cached index arithmetic."""
 
     def __init__(self, group: FinAbGroup):
-        if group.order > RING_ORDER_CAP:
-            raise CapacityError(
-                f"group of order {group.order} exceeds ring cap {RING_ORDER_CAP}"
-            )
+        check_ring_order(group.order)
         self.group = group
         self.n = group.order
         self._ids = tuple(range(self.n))

@@ -39,11 +39,18 @@ kernel K, its image is {a : a (tau - 1) in g Z[G]}, of index
 |det M_g| / [Z[G] : (tau - 1, g)], and Z[G]/(tau - 1, g) is
 Z[G/I]/(gbar).  Once the claimed generators lie in K, K equals their
 span exactly when [Z[G] : (N_I, g)] * [Z[G/I] : (gbar)] = |det M_g|.
+A kernel row builds one lattice, the forward representative (N_I, g),
+for the first index.  The other two are indices of principal ideals of
+cyclic group rings, as G and G/I are cyclic and g = a - sigma^{-l} with
+a = 1 + #I and l the lift: [Z[C_m] : (a - sigma^{-l})] is the product
+of a - zeta^{-l} over the m-th roots of unity, (a^{m/e} - 1)^e with
+e = gcd(l, m) (_principal_index), taken at m = |G| and m = |G/I|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from . import intmat as im
 from .abelian import (
@@ -51,7 +58,6 @@ from .abelian import (
     Subgroup,
     canonical_lift,
     decomposition_subgroup,
-    make_group,
     prime_factors,
 )
 from .errors import (
@@ -59,7 +65,7 @@ from .errors import (
     ScopeError,
     UnitNotFoundError,
 )
-from .grouprings import GroupRing, GroupRingElem, IdealLattice, group_ring
+from .grouprings import GroupRing, GroupRingElem, IdealLattice
 
 
 def _forward_generator(
@@ -127,45 +133,60 @@ def verify_kernel_presentation(
     (a, b) |-> a (tau - 1) + b g inside Z[G]^2 is claimed to be
     generated over the group ring by (N_I, 0) and (g, 1 - tau), and its
     first projection to be the ideal (N_I, g), which is the forward
-    representative.  Both are certified
-    by the index identity of the module docstring.
+    representative.  Both are certified by the index identity of the
+    module docstring; the forward representative is the one lattice
+    built, and the two principal indices are closed forms.
     """
     if inertia.is_trivial or not inertia.is_cyclic:
         raise ScopeError("inertia must be nontrivial cyclic")
-    _, g = _forward_generator(ring, inertia, frob, lift)
+    lift, g = _forward_generator(ring, inertia, frob, lift)
     claimed = [
         (ring.norm_element(inertia), ring.one().scale(0)),
         (g, ring.one() - ring.delta(ring.group.element(inertia.basis[0]))),
     ]
     projection = IdealLattice.from_elements(ring, [x for x, _ in claimed])
-    return _kernel_identity(ring, inertia, g, claimed, projection)
+    return _kernel_identity(ring, inertia, lift, g, claimed, projection)
+
+
+def _principal_index(a: int, ell: int, m: int) -> int:
+    """[Z[C_m] : (a - sigma^{-ell})] = |det M| for an integer a >= 2.
+
+    The determinant is the product of a - zeta^{-ell} over the m-th roots
+    of unity zeta.  With e = gcd(ell, m), zeta^{-ell} runs e times over
+    the (m/e)-th roots of unity eta, and the product of a - eta over
+    them is a^{m/e} - 1; so the index is (a^{m/e} - 1)^e, which is
+    positive because a >= 2 (the kernel check has a = 1 + #I >= 3).
+    """
+    e = gcd(ell, m)
+    return (a ** (m // e) - 1) ** e
 
 
 def _kernel_identity(
     ring: GroupRing,
     inertia: Subgroup,
+    lift: GroupElement,
     g: GroupRingElem,
     claimed,
     projection: IdealLattice,
 ) -> KernelReport:
-    """The kernel check over a cyclic group for claimed generators (x, y)
-    of the kernel of (a, b) |-> a (tau - 1) + b g, where projection is
-    the ideal that the x generate.
+    """The kernel check over a cyclic group G of order n for claimed
+    generators (x, y) of the kernel of (a, b) |-> a (tau - 1) + b g,
+    g = a - sigma^{-l} with a = 1 + #I and l the lift, where projection
+    is the ideal that the x generate.
 
     The claim holds when every x (tau - 1) + y g vanishes (phi is
     Z[G]-linear, so the translates follow) and
-    [Z[G] : projection] * [Z[G/I] : (gbar)] = |det M_g|.
+    [Z[G] : projection] * [Z[G/I] : (gbar)] = |det M_g|.  G/I is cyclic
+    of order k = n/#I, generated by the image of sigma, so gbar is
+    a - sigmabar^{-l} and both principal indices are _principal_index
+    at m = k and m = n.
     """
     # G is cyclic, so I = <h> has the stored basis [[h]] and tau = h
     t_minus_1 = ring.delta(ring.group.element(inertia.basis[0])) - ring.one()
     contained = all((x * t_minus_1 + y * g).is_zero for x, y in claimed)
-    det_g = IdealLattice.from_elements(ring, [g]).integral_index()
-    # I is the subgroup of the indices divisible by k = n/#I, so G -> G/I
-    # is reduction mod k and gbar folds the coefficients of g
-    k = ring.n // inertia.order
-    qring = group_ring(make_group([k]))
-    gbar = qring.from_coeffs(sum(g.coeffs[c::k]) for c in range(k))
-    quotient_index = IdealLattice.from_elements(qring, [gbar]).integral_index()
+    a, (ell,) = 1 + inertia.order, lift.coords
+    det_g = _principal_index(a, ell, ring.n)
+    quotient_index = _principal_index(a, ell, ring.n // inertia.order)
     projection_matches = projection.integral_index() * quotient_index == det_g
     return KernelReport(contained and projection_matches, projection_matches)
 

@@ -53,6 +53,12 @@ the product of geometric sums over the rows of the subgroup's HNF, and
 ref_find_cyclic_generator the generator search that tested x by its
 images under every element of the group, one HNF of |G| rows each,
 before it grew the span of x by the generator matrices alone.
+
+ref_kernel_identity is the kernel check's index identity as it was
+computed before the two principal indices were read off their closed
+form: |det M_g| as the HNF index of the n-row orbit of g, and
+[Z[G/I] : (gbar)] as the HNF index of the orbit of gbar in a second
+ring Z[C_k], k = n/#I, with gbar folded from the coefficients of g.
 """
 
 from fractions import Fraction
@@ -64,6 +70,7 @@ from grlat import polys
 from grlat.abelian import (
     GroupElement,
     decomposition_subgroup,
+    make_group,
     p_split,
     prime_factors,
     quotient_data,
@@ -78,7 +85,7 @@ from grlat.errors import (
     UnitNotFoundError,
 )
 from grlat.grouprings import FiniteModule, IdealLattice, group_ring
-from grlat.lattices import backward_rep
+from grlat.lattices import KernelReport, backward_rep
 from grlat.polys import poly_divmod_monic, trim
 
 
@@ -521,3 +528,20 @@ def ref_find_cyclic_generator(module):
         if len(h) == n and all(h[i][i] == 1 for i in range(n)):
             return x, True
     return None, reps is not None
+
+
+# -- the kernel identity by three HNF indices ----------------------------------
+
+
+def ref_kernel_identity(ring, inertia, g, claimed, projection):
+    t_minus_1 = ring.delta(ring.group.element(inertia.basis[0])) - ring.one()
+    contained = all((x * t_minus_1 + y * g).is_zero for x, y in claimed)
+    det_g = IdealLattice.from_elements(ring, [g]).integral_index()
+    # I is the subgroup of the indices divisible by k = n/#I, so G -> G/I
+    # is reduction mod k and gbar folds the coefficients of g
+    k = ring.n // inertia.order
+    qring = group_ring(make_group([k]))
+    gbar = qring.from_coeffs(sum(g.coeffs[c::k]) for c in range(k))
+    quotient_index = IdealLattice.from_elements(qring, [gbar]).integral_index()
+    projection_matches = projection.integral_index() * quotient_index == det_g
+    return KernelReport(contained and projection_matches, projection_matches)

@@ -1,6 +1,7 @@
-"""Byte-identity of the module sweeps: every `verify` command of the
-benchmark's verify-modules catalogue (tate, ext and triviality, with
-unit on p-groups) is run in-process through grlat.cli.main, and the
+"""Byte-identity of the benchmark's verify sweeps: every `verify`
+command of the verify-modules catalogue (tate, ext and triviality, with
+unit on p-groups) and of the kernel-cyclic catalogue (`--checks kernel`
+on cyclic orders) is run in-process through grlat.cli.main, and the
 sha256 of its report must equal the digest recorded in
 bench/expected.json.  The file is only read.
 """
@@ -17,16 +18,30 @@ from grlat.cli import main
 
 EXPECTED = json.loads((Path(__file__).resolve().parents[1] / "bench" / "expected.json").read_text())["commands"]
 MODULE_SWEEPS = sorted(k for k in EXPECTED if k.startswith("verify ") and "--checks tate" in k)
+KERNEL_SWEEPS = sorted(k for k in EXPECTED if k.startswith("verify ") and k.endswith("--checks kernel"))
+
+
+def report_digest(command):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(command.split())
+    assert code == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 def test_the_catalogue_has_seventeen_module_sweeps():
     assert len(MODULE_SWEEPS) == 17
 
 
+def test_the_catalogue_has_eighty_kernel_sweeps():
+    assert len(KERNEL_SWEEPS) == 80
+
+
 @pytest.mark.parametrize("command", MODULE_SWEEPS)
 def test_module_sweep_report_matches_the_recorded_digest(command):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(command.split())
-    assert code == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == EXPECTED[command]["sha256"]
+    assert report_digest(command) == EXPECTED[command]["sha256"]
+
+
+@pytest.mark.parametrize("command", KERNEL_SWEEPS)
+def test_kernel_sweep_report_matches_the_recorded_digest(command):
+    assert report_digest(command) == EXPECTED[command]["sha256"]

@@ -202,6 +202,42 @@ def test_spectrum_report(capsys):
     assert all(t % 2 == 0 or t > 6 for t in report["results"]["attained"])
 
 
+@pytest.mark.parametrize(
+    "spec, checks", [("4097", None), ("4097", "kernel"), ("4097", "tate,ext"), ("8192", "unit")]
+)
+def test_oversized_ring_refused_before_any_sweep(spec, checks, capsys, monkeypatch):
+    def never(group):
+        raise AssertionError("index sets built for a refused command")
+
+    monkeypatch.setattr(cli, "build_sets", never)
+    argv = ["verify", spec] + (["--checks", checks] if checks else [])
+    code, out, err = run(argv, capsys)
+    assert code == 65 and out == ""
+    assert f"group of order {spec} exceeds ring cap 4096" in err
+
+
+@pytest.mark.parametrize("spec, checks", [("4096", None), ("4097", "tate,triviality")])
+def test_ring_cap_admits_its_own_order_and_ringless_sweeps(spec, checks, monkeypatch):
+    # the pre-flight check passes, so the command goes on to its index sets
+    class Reached(Exception):
+        pass
+
+    def reached(group):
+        raise Reached
+
+    monkeypatch.setattr(cli, "build_sets", reached)
+    with pytest.raises(Reached):
+        main(["verify", spec] + (["--checks", checks] if checks else []))
+
+
+def test_default_verify_past_the_ring_cap_is_refused_at_once():
+    # the default checks start with tate, whose sweep at this order runs past a minute
+    done, elapsed = run_fresh(["verify", "4097"])
+    assert done.returncode == 65 and done.stdout == b""
+    assert b"exceeds ring cap" in done.stderr
+    assert elapsed < 5.0
+
+
 def test_spectrum_usage_errors(capsys):
     code, _, err = run(["spectrum", "--p", "4", "--r", "2"], capsys)
     assert code == 64 and "usage error" in err
@@ -212,12 +248,12 @@ def test_spectrum_usage_errors(capsys):
         assert code == 64 and "usage error" in err and out == ""
 
 
-def run_spectrum(argv):
-    """`python -m grlat spectrum argv` in a fresh interpreter, and its wall time."""
+def run_fresh(argv):
+    """`python -m grlat argv` in a fresh interpreter, and its wall time."""
     env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
     t0 = time.monotonic()
     done = subprocess.run(
-        [sys.executable, "-m", "grlat", "spectrum", *argv],
+        [sys.executable, "-m", "grlat", *argv],
         capture_output=True,
         env=env,
         timeout=10,
@@ -235,7 +271,7 @@ def run_spectrum(argv):
     ],
 )
 def test_oversized_spectrum_ring_is_refused_at_once(argv):
-    done, _ = run_spectrum(argv)
+    done, _ = run_fresh(["spectrum", *argv])
     assert done.returncode == 65
     assert done.stdout == b""
     assert b"exceeds ring cap" in done.stderr
@@ -244,7 +280,7 @@ def test_oversized_spectrum_ring_is_refused_at_once(argv):
 @pytest.mark.parametrize("p, r", [("83", "1"), ("5", "3")])
 def test_spectrum_order_past_its_cap_is_refused_at_once(p, r):
     # one sample at 83 takes about 0.5 s, at 125 about 0.3 s
-    done, elapsed = run_spectrum(["--p", p, "--r", r, "--samples", "1"])
+    done, elapsed = run_fresh(["spectrum", "--p", p, "--r", r, "--samples", "1"])
     assert done.returncode == 65 and done.stdout == b""
     assert b"exceeds ring cap" in done.stderr
     assert elapsed < 2.0
@@ -253,7 +289,7 @@ def test_spectrum_order_past_its_cap_is_refused_at_once(p, r):
 @pytest.mark.parametrize("p, r, exp", [("79", "1", "10"), ("3", "3", "2000")])
 def test_spectrum_coeff_exp_past_its_cap_is_refused_at_once(p, r, exp):
     # refused before a coefficient is drawn
-    done, elapsed = run_spectrum(["--p", p, "--r", r, "--samples", "1", "--coeff-exp", exp])
+    done, elapsed = run_fresh(["spectrum", "--p", p, "--r", r, "--samples", "1", "--coeff-exp", exp])
     assert done.returncode == 65 and done.stdout == b""
     assert b"coefficient exponent" in done.stderr and b"exceeds cap" in done.stderr
     assert elapsed < 2.0
@@ -342,6 +378,30 @@ def test_ingest_passing_table(tmp_path, capsys):
     assert code == 0
     assert "results.rowcount\t3" in out
     assert "results.attained\t2,4,9" in out
+
+
+@pytest.mark.parametrize("p, r", [("4", "0"), ("4", "2"), ("3", "0")])
+def test_ingest_flags_are_checked_on_a_header_only_table(tmp_path, capsys, p, r):
+    header_only = write_table(tmp_path, [])
+    code, out, err = run(["ingest", header_only, "--p", p, "--r", r], capsys)
+    assert code == 64 and out == "" and "usage error" in err
+
+
+@pytest.mark.parametrize("r, status", [("4", "pass"), ("5", "fail:congruence")])
+def test_ingest_congruence_at_the_exact_valuation(tmp_path, capsys, r, status):
+    # 163 - 1 = 2 * 3^4, and ord_value r passes membership at level r
+    table = write_table(tmp_path, [f"163,-4,{r}"])
+    code, out, _ = run(["ingest", table, "--p", "3", "--r", r], capsys)
+    assert code == (0 if status == "pass" else 2)
+    assert f"results.rows\t1\t163\t-4\t{r}\t{status}" in out
+
+
+def test_ingest_huge_level_builds_no_power():
+    # p^r is never built: 3^100000000 has about 48 million digits
+    done, elapsed = run_fresh(["ingest", "@bundled", "--p", "3", "--r", "100000000"])
+    assert done.returncode == 2
+    assert b"fail:congruence" in done.stdout
+    assert elapsed < 5.0
 
 
 def test_ingest_large_prime_finishes(tmp_path):

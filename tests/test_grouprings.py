@@ -33,6 +33,7 @@ from grlat.grouprings import (
     FiniteModule,
     GroupRing,
     IdealLattice,
+    check_ring_order,
     group_ring,
     inertia_module,
 )
@@ -311,6 +312,10 @@ def test_group_ring_respects_order_cap():
     for _ in range(2):  # a refused group is not memoised
         with pytest.raises(CapacityError):
             group_ring(big)
+    # the check verify runs before its sweeps admits the cap itself
+    check_ring_order(RING_ORDER_CAP)
+    with pytest.raises(CapacityError, match=f"group of order {RING_ORDER_CAP + 1} exceeds ring cap"):
+        check_ring_order(RING_ORDER_CAP + 1)
 
 
 def test_translate_rejects_foreign_element():

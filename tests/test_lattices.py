@@ -4,9 +4,11 @@ Frozen index anchors pin the forward representative's dependence on the
 coset lift; the kernel, extension and unit-transport certificates are
 exercised on small groups here (wider sweeps live in the acceptance
 suite).  The kernel check's index identity is compared with the
-left-kernel route it replaced, kept here as the reference, and the
-backward lattice of an inertia group, stored as #I L, with the per-pair
-rational (den, basis) route it replaced, for every Frobenius.  Unit
+left-kernel route it replaced, kept here as the reference, and with the
+three-HNF route that followed it; its closed-form principal index
+with the HNF index of the principal ideal and with sympy's resultant;
+and the backward lattice of an inertia group, stored as #I L, with the
+per-pair rational (den, basis) route it replaced, for every Frobenius.  Unit
 transport's geometric-sum witness is compared with the unit that route
 solved for modulo p^M, and the p-adic lattice comparison a unit row
 made after its witness, kept in the reference, is checked to pass
@@ -18,6 +20,7 @@ from math import lcm
 from unittest import mock
 
 import pytest
+import sympy
 
 import grlat.intmat as im
 from grlat.abelian import (
@@ -38,6 +41,7 @@ from grlat.monoid import build_sets
 from grlat.lattices import (
     KernelReport,
     _kernel_identity,
+    _principal_index,
     backward_rep,
     forward_rep,
     verify_extension_sequence,
@@ -48,6 +52,7 @@ from grlat.lattices import (
 import reference
 from reference import (
     ref_backward_rep,
+    ref_kernel_identity,
     ref_lattice_quotient_coords,
     ref_preimage_is_standard,
     ref_unit_comparison,
@@ -210,10 +215,30 @@ def test_kernel_identity_refutes_perturbed_claims(facs):
             claimed = claimed_generators(r, pair.inertia, lift, *scales)
             projection = IdealLattice.from_elements(r, [x for x, _ in claimed])
             g = shift_generator(r, pair.inertia.order, lift)
-            rep = _kernel_identity(r, pair.inertia, g, claimed, projection)
+            rep = _kernel_identity(r, pair.inertia, lift, g, claimed, projection)
             assert rep == ref_kernel_presentation(r, pair.inertia, lift, claimed), (pair, scales)
+            assert rep == ref_kernel_identity(r, pair.inertia, g, claimed, projection), (pair, scales)
             failed += not rep.ok
     assert failed
+
+
+def test_principal_index_matches_the_hnf_index_and_the_resultant():
+    """(a^{m/e} - 1)^e, e = gcd(l, m), is [Z[C_m] : (a - sigma^{-l})]
+    by the HNF of its orbit, and |Res(x^m - 1, a - x^{(m - l) mod m})|
+    by sympy, for every m <= 40 and l < m."""
+    x = sympy.Symbol("x")
+    cases = 0
+    for m in range(1, 41):
+        r = GroupRing(make_group([m]))
+        for ell in range(m):
+            sigma_minus_ell = r.delta(r.group.element((-ell,)) if m > 1 else r.group.zero())
+            for a in (2, 3, 4, 5, 9):
+                index = _principal_index(a, ell, m)
+                hnf_index = IdealLattice.from_elements(r, [r.one().scale(a) - sigma_minus_ell]).integral_index()
+                resultant = abs(sympy.resultant(x**m - 1, a - x ** ((m - ell) % m), x))
+                assert index == hnf_index == resultant, (a, ell, m)
+                cases += 1
+    assert cases == 4100
 
 
 @pytest.mark.parametrize("facs", [[8], [9], [12], [16]])
