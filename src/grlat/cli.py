@@ -248,6 +248,10 @@ def cmd_verify(args) -> dict:
 
 
 def cmd_spectrum(args) -> dict:
+    # checked again per sample by predicted_membership, but a bad n must
+    # be refused before the draws, not after all of them
+    if args.n < 1:
+        raise ScopeError("n must be at least 1")
     samples = sample_spectrum(args.p, args.r, args.coeff_exp, args.samples, args.seed)
     histogram = {}
     oracle = membership = claims = rejections = 0

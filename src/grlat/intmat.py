@@ -26,7 +26,9 @@ Conventions:
     inverse y -> y Q, the coordinates every quotient group and finite
     module is stored in,
   * smith_valuations() gives only the p-parts of the Smith invariants
-    of a full-rank lattice, by elimination mod p^k with no HNF.
+    of a full-rank lattice, by elimination mod p^k with no HNF, each
+    working row packed into one int so that a row update is one
+    multiply-add.
 """
 
 from __future__ import annotations
@@ -378,38 +380,64 @@ def _smith_valuations_mod(rows, width, p, k):
     """The e_i of smith_valuations when all are < k, else None.
 
     The working rows hold the remaining block divided by p^shift, where
-    p^shift is its least valuation, so they live mod p^(k - shift) and a
-    pivot is any entry prime to p.  Clearing the pivot's column by row
-    moves leaves the pivot row as the only one touched by the column
-    moves that would clear it, so that row and column are dropped."""
+    p^shift is its least valuation, so they live mod q = p^(k - shift)
+    and a pivot is any entry prime to p: the first one met in row
+    order, then column order.  Clearing the pivot's column by row moves
+    leaves the pivot row as the only one touched by the column moves
+    that would clear it, so that row and column are dropped.
+
+    Each working row is packed into one int, entry j in bits
+    [j w, (j + 1) w) with w = ((width + 2) q^2).bit_length(), so that
+    clearing a column from a row is one multiply-add, r + f * comp,
+    where f is the row's entry in the column mod q and comp the pivot
+    row times -1/pivot, reduced mod q and packed (Kronecker
+    substitution; Harvey, Faster polynomial multiplication via
+    multipoint Kronecker substitution, JSC 2009).  No carry crosses a
+    slot: every entry starts in [0, q); each step adds f c with f, c in
+    [0, q), which is less than q^2; a row takes at most width steps
+    between repacks; so every entry stays nonnegative and below
+    (width + 2) q^2 < 2^w.  Slots are read mod q only, so entries are
+    never reduced in place.  The pivot's column leaves the list of live
+    columns.  When no live entry is prime to p, every row is unpacked,
+    reduced mod q, divided by p and repacked with the live columns
+    only, rows that vanish are dropped, and q becomes q / p."""
     q = p**k
-    a = [[x % q for x in r] for r in rows]
+    block = [[x % q for x in r] for r in rows]
     vals = []
     shift = 0
-    while len(vals) < width:
-        piv = next(((i, j) for i, r in enumerate(a) for j, x in enumerate(r) if x % p), None)
-        if piv is None:
-            shift += 1
-            if shift == k:
-                return None
-            q //= p
-            a = [[x // p for x in r] for r in a]
-            continue
-        i, j = piv
-        prow = a.pop(i)
-        inv = pow(prow[j], -1, q)
-        prow = [x * inv % q for x in prow]
-        rest = []
-        for r in a:
-            f = r[j]
-            if f:
-                r = [(x - f * y) % q for x, y in zip(r, prow)]
-            del r[j]
-            if any(r):
-                rest.append(r)
-        a = rest
-        vals.append(shift)
-    return vals
+    while True:
+        w = ((width + 2) * q * q).bit_length()
+        mask = (1 << w) - 1
+        a = [_pack(r, w) for r in block if any(r)]
+        live = list(range(width - len(vals)))
+        while piv := next(((i, j) for i, r in enumerate(a) for j in live if ((r >> w * j) & mask) % p), None):
+            i, j = piv
+            prow = a.pop(i)
+            live.remove(j)
+            neg_inv = -pow(((prow >> w * j) & mask) % q, -1, q)
+            comp = 0
+            for c in live:
+                comp |= (((prow >> w * c) & mask) * neg_inv % q) << w * c
+            for t, r in enumerate(a):
+                f = ((r >> w * j) & mask) % q
+                if f:
+                    a[t] = r + f * comp
+            vals.append(shift)
+        if not live:
+            return vals
+        shift += 1
+        if shift == k:
+            return None
+        block = [[((r >> w * c) & mask) % q // p for c in live] for r in a]
+        q //= p
+
+
+def _pack(entries, w):
+    """entries as one int, entry j in bits [j w, (j + 1) w)."""
+    r = 0
+    for x in reversed(entries):
+        r = r << w | x
+    return r
 
 
 def snf_diagonal(rows, width=None):

@@ -23,9 +23,12 @@ itself (width pivots of valuation < k are exact, else k doubles).
 Their agreement on every sample is the oracle identity the module
 exists to exercise; the spectrum command checks it.
 
-The Smith route is most of a sample's cost, and the whole grows
-steeply with the ring order, so sampling refuses rings past
-SPECTRUM_ORDER_CAP and coefficient exponents past COEFF_EXP_CAP.
+The Smith route is still the larger part of a sample's cost: about
+two thirds at (3,3) and (5,2), 85% at (3,4) and (7,2) and 99% at
+p = 79, timed around smith_valuations over 100-1000 samples on a
+2-core machine.  The whole grows steeply with the ring order, so
+sampling refuses rings past SPECTRUM_ORDER_CAP, coefficient exponents
+past COEFF_EXP_CAP and sample counts past SAMPLE_CAP.
 """
 
 from dataclasses import dataclass
@@ -38,14 +41,18 @@ from .intmat import smith_valuations
 
 MAX_RESAMPLE = 512
 # largest ring order p^r sampled, far below grouprings.RING_ORDER_CAP:
-# one sample takes about 0.39 s at p = 79 (the worst order it admits),
-# 0.48 s at 83, 1.1 s at 101 and 3.6 s at 127 on a 2-core machine
+# one sample takes about 0.15-0.20 s at p = 79 (the worst order it
+# admits), 0.005-0.01 s at 3^4, 0.20 s at 83, 0.57 s at 101 and 1.7 s
+# at 127 on a 2-core machine
 SPECTRUM_ORDER_CAP = 81
 # largest --coeff-exp sampled.  The cost hardly grows with coefficient
 # size (the Smith side works modulo p^k): one sample at p = 79 takes
-# 0.38-0.40 s at every exponent from 5 to 10 on a 2-core machine; the
-# cap keeps the accepted inputs to the documented and tested ones
+# 0.15-0.20 s at exponents 5, 7 and 10 on a 2-core machine; the cap
+# keeps the accepted inputs to the documented and tested ones
 COEFF_EXP_CAP = 6
+# largest --samples drawn: at the per-sample times above, a full run
+# takes about 30 min at p = 79 and 1-2 min at 3^4
+SAMPLE_CAP = 10_000
 
 
 def _check_scope(p: int, r: int, ring: bool = True) -> None:
@@ -202,6 +209,8 @@ def sample_spectrum(p: int, r: int, coeff_exp: int = 5, count: int = 100, seed: 
         raise CapacityError(f"coefficient exponent {coeff_exp} exceeds cap {COEFF_EXP_CAP} of spectrum")
     if count < 1:
         raise ScopeError("sample count must be at least 1")
+    if count > SAMPLE_CAP:
+        raise CapacityError(f"sample count {count} exceeds cap {SAMPLE_CAP} of spectrum")
     n = p**r
     bound = p**coeff_exp
     samples = []

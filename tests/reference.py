@@ -59,6 +59,10 @@ computed before the two principal indices were read off their closed
 form: |det M_g| as the HNF index of the n-row orbit of g, and
 [Z[G/I] : (gbar)] as the HNF index of the orbit of gbar in a second
 ring Z[C_k], k = n/#I, with gbar folded from the coefficients of g.
+
+ref_smith_valuations_mod is the elimination smith_valuations ran on
+lists of residues, one Python step per entry of every row update,
+before it packed each row into one int.
 """
 
 from fractions import Fraction
@@ -545,3 +549,44 @@ def ref_kernel_identity(ring, inertia, g, claimed, projection):
     quotient_index = IdealLattice.from_elements(qring, [gbar]).integral_index()
     projection_matches = projection.integral_index() * quotient_index == det_g
     return KernelReport(contained and projection_matches, projection_matches)
+
+
+# -- Smith valuations by elimination on lists of residues ----------------------
+
+
+def ref_smith_valuations_mod(rows, width, p, k):
+    """The e_i of smith_valuations when all are < k, else None.
+
+    The working rows hold the remaining block divided by p^shift, where
+    p^shift is its least valuation, so they live mod p^(k - shift) and a
+    pivot is any entry prime to p.  Clearing the pivot's column by row
+    moves leaves the pivot row as the only one touched by the column
+    moves that would clear it, so that row and column are dropped."""
+    q = p**k
+    a = [[x % q for x in r] for r in rows]
+    vals = []
+    shift = 0
+    while len(vals) < width:
+        piv = next(((i, j) for i, r in enumerate(a) for j, x in enumerate(r) if x % p), None)
+        if piv is None:
+            shift += 1
+            if shift == k:
+                return None
+            q //= p
+            a = [[x // p for x in r] for r in a]
+            continue
+        i, j = piv
+        prow = a.pop(i)
+        inv = pow(prow[j], -1, q)
+        prow = [x * inv % q for x in prow]
+        rest = []
+        for r in a:
+            f = r[j]
+            if f:
+                r = [(x - f * y) % q for x, y in zip(r, prow)]
+            del r[j]
+            if any(r):
+                rest.append(r)
+        a = rest
+        vals.append(shift)
+    return vals

@@ -1,9 +1,10 @@
-"""Byte-identity of the benchmark's verify sweeps: every `verify`
-command of the verify-modules catalogue (tate, ext and triviality, with
-unit on p-groups) and of the kernel-cyclic catalogue (`--checks kernel`
-on cyclic orders) is run in-process through grlat.cli.main, and the
-sha256 of its report must equal the digest recorded in
-bench/expected.json.  The file is only read.
+"""Byte-identity of the benchmark's reports: every `verify` command of
+the verify-modules catalogue (tate, ext and triviality, with unit on
+p-groups) and of the kernel-cyclic catalogue (`--checks kernel` on
+cyclic orders), and every `spectrum` command of the spectrum pool, is
+run in-process through grlat.cli.main, and the sha256 of its report
+must equal the digest recorded in bench/expected.json.  The file is
+only read.
 """
 
 import contextlib
@@ -19,6 +20,7 @@ from grlat.cli import main
 EXPECTED = json.loads((Path(__file__).resolve().parents[1] / "bench" / "expected.json").read_text())["commands"]
 MODULE_SWEEPS = sorted(k for k in EXPECTED if k.startswith("verify ") and "--checks tate" in k)
 KERNEL_SWEEPS = sorted(k for k in EXPECTED if k.startswith("verify ") and k.endswith("--checks kernel"))
+SPECTRUM_RUNS = sorted(k for k in EXPECTED if k.startswith("spectrum "))
 
 
 def report_digest(command):
@@ -37,6 +39,10 @@ def test_the_catalogue_has_eighty_kernel_sweeps():
     assert len(KERNEL_SWEEPS) == 80
 
 
+def test_the_catalogue_has_384_spectrum_runs():
+    assert len(SPECTRUM_RUNS) == 384
+
+
 @pytest.mark.parametrize("command", MODULE_SWEEPS)
 def test_module_sweep_report_matches_the_recorded_digest(command):
     assert report_digest(command) == EXPECTED[command]["sha256"]
@@ -44,4 +50,9 @@ def test_module_sweep_report_matches_the_recorded_digest(command):
 
 @pytest.mark.parametrize("command", KERNEL_SWEEPS)
 def test_kernel_sweep_report_matches_the_recorded_digest(command):
+    assert report_digest(command) == EXPECTED[command]["sha256"]
+
+
+@pytest.mark.parametrize("command", SPECTRUM_RUNS)
+def test_spectrum_report_matches_the_recorded_digest(command):
     assert report_digest(command) == EXPECTED[command]["sha256"]

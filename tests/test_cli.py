@@ -295,6 +295,21 @@ def test_spectrum_coeff_exp_past_its_cap_is_refused_at_once(p, r, exp):
     assert elapsed < 2.0
 
 
+def test_spectrum_bad_n_is_refused_before_drawing():
+    # 1000 samples at p = 79 would take minutes to draw
+    done, elapsed = run_fresh(["spectrum", "--p", "79", "--r", "1", "--samples", "1000", "--n", "0"])
+    assert done.returncode == 64 and done.stdout == b""
+    assert b"n must be at least 1" in done.stderr
+    assert elapsed < 5.0
+
+
+def test_spectrum_sample_count_past_its_cap_is_refused_at_once():
+    done, elapsed = run_fresh(["spectrum", "--p", "3", "--r", "1", "--samples", "10001"])
+    assert done.returncode == 65 and done.stdout == b""
+    assert b"sample count 10001 exceeds cap" in done.stderr
+    assert elapsed < 5.0
+
+
 def test_spectrum_oracle_mismatch_fails_the_check(capsys, monkeypatch):
     # a broken character side must reach the report and the exit code
     real = spectrum.char_valuation

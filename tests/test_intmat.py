@@ -6,7 +6,9 @@ the independent oracle where one exists; determinants come from the
 Bareiss reference ref_det, itself checked against sympy.  The
 sparse HNF elimination is also compared entry for entry with the dense
 elimination it replaced, kept here as ref_echelon, on tall sparse
-matrices and group-ring orbit matrices.
+matrices and group-ring orbit matrices, and the packed-row elimination
+behind smith_valuations with the list elimination it replaced,
+ref_smith_valuations_mod.
 """
 
 from math import prod
@@ -21,7 +23,7 @@ import grlat.intmat as im
 from grlat.abelian import make_group
 from grlat.errors import ContainmentError, NotFullRankError
 from grlat.grouprings import group_ring
-from reference import ref_det, ref_lattice_quotient_coords
+from reference import ref_det, ref_lattice_quotient_coords, ref_smith_valuations_mod
 
 small_entries = st.integers(min_value=-30, max_value=30)
 
@@ -355,7 +357,7 @@ def full_rank_rows(draw):
     """(rows, width, p): up to two more rows than width, entries scaled by
     small powers of p so that the p-parts are often nontrivial."""
     p = draw(st.sampled_from([2, 3, 5]))
-    width = draw(st.integers(min_value=1, max_value=4))
+    width = draw(st.integers(min_value=1, max_value=7))
     m = draw(st.integers(min_value=width, max_value=width + 2))
     rows = [
         [draw(small_entries) * p ** draw(st.integers(0, 3)) for _ in range(width)] for _ in range(m)
@@ -371,6 +373,42 @@ def test_smith_valuations_match_sympy(case, start):
     s = smith_normal_form(Matrix(rows), domain=ZZ)
     theirs = sorted(valuation(abs(s[i, i]), p) for i in range(width))
     assert im.smith_valuations(rows, width, p, start) == theirs
+
+
+@st.composite
+def residue_blocks(draw):
+    """(rows, width, p, k): up to three more rows than width, entries
+    c p^e + f with c in [-30, 30], e <= k and f in {0, +-q, q^3}, so
+    entries are negative, divisible by p, or far above q = p^k."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.integers(min_value=1, max_value=6))
+    width = draw(st.integers(min_value=1, max_value=12))
+    m = draw(st.integers(min_value=width, max_value=width + 3))
+    q = p**k
+    scale = st.integers(0, k).map(lambda e: p**e)
+    entry = st.builds(lambda c, s, f: c * s + f, small_entries, scale, st.sampled_from([0, 0, q, -q, q**3]))
+    row = st.lists(entry, min_size=width, max_size=width)
+    return draw(st.lists(row, min_size=m, max_size=m)), width, p, k
+
+
+@given(residue_blocks())
+@settings(max_examples=300, deadline=None)
+def test_packed_elimination_matches_the_list_elimination(case):
+    # None results included: a pass that needs precision past k
+    assert im._smith_valuations_mod(*case) == ref_smith_valuations_mod(*case)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_packed_slots_hold_the_largest_residues(k):
+    # entries q - 1, the largest residue, at p = 2 and width 12: the flat
+    # block has rank 1 (so no pass succeeds), the dense one is full rank
+    # with every row updated at nearly every pivot before a repack
+    q, width = 2**k, 12
+    flat = [[q - 1] * width for _ in range(width + 3)]
+    dense = [[q - 1 - (i == j) for j in range(width)] for i in range(width)]
+    for rows in (flat, dense, dense + flat[:3]):
+        assert im._smith_valuations_mod(rows, width, 2, k) == ref_smith_valuations_mod(rows, width, 2, k)
+    assert im._smith_valuations_mod(flat, width, 2, k) is None
 
 
 def test_smith_valuations_double_past_the_start(monkeypatch):

@@ -5,7 +5,8 @@ cyclotomic polynomials.  The builder does not check the oracle identity
 (character total equals the Smith-form total): it records both totals,
 and the spectrum command's oracle_identity check compares them.  Here
 the property test compares them on random elements, and the p-local
-Smith total is checked against the global HNF index it replaced.  The
+Smith total is checked against the global HNF index it replaced and
+against the list elimination the packed rows replaced.  The
 character valuations, read off the expansion in zeta - 1, are checked
 against v_p of the multiplication-matrix resultant they replaced and of
 sympy's resultant.
@@ -17,12 +18,14 @@ from hypothesis import strategies as st
 from sympy import Poly, resultant
 from sympy.abc import x as X
 
+import grlat.intmat as im
 from grlat.abelian import p_split
 from grlat.errors import CapacityError, DegenerateElementError, ScopeError
 from grlat.grouprings import RING_ORDER_CAP, IdealLattice
 from grlat.polys import cyclotomic
 from grlat.spectrum import (
     COEFF_EXP_CAP,
+    SAMPLE_CAP,
     SPECTRUM_ORDER_CAP,
     _check_scope,
     _level_valuation,
@@ -33,7 +36,7 @@ from grlat.spectrum import (
     sample_spectrum,
     verify_claims,
 )
-from reference import poly_mul, ref_resultant_monic
+from reference import poly_mul, ref_resultant_monic, ref_smith_valuations_mod
 
 
 def test_anchor_zero_u():
@@ -178,6 +181,13 @@ def test_snf_total_matches_the_global_hnf_index(p, r):
         assert s.snf_total == p_split(index, p)[0], s
 
 
+@pytest.mark.parametrize("p, r, count", [(3, 4, 3), (7, 2, 3), (79, 1, 1)])
+def test_snf_total_matches_the_reference_elimination(p, r, count, monkeypatch):
+    packed = [s.snf_total for s in sample_spectrum(p, r, count=count, seed=5)]
+    monkeypatch.setattr(im, "_smith_valuations_mod", ref_smith_valuations_mod)
+    assert [s.snf_total for s in sample_spectrum(p, r, count=count, seed=5)] == packed
+
+
 def test_order_cap_keeps_every_documented_order():
     assert SPECTRUM_ORDER_CAP <= RING_ORDER_CAP
     for p, r in ((3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (3, 4), (79, 1)):
@@ -194,6 +204,20 @@ def test_coeff_exp_cap_keeps_the_default_and_refuses_before_drawing(monkeypatch)
     for e in (COEFF_EXP_CAP + 1, 2000):
         with pytest.raises(CapacityError):
             sample_spectrum(79, 1, coeff_exp=e, count=1)
+
+
+def test_sample_cap_admits_its_count_and_refuses_before_drawing(monkeypatch):
+    class Drawn(Exception):
+        pass
+
+    def first_draw(*args):
+        raise Drawn
+
+    monkeypatch.setattr("grlat.spectrum.build_sample", first_draw)
+    with pytest.raises(Drawn):
+        sample_spectrum(3, 1, count=SAMPLE_CAP)
+    with pytest.raises(CapacityError):
+        sample_spectrum(3, 1, count=SAMPLE_CAP + 1)
 
 
 def resultant_valuation(res, p):
