@@ -248,8 +248,10 @@ def cmd_verify(args) -> dict:
 
 
 def cmd_spectrum(args) -> dict:
-    # checked again per sample by predicted_membership, but a bad n must
-    # be refused before the draws, not after all of them
+    # a bad n is a usage error, refused first; sample_spectrum then
+    # refuses a ring past the ring cap, a bad p, r, --coeff-exp or
+    # --samples and a run past the cost cap, all before its first draw
+    # (predicted_membership checks n again per sample)
     if args.n < 1:
         raise ScopeError("n must be at least 1")
     samples = sample_spectrum(args.p, args.r, args.coeff_exp, args.samples, args.seed)
@@ -330,7 +332,7 @@ def _read_records(path):
 
 def cmd_ingest(args) -> dict:
     # refused before the table is read, even when it has no rows
-    _check_scope(args.p, args.r, ring=False)
+    _check_scope(args.p, args.r)
     records = _read_records(args.table)
     rows = []
     attained = set()

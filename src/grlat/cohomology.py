@@ -290,6 +290,8 @@ def character_classes(group: FinAbGroup, p: int) -> list[ChiClass]:
     return _classes_from_orders(tuple(m for _, _, m in complement_generators(group, p)), p)
 
 
+# (m, p, prec) -> the traces of _root_power_traces; (m, p) -> the
+# idempotent e0 mod p they are lifted from
 _LIFT_CACHE: dict = {}
 
 
@@ -302,6 +304,19 @@ def _cyclic_mul(a, b, q):
             for j, y in enumerate(b):
                 out[(i + j) % m] += x * y
     return [c % q for c in out]
+
+
+def _idempotent_mod_p(m: int, p: int) -> list:
+    """The idempotent e0 of F_p[C_m] that _root_power_traces lifts."""
+    h0 = (-1, 1) if m == 1 else polys.factor_cyclotomic_mod_p(m, p)[0]
+    d = len(h0) - 1
+    tr0 = [d % p]
+    for k in range(1, m):
+        s = k * h0[d - k] if k <= d else 0
+        s += sum(h0[d - i] * tr0[k - i] for i in range(1, min(k, d + 1)))
+        tr0.append(-s % p)
+    inv_m = pow(m, -1, p)
+    return [tr0[-k % m] * inv_m % p for k in range(m)]
 
 
 def _root_power_traces(m: int, p: int, prec: int):
@@ -323,15 +338,10 @@ def _root_power_traces(m: int, p: int, prec: int):
         return _LIFT_CACHE[key]
     if prec < 1:
         raise PrecisionError("root power traces need precision at least p^1")
-    h0 = (-1, 1) if m == 1 else polys.factor_cyclotomic_mod_p(m, p)[0]
-    d = len(h0) - 1
-    tr0 = [d % p]
-    for k in range(1, m):
-        s = k * h0[d - k] if k <= d else 0
-        s += sum(h0[d - i] * tr0[k - i] for i in range(1, min(k, d + 1)))
-        tr0.append(-s % p)
-    inv_m = pow(m, -1, p)
-    e0 = [tr0[-k % m] * inv_m % p for k in range(m)]
+    # e0 does not depend on prec, so Phi_m is factored mod p once
+    e0 = _LIFT_CACHE.get((m, p))
+    if e0 is None:
+        e0 = _LIFT_CACHE[(m, p)] = _idempotent_mod_p(m, p)
     q = p**prec
     e, exact = e0, 1
     while exact < prec:

@@ -68,19 +68,21 @@ from .errors import (
 from .grouprings import GroupRing, GroupRingElem, IdealLattice
 
 
-def _forward_generator(
+def _forward_ideal(
     ring: GroupRing, inertia: Subgroup, frob: GroupElement, lift: GroupElement | None
-) -> tuple[GroupElement, GroupRingElem]:
-    """The lift used and g = 1 - lift^{-1} + #I of the forward
-    representative.  Default lift: the canonical (lex-least) coset
-    representative."""
+) -> tuple[GroupElement, GroupRingElem, GroupRingElem, IdealLattice]:
+    """The one construction of the forward representative: the lift
+    used, N_I, g = 1 - lift^{-1} + #I and the ideal (N_I, g).  Default
+    lift: the canonical (lex-least) coset representative."""
     if not ring.group.is_cyclic:
         raise ScopeError("forward representative needs a cyclic group")
     if lift is None:
         lift = canonical_lift(inertia, frob)
     elif not inertia.contains(lift - frob):
         raise ContainmentError("lift is not in the coset of frob")
-    return lift, ring.one() - ring.delta(-lift) + ring.one().scale(inertia.order)
+    n_i = ring.norm_element(inertia)
+    g = ring.one() - ring.delta(-lift) + ring.one().scale(inertia.order)
+    return lift, n_i, g, IdealLattice.from_elements(ring, [n_i, g])
 
 
 def forward_rep(
@@ -95,8 +97,8 @@ def forward_rep(
     the chosen lift of the coset frob + I, so (lift used, lattice) is
     returned.
     """
-    lift, g = _forward_generator(ring, inertia, frob, lift)
-    return lift, IdealLattice.from_elements(ring, [ring.norm_element(inertia), g])
+    lift, _, _, lat = _forward_ideal(ring, inertia, frob, lift)
+    return lift, lat
 
 
 def backward_rep(ring: GroupRing, inertia: Subgroup) -> IdealLattice:
@@ -139,12 +141,11 @@ def verify_kernel_presentation(
     """
     if inertia.is_trivial or not inertia.is_cyclic:
         raise ScopeError("inertia must be nontrivial cyclic")
-    lift, g = _forward_generator(ring, inertia, frob, lift)
+    lift, n_i, g, projection = _forward_ideal(ring, inertia, frob, lift)
     claimed = [
-        (ring.norm_element(inertia), ring.one().scale(0)),
+        (n_i, ring.one().scale(0)),
         (g, ring.one() - ring.delta(ring.group.element(inertia.basis[0]))),
     ]
-    projection = IdealLattice.from_elements(ring, [x for x, _ in claimed])
     return _kernel_identity(ring, inertia, lift, g, claimed, projection)
 
 

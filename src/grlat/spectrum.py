@@ -26,52 +26,91 @@ exists to exercise; the spectrum command checks it.
 The Smith route is still the larger part of a sample's cost: about
 two thirds at (3,3) and (5,2), 85% at (3,4) and (7,2) and 99% at
 p = 79, timed around smith_valuations over 100-1000 samples on a
-2-core machine.  The whole grows steeply with the ring order, so
-sampling refuses rings past SPECTRUM_ORDER_CAP, coefficient exponents
-past COEFF_EXP_CAP and sample counts past SAMPLE_CAP.
+2-core machine.  The whole grows steeply with the ring order, and
+large coefficients cost the bound p^coeff_exp and memory, so a run is
+admitted by one estimate of its cost, run_cost, against
+SPECTRUM_COST_CAP: the larger of its time and the bytes it holds,
+fitted on timed runs.  A ring past grouprings.RING_ORDER_CAP is
+refused first, on bit lengths.
 """
 
 from dataclasses import dataclass
+from math import isqrt
 from random import Random
 
 from .abelian import is_prime, make_group, p_split, prime_factors
 from .errors import CapacityError, DegenerateElementError, ScopeError
-from .grouprings import GroupRing, GroupRingElem, group_ring
+from .grouprings import RING_ORDER_CAP, GroupRing, GroupRingElem, group_ring
 from .intmat import smith_valuations
 
 MAX_RESAMPLE = 512
-# largest ring order p^r sampled, far below grouprings.RING_ORDER_CAP:
-# one sample takes about 0.15-0.20 s at p = 79 (the worst order it
-# admits), 0.005-0.01 s at 3^4, 0.20 s at 83, 0.57 s at 101 and 1.7 s
-# at 127 on a 2-core machine
-SPECTRUM_ORDER_CAP = 81
-# largest --coeff-exp sampled.  The cost hardly grows with coefficient
-# size (the Smith side works modulo p^k): one sample at p = 79 takes
-# 0.15-0.20 s at exponents 5, 7 and 10 on a 2-core machine; the cap
-# keeps the accepted inputs to the documented and tested ones
-COEFF_EXP_CAP = 6
-# largest --samples drawn: at the per-sample times above, a full run
-# takes about 30 min at p = 79 and 1-2 min at 3^4
-SAMPLE_CAP = 10_000
+# a run whose run_cost passes this is refused before its first draw
+SPECTRUM_COST_CAP = 28_500_000
 
 
-def _check_scope(p: int, r: int, ring: bool = True) -> None:
-    """Refuse r < 1 and a p that is not an odd prime.  With ring, first
-    refuse a ring Z[Z/p^r] past SPECTRUM_ORDER_CAP, before p is tested
-    or a coefficient is drawn; 3^r already exceeds the cap once r passes
-    its bit length, so p**r stays small."""
+def run_cost(p: int, r: int, coeff_exp: int, samples: int) -> int:
+    """Estimated cost of a spectrum run, sample_spectrum(p, r,
+    coeff_exp, samples) and the command's checks of its samples: the
+    larger of its time, in microseconds of a 2-core machine, and a
+    fifth of the bytes it holds beyond the interpreter.  p^r must be
+    within the ring cap, so q = p^(rp) below has at most 49,152 bits.
+
+    The time per sample was fitted on 26 runs timed twice each, the
+    bytes on the peak rss of 105 more and the bound on timed powers.
+    With cb = coeff_exp * bitlength(p) the bits of a coefficient, the
+    time has these terms:
+    - the draws' bound p^coeff_exp, built once by Karatsuba squarings
+      of d = cb/30 digits: d^1.5;
+    - per sample, the Smith side (intmat.smith_valuations): n pivots
+      over n + 1 packed rows of n slots of w bits, w the slot width at
+      the start precision q of build_sample, each row update a
+      multiply-add by a factor of D = digits(q) 30-bit digits,
+      n^3 w (6 + D); an interpreter step per pivot, n, and per pivot
+      and row, n^2; and reducing the n^2 entries of the translates of
+      x mod q, n^2 cb (D + 11), where a one-digit q divides faster;
+    - per sample, the draws, x, the character expansions and the
+      command's checks of the sample, n cb.
+    The bytes held are every sample's coefficients, the working
+    integers of one sample and the n^2 entries and n + 1 packed rows of
+    the elimination.
+    """
+    n = p**r
+    q = p ** (r * p)
+    w = ((n + 2) * q * q).bit_length()
+    digits = -(-q.bit_length() // 30)
+    cb = coeff_exp * p.bit_length()
+    d = cb // 30
+    sample = (
+        70
+        + 13 * n
+        + n * n // 2
+        + n**3 * w * (6 + digits) // 52_500
+        + n * n * cb * (2 if digits == 1 else digits + 11) // 18_500
+        + n * cb // 167
+    )
+    time = d * isqrt(d) // 120 + samples * sample
+    held = samples * (350 + n * (36 + cb // 8)) + (8 + 2 * n) * cb // 8 + n * n * (40 + 3 * w // 16)
+    return max(time, held // 5)
+
+
+def _check_scope(p: int, r: int) -> None:
+    """Refuse r < 1 and a p that is not an odd prime."""
     if r < 1:
         raise ScopeError("level r must be at least 1")
-    if p < 3 or p % 2 == 0:
-        raise ScopeError("p must be an odd prime")
-    if ring and (r > SPECTRUM_ORDER_CAP.bit_length() or p**r > SPECTRUM_ORDER_CAP):
-        raise CapacityError(f"group ring of Z/{p}^{r} exceeds ring cap {SPECTRUM_ORDER_CAP} of spectrum")
-    if not is_prime(p):
+    if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ScopeError("p must be an odd prime")
 
 
 def cyclic_ring(p: int, r: int) -> GroupRing:
-    """Group ring Z[Z/p^r] with the generator at element index 1."""
+    """Group ring Z[Z/p^r] with the generator at element index 1.
+
+    A ring past grouprings.RING_ORDER_CAP is refused before p is tested
+    for primality, on bit lengths first: p^r >= 2^(r (b - 1)) for b the
+    bit length of p, so p**r is never built for a huge r.  r < 1 and
+    p < 3 are left to _check_scope's usage errors.
+    """
+    if r >= 1 and p >= 3 and (r * (p.bit_length() - 1) > RING_ORDER_CAP.bit_length() or p**r > RING_ORDER_CAP):
+        raise CapacityError(f"group of order {p}^{r} exceeds ring cap {RING_ORDER_CAP}")
     _check_scope(p, r)
     return group_ring(make_group([p**r]))
 
@@ -155,7 +194,7 @@ def predicted_membership(v: int, p: int, r: int, n: int = 1) -> bool:
     """Whether v lies in {rn, r(n+1), ..., r(n+p-1)} or beyond r(n+p-1)."""
     if n < 1:
         raise ScopeError("n must be at least 1")
-    _check_scope(p, r, ring=False)
+    _check_scope(p, r)
     top = r * (n + p - 1)
     if v > top:
         return True
@@ -164,10 +203,9 @@ def predicted_membership(v: int, p: int, r: int, n: int = 1) -> bool:
 
 def build_sample(p: int, r: int, ucoeffs, epsilon: int = 1, attempts: int = 1) -> SpectrumSample:
     """Assemble x = (sigma-1)*u + p^r*epsilon and compute both totals."""
-    _check_scope(p, r)
+    ring = cyclic_ring(p, r)
     if epsilon % p == 0:
         raise ScopeError("epsilon must be prime to p")
-    ring = cyclic_ring(p, r)
     n = ring.group.order
     if len(ucoeffs) != n:
         raise ScopeError(f"expected {n} coefficients")
@@ -202,16 +240,14 @@ def sample_spectrum(p: int, r: int, coeff_exp: int = 5, count: int = 100, seed: 
     truncates the list.  Rejected degenerate draws stay visible through
     the attempts field of the surviving sample.
     """
-    _check_scope(p, r)
+    n = cyclic_ring(p, r).n
     if coeff_exp < 1:
         raise ScopeError("coeff_exp must be at least 1")
-    if coeff_exp > COEFF_EXP_CAP:
-        raise CapacityError(f"coefficient exponent {coeff_exp} exceeds cap {COEFF_EXP_CAP} of spectrum")
     if count < 1:
         raise ScopeError("sample count must be at least 1")
-    if count > SAMPLE_CAP:
-        raise CapacityError(f"sample count {count} exceeds cap {SAMPLE_CAP} of spectrum")
-    n = p**r
+    cost = run_cost(p, r, coeff_exp, count)
+    if cost > SPECTRUM_COST_CAP:
+        raise CapacityError(f"estimated cost {cost} of the run exceeds spectrum cost cap {SPECTRUM_COST_CAP}")
     bound = p**coeff_exp
     samples = []
     for slot in range(count):

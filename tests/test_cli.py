@@ -277,22 +277,27 @@ def test_oversized_spectrum_ring_is_refused_at_once(argv):
     assert b"exceeds ring cap" in done.stderr
 
 
-@pytest.mark.parametrize("p, r", [("83", "1"), ("5", "3")])
-def test_spectrum_order_past_its_cap_is_refused_at_once(p, r):
-    # one sample at 83 takes about 0.5 s, at 125 about 0.3 s
-    done, elapsed = run_fresh(["spectrum", "--p", p, "--r", r, "--samples", "1"])
-    assert done.returncode == 65 and done.stdout == b""
-    assert b"exceeds ring cap" in done.stderr
-    assert elapsed < 2.0
+# runs whose estimated cost passes spectrum.SPECTRUM_COST_CAP: about
+# 30 min of samples at p = 79, a 1.6e9-bit coefficient bound, 10^18
+# samples, and one sample of a ring whose packed rows would take GBs
+COSTLY_RUNS = [
+    ["--p", "79", "--r", "1", "--samples", "10000"],
+    ["--p", "3", "--r", "3", "--coeff-exp", "1000000000"],
+    ["--p", "3", "--r", "1", "--samples", str(10**18)],
+    ["--p", "1009", "--r", "1", "--samples", "1"],
+]
 
 
-@pytest.mark.parametrize("p, r, exp", [("79", "1", "10"), ("3", "3", "2000")])
-def test_spectrum_coeff_exp_past_its_cap_is_refused_at_once(p, r, exp):
-    # refused before a coefficient is drawn
-    done, elapsed = run_fresh(["spectrum", "--p", p, "--r", r, "--samples", "1", "--coeff-exp", exp])
+@pytest.mark.parametrize("argv", COSTLY_RUNS)
+def test_spectrum_run_past_the_cost_cap_is_refused_at_once(argv, capsys, monkeypatch):
+    done, elapsed = run_fresh(["spectrum", *argv])
     assert done.returncode == 65 and done.stdout == b""
-    assert b"coefficient exponent" in done.stderr and b"exceeds cap" in done.stderr
+    assert b"exceeds spectrum cost cap" in done.stderr
     assert elapsed < 2.0
+    # and in-process, before the first sample is built
+    monkeypatch.setattr(spectrum, "build_sample", pytest.fail)
+    code, out, err = run(["spectrum", *argv], capsys)
+    assert code == 65 and out == "" and "exceeds spectrum cost cap" in err
 
 
 def test_spectrum_bad_n_is_refused_before_drawing():
@@ -300,13 +305,6 @@ def test_spectrum_bad_n_is_refused_before_drawing():
     done, elapsed = run_fresh(["spectrum", "--p", "79", "--r", "1", "--samples", "1000", "--n", "0"])
     assert done.returncode == 64 and done.stdout == b""
     assert b"n must be at least 1" in done.stderr
-    assert elapsed < 5.0
-
-
-def test_spectrum_sample_count_past_its_cap_is_refused_at_once():
-    done, elapsed = run_fresh(["spectrum", "--p", "3", "--r", "1", "--samples", "10001"])
-    assert done.returncode == 65 and done.stdout == b""
-    assert b"sample count 10001 exceeds cap" in done.stderr
     assert elapsed < 5.0
 
 

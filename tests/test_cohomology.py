@@ -13,7 +13,7 @@ import pytest
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
-from grlat import cohomology
+from grlat import cohomology, polys
 from grlat import intmat as im
 from grlat.abelian import (
     Subgroup,
@@ -24,6 +24,7 @@ from grlat.abelian import (
     prime_factors,
     quotient_data,
 )
+from grlat.cli import main
 from grlat.cohomology import (
     GENERATOR_SEARCH_CAP,
     ChiClass,
@@ -563,6 +564,26 @@ def test_root_power_traces_match_the_hensel_route(p, monkeypatch):
 def test_root_power_traces_need_precision():
     with pytest.raises(PrecisionError):
         _root_power_traces(7, 2, 0)
+
+
+def test_triviality_factors_each_cyclotomic_once_per_prime(capsys, monkeypatch):
+    # the sweeps of Z/24 and Z/36 ask for traces at several precisions
+    # of one (m, p), but the mod-p idempotent is memoised per (m, p)
+    monkeypatch.setattr(cohomology, "_LIFT_CACHE", {})
+    real = polys.factor_cyclotomic_mod_p
+    calls = []
+
+    def spy(m, p):
+        calls.append((m, p))
+        return real(m, p)
+
+    monkeypatch.setattr(polys, "factor_cyclotomic_mod_p", spy)
+    for group in ("24", "36"):
+        assert main(["verify", group, "--checks", "triviality"]) == 0
+    capsys.readouterr()
+    lifts = {key[:2] for key in cohomology._LIFT_CACHE if len(key) == 3 and key[0] > 1}
+    assert len(calls) == len(set(calls)) == len(lifts) == 5
+    assert sum(len(key) == 3 and key[0] > 1 for key in cohomology._LIFT_CACHE) > len(lifts)
 
 
 def test_chi_idempotent_check_catches_corrupted_traces(monkeypatch):

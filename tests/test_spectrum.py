@@ -21,18 +21,16 @@ from sympy.abc import x as X
 import grlat.intmat as im
 from grlat.abelian import p_split
 from grlat.errors import CapacityError, DegenerateElementError, ScopeError
-from grlat.grouprings import RING_ORDER_CAP, IdealLattice
+from grlat.grouprings import IdealLattice
 from grlat.polys import cyclotomic
 from grlat.spectrum import (
-    COEFF_EXP_CAP,
-    SAMPLE_CAP,
-    SPECTRUM_ORDER_CAP,
-    _check_scope,
+    SPECTRUM_COST_CAP,
     _level_valuation,
     build_sample,
     char_valuation,
     cyclic_ring,
     predicted_membership,
+    run_cost,
     sample_spectrum,
     verify_claims,
 )
@@ -188,36 +186,78 @@ def test_snf_total_matches_the_reference_elimination(p, r, count, monkeypatch):
     assert [s.snf_total for s in sample_spectrum(p, r, count=count, seed=5)] == packed
 
 
-def test_order_cap_keeps_every_documented_order():
-    assert SPECTRUM_ORDER_CAP <= RING_ORDER_CAP
-    for p, r in ((3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (3, 4), (79, 1)):
-        _check_scope(p, r)
-    for p, r in ((83, 1), (5, 3), (3, 5), (7, 3)):
-        with pytest.raises(CapacityError):
-            _check_scope(p, r)
+# (p, r, coeff_exp, samples): the largest spectrum runs of README and
+# criterion 7 (1000 samples), criterion 9 (120), the global HNF and the
+# reference elimination tests, and the orders just past the old order
+# cap of 81 at the default 100 samples
+DOCUMENTED_RUNS = [
+    (3, 2, 5, 1000),
+    (3, 3, 5, 1000),
+    (5, 2, 5, 1000),
+    (5, 2, 5, 120),
+    (3, 3, 5, 200),
+    (3, 4, 5, 3),
+    (7, 2, 5, 3),
+    (79, 1, 5, 1),
+    (83, 1, 5, 100),
+    (5, 3, 5, 100),
+    (3, 5, 5, 100),
+    (11, 2, 5, 100),
+]
+
+# the extreme accepted corners: the largest prime p at one sample, and
+# the largest sample count or coefficient exponent of (3,1) and (3,5);
+# each is accepted and one step past it is refused
+CORNERS = [
+    ((199, 1, 5, 1), (211, 1, 5, 1)),
+    ((3, 1, 5, 252_212), (3, 1, 5, 252_212 + 1)),
+    ((3, 1, 33_050_309, 1), (3, 1, 33_050_309 + 1, 1)),
+    ((3, 5, 5, 203), (3, 5, 5, 203 + 1)),
+]
 
 
-def test_coeff_exp_cap_keeps_the_default_and_refuses_before_drawing(monkeypatch):
-    assert COEFF_EXP_CAP >= 5
-    assert len(sample_spectrum(3, 2, coeff_exp=COEFF_EXP_CAP, count=1)) == 1
+@pytest.mark.parametrize("run", DOCUMENTED_RUNS)
+def test_documented_runs_are_within_the_cost_cap(run):
+    assert run_cost(*run) <= SPECTRUM_COST_CAP
+
+
+@pytest.mark.parametrize("corner, past", CORNERS)
+def test_each_corner_is_the_last_accepted_step(corner, past):
+    assert run_cost(*corner) <= SPECTRUM_COST_CAP < run_cost(*past)
+
+
+@pytest.mark.parametrize("corner, past", CORNERS)
+def test_one_step_past_a_corner_is_refused_before_drawing(corner, past, monkeypatch):
     monkeypatch.setattr("grlat.spectrum.build_sample", pytest.fail)
-    for e in (COEFF_EXP_CAP + 1, 2000):
-        with pytest.raises(CapacityError):
-            sample_spectrum(79, 1, coeff_exp=e, count=1)
+    with pytest.raises(CapacityError, match="exceeds spectrum cost cap"):
+        sample_spectrum(*past)
 
 
-def test_sample_cap_admits_its_count_and_refuses_before_drawing(monkeypatch):
-    class Drawn(Exception):
-        pass
+def test_a_run_that_would_hold_too_much_is_refused(monkeypatch):
+    # 300 samples of (3,1) at coeff_exp 10^6 peaked at 200 MiB in about
+    # 8 s: memory, not time, passes the cap
+    monkeypatch.setattr("grlat.spectrum.build_sample", pytest.fail)
+    with pytest.raises(CapacityError, match="exceeds spectrum cost cap"):
+        sample_spectrum(3, 1, 10**6, 300)
 
-    def first_draw(*args):
-        raise Drawn
 
-    monkeypatch.setattr("grlat.spectrum.build_sample", first_draw)
-    with pytest.raises(Drawn):
-        sample_spectrum(3, 1, count=SAMPLE_CAP)
-    with pytest.raises(CapacityError):
-        sample_spectrum(3, 1, count=SAMPLE_CAP + 1)
+def test_the_cost_grows_along_every_axis():
+    # a step of one in coeff_exp moves the estimate by less than its unit
+    base = run_cost(5, 2, 5, 100)
+    assert run_cost(7, 2, 5, 100) > base
+    assert run_cost(5, 3, 5, 100) > base
+    assert run_cost(5, 2, 50, 100) > base
+    assert run_cost(5, 2, 5, 101) > base
+
+
+def test_an_oversized_ring_is_refused_before_primality_and_the_estimate(monkeypatch):
+    monkeypatch.setattr("grlat.spectrum.is_prime", pytest.fail)
+    monkeypatch.setattr("grlat.spectrum.run_cost", pytest.fail)
+    for p, r in ((3, 10**9), (3, 8), (4099, 1), (10**18 + 3, 1), (9, 4)):
+        with pytest.raises(CapacityError, match="exceeds ring cap"):
+            sample_spectrum(p, r, count=1)
+    with pytest.raises(CapacityError, match="exceeds ring cap"):
+        cyclic_ring(3, 10**9)
 
 
 def resultant_valuation(res, p):
