@@ -129,10 +129,6 @@ class FinAbGroup:
         return out
 
     @property
-    def exponent(self) -> int:
-        return self.factors[-1] if self.factors else 1
-
-    @property
     def is_trivial(self) -> bool:
         return not self.factors
 

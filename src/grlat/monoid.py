@@ -2,8 +2,8 @@
 the structure map between the monoids they span.
 
 Over a group G the generators of interest are pairs (I, phi) with I a
-nontrivial elementary subgroup, collapsed to pairs (I, D) where
-D = I v <phi> must make D/I cyclic.  Locally, over the maximal
+nontrivial elementary subgroup, collapsed to pairs (I, D) with
+D = I v <phi>, which makes D/I cyclic.  Locally, over the maximal
 p-quotient G_p, the targets are tuples (p, H, Istar, Dstar) with G/H
 cyclic of order prime to p.  The structure map beta sends (I, D) to the
 sum of basis vectors over all target tuples whose data match the images
@@ -35,10 +35,10 @@ from .errors import CapacityError, ScopeError
 # more candidate vectors than this
 VECTOR_CAP = 400_000
 
-# build_sets refuses a group whose (I, D) sweep would test more candidate
-# pairs (#inertias * #subgroups) than this, before testing any.  Measured
-# on a 2-core machine, a pair costs about 14 us: 2,2,2,2,2's 139,502 pairs
-# take 2.0 of its 5.9 s, and 2,2,2,2,2,2's 7,977,800 would take minutes.
+# build_sets refuses a group with more (inertia group, subgroup)
+# combinations than this, before it builds any index set: the product
+# bounds the (I, D) pairs, and the local pairs of each maximal p-quotient,
+# which has no more subgroups or inertia groups than the group.
 PAIR_CAP = 200_000
 
 
@@ -59,7 +59,7 @@ class InertiaPair:
 @dataclass(frozen=True)
 class DecompositionPair:
     """(I, D) with I nontrivial elementary, I inside D, D/I cyclic;
-    _cyclic_quotient_pairs, the only constructor, makes those tests."""
+    build_sets, the only constructor, reads each off an (I, phi)."""
 
     inertia: Subgroup
     dec: Subgroup
@@ -126,23 +126,29 @@ def _inertias(subs):
     ]
 
 
-def _cyclic_quotient_pairs(inertias, subs):
-    """(I, D) pairs with I from inertias and D from subs, the subgroups
-    of the same group, where I lies in D and D/I is cyclic; canonically
-    ordered.  Past PAIR_CAP candidate pairs: CapacityError."""
-    if len(inertias) * len(subs) > PAIR_CAP:
-        raise CapacityError(
-            f"{len(inertias)} inertia groups times {len(subs)} subgroups "
-            f"exceed the pair cap {PAIR_CAP}"
-        )
-    out = [
-        DecompositionPair(inertia, dec)
-        for inertia in inertias
-        for dec in subs
-        if (q := dec.quotient_structure(inertia)) is not None and len(q) <= 1
+def _pair_sets(group: FinAbGroup, inertias):
+    """(stilde, s_pairs, projection) of a group whose nontrivial
+    elementary subgroups are inertias.
+
+    Every D with D/I cyclic is I + <phi> for a phi whose image generates
+    D/I, so the (I, D) pairs are the images of the (I, phi) pairs: each
+    D is built once, from its (I, phi), and no pair is tested."""
+    # the residues of I's basis are the canonical lifts of G/I
+    stilde = sorted(
+        (
+            InertiaPair(inertia, GroupElement(group, x))
+            for inertia in inertias
+            for x in im.hnf_residues(inertia.basis)
+        ),
+        key=lambda pr: (pr.inertia.basis, pr.frob.coords),
+    )
+    images = [
+        DecompositionPair(pr.inertia, decomposition_subgroup(pr.inertia, pr.frob))
+        for pr in stilde
     ]
-    out.sort(key=DecompositionPair.sort_key)
-    return out
+    s_pairs = tuple(sorted(set(images), key=DecompositionPair.sort_key))
+    s_index = {pr: i for i, pr in enumerate(s_pairs)}
+    return tuple(stilde), s_pairs, tuple(s_index[pr] for pr in images)
 
 
 def _p_quotient(group: FinAbGroup, p: int) -> FinAbGroup:
@@ -160,24 +166,17 @@ def _push(sub: Subgroup, qgroup: FinAbGroup) -> Subgroup:
 def build_sets(group: FinAbGroup) -> SetFamily:
     """Enumerate every index set of the group, including the projection
     from generator pairs to (I, D) pairs and the local pair sets over
-    each maximal p-quotient.  Each subgroup is tested once for being an
-    inertia group and once for a cyclic quotient."""
+    each maximal p-quotient, each read off that quotient's (I, phi)
+    pairs.  Past PAIR_CAP (inertia group, subgroup) combinations:
+    CapacityError, before any pair is built."""
     subs = enumerate_subgroups(group)
     inertias = _inertias(subs)
-    s_pairs = _cyclic_quotient_pairs(inertias, subs)
-    s_index = {
-        (pr.inertia.basis, pr.dec.basis): i for i, pr in enumerate(s_pairs)
-    }
-    # the residues of I's basis are the canonical lifts of G/I
-    stilde = [
-        InertiaPair(inertia, GroupElement(group, x))
-        for inertia in inertias
-        for x in im.hnf_residues(inertia.basis)
-    ]
-    stilde.sort(key=lambda pr: (pr.inertia.basis, pr.frob.coords))
-    projection = tuple(
-        s_index[(pr.inertia.basis, pr.decomposition.basis)] for pr in stilde
-    )
+    if len(inertias) * len(subs) > PAIR_CAP:
+        raise CapacityError(
+            f"{len(inertias)} inertia groups times {len(subs)} subgroups "
+            f"exceed the pair cap {PAIR_CAP}"
+        )
+    stilde, s_pairs, projection = _pair_sets(group, inertias)
     # (H, #G/H) for every H with G/H cyclic, tested once per H
     full = Subgroup.full(group)
     cyclic_quotients = [
@@ -188,8 +187,12 @@ def build_sets(group: FinAbGroup) -> SetFamily:
     s_p = {}
     t_tuples = []
     for p in sorted(prime_factors(group.order)):
-        qsubs = enumerate_subgroups(_p_quotient(group, p))
-        s_p[p] = tuple(_cyclic_quotient_pairs(_inertias(qsubs), qsubs))
+        qgroup = _p_quotient(group, p)
+        # a p-group is its own maximal p-quotient
+        if qgroup == group:
+            s_p[p] = s_pairs
+        else:
+            s_p[p] = _pair_sets(qgroup, _inertias(enumerate_subgroups(qgroup)))[1]
         t_tuples += [
             LocalTuple(p, h, pr.inertia, pr.dec)
             for h, quotient_order in cyclic_quotients
@@ -207,8 +210,8 @@ def build_sets(group: FinAbGroup) -> SetFamily:
     return SetFamily(
         group,
         tuple(subs),
-        tuple(stilde),
-        tuple(s_pairs),
+        stilde,
+        s_pairs,
         projection,
         s_p,
         tuple(t_tuples),

@@ -517,6 +517,8 @@ def test_oversized_sweep_is_refused_at_once(spec):
         (["verify", "243", "--checks", "triviality"], "5446b1d3197e36f6b90c4cce943104161016f36a8440d6900af8ac6105a21892"),
         (["verify", "2,2,8", "--checks", "triviality"], "1f3c230d4e3ac9fc8d4342b8ca3f9d5a7483dadbbe95cabea30f2cb7f4d21299"),
         (["verify", "256", "--checks", "triviality"], "42446ccfc0347e2a1af404620a8d5272451b18e036bdf8a3d8c72e7727042f90"),
+        (["verify", "2,2,2,2,2", "--checks", "ext"], "620fa55f1fa37010fb1bd46822c93c1e1af5f657b8772f4c8291f75a423efc7c"),
+        (["monoid", "2,2,2,2,2"], "d65ba578733a82765efd13766288c38e5f10e553cfd059e9b1d1fde2dcb5e767"),
     ],
     ids=[
         "64-tate",
@@ -537,6 +539,8 @@ def test_oversized_sweep_is_refused_at_once(spec):
         "243-triviality",
         "2,2,8-triviality",
         "256-triviality",
+        "2,2,2,2,2-ext",
+        "2,2,2,2,2-monoid",
     ],
 )
 def test_large_verify_reports_are_pinned(argv, digest):
@@ -552,7 +556,10 @@ def test_large_verify_reports_are_pinned(argv, digest):
     # modulo p^M after its witness; the 243 and 2,2,8 triviality sweeps
     # as printed when each inertia module was the Smith form of its orbit
     # lattice in Z[G/I]; the 256 triviality sweep as printed when every
-    # module cached the matrix of each group element
+    # module cached the matrix of each group element; 2,2,2,2,2, whose
+    # 139,502 (inertia group, subgroup) combinations the pair cap accepts,
+    # as printed when its (I, D) pairs were found by testing every inertia
+    # group against every subgroup (ext 2426 lines)
     env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-m", "grlat", *argv], capture_output=True, env=env, timeout=120)
     assert done.returncode == 0

@@ -345,11 +345,13 @@ def test_membership_refuses_non_zero_one_vectors():
         _MonoidMembership([(1, 0)]).decomposable((2, 0))
 
 
-# The index sets as they were built before build_sets made each subgroup
-# test once: _cyclic_quotient_pairs and the stilde loop each retest every
-# subgroup, "G/H cyclic" is tested per (H, p), the pairs re-check
-# themselves on construction, and each coset's lift is the least element
-# of the coset's listing.
+# The index sets as they were built before build_sets read the (I, D)
+# pairs off the (I, phi) pairs: the deleted route tests every inertia
+# group against every subgroup for a cyclic quotient, globally and again
+# over each maximal p-quotient (ref_cyclic_quotient_pairs), the stilde
+# loop retests every subgroup, "G/H cyclic" is tested per (H, p), the
+# pairs re-check themselves on construction, and each coset's lift is
+# the least element of the coset's listing.
 
 
 def ref_inertia_pair_checks(inertia, frob):
@@ -478,3 +480,23 @@ def test_build_sets_matches_reference(factors):
     fam, ref = build_sets(g), ref_build_sets(g)
     for field in dataclasses.fields(SetFamily):
         assert getattr(fam, field.name) == getattr(ref, field.name), field.name
+
+
+def test_build_sets_tests_each_subgroup_a_bounded_number_of_times(monkeypatch):
+    # one quotient_structure call per subgroup for "G/H cyclic" and one
+    # per nontrivial subgroup for "elementary"; a p-group is its own
+    # maximal p-quotient, so its subgroups are not tested again, and no
+    # (I, D) pair is tested at all
+    g = make_group([2, 2, 2, 2])
+    nsubs = len(enumerate_subgroups(g))
+    assert nsubs == 67
+    calls = []
+    original = Subgroup.quotient_structure
+
+    def spy(self, sub):
+        calls.append(sub)
+        return original(self, sub)
+
+    monkeypatch.setattr(Subgroup, "quotient_structure", spy)
+    build_sets(g)
+    assert len(calls) <= 2 * nsubs
