@@ -296,37 +296,40 @@ def cmd_spectrum(args) -> dict:
 
 def _read_records(path):
     if path == "@bundled":
-        src = resources.files("grlat.data").joinpath("classgroups_p3_r2.csv")
-        fh = src.open("r", encoding="utf-8")
+        data = resources.files("grlat.data").joinpath("classgroups_p3_r2.csv").read_bytes()
     else:
         try:
-            fh = open(path, "r", encoding="utf-8")
+            with open(path, "rb") as fh:
+                data = fh.read()
         except OSError as e:
             raise DataError(f"cannot read {path}: {e.strerror}")
-    with fh:
-        reader = csv.reader(fh)
+    # decoded a line at a time, so an undecodable byte is reported at its row
+    rows = []
+    try:
+        for cells in csv.reader(line.decode("utf-8") for line in data.splitlines(keepends=True)):
+            rows.append(cells)
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise DataError(f"row {len(rows)}: {e}")
+    if not rows:
+        raise DataError("row 0: empty file")
+    if [h.strip() for h in rows[0]] != ["q", "field_tag", "ord_value"]:
+        raise DataError("row 0: header must be q,field_tag,ord_value")
+    records = []
+    for rownum, cells in enumerate(rows[1:], start=1):
+        if not cells:
+            continue
+        if len(cells) != 3:
+            raise DataError(f"row {rownum}: expected 3 cells, got {len(cells)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("row 0: empty file")
-        if [h.strip() for h in header] != ["q", "field_tag", "ord_value"]:
-            raise DataError("row 0: header must be q,field_tag,ord_value")
-        records = []
-        for rownum, cells in enumerate(reader, start=1):
-            if not cells:
-                continue
-            if len(cells) != 3:
-                raise DataError(f"row {rownum}: expected 3 cells, got {len(cells)}")
-            try:
-                q = int(cells[0])
-                ord_value = int(cells[2])
-            except ValueError:
-                raise DataError(f"row {rownum}: q and ord_value must be integers")
-            if not is_prime(q):
-                raise DataError(f"row {rownum}: q={q} is not prime")
-            if ord_value < 0:
-                raise DataError(f"row {rownum}: ord_value must be nonnegative")
-            records.append((rownum, q, cells[1].strip(), ord_value))
+            q = int(cells[0])
+            ord_value = int(cells[2])
+        except ValueError:
+            raise DataError(f"row {rownum}: q and ord_value must be integers")
+        if not is_prime(q):
+            raise DataError(f"row {rownum}: q={q} is not prime")
+        if ord_value < 0:
+            raise DataError(f"row {rownum}: ord_value must be nonnegative")
+        records.append((rownum, q, cells[1].strip(), ord_value))
     return records
 
 

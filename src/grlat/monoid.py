@@ -35,10 +35,11 @@ from .errors import CapacityError, ScopeError
 # more candidate vectors than this
 VECTOR_CAP = 400_000
 
-# build_sets refuses a group with more (inertia group, subgroup)
-# combinations than this, before it builds any index set: the product
-# bounds the (I, D) pairs, and the local pairs of each maximal p-quotient,
-# which has no more subgroups or inertia groups than the group.
+# build_sets refuses a group with more (I, phi) pairs, or more (inertia
+# group, subgroup) combinations, than this, before it builds any pair.
+# The (I, phi) pairs bound the (I, D) pairs; each maximal p-quotient is
+# a Sylow subgroup, whose inertia groups I have no more cosets there
+# than in the group, and which has no more subgroups than the group.
 PAIR_CAP = 200_000
 
 
@@ -167,8 +168,9 @@ def build_sets(group: FinAbGroup) -> SetFamily:
     """Enumerate every index set of the group, including the projection
     from generator pairs to (I, D) pairs and the local pair sets over
     each maximal p-quotient, each read off that quotient's (I, phi)
-    pairs.  Past PAIR_CAP (inertia group, subgroup) combinations:
-    CapacityError, before any pair is built."""
+    pairs.  Past PAIR_CAP (I, phi) pairs, counted as the sum of [G:I],
+    or PAIR_CAP (inertia group, subgroup) combinations: CapacityError,
+    before any pair is built."""
     subs = enumerate_subgroups(group)
     inertias = _inertias(subs)
     if len(inertias) * len(subs) > PAIR_CAP:
@@ -176,6 +178,9 @@ def build_sets(group: FinAbGroup) -> SetFamily:
             f"{len(inertias)} inertia groups times {len(subs)} subgroups "
             f"exceed the pair cap {PAIR_CAP}"
         )
+    npairs = sum(group.order // inertia.order for inertia in inertias)
+    if npairs > PAIR_CAP:
+        raise CapacityError(f"{npairs} (I, phi) pairs exceed the pair cap {PAIR_CAP}")
     stilde, s_pairs, projection = _pair_sets(group, inertias)
     # (H, #G/H) for every H with G/H cyclic, tested once per H
     full = Subgroup.full(group)
@@ -221,10 +226,11 @@ def build_sets(group: FinAbGroup) -> SetFamily:
 
 
 def _beta_values(family: SetFamily, pairs) -> list:
-    """beta of each (I, D) pair: the 0/1 vector over the target tuples
-    marking every (p, H, Istar, Dstar) with D inside H and the images of
-    I and D in the maximal p-quotient equal to Istar and Dstar.  Each
-    subgroup is pushed once per prime: a D recurs under many I."""
+    """beta of each (I, D) pair, a 0/1 vector over the target tuples held
+    as a bitmask: bit i is set when t_tuples[i] = (p, H, Istar, Dstar)
+    has D inside H and the images of I and D in the maximal p-quotient
+    equal to Istar and Dstar.  Each subgroup is pushed once per prime: a
+    D recurs under many I."""
     group = family.group
     targets = family.t_tuples
     # the basis comparison is a dict lookup, so only the target tuples
@@ -236,7 +242,7 @@ def _beta_values(family: SetFamily, pairs) -> list:
     pushed = {}
     out = []
     for pair in pairs:
-        vec = [0] * len(targets)
+        mask = 0
         for p in prime_factors(pair.inertia.order):
             for sub in (pair.inertia, pair.dec):
                 if (p, sub) not in pushed:
@@ -244,8 +250,8 @@ def _beta_values(family: SetFamily, pairs) -> list:
             key = (p, pushed[p, pair.inertia], pushed[p, pair.dec])
             for i in by_images.get(key, ()):
                 if pair.dec.is_subset_of(targets[i].h):
-                    vec[i] = 1
-        out.append(tuple(vec))
+                    mask |= 1 << i
+        out.append(mask)
     return out
 
 
@@ -265,30 +271,20 @@ def cardinality_formulas(group: FinAbGroup):
     return s_val, t_val
 
 
-def _bitmask(vec) -> int:
-    """The 0/1 vector as an int with bit i set where vec[i] is 1."""
-    out = 0
-    for i, x in enumerate(vec):
-        if x:
-            if x != 1:
-                raise ScopeError("membership vectors must be 0/1")
-            out |= 1 << i
-    return out
-
-
 class _MonoidMembership:
     """Decides membership in the monoid generated by 0/1 generator
     vectors, by depth-first search over dominated generator subtractions
     with a shared memo.
 
-    Vectors are bitmasks: g <= v is g & v == g, and v - g is v ^ g.  A
-    dominated 0/1 vector subtracted from a 0/1 vector leaves a 0/1
-    vector, so the search never leaves bitmasks.  Whether a vector is a
-    sum of generators does not depend on the order they are tried in.
+    Vectors are bitmasks, as _beta_values builds them: g <= v is
+    g & v == g, and v - g is v ^ g.  A dominated 0/1 vector subtracted
+    from a 0/1 vector leaves a 0/1 vector, so the search never leaves
+    bitmasks.  Whether a vector is a sum of generators does not depend
+    on the order they are tried in.
     """
 
     def __init__(self, generators):
-        self.gens = sorted({_bitmask(g) for g in generators} - {0}, reverse=True)
+        self.gens = sorted(set(generators) - {0}, reverse=True)
         self.memo = {}
 
     def _contains(self, v: int) -> bool:
@@ -305,9 +301,8 @@ class _MonoidMembership:
         self.memo[v] = out
         return out
 
-    def decomposable(self, vec) -> bool:
-        """vec = a + b with both parts nonzero members."""
-        v = _bitmask(vec)
+    def decomposable(self, v: int) -> bool:
+        """v = a + b with both parts nonzero members."""
         for g in self.gens:
             if g & v == g:
                 rest = v ^ g
@@ -376,19 +371,23 @@ def analyze_monoid(
     for i, pr in enumerate(s_pairs):
         if i in sprime_set:
             continue
-        # beta(I, D) must be the sum of beta(I_p, D) over the Sylow parts
-        parts = [
-            beta_values[pair_index[(pr.inertia.meet(sylow(group, p)).basis, pr.dec.basis)]]
-            for p in prime_factors(pr.inertia.order)
-        ]
-        if tuple(map(sum, zip(*parts))) != beta_values[i]:
+        # beta(I, D) must be the sum of beta(I_p, D) over the Sylow parts.
+        # As 0/1 vectors the parts sum to beta exactly when the int sum of
+        # their masks equals both beta and their union: a + b = (a | b) +
+        # (a & b), so a shared bit makes the sum exceed the union.
+        total = union = 0
+        for p in prime_factors(pr.inertia.order):
+            part = beta_values[pair_index[(pr.inertia.meet(sylow(group, p)).basis, pr.dec.basis)]]
+            total += part
+            union |= part
+        if not total == union == beta_values[i]:
             decomposition_ok = False
             break
     prime_vals = [beta_values[i] for i in family.s_prime]
     injective = len(set(prime_vals)) == len(prime_vals)
     membership = _MonoidMembership(beta_values)
     irreducible_ok = all(
-        any(v) and not membership.decomposable(v) for v in prime_vals
+        v != 0 and not membership.decomposable(v) for v in prime_vals
     )
     requested = 3 if bound is None else bound
     effective = requested
@@ -421,23 +420,23 @@ def _vector_count(k: int, bound: int) -> int:
 
 
 def _bounded_injectivity(generators, bound: int) -> bool:
-    """All formal nonnegative combinations of the generators (vectors
-    with nonnegative entries) with coordinate sum <= bound have pairwise
-    distinct values."""
+    """All formal nonnegative combinations of the generators (0/1 vectors
+    held as bitmasks) with coordinate sum <= bound have pairwise distinct
+    values."""
     k = len(generators)
     count = _vector_count(k, bound)
     if count > VECTOR_CAP:
         raise CapacityError(
             f"{count} candidate vectors exceed the cap {VECTOR_CAP}"
         )
-    # pack each generator into one int, a field per coordinate wide
-    # enough for bound copies of the largest entry, so that adding
-    # packed values adds the vectors with no carry between fields
-    top = max((max(g, default=0) for g in generators), default=0)
-    shift = (bound * top).bit_length()
-    packed = [
-        sum(c << (i * shift) for i, c in enumerate(g)) for g in generators
-    ]
+    if not (k and bound):
+        return True  # the empty combination is the only one
+    # spread bit i of each mask to bit i * shift: a field per coordinate
+    # wide enough for bound copies of one bit, so that adding packed
+    # values adds the vectors with no carry between fields
+    shift = bound.bit_length()
+    spread = str.maketrans({"0": "0" * shift, "1": "1".rjust(shift, "0")})
+    packed = [int(format(g, "b").translate(spread), 2) for g in generators]
     # frontier[i]: values of the multisets of the current size whose
     # largest generator index is i (the empty multiset sits at 0).
     # Extending only by indices >= i builds each multiset once, as a
@@ -445,7 +444,7 @@ def _bounded_injectivity(generators, bound: int) -> bool:
     # a collision between two distinct multisets: injectivity fails.
     seen = {0}
     frontier = [[0]] + [[] for _ in range(k - 1)]
-    for _ in range(bound if k else 0):
+    for _ in range(bound):
         nxt = []
         prefix = []
         for idx, g in enumerate(packed):

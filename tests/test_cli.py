@@ -371,6 +371,21 @@ def test_ingest_data_errors(tmp_path, capsys):
     assert code == 66
 
 
+def test_ingest_undecodable_byte_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"q,field_tag,ord_value\n19,-4,2\n37,-8,\xff4\n")
+    code, out, err = run(["ingest", str(path), "--p", "3", "--r", "2"], capsys)
+    assert code == 66 and out == ""
+    assert "row 2: 'utf-8' codec can't decode byte 0xff" in err
+
+
+def test_ingest_oversized_cell_is_a_data_error(tmp_path, capsys):
+    table = write_table(tmp_path, ["19,-4,2", "37," + "x" * 200_000 + ",4"])
+    code, out, err = run(["ingest", table, "--p", "3", "--r", "2"], capsys)
+    assert code == 66 and out == ""
+    assert "row 2: field larger than field limit" in err
+
+
 def test_ingest_check_failures(tmp_path, capsys):
     # ord 5 is odd and below the tail, so membership fails
     odd = write_table(tmp_path, ["19,-4,5"])
@@ -483,7 +498,7 @@ def test_oversized_group_spec_is_refused_at_once(spec):
 @pytest.mark.parametrize("spec", ["2,2,2,2,2,2,2", "2,2,2,2,2,2,2,2", "2,2,2,2,2,2", "1000,1000"])
 def test_oversized_sweep_is_refused_at_once(spec):
     # the first two have more than SUBGROUP_CAP subgroups; the last two
-    # have fewer, but more than PAIR_CAP candidate (I, D) pairs
+    # have fewer, but more than PAIR_CAP (inertia group, subgroup) combinations
     env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
     done = subprocess.run(
         [sys.executable, "-m", "grlat", "monoid", spec],
@@ -494,6 +509,16 @@ def test_oversized_sweep_is_refused_at_once(spec):
     assert done.returncode == 65
     assert done.stdout == b""
     assert b"capacity exceeded" in done.stderr
+
+
+@pytest.mark.parametrize("argv", [["monoid", "720720"], ["verify", "720720", "--checks", "triviality"]])
+def test_too_many_inertia_pairs_are_refused_at_once(argv):
+    # 239 inertia groups times 240 subgroups fit the pair cap, but their
+    # 2,529,072 (I, phi) pairs do not
+    done, elapsed = run_fresh(argv)
+    assert done.returncode == 65 and done.stdout == b""
+    assert b"2529072 (I, phi) pairs exceed the pair cap" in done.stderr
+    assert elapsed < 5.0
 
 
 @pytest.mark.parametrize(
@@ -519,6 +544,10 @@ def test_oversized_sweep_is_refused_at_once(spec):
         (["verify", "256", "--checks", "triviality"], "42446ccfc0347e2a1af404620a8d5272451b18e036bdf8a3d8c72e7727042f90"),
         (["verify", "2,2,2,2,2", "--checks", "ext"], "620fa55f1fa37010fb1bd46822c93c1e1af5f657b8772f4c8291f75a423efc7c"),
         (["monoid", "2,2,2,2,2"], "d65ba578733a82765efd13766288c38e5f10e553cfd059e9b1d1fde2dcb5e767"),
+        (["monoid", "2,2,4"], "ccb996efd8ab53ba340aa88725542730b21cf7632577cec3cc3af6bd743b4b59"),
+        (["monoid", "2,2,2,2"], "46e6e897a8fc74d5b9a46ea07df3a3bcbed2c502af386b1e1c6e1011d9807502"),
+        (["monoid", "2,2,2,4"], "fe4b4b3f951c404598db8b6ca5a6c1cf84f21c4d4e032620f1a80f0d0c08b27a"),
+        (["monoid", "3,3,3,3"], "9f80912750863d3a706df899ff65bfdf2155bc95ac901ab54b6e93142ad95127"),
     ],
     ids=[
         "64-tate",
@@ -541,6 +570,10 @@ def test_oversized_sweep_is_refused_at_once(spec):
         "256-triviality",
         "2,2,2,2,2-ext",
         "2,2,2,2,2-monoid",
+        "2,2,4-monoid",
+        "2,2,2,2-monoid",
+        "2,2,2,4-monoid",
+        "3,3,3,3-monoid",
     ],
 )
 def test_large_verify_reports_are_pinned(argv, digest):
@@ -559,7 +592,9 @@ def test_large_verify_reports_are_pinned(argv, digest):
     # module cached the matrix of each group element; 2,2,2,2,2, whose
     # 139,502 (inertia group, subgroup) combinations the pair cap accepts,
     # as printed when its (I, D) pairs were found by testing every inertia
-    # group against every subgroup (ext 2426 lines)
+    # group against every subgroup (ext 2426 lines); the four noncyclic
+    # monoid reports the bench leaves out, as printed when beta was a
+    # tuple of 0/1 entries
     env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-m", "grlat", *argv], capture_output=True, env=env, timeout=120)
     assert done.returncode == 0

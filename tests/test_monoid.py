@@ -29,6 +29,7 @@ from grlat.abelian import (
     sylow,
     sylow_complement,
 )
+from grlat import monoid
 from grlat.errors import CapacityError, ParentMismatchError, ScopeError
 from grlat.monoid import (
     VECTOR_CAP,
@@ -37,7 +38,6 @@ from grlat.monoid import (
     LocalTuple,
     SetFamily,
     _beta_values,
-    _bitmask,
     _bounded_injectivity,
     _MonoidMembership,
     _p_quotient,
@@ -100,18 +100,20 @@ def test_decomposition_law_direct():
     assert mixed
     by_key = {(pr.inertia.basis, pr.dec.basis): pr for pr in fam.s_pairs}
     for pr in mixed:
-        total = None
+        total = 0
         for p in sorted(prime_factors(pr.inertia.order)):
             part = pr.inertia.meet(sylow(g, p))
             [v] = _beta_values(fam, [by_key[(part.basis, pr.dec.basis)]])
-            total = v if total is None else tuple(a + b for a, b in zip(total, v))
+            # disjoint masks: their int sum is the sum of the 0/1 vectors
+            assert not total & v
+            total += v
         assert [total] == _beta_values(fam, [pr])
 
 
 def test_beta_injective_on_irreducibles_z9():
     fam = build_sets(make_group([9]))
     values = _beta_values(fam, [fam.s_pairs[i] for i in fam.s_prime])
-    assert all(any(v) for v in values)
+    assert all(values)
     assert len(set(values)) == len(values)
 
 
@@ -141,6 +143,18 @@ def test_bound_degradation():
     assert rep.all_checks_pass
     with pytest.raises(CapacityError):
         analyze_monoid(g, bound=3)
+
+
+@pytest.mark.parametrize("cap, refused", [(63, False), (62, True)])
+def test_pair_cap_counts_the_inertia_pairs(cap, refused, monkeypatch):
+    # Z/64: 6 inertia groups times 7 subgroups is 42 combinations, but
+    # the (I, phi) pairs number 32 + 16 + 8 + 4 + 2 + 1 = 63
+    monkeypatch.setattr(monoid, "PAIR_CAP", cap)
+    if refused:
+        with pytest.raises(CapacityError, match="63 \\(I, phi\\) pairs"):
+            build_sets(make_group([64]))
+    else:
+        assert len(build_sets(make_group([64])).stilde) == 63
 
 
 def test_bound_guard():
@@ -210,7 +224,13 @@ def test_subgroup_recovery():
 # -- reference implementations on dense tuples ------------------------------
 # Verbatim copies of the tuple-based membership search and injectivity
 # sweep that the packed-integer versions replaced; the differential tests
-# below hold the new code to their verdicts.
+# below hold the new code to their verdicts, on the bitmasks of the
+# tuples.
+
+
+def _mask(vec) -> int:
+    """The 0/1 tuple as an int with bit i set where vec[i] is 1."""
+    return sum(1 << i for i, x in enumerate(vec) if x)
 
 
 def _vec_sub(a, b):
@@ -308,16 +328,19 @@ def test_bounded_injectivity_matches_tuple_sweep(case, bound):
     # bound 5 needs 3-bit fields: with 2-bit fields 4*(1,0) would carry
     # into the packed value of (0,1)
     _, gens = case
-    assert _bounded_injectivity(gens, bound) == _tuple_bounded_injectivity(gens, bound)
+    masks = [_mask(g) for g in gens]
+    assert _bounded_injectivity(masks, bound) == _tuple_bounded_injectivity(gens, bound)
 
 
 def test_bounded_injectivity_verdicts_on_anchors():
-    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    units = [1 << i for i in range(4)]
     assert _bounded_injectivity(units, 5)
     assert not _bounded_injectivity(units + [units[0]], 2)
-    assert not _bounded_injectivity(units + [(0, 0, 0, 0)], 2)
-    # (1,1,0,0) + (0,0,1,1) equals the generator (1,1,1,1)
-    assert not _bounded_injectivity([(1, 1, 0, 0), (0, 0, 1, 1), (1, 1, 1, 1)], 2)
+    assert not _bounded_injectivity(units + [0], 2)
+    # 0b0011 + 0b1100 equals the generator 0b1111
+    assert not _bounded_injectivity([0b0011, 0b1100, 0b1111], 2)
+    # 2 * 0b01 is 0b10 as an int, but not as a 0/1 vector
+    assert _bounded_injectivity([0b01, 0b10], 2)
     assert _bounded_injectivity([], 3)
 
 
@@ -332,17 +355,10 @@ def test_membership_matches_tuple_search(case, data):
     pick = st.lists(st.sampled_from(gens or [(0,) * width]), max_size=4)
     for picks in data.draw(st.lists(pick, max_size=4)):
         queries.append(tuple(max(c) for c in zip((0,) * width, *picks)))
-    new, old = _MonoidMembership(gens), _TupleMonoidMembership(gens)
+    new, old = _MonoidMembership([_mask(g) for g in gens]), _TupleMonoidMembership(gens)
     for q in queries:
-        assert new._contains(_bitmask(q)) == old.contains(q), q
-        assert new.decomposable(q) == old.decomposable(q), q
-
-
-def test_membership_refuses_non_zero_one_vectors():
-    with pytest.raises(ScopeError):
-        _MonoidMembership([(1, 2)])
-    with pytest.raises(ScopeError):
-        _MonoidMembership([(1, 0)]).decomposable((2, 0))
+        assert new._contains(_mask(q)) == old.contains(q), q
+        assert new.decomposable(_mask(q)) == old.decomposable(q), q
 
 
 # The index sets as they were built before build_sets read the (I, D)

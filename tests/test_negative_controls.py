@@ -324,8 +324,7 @@ def test_monoid_exits_2_on_a_flipped_beta_bit(spec, check, monkeypatch):
 
     def flipped(*args):
         out = real(*args)
-        first = out[0]
-        return [(1 - first[0],) + first[1:], *out[1:]]
+        return [out[0] ^ 1, *out[1:]]
 
     monkeypatch.setattr(monoid, "_beta_values", flipped)
     code, out = run_main(["monoid", spec])
@@ -462,15 +461,32 @@ def test_monoid_exits_2_on_two_equal_sums_of_images(spec, monkeypatch):
     def equal_sums(out, s_prime):
         a, b, c, d = s_prime[:4]
         e0, e1, e2 = out[a], out[b], out[c]
-        assert all(sum(e) == 1 for e in (e0, e1, e2, out[d]))
-        out[a], out[b], out[c], out[d] = (
-            tuple(map(sum, zip(e0, e1))),
-            e2,
-            tuple(map(sum, zip(e0, e2))),
-            e1,
-        )
+        assert all(e.bit_count() == 1 for e in (e0, e1, e2, out[d]))
+        out[a], out[b], out[c], out[d] = e0 | e1, e2, e0 | e2, e1
 
     corrupt_beta(monkeypatch, equal_sums)
     code, out = run_main(["monoid", spec])
     assert code == EXIT_CHECK
     assert failed_checks(out) == ["bounded_injectivity"]
+
+
+def test_monoid_exits_2_when_two_sylow_parts_share_a_bit(monkeypatch):
+    # Z/6 has one pair off the irreducible locus, (G, G), whose Sylow
+    # parts are (I_2, G) and (I_3, G).  Both parts become the one bit e
+    # and beta(G, G) the int 2e: the int sum of the parts matches, but
+    # the 0/1 vectors sum to 2 at e's coordinate, not to the next bit.
+    real = monoid._beta_values
+
+    def shared_bit(family, pairs):
+        out = real(family, pairs)
+        [mixed] = set(range(len(out))) - set(family.s_prime)
+        for i, pr in enumerate(family.s_pairs):
+            if pr.dec == family.s_pairs[mixed].dec and i != mixed:
+                out[i] = 1
+        out[mixed] = 2
+        return out
+
+    monkeypatch.setattr(monoid, "_beta_values", shared_bit)
+    code, out = run_main(["monoid", "6"])
+    assert code == EXIT_CHECK
+    assert "decomposition_law" in failed_checks(out)
