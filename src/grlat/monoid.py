@@ -15,7 +15,9 @@ generator images, and the freeness verdict for the image monoid.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from . import intmat as im
 from .abelian import (
@@ -355,7 +357,11 @@ def analyze_monoid(
 
     With bound=None the default sum bound 3 shrinks deterministically
     until the candidate-vector count fits the cap; an explicit bound is
-    honored strictly and may raise a capacity error.
+    honored strictly and may raise a capacity error.  Images independent
+    over GF(2), such as a p-group's distinct single bits and those of
+    every FREE group checked so far, pass the bounded check without a
+    sweep; only dependent families, among them every NOT-FREE group's
+    (#S' > #T), run it.
     """
     if bound is not None and bound < 2:
         raise ScopeError("bound must be at least 2")
@@ -419,10 +425,30 @@ def _vector_count(k: int, bound: int) -> int:
     return math.comb(k + bound, k)
 
 
+def _independent_mod_2(masks) -> bool:
+    """Whether the bitmasks are linearly independent over GF(2), by
+    elimination keyed by the lowest set bit of each reduced mask."""
+    pivots = {}
+    for g in masks:
+        while g and (low := g & -g) in pivots:
+            g ^= pivots[low]
+        if not g:
+            return False
+        pivots[low] = g
+    return True
+
+
 def _bounded_injectivity(generators, bound: int) -> bool:
     """All formal nonnegative combinations of the generators (0/1 vectors
     held as bitmasks) with coordinate sum <= bound have pairwise distinct
-    values."""
+    values.
+
+    Generators independent over GF(2) pass at once: two combinations
+    with one value differ by an integer relation sum c_i g_i = 0, and
+    dividing c by its gcd leaves an odd c_i, so c mod 2 is a nonzero
+    GF(2) relation.  Independence mod 2 thus gives independence over Q,
+    and with it distinct values at every bound.  Only dependent families
+    run the sweep."""
     k = len(generators)
     count = _vector_count(k, bound)
     if count > VECTOR_CAP:
@@ -431,6 +457,9 @@ def _bounded_injectivity(generators, bound: int) -> bool:
         )
     if not (k and bound):
         return True  # the empty combination is the only one
+    # more generators than bits in their union have rank < k: dependent
+    if k <= reduce(operator.or_, generators).bit_count() and _independent_mod_2(generators):
+        return True
     # spread bit i of each mask to bit i * shift: a field per coordinate
     # wide enough for bound copies of one bit, so that adding packed
     # values adds the vectors with no carry between fields

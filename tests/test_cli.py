@@ -548,6 +548,8 @@ def test_too_many_inertia_pairs_are_refused_at_once(argv):
         (["monoid", "2,2,2,2"], "46e6e897a8fc74d5b9a46ea07df3a3bcbed2c502af386b1e1c6e1011d9807502"),
         (["monoid", "2,2,2,4"], "fe4b4b3f951c404598db8b6ca5a6c1cf84f21c4d4e032620f1a80f0d0c08b27a"),
         (["monoid", "3,3,3,3"], "9f80912750863d3a706df899ff65bfdf2155bc95ac901ab54b6e93142ad95127"),
+        (["monoid", "720"], "b54a8045729334d6f5ca780af61025e6cfaa928f6cba6cc91f8bda15bf122fe4"),
+        (["monoid", "4096"], "1fefa33334c6e9e2fa7dc88d00bb28c1b30543f347b80e1211c23dcf066e4d61"),
     ],
     ids=[
         "64-tate",
@@ -574,6 +576,8 @@ def test_too_many_inertia_pairs_are_refused_at_once(argv):
         "2,2,2,2-monoid",
         "2,2,2,4-monoid",
         "3,3,3,3-monoid",
+        "720-monoid",
+        "4096-monoid",
     ],
 )
 def test_large_verify_reports_are_pinned(argv, digest):
@@ -594,7 +598,9 @@ def test_large_verify_reports_are_pinned(argv, digest):
     # as printed when its (I, D) pairs were found by testing every inertia
     # group against every subgroup (ext 2426 lines); the four noncyclic
     # monoid reports the bench leaves out, as printed when beta was a
-    # tuple of 0/1 entries
+    # tuple of 0/1 entries; 720 (FREE, 91 of its 105 images with more
+    # than one bit) and 4096 (one bit each) as printed when every
+    # bounded check ran the packed sweep
     env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-m", "grlat", *argv], capture_output=True, env=env, timeout=120)
     assert done.returncode == 0
@@ -663,6 +669,7 @@ def test_package_is_integral():
         ["verify", "28", "--checks", "triviality"],
         ["monoid", "2,2,12"],
         ["monoid", "2,2,2,2"],
+        ["monoid", "720"],
         ["verify", "3,3", "--checks", "tate"],
         ["verify", "2,2,2", "--checks", "tate,ext"],
         ["verify", "27", "--checks", "unit"],

@@ -10,6 +10,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from functools import reduce
 from pathlib import Path
 
@@ -185,6 +186,32 @@ def test_a_huge_bound_is_refused_or_needs_no_rounds(spec, code):
     assert done.returncode == code, done.stderr
 
 
+def test_the_cap_refuses_an_independent_family_first():
+    # the images of 4,8 are independent over GF(2), which decides every
+    # bound, but C(k + 5, 5) candidate vectors still exceed the cap
+    env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "grlat", "monoid", "4,8", "--bound", "5"],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert done.returncode == 65
+    assert b"54891018 candidate vectors" in done.stderr
+
+
+def test_independent_images_hold_no_sweep():
+    # the sweep over the 667 images of 2,2,2,4 at bound 2 peaked at
+    # 43.6 MiB; the images are distinct single bits, so none is held
+    group = make_group([2, 2, 2, 4])
+    tracemalloc.start()
+    try:
+        rep = analyze_monoid(group)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.bounded_injectivity_ok and rep.all_checks_pass
+    assert peak < 4 * 2**20
+
+
 def test_sprime_vs_t_count_law():
     # #S' >= #T always, equality exactly for cyclic or prime-power order
     for facs in (
@@ -324,11 +351,45 @@ def zero_one_generators(draw, max_size):
 @example((2, [(1, 0), (0, 1)]), 5)
 @example((3, [(1, 1, 0), (0, 0, 1), (1, 1, 1)]), 5)
 @example((1, [(1,), (0,)]), 2)
+# e0+e1, e1+e2, e0+e2: independent over Q but summing to 0 mod 2, so the
+# sweep, not the GF(2) proof, must find that no combinations collide
+@example((3, [(1, 1, 0), (0, 1, 1), (1, 0, 1)]), 2)
+@example((3, [(1, 1, 0), (0, 1, 1), (1, 0, 1)]), 5)
 def test_bounded_injectivity_matches_tuple_sweep(case, bound):
     # bound 5 needs 3-bit fields: with 2-bit fields 4*(1,0) would carry
     # into the packed value of (0,1)
     _, gens = case
     masks = [_mask(g) for g in gens]
+    assert _bounded_injectivity(masks, bound) == _tuple_bounded_injectivity(gens, bound)
+
+
+@st.composite
+def independent_generators(draw):
+    """Up to 40 0/1 vectors independent over GF(2): unit vectors, each
+    with a random combination of higher bits when triangular, with
+    coordinates and generators then permuted."""
+    k = draw(st.integers(0, 40))
+    width = k + draw(st.integers(0, 8))
+    triangular = draw(st.booleans())
+    rows = []
+    for i in range(k):
+        higher = draw(st.integers(0, (1 << (width - i - 1)) - 1)) if triangular else 0
+        rows.append((1 << i) | higher << (i + 1))
+    coords = draw(st.permutations(range(width)))
+    gens = [tuple((row >> c) & 1 for c in coords) for row in rows]
+    return width, draw(st.permutations(gens))
+
+
+@given(independent_generators(), st.integers(2, 5))
+@settings(max_examples=40, deadline=None)
+def test_independent_families_match_tuple_sweep(case, bound):
+    _, gens = case
+    masks = [_mask(g) for g in gens]
+    if _vector_count(len(gens), bound) > VECTOR_CAP:
+        # the cap refuses first, even where independence would decide
+        with pytest.raises(CapacityError):
+            _bounded_injectivity(masks, bound)
+        return
     assert _bounded_injectivity(masks, bound) == _tuple_bounded_injectivity(gens, bound)
 
 
