@@ -231,27 +231,35 @@ def _beta_values(family: SetFamily, pairs) -> list:
     """beta of each (I, D) pair, a 0/1 vector over the target tuples held
     as a bitmask: bit i is set when t_tuples[i] = (p, H, Istar, Dstar)
     has D inside H and the images of I and D in the maximal p-quotient
-    equal to Istar and Dstar.  Each subgroup is pushed once per prime: a
-    D recurs under many I."""
+    equal to Istar and Dstar.  A D recurs under many I, so each subgroup
+    is pushed once per prime and each D <= H is tested once."""
     group = family.group
     targets = family.t_tuples
     # the basis comparison is a dict lookup, so only the target tuples
     # with matching images reach the HNF containment test D <= H
     by_images = {}
+    h_ids = {}
+    h_of = []  # target index -> index of its H among the distinct H
     for i, t in enumerate(targets):
         by_images.setdefault((t.p, t.istar, t.dstar), []).append(i)
+        h_of.append(h_ids.setdefault(t.h, len(h_ids)))
     quotients = {p: _p_quotient(group, p) for p in prime_factors(group.order)}
     pushed = {}
+    inside = {}  # D -> {index of H: D <= H}
     out = []
     for pair in pairs:
         mask = 0
+        below = inside.setdefault(pair.dec, {})
         for p in prime_factors(pair.inertia.order):
             for sub in (pair.inertia, pair.dec):
                 if (p, sub) not in pushed:
                     pushed[p, sub] = _push(sub, quotients[p])
             key = (p, pushed[p, pair.inertia], pushed[p, pair.dec])
             for i in by_images.get(key, ()):
-                if pair.dec.is_subset_of(targets[i].h):
+                j = h_of[i]
+                if j not in below:
+                    below[j] = pair.dec.is_subset_of(targets[i].h)
+                if below[j]:
                     mask |= 1 << i
         out.append(mask)
     return out

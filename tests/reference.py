@@ -63,6 +63,12 @@ ring Z[C_k], k = n/#I, with gbar folded from the coefficients of g.
 ref_smith_valuations_mod is the elimination smith_valuations ran on
 lists of residues, one Python step per entry of every row update,
 before it packed each row into one int.
+
+ref_factor_cyclotomic_mod_p is the route factor_cyclotomic_mod_p took
+before it split Phi_m mod p by its cyclotomic cosets: sympy's
+factorization over GF(p), its factors sorted by coefficient tuple.
+ref_lifted_cyclotomic_factor starts from it, so the Hensel route to the
+root power traces shares no code with the library's factorization.
 """
 
 from fractions import Fraction
@@ -259,6 +265,29 @@ def ref_hensel_lift(f, h0, g0, p, prec):
     return h, g
 
 
+def ref_factor_cyclotomic_mod_p(m, p):
+    """Monic irreducible factors of the m-th cyclotomic polynomial mod p,
+    gcd(m, p) = 1, by sympy, sorted by coefficient tuple."""
+    import sympy
+
+    if gcd(m, p) != 1:
+        raise ValueError("m must be prime to p")
+    x = sympy.symbols("x")
+    phi = polys.cyclotomic(m)
+    poly = sympy.Poly([int(c) for c in reversed(phi)], x, modulus=p)
+    _, factors = poly.factor_list()
+    out = []
+    for fac, mult in factors:
+        if mult != 1:
+            raise IdentityCheckError(f"cyclotomic({m}) is not squarefree mod {p}")
+        coeffs = [int(c) % p for c in reversed(fac.all_coeffs())]
+        out.append(trim(coeffs))
+    out.sort()
+    if len({len(f) - 1 for f in out}) != 1:
+        raise IdentityCheckError(f"factors of cyclotomic({m}) mod {p} differ in degree")
+    return out
+
+
 def ref_lifted_cyclotomic_factor(m, p, prec):
     """A canonical monic factor of the m-th cyclotomic polynomial over
     the p-adics, truncated mod p^prec: the Hensel lift of the lex-least
@@ -266,7 +295,7 @@ def ref_lifted_cyclotomic_factor(m, p, prec):
     if m == 1:
         out = (-1, 1)
     else:
-        factors = polys.factor_cyclotomic_mod_p(m, p)
+        factors = ref_factor_cyclotomic_mod_p(m, p)
         h0 = factors[0]
         if len(factors) == 1:
             out = polys.cyclotomic(m)

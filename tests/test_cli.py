@@ -480,6 +480,21 @@ def test_spectrum_does_not_import_sympy():
     assert done.stdout == b"0 False\n"
 
 
+def test_verify_does_not_import_sympy():
+    # triviality factors Phi_m mod p in the package; 12 is mixed-prime
+    script = (
+        "import contextlib, io, sys\n"
+        "from grlat.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['verify', '6', '--checks', 'triviality']), main(['verify', '12'])]\n"
+        "print(codes, 'sympy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == b"[0, 0] False\n"
+
+
 @pytest.mark.parametrize("spec", ["999999999999999989", "1001,1000"])
 def test_oversized_group_spec_is_refused_at_once(spec):
     # the spec's order is checked before its factors are factored; trial

@@ -20,7 +20,10 @@ decides the same predicate as the preimage fact it replaced.
 The triviality check is run with its prediction negated, and with the
 lex-least factor of a split Phi_m mod p replaced by X^d + 1 (for Phi_7
 mod 2, X^3 + 1 divides neither factor); the idempotent its traces give
-is not idempotent mod p, and the lift refuses it.
+is not idempotent mod p, and the lift refuses it.  The factorization
+of Phi_m mod p is itself fed a polynomial in place of Phi_m, and must
+refuse it: one that no coset sum splits, one whose factors differ in
+degree, and one with a square factor.
 
 The inertia module is built with the exponent of its Frobenius flipped,
 fbar acting as a instead of a^-1 (a = 1 + #I): on Z/9 with #I = 3 and
@@ -275,6 +278,23 @@ def non_factor_first(monkeypatch):
     monkeypatch.setattr(polys, "factor_cyclotomic_mod_p", factors)
     # the memo would hand back traces computed from the true factor
     monkeypatch.setattr(cohomology, "_LIFT_CACHE", {})
+
+
+@pytest.mark.parametrize(
+    "m, p, fake",
+    [
+        # X^3 + X + 1 and X^2 + X + 1: no coset sum of 2 mod 7 splits it
+        (7, 2, reference.poly_mul((1, 1, 0, 1), (1, 1, 1))),
+        # X^2 + X + 1 and X^3 + 2: degrees 2 and 3, not ord_13(5) = 4
+        (13, 5, reference.poly_mul((1, 1, 1), (2, 0, 0, 1))),
+        # (X^2 + 1)^2 in place of Phi_8 = (X^2 + X + 2)(X^2 + 2X + 2) mod 3
+        (8, 3, reference.poly_mul((1, 0, 1), (1, 0, 1))),
+    ],
+)
+def test_factorization_refuses_a_wrong_cyclotomic(m, p, fake, monkeypatch):
+    monkeypatch.setattr(polys, "cyclotomic", lambda n: fake)
+    with pytest.raises(IdentityCheckError):
+        polys.factor_cyclotomic_mod_p(m, p)
 
 
 def test_root_power_traces_refuse_a_non_factor(monkeypatch):

@@ -1,7 +1,9 @@
 """Polynomial helpers: cyclotomics, factors mod p, resultants, and the
 reference Hensel lift.
 
-sympy provides the oracle for cyclotomic coefficients and resultants.
+sympy provides the oracle for cyclotomic coefficients, resultants and
+the factors of Phi_m mod p (ref_factor_cyclotomic_mod_p, the route the
+library took before it split Phi_m by its cyclotomic cosets).
 The resultant under test is the reference ref_resultant_monic, against
 which spectrum's character valuations are checked; the Hensel lift is
 the reference route against which cohomology's root power traces are
@@ -10,9 +12,12 @@ computes a multiplication-matrix determinant whose sign convention
 differs from the Sylvester matrix for odd degree pairs.
 """
 
+from math import gcd
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import Poly, cyclotomic_poly, resultant
+from sympy import Poly, cyclotomic_poly, n_order, resultant, totient
 from sympy.abc import x
 
 import grlat.polys as pl
@@ -21,7 +26,9 @@ from reference import (
     mult_matrix_mod,
     poly_add,
     poly_mul,
+    poly_reduce_mod,
     poly_sub,
+    ref_factor_cyclotomic_mod_p,
     ref_hensel_lift,
     ref_lifted_cyclotomic_factor,
     ref_poly_divmod_fp,
@@ -100,6 +107,33 @@ def test_factor_cyclotomic_mod_p():
     fs = pl.factor_cyclotomic_mod_p(7, 2)
     assert len(fs) == 2 and all(deg(h) == 3 for h in fs)
     assert fs == sorted(fs)
+
+
+def test_factor_cyclotomic_mod_p_needs_m_prime_to_p():
+    with pytest.raises(ValueError):
+        pl.factor_cyclotomic_mod_p(12, 3)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 31, 97, 101])
+def test_factor_cyclotomic_mod_p_matches_sympy(p):
+    for m in range(1, 121):
+        if gcd(m, p) == 1:
+            assert pl.factor_cyclotomic_mod_p(m, p) == ref_factor_cyclotomic_mod_p(m, p), m
+
+
+@pytest.mark.parametrize("m, p", [(255, 2), (2039, 2), (1000, 3), (100, 101)])
+def test_factors_mod_p_have_the_order_of_p_as_degree(m, p):
+    # phi(m)/d monic factors of degree d = ord_m(p) whose product is
+    # Phi_m mod p; a factor of Phi_m of degree d is irreducible, so this
+    # is the factorization.  sympy needs minutes on (2039, 2).
+    fs = pl.factor_cyclotomic_mod_p(m, p)
+    d = n_order(p, m)
+    assert len(fs) == totient(m) // d
+    assert all(len(h) - 1 == d and h[-1] == 1 for h in fs)
+    product = (1,)
+    for h in fs:
+        product = poly_reduce_mod(poly_mul(product, h), p)
+    assert product == poly_reduce_mod(pl.cyclotomic(m), p)
 
 
 def test_hensel_lift_factor():
