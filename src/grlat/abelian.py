@@ -4,13 +4,13 @@ A group is a chain of invariant factors d_1 | d_2 | ... | d_k, all >= 2,
 and its elements are coordinate tuples mod the d_i.  A subgroup is stored
 as the canonical row-HNF basis of its preimage lattice L with
 diag(d) Z^k <= L <= Z^k: a square upper-triangular matrix with its
-pivots on the diagonal.  Joins, meets, images and preimages are plain
-lattice arithmetic (see intmat), and the order (a pivot product),
-membership and the canonical coset lift are read off the stored basis
-by reduction, with no second HNF.  Its residues (intmat.hnf_residues)
-are a transversal of G/S made of canonical lifts, the invariants of a
-quotient S/T are one Smith form of T's rows in S's coordinates, and
-enumerate_subgroups builds each of these bases once, directly.  A
+pivots on the diagonal.  A join is one lattice sum (see intmat), and
+the order (a pivot product), membership and the canonical coset lift
+are read off the stored basis by reduction, with no second HNF.  Its
+residues (intmat.hnf_residues) are a transversal of G/S made of
+canonical lifts, the invariants of a quotient S/T are one Smith form of
+T's rows in S's coordinates, and enumerate_subgroups builds each of
+these bases once, directly.  A
 quotient G/S is read in the Smith coordinates of S's basis
 (intmat.smith_coordinates): x -> x P mod d.
 
@@ -304,11 +304,6 @@ class Subgroup:
         self._check(other)
         return Subgroup(self.group, im.lattice_sum(self.basis, other.basis))
 
-    def meet(self, other: "Subgroup") -> "Subgroup":
-        self._check(other)
-        eye = im.identity(self.group.rank)
-        return Subgroup(self.group, im.preimage_lattice(self.basis, eye, other.basis))
-
     def elements(self) -> list[GroupElement]:
         if self.order > ELEMENT_CAP:
             raise CapacityError(f"subgroup of order {self.order} exceeds cap {ELEMENT_CAP}")
@@ -394,7 +389,7 @@ def _torsion_residues(block, m):
     return [t for t, _ in found]
 
 
-def enumerate_subgroups(group: FinAbGroup, cap: int = SUBGROUP_CAP) -> list[Subgroup]:
+def enumerate_subgroups(group: FinAbGroup) -> list[Subgroup]:
     """All subgroups, each built once as its stored basis, sorted by
     (order, basis).
 
@@ -404,8 +399,8 @@ def enumerate_subgroups(group: FinAbGroup, cap: int = SUBGROUP_CAP) -> list[Subg
     only tails t with (d_i/h) t in the span of the rows below are made,
     which puts d_i e_i in L.  The rows from i down are a subgroup of the
     last factors, and identity rows above extend each to a subgroup of
-    the group, so a partial list past cap already proves the group has
-    more than cap subgroups: CapacityError.
+    the group, so a partial list past SUBGROUP_CAP already proves the
+    group has more than SUBGROUP_CAP subgroups: CapacityError.
     """
     d = group.factors
     k = len(d)
@@ -417,8 +412,8 @@ def enumerate_subgroups(group: FinAbGroup, cap: int = SUBGROUP_CAP) -> list[Subg
             block = [r[i + 1 :] for r in rows]
             for h in divisors:
                 for tail in _torsion_residues(block, d[i] // h):
-                    if len(grown) >= cap:
-                        raise CapacityError(f"more than {cap} subgroups in {group!r}")
+                    if len(grown) >= SUBGROUP_CAP:
+                        raise CapacityError(f"more than {SUBGROUP_CAP} subgroups in {group!r}")
                     grown.append(((0,) * i + (h, *tail), *rows))
         partial = grown
     out = [Subgroup(group, rows) for rows in partial]

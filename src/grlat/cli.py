@@ -177,18 +177,23 @@ def _triviality_rows(fam):
 def _unit_rows(fam):
     ring = group_ring(fam.group)
     rows = []
-    # equal projections: the same inertia and decomposition subgroups
-    for i, a in enumerate(fam.stilde):
-        for j, b in enumerate(fam.stilde[i + 1 :], i + 1):
-            if fam.projection[i] != fam.projection[j]:
-                continue
-            try:
-                ok = verify_unit_transport(ring, a.inertia, a.frob, b.frob)
-            except UnitNotFoundError:
-                ok = False
-            rows.append(
-                ["unit", fmt_sub(a.inertia), f"{fmt_elem(a.frob)}~{fmt_elem(b.frob)}", "-", _flag(ok)]
-            )
+    # equal projections: the same inertia and decomposition subgroups,
+    # paired within each projection's index list, in (i, j) order
+    members = {}
+    for i, proj in enumerate(fam.projection):
+        members.setdefault(proj, []).append(i)
+    pairs = sorted(
+        (i, j) for same in members.values() for n, i in enumerate(same) for j in same[n + 1 :]
+    )
+    for i, j in pairs:
+        a, b = fam.stilde[i], fam.stilde[j]
+        try:
+            ok = verify_unit_transport(ring, a.inertia, a.frob, b.frob)
+        except UnitNotFoundError:
+            ok = False
+        rows.append(
+            ["unit", fmt_sub(a.inertia), f"{fmt_elem(a.frob)}~{fmt_elem(b.frob)}", "-", _flag(ok)]
+        )
     return rows
 
 

@@ -96,13 +96,13 @@ def tate_cohomology(module: FiniteModule, sub: Subgroup) -> TateResult:
     # maps side by side and L repeated in each block of the target
     side = [[x for d in diffs for x in d[i]] for i in range(n)]
     target = [[0] * (b * n) + r + [0] * ((k - 1 - b) * n) for b in range(k) for r in rel]
-    inv = im.preimage_lattice(None, side, target)
+    inv = im.preimage_lattice(side, target)
     nm = norm_matrix(module, sub)
     norm_image = im.lattice_sum([im.vec_mat(list(e), nm) for e in im.identity(n)], rel)
     h0 = module.subquotient(inv, norm_image)
 
     # norm kernel: x with x N in L
-    ker = im.preimage_lattice(None, nm, rel)
+    ker = im.preimage_lattice(nm, rel)
     aug = im.hnf(rel + [row for d in diffs for row in d], n)
     hm1 = module.subquotient(ker, aug)
     return TateResult(sub, h0, hm1)

@@ -475,23 +475,17 @@ def hnf_residues(h):
         yield x[::-1]
 
 
-def preimage_lattice(domain_rows, f_matrix, target_rows):
-    """Basis of {x in row span(domain) : x @ F in row span(target)}.
-
-    domain_rows may be None meaning the standard lattice Z^a.
-    """
+def preimage_lattice(f_matrix, target_rows):
+    """Basis of {x in Z^a : x @ F in row span(target)}, for F with a rows:
+    the domain half of the left kernel of F stacked over -target."""
     a = len(f_matrix)
-    if domain_rows is None:
-        domain_rows = identity(a)
     width_target = len(f_matrix[0]) if f_matrix else 0
-    images = [vec_mat(r, f_matrix) for r in domain_rows]
-    stacked = images + [[-x for x in r] for r in target_rows]
+    stacked = [list(r) for r in f_matrix] + [[-x for x in r] for r in target_rows]
     if not stacked:
         return []
     ker = left_kernel(stacked, width_target)
-    nd = len(domain_rows)
-    out = [vec_mat(k[:nd], domain_rows) for k in ker]
-    return hnf(out, len(domain_rows[0]) if domain_rows else 0) if out else []
+    out = [k[:a] for k in ker]
+    return hnf(out, a) if out else []
 
 
 def frozen(rows):

@@ -3,13 +3,16 @@ the structure map between the monoids they span.
 
 Over a group G the generators of interest are pairs (I, phi) with I a
 nontrivial elementary subgroup, collapsed to pairs (I, D) with
-D = I v <phi>, which makes D/I cyclic.  Locally, over the maximal
-p-quotient G_p, the targets are tuples (p, H, Istar, Dstar) with G/H
-cyclic of order prime to p.  The structure map beta sends (I, D) to the
-sum of basis vectors over all target tuples whose data match the images
-of I and D in G_p, and the analysis below certifies its decomposition
-law, injectivity on the irreducible locus, irreducibility of the
-generator images, and the freeness verdict for the image monoid.
+D = I v <phi>, which makes D/I cyclic.  Locally, over the Sylow p-part
+G_p of G, the targets are tuples (p, H, Istar, Dstar) with G/H cyclic
+of order prime to p and (Istar, Dstar) an (I, D) pair inside G_p.  G_p
+is canonically the maximal p-quotient of G, and the image of a
+subgroup S there is its p-part S_p = m S, for m the prime-to-p part of
+#G.  The structure map beta sends (I, D) to the sum of basis vectors
+over all target tuples with D inside H, Istar = I_p and Dstar = D_p,
+and the analysis below certifies its decomposition law, injectivity on
+the irreducible locus, irreducibility of the generator images, and the
+freeness verdict for the image monoid.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .abelian import (
     is_elementary,
     p_split,
     prime_factors,
-    sylow,
 )
 from .errors import CapacityError, ScopeError
 
@@ -39,9 +41,8 @@ VECTOR_CAP = 400_000
 
 # build_sets refuses a group with more (I, phi) pairs, or more (inertia
 # group, subgroup) combinations, than this, before it builds any pair.
-# The (I, phi) pairs bound the (I, D) pairs; each maximal p-quotient is
-# a Sylow subgroup, whose inertia groups I have no more cosets there
-# than in the group, and which has no more subgroups than the group.
+# The (I, phi) pairs bound the (I, D) pairs, and the local pairs over
+# each Sylow p-part are among them.
 PAIR_CAP = 200_000
 
 
@@ -74,7 +75,7 @@ class DecompositionPair:
 @dataclass(frozen=True)
 class LocalTuple:
     """(p, H, Istar, Dstar): H with G/H cyclic of order prime to p, and
-    a pair of subgroups of the maximal p-quotient with Istar nontrivial
+    a pair of subgroups of the Sylow p-part of G with Istar nontrivial
     and Dstar/Istar cyclic."""
 
     p: int
@@ -93,7 +94,6 @@ class SetFamily:
     subgroups: every subgroup, as enumerate_subgroups lists them;
     stilde: the (I, phi) generator pairs; s_pairs: the (I, D) pairs;
     projection[i]: index into s_pairs of the image of stilde[i];
-    s_p: per-prime pair lists over the maximal p-quotients;
     t_tuples: the target index set;
     s_prime / s_dprime: indices into s_pairs of the irreducible locus
     (D noncyclic or #I a prime power) and of the prime-power-#I locus.
@@ -104,7 +104,6 @@ class SetFamily:
     stilde: tuple
     s_pairs: tuple
     projection: tuple
-    s_p: dict
     t_tuples: tuple
     s_prime: tuple
     s_dprime: tuple
@@ -118,15 +117,6 @@ class SetFamily:
             "s_prime": len(self.s_prime),
             "s_dprime": len(self.s_dprime),
         }
-
-
-def _inertias(subs):
-    """The nontrivial elementary subgroups among subs."""
-    return [
-        inertia
-        for inertia in subs
-        if not inertia.is_trivial and is_elementary(inertia.structure())
-    ]
 
 
 def _pair_sets(group: FinAbGroup, inertias):
@@ -154,27 +144,24 @@ def _pair_sets(group: FinAbGroup, inertias):
     return tuple(stilde), s_pairs, tuple(s_index[pr] for pr in images)
 
 
-def _p_quotient(group: FinAbGroup, p: int) -> FinAbGroup:
-    """The maximal p-quotient G/G_{p'}: (+) Z/p^{v_p(d_i)} over the d_i p divides."""
-    return FinAbGroup(tuple(q for q in (p ** p_split(d, p)[0] for d in group.factors) if q > 1))
-
-
-def _push(sub: Subgroup, qgroup: FinAbGroup) -> Subgroup:
-    """The image of sub in qgroup = _p_quotient(G, p): the d_i that p
-    divides are the last ones, and the quotient map reduces their coordinates."""
-    rows = [b[len(b) - qgroup.rank :] for b in sub.basis] + im.diagonal(qgroup.factors)
-    return Subgroup(qgroup, im.hnf(rows, qgroup.rank))
+def _p_part(sub: Subgroup, p: int) -> Subgroup:
+    """The Sylow p-part of sub, m sub for m the prime-to-p part of #G:
+    also the image of sub in the maximal p-quotient of G, which the
+    Sylow p-part of G maps onto isomorphically."""
+    m = p_split(sub.group.order, p)[1]
+    rows = [[m * x for x in b] for b in sub.basis] + im.diagonal(sub.group.factors)
+    return Subgroup(sub.group, im.hnf(rows, sub.group.rank))
 
 
 def build_sets(group: FinAbGroup) -> SetFamily:
     """Enumerate every index set of the group, including the projection
-    from generator pairs to (I, D) pairs and the local pair sets over
-    each maximal p-quotient, each read off that quotient's (I, phi)
-    pairs.  Past PAIR_CAP (I, phi) pairs, counted as the sum of [G:I],
-    or PAIR_CAP (inertia group, subgroup) combinations: CapacityError,
-    before any pair is built."""
+    from generator pairs to (I, D) pairs.  The local pairs over p are
+    the (I, D) pairs with D a p-group, the pairs of the Sylow p-part of
+    G, so the subgroups are enumerated once.  Past PAIR_CAP (I, phi)
+    pairs, counted as the sum of [G:I], or PAIR_CAP (inertia group,
+    subgroup) combinations: CapacityError, before any pair is built."""
     subs = enumerate_subgroups(group)
-    inertias = _inertias(subs)
+    inertias = [s for s in subs if not s.is_trivial and is_elementary(s.structure())]
     if len(inertias) * len(subs) > PAIR_CAP:
         raise CapacityError(
             f"{len(inertias)} inertia groups times {len(subs)} subgroups "
@@ -191,20 +178,14 @@ def build_sets(group: FinAbGroup) -> SetFamily:
         for h in subs
         if len(full.quotient_structure(h)) <= 1
     ]
-    s_p = {}
     t_tuples = []
     for p in sorted(prime_factors(group.order)):
-        qgroup = _p_quotient(group, p)
-        # a p-group is its own maximal p-quotient
-        if qgroup == group:
-            s_p[p] = s_pairs
-        else:
-            s_p[p] = _pair_sets(qgroup, _inertias(enumerate_subgroups(qgroup)))[1]
+        local = [pr for pr in s_pairs if p_split(pr.dec.order, p)[1] == 1]
         t_tuples += [
             LocalTuple(p, h, pr.inertia, pr.dec)
             for h, quotient_order in cyclic_quotients
             if quotient_order % p
-            for pr in s_p[p]
+            for pr in local
         ]
     t_tuples.sort(key=LocalTuple.sort_key)
     s_prime, s_dprime = [], []
@@ -220,7 +201,6 @@ def build_sets(group: FinAbGroup) -> SetFamily:
         stilde,
         s_pairs,
         projection,
-        s_p,
         tuple(t_tuples),
         tuple(s_prime),
         tuple(s_dprime),
@@ -230,21 +210,19 @@ def build_sets(group: FinAbGroup) -> SetFamily:
 def _beta_values(family: SetFamily, pairs) -> list:
     """beta of each (I, D) pair, a 0/1 vector over the target tuples held
     as a bitmask: bit i is set when t_tuples[i] = (p, H, Istar, Dstar)
-    has D inside H and the images of I and D in the maximal p-quotient
-    equal to Istar and Dstar.  A D recurs under many I, so each subgroup
-    is pushed once per prime and each D <= H is tested once."""
-    group = family.group
+    has D inside H and the Sylow p-parts of I and D equal to Istar and
+    Dstar.  A D recurs under many I, so each subgroup's p-part is taken
+    once per prime and each D <= H is tested once."""
     targets = family.t_tuples
     # the basis comparison is a dict lookup, so only the target tuples
-    # with matching images reach the HNF containment test D <= H
-    by_images = {}
+    # with matching p-parts reach the HNF containment test D <= H
+    by_parts = {}
     h_ids = {}
     h_of = []  # target index -> index of its H among the distinct H
     for i, t in enumerate(targets):
-        by_images.setdefault((t.p, t.istar, t.dstar), []).append(i)
+        by_parts.setdefault((t.p, t.istar, t.dstar), []).append(i)
         h_of.append(h_ids.setdefault(t.h, len(h_ids)))
-    quotients = {p: _p_quotient(group, p) for p in prime_factors(group.order)}
-    pushed = {}
+    parts = {}
     inside = {}  # D -> {index of H: D <= H}
     out = []
     for pair in pairs:
@@ -252,10 +230,10 @@ def _beta_values(family: SetFamily, pairs) -> list:
         below = inside.setdefault(pair.dec, {})
         for p in prime_factors(pair.inertia.order):
             for sub in (pair.inertia, pair.dec):
-                if (p, sub) not in pushed:
-                    pushed[p, sub] = _push(sub, quotients[p])
-            key = (p, pushed[p, pair.inertia], pushed[p, pair.dec])
-            for i in by_images.get(key, ()):
+                if (p, sub) not in parts:
+                    parts[p, sub] = _p_part(sub, p)
+            key = (p, parts[p, pair.inertia], parts[p, pair.dec])
+            for i in by_parts.get(key, ()):
                 j = h_of[i]
                 if j not in below:
                     below[j] = pair.dec.is_subset_of(targets[i].h)
@@ -391,7 +369,7 @@ def analyze_monoid(
         # (a & b), so a shared bit makes the sum exceed the union.
         total = union = 0
         for p in prime_factors(pr.inertia.order):
-            part = beta_values[pair_index[(pr.inertia.meet(sylow(group, p)).basis, pr.dec.basis)]]
+            part = beta_values[pair_index[(_p_part(pr.inertia, p).basis, pr.dec.basis)]]
             total += part
             union |= part
         if not total == union == beta_values[i]:

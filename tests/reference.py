@@ -64,6 +64,12 @@ ref_smith_valuations_mod is the elimination smith_valuations ran on
 lists of residues, one Python step per entry of every row update,
 before it packed each row into one int.
 
+ref_meet is Subgroup.meet, the intersection of two subgroups'
+preimage lattices, which the package dropped once monoid took Sylow
+p-parts as m S, m the prime-to-p part of #G, instead of S meet G_p.
+preimage_lattice has no domain rows any more, so the intersection is
+the preimage of b's lattice under a's basis, mapped back by that basis.
+
 ref_factor_cyclotomic_mod_p is the route factor_cyclotomic_mod_p took
 before it split Phi_m mod p by its cyclotomic cosets: sympy's
 factorization over GF(p), its factors sorted by coefficient tuple.
@@ -79,6 +85,7 @@ import grlat.intmat as im
 from grlat import polys
 from grlat.abelian import (
     GroupElement,
+    Subgroup,
     decomposition_subgroup,
     make_group,
     p_split,
@@ -339,6 +346,17 @@ def ref_lattice_quotient_coords(big_rows, small_rows):
             raise ContainmentError("sublattice not contained in the big lattice")
         coords.append(im.vec_mat(c, u))
     return coords
+
+
+# -- the meet of two subgroups ----------------------------------------------
+
+
+def ref_meet(a, b):
+    if a.group != b.group:
+        raise ParentMismatchError("subgroups of different groups")
+    coeffs = im.preimage_lattice(a.basis, b.basis)
+    rows = [im.vec_mat(c, a.basis) for c in coeffs]
+    return Subgroup(a.group, im.hnf(rows, a.group.rank))
 
 
 # -- the preimage fact of the extension check -------------------------------

@@ -50,6 +50,7 @@ from reference import (
     ref_inertia_module,
     ref_inertia_presentation,
     ref_lattice_quotient_coords,
+    ref_meet,
     ref_norm_matrix,
     ref_root_power_traces,
 )
@@ -371,7 +372,7 @@ def ref_closed_form_inertia_tate(group, inertia, frob, sub):
     quotient by (decomposition subgroup + sub), modulo #(inertia meet sub)."""
     dec = inertia.join(Subgroup.from_generators(frob.group, [frob]))
     big = dec.join(sub)
-    c = inertia.meet(sub).order
+    c = ref_meet(inertia, sub).order
     qd = quotient_data(group, big)
     qring = group_ring(qd.group)
     n = qring.n
@@ -383,7 +384,7 @@ def ref_closed_form_inertia_tate(group, inertia, frob, sub):
 def ref_annihilator_lattice(module, x):
     """The lattice {c in Z^{|G|} : sum_g c_g (x.g) lies in relations}."""
     rows = [im.vec_mat(list(x), module.action_matrix(g)) for g in module.group.elements()]
-    return im.preimage_lattice(None, rows, [list(r) for r in module.relations])
+    return im.preimage_lattice(rows, [list(r) for r in module.relations])
 
 
 def ref_module_equivalent(m1, m2):
@@ -697,14 +698,14 @@ def ref_tate_cohomology(module, sub):
     for h in gens:
         a = module.action_matrix(h)
         d = [[a[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-        pre = im.preimage_lattice(None, d, rel)
+        pre = im.preimage_lattice(d, rel)
         inv = ref_lattice_intersection(inv, pre)
 
     nm = ref_norm_matrix(module, sub)
     norm_image = im.lattice_sum([im.vec_mat(list(e), nm) for e in im.identity(n)], rel)
     h0 = ref_quotient_module(module.group, inv, norm_image, module.gen_actions)
 
-    ker = im.preimage_lattice(None, nm, rel)
+    ker = im.preimage_lattice(nm, rel)
     aug_rows = list(rel)
     for h in gens:
         a = module.action_matrix(h)

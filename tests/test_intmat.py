@@ -310,7 +310,7 @@ def test_lattice_index_and_eq():
 @settings(max_examples=60, deadline=None)
 def test_sum_contains_intersection(a, b):
     s = im.lattice_sum([list(r) for r in a], [list(r) for r in b])
-    i = im.preimage_lattice([list(r) for r in a], im.identity(2), [list(r) for r in b])
+    i = [im.vec_mat(c, a) for c in im.preimage_lattice(a, [list(r) for r in b])]
     h, _, piv = im.hnf_with_transform(s, 2)
     for r in i:
         assert im.in_span(h, piv, list(r))
@@ -320,7 +320,7 @@ def test_preimage_lattice_anchor():
     # f(x, y) = (2x, 2y); preimage of 4Z^2 is 2Z^2
     f = [[2, 0], [0, 2]]
     target = [[4, 0], [0, 4]]
-    pre = im.preimage_lattice(None, f, target)
+    pre = im.preimage_lattice(f, target)
     assert im.lattice_eq(pre, [[2, 0], [0, 2]])
 
 

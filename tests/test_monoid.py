@@ -41,13 +41,13 @@ from grlat.monoid import (
     _beta_values,
     _bounded_injectivity,
     _MonoidMembership,
-    _p_quotient,
-    _push,
+    _p_part,
     _vector_count,
     analyze_monoid,
     build_sets,
     cardinality_formulas,
 )
+from reference import ref_meet
 from test_abelian import push
 
 FROZEN_COUNTS = {
@@ -103,7 +103,7 @@ def test_decomposition_law_direct():
     for pr in mixed:
         total = 0
         for p in sorted(prime_factors(pr.inertia.order)):
-            part = pr.inertia.meet(sylow(g, p))
+            part = ref_meet(pr.inertia, sylow(g, p))
             [v] = _beta_values(fam, [by_key[(part.basis, pr.dec.basis)]])
             # disjoint masks: their int sum is the sum of the 0/1 vectors
             assert not total & v
@@ -245,7 +245,7 @@ def test_subgroup_recovery():
         cyc = [h for h in subs if quotient_data(g, h).group.is_cyclic]
         for d in subs:
             over = [h for h in cyc if d.is_subset_of(h)]
-            assert over and reduce(Subgroup.meet, over) == d, (facs, d)
+            assert over and reduce(ref_meet, over) == d, (facs, d)
 
 
 # -- reference implementations on dense tuples ------------------------------
@@ -521,7 +521,6 @@ def ref_build_sets(group):
         tuple(stilde),
         tuple(s_pairs),
         projection,
-        s_p,
         tuple(t_tuples),
         s_prime,
         s_dprime,
@@ -539,31 +538,42 @@ CATALOGUE_100 = (
 
 
 @pytest.mark.parametrize("factors", CATALOGUE_100, ids=str)
-def test_diagonal_p_quotient_matches_the_smith_quotient(factors):
-    """The maximal p-quotient read off the diagonal is the Smith quotient
-    by the p-complement, and pushes every subgroup to the same image."""
+def test_p_part_is_the_sylow_meet_and_the_p_quotient_image(factors):
+    """m S, for m the prime-to-p part of #G, is S meet G_p, and it has
+    the image of S in the Smith quotient by the p-complement."""
     g = make_group(factors)
     subs = enumerate_subgroups(g)
     for p in prime_factors(g.order):
         qd = quotient_data(g, sylow_complement(g, p))
-        assert _p_quotient(g, p) == qd.group, p
         for sub in subs:
-            assert _push(sub, qd.group) == push(qd, sub), (p, sub)
+            part = _p_part(sub, p)
+            assert part == ref_meet(sub, sylow(g, p)), (p, sub)
+            assert push(qd, part) == push(qd, sub), (p, sub)
 
 
 @pytest.mark.parametrize("factors", CATALOGUE_100, ids=str)
 def test_build_sets_matches_reference(factors):
+    """Every index set is the reference's; the target tuples agree once
+    build_sets' Sylow p-parts (Istar, Dstar) are pushed into the Smith
+    quotient by the p-complement, where the reference builds them."""
     g = make_group(factors)
     fam, ref = build_sets(g), ref_build_sets(g)
     for field in dataclasses.fields(SetFamily):
-        assert getattr(fam, field.name) == getattr(ref, field.name), field.name
+        if field.name != "t_tuples":
+            assert getattr(fam, field.name) == getattr(ref, field.name), field.name
+    quotients = {p: quotient_data(g, sylow_complement(g, p)) for p in prime_factors(g.order)}
+    pushed = [
+        LocalTuple(t.p, t.h, push(quotients[t.p], t.istar), push(quotients[t.p], t.dstar))
+        for t in fam.t_tuples
+    ]
+    assert sorted(pushed, key=LocalTuple.sort_key) == list(ref.t_tuples)
 
 
 def test_build_sets_tests_each_subgroup_a_bounded_number_of_times(monkeypatch):
     # one quotient_structure call per subgroup for "G/H cyclic" and one
-    # per nontrivial subgroup for "elementary"; a p-group is its own
-    # maximal p-quotient, so its subgroups are not tested again, and no
-    # (I, D) pair is tested at all
+    # per nontrivial subgroup for "elementary"; the local pairs are
+    # G's own, so no subgroup is tested again, and no (I, D) pair is
+    # tested at all
     g = make_group([2, 2, 2, 2])
     nsubs = len(enumerate_subgroups(g))
     assert nsubs == 67
@@ -577,3 +587,19 @@ def test_build_sets_tests_each_subgroup_a_bounded_number_of_times(monkeypatch):
     monkeypatch.setattr(Subgroup, "quotient_structure", spy)
     build_sets(g)
     assert len(calls) <= 2 * nsubs
+
+
+@pytest.mark.parametrize("factors", [[10, 10], [2, 2, 30]], ids=str)
+def test_build_sets_enumerates_subgroups_once(factors, monkeypatch):
+    # the local pairs over p are read off G's own pairs, so no subgroup
+    # lattice of a p-quotient is enumerated beside G's
+    calls = []
+
+    def spy(group):
+        calls.append(group)
+        return enumerate_subgroups(group)
+
+    monkeypatch.setattr(monoid, "enumerate_subgroups", spy)
+    g = make_group(factors)
+    build_sets(g)
+    assert calls == [g]

@@ -3,9 +3,9 @@
 bench/tracer.py wraps grlat functions and the methods of a few classes
 that it looks up by name (abelian.QuotientData, grouprings.FiniteModule
 and others).  bench/tests is not part of this suite, so this test
-installs the tracer in a fresh interpreter and runs one small command
-under it: a renamed class or layer fails here rather than in a traced
-benchmark run.
+installs the tracer in a fresh interpreter and runs two small commands
+under it, a verify and a monoid: a renamed class or layer fails here
+rather than in a traced benchmark run.
 """
 
 import json
@@ -23,11 +23,14 @@ t = tracer.Tracer()
 t.install()
 from grlat.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    code = main(["verify", "9", "--checks", "tate,triviality,unit"])
+    codes = [
+        main(["verify", "9", "--checks", "tate,triviality,unit"]),
+        main(["monoid", "2,6"]),
+    ]
 calls = {}
 for name, _parent, n, _total, _own in t.report()["spans"]:
     calls[name] = calls.get(name, 0) + n
-print(json.dumps({"code": code, "calls": calls}))
+print(json.dumps({"codes": codes, "calls": calls}))
 """
 
 
@@ -39,7 +42,7 @@ def test_tracer_installs_and_counts_the_layers():
     )
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout)
-    assert out["code"] == 0
+    assert out["codes"] == [0, 0]
     for span in (
         "abelian.canonical_lift",
         "abelian.decomposition_subgroup",
@@ -51,5 +54,8 @@ def test_tracer_installs_and_counts_the_layers():
         "cohomology.tate_cohomology",
         "cohomology.triviality_criterion",
         "lattices.verify_unit_transport",
+        "monoid.build_sets",
+        "monoid.analyze_monoid",
+        "abelian.enumerate_subgroups",
     ):
         assert out["calls"].get(span, 0) > 0, span
