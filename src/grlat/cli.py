@@ -116,50 +116,70 @@ def cmd_monoid(args) -> dict:
     }
 
 
-def _tate_rows(fam):
-    group = fam.group
+class _SweepInputs:
+    """What the sweeps of one verify command read: its index sets, and one
+    inertia module per (I, phi) pair, built when a sweep first asks and
+    shared by tate and triviality.  It lives only as long as the command."""
+
+    def __init__(self, fam):
+        self.fam = fam
+
+    @functools.cached_property
+    def modules(self):
+        return [inertia_module(pair.inertia, pair.frob) for pair in self.fam.stilde]
+
+
+def _tate_rows(inputs):
+    # I acts trivially on the module, so M^H = M^(H + I), I_H M = I_(H + I) M
+    # and N_H acts as #(H meet I) N_(H mod I): every H with the same key
+    # (H + I, #(H meet I)) has equal Tate groups (canonical HNFs) and the
+    # same B = D + H and c, so each pair computes a key's status once
+    fam = inputs.fam
     rows = []
-    for pair in fam.stilde:
-        mod = inertia_module(pair.inertia, pair.frob)
+    for pair, mod in zip(fam.stilde, inputs.modules):
+        statuses = {}
         for h in fam.subgroups:
-            t = tate_cohomology(mod, h)
-            big, c = prediction_data(group, pair.inertia, pair.frob, h)
-            statuses = [prediction_verdict(m, big, c) for m in (t.h0, t.hminus1)]
-            status = "pass" if statuses == ["pass", "pass"] else ";".join(statuses)
+            joined = h.join(pair.inertia)
+            key = (joined, pair.inertia.order * h.order // joined.order)
+            if key not in statuses:
+                t = tate_cohomology(mod, h)
+                big, c = prediction_data(fam.group, pair.inertia, pair.frob, h)
+                verdicts = [prediction_verdict(m, big, c) for m in (t.h0, t.hminus1)]
+                statuses[key] = "pass" if verdicts == ["pass", "pass"] else ";".join(verdicts)
             rows.append(
-                ["tate", fmt_sub(pair.inertia), fmt_elem(pair.frob), fmt_sub(h), status]
+                ["tate", fmt_sub(pair.inertia), fmt_elem(pair.frob), fmt_sub(h), statuses[key]]
             )
     return rows
 
 
-def _kernel_rows(fam):
-    ring = group_ring(fam.group)
+def _kernel_rows(inputs):
+    ring = group_ring(inputs.fam.group)
     rows = []
-    for pair in fam.stilde:
+    for pair in inputs.fam.stilde:
         rep = verify_kernel_presentation(ring, pair.inertia, pair.frob)
         rows.append(["kernel", fmt_sub(pair.inertia), fmt_elem(pair.frob), "-", _flag(rep.ok)])
     return rows
 
 
-def _ext_rows(fam):
+def _ext_rows(inputs):
     # the backward representative depends on the inertia group alone, so
     # each inertia group is checked once and its verdict printed per pair
-    ring = group_ring(fam.group)
+    ring = group_ring(inputs.fam.group)
     rows = []
     verdicts = {}
-    for pair in fam.stilde:
+    for pair in inputs.fam.stilde:
         if pair.inertia not in verdicts:
             verdicts[pair.inertia] = _flag(verify_extension_sequence(ring, pair.inertia).ok)
         rows.append(["ext", fmt_sub(pair.inertia), fmt_elem(pair.frob), "-", verdicts[pair.inertia]])
     return rows
 
 
-def _triviality_rows(fam):
-    group = fam.group
+def _triviality_rows(inputs):
+    primes = sorted(prime_factors(inputs.fam.group.order))
     rows = []
-    for pair in fam.stilde:
-        for p in sorted(prime_factors(group.order)):
-            rep = triviality_criterion(group, pair.inertia, pair.frob, p)
+    for pair, mod in zip(inputs.fam.stilde, inputs.modules):
+        for p in primes:
+            rep = triviality_criterion(mod, pair.inertia, pair.frob, p)
             for row in rep.rows:
                 chi = ":".join(str(b) for b in row.chi.values) or "1"
                 rows.append(
@@ -174,7 +194,8 @@ def _triviality_rows(fam):
     return rows
 
 
-def _unit_rows(fam):
+def _unit_rows(inputs):
+    fam = inputs.fam
     ring = group_ring(fam.group)
     rows = []
     # equal projections: the same inertia and decomposition subgroups,
@@ -234,10 +255,10 @@ def cmd_verify(args) -> dict:
         "triviality": _triviality_rows,
         "unit": _unit_rows,
     }
-    fam = build_sets(group)
+    inputs = _SweepInputs(build_sets(group))
     rows = []
     for name in names:
-        rows.extend(sweeps[name](fam))
+        rows.extend(sweeps[name](inputs))
     passed = sum(r[-1] == "pass" for r in rows)
     checks = [[name, _flag(all(r[-1] == "pass" for r in rows if r[0] == name))] for name in names]
     return {

@@ -46,7 +46,7 @@ from .abelian import (
     sylow_complement,
 )
 from .errors import IdentityCheckError, ParentMismatchError, PrecisionError, ScopeError
-from .grouprings import FiniteModule, inertia_module
+from .grouprings import FiniteModule
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,11 @@ def prediction_data(
     group: FinAbGroup, inertia: Subgroup, frob: GroupElement, sub: Subgroup
 ) -> tuple[Subgroup, int]:
     """(B, c) of the predicted Tate module (Z/c)[G/B] of an inertia
-    module: B = inertia + <frob> + sub and c = #(I meet H) = #I #H / #(I + H)."""
+    module: B = inertia + <frob> + sub and c = #(I meet H) = #I #H / #(I + H).
+
+    Both depend on H only through the key (H + I, #(H meet I)), as
+    B = D + (H + I) for D = I + <frob>; so do the Tate groups, which is
+    why the verify command computes one row per key of each pair."""
     if inertia.group != group or frob.group != group or sub.group != group:
         raise ParentMismatchError("inputs from a different group")
     big = decomposition_subgroup(inertia, frob).join(sub)
@@ -462,7 +466,7 @@ def _predicted_component_triviality(group, inertia, frob, p, chi) -> bool:
 
 
 def triviality_criterion(
-    group: FinAbGroup,
+    module: FiniteModule,
     inertia: Subgroup,
     frob: GroupElement,
     p: int,
@@ -471,9 +475,14 @@ def triviality_criterion(
     chi-component of the p-part of the inertia module is
     trivial-or-cohomologically-trivial exactly when the p-part of
     inertia is trivial or chi is nontrivial on the decomposition
-    subgroup."""
-    mod = inertia_module(inertia, frob)
-    mp = p_part(mod, p)
+    subgroup.
+
+    module is inertia_module(inertia, frob) and its group is the acting
+    group; the caller builds it once and may pass it for every p."""
+    group = module.group
+    if inertia.group != group or frob.group != group:
+        raise ParentMismatchError("inputs from a different group")
+    mp = p_part(module, p)
     rows = []
     for chi in character_classes(group, p):
         comp = chi_component(mp, chi)

@@ -75,6 +75,11 @@ before it split Phi_m mod p by its cyclotomic cosets: sympy's
 factorization over GF(p), its factors sorted by coefficient tuple.
 ref_lifted_cyclotomic_factor starts from it, so the Hensel route to the
 root power traces shares no code with the library's factorization.
+
+ref_tate_rows is the tate sweep as the verify command ran it before it
+computed each pair's rows once per key (H + I, #(H meet I)): one
+inertia module per pair, and for every subgroup H its own Tate groups,
+(B, c) and two verdicts.  The loop is verbatim apart from its name.
 """
 
 from fractions import Fraction
@@ -92,7 +97,13 @@ from grlat.abelian import (
     prime_factors,
     quotient_data,
 )
-from grlat.cohomology import coset_representatives
+from grlat.cli import fmt_elem, fmt_sub
+from grlat.cohomology import (
+    coset_representatives,
+    prediction_data,
+    prediction_verdict,
+    tate_cohomology,
+)
 from grlat.errors import (
     ContainmentError,
     IdentityCheckError,
@@ -101,7 +112,7 @@ from grlat.errors import (
     ScopeError,
     UnitNotFoundError,
 )
-from grlat.grouprings import FiniteModule, IdealLattice, group_ring
+from grlat.grouprings import FiniteModule, IdealLattice, group_ring, inertia_module
 from grlat.lattices import KernelReport, backward_rep
 from grlat.polys import poly_divmod_monic, trim
 
@@ -546,6 +557,25 @@ def ref_inertia_presentation(inertia, frob):
 
 def ref_inertia_module(inertia, frob):
     return FiniteModule.build(inertia.group, *ref_inertia_presentation(inertia, frob))
+
+
+# -- the tate sweep, one row at a time ----------------------------------------
+
+
+def ref_tate_rows(fam):
+    group = fam.group
+    rows = []
+    for pair in fam.stilde:
+        mod = inertia_module(pair.inertia, pair.frob)
+        for h in fam.subgroups:
+            t = tate_cohomology(mod, h)
+            big, c = prediction_data(group, pair.inertia, pair.frob, h)
+            statuses = [prediction_verdict(m, big, c) for m in (t.h0, t.hminus1)]
+            status = "pass" if statuses == ["pass", "pass"] else ";".join(statuses)
+            rows.append(
+                ["tate", fmt_sub(pair.inertia), fmt_elem(pair.frob), fmt_sub(h), status]
+            )
+    return rows
 
 
 # -- element matrices, norms and generators over the whole group --------------

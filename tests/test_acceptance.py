@@ -181,8 +181,9 @@ def test_criterion_5_triviality_equivalence(announce):
     for facs in MODULE_CATALOGUE:
         g = make_group(facs)
         for pair in build_sets(g).stilde:
+            mod = inertia_module(pair.inertia, pair.frob)
             for p in sorted(prime_factors(g.order)):
-                rep = triviality_criterion(g, pair.inertia, pair.frob, p)
+                rep = triviality_criterion(mod, pair.inertia, pair.frob, p)
                 rows += len(rep.rows)
                 if not rep.all_agree:
                     failures.append((facs, pair, p))

@@ -21,7 +21,9 @@ from grlat import abelian, cli, spectrum
 from grlat.abelian import make_group
 from grlat.cli import main
 from grlat.errors import ContainmentError
+from grlat.grouprings import inertia_module
 from grlat.monoid import build_sets
+import reference
 
 
 def run(argv, capsys):
@@ -125,6 +127,59 @@ def test_verify_builds_index_sets_once(capsys, monkeypatch):
     assert "config.checks\ttate,kernel,ext,triviality,unit" in out
     assert len(calls) == 1
     assert len(enumerations) == alone > 0
+
+
+@pytest.mark.parametrize(
+    "spec, checks, builds",
+    [("12", "tate,triviality", 16), ("2,2,8", "triviality", 259)],
+    ids=["12-tate,triviality", "2,2,8-triviality"],
+)
+def test_verify_builds_one_inertia_module_per_pair(spec, checks, builds, capsys, monkeypatch):
+    # one build per (I, phi) pair for the whole command; per-pair modules
+    # took 48 builds on 12 (16 pairs for tate plus 16 pairs x 2 primes for
+    # triviality) and 259 on 2,2,8 (259 pairs x 1 prime)
+    calls = []
+    original = inertia_module
+
+    def counted(inertia, frob):
+        calls.append((inertia, frob))
+        return original(inertia, frob)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("grlat") and getattr(module, "inertia_module", None) is original:
+            monkeypatch.setattr(module, "inertia_module", counted)
+    code, out, _ = run(["verify", spec, "--checks", checks], capsys)
+    assert code == 0
+    stilde = build_sets(make_group([int(f) for f in spec.split(",")])).stilde
+    assert calls == [(pair.inertia, pair.frob) for pair in stilde]
+    assert len(calls) == builds
+
+
+# the criterion-4 catalogue, then noncyclic 2-groups with many subgroups
+# per key class
+KEYED_TATE_GROUPS = ([9], [27], [3, 3], [15], [3, 9], [2, 4], [2, 2, 2], [2, 2, 4])
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["as-is", "c-shifted"])
+@pytest.mark.parametrize("factors", KEYED_TATE_GROUPS, ids=lambda f: ",".join(map(str, f)))
+def test_keyed_tate_rows_match_the_per_row_sweep(factors, perturbed, monkeypatch):
+    # perturbed: c + 1 wherever c > 1 and B is a proper subgroup, a fault
+    # that reads both parts of the key, so rows that share only H + I or
+    # only #(H meet I) can get different statuses
+    if perturbed:
+        real = cli.prediction_data
+
+        def shifted(group, *args):
+            big, c = real(group, *args)
+            return big, c + (c > 1 and big.order < group.order)
+
+        monkeypatch.setattr(cli, "prediction_data", shifted)
+        monkeypatch.setattr(reference, "prediction_data", shifted)
+    fam = build_sets(make_group(factors))
+    want = reference.ref_tate_rows(fam)
+    assert cli._tate_rows(cli._SweepInputs(fam)) == want
+    statuses = {row[-1] for row in want}
+    assert statuses == ({"pass", "fail;fail"} if perturbed else {"pass"})
 
 
 @pytest.mark.parametrize("spec, checks", [("3,3", "tate,kernel"), ("6", "tate,unit")])
@@ -544,6 +599,8 @@ def test_too_many_inertia_pairs_are_refused_at_once(argv):
         (["verify", "100", "--checks", "triviality"], "2abfbcb5b1299e98bbad3199f71b2bd15bf4a6bf2e8953c2cc1c7884dfb0d0b6"),
         (["verify", "2,2,2", "--checks", "tate"], "2d33d37b4e0a7be9078073ccdd462559e80e50ed6ab1bf117e17468c62801f57"),
         (["verify", "2,2,4", "--checks", "tate"], "5e71449cc9c0e51346d321525e0e94f7d33774069d586586f2c5b31aeb5a3018"),
+        (["verify", "2,2,2,2", "--checks", "tate"], "fab640a676cfc164e915c84dfaa4902730a970af8f31ab40ea893e565d99bec1"),
+        (["verify", "2,2,8", "--checks", "tate"], "63f81c8b8a480556e040dc8bbf57e1142ebde8d17513536a3fea55a0845f1fa7"),
         (["verify", "243", "--checks", "ext"], "f2e2768599b8c8f436abd8194f5863972ec342e36fc7af7b97f98ecd713a1221"),
         (["verify", "256", "--checks", "ext"], "b1008508e64c3c67d5bc51583c310da27d7b0dec08d1c3e4450306b5a4795404"),
         (["verify", "28", "--checks", "triviality"], "4a6e86b9fbb75a54c505d2bb84147d9245ee8bb33e69217c844fe015c6c6d28f"),
@@ -572,6 +629,8 @@ def test_too_many_inertia_pairs_are_refused_at_once(argv):
         "100-triviality",
         "2,2,2-tate",
         "2,2,4-tate",
+        "2,2,2,2-tate",
+        "2,2,8-tate",
         "243-ext",
         "256-ext",
         "28-triviality",
@@ -615,7 +674,9 @@ def test_large_verify_reports_are_pinned(argv, digest):
     # monoid reports the bench leaves out, as printed when beta was a
     # tuple of 0/1 entries; 720 (FREE, 91 of its 105 images with more
     # than one bit) and 4096 (one bit each) as printed when every
-    # bounded check ran the packed sweep
+    # bounded check ran the packed sweep; the 2,2,2,2 and 2,2,8 tate
+    # sweeps as printed on the per-row route, when every (pair, H) row
+    # computed its own Tate groups instead of one per key (H + I, #(H meet I))
     env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-m", "grlat", *argv], capture_output=True, env=env, timeout=120)
     assert done.returncode == 0

@@ -117,6 +117,37 @@ def test_closed_form_matches_brute_force_small():
                     assert prediction_verdict(side, big, c) == "pass", (facs, pair, h)
 
 
+@pytest.mark.parametrize(
+    "factors", [[2, 2], [2, 4], [3, 3], [2, 2, 2], [6, 6]], ids=lambda f: ",".join(map(str, f))
+)
+def test_tate_groups_are_equal_within_a_key_class(factors):
+    # the verify command computes one (pair, H) row per key (H + I,
+    # #(H meet I)) and reuses its status for the rest of the class: I
+    # acts trivially on the module, so the Tate groups and (B, c) depend
+    # on the key alone, and the canonical HNFs make the groups equal,
+    # relations and generator matrices alike, not just isomorphic
+    g = make_group(factors)
+    fam = build_sets(g)
+    repeats = 0
+    for pair in fam.stilde:
+        mod = inertia_module(pair.inertia, pair.frob)
+        first = {}
+        for h in fam.subgroups:
+            joined = h.join(pair.inertia)
+            key = (joined, pair.inertia.order * h.order // joined.order)
+            t = tate_cohomology(mod, h)
+            seen = (
+                [(m.relations, m.gen_actions) for m in (t.h0, t.hminus1)],
+                prediction_data(g, pair.inertia, pair.frob, h),
+            )
+            if key in first:
+                repeats += 1
+                assert seen == first[key], (factors, pair, h)
+            else:
+                first[key] = seen
+    assert repeats > 0
+
+
 def test_closed_form_anchor_values():
     # I = D = G = Z/3, H = G: prediction Z[1]/(3) = Z/3
     g = make_group([3])
@@ -231,7 +262,8 @@ def test_chi_component_guards():
 
 def test_component_triviality_pair_anchors():
     def pair(group, inertia, p, chi):
-        [row] = [r for r in triviality_criterion(group, inertia, group.zero(), p).rows if r.chi == chi]
+        mod = inertia_module(inertia, group.zero())
+        [row] = [r for r in triviality_criterion(mod, inertia, group.zero(), p).rows if r.chi == chi]
         return row.component_ct, row.predicted_ct
 
     # full inertia over Z/3, p = 3, trivial chi: both sides false
@@ -243,14 +275,24 @@ def test_component_triviality_pair_anchors():
     assert pair(g15, i5, 3, character_classes(g15, 3)[0]) == (True, True)
 
 
+def test_triviality_criterion_refuses_inputs_of_another_group():
+    g, other = make_group([9]), make_group([3, 3])
+    mod = inertia_module(Subgroup.full(other), other.zero())
+    with pytest.raises(ParentMismatchError):
+        triviality_criterion(mod, Subgroup.full(g), g.zero(), 3)
+    with pytest.raises(ParentMismatchError):
+        triviality_criterion(mod, Subgroup.full(other), g.zero(), 3)
+
+
 def test_triviality_criterion_sweep_small():
     # 2,6 and 3,6 have a factor with trivial prime-to-p part ahead of one
     # without, so chi must read the coordinates of the factors it lives on
     for facs in ([9], [3, 3], [15], [2, 6], [3, 6]):
         g = make_group(facs)
         for pair in build_sets(g).stilde:
+            mod = inertia_module(pair.inertia, pair.frob)
             for p in sorted(prime_factors(g.order)):
-                rep = triviality_criterion(g, pair.inertia, pair.frob, p)
+                rep = triviality_criterion(mod, pair.inertia, pair.frob, p)
                 assert rep.all_agree, (facs, pair, p)
 
 
