@@ -21,6 +21,7 @@ from .cohomology import (
     prediction_data,
     prediction_verdict,
     tate_cohomology,
+    tate_key,
     triviality_criterion,
 )
 from .errors import (
@@ -130,25 +131,23 @@ class _SweepInputs:
 
 
 def _tate_rows(inputs):
-    # I acts trivially on the module, so M^H = M^(H + I), I_H M = I_(H + I) M
-    # and N_H acts as #(H meet I) N_(H mod I): every H with the same key
-    # (H + I, #(H meet I)) has equal Tate groups (canonical HNFs) and the
-    # same B = D + H and c, so each pair computes a key's status once
+    # keys are taken per inertia group (stilde is sorted by it), statuses per key of a pair
     fam = inputs.fam
     rows = []
+    inertia = keys = None
     for pair, mod in zip(fam.stilde, inputs.modules):
+        if pair.inertia != inertia:
+            inertia = pair.inertia
+            keys = [tate_key(inertia, h) for h in fam.subgroups]
+        dec = pair.decomposition
         statuses = {}
-        for h in fam.subgroups:
-            joined = h.join(pair.inertia)
-            key = (joined, pair.inertia.order * h.order // joined.order)
+        for h, key in zip(fam.subgroups, keys):
             if key not in statuses:
                 t = tate_cohomology(mod, h)
-                big, c = prediction_data(fam.group, pair.inertia, pair.frob, h)
+                big, c = prediction_data(dec, key)
                 verdicts = [prediction_verdict(m, big, c) for m in (t.h0, t.hminus1)]
                 statuses[key] = "pass" if verdicts == ["pass", "pass"] else ";".join(verdicts)
-            rows.append(
-                ["tate", fmt_sub(pair.inertia), fmt_elem(pair.frob), fmt_sub(h), statuses[key]]
-            )
+            rows.append(["tate", fmt_sub(inertia), fmt_elem(pair.frob), fmt_sub(h), statuses[key]])
     return rows
 
 

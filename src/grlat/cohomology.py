@@ -16,16 +16,16 @@ L^k under the k maps A_h - 1 of H's generators side by side.  Both
 Tate groups are FiniteModule.subquotient of M, so they inherit its
 validated action and are not checked again.
 
-The Tate groups of an inertia module are checked against the closed
-form (Z/c)[G/B] = Z[G]/J, J = (c, b - 1 : b in B), which is never built.
-Z[G] is commutative, so every generator of a cyclic module has the
-module's annihilator, and a module is isomorphic to Z[G]/J exactly when
-its order is c^[G:B], J annihilates it, and it is cyclic.  The first two
-are an order comparison and row memberships in the relation lattice.  A
-generator is sought among the basis vectors first, whatever the
-module's size, and an exhaustive walk over the cosets of a small module
-proves it is not cyclic; a large module with no basis-vector generator
-is reported as undecided rather than guessed.
+The Tate groups of an inertia module over H depend on H only through
+tate_key(I, H), and are checked against the closed form (Z/c)[G/B] =
+Z[G]/J, J = (c, b - 1 : b in B), which is never built.  Z[G] is
+commutative, so every generator of a cyclic module has the module's
+annihilator, and M is isomorphic to Z[G]/J exactly when its order is
+c^[G:B], J annihilates it, and it is cyclic: an order comparison, row
+memberships in the relation lattice, and a generator sought among the
+basis vectors first, whatever the module's size; an exhaustive walk over
+the cosets of a small module proves it is not cyclic, and a large module
+with no basis-vector generator is reported undecided rather than guessed.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .grouprings import FiniteModule
 
 @dataclass(frozen=True)
 class TateResult:
-    subgroup: Subgroup
     h0: FiniteModule
     hminus1: FiniteModule
 
@@ -98,14 +97,14 @@ def tate_cohomology(module: FiniteModule, sub: Subgroup) -> TateResult:
     target = [[0] * (b * n) + r + [0] * ((k - 1 - b) * n) for b in range(k) for r in rel]
     inv = im.preimage_lattice(side, target)
     nm = norm_matrix(module, sub)
-    norm_image = im.lattice_sum([im.vec_mat(list(e), nm) for e in im.identity(n)], rel)
+    norm_image = im.lattice_sum(nm, rel)
     h0 = module.subquotient(inv, norm_image)
 
     # norm kernel: x with x N in L
     ker = im.preimage_lattice(nm, rel)
     aug = im.hnf(rel + [row for d in diffs for row in d], n)
     hm1 = module.subquotient(ker, aug)
-    return TateResult(sub, h0, hm1)
+    return TateResult(h0, hm1)
 
 
 def is_cohomologically_trivial(module: FiniteModule) -> bool:
@@ -175,19 +174,20 @@ def find_cyclic_generator(module: FiniteModule):
     return None, reps is not None
 
 
-def prediction_data(
-    group: FinAbGroup, inertia: Subgroup, frob: GroupElement, sub: Subgroup
-) -> tuple[Subgroup, int]:
-    """(B, c) of the predicted Tate module (Z/c)[G/B] of an inertia
-    module: B = inertia + <frob> + sub and c = #(I meet H) = #I #H / #(I + H).
+def tate_key(inertia: Subgroup, sub: Subgroup) -> tuple[Subgroup, int]:
+    """(H + I, c), c = #(H meet I) = #I #H / #(H + I).  I acts trivially on
+    the inertia module M, so M^H = M^(H + I), I_H M = I_(H + I) M and N_H =
+    c N_(H mod I) (Brown, GTM 87, III): one key, equal Tate groups (canonical
+    HNFs) and one prediction, so verify computes one row per key of a pair."""
+    joined = sub.join(inertia)
+    return joined, inertia.order * sub.order // joined.order
 
-    Both depend on H only through the key (H + I, #(H meet I)), as
-    B = D + (H + I) for D = I + <frob>; so do the Tate groups, which is
-    why the verify command computes one row per key of each pair."""
-    if inertia.group != group or frob.group != group or sub.group != group:
-        raise ParentMismatchError("inputs from a different group")
-    big = decomposition_subgroup(inertia, frob).join(sub)
-    return big, inertia.order * sub.order // inertia.join(sub).order
+
+def prediction_data(dec: Subgroup, key: tuple[Subgroup, int]) -> tuple[Subgroup, int]:
+    """(B, c) of the predicted Tate module (Z/c)[G/B] of the inertia module of
+    (I, frob), dec = D = I + <frob>, over every H with tate_key(I, H) = key:
+    B = D + H = D + (H + I) and c the key's."""
+    return dec.join(key[0]), key[1]
 
 
 def prediction_verdict(module: FiniteModule, big: Subgroup, c: int) -> str:

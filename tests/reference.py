@@ -79,7 +79,9 @@ root power traces shares no code with the library's factorization.
 ref_tate_rows is the tate sweep as the verify command ran it before it
 computed each pair's rows once per key (H + I, #(H meet I)): one
 inertia module per pair, and for every subgroup H its own Tate groups,
-(B, c) and two verdicts.  The loop is verbatim apart from its name.
+(B, c) and two verdicts.  Its (B, c) comes from ref_prediction_data,
+the per-row route prediction_data took before it was keyed:
+B = I + <frob> + H and c = #I #H / #(I + H), from the pair and H alone.
 """
 
 from fractions import Fraction
@@ -100,7 +102,6 @@ from grlat.abelian import (
 from grlat.cli import fmt_elem, fmt_sub
 from grlat.cohomology import (
     coset_representatives,
-    prediction_data,
     prediction_verdict,
     tate_cohomology,
 )
@@ -562,6 +563,13 @@ def ref_inertia_module(inertia, frob):
 # -- the tate sweep, one row at a time ----------------------------------------
 
 
+def ref_prediction_data(group, inertia, frob, sub):
+    if inertia.group != group or frob.group != group or sub.group != group:
+        raise ParentMismatchError("inputs from a different group")
+    big = decomposition_subgroup(inertia, frob).join(sub)
+    return big, inertia.order * sub.order // inertia.join(sub).order
+
+
 def ref_tate_rows(fam):
     group = fam.group
     rows = []
@@ -569,7 +577,7 @@ def ref_tate_rows(fam):
         mod = inertia_module(pair.inertia, pair.frob)
         for h in fam.subgroups:
             t = tate_cohomology(mod, h)
-            big, c = prediction_data(group, pair.inertia, pair.frob, h)
+            big, c = ref_prediction_data(group, pair.inertia, pair.frob, h)
             statuses = [prediction_verdict(m, big, c) for m in (t.h0, t.hminus1)]
             status = "pass" if statuses == ["pass", "pass"] else ";".join(statuses)
             rows.append(

@@ -19,6 +19,7 @@ from grlat.cohomology import (
     prediction_data,
     prediction_verdict,
     tate_cohomology,
+    tate_key,
     triviality_criterion,
 )
 from grlat.grouprings import GroupRing, inertia_module
@@ -153,7 +154,7 @@ def test_criterion_4_tate_closed_form(announce):
             for h in subs:
                 cases += 1
                 t = tate_cohomology(mod, h)
-                big, c = prediction_data(g, pair.inertia, pair.frob, h)
+                big, c = prediction_data(pair.decomposition, tate_key(pair.inertia, h))
                 # (Z/c)[G/B] is (Z/c)^[G:B] as an abelian group
                 invariants = (c,) * (g.order // big.order) if c > 1 else ()
                 for side in (t.h0, t.hminus1):

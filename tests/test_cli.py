@@ -163,23 +163,48 @@ KEYED_TATE_GROUPS = ([9], [27], [3, 3], [15], [3, 9], [2, 4], [2, 2, 2], [2, 2, 
 @pytest.mark.parametrize("perturbed", [False, True], ids=["as-is", "c-shifted"])
 @pytest.mark.parametrize("factors", KEYED_TATE_GROUPS, ids=lambda f: ",".join(map(str, f)))
 def test_keyed_tate_rows_match_the_per_row_sweep(factors, perturbed, monkeypatch):
-    # perturbed: c + 1 wherever c > 1 and B is a proper subgroup, a fault
-    # that reads both parts of the key, so rows that share only H + I or
-    # only #(H meet I) can get different statuses
+    # the keyed sweep takes (B, c) from prediction_data and tate_key, the
+    # reference from ref_prediction_data, one (pair, H) at a time.
+    # perturbed: each verdict sees c + 1 wherever c > 1 and B is a proper
+    # subgroup, a fault that reads both parts of the key, so rows that
+    # share only H + I or only #(H meet I) can get different statuses
     if perturbed:
-        real = cli.prediction_data
+        real = cli.prediction_verdict
 
-        def shifted(group, *args):
-            big, c = real(group, *args)
-            return big, c + (c > 1 and big.order < group.order)
+        def shifted(module, big, c):
+            return real(module, big, c + (c > 1 and big.order < big.group.order))
 
-        monkeypatch.setattr(cli, "prediction_data", shifted)
-        monkeypatch.setattr(reference, "prediction_data", shifted)
+        monkeypatch.setattr(cli, "prediction_verdict", shifted)
+        monkeypatch.setattr(reference, "prediction_verdict", shifted)
     fam = build_sets(make_group(factors))
     want = reference.ref_tate_rows(fam)
     assert cli._tate_rows(cli._SweepInputs(fam)) == want
     statuses = {row[-1] for row in want}
     assert statuses == ({"pass", "fail;fail"} if perturbed else {"pass"})
+
+
+def test_verify_tate_takes_each_key_once_per_inertia_group(capsys, monkeypatch):
+    # 2,2,8: 259 pairs over 37 inertia groups, 38 subgroups.  One key per
+    # (I, H), 1406 in all, each one join, plus one join per computed key
+    # for B, 4954 of them; a key join per (pair, H) and a second join per
+    # computed key made 19,750
+    keys, joins = [], []
+    real_key, real_join = cli.tate_key, abelian.Subgroup.join
+
+    def counted_key(inertia, sub):
+        keys.append((inertia, sub))
+        return real_key(inertia, sub)
+
+    def counted_join(self, other):
+        joins.append(None)
+        return real_join(self, other)
+
+    monkeypatch.setattr(cli, "tate_key", counted_key)
+    monkeypatch.setattr(abelian.Subgroup, "join", counted_join)
+    code, _, _ = run(["verify", "2,2,8", "--checks", "tate"], capsys)
+    assert code == 0
+    assert len(keys) == len(set(keys)) == 1406
+    assert len(joins) <= 6360
 
 
 @pytest.mark.parametrize("spec, checks", [("3,3", "tate,kernel"), ("6", "tate,unit")])

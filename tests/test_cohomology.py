@@ -40,6 +40,7 @@ from grlat.cohomology import (
     prediction_data,
     prediction_verdict,
     tate_cohomology,
+    tate_key,
     triviality_criterion,
 )
 from grlat.errors import ParentMismatchError, PrecisionError, ScopeError
@@ -52,6 +53,7 @@ from reference import (
     ref_lattice_quotient_coords,
     ref_meet,
     ref_norm_matrix,
+    ref_prediction_data,
     ref_root_power_traces,
 )
 
@@ -112,7 +114,7 @@ def test_closed_form_matches_brute_force_small():
             mod = inertia_module(pair.inertia, pair.frob)
             for h in enumerate_subgroups(g):
                 t = tate_cohomology(mod, h)
-                big, c = prediction_data(g, pair.inertia, pair.frob, h)
+                big, c = prediction_data(pair.decomposition, tate_key(pair.inertia, h))
                 for side in (t.h0, t.hminus1):
                     assert prediction_verdict(side, big, c) == "pass", (facs, pair, h)
 
@@ -121,11 +123,11 @@ def test_closed_form_matches_brute_force_small():
     "factors", [[2, 2], [2, 4], [3, 3], [2, 2, 2], [6, 6]], ids=lambda f: ",".join(map(str, f))
 )
 def test_tate_groups_are_equal_within_a_key_class(factors):
-    # the verify command computes one (pair, H) row per key (H + I,
-    # #(H meet I)) and reuses its status for the rest of the class: I
-    # acts trivially on the module, so the Tate groups and (B, c) depend
-    # on the key alone, and the canonical HNFs make the groups equal,
-    # relations and generator matrices alike, not just isomorphic
+    # the verify command computes one (pair, H) row per key tate_key(I, H)
+    # and reuses its status for the rest of the class: I acts trivially
+    # on the module, so the Tate groups and the per-row reference (B, c)
+    # depend on the key alone, and the canonical HNFs make the groups
+    # equal, relations and generator matrices alike, not just isomorphic
     g = make_group(factors)
     fam = build_sets(g)
     repeats = 0
@@ -133,12 +135,11 @@ def test_tate_groups_are_equal_within_a_key_class(factors):
         mod = inertia_module(pair.inertia, pair.frob)
         first = {}
         for h in fam.subgroups:
-            joined = h.join(pair.inertia)
-            key = (joined, pair.inertia.order * h.order // joined.order)
+            key = tate_key(pair.inertia, h)
             t = tate_cohomology(mod, h)
             seen = (
                 [(m.relations, m.gen_actions) for m in (t.h0, t.hminus1)],
-                prediction_data(g, pair.inertia, pair.frob, h),
+                ref_prediction_data(g, pair.inertia, pair.frob, h),
             )
             if key in first:
                 repeats += 1
@@ -149,19 +150,24 @@ def test_tate_groups_are_equal_within_a_key_class(factors):
 
 
 def test_closed_form_anchor_values():
+    def predict(inertia, frob, h):
+        return prediction_data(decomposition_subgroup(inertia, frob), tate_key(inertia, h))
+
     # I = D = G = Z/3, H = G: prediction Z[1]/(3) = Z/3
     g = make_group([3])
-    assert prediction_data(g, Subgroup.full(g), g.zero(), Subgroup.full(g)) == (Subgroup.full(g), 3)
+    assert predict(Subgroup.full(g), g.zero(), Subgroup.full(g)) == (Subgroup.full(g), 3)
     # trivial H: #(I meet H) = 1 kills the module
-    assert prediction_data(g, Subgroup.full(g), g.zero(), Subgroup.trivial(g)) == (Subgroup.full(g), 1)
+    assert predict(Subgroup.full(g), g.zero(), Subgroup.trivial(g)) == (Subgroup.full(g), 1)
     # G = Z/9, I = <3>, frob generating, H = <3>: quotient trivial, Z/3
     g9 = make_group([9])
     i3 = Subgroup.from_generators(g9, [g9.element((3,))])
-    assert prediction_data(g9, i3, g9.element((1,)), i3) == (Subgroup.full(g9), 3)
+    assert predict(i3, g9.element((1,)), i3) == (Subgroup.full(g9), 3)
     # I = <3>, frob = 0, H trivial: Z[G/I] = Z[C3] modulo 1, the zero module
-    assert prediction_data(g9, i3, g9.zero(), Subgroup.trivial(g9)) == (i3, 1)
+    assert predict(i3, g9.zero(), Subgroup.trivial(g9)) == (i3, 1)
     with pytest.raises(ParentMismatchError):
-        prediction_data(g, i3, g9.zero(), i3)
+        tate_key(i3, Subgroup.full(g))
+    with pytest.raises(ParentMismatchError):
+        prediction_data(Subgroup.full(g), tate_key(i3, i3))
 
 
 def test_cohomological_triviality_anchors():
@@ -389,7 +395,7 @@ def test_prediction_is_generated_by_the_first_basis_vector():
     for pair in build_sets(g).stilde:
         for h in enumerate_subgroups(g):
             pred = ref_closed_form_inertia_tate(g, pair.inertia, pair.frob, h)
-            big, c = prediction_data(g, pair.inertia, pair.frob, h)
+            big, c = prediction_data(pair.decomposition, tate_key(pair.inertia, h))
             assert prediction_verdict(pred, big, c) == "pass", (pair, h)
             if pred.order > 1:
                 x, _ = find_cyclic_generator(pred)
@@ -473,7 +479,7 @@ def test_prediction_verdict_matches_two_sided_comparison(factors):
         for h in subs:
             t = tate_cohomology(mod, h)
             pred = ref_closed_form_inertia_tate(g, pair.inertia, pair.frob, h)
-            big, c = prediction_data(g, pair.inertia, pair.frob, h)
+            big, c = prediction_data(pair.decomposition, tate_key(pair.inertia, h))
             for side in (t.h0, t.hminus1):
                 out = ref_module_equivalent(side, pred)
                 old = ("pass" if out.isomorphic else "fail") if out.decided else "undecided"
@@ -684,10 +690,24 @@ def test_closed_form_tate_groups_match_the_orbit_route(factors):
         ref = ref_inertia_module(pair.inertia, pair.frob)
         for h in subs:
             t, t_ref = tate_cohomology(mod, h), tate_cohomology(ref, h)
-            big, c = prediction_data(g, pair.inertia, pair.frob, h)
+            big, c = prediction_data(pair.decomposition, tate_key(pair.inertia, h))
             for side, ref_side in ((t.h0, t_ref.h0), (t.hminus1, t_ref.hminus1)):
                 assert side.invariants() == ref_side.invariants(), (factors, pair, h)
                 assert prediction_verdict(side, big, c) == prediction_verdict(ref_side, big, c), (factors, pair, h)
+
+
+# criterion 4's catalogue, then noncyclic 2-groups with many subgroups
+# per key class
+@pytest.mark.parametrize("factors", CRITERION_4_GROUPS + ([2, 4], [2, 2, 2], [2, 2, 4]))
+def test_keyed_prediction_data_matches_the_per_row_route(factors):
+    # B = D + (H + I) with c read off tate_key, against B = I + <frob> + H
+    # and c = #I #H / #(I + H) built from the pair and H alone
+    g = make_group(factors)
+    subs = enumerate_subgroups(g)
+    for pair in build_sets(g).stilde:
+        for h in subs:
+            keyed = prediction_data(pair.decomposition, tate_key(pair.inertia, h))
+            assert keyed == ref_prediction_data(g, pair.inertia, pair.frob, h), (factors, pair, h)
 
 
 @pytest.mark.parametrize("factors", CRITERION_4_GROUPS + ([8], [16], [2, 4], [2, 2, 2]))

@@ -52,6 +52,8 @@ def test_tracer_installs_and_counts_the_layers():
         "grouprings.GroupRing.__init__",
         "intmat.snf_with_transform",
         "cohomology.tate_cohomology",
+        "cohomology.tate_key",
+        "cohomology.prediction_data",
         "cohomology.triviality_criterion",
         "lattices.verify_unit_transport",
         "monoid.build_sets",
