@@ -119,15 +119,23 @@ def cmd_monoid(args) -> dict:
 
 class _SweepInputs:
     """What the sweeps of one verify command read: its index sets, and one
-    inertia module per (I, phi) pair, built when a sweep first asks and
-    shared by tate and triviality.  It lives only as long as the command."""
+    inertia module per (I, phi) pair.  The modules are kept for the
+    second sweep only when both tate and triviality run; otherwise each
+    is built when its pair is reached and dropped after it.  It lives only
+    as long as the command."""
 
-    def __init__(self, fam):
+    def __init__(self, fam, names):
         self.fam = fam
+        self._kept = [] if {"tate", "triviality"} <= set(names) else None
 
-    @functools.cached_property
     def modules(self):
-        return [inertia_module(pair.inertia, pair.frob) for pair in self.fam.stilde]
+        """The inertia module of each pair, in the order of fam.stilde."""
+        built = (inertia_module(pair.inertia, pair.frob) for pair in self.fam.stilde)
+        if self._kept is None:
+            return built
+        if not self._kept:
+            self._kept.extend(built)
+        return self._kept
 
 
 def _tate_rows(inputs):
@@ -135,7 +143,7 @@ def _tate_rows(inputs):
     fam = inputs.fam
     rows = []
     inertia = keys = None
-    for pair, mod in zip(fam.stilde, inputs.modules):
+    for pair, mod in zip(fam.stilde, inputs.modules()):
         if pair.inertia != inertia:
             inertia = pair.inertia
             keys = [tate_key(inertia, h) for h in fam.subgroups]
@@ -176,7 +184,7 @@ def _ext_rows(inputs):
 def _triviality_rows(inputs):
     primes = sorted(prime_factors(inputs.fam.group.order))
     rows = []
-    for pair, mod in zip(inputs.fam.stilde, inputs.modules):
+    for pair, mod in zip(inputs.fam.stilde, inputs.modules()):
         for p in primes:
             rep = triviality_criterion(mod, pair.inertia, pair.frob, p)
             for row in rep.rows:
@@ -254,7 +262,7 @@ def cmd_verify(args) -> dict:
         "triviality": _triviality_rows,
         "unit": _unit_rows,
     }
-    inputs = _SweepInputs(build_sets(group))
+    inputs = _SweepInputs(build_sets(group), names)
     rows = []
     for name in names:
         rows.extend(sweeps[name](inputs))

@@ -39,12 +39,23 @@ kernel K, its image is {a : a (tau - 1) in g Z[G]}, of index
 |det M_g| / [Z[G] : (tau - 1, g)], and Z[G]/(tau - 1, g) is
 Z[G/I]/(gbar).  Once the claimed generators lie in K, K equals their
 span exactly when [Z[G] : (N_I, g)] * [Z[G/I] : (gbar)] = |det M_g|.
-A kernel row builds one lattice, the forward representative (N_I, g),
-for the first index.  The other two are indices of principal ideals of
-cyclic group rings, as G and G/I are cyclic and g = a - sigma^{-l} with
-a = 1 + #I and l the lift: [Z[C_m] : (a - sigma^{-l})] is the product
-of a - zeta^{-l} over the m-th roots of unity, (a^{m/e} - 1)^e with
-e = gcd(l, m) (_principal_index), taken at m = |G| and m = |G/I|.
+The last two are indices of principal ideals of cyclic group rings, as
+G and G/I are cyclic and g = a - sigma^{-l} with a = 1 + #I and l the
+lift: [Z[C_m] : (a - sigma^{-l})] is the product of a - zeta^{-l} over
+the m-th roots of unity, (a^{m/e} - 1)^e with e = gcd(l, m)
+(_principal_index), taken at m = |G| and m = |G/I|.  The first index
+is read in Z[G]/(g) with e = gcd(l, n) and M = a^{n/e} - 1: writing
+j = c - t l with 0 <= c < e, the map e_j |-> a^t f_c onto (Z/M)^e is
+well defined (a^{n/e} = 1 mod M), Z[G]-linear for sigma acting as the
+shift f_c |-> f_{c+1} with f_{e-1} |-> a^{t_e} f_0 (e = 0 - t_e l), and
+kills g, as
+e_{-l} |-> a f_0; it is onto, and its target has order M^e = |det M_g|,
+so it is an isomorphism (Washington, Introduction to Cyclotomic Fields,
+GTM 83, ch. 1).  When g is one of the claimed first coordinates xs,
+[Z[G] : (xs)] is then the index in Z^e of the images of x sigma^s for
+s < e (sigma^e acts as a scalar) together with M Z^e: one HNF of width
+e, where the forward representative's orbit HNF had 2n rows of width n
+(_projection_index).  No lattice is built on the kernel path.
 """
 
 from __future__ import annotations
@@ -68,21 +79,20 @@ from .errors import (
 from .grouprings import GroupRing, GroupRingElem, IdealLattice
 
 
-def _forward_ideal(
+def _forward_generators(
     ring: GroupRing, inertia: Subgroup, frob: GroupElement, lift: GroupElement | None
-) -> tuple[GroupElement, GroupRingElem, GroupRingElem, IdealLattice]:
-    """The one construction of the forward representative: the lift
-    used, N_I, g = 1 - lift^{-1} + #I and the ideal (N_I, g).  Default
-    lift: the canonical (lex-least) coset representative."""
+) -> tuple[GroupElement, GroupRingElem, GroupRingElem]:
+    """The generators of the forward representative: the lift used, N_I
+    and g = 1 - lift^{-1} + #I.  Default lift: the canonical (lex-least)
+    coset representative."""
     if not ring.group.is_cyclic:
         raise ScopeError("forward representative needs a cyclic group")
     if lift is None:
         lift = canonical_lift(inertia, frob)
     elif not inertia.contains(lift - frob):
         raise ContainmentError("lift is not in the coset of frob")
-    n_i = ring.norm_element(inertia)
     g = ring.one() - ring.delta(-lift) + ring.one().scale(inertia.order)
-    return lift, n_i, g, IdealLattice.from_elements(ring, [n_i, g])
+    return lift, ring.norm_element(inertia), g
 
 
 def forward_rep(
@@ -97,8 +107,8 @@ def forward_rep(
     the chosen lift of the coset frob + I, so (lift used, lattice) is
     returned.
     """
-    lift, _, _, lat = _forward_ideal(ring, inertia, frob, lift)
-    return lift, lat
+    lift, n_i, g = _forward_generators(ring, inertia, frob, lift)
+    return lift, IdealLattice.from_elements(ring, [n_i, g])
 
 
 def backward_rep(ring: GroupRing, inertia: Subgroup) -> IdealLattice:
@@ -136,17 +146,18 @@ def verify_kernel_presentation(
     generated over the group ring by (N_I, 0) and (g, 1 - tau), and its
     first projection to be the ideal (N_I, g), which is the forward
     representative.  Both are certified by the index identity of the
-    module docstring; the forward representative is the one lattice
-    built, and the two principal indices are closed forms.
+    module docstring: the forward representative's index is one HNF of
+    width gcd(l, n) in Z[G]/(g), and the two principal indices are
+    closed forms; no lattice is built.
     """
     if inertia.is_trivial or not inertia.is_cyclic:
         raise ScopeError("inertia must be nontrivial cyclic")
-    lift, n_i, g, projection = _forward_ideal(ring, inertia, frob, lift)
+    lift, n_i, g = _forward_generators(ring, inertia, frob, lift)
     claimed = [
         (n_i, ring.one().scale(0)),
         (g, ring.one() - ring.delta(ring.group.element(inertia.basis[0]))),
     ]
-    return _kernel_identity(ring, inertia, lift, g, claimed, projection)
+    return _kernel_identity(ring, inertia, lift, g, claimed)
 
 
 def _principal_index(a: int, ell: int, m: int) -> int:
@@ -162,33 +173,65 @@ def _principal_index(a: int, ell: int, m: int) -> int:
     return (a ** (m // e) - 1) ** e
 
 
+def _projection_index(xs, a: int, ell: int, n: int) -> int:
+    """[Z[C_n] : (xs)] for elements xs of Z[C_n] one of which is
+    g = a - sigma^{-ell}, a >= 2: the index of their image in
+    Z[C_n]/(g) = (Z/M)^e, e = gcd(ell, n), M = a^{n/e} - 1 (module
+    docstring).  e_j maps to a^t f_c with c = j mod e and
+    t = -(j // e) (ell/e)^{-1} mod n/e, so each x is mapped through its
+    nonzero coefficients; sigma shifts f_c to f_{c+1} and f_{e-1} to
+    a^{t_e} f_0, and the images of x sigma^s for s < e with M Z^e span
+    the image, as sigma^e acts as the scalar a^{t_e}."""
+    e = gcd(ell, n)
+    f = n // e
+    m = a**f - 1
+    step = pow(ell // e, -1, f)
+    twist = pow(a, -step % f, m)
+    rows = []
+    for x in xs:
+        v = [0] * e
+        for j, c in enumerate(x.coeffs):
+            if c:
+                v[j % e] += c * pow(a, -(j // e) * step % f, m)
+        v = [c % m for c in v]
+        rows.append(v)
+        for _ in range(e - 1):
+            v = [twist * v[-1] % m, *v[:-1]]
+            rows.append(v)
+    return im.hnf_index(im.hnf(rows + im.diagonal([m] * e), e))
+
+
 def _kernel_identity(
     ring: GroupRing,
     inertia: Subgroup,
     lift: GroupElement,
     g: GroupRingElem,
     claimed,
-    projection: IdealLattice,
 ) -> KernelReport:
     """The kernel check over a cyclic group G of order n for claimed
     generators (x, y) of the kernel of (a, b) |-> a (tau - 1) + b g,
-    g = a - sigma^{-l} with a = 1 + #I and l the lift, where projection
-    is the ideal that the x generate.
+    g = a - sigma^{-l} with a = 1 + #I and l the lift.
 
     The claim holds when every x (tau - 1) + y g vanishes (phi is
     Z[G]-linear, so the translates follow) and
-    [Z[G] : projection] * [Z[G/I] : (gbar)] = |det M_g|.  G/I is cyclic
-    of order k = n/#I, generated by the image of sigma, so gbar is
+    [Z[G] : (xs)] * [Z[G/I] : (gbar)] = |det M_g| for the claimed first
+    coordinates xs.  [Z[G] : (xs)] is read off the claimed xs in
+    Z[G]/(g) (_projection_index), which is exact only when g is in (xs),
+    so g must be one of them (else ContainmentError).  G/I is cyclic of
+    order k = n/#I, generated by the image of sigma, so gbar is
     a - sigmabar^{-l} and both principal indices are _principal_index
     at m = k and m = n.
     """
+    xs = [x for x, _ in claimed]
+    if g not in xs:
+        raise ContainmentError("g is not one of the claimed first coordinates")
     # G is cyclic, so I = <h> has the stored basis [[h]] and tau = h
     t_minus_1 = ring.delta(ring.group.element(inertia.basis[0])) - ring.one()
     contained = all((x * t_minus_1 + y * g).is_zero for x, y in claimed)
     a, (ell,) = 1 + inertia.order, lift.coords
     det_g = _principal_index(a, ell, ring.n)
     quotient_index = _principal_index(a, ell, ring.n // inertia.order)
-    projection_matches = projection.integral_index() * quotient_index == det_g
+    projection_matches = _projection_index(xs, a, ell, ring.n) * quotient_index == det_g
     return KernelReport(contained and projection_matches, projection_matches)
 
 

@@ -5,8 +5,10 @@ coset lift; the kernel, extension and unit-transport certificates are
 exercised on small groups here (wider sweeps live in the acceptance
 suite).  The kernel check's index identity is compared with the
 left-kernel route it replaced, kept here as the reference, and with the
-three-HNF route that followed it; its closed-form principal index
-with the HNF index of the principal ideal and with sympy's resultant;
+three-HNF route that followed it; the forward representative's index,
+read in Z[G]/(g), with the HNF index of its orbit matrix; its
+closed-form principal index with the HNF index of the principal ideal
+and with sympy's resultant;
 and the backward lattice of an inertia group, stored as #I L, with the
 per-pair rational (den, basis) route it replaced, for every Frobenius.  Unit
 transport's geometric-sum witness is compared with the unit that route
@@ -42,6 +44,7 @@ from grlat.lattices import (
     KernelReport,
     _kernel_identity,
     _principal_index,
+    _projection_index,
     backward_rep,
     forward_rep,
     verify_extension_sequence,
@@ -215,11 +218,65 @@ def test_kernel_identity_refutes_perturbed_claims(facs):
             claimed = claimed_generators(r, pair.inertia, lift, *scales)
             projection = IdealLattice.from_elements(r, [x for x, _ in claimed])
             g = shift_generator(r, pair.inertia.order, lift)
-            rep = _kernel_identity(r, pair.inertia, lift, g, claimed, projection)
+            rep = _kernel_identity(r, pair.inertia, lift, g, claimed)
             assert rep == ref_kernel_presentation(r, pair.inertia, lift, claimed), (pair, scales)
             assert rep == ref_kernel_identity(r, pair.inertia, g, claimed, projection), (pair, scales)
             failed += not rep.ok
     assert failed
+
+
+def projection_indices(ring, inertia, lift, norm_scale):
+    """[Z[G] : (norm_scale N_I, g)] read in Z[G]/(g), and by the HNF of
+    the 2n-row orbit matrix."""
+    xs = [ring.norm_element(inertia).scale(norm_scale), shift_generator(ring, inertia.order, lift)]
+    (ell,) = lift.coords
+    return (
+        _projection_index(xs, 1 + inertia.order, ell, ring.n),
+        IdealLattice.from_elements(ring, xs).integral_index(),
+    )
+
+
+def test_projection_index_matches_the_orbit_hnf_on_cyclic_pairs():
+    # every pair of criterion 6, with N_I and with 2 N_I
+    cases = 0
+    for n in range(2, 82):
+        r = group_ring(make_group([n]))
+        for pair in build_sets(r.group).stilde:
+            lift = canonical_lift(pair.inertia, pair.frob)
+            for norm_scale in (1, 2):
+                quotient, orbit = projection_indices(r, pair.inertia, lift, norm_scale)
+                assert quotient == orbit, (n, pair, norm_scale)
+            cases += 1
+    assert cases == 2114
+
+
+@pytest.mark.parametrize("facs", [[4], [6], [9], [12], [16]])
+def test_projection_index_matches_the_orbit_hnf_on_every_lift(facs):
+    r = ring_of(facs)
+    for sub in enumerate_subgroups(r.group):
+        if sub.is_trivial:
+            continue
+        for frob in r.group.elements():
+            for t in sub.elements():
+                for norm_scale in (1, 2):
+                    quotient, orbit = projection_indices(r, sub, frob + t, norm_scale)
+                    assert quotient == orbit, (facs, sub, frob, t, norm_scale)
+
+
+def test_kernel_identity_refuses_claims_without_g():
+    # the index is read in Z[G]/(g), which is exact only when g is in (xs)
+    r = ring_of([9])
+    i3 = Subgroup.from_generators(r.group, [r.group.element((3,))])
+    lift = r.group.element((1,))
+    g = shift_generator(r, 3, lift)
+    zero = r.one().scale(0)
+    for claimed in (
+        [(r.norm_element(i3), zero)],
+        [(r.norm_element(i3), zero), (g.scale(2), zero)],
+        [(r.norm_element(i3), zero), (zero, g)],
+    ):
+        with pytest.raises(ContainmentError):
+            _kernel_identity(r, i3, lift, g, claimed)
 
 
 def test_principal_index_matches_the_hnf_index_and_the_resultant():
