@@ -8,7 +8,8 @@ GroupRing.shift(j), cached per j, maps i to the index of the sum of
 elements i and j (a rotation for cyclic groups).  Translation
 permutes coefficients along it, multiplication scatters products along
 it, and the ideal generated by x is spanned by the translates of x.
-group_ring() memoises one ring per group.
+group_ring() memoises one ring per group.  spectrum, whose rings are
+all cyclic, builds none: it works on coefficient lists mod X^n - 1.
 
 An ideal lattice is a full-rank lattice in Z[G], stored as its
 canonical integer row-HNF basis so equal lattices compare equal; the
@@ -116,9 +117,6 @@ class GroupRing:
             c[self.index_of(e)] = 1
         return GroupRingElem(self, tuple(c))
 
-    def full_norm(self) -> "GroupRingElem":
-        return GroupRingElem(self, (1,) * self.n)
-
     # -- matrices --------------------------------------------------------------
 
     def mult_matrix(self, x: "GroupRingElem"):
@@ -131,8 +129,9 @@ class GroupRing:
 
 @lru_cache(maxsize=2)
 def group_ring(group: FinAbGroup) -> GroupRing:
-    """The shared GroupRing of group, memoised for the last two groups;
-    a spectrum run reuses one ring for every sample."""
+    """The shared GroupRing of group, memoised for the last two groups:
+    one verify command's kernel, ext and unit sweeps share one ring, and
+    GroupRingElem._check compares rings by identity."""
     return GroupRing(group)
 
 
@@ -152,9 +151,6 @@ class GroupRingElem:
     def __sub__(self, other):
         self._check(other)
         return GroupRingElem(self.ring, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return GroupRingElem(self.ring, tuple(-a for a in self.coeffs))
 
     def scale(self, c):
         return GroupRingElem(self.ring, tuple(c * a for a in self.coeffs))

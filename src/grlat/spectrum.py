@@ -8,6 +8,12 @@ p-parts of the Smith invariants of the ideal's lattice by
 intmat.smith_valuations: elimination modulo p^k on the row N and the
 n translates of x, with no HNF of the whole lattice.
 
+Z[Z/p^r] is Z[X]/(X^n - 1) with n = p^r and sigma -> X, so every
+element here is its coefficient list, constant term first, and the
+translate X^i x is the rotation of x by i places.  No GroupRing is
+built: grouprings keeps the one implementation for general groups, and
+the tests compare these rows with its multiplication matrix.
+
 A character valuation is read off the Eisenstein expansion, with no
 resultant: Z_p[zeta_{p^i}] is totally ramified of degree
 e = phi(p^i) with uniformizer T = zeta - 1 (Washington, GTM 83, ch. 1),
@@ -38,9 +44,9 @@ from dataclasses import dataclass
 from math import isqrt
 from random import Random
 
-from .abelian import is_prime, make_group, p_split, prime_factors
+from .abelian import is_prime, p_split, prime_factors
 from .errors import CapacityError, DegenerateElementError, ScopeError
-from .grouprings import RING_ORDER_CAP, GroupRing, GroupRingElem, group_ring
+from .grouprings import RING_ORDER_CAP
 from .intmat import smith_valuations
 
 MAX_RESAMPLE = 512
@@ -101,8 +107,8 @@ def _check_scope(p: int, r: int) -> None:
         raise ScopeError("p must be an odd prime")
 
 
-def cyclic_ring(p: int, r: int) -> GroupRing:
-    """Group ring Z[Z/p^r] with the generator at element index 1.
+def _ring_order(p: int, r: int) -> int:
+    """The order n = p^r of Z[Z/p^r], for an odd prime p and r >= 1.
 
     A ring past grouprings.RING_ORDER_CAP is refused before p is tested
     for primality, on bit lengths first: p^r >= 2^(r (b - 1)) for b the
@@ -112,16 +118,7 @@ def cyclic_ring(p: int, r: int) -> GroupRing:
     if r >= 1 and p >= 3 and (r * (p.bit_length() - 1) > RING_ORDER_CAP.bit_length() or p**r > RING_ORDER_CAP):
         raise CapacityError(f"group of order {p}^{r} exceeds ring cap {RING_ORDER_CAP}")
     _check_scope(p, r)
-    return group_ring(make_group([p**r]))
-
-
-def element_poly(x: GroupRingElem) -> list:
-    """Polynomial representative of x under sigma -> X.
-
-    Valid for rings built by cyclic_ring, whose element order is
-    0, sigma, sigma^2, ... in sequence.
-    """
-    return list(x.coeffs)
+    return p**r
 
 
 def _level_valuation(f, p: int, i: int) -> int | None:
@@ -150,19 +147,20 @@ def _level_valuation(f, p: int, i: int) -> int | None:
     return min(vals) if vals else None
 
 
-def char_valuation(x: GroupRingElem, i: int) -> int:
-    """p-adic valuation of the i-th level character value of x.
+def char_valuation(x, i: int) -> int:
+    """p-adic valuation of the i-th level character value of x, the
+    coefficient sequence of an element of Z[Z/p^r] (so p^r = len(x)).
 
     By total ramification of the p^i-th cyclotomic field at p this is
     the normalized additive local valuation of the character value, and
     equals v_p of Res(Phi_{p^i}, f_x); it is read off the expansion of
     the value in powers of zeta - 1.  Raises if the character kills x.
     """
-    m = x.ring.group.order
+    m = len(x)
     p = min(prime_factors(m))
     if i < 1 or p**i > m:
         raise ScopeError("character level out of range")
-    v = _level_valuation(element_poly(x), p, i)
+    v = _level_valuation(x, p, i)
     if v is None:
         raise DegenerateElementError(f"character at level {i} vanishes on the element")
     return v
@@ -203,28 +201,29 @@ def predicted_membership(v: int, p: int, r: int, n: int = 1) -> bool:
 
 def build_sample(p: int, r: int, ucoeffs, epsilon: int = 1, attempts: int = 1) -> SpectrumSample:
     """Assemble x = (sigma-1)*u + p^r*epsilon and compute both totals."""
-    ring = cyclic_ring(p, r)
+    n = _ring_order(p, r)
     if epsilon % p == 0:
         raise ScopeError("epsilon must be prime to p")
-    n = ring.group.order
     if len(ucoeffs) != n:
         raise ScopeError(f"expected {n} coefficients")
-    u = ring.from_coeffs(list(ucoeffs))
-    sigma = ring.delta(ring.group.element((1,)))
-    x = (sigma - ring.one()) * u + ring.one().scale(p**r * epsilon)
+    u = list(ucoeffs)
+    # x_j = u_(j-1) - u_j; index -1 wraps round to u_(n-1)
+    x = [u[j - 1] - u[j] for j in range(n)]
+    x[0] += n * epsilon
     c_values = tuple(char_valuation(x, i) for i in range(1, r + 1))
-    fu = element_poly(u)
-    a_values = [_level_valuation(fu, p, i) for i in range(1, r + 1)]
+    a_values = [_level_valuation(u, p, i) for i in range(1, r + 1)]
     # v_p of [Z[G] : (N, x)] from N once (its translates are all N) and
-    # the n translates of x.  Precision p^(rp) exceeds every low-case
-    # total r(1 + a_1) <= r(p - 1), so only a high-case sample can need
-    # a doubling.  The caller checks sum(c_values) == snf_total.
-    snf_total = sum(smith_valuations([ring.full_norm().coeffs, *ring.mult_matrix(x)], n, p, r * p))
+    # the n translates X^i x, row i of the multiplication matrix of x.
+    # Precision p^(rp) exceeds every low-case total r(1 + a_1) <= r(p - 1),
+    # so only a high-case sample can need a doubling.  The caller checks
+    # sum(c_values) == snf_total.
+    rows = [[1] * n, *(x[n - i :] + x[: n - i] for i in range(n))]
+    snf_total = sum(smith_valuations(rows, n, p, r * p))
     return SpectrumSample(
         p,
         r,
         epsilon,
-        tuple(x.coeffs),
+        tuple(x),
         c_values,
         tuple(a_values),
         snf_total,
@@ -240,7 +239,7 @@ def sample_spectrum(p: int, r: int, coeff_exp: int = 5, count: int = 100, seed: 
     truncates the list.  Rejected degenerate draws stay visible through
     the attempts field of the surviving sample.
     """
-    n = cyclic_ring(p, r).n
+    n = _ring_order(p, r)
     if coeff_exp < 1:
         raise ScopeError("coeff_exp must be at least 1")
     if count < 1:

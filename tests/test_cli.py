@@ -672,6 +672,22 @@ def test_too_many_inertia_pairs_are_refused_at_once(argv):
         (["monoid", "4096"], "1fefa33334c6e9e2fa7dc88d00bb28c1b30543f347b80e1211c23dcf066e4d61"),
         (["verify", "128", "--checks", "kernel"], "858e42fa2c822c2df594b8ce18a4912386fef1bec9658e87002dc06152f79557"),
         (["verify", "256", "--checks", "kernel"], "5ab4e655514eccde63cad755cab05c2133d9adec7447cecbad18d67565e8bde1"),
+        (
+            ["spectrum", "--p", "3", "--r", "1", "--samples", "200", "--seed", "2"],
+            "5d8052f43afcd73dcd5e31f11fe4feb5739e93db73e82f22af5a5608933ae9b6",
+        ),
+        (
+            ["spectrum", "--p", "3", "--r", "4", "--samples", "3", "--seed", "5"],
+            "56a4de9d75182c28a343bd4fc4ba83ef0a41df62676730b5d1ea8a79bbae6345",
+        ),
+        (
+            ["spectrum", "--p", "7", "--r", "2", "--samples", "3", "--seed", "5"],
+            "ddf04ff99f6aeef5ec99c1e8628e7b72b7e5007da8890b4c2c26ebd8e645cb7c",
+        ),
+        (
+            ["spectrum", "--p", "79", "--r", "1", "--samples", "1", "--seed", "5"],
+            "c8685e218b2b3111e610c2358702ee7f6597216a4566a9ec0406fdb0f3ab7f98",
+        ),
     ],
     ids=[
         "64-tate",
@@ -704,6 +720,10 @@ def test_too_many_inertia_pairs_are_refused_at_once(argv):
         "4096-monoid",
         "128-kernel",
         "256-kernel",
+        "3^1-spectrum",
+        "3^4-spectrum",
+        "7^2-spectrum",
+        "79^1-spectrum",
     ],
 )
 def test_large_verify_reports_are_pinned(argv, digest):
@@ -730,7 +750,9 @@ def test_large_verify_reports_are_pinned(argv, digest):
     # sweeps as printed on the per-row route, when every (pair, H) row
     # computed its own Tate groups instead of one per key (H + I, #(H meet I));
     # the 128 and 256 kernel sweeps as printed when [Z[G] : (N_I, g)] was
-    # the HNF index of the 2n-row orbit matrix of (N_I, g)
+    # the HNF index of the 2n-row orbit matrix of (N_I, g); four spectrum
+    # shapes the bench leaves out, as printed when each sample was built
+    # by GroupRing products and its Smith rows read off mult_matrix
     env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-m", "grlat", *argv], capture_output=True, env=env, timeout=120)
     assert done.returncode == 0

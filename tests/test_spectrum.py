@@ -6,11 +6,15 @@ cyclotomic polynomials.  The builder does not check the oracle identity
 and the spectrum command's oracle_identity check compares them.  Here
 the property test compares them on random elements, and the p-local
 Smith total is checked against the global HNF index it replaced and
-against the list elimination the packed rows replaced.  The
+against the list elimination the packed rows replaced, and a sample's
+x and Smith rows against the GroupRing products and multiplication
+matrix that built them before they became coefficient lists.  The
 character valuations, read off the expansion in zeta - 1, are checked
 against v_p of the multiplication-matrix resultant they replaced and of
 sympy's resultant.
 """
+
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -19,16 +23,16 @@ from sympy import Poly, resultant
 from sympy.abc import x as X
 
 import grlat.intmat as im
-from grlat.abelian import p_split
+from grlat import spectrum
+from grlat.abelian import is_prime, make_group, p_split
 from grlat.errors import CapacityError, DegenerateElementError, ScopeError
-from grlat.grouprings import IdealLattice
+from grlat.grouprings import IdealLattice, group_ring
 from grlat.polys import cyclotomic
 from grlat.spectrum import (
     SPECTRUM_COST_CAP,
     _level_valuation,
     build_sample,
     char_valuation,
-    cyclic_ring,
     predicted_membership,
     run_cost,
     sample_spectrum,
@@ -72,14 +76,13 @@ def test_anchor_sigma_minus_one_squared():
 
 
 def test_char_valuation_direct():
-    ring = cyclic_ring(3, 2)
-    x = ring.delta(ring.group.element((1,))) - ring.one() + ring.one().scale(9)
+    x = [8, 1, 0, 0, 0, 0, 0, 0, 0]
     assert char_valuation(x, 1) == 1
     assert char_valuation(x, 2) == 1
     with pytest.raises(ScopeError):
         char_valuation(x, 3)
     with pytest.raises(DegenerateElementError):
-        char_valuation(ring.full_norm(), 1)
+        char_valuation([1] * 9, 1)
 
 
 def test_membership_table():
@@ -172,10 +175,10 @@ def test_membership_predicate_shape(v, pr, n):
 @pytest.mark.parametrize("p, r", [(3, 2), (3, 3), (5, 2)])
 def test_snf_total_matches_the_global_hnf_index(p, r):
     # the global route the p-local Smith valuations replaced
-    ring = cyclic_ring(p, r)
+    ring = group_ring(make_group([p**r]))
     for s in sample_spectrum(p, r, count=200, seed=7):
         x = ring.from_coeffs(list(s.x))
-        index = IdealLattice.from_elements(ring, [ring.full_norm(), x]).integral_index()
+        index = IdealLattice.from_elements(ring, [ring.from_coeffs([1] * ring.n), x]).integral_index()
         assert s.snf_total == p_split(index, p)[0], s
 
 
@@ -257,7 +260,37 @@ def test_an_oversized_ring_is_refused_before_primality_and_the_estimate(monkeypa
         with pytest.raises(CapacityError, match="exceeds ring cap"):
             sample_spectrum(p, r, count=1)
     with pytest.raises(CapacityError, match="exceeds ring cap"):
-        cyclic_ring(3, 10**9)
+        build_sample(3, 10**9, ())
+
+
+# every accepted ring order p^r up to 125
+SMALL_ORDERS = [(p, r) for p in range(3, 126, 2) if is_prime(p) for r in range(1, 5) if p**r <= 125]
+
+
+@pytest.mark.parametrize("p, r", SMALL_ORDERS)
+def test_sample_and_smith_rows_match_the_group_ring(p, r, monkeypatch):
+    # the group-ring route build_sample replaced: x = (sigma - 1) u +
+    # p^r eps by ring products, and the Smith rows N and the n rows of
+    # x's multiplication matrix, in that order
+    seen = []
+    monkeypatch.setattr(spectrum, "smith_valuations", lambda rows, *_: seen.append(rows) or [])
+    ring = group_ring(make_group([p**r]))
+    sigma = ring.delta(ring.group.element((1,)))
+    rng = Random(f"{p}:{r}")
+    bound = p**3
+    built = 0
+    for _ in range(4):
+        ucoeffs = [rng.randrange(-bound, bound) for _ in range(ring.n)]
+        epsilon = rng.choice([e for e in range(-2 * p, 2 * p) if e % p])
+        try:
+            s = build_sample(p, r, ucoeffs, epsilon)
+        except DegenerateElementError:
+            continue
+        x = (sigma - ring.one()) * ring.from_coeffs(ucoeffs) + ring.one().scale(p**r * epsilon)
+        assert s.x == x.coeffs
+        assert seen.pop() == [list(ring.from_coeffs([1] * ring.n).coeffs), *ring.mult_matrix(x)]
+        built += 1
+    assert built
 
 
 def resultant_valuation(res, p):
