@@ -47,7 +47,8 @@ EXIT_CAPACITY = 65
 EXIT_DATA = 66
 
 VERIFY_CHECKS = ("tate", "kernel", "ext", "triviality", "unit")
-# the sweeps that build the group ring Z[G]
+# the sweeps handed the group ring Z[G], capped at RING_ORDER_CAP
+# (unit reads only its group and multiplies in Z[G/I])
 RING_CHECKS = frozenset({"kernel", "ext", "unit"})
 CHECK_ALIASES = {"propfree": "triviality"}
 

@@ -246,10 +246,6 @@ class ChiClass:
             out = out * o // gcd(out, o)
         return out
 
-    @property
-    def is_trivial(self) -> bool:
-        return not any(self.values)
-
 
 def complement_generators(group: FinAbGroup, p: int) -> tuple:
     """Canonical generators of the prime-to-p part of the group.

@@ -130,7 +130,8 @@ class GroupRing:
 @lru_cache(maxsize=2)
 def group_ring(group: FinAbGroup) -> GroupRing:
     """The shared GroupRing of group, memoised for the last two groups:
-    one verify command's kernel, ext and unit sweeps share one ring, and
+    one verify command's kernel, ext and unit sweeps share one ring of
+    G, the rows of a unit sweep reuse the ring of their quotient G/I, and
     GroupRingElem._check compares rings by identity."""
     return GroupRing(group)
 
@@ -174,9 +175,6 @@ class GroupRingElem:
     @property
     def is_zero(self):
         return not any(self.coeffs)
-
-    def augmentation(self):
-        return sum(self.coeffs)
 
     def translate(self, elem: GroupElement) -> "GroupRingElem":
         """Multiply by delta_elem (a coefficient permutation)."""

@@ -22,14 +22,15 @@ u (1 - phi_a^{-1}) = 1 - phi_b^{-1}.  The same D gives phi_b = k phi_a
 mod I with p not dividing k, and the witness is the geometric sum
 u = sum_{t<k} phi_a^{-t}, which telescopes to the identity; its
 augmentation k is prime to p, so u is a unit of the local ring
-Z_p[G/I].  The identity is checked exactly on N_I Z[G], a faithful copy
-of Z[G/I], and a unit row computes nothing else: k, p not dividing k,
-and that identity.  Comparing the backward lattice L with L w, for
-w = 1 + nu (u~ - 1), modulo a power of p cannot fail once p does not
-divide k, so that comparison lives in the tests as an oracle: L is a
-ring holding w, so L w is in L, and [L : L w] = |det M_w| is the norm
-of u~ over Q[G/I] (w acts as 1 off nu Q[G]), which is k^|G/I| mod p as
-F_p[G/I] is local with residue field F_p.
+Z_p[G/I].  The identity is checked exactly in Z[G/I], on G/I in Smith
+coordinates (abelian.quotient_data), and a unit row computes nothing
+else: k, p not dividing k, and that identity.  Comparing the backward
+lattice L with L w, for w = 1 + nu (u~ - 1) and u~ a lift of u to
+Z[G], modulo a power of p cannot fail once p does not divide k, so
+that comparison lives in the tests as an oracle: L is a ring holding
+w, so L w is in L, and [L : L w] = |det M_w| is the norm of u over
+Q[G/I] (w acts as 1 off nu Q[G]), which is k^|G/I| mod p as F_p[G/I]
+is local with residue field F_p.
 
 The kernel check is an index identity, not a kernel computation.  With
 g = 1 - lift^{-1} + #I, every character chi has
@@ -70,13 +71,14 @@ from .abelian import (
     canonical_lift,
     decomposition_subgroup,
     prime_factors,
+    quotient_data,
 )
 from .errors import (
     ContainmentError,
     ScopeError,
     UnitNotFoundError,
 )
-from .grouprings import GroupRing, GroupRingElem, IdealLattice
+from .grouprings import GroupRing, GroupRingElem, IdealLattice, group_ring
 
 
 def _forward_generators(
@@ -227,7 +229,7 @@ def _kernel_identity(
         raise ContainmentError("g is not one of the claimed first coordinates")
     # G is cyclic, so I = <h> has the stored basis [[h]] and tau = h
     t_minus_1 = ring.delta(ring.group.element(inertia.basis[0])) - ring.one()
-    contained = all((x * t_minus_1 + y * g).is_zero for x, y in claimed)
+    contained = all((t_minus_1 * x + g * y).is_zero for x, y in claimed)
     a, (ell,) = 1 + inertia.order, lift.coords
     det_g = _principal_index(a, ell, ring.n)
     quotient_index = _principal_index(a, ell, ring.n // inertia.order)
@@ -296,13 +298,13 @@ def verify_unit_transport(
     the least such k >= 1, and k is prime to p, and the witness
     u = sum_{t<k} phi_a^{-t} telescopes to u (1 - phi_a^{-1}) =
     1 - phi_a^{-k} = 1 - phi_b^{-1} in Z[G/I].  Its augmentation k is
-    prime to p, so u is a unit of the local ring Z_p[G/I].  The identity
-    is checked exactly on N_I Z[G], a faithful copy of Z[G/I] (x mod I
-    |-> N_I x), with u~ = sum_{t<k} delta(-t phi_a) in Z[G].  Returns
-    True once it holds; a missing k, a k divisible by p or a witness
-    that fails its identity raises.  The p-adic comparison of the
-    backward lattice L with L w, w = 1 + nu (u~ - 1), is a test oracle
-    only: with p not dividing k it cannot fail (module docstring).
+    prime to p, so u is a unit of the local ring Z_p[G/I].  k is read
+    off the images of phi_a and phi_b in G/I, and the identity is one
+    product in Z[G/I]; of the ring only its group is used.  Returns True
+    once it holds; a missing k, a k divisible by p or a witness that
+    fails its identity raises.  The p-adic comparison of the backward
+    lattice L with L w, w = 1 + nu (u~ - 1), is a test oracle only: with
+    p not dividing k it cannot fail (module docstring).
     """
     group = ring.group
     ps = sorted(prime_factors(group.order))
@@ -313,19 +315,18 @@ def verify_unit_transport(
     dec_b = decomposition_subgroup(inertia, frob_b)
     if dec_a != dec_b:
         raise ScopeError("pairs have different decomposition subgroups")
-    # k phi_a runs through <phi_a> with period ord(phi_a)
-    k = next(
-        (k for k in range(1, frob_a.order() + 1) if inertia.contains(frob_a.scale(k) - frob_b)),
-        None,
-    )
+    quot = quotient_data(group, inertia)
+    qring = group_ring(quot.group)
+    bar_a, bar_b = quot.proj(frob_a), quot.proj(frob_b)
+    # k bar_a runs through <bar_a> with period ord(bar_a)
+    k = next((k for k in range(1, bar_a.order() + 1) if bar_a.scale(k) == bar_b), None)
     if k is None or k % p == 0:
         raise UnitNotFoundError("no unit carries one coset difference to the other")
-    ucoeffs = [0] * ring.n
+    ucoeffs = [0] * qring.n
     for t in range(k):
-        ucoeffs[ring.index_of(frob_a.scale(-t))] += 1
-    utilde = ring.from_coeffs(ucoeffs)
-    n_i = ring.norm_element(inertia)
-    one = ring.one()
-    if n_i * (utilde * (one - ring.delta(-frob_a))) != n_i * (one - ring.delta(-frob_b)):
+        ucoeffs[qring.index_of(bar_a.scale(-t))] = 1
+    one = qring.one()
+    # the two-term factor on the left: __mul__ walks its left nonzeros
+    if (one - qring.delta(-bar_a)) * qring.from_coeffs(ucoeffs) != one - qring.delta(-bar_b):
         raise UnitNotFoundError("the witness does not carry one coset difference to the other")
     return True

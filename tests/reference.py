@@ -39,6 +39,14 @@ prime to p, as L is a ring holding w = W / #I and det M_w is then prime
 to p.  ref_unit_witness builds the u~ = sum_{t<k} delta(-t phi_a) that
 unit transport exhibits for a pair, or None when no k prime to p exists.
 
+ref_verify_unit_on_norm_copy is unit transport as it ran before it
+worked in Z[G/I]: k found by a Subgroup.contains search in G, and the
+witness identity u~ (1 - phi_a^{-1}) = 1 - phi_b^{-1} checked on
+N_I Z[G], a faithful copy of Z[G/I] (x mod I |-> N_I x), by three dense
+products in Z[G].  Its k search and u~ are ref_unit_witness.
+unit_route_outcome maps a route's answer to True or the name of the
+error it raised, so routes can be compared pair by pair.
+
 ref_inertia_presentation and ref_inertia_module are the route
 inertia_module took before it wrote its module down in closed form: the
 HNF of the ideal (a - fbar^-1), a = 1 + #I, in the group ring of the
@@ -518,6 +526,33 @@ def ref_unit_witness(ring, inertia, frob_a, frob_b):
     for t in range(k):
         ucoeffs[ring.index_of(frob_a.scale(-t))] += 1
     return ring.from_coeffs(ucoeffs)
+
+
+def ref_verify_unit_on_norm_copy(ring, inertia, frob_a, frob_b):
+    """The witness identity on N_I Z[G], after the guards of unit transport."""
+    group = ring.group
+    ps = sorted(prime_factors(group.order))
+    if len(ps) != 1:
+        raise ScopeError("unit transport needs a nontrivial p-group")
+    dec_a = decomposition_subgroup(inertia, frob_a)
+    dec_b = decomposition_subgroup(inertia, frob_b)
+    if dec_a != dec_b:
+        raise ScopeError("pairs have different decomposition subgroups")
+    utilde = ref_unit_witness(ring, inertia, frob_a, frob_b)
+    if utilde is None:
+        raise UnitNotFoundError("no unit carries one coset difference to the other")
+    n_i = ring.norm_element(inertia)
+    one = ring.one()
+    if n_i * (utilde * (one - ring.delta(-frob_a))) != n_i * (one - ring.delta(-frob_b)):
+        raise UnitNotFoundError("the witness does not carry one coset difference to the other")
+    return True
+
+
+def unit_route_outcome(check, *args):
+    try:
+        return check(*args)
+    except (ScopeError, UnitNotFoundError) as err:
+        return type(err).__name__
 
 
 def ref_unit_comparison(ring, inertia, utilde):

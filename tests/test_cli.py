@@ -659,6 +659,9 @@ def test_too_many_inertia_pairs_are_refused_at_once(argv):
         (["verify", "64", "--checks", "unit"], "4136d55a3a639736f82baab81e31979b840c43bba0b61f78125cde71aef2590f"),
         (["verify", "4,16", "--checks", "unit"], "38bc1cab972ab466aed29086ee3a49afc24b371527d2be9e8c2388d87340d157"),
         (["verify", "128", "--checks", "unit"], "3a5a3a0e639f4370940e64764c40d2f1bf89917c2c9001db604c17b1f698fd1e"),
+        (["verify", "256", "--checks", "unit"], "f67f886703920763cfa8dfe33497842a7d886d011400acebdb1323667072699b"),
+        (["verify", "3,27", "--checks", "unit"], "192e06dba347976d64d0644f9868c6ccdd5a850a580ad39cc4d5e419e8b01f4f"),
+        (["verify", "2,2,8", "--checks", "unit"], "642d4ff2ef4e62dbbe03d74ef1de8945f662657e5f199b9a98d6339c9337e72b"),
         (["verify", "243", "--checks", "triviality"], "5446b1d3197e36f6b90c4cce943104161016f36a8440d6900af8ac6105a21892"),
         (["verify", "2,2,8", "--checks", "triviality"], "1f3c230d4e3ac9fc8d4342b8ca3f9d5a7483dadbbe95cabea30f2cb7f4d21299"),
         (["verify", "256", "--checks", "triviality"], "42446ccfc0347e2a1af404620a8d5272451b18e036bdf8a3d8c72e7727042f90"),
@@ -707,6 +710,9 @@ def test_too_many_inertia_pairs_are_refused_at_once(argv):
         "64-unit",
         "4,16-unit",
         "128-unit",
+        "256-unit",
+        "3,27-unit",
+        "2,2,8-unit",
         "243-triviality",
         "2,2,8-triviality",
         "256-triviality",
@@ -752,7 +758,9 @@ def test_large_verify_reports_are_pinned(argv, digest):
     # the 128 and 256 kernel sweeps as printed when [Z[G] : (N_I, g)] was
     # the HNF index of the 2n-row orbit matrix of (N_I, g); four spectrum
     # shapes the bench leaves out, as printed when each sample was built
-    # by GroupRing products and its Smith rows read off mult_matrix
+    # by GroupRing products and its Smith rows read off mult_matrix; the
+    # 256, 3,27 and 2,2,8 unit sweeps as printed when the witness identity
+    # was checked on N_I Z[G] instead of in Z[G/I]
     env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-m", "grlat", *argv], capture_output=True, env=env, timeout=120)
     assert done.returncode == 0

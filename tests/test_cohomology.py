@@ -201,12 +201,12 @@ def test_character_classes_counts():
     g = make_group([9])
     classes = character_classes(g, 7)
     assert len(classes) == 5
-    assert sum(1 for c in classes if c.is_trivial) == 1
+    assert sum(1 for c in classes if not any(c.values)) == 1
     orders = sorted(c.order for c in classes)
     assert orders == [1, 3, 3, 9, 9]
     # p = 3: prime-to-3 part is trivial, one trivial class
     classes3 = character_classes(g, 3)
-    assert len(classes3) == 1 and classes3[0].is_trivial
+    assert len(classes3) == 1 and not any(classes3[0].values)
 
 
 def test_complement_generators_orders():

@@ -57,7 +57,7 @@ def test_norm_element_identities():
     r = ring_of([12])
     sub = Subgroup.from_generators(r.group, [r.group.element((4,))])
     n = r.norm_element(sub)
-    assert n.augmentation() == sub.order
+    assert sum(n.coeffs) == sub.order
     for tau in sub.elements():
         # N_I * (1 - tau) = 0
         assert (n * (r.one() - r.delta(tau))).is_zero
@@ -178,7 +178,7 @@ def test_augmentation_multiplicative():
     r = ring_of([2, 4])
     x = r.from_coeffs(list(range(1, 9)))
     y = r.one() - r.delta(r.group.element((1, 3)))
-    assert (x * y).augmentation() == x.augmentation() * y.augmentation()
+    assert sum((x * y).coeffs) == sum(x.coeffs) * sum(y.coeffs)
 
 
 # -- differential tests against GroupElement arithmetic -----------------------

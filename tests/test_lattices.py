@@ -14,9 +14,12 @@ per-pair rational (den, basis) route it replaced, for every Frobenius.  Unit
 transport's geometric-sum witness is compared with the unit that route
 solved for modulo p^M, and the p-adic lattice comparison a unit row
 made after its witness, kept in the reference, is checked to pass
-wherever the witness does.
+wherever the witness does.  The witness identity, checked in Z[G/I], is
+compared with the same identity on N_I Z[G], the route it replaced.
 """
 
+import contextlib
+import io
 from fractions import Fraction
 from math import lcm
 from unittest import mock
@@ -25,11 +28,13 @@ import pytest
 import sympy
 
 import grlat.intmat as im
+from grlat import cli
 from grlat.abelian import (
     Subgroup,
     canonical_lift,
     enumerate_subgroups,
     make_group,
+    prime_factors,
     quotient_data,
 )
 from grlat.errors import (
@@ -38,7 +43,7 @@ from grlat.errors import (
     ScopeError,
     UnitNotFoundError,
 )
-from grlat.grouprings import GroupRing, IdealLattice, group_ring
+from grlat.grouprings import GroupRing, GroupRingElem, IdealLattice, group_ring
 from grlat.monoid import build_sets
 from grlat.lattices import (
     KernelReport,
@@ -60,7 +65,9 @@ from reference import (
     ref_preimage_is_standard,
     ref_unit_comparison,
     ref_unit_witness,
+    ref_verify_unit_on_norm_copy,
     ref_verify_unit_transport,
+    unit_route_outcome,
 )
 from test_acceptance import P_GROUPS_27
 
@@ -552,3 +559,63 @@ def test_unit_transport_builds_no_lattice(facs, pairs):
     assert compared == pairs
     assert not eq_spy.called
     assert not lattice_spy.called
+
+
+def test_unit_transport_in_the_quotient_matches_the_norm_copy():
+    # the identity checked in Z[G/I] against the same identity checked
+    # on N_I Z[G], over criterion 6's catalogue
+    compared = 0
+    for facs in P_GROUPS_27:
+        r = group_ring(make_group(facs))
+        for a, b in unit_pairs(r.group):
+            args = (r, a.inertia, a.frob, b.frob)
+            assert unit_route_outcome(verify_unit_transport, *args) == unit_route_outcome(
+                ref_verify_unit_on_norm_copy, *args
+            ), (facs, a, b)
+            compared += 1
+    assert compared == 242
+
+
+@pytest.mark.parametrize("facs", [*P_GROUPS_27, [6], [12]])
+def test_unit_transport_matches_the_norm_copy_on_frobenius_in_inertia(facs):
+    # both Frobenius elements in I: k = 1 and u = 1; off p-groups both
+    # routes raise ScopeError
+    r = group_ring(make_group(facs))
+    outcomes = set()
+    for inertia in {pair.inertia for pair in build_sets(r.group).stilde}:
+        elems = list(inertia.elements())
+        for a in elems:
+            for b in elems:
+                args = (r, inertia, a, b)
+                got = unit_route_outcome(verify_unit_transport, *args)
+                assert got == unit_route_outcome(ref_verify_unit_on_norm_copy, *args), (facs, a, b)
+                outcomes.add(got)
+    assert outcomes == ({True} if len(prime_factors(r.n)) == 1 else {"ScopeError"})
+
+
+@pytest.mark.parametrize("spec", ["27", "3,9"])
+def test_unit_sweep_multiplies_once_in_the_quotient_and_builds_no_norm(spec):
+    # each unit row makes one ring product, in Z[G/I] for its inertia I,
+    # with a left factor of at most two terms; no N_I is built in Z[G]
+    events = []
+    real_mul, real_unit = GroupRingElem.__mul__, cli.verify_unit_transport
+
+    def mul(self, other):
+        events.append(("mul", self.ring.n, sum(1 for c in self.coeffs if c)))
+        return real_mul(self, other)
+
+    def unit(ring, inertia, frob_a, frob_b):
+        events.append(("row", ring.n // inertia.order))
+        return real_unit(ring, inertia, frob_a, frob_b)
+
+    with mock.patch.object(GroupRingElem, "__mul__", mul), mock.patch.object(
+        cli, "verify_unit_transport", unit
+    ), mock.patch.object(
+        GroupRing, "norm_element", autospec=True, side_effect=GroupRing.norm_element
+    ) as norm_spy, contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", spec, "--checks", "unit"]) == cli.EXIT_OK
+    rows, muls = events[0::2], events[1::2]
+    assert rows and len(rows) == len(muls)
+    for (row, order), (mul, n, terms) in zip(rows, muls):
+        assert (row, mul) == ("row", "mul") and n == order and terms <= 2
+    assert not norm_spy.called

@@ -72,7 +72,12 @@ from grlat.errors import IdentityCheckError, UnitNotFoundError
 from grlat.grouprings import GroupRing, IdealLattice, group_ring, inertia_module
 from grlat.lattices import ExtensionReport
 from grlat.monoid import build_sets
-from reference import ref_preimage_is_standard, ref_verify_unit_transport
+from reference import (
+    ref_preimage_is_standard,
+    ref_verify_unit_on_norm_copy,
+    ref_verify_unit_transport,
+    unit_route_outcome,
+)
 
 GROUPS = ([9], [27], [3, 3], [2, 4], [15])
 
@@ -386,6 +391,29 @@ def test_unit_transport_refuses_pairs_of_different_decomposition(facs, pairs, mo
             args = (ring, a.inertia, a.frob, b.frob)
             assert refused(lattices.verify_unit_transport, *args), (facs, a, b)
             assert refused(ref_verify_unit_transport, *args), (facs, a, b)
+            compared += 1
+    assert compared == pairs
+
+
+@pytest.mark.parametrize(
+    "facs, pairs",
+    [([9], 2), ([27], 22), ([3, 3], 8), ([2, 4], 19), ([8], 6), ([16], 27), ([3, 9], 100)],
+)
+def test_unit_transport_in_the_quotient_refuses_what_the_norm_copy_refuses(facs, pairs, monkeypatch):
+    # the same guard-bypassed pairs of different D, with the identity
+    # checked in Z[G/I] and on N_I Z[G]
+    ring = group_ring(make_group(facs))
+    stilde = build_sets(ring.group).stilde
+    bypass_decomposition_guard(monkeypatch)
+    compared = 0
+    for i, a in enumerate(stilde):
+        for b in stilde[i + 1 :]:
+            if a.inertia != b.inertia or a.decomposition == b.decomposition:
+                continue
+            args = (ring, a.inertia, a.frob, b.frob)
+            assert unit_route_outcome(lattices.verify_unit_transport, *args) == unit_route_outcome(
+                ref_verify_unit_on_norm_copy, *args
+            ), (facs, a, b)
             compared += 1
     assert compared == pairs
 

@@ -45,6 +45,8 @@ def test_tracer_installs_and_counts_the_layers():
     assert out["codes"] == [0, 0]
     for span in (
         "abelian.canonical_lift",
+        "abelian.quotient_data",
+        "abelian.QuotientData.proj",
         "abelian.decomposition_subgroup",
         "abelian.Subgroup.elements",
         "grouprings.FiniteModule.build",
