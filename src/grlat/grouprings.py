@@ -10,6 +10,8 @@ permutes coefficients along it, multiplication scatters products along
 it, and the ideal generated by x is spanned by the translates of x.
 group_ring() memoises one ring per group.  spectrum, whose rings are
 all cyclic, builds none: it works on coefficient lists mod X^n - 1.
+The kernel check of lattices builds no element of its cyclic ring: it
+works on term maps {j: c} mod X^n - 1.
 
 An ideal lattice is a full-rank lattice in Z[G], stored as its
 canonical integer row-HNF basis so equal lattices compare equal; the
@@ -171,10 +173,6 @@ class GroupRingElem:
         return GroupRingElem(ring, tuple(out))
 
     __rmul__ = __mul__
-
-    @property
-    def is_zero(self):
-        return not any(self.coeffs)
 
     def translate(self, elem: GroupElement) -> "GroupRingElem":
         """Multiply by delta_elem (a coefficient permutation)."""

@@ -49,14 +49,18 @@ is read in Z[G]/(g) with e = gcd(l, n) and M = a^{n/e} - 1: writing
 j = c - t l with 0 <= c < e, the map e_j |-> a^t f_c onto (Z/M)^e is
 well defined (a^{n/e} = 1 mod M), Z[G]-linear for sigma acting as the
 shift f_c |-> f_{c+1} with f_{e-1} |-> a^{t_e} f_0 (e = 0 - t_e l), and
-kills g, as
-e_{-l} |-> a f_0; it is onto, and its target has order M^e = |det M_g|,
-so it is an isomorphism (Washington, Introduction to Cyclotomic Fields,
-GTM 83, ch. 1).  When g is one of the claimed first coordinates xs,
-[Z[G] : (xs)] is then the index in Z^e of the images of x sigma^s for
-s < e (sigma^e acts as a scalar) together with M Z^e: one HNF of width
-e, where the forward representative's orbit HNF had 2n rows of width n
-(_projection_index).  No lattice is built on the kernel path.
+kills g, as e_{-l} |-> a f_0; it is onto, and its target has order
+M^e = |det M_g|, so it is an isomorphism (Washington, Introduction to
+Cyclotomic Fields, GTM 83, ch. 1).  When g is one of the claimed first
+coordinates xs, [Z[G] : (xs)] is then the index in Z^e of the images of
+x sigma^s for s < e (sigma^e acts as a scalar) together with M Z^e: one
+HNF of width e, where the forward representative's orbit HNF had 2n
+rows of width n (_projection_index).  sigma acts invertibly, so an
+image that repeats an emitted row ends its orbit, and zero rows are
+dropped: with phi in I (e = n) the HNF gets n/#I + n rows, not 3n.  The
+kernel path builds no lattice and no ring element: N_I, g and the
+claims are term maps {j: c}, c != 0, of Z[X]/(X^n - 1), sigma -> X,
+multiplied mod n; forward_rep densifies N_I and g once.
 """
 
 from __future__ import annotations
@@ -78,23 +82,26 @@ from .errors import (
     ScopeError,
     UnitNotFoundError,
 )
-from .grouprings import GroupRing, GroupRingElem, IdealLattice, group_ring
+from .grouprings import GroupRing, IdealLattice, group_ring
 
 
 def _forward_generators(
     ring: GroupRing, inertia: Subgroup, frob: GroupElement, lift: GroupElement | None
-) -> tuple[GroupElement, GroupRingElem, GroupRingElem]:
-    """The generators of the forward representative: the lift used, N_I
-    and g = 1 - lift^{-1} + #I.  Default lift: the canonical (lex-least)
-    coset representative."""
+) -> tuple[GroupElement, dict, dict]:
+    """The generators of the forward representative: the lift used, and
+    N_I and g = 1 - lift^{-1} + #I as term maps.  Default lift: the
+    canonical (lex-least) coset representative."""
     if not ring.group.is_cyclic:
         raise ScopeError("forward representative needs a cyclic group")
     if lift is None:
         lift = canonical_lift(inertia, frob)
     elif not inertia.contains(lift - frob):
         raise ContainmentError("lift is not in the coset of frob")
-    g = ring.one() - ring.delta(-lift) + ring.one().scale(inertia.order)
-    return lift, ring.norm_element(inertia), g
+    n, j = ring.n, -ring.group.index_of(lift) % ring.n
+    # I = <sigma^h> with h = n/#I, and lift^{-1} is X^j
+    g = {0: 1 + inertia.order}
+    g[j] = g.get(j, 0) - 1
+    return lift, dict.fromkeys(range(0, n, n // inertia.order), 1), g
 
 
 def forward_rep(
@@ -109,8 +116,9 @@ def forward_rep(
     the chosen lift of the coset frob + I, so (lift used, lattice) is
     returned.
     """
-    lift, n_i, g = _forward_generators(ring, inertia, frob, lift)
-    return lift, IdealLattice.from_elements(ring, [n_i, g])
+    lift, *gens = _forward_generators(ring, inertia, frob, lift)
+    dense = [ring.from_coeffs(x.get(j, 0) for j in range(ring.n)) for x in gens]
+    return lift, IdealLattice.from_elements(ring, dense)
 
 
 def backward_rep(ring: GroupRing, inertia: Subgroup) -> IdealLattice:
@@ -142,8 +150,8 @@ def verify_kernel_presentation(
 ) -> KernelReport:
     """Certify the two-generator presentation of the relation kernel.
 
-    For tau the generator h of (cyclic, nontrivial) inertia read off its
-    stored basis [[h]], and g = 1 - lift^{-1} + #I, the kernel of
+    For tau = sigma^h, h = n/#I, the generator of (cyclic, nontrivial)
+    inertia, and g = 1 - lift^{-1} + #I, the kernel of
     (a, b) |-> a (tau - 1) + b g inside Z[G]^2 is claimed to be
     generated over the group ring by (N_I, 0) and (g, 1 - tau), and its
     first projection to be the ideal (N_I, g), which is the forward
@@ -155,10 +163,7 @@ def verify_kernel_presentation(
     if inertia.is_trivial or not inertia.is_cyclic:
         raise ScopeError("inertia must be nontrivial cyclic")
     lift, n_i, g = _forward_generators(ring, inertia, frob, lift)
-    claimed = [
-        (n_i, ring.one().scale(0)),
-        (g, ring.one() - ring.delta(ring.group.element(inertia.basis[0]))),
-    ]
+    claimed = [(n_i, {}), (g, {0: 1, ring.n // inertia.order: -1})]
     return _kernel_identity(ring, inertia, lift, g, claimed)
 
 
@@ -176,43 +181,56 @@ def _principal_index(a: int, ell: int, m: int) -> int:
 
 
 def _projection_index(xs, a: int, ell: int, n: int) -> int:
-    """[Z[C_n] : (xs)] for elements xs of Z[C_n] one of which is
+    """[Z[C_n] : (xs)] for term maps xs of Z[C_n] one of which is
     g = a - sigma^{-ell}, a >= 2: the index of their image in
     Z[C_n]/(g) = (Z/M)^e, e = gcd(ell, n), M = a^{n/e} - 1 (module
     docstring).  e_j maps to a^t f_c with c = j mod e and
     t = -(j // e) (ell/e)^{-1} mod n/e, so each x is mapped through its
-    nonzero coefficients; sigma shifts f_c to f_{c+1} and f_{e-1} to
-    a^{t_e} f_0, and the images of x sigma^s for s < e with M Z^e span
-    the image, as sigma^e acts as the scalar a^{t_e}."""
+    terms; sigma shifts f_c to f_{c+1} and f_{e-1} to a^{t_e} f_0, and
+    the images of x sigma^s for s < e with M Z^e span the image, as
+    sigma^e acts as the scalar a^{t_e}.  Each row is emitted once, and
+    a repeat ends the orbit of x (module docstring)."""
     e = gcd(ell, n)
     f = n // e
     m = a**f - 1
     step = pow(ell // e, -1, f)
     twist = pow(a, -step % f, m)
-    rows = []
+    rows, seen = [], {(0,) * e}
     for x in xs:
         v = [0] * e
-        for j, c in enumerate(x.coeffs):
-            if c:
-                v[j % e] += c * pow(a, -(j // e) * step % f, m)
-        v = [c % m for c in v]
-        rows.append(v)
-        for _ in range(e - 1):
-            v = [twist * v[-1] % m, *v[:-1]]
+        for j, c in x.items():
+            v[j % e] += c * pow(a, -(j // e) * step % f, m)
+        v = tuple(c % m for c in v)
+        for _ in range(e):
+            if v in seen:
+                break
+            seen.add(v)
             rows.append(v)
+            v = (twist * v[-1] % m, *v[:-1])
     return im.hnf_index(im.hnf(rows + im.diagonal([m] * e), e))
+
+
+def _vanishes(pairs, n: int) -> bool:
+    """Whether sum u v over the pairs (u, v) of term maps is 0 in Z[C_n]."""
+    out = {}
+    for u, v in pairs:
+        for i, c in u.items():
+            for j, d in v.items():
+                k = (i + j) % n
+                out[k] = out.get(k, 0) + c * d
+    return not any(out.values())
 
 
 def _kernel_identity(
     ring: GroupRing,
     inertia: Subgroup,
     lift: GroupElement,
-    g: GroupRingElem,
+    g: dict,
     claimed,
 ) -> KernelReport:
     """The kernel check over a cyclic group G of order n for claimed
     generators (x, y) of the kernel of (a, b) |-> a (tau - 1) + b g,
-    g = a - sigma^{-l} with a = 1 + #I and l the lift.
+    g = a - sigma^{-l} with a = 1 + #I and l the lift, as term maps.
 
     The claim holds when every x (tau - 1) + y g vanishes (phi is
     Z[G]-linear, so the translates follow) and
@@ -227,13 +245,14 @@ def _kernel_identity(
     xs = [x for x, _ in claimed]
     if g not in xs:
         raise ContainmentError("g is not one of the claimed first coordinates")
-    # G is cyclic, so I = <h> has the stored basis [[h]] and tau = h
-    t_minus_1 = ring.delta(ring.group.element(inertia.basis[0])) - ring.one()
-    contained = all((t_minus_1 * x + g * y).is_zero for x, y in claimed)
-    a, (ell,) = 1 + inertia.order, lift.coords
-    det_g = _principal_index(a, ell, ring.n)
-    quotient_index = _principal_index(a, ell, ring.n // inertia.order)
-    projection_matches = _projection_index(xs, a, ell, ring.n) * quotient_index == det_g
+    n = ring.n
+    # G is cyclic, so I = <sigma^h> with h = n/#I and tau - 1 = X^h - 1
+    t_minus_1 = {0: -1, n // inertia.order: 1}
+    contained = all(_vanishes([(t_minus_1, x), (g, y)], n) for x, y in claimed)
+    a, ell = 1 + inertia.order, ring.group.index_of(lift)
+    det_g = _principal_index(a, ell, n)
+    quotient_index = _principal_index(a, ell, n // inertia.order)
+    projection_matches = _projection_index(xs, a, ell, n) * quotient_index == det_g
     return KernelReport(contained and projection_matches, projection_matches)
 
 
@@ -318,13 +337,17 @@ def verify_unit_transport(
     quot = quotient_data(group, inertia)
     qring = group_ring(quot.group)
     bar_a, bar_b = quot.proj(frob_a), quot.proj(frob_b)
-    # k bar_a runs through <bar_a> with period ord(bar_a)
-    k = next((k for k in range(1, bar_a.order() + 1) if bar_a.scale(k) == bar_b), None)
-    if k is None or k % p == 0:
+    # k bar_a runs through <bar_a> back to 0 (index 0), one addition per
+    # step on element indices: shift(j)[i] is the index of i + j
+    plus, minus = (qring.shift(qring.index_of(x)) for x in (bar_a, -bar_a))
+    k, j, target = 1, plus[0], qring.index_of(bar_b)
+    while j != target and j:
+        k, j = k + 1, plus[j]
+    if j != target or k % p == 0:
         raise UnitNotFoundError("no unit carries one coset difference to the other")
-    ucoeffs = [0] * qring.n
-    for t in range(k):
-        ucoeffs[qring.index_of(bar_a.scale(-t))] = 1
+    ucoeffs, j = [0] * qring.n, 0
+    for _ in range(k):
+        ucoeffs[j], j = 1, minus[j]
     one = qring.one()
     # the two-term factor on the left: __mul__ walks its left nonzeros
     if (one - qring.delta(-bar_a)) * qring.from_coeffs(ucoeffs) != one - qring.delta(-bar_b):

@@ -306,7 +306,7 @@ class FreenessReport:
     decomposition_ok: bool
     injective_on_irreducibles: bool
     irreducibility_ok: bool
-    bounded_injectivity_ok: bool
+    bounded_injectivity_ok: bool | None
     bound: int
     bound_reduced: bool
     verdict: str
@@ -337,17 +337,17 @@ def analyze_monoid(
     Checks performed: the decomposition law for every (I, D) with D
     cyclic and #I not a prime power; pairwise distinctness of the images
     of the irreducible locus; irreducibility of each such image inside
-    the image monoid by exhaustive dominated search; injectivity of the
-    restricted map on all vectors of coordinate sum <= bound; and the
-    freeness verdict with its cardinality certificate.
+    the image monoid by exhaustive dominated search; for FREE groups,
+    injectivity of the restricted map on all vectors of coordinate sum
+    <= bound; and the freeness verdict with its cardinality certificate.
 
     With bound=None the default sum bound 3 shrinks deterministically
     until the candidate-vector count fits the cap; an explicit bound is
-    honored strictly and may raise a capacity error.  Images independent
+    honored strictly and may raise a capacity error, NOT-FREE groups
+    included.  Their report never prints the bounded check, so they run
+    no sweep and bounded_injectivity_ok is None.  Images independent
     over GF(2), such as a p-group's distinct single bits and those of
-    every FREE group checked so far, pass the bounded check without a
-    sweep; only dependent families, among them every NOT-FREE group's
-    (#S' > #T), run it.
+    every FREE group checked so far, pass it without a sweep.
     """
     if bound is not None and bound < 2:
         raise ScopeError("bound must be at least 2")
@@ -386,8 +386,9 @@ def analyze_monoid(
     if bound is None:
         while effective > 0 and _vector_count(len(prime_vals), effective) > VECTOR_CAP:
             effective -= 1
-    bounded_ok = _bounded_injectivity(prime_vals, effective)
     free = group.is_cyclic or len(prime_factors(group.order)) <= 1
+    _refuse_past_cap(len(prime_vals), effective)
+    bounded_ok = _bounded_injectivity(prime_vals, effective) if free else None
     nt = len(family.t_tuples)
     np_ = len(family.s_prime)
     verdict = "FREE" if free else "NOT-FREE"
@@ -409,6 +410,13 @@ def analyze_monoid(
 def _vector_count(k: int, bound: int) -> int:
     """#{v in N^k : sum(v) <= bound}, by the hockey-stick identity."""
     return math.comb(k + bound, k)
+
+
+def _refuse_past_cap(k: int, bound: int) -> None:
+    """Refuse a bounded sweep over more than VECTOR_CAP vectors."""
+    count = _vector_count(k, bound)
+    if count > VECTOR_CAP:
+        raise CapacityError(f"{count} candidate vectors exceed the cap {VECTOR_CAP}")
 
 
 def _independent_mod_2(masks) -> bool:
@@ -436,11 +444,7 @@ def _bounded_injectivity(generators, bound: int) -> bool:
     and with it distinct values at every bound.  Only dependent families
     run the sweep."""
     k = len(generators)
-    count = _vector_count(k, bound)
-    if count > VECTOR_CAP:
-        raise CapacityError(
-            f"{count} candidate vectors exceed the cap {VECTOR_CAP}"
-        )
+    _refuse_past_cap(k, bound)
     if not (k and bound):
         return True  # the empty combination is the only one
     # more generators than bits in their union have rank < k: dependent

@@ -67,6 +67,11 @@ computed before the two principal indices were read off their closed
 form: |det M_g| as the HNF index of the n-row orbit of g, and
 [Z[G/I] : (gbar)] as the HNF index of the orbit of gbar in a second
 ring Z[C_k], k = n/#I, with gbar folded from the coefficients of g.
+ref_projection_index is the index [Z[C_n] : (xs)] read in
+Z[C_n]/(g) = (Z/M)^e as the kernel check took it on dense group-ring
+elements, before it worked on term maps: every x mapped through all n
+coefficients and all e of its rotations handed to the HNF, repeated
+and zero rows included.
 
 ref_smith_valuations_mod is the elimination smith_valuations ran on
 lists of residues, one Python step per entry of every row update,
@@ -659,7 +664,7 @@ def ref_find_cyclic_generator(module):
 
 def ref_kernel_identity(ring, inertia, g, claimed, projection):
     t_minus_1 = ring.delta(ring.group.element(inertia.basis[0])) - ring.one()
-    contained = all((x * t_minus_1 + y * g).is_zero for x, y in claimed)
+    contained = all(not any((x * t_minus_1 + y * g).coeffs) for x, y in claimed)
     det_g = IdealLattice.from_elements(ring, [g]).integral_index()
     # I is the subgroup of the indices divisible by k = n/#I, so G -> G/I
     # is reduction mod k and gbar folds the coefficients of g
@@ -669,6 +674,34 @@ def ref_kernel_identity(ring, inertia, g, claimed, projection):
     quotient_index = IdealLattice.from_elements(qring, [gbar]).integral_index()
     projection_matches = projection.integral_index() * quotient_index == det_g
     return KernelReport(contained and projection_matches, projection_matches)
+
+
+def ref_projection_index(xs, a: int, ell: int, n: int) -> int:
+    """[Z[C_n] : (xs)] for elements xs of Z[C_n] one of which is
+    g = a - sigma^{-ell}, a >= 2: the index of their image in
+    Z[C_n]/(g) = (Z/M)^e, e = gcd(ell, n), M = a^{n/e} - 1 (module
+    docstring).  e_j maps to a^t f_c with c = j mod e and
+    t = -(j // e) (ell/e)^{-1} mod n/e, so each x is mapped through its
+    nonzero coefficients; sigma shifts f_c to f_{c+1} and f_{e-1} to
+    a^{t_e} f_0, and the images of x sigma^s for s < e with M Z^e span
+    the image, as sigma^e acts as the scalar a^{t_e}."""
+    e = gcd(ell, n)
+    f = n // e
+    m = a**f - 1
+    step = pow(ell // e, -1, f)
+    twist = pow(a, -step % f, m)
+    rows = []
+    for x in xs:
+        v = [0] * e
+        for j, c in enumerate(x.coeffs):
+            if c:
+                v[j % e] += c * pow(a, -(j // e) * step % f, m)
+        v = [c % m for c in v]
+        rows.append(v)
+        for _ in range(e - 1):
+            v = [twist * v[-1] % m, *v[:-1]]
+            rows.append(v)
+    return im.hnf_index(im.hnf(rows + im.diagonal([m] * e), e))
 
 
 # -- Smith valuations by elimination on lists of residues ----------------------

@@ -675,6 +675,7 @@ def test_too_many_inertia_pairs_are_refused_at_once(argv):
         (["monoid", "4096"], "1fefa33334c6e9e2fa7dc88d00bb28c1b30543f347b80e1211c23dcf066e4d61"),
         (["verify", "128", "--checks", "kernel"], "858e42fa2c822c2df594b8ce18a4912386fef1bec9658e87002dc06152f79557"),
         (["verify", "256", "--checks", "kernel"], "5ab4e655514eccde63cad755cab05c2133d9adec7447cecbad18d67565e8bde1"),
+        (["verify", "512", "--checks", "kernel"], "6fbf90ecfb2ac959b8f2a1299938a79898a841318fa984b747552206e787a464"),
         (
             ["spectrum", "--p", "3", "--r", "1", "--samples", "200", "--seed", "2"],
             "5d8052f43afcd73dcd5e31f11fe4feb5739e93db73e82f22af5a5608933ae9b6",
@@ -726,6 +727,7 @@ def test_too_many_inertia_pairs_are_refused_at_once(argv):
         "4096-monoid",
         "128-kernel",
         "256-kernel",
+        "512-kernel",
         "3^1-spectrum",
         "3^4-spectrum",
         "7^2-spectrum",
@@ -756,7 +758,9 @@ def test_large_verify_reports_are_pinned(argv, digest):
     # sweeps as printed on the per-row route, when every (pair, H) row
     # computed its own Tate groups instead of one per key (H + I, #(H meet I));
     # the 128 and 256 kernel sweeps as printed when [Z[G] : (N_I, g)] was
-    # the HNF index of the 2n-row orbit matrix of (N_I, g); four spectrum
+    # the HNF index of the 2n-row orbit matrix of (N_I, g), and the 512
+    # kernel sweep as printed when it was read in Z[G]/(g) on dense
+    # group-ring elements, every rotation row included; four spectrum
     # shapes the bench leaves out, as printed when each sample was built
     # by GroupRing products and its Smith rows read off mult_matrix; the
     # 256, 3,27 and 2,2,8 unit sweeps as printed when the witness identity

@@ -47,6 +47,7 @@ from grlat.grouprings import GroupRing, GroupRingElem, IdealLattice, group_ring
 from grlat.monoid import build_sets
 from grlat.lattices import (
     KernelReport,
+    _forward_generators,
     _kernel_identity,
     _principal_index,
     _projection_index,
@@ -63,6 +64,7 @@ from reference import (
     ref_kernel_identity,
     ref_lattice_quotient_coords,
     ref_preimage_is_standard,
+    ref_projection_index,
     ref_unit_comparison,
     ref_unit_witness,
     ref_verify_unit_on_norm_copy,
@@ -70,6 +72,7 @@ from reference import (
     unit_route_outcome,
 )
 from test_acceptance import P_GROUPS_27
+from test_bench_digests import EXPECTED, report_digest
 
 
 def ring_of(facs):
@@ -159,6 +162,11 @@ def shift_generator(ring, order, lift):
     return ring.one() - ring.delta(-lift) + ring.one().scale(order)
 
 
+def terms(x):
+    """The term map {j: c}, c != 0, of a dense element x of Z[C_n]."""
+    return {j: c for j, c in enumerate(x.coeffs) if c}
+
+
 def claimed_generators(ring, inertia, lift, norm_scale=1, tau_scale=1):
     """(N_I, 0) and (g, 1 - tau); norm_scale multiplies N_I and tau_scale
     multiplies 1 - tau, to perturb the claim."""
@@ -225,21 +233,26 @@ def test_kernel_identity_refutes_perturbed_claims(facs):
             claimed = claimed_generators(r, pair.inertia, lift, *scales)
             projection = IdealLattice.from_elements(r, [x for x, _ in claimed])
             g = shift_generator(r, pair.inertia.order, lift)
-            rep = _kernel_identity(r, pair.inertia, lift, g, claimed)
+            claimed_terms = [(terms(x), terms(y)) for x, y in claimed]
+            rep = _kernel_identity(r, pair.inertia, lift, terms(g), claimed_terms)
             assert rep == ref_kernel_presentation(r, pair.inertia, lift, claimed), (pair, scales)
             assert rep == ref_kernel_identity(r, pair.inertia, g, claimed, projection), (pair, scales)
             failed += not rep.ok
     assert failed
 
 
-def projection_indices(ring, inertia, lift, norm_scale):
-    """[Z[G] : (norm_scale N_I, g)] read in Z[G]/(g), and by the HNF of
-    the 2n-row orbit matrix."""
+def projection_indices(ring, inertia, lift, norm_scale, orbit=True):
+    """[Z[G] : (norm_scale N_I, g)] read in Z[G]/(g) on the term maps
+    of _forward_generators, read there on dense elements by the
+    reference, and (with orbit) by the HNF of the 2n-row orbit matrix."""
     xs = [ring.norm_element(inertia).scale(norm_scale), shift_generator(ring, inertia.order, lift)]
+    _, n_i, g = _forward_generators(ring, inertia, lift, lift)
     (ell,) = lift.coords
+    a = 1 + inertia.order
     return (
-        _projection_index(xs, 1 + inertia.order, ell, ring.n),
-        IdealLattice.from_elements(ring, xs).integral_index(),
+        _projection_index([{j: norm_scale * c for j, c in n_i.items()}, g], a, ell, ring.n),
+        ref_projection_index(xs, a, ell, ring.n),
+        IdealLattice.from_elements(ring, xs).integral_index() if orbit else None,
     )
 
 
@@ -251,8 +264,23 @@ def test_projection_index_matches_the_orbit_hnf_on_cyclic_pairs():
         for pair in build_sets(r.group).stilde:
             lift = canonical_lift(pair.inertia, pair.frob)
             for norm_scale in (1, 2):
-                quotient, orbit = projection_indices(r, pair.inertia, lift, norm_scale)
+                quotient, _, orbit = projection_indices(r, pair.inertia, lift, norm_scale)
                 assert quotient == orbit, (n, pair, norm_scale)
+            cases += 1
+    assert cases == 2114
+
+
+def test_projection_index_matches_the_dense_reference_on_cyclic_pairs():
+    # the term-map route, each row once, against every rotation of the
+    # dense route on every pair of criterion 6, with N_I and with 2 N_I
+    cases = 0
+    for n in range(2, 82):
+        r = group_ring(make_group([n]))
+        for pair in build_sets(r.group).stilde:
+            lift = canonical_lift(pair.inertia, pair.frob)
+            for norm_scale in (1, 2):
+                quotient, reference, _ = projection_indices(r, pair.inertia, lift, norm_scale, orbit=False)
+                assert quotient == reference, (n, pair, norm_scale)
             cases += 1
     assert cases == 2114
 
@@ -266,8 +294,8 @@ def test_projection_index_matches_the_orbit_hnf_on_every_lift(facs):
         for frob in r.group.elements():
             for t in sub.elements():
                 for norm_scale in (1, 2):
-                    quotient, orbit = projection_indices(r, sub, frob + t, norm_scale)
-                    assert quotient == orbit, (facs, sub, frob, t, norm_scale)
+                    quotient, reference, orbit = projection_indices(r, sub, frob + t, norm_scale)
+                    assert quotient == reference == orbit, (facs, sub, frob, t, norm_scale)
 
 
 def test_kernel_identity_refuses_claims_without_g():
@@ -275,15 +303,25 @@ def test_kernel_identity_refuses_claims_without_g():
     r = ring_of([9])
     i3 = Subgroup.from_generators(r.group, [r.group.element((3,))])
     lift = r.group.element((1,))
-    g = shift_generator(r, 3, lift)
-    zero = r.one().scale(0)
+    _, n_i, g = _forward_generators(r, i3, lift, lift)
     for claimed in (
-        [(r.norm_element(i3), zero)],
-        [(r.norm_element(i3), zero), (g.scale(2), zero)],
-        [(r.norm_element(i3), zero), (zero, g)],
+        [(n_i, {})],
+        [(n_i, {}), ({j: 2 * c for j, c in g.items()}, {})],
+        [(n_i, {}), ({}, g)],
     ):
         with pytest.raises(ContainmentError):
             _kernel_identity(r, i3, lift, g, claimed)
+
+
+@pytest.mark.parametrize("command", ["verify 36 --checks kernel", "verify 81 --checks kernel"])
+def test_kernel_sweep_builds_no_group_ring_element(command):
+    # the kernel path works on term maps: a GroupRingElem built anywhere
+    # in the sweep raises, and the report keeps its recorded digest
+    def refuse(self, *args):
+        raise AssertionError("a GroupRingElem was built on the kernel path")
+
+    with mock.patch.object(GroupRingElem, "__init__", refuse):
+        assert report_digest(command) == EXPECTED[command]["sha256"]
 
 
 def test_principal_index_matches_the_hnf_index_and_the_resultant():

@@ -132,6 +132,8 @@ def test_analysis_not_free_mixed():
     rep = analyze_monoid(make_group([3, 6]))
     assert rep.verdict == "NOT-FREE"
     assert not rep.bounded_injectivity_expected
+    # the report never prints the bounded check here, so no sweep runs
+    assert rep.bounded_injectivity_ok is None
     assert rep.all_checks_pass
     counts = rep.family.counts
     assert counts["s_prime"] > counts["t"]
@@ -184,6 +186,17 @@ def test_a_huge_bound_is_refused_or_needs_no_rounds(spec, code):
         capture_output=True, env=env, timeout=5,
     )
     assert done.returncode == code, done.stderr
+
+
+def test_a_not_free_group_is_refused_a_huge_bound_without_a_sweep():
+    # 3,6 runs no bounded sweep, yet C(28 + 10^11, 28) vectors exceed the cap
+    env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "grlat", "monoid", "3,6", "--bound", "100000000000"],
+        capture_output=True, env=env, timeout=5,
+    )
+    assert done.returncode == 65
+    assert b"candidate vectors exceed the cap" in done.stderr
 
 
 def test_the_cap_refuses_an_independent_family_first():

@@ -69,7 +69,7 @@ from grlat import cli, cohomology, grouprings, lattices, monoid, polys
 from grlat.abelian import Subgroup, make_group, prime_factors
 from grlat.cli import EXIT_CHECK, main
 from grlat.errors import IdentityCheckError, UnitNotFoundError
-from grlat.grouprings import GroupRing, IdealLattice, group_ring, inertia_module
+from grlat.grouprings import IdealLattice, group_ring, inertia_module
 from grlat.lattices import ExtensionReport
 from grlat.monoid import build_sets
 from reference import (
@@ -331,9 +331,15 @@ def test_verify_tate_exits_2_on_a_wrong_c(monkeypatch):
 
 def test_verify_kernel_exits_2_on_a_scaled_inertia_norm(monkeypatch):
     # 2 divides #I for every inertia group of Z/8; on Z/9 a factor 2
-    # would rightly pass, as (2 N_I, g) = (N_I, g) there
-    real = GroupRing.norm_element
-    monkeypatch.setattr(GroupRing, "norm_element", lambda self, sub: real(self, sub).scale(2))
+    # would rightly pass, as (2 N_I, g) = (N_I, g) there.  The kernel
+    # path takes N_I, a term map, from _forward_generators
+    real = lattices._forward_generators
+
+    def scaled(*args):
+        lift, n_i, g = real(*args)
+        return lift, {j: 2 * c for j, c in n_i.items()}, g
+
+    monkeypatch.setattr(lattices, "_forward_generators", scaled)
     code, out = run_main(["verify", "8", "--checks", "kernel"])
     assert code == EXIT_CHECK
     rows = [line for line in out.splitlines() if line.startswith("results.rows\tkernel\t")]
