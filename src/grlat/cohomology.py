@@ -448,17 +448,14 @@ def _chi_exponent_at(chi: ChiClass, gens, coords):
     return k
 
 
-def _predicted_component_triviality(group, inertia, frob, p, chi) -> bool:
-    gens = complement_generators(group, p)
+def _predicted_component_triviality(gens, inertia, dec, p, chi) -> bool:
+    """The prediction for chi, with gens = complement_generators(group, p)
+    and dec = I + <frob>, both taken once per triviality_criterion call."""
     if tuple(m for _, _, m in gens) != chi.gen_orders:
         raise ParentMismatchError("character domain does not match group")
     if inertia.order % p != 0:
         return True
-    dec = decomposition_subgroup(inertia, frob)
-    for g in dec.generators():
-        if _chi_exponent_at(chi, gens, g.coords) != 0:
-            return True
-    return False
+    return any(_chi_exponent_at(chi, gens, g.coords) for g in dec.generators())
 
 
 def triviality_criterion(
@@ -479,10 +476,11 @@ def triviality_criterion(
     if inertia.group != group or frob.group != group:
         raise ParentMismatchError("inputs from a different group")
     mp = p_part(module, p)
+    gens, dec = complement_generators(group, p), decomposition_subgroup(inertia, frob)
     rows = []
     for chi in character_classes(group, p):
         comp = chi_component(mp, chi)
         lhs = is_cohomologically_trivial(comp)
-        rhs = _predicted_component_triviality(group, inertia, frob, p, chi)
+        rhs = _predicted_component_triviality(gens, inertia, dec, p, chi)
         rows.append(CriterionRow(chi, lhs, rhs))
     return CriterionReport(tuple(rows), all(r.agree for r in rows))

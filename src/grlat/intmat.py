@@ -80,10 +80,6 @@ def vec_mat(v, b):
     return acc
 
 
-def mat_transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
-
-
 def mat_pow(a, k):
     result = identity(len(a))
     while k:

@@ -14,9 +14,8 @@ The verification routines certify, with exact integer arithmetic, the
 structural facts the representatives rest on: the kernel of
 (a, b) |-> a (tau - 1) + b (1 - phi^{-1} + #I) has the expected two
 generators over the group ring; the backward representative sits in an
-extension of the full group ring by the norm line, which holds exactly
-when the stored lattice is (N_I, #I), so that check cannot fail on the
-lattice backward_rep builds; and two pairs with the same inertia and
+extension of the full group ring by the norm line (below); and two
+pairs with the same inertia and
 decomposition data are related by an explicit unit u of Z_p[G/I] with
 u (1 - phi_a^{-1}) = 1 - phi_b^{-1}.  The same D gives phi_b = k phi_a
 mod I with p not dividing k, and the witness is the geometric sum
@@ -31,6 +30,19 @@ that comparison lives in the tests as an oracle: L is a ring holding
 w, so L w is in L, and [L : L w] = |det M_w| is the norm of u over
 Q[G/I] (w acts as 1 off nu Q[G]), which is k^|G/I| mod p as F_p[G/I]
 is local with residue field F_p.
+
+The extension check reads two facts off the cosets of I, each listed
+with its canonical lift x0 first.  The projection pi of Q[G] killing
+nu Q[G], the vectors constant on cosets, is v |-> (v_x - v_x0) for
+x != x0, and maps Z[G] onto Z^(n - [G:I]); so (a) pi(#I L) =
+#I pi(Z[G]) is one HNF of those differences of #I L's basis against
+#I times the identity.  (b) N_I Z[G] is primitive in #I L, so the
+nu-part of L is nu Z[G]: N_I Z[G] is spanned by the coset indicators
+and holds every integer vector constant on cosets, so it is saturated
+in Z^n, and primitive in #I L exactly when it lies there.  A vector
+killed by pi is a sum of indicators, so both hold exactly when #I L is
+(N_I, #I): ext cannot fail on the lattice backward_rep builds, the HNF
+of the indicators and #I Z^n.
 
 The kernel check is an index identity, not a kernel computation.  With
 g = 1 - lift^{-1} + #I, every character chi has
@@ -121,15 +133,31 @@ def forward_rep(
     return lift, IdealLattice.from_elements(ring, dense)
 
 
+def _cosets(ring: GroupRing, inertia: Subgroup):
+    """The cosets of I as element indices, each led by its canonical lift
+    (the residues of I's basis, abelian.canonical_lift), and their 0/1
+    indicator rows."""
+    group, elems = ring.group, inertia.elements()  # zero first
+    cosets = [
+        [ring.index_of(GroupElement(group, x) + i) for i in elems]
+        for x in im.hnf_residues(inertia.basis)
+    ]
+    rows = [[0] * ring.n for _ in cosets]
+    for row, coset in zip(rows, cosets):
+        for j in coset:
+            row[j] = 1
+    return cosets, rows
+
+
 def backward_rep(ring: GroupRing, inertia: Subgroup) -> IdealLattice:
     """Backward representative of every pair with inertia I: the lattice
     Z[G] + nu Z[G] with nu = N_I / #I, stored scaled by #I as the ideal
-    (N_I, #I) of Z[G].  Inertia must be nontrivial."""
+    (N_I, #I) of Z[G], the HNF of the [G:I] coset indicators (the
+    translates of N_I) and #I Z^n.  Inertia must be nontrivial."""
     if inertia.is_trivial:
         raise ScopeError("backward representative needs nontrivial inertia")
-    return IdealLattice.from_elements(
-        ring, [ring.norm_element(inertia), ring.one().scale(inertia.order)]
-    )
+    _, rows = _cosets(ring, inertia)
+    return IdealLattice(ring, rows + im.diagonal([inertia.order] * ring.n))
 
 
 @dataclass(frozen=True)
@@ -268,38 +296,16 @@ class ExtensionReport:
 
 def verify_extension_sequence(ring: GroupRing, inertia: Subgroup) -> ExtensionReport:
     """Certify that the backward representative L of inertia I sits in
-    the same extension as the full group ring.
-
-    With nu = N_I/#I and pi the projection of Q[G] killing exactly
-    nu Q[G], two exact facts are checked on the stored #I L: pi(#I L)
-    = #I pi(Z[G]); and N_I Z[G] is a primitive sublattice of #I L (all
-    Smith invariants of its coordinates 1), so the nu-part of L is
-    exactly nu Z[G].  An integer vector killed by pi is constant on the
-    cosets of I, a sum of rows of N_I Z[G]; so the two facts hold
-    exactly when #I L is the ideal (N_I, #I), as backward_rep builds it.
-    """
-    lat = backward_rep(ring, inertia)
-    n = ring.n
-    basis = [list(r) for r in lat.basis]
-    n_i = ring.norm_element(inertia)
-    # M_{N_I} is symmetric (N_I is I-invariant and I = -I), so its left
-    # kernel is the kernel of pi as columns
-    kcols = im.mat_transpose(im.left_kernel(ring.mult_matrix(n_i)))
-    # (a) pi of the stored lattice #I L agrees with #I pi(Z[G])
-    bk = im.mat_mul(basis, kcols)
-    order = inertia.order
-    full_rows = [[order * v for v in row] for row in kcols]
-    image_matches = im.lattice_eq(bk, full_rows)
-    # (b) the rows of N_I Z[G], one 0/1 indicator per coset of I in any
-    # order, have coordinates in #I L with all Smith invariants 1
-    fnum = [
-        list(n_i.translate(GroupElement(ring.group, x)).coeffs)
-        for x in im.hnf_residues(inertia.basis)
-    ]
-    coords = [im.span_coefficients(basis, range(n), row) for row in fnum]
-    embedding_primitive = None not in coords and all(
-        d == 1 for d in im.snf_diagonal(coords, n)
-    )
+    the same extension as the full group ring: (a) pi(#I L) =
+    #I pi(Z[G]) in the coset coordinates of pi, and (b) N_I Z[G] is
+    primitive in #I L, which is containment as N_I Z[G] is saturated in
+    Z^n (module docstring)."""
+    basis = backward_rep(ring, inertia).basis
+    cosets, indicators = _cosets(ring, inertia)
+    width = ring.n - len(cosets)
+    diffs = [[row[x] - row[c[0]] for c in cosets for x in c[1:]] for row in basis]
+    image_matches = im.hnf(diffs, width) == im.diagonal([inertia.order] * width)
+    embedding_primitive = all(im.in_span(basis, range(ring.n), v) for v in indicators)
     return ExtensionReport(image_matches, embedding_primitive)
 
 

@@ -19,6 +19,14 @@ ref_preimage_is_standard is the fact the extension check dropped as a
 restatement of its embedding test: the preimage under multiplication by
 nu of the nu-part of a lattice is exactly Z[G/I].
 
+ref_verify_extension_sequence is the extension check as it ran before
+it read its two facts off the cosets of I: pi as the left kernel of the
+multiplication matrix of N_I, fact (a) as a lattice comparison of a
+matrix product, and fact (b) as the Smith form of the coordinates of
+the coset indicators in the lattice.  It takes the lattice as an
+argument; ref_backward_ideal is backward_rep as it was then, the HNF of
+the 2n-row orbit of N_I and #I.
+
 ref_lattice_quotient_coords is the exact solve X @ big = small by an
 HNF with transform that unit transport used to find its unit modulo
 p^M before it exhibited the geometric-sum witness; the references
@@ -127,8 +135,12 @@ from grlat.errors import (
     UnitNotFoundError,
 )
 from grlat.grouprings import FiniteModule, IdealLattice, group_ring, inertia_module
-from grlat.lattices import KernelReport, backward_rep
+from grlat.lattices import ExtensionReport, KernelReport, backward_rep
 from grlat.polys import poly_divmod_monic, trim
+
+
+def mat_transpose(a):
+    return [list(col) for col in zip(*a)] if a else []
 
 
 def poly_mul(f, g):
@@ -395,8 +407,8 @@ def ref_preimage_is_standard(ring, inertia, lat):
     basis = [list(r) for r in lat.basis]
     n_i = ring.norm_element(inertia)
     mn = ring.mult_matrix(n_i)
-    ker_rows = im.left_kernel(im.mat_transpose(mn))
-    kcols = im.mat_transpose(ker_rows)
+    ker_rows = im.left_kernel(mat_transpose(mn))
+    kcols = mat_transpose(ker_rows)
     bk = im.mat_mul(basis, kcols)
     # a row per coset of I, in any order
     fnum = [
@@ -413,6 +425,39 @@ def ref_preimage_is_standard(ring, inertia, lat):
     except ContainmentError:
         return False
     return im.lattice_eq(pre, im.identity(nbar))
+
+
+def ref_backward_ideal(ring, inertia):
+    """The ideal (N_I, #I), spanned by the full orbit of both generators."""
+    return IdealLattice.from_elements(
+        ring, [ring.norm_element(inertia), ring.one().scale(inertia.order)]
+    )
+
+
+def ref_verify_extension_sequence(ring, inertia, lat):
+    """ExtensionReport of the extension check on lat, stored as #I L."""
+    n = ring.n
+    basis = [list(r) for r in lat.basis]
+    n_i = ring.norm_element(inertia)
+    # M_{N_I} is symmetric (N_I is I-invariant and I = -I), so its left
+    # kernel is the kernel of pi as columns
+    kcols = mat_transpose(im.left_kernel(ring.mult_matrix(n_i)))
+    # (a) pi of the stored lattice #I L agrees with #I pi(Z[G])
+    bk = im.mat_mul(basis, kcols)
+    order = inertia.order
+    full_rows = [[order * v for v in row] for row in kcols]
+    image_matches = im.lattice_eq(bk, full_rows)
+    # (b) the rows of N_I Z[G], one 0/1 indicator per coset of I in any
+    # order, have coordinates in #I L with all Smith invariants 1
+    fnum = [
+        list(n_i.translate(GroupElement(ring.group, x)).coeffs)
+        for x in im.hnf_residues(inertia.basis)
+    ]
+    coords = [im.span_coefficients(basis, range(n), row) for row in fnum]
+    embedding_primitive = None not in coords and all(
+        d == 1 for d in im.snf_diagonal(coords, n)
+    )
+    return ExtensionReport(image_matches, embedding_primitive)
 
 
 # -- the rational route the integral backward lattice replaced ---------------

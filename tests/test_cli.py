@@ -666,6 +666,7 @@ def test_too_many_inertia_pairs_are_refused_at_once(argv):
         (["verify", "2,2,8", "--checks", "triviality"], "1f3c230d4e3ac9fc8d4342b8ca3f9d5a7483dadbbe95cabea30f2cb7f4d21299"),
         (["verify", "256", "--checks", "triviality"], "42446ccfc0347e2a1af404620a8d5272451b18e036bdf8a3d8c72e7727042f90"),
         (["verify", "2,2,2,2,2", "--checks", "ext"], "620fa55f1fa37010fb1bd46822c93c1e1af5f657b8772f4c8291f75a423efc7c"),
+        (["verify", "512", "--checks", "ext"], "f188793f0bbd3afd85325c8db7c1289846f1b378c45472987334a0bf362c94e9"),
         (["monoid", "2,2,2,2,2"], "d65ba578733a82765efd13766288c38e5f10e553cfd059e9b1d1fde2dcb5e767"),
         (["monoid", "2,2,4"], "ccb996efd8ab53ba340aa88725542730b21cf7632577cec3cc3af6bd743b4b59"),
         (["monoid", "2,2,2,2"], "46e6e897a8fc74d5b9a46ea07df3a3bcbed2c502af386b1e1c6e1011d9807502"),
@@ -718,6 +719,7 @@ def test_too_many_inertia_pairs_are_refused_at_once(argv):
         "2,2,8-triviality",
         "256-triviality",
         "2,2,2,2,2-ext",
+        "512-ext",
         "2,2,2,2,2-monoid",
         "2,2,4-monoid",
         "2,2,2,2-monoid",
@@ -764,7 +766,10 @@ def test_large_verify_reports_are_pinned(argv, digest):
     # shapes the bench leaves out, as printed when each sample was built
     # by GroupRing products and its Smith rows read off mult_matrix; the
     # 256, 3,27 and 2,2,8 unit sweeps as printed when the witness identity
-    # was checked on N_I Z[G] instead of in Z[G/I]
+    # was checked on N_I Z[G] instead of in Z[G/I]; the 512 ext sweep as
+    # printed when ext took pi from the left kernel of the multiplication
+    # matrix of N_I, fact (b) from a Smith form, and the backward lattice
+    # from the 2n-row orbit HNF of (N_I, #I)
     env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-m", "grlat", *argv], capture_output=True, env=env, timeout=120)
     assert done.returncode == 0

@@ -16,6 +16,9 @@ solved for modulo p^M, and the p-adic lattice comparison a unit row
 made after its witness, kept in the reference, is checked to pass
 wherever the witness does.  The witness identity, checked in Z[G/I], is
 compared with the same identity on N_I Z[G], the route it replaced.
+The extension check, read off the cosets of I, is compared flag by flag
+with the multiplication-matrix, left-kernel and Smith-form route it
+replaced, and an ext sweep is spied on for any of those.
 """
 
 import contextlib
@@ -46,6 +49,7 @@ from grlat.errors import (
 from grlat.grouprings import GroupRing, GroupRingElem, IdealLattice, group_ring
 from grlat.monoid import build_sets
 from grlat.lattices import (
+    ExtensionReport,
     KernelReport,
     _forward_generators,
     _kernel_identity,
@@ -60,6 +64,7 @@ from grlat.lattices import (
 
 import reference
 from reference import (
+    ref_backward_ideal,
     ref_backward_rep,
     ref_kernel_identity,
     ref_lattice_quotient_coords,
@@ -67,11 +72,13 @@ from reference import (
     ref_projection_index,
     ref_unit_comparison,
     ref_unit_witness,
+    ref_verify_extension_sequence,
     ref_verify_unit_on_norm_copy,
     ref_verify_unit_transport,
     unit_route_outcome,
 )
 from test_acceptance import P_GROUPS_27
+from test_negative_controls import PERTURBED_GROUPS, ext_on, perturbation_set
 from test_bench_digests import EXPECTED, report_digest
 
 
@@ -369,6 +376,73 @@ def test_extension_sequence_examples():
         rep = verify_extension_sequence(r, sub)
         assert rep.ok, (facs, gens)
         assert rep.image_matches and rep.embedding_primitive
+
+
+@pytest.mark.parametrize("facs", PERTURBED_GROUPS)
+def test_extension_check_matches_the_left_kernel_route_on_perturbations(facs, monkeypatch):
+    # both flags, on lattices that pass, fail one fact or fail both, and
+    # on the span of N_I and #I Z^n: no ideal unless I = G, it holds one
+    # coset indicator of [G:I]
+    seen = set()
+    for ring, inertia, lat in perturbation_set(facs):
+        one_coset = IdealLattice(
+            ring, [list(ring.norm_element(inertia).coeffs)] + im.diagonal([inertia.order] * ring.n)
+        )
+        for lat in (lat, one_coset):
+            got = ext_on(ring, inertia, lat, monkeypatch)
+            assert got == ref_verify_extension_sequence(ring, inertia, lat), (facs, inertia, lat.basis)
+            seen.add(got)
+    assert ExtensionReport(True, True) in seen and len(seen) > 1
+
+
+def test_extension_check_matches_the_left_kernel_route_on_the_catalogue():
+    # the cyclic groups of criterion 6's kernel sweep, and 2,2,2,2; the
+    # backward lattice is also compared with its 2n-row orbit HNF
+    for facs in [[n] for n in range(2, 82)] + [[2, 2, 2, 2]]:
+        ring = group_ring(make_group(facs))
+        for inertia in {pair.inertia for pair in build_sets(ring.group).stilde}:
+            ref_lat = ref_backward_ideal(ring, inertia)
+            assert backward_rep(ring, inertia).basis == ref_lat.basis, (facs, inertia)
+            got = verify_extension_sequence(ring, inertia)
+            assert got == ref_verify_extension_sequence(ring, inertia, ref_lat), (facs, inertia)
+            assert got == ExtensionReport(True, True), (facs, inertia)
+
+
+@pytest.mark.parametrize("spec", ["64", "2,2,8"])
+def test_ext_sweep_builds_no_multiplication_matrix_kernel_smith_form_or_element(spec):
+    # inside the ext rows only: build_sets takes Smith forms of its own
+    rows, inside, calls = [], [], []
+    real_ext = cli.verify_extension_sequence
+
+    def ext(ring, inertia):
+        rows.append(inertia)
+        inside.append(True)
+        try:
+            return real_ext(ring, inertia)
+        finally:
+            inside.pop()
+
+    def spy(name, real):
+        def wrapped(*args, **kwargs):
+            if inside:
+                calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    spies = [
+        (GroupRing, "mult_matrix"),
+        (im, "left_kernel"),
+        (im, "snf_with_transform"),
+        (GroupRingElem, "__init__"),
+    ]
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(cli, "verify_extension_sequence", ext))
+        for owner, name in spies:
+            stack.enter_context(mock.patch.object(owner, name, spy(name, getattr(owner, name))))
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        assert cli.main(["verify", spec, "--checks", "ext"]) == cli.EXIT_OK
+    assert rows and not calls
 
 
 def _fraction_solve_left(rows, target):
