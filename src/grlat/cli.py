@@ -144,11 +144,11 @@ def _tate_rows(inputs):
     fam = inputs.fam
     rows = []
     inertia = keys = None
-    for pair, mod in zip(fam.stilde, inputs.modules()):
+    for pair, proj, mod in zip(fam.stilde, fam.projection, inputs.modules()):
         if pair.inertia != inertia:
             inertia = pair.inertia
             keys = [tate_key(inertia, h) for h in fam.subgroups]
-        dec = pair.decomposition
+        dec = fam.s_pairs[proj].dec
         statuses = {}
         for h, key in zip(fam.subgroups, keys):
             if key not in statuses:

@@ -11,10 +11,12 @@ both computed as quotients of explicit lattices in Z^g and returned as
 modules again, so the residual action can be compared.  Every module
 comes in Smith coordinates (see grouprings): L = diag(d) and g is the
 number of invariants d_i of M = (+) Z/d_i (an inertia module is
-(Z/(a^f - 1))^[G:D]).  The invariants are one kernel: the preimage of
-L^k under the k maps A_h - 1 of H's generators side by side.  Both
-Tate groups are FiniteModule.subquotient of M, so they inherit its
-validated action and are not checked again.
+(Z/(a^f - 1))^[G:D]).  So both kernels are kernels mod d
+(intmat.kernel_mod): the invariants are the x that the k maps A_h - 1
+of H's generators, side by side, send to 0 mod d in each of the k
+blocks, and the norm kernel the x with x N = 0 mod d.  Both Tate groups
+are FiniteModule.subquotient of M, so they inherit its validated action
+and are not checked again.
 
 The Tate groups of an inertia module over H depend on H only through
 tate_key(I, H), and are checked against the closed form (Z/c)[G/B] =
@@ -90,18 +92,17 @@ def tate_cohomology(module: FiniteModule, sub: Subgroup) -> TateResult:
         [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(module.action_matrix(h))]
         for h in sub.generators()
     ]
-    k = len(diffs)
-    # invariants: x with x(A_h - 1) in L for every h, one kernel with the
-    # maps side by side and L repeated in each block of the target
+    mods = module.invariants()
+    # invariants: x with x(A_h - 1) = 0 mod d for every h, one kernel with
+    # the maps side by side
     side = [[x for d in diffs for x in d[i]] for i in range(n)]
-    target = [[0] * (b * n) + r + [0] * ((k - 1 - b) * n) for b in range(k) for r in rel]
-    inv = im.preimage_lattice(side, target)
+    inv = im.kernel_mod(side, mods * len(diffs))
     nm = norm_matrix(module, sub)
     norm_image = im.lattice_sum(nm, rel)
     h0 = module.subquotient(inv, norm_image)
 
-    # norm kernel: x with x N in L
-    ker = im.preimage_lattice(nm, rel)
+    # norm kernel: x with x N = 0 mod d
+    ker = im.kernel_mod(nm, mods)
     aug = im.hnf(rel + [row for d in diffs for row in d], n)
     hm1 = module.subquotient(ker, aug)
     return TateResult(h0, hm1)

@@ -110,24 +110,6 @@ class GroupRing:
             raise ValueError(f"need {self.n} coefficients")
         return GroupRingElem(self, coeffs)
 
-    def norm_element(self, sub: Subgroup) -> "GroupRingElem":
-        """Sum of the delta elements over a subgroup."""
-        if sub.group != self.group:
-            raise ParentMismatchError("subgroup of a different group")
-        c = [0] * self.n
-        for e in sub.elements():
-            c[self.index_of(e)] = 1
-        return GroupRingElem(self, tuple(c))
-
-    # -- matrices --------------------------------------------------------------
-
-    def mult_matrix(self, x: "GroupRingElem"):
-        """Rows M with (coeffs of y) @ M = coeffs of y*x."""
-        if x.ring is not self:
-            raise ParentMismatchError("element of a different ring")
-        # row i is x translated by element i
-        return [self._translated(x.coeffs, i) for i in range(self.n)]
-
 
 @lru_cache(maxsize=2)
 def group_ring(group: FinAbGroup) -> GroupRing:
@@ -173,13 +155,6 @@ class GroupRingElem:
         return GroupRingElem(ring, tuple(out))
 
     __rmul__ = __mul__
-
-    def translate(self, elem: GroupElement) -> "GroupRingElem":
-        """Multiply by delta_elem (a coefficient permutation)."""
-        ring = self.ring
-        if elem.group != ring.group:
-            raise ParentMismatchError("element from a different group")
-        return GroupRingElem(ring, tuple(ring._translated(self.coeffs, ring.index_of(elem))))
 
 
 class IdealLattice:

@@ -10,10 +10,13 @@ Conventions:
   * vectors are rows, maps act on the right (x -> x @ A),
   * hnf() returns the canonical row Hermite form: echelon, positive
     pivots, entries above each pivot reduced into [0, pivot),
-  * hnf() and hnf_with_transform() share one elimination, _echelon:
-    rows filed under their leading column, the least entry of a column
-    as pivot, and each reduction touching only the pivot row's nonzeros,
+  * every HNF and kernel runs through one elimination, _echelon: rows
+    filed under their leading column, the least entry of a column as
+    pivot, and each reduction touching only the pivot row's nonzeros,
     which keeps the sparse orbit matrices of ideal lattices cheap,
+  * kernel_mod(F, mods) is the canonical HNF of the x with x F = 0 mod
+    mods[j] in column j, read off one HNF of F reduced mod mods with an
+    identity block beside it, stacked over diag(mods),
   * a full-rank square HNF has its pivots on the diagonal, so callers
     that store one test membership with in_span(h, range(n), v) and
     take its index with hnf_index(h) and walk its cosets with
@@ -177,32 +180,6 @@ def hnf(rows, width=None):
         width = len(rows[0])
     pivots = _echelon(rows, width)
     return rows[: len(pivots)]
-
-
-def hnf_with_transform(rows, width=None):
-    """Return (H, U, pivots) with U unimodular, U @ A = [H; 0].
-
-    U is square of size len(rows); its last rows (beyond len(H)) span the
-    left kernel of A.
-    """
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    if width is None:
-        width = len(rows[0]) if m else 0
-    aug = [rows[i] + [1 if j == i else 0 for j in range(m)] for i in range(m)]
-    pivots = _echelon(aug, width)
-    h = [aug[i][:width] for i in range(len(pivots))]
-    u = [aug[i][width:] for i in range(m)]
-    return h, u, pivots
-
-
-def left_kernel(rows, width=None):
-    """Basis (list of rows) of {x : x @ A = 0}."""
-    m = len(rows)
-    if m == 0:
-        return []
-    h, u, pivots = hnf_with_transform(rows, width)
-    return u[len(pivots) :]
 
 
 def reduce_against(hrows, pivots, v):
@@ -453,10 +430,6 @@ def lattice_sum(*lattices):
     return hnf(rows)
 
 
-def lattice_eq(a_rows, b_rows):
-    return hnf(a_rows) == hnf(b_rows)
-
-
 def hnf_index(h):
     """|Z^n / L| for the lattice L spanned by a full-rank square HNF h:
     the product of its pivots, which sit on the diagonal."""
@@ -471,17 +444,17 @@ def hnf_residues(h):
         yield x[::-1]
 
 
-def preimage_lattice(f_matrix, target_rows):
-    """Basis of {x in Z^a : x @ F in row span(target)}, for F with a rows:
-    the domain half of the left kernel of F stacked over -target."""
-    a = len(f_matrix)
-    width_target = len(f_matrix[0]) if f_matrix else 0
-    stacked = [list(r) for r in f_matrix] + [[-x for x in r] for r in target_rows]
-    if not stacked:
-        return []
-    ker = left_kernel(stacked, width_target)
-    out = [k[:a] for k in ker]
-    return hnf(out, a) if out else []
+def kernel_mod(rows, mods):
+    """Canonical HNF of {x in Z^a : x F = 0 mod mods[j] in column j}, for
+    F = rows, a rows of len(mods) entries, every mod >= 1.
+
+    One HNF of [F mod mods | I_a ; diag(mods) | 0]: its rows whose F part
+    is zero span exactly the (0, x) in its row span, so their trailing
+    blocks are the kernel's canonical HNF (Cohen, GTM 138, 2.4)."""
+    b, a = len(mods), len(rows)
+    mat = [[x % m for x, m in zip(r, mods)] + e for r, e in zip(rows, identity(a))]
+    mat += [row + [0] * a for row in diagonal(mods)]
+    return [r[b:] for r in hnf(mat, b + a) if not any(r[:b])]
 
 
 def frozen(rows):

@@ -55,10 +55,6 @@ class InertiaPair:
     inertia: Subgroup
     frob: GroupElement
 
-    @property
-    def decomposition(self) -> Subgroup:
-        return decomposition_subgroup(self.inertia, self.frob)
-
 
 @dataclass(frozen=True)
 class DecompositionPair:

@@ -27,6 +27,20 @@ the coset indicators in the lattice.  It takes the lattice as an
 argument; ref_backward_ideal is backward_rep as it was then, the HNF of
 the 2n-row orbit of N_I and #I.
 
+ref_hnf_with_transform, ref_left_kernel, ref_preimage_lattice and
+ref_lattice_eq are the transform-carrying elimination intmat kept until
+the Tate sweep read both of its kernels mod d off one HNF
+(intmat.kernel_mod): an HNF of [A | I] that keeps the whole unimodular
+transform, the left kernel as its last rows, the preimage of a lattice
+as the domain half of the left kernel of F stacked over -target, put in
+HNF again, and equality of two lattices as equality of their HNFs.
+
+ref_mult_matrix, ref_norm_element and ref_translate are the group-ring
+helpers GroupRing.mult_matrix, GroupRing.norm_element and
+GroupRingElem.translate, which no command reached any more: the
+multiplication matrix of x (row i is x translated by element i), the
+sum of a subgroup's elements, and multiplication by one element.
+
 ref_lattice_quotient_coords is the exact solve X @ big = small by an
 HNF with transform that unit transport used to find its unit modulo
 p^M before it exhibited the geometric-sum witness; the references
@@ -134,7 +148,7 @@ from grlat.errors import (
     ScopeError,
     UnitNotFoundError,
 )
-from grlat.grouprings import FiniteModule, IdealLattice, group_ring, inertia_module
+from grlat.grouprings import FiniteModule, GroupRingElem, IdealLattice, group_ring, inertia_module
 from grlat.lattices import ExtensionReport, KernelReport, backward_rep
 from grlat.polys import poly_divmod_monic, trim
 
@@ -370,12 +384,87 @@ def ref_root_power_traces(m, p, prec):
     return traces
 
 
+# -- the transform-carrying elimination --------------------------------------
+
+
+def ref_hnf_with_transform(rows, width=None):
+    """Return (H, U, pivots) with U unimodular, U @ A = [H; 0].
+
+    U is square of size len(rows); its last rows (beyond len(H)) span the
+    left kernel of A.
+    """
+    rows = [list(r) for r in rows]
+    m = len(rows)
+    if width is None:
+        width = len(rows[0]) if m else 0
+    aug = [rows[i] + [1 if j == i else 0 for j in range(m)] for i in range(m)]
+    pivots = im._echelon(aug, width)
+    h = [aug[i][:width] for i in range(len(pivots))]
+    u = [aug[i][width:] for i in range(m)]
+    return h, u, pivots
+
+
+def ref_left_kernel(rows, width=None):
+    """Basis (list of rows) of {x : x @ A = 0}."""
+    m = len(rows)
+    if m == 0:
+        return []
+    h, u, pivots = ref_hnf_with_transform(rows, width)
+    return u[len(pivots) :]
+
+
+def ref_lattice_eq(a_rows, b_rows):
+    return im.hnf(a_rows) == im.hnf(b_rows)
+
+
+def ref_preimage_lattice(f_matrix, target_rows):
+    """Basis of {x in Z^a : x @ F in row span(target)}, for F with a rows:
+    the domain half of the left kernel of F stacked over -target."""
+    a = len(f_matrix)
+    width_target = len(f_matrix[0]) if f_matrix else 0
+    stacked = [list(r) for r in f_matrix] + [[-x for x in r] for r in target_rows]
+    if not stacked:
+        return []
+    ker = ref_left_kernel(stacked, width_target)
+    out = [k[:a] for k in ker]
+    return im.hnf(out, a) if out else []
+
+
+# -- group-ring matrices, norms and translates --------------------------------
+
+
+def ref_mult_matrix(ring, x):
+    """Rows M with (coeffs of y) @ M = coeffs of y*x."""
+    if x.ring is not ring:
+        raise ParentMismatchError("element of a different ring")
+    # row i is x translated by element i
+    return [ring._translated(x.coeffs, i) for i in range(ring.n)]
+
+
+def ref_norm_element(ring, sub):
+    """Sum of the delta elements over a subgroup."""
+    if sub.group != ring.group:
+        raise ParentMismatchError("subgroup of a different group")
+    c = [0] * ring.n
+    for e in sub.elements():
+        c[ring.index_of(e)] = 1
+    return GroupRingElem(ring, tuple(c))
+
+
+def ref_translate(x, elem):
+    """Multiply by delta_elem (a coefficient permutation)."""
+    ring = x.ring
+    if elem.group != ring.group:
+        raise ParentMismatchError("element from a different group")
+    return GroupRingElem(ring, tuple(ring._translated(x.coeffs, ring.index_of(elem))))
+
+
 # -- the exact solve X @ big = small ----------------------------------------
 
 
 def ref_lattice_quotient_coords(big_rows, small_rows):
     """Coordinates X with X @ big = small, exact; raises ContainmentError."""
-    h, u, piv = im.hnf_with_transform(big_rows)
+    h, u, piv = ref_hnf_with_transform(big_rows)
     coords = []
     for r in small_rows:
         c = im.span_coefficients(h, piv, r)
@@ -391,7 +480,7 @@ def ref_lattice_quotient_coords(big_rows, small_rows):
 def ref_meet(a, b):
     if a.group != b.group:
         raise ParentMismatchError("subgroups of different groups")
-    coeffs = im.preimage_lattice(a.basis, b.basis)
+    coeffs = ref_preimage_lattice(a.basis, b.basis)
     rows = [im.vec_mat(c, a.basis) for c in coeffs]
     return Subgroup(a.group, im.hnf(rows, a.group.rank))
 
@@ -405,18 +494,18 @@ def ref_preimage_is_standard(ring, inertia, lat):
     coordinates over the coset indicators of the vectors of lat killed
     by the projection pi of Q[G] with kernel nu Q[G] span Z^[G:I]."""
     basis = [list(r) for r in lat.basis]
-    n_i = ring.norm_element(inertia)
-    mn = ring.mult_matrix(n_i)
-    ker_rows = im.left_kernel(mat_transpose(mn))
+    n_i = ref_norm_element(ring, inertia)
+    mn = ref_mult_matrix(ring, n_i)
+    ker_rows = ref_left_kernel(mat_transpose(mn))
     kcols = mat_transpose(ker_rows)
     bk = im.mat_mul(basis, kcols)
     # a row per coset of I, in any order
     fnum = [
-        list(n_i.translate(GroupElement(ring.group, x)).coeffs)
+        list(ref_translate(n_i, GroupElement(ring.group, x)).coeffs)
         for x in im.hnf_residues(inertia.basis)
     ]
     nbar = len(fnum)
-    coeff_rows = im.left_kernel(bk)
+    coeff_rows = ref_left_kernel(bk)
     w_rows = [im.vec_mat(c, basis) for c in coeff_rows]
     # the rows of fnum are disjoint 0/1 indicators of the cosets of I,
     # covering G, so every rational preimage is already integral
@@ -424,13 +513,13 @@ def ref_preimage_is_standard(ring, inertia, lat):
         pre = ref_lattice_quotient_coords(fnum, w_rows)
     except ContainmentError:
         return False
-    return im.lattice_eq(pre, im.identity(nbar))
+    return ref_lattice_eq(pre, im.identity(nbar))
 
 
 def ref_backward_ideal(ring, inertia):
     """The ideal (N_I, #I), spanned by the full orbit of both generators."""
     return IdealLattice.from_elements(
-        ring, [ring.norm_element(inertia), ring.one().scale(inertia.order)]
+        ring, [ref_norm_element(ring, inertia), ring.one().scale(inertia.order)]
     )
 
 
@@ -438,19 +527,19 @@ def ref_verify_extension_sequence(ring, inertia, lat):
     """ExtensionReport of the extension check on lat, stored as #I L."""
     n = ring.n
     basis = [list(r) for r in lat.basis]
-    n_i = ring.norm_element(inertia)
+    n_i = ref_norm_element(ring, inertia)
     # M_{N_I} is symmetric (N_I is I-invariant and I = -I), so its left
     # kernel is the kernel of pi as columns
-    kcols = mat_transpose(im.left_kernel(ring.mult_matrix(n_i)))
+    kcols = mat_transpose(ref_left_kernel(ref_mult_matrix(ring, n_i)))
     # (a) pi of the stored lattice #I L agrees with #I pi(Z[G])
     bk = im.mat_mul(basis, kcols)
     order = inertia.order
     full_rows = [[order * v for v in row] for row in kcols]
-    image_matches = im.lattice_eq(bk, full_rows)
+    image_matches = ref_lattice_eq(bk, full_rows)
     # (b) the rows of N_I Z[G], one 0/1 indicator per coset of I in any
     # order, have coordinates in #I L with all Smith invariants 1
     fnum = [
-        list(n_i.translate(GroupElement(ring.group, x)).coeffs)
+        list(ref_translate(n_i, GroupElement(ring.group, x)).coeffs)
         for x in im.hnf_residues(inertia.basis)
     ]
     coords = [im.span_coefficients(basis, range(n), row) for row in fnum]
@@ -491,7 +580,7 @@ class RefLattice:
 
     def multiply_element(self, x):
         den, rows = ref_coeffs_to_int_rows([x])
-        m = self.ring.mult_matrix(self.ring.from_coeffs(tuple(rows[0])))
+        m = ref_mult_matrix(self.ring, self.ring.from_coeffs(tuple(rows[0])))
         return RefLattice(self.ring, self.den * den, [im.vec_mat(list(r), m) for r in self.basis])
 
 
@@ -502,7 +591,7 @@ def ref_coeffs_to_int_rows(elems):
 
 def ref_backward_rep(ring, inertia, frob):
     """(nu, 1 - nu phi^{-1}) with nu = N_I / #I, over Fraction."""
-    nu = ring.norm_element(inertia).scale(Fraction(1, inertia.order))
+    nu = ref_norm_element(ring, inertia).scale(Fraction(1, inertia.order))
     w2 = ring.one() - nu * ring.delta(-frob)
     return RefLattice.from_elements(ring, [nu, w2])
 
@@ -524,7 +613,7 @@ def ref_verify_unit_transport(ring, inertia, frob_a, frob_b):
     qd = quotient_data(group, inertia)
     qring = group_ring(qd.group)
     nbar = qring.n
-    tmat = qring.mult_matrix(qring.one() - qring.delta(-qd.proj(frob_a)))
+    tmat = ref_mult_matrix(qring, qring.one() - qring.delta(-qd.proj(frob_a)))
     target = list((qring.one() - qring.delta(-qd.proj(frob_b))).coeffs)
     stacked = [list(r) for r in tmat] + im.diagonal([q] * nbar)
     try:
@@ -535,7 +624,7 @@ def ref_verify_unit_transport(ring, inertia, frob_a, frob_b):
     aug = sum(u) % q
     if aug % p == 0:
         fixed = False
-        for row in im.left_kernel(stacked):
+        for row in ref_left_kernel(stacked):
             k = [c % q for c in row[:nbar]]
             ka = sum(k) % q
             if ka % p:
@@ -550,13 +639,13 @@ def ref_verify_unit_transport(ring, inertia, frob_a, frob_b):
         rep = GroupElement(group, x)
         ucoeffs[ring.index_of(rep)] = u[qring.index_of(qd.proj(rep))]
     utilde = ring.from_coeffs(tuple(ucoeffs))
-    nu = ring.norm_element(inertia).scale(Fraction(1, inertia.order))
+    nu = ref_norm_element(ring, inertia).scale(Fraction(1, inertia.order))
     w = ring.one() + nu * (utilde - ring.one())
     transported = lat_a.multiply_element(w)
     rows_a = [[v * (common // transported.den) for v in row] for row in transported.basis]
     rows_b = [[v * (common // lat_b.den) for v in row] for row in lat_b.basis]
     mod_rows = im.diagonal([q] * n)
-    return im.lattice_eq(rows_a + mod_rows, rows_b + mod_rows)
+    return ref_lattice_eq(rows_a + mod_rows, rows_b + mod_rows)
 
 
 # -- the comparison a unit row made after its witness -------------------------
@@ -591,7 +680,7 @@ def ref_verify_unit_on_norm_copy(ring, inertia, frob_a, frob_b):
     utilde = ref_unit_witness(ring, inertia, frob_a, frob_b)
     if utilde is None:
         raise UnitNotFoundError("no unit carries one coset difference to the other")
-    n_i = ring.norm_element(inertia)
+    n_i = ref_norm_element(ring, inertia)
     one = ring.one()
     if n_i * (utilde * (one - ring.delta(-frob_a))) != n_i * (one - ring.delta(-frob_b)):
         raise UnitNotFoundError("the witness does not carry one coset difference to the other")
@@ -610,7 +699,7 @@ def ref_unit_comparison(ring, inertia, utilde):
     modulo p^(2 n v_p(#I) + 1)."""
     (p,) = prime_factors(ring.n)
     one = ring.one()
-    n_i = ring.norm_element(inertia)
+    n_i = ref_norm_element(ring, inertia)
     # the multiplier W = #I w = #I + N_I (u~ - 1); compare
     # #I^2 L w = (#I L) W with #I^2 L = #I (#I L), from the stored #I L
     lat = backward_rep(ring, inertia)
@@ -618,11 +707,11 @@ def ref_unit_comparison(ring, inertia, utilde):
     q = p ** (2 * n * p_split(inertia.order, p)[0] + 1)
     order = inertia.order
     w = one.scale(order) + n_i * (utilde - one)
-    m = ring.mult_matrix(w)
+    m = ref_mult_matrix(ring, w)
     rows_a = [im.vec_mat(list(r), m) for r in lat.basis]
     rows_b = [[order * v for v in row] for row in lat.basis]
     mod_rows = im.diagonal([q] * n)
-    return im.lattice_eq(rows_a + mod_rows, rows_b + mod_rows)
+    return ref_lattice_eq(rows_a + mod_rows, rows_b + mod_rows)
 
 
 # -- the orbit route to an inertia module ------------------------------------
@@ -637,7 +726,7 @@ def ref_inertia_presentation(inertia, frob):
     qring = group_ring(qd.group)
     tau = qring.one().scale(1 + inertia.order) - qring.delta(-qd.proj(frob))
     rel = IdealLattice.from_elements(qring, [tau])
-    actions = [qring.mult_matrix(qring.delta(qd.proj(g))) for g in group.generators()]
+    actions = [ref_mult_matrix(qring, qring.delta(qd.proj(g))) for g in group.generators()]
     return [list(r) for r in rel.basis], actions
 
 

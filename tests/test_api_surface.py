@@ -1,0 +1,74 @@
+"""Every public name of the package is reached from the package itself.
+
+The AST of src/grlat is walked once.  Every public module-level function
+and every public method of a public class must be referenced somewhere
+in the package, as a Name, an Attribute or an imported name, unless
+ALLOWED names it with the reason it is kept.  Code that no command
+reaches is either wired in or deleted; a routine kept only for the tests
+belongs in tests/reference.py.  The check is by name, so a reference to
+a different object of the same name also counts.
+"""
+
+import ast
+from pathlib import Path
+
+import grlat
+
+SRC = Path(grlat.__file__).resolve().parent
+
+# (module, qualified name) -> why it stays without a caller in the package
+ALLOWED = {
+    ("lattices", "forward_rep"): "README-documented API",
+    ("grouprings", "IdealLattice.integral_index"): "README-documented API",
+    ("abelian", "Subgroup.from_generators"): "README-documented API",
+    ("monoid", "cardinality_formulas"): "acceptance criterion 2 checks the cardinality formulas with it",
+}
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _referenced(trees):
+    names = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def _public(trees):
+    """(module, qualified name, bare name) of every public function and
+    every public method of a public class."""
+    out = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                out.append((mod, node.name, node.name))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        out.append((mod, f"{node.name}.{item.name}", item.name))
+    return out
+
+
+def test_every_public_function_and_method_is_referenced_in_the_package():
+    trees = _trees()
+    used = _referenced(trees)
+    unreached = [(mod, qual) for mod, qual, name in _public(trees) if name not in used]
+    assert sorted(set(unreached) - set(ALLOWED)) == []
+
+
+def test_the_allowlist_names_only_unreferenced_public_names():
+    trees = _trees()
+    used = _referenced(trees)
+    public = {(mod, qual): name for mod, qual, name in _public(trees)}
+    for key, reason in ALLOWED.items():
+        assert key in public, key
+        assert public[key] not in used, (key, "is referenced in the package; drop it from ALLOWED")
+        assert reason

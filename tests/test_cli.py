@@ -649,6 +649,8 @@ def test_too_many_inertia_pairs_are_refused_at_once(argv):
         (["verify", "2,2,4", "--checks", "tate"], "5e71449cc9c0e51346d321525e0e94f7d33774069d586586f2c5b31aeb5a3018"),
         (["verify", "2,2,2,2", "--checks", "tate"], "fab640a676cfc164e915c84dfaa4902730a970af8f31ab40ea893e565d99bec1"),
         (["verify", "2,2,8", "--checks", "tate"], "63f81c8b8a480556e040dc8bbf57e1142ebde8d17513536a3fea55a0845f1fa7"),
+        (["verify", "3,27", "--checks", "tate"], "f90827864ea147809294e1484afa8624fecc20ba7b42e7554bdd615a06273157"),
+        (["verify", "4,16", "--checks", "tate"], "344933ae8ceb3d4d69569e1717b93f5f0ed2e0054a2202d37133e8e561a3c07a"),
         (["verify", "243", "--checks", "ext"], "f2e2768599b8c8f436abd8194f5863972ec342e36fc7af7b97f98ecd713a1221"),
         (["verify", "256", "--checks", "ext"], "b1008508e64c3c67d5bc51583c310da27d7b0dec08d1c3e4450306b5a4795404"),
         (["verify", "28", "--checks", "triviality"], "4a6e86b9fbb75a54c505d2bb84147d9245ee8bb33e69217c844fe015c6c6d28f"),
@@ -702,6 +704,8 @@ def test_too_many_inertia_pairs_are_refused_at_once(argv):
         "2,2,4-tate",
         "2,2,2,2-tate",
         "2,2,8-tate",
+        "3,27-tate",
+        "4,16-tate",
         "243-ext",
         "256-ext",
         "28-triviality",
@@ -769,7 +773,10 @@ def test_large_verify_reports_are_pinned(argv, digest):
     # was checked on N_I Z[G] instead of in Z[G/I]; the 512 ext sweep as
     # printed when ext took pi from the left kernel of the multiplication
     # matrix of N_I, fact (b) from a Smith form, and the backward lattice
-    # from the 2n-row orbit HNF of (N_I, #I)
+    # from the 2n-row orbit HNF of (N_I, #I); the 3,27 and 4,16 tate
+    # sweeps as printed when both kernels of a Tate row were the domain
+    # half of a left kernel, read off an HNF with unimodular transform of
+    # the maps stacked over the relations, and put in HNF again
     env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-m", "grlat", *argv], capture_output=True, env=env, timeout=120)
     assert done.returncode == 0

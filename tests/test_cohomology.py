@@ -8,6 +8,7 @@ just as abelian groups.
 
 from dataclasses import dataclass
 from math import gcd
+from unittest import mock
 
 import pytest
 from sympy import ZZ, Matrix
@@ -51,8 +52,11 @@ from reference import (
     ref_inertia_module,
     ref_inertia_presentation,
     ref_lattice_quotient_coords,
+    ref_left_kernel,
     ref_meet,
+    ref_mult_matrix,
     ref_norm_matrix,
+    ref_preimage_lattice,
     ref_prediction_data,
     ref_root_power_traces,
 )
@@ -61,7 +65,7 @@ from reference import (
 def regular_quotient(ring, x):
     """Z[G]/(x), with G acting by translation."""
     rel = IdealLattice.from_elements(ring, [x])
-    return FiniteModule.build(ring.group, rel.basis, [ring.mult_matrix(ring.delta(g)) for g in ring.group.generators()])
+    return FiniteModule.build(ring.group, rel.basis, [ref_mult_matrix(ring, ring.delta(g)) for g in ring.group.generators()])
 
 
 def full_inertia_module(n):
@@ -111,10 +115,11 @@ def test_closed_form_matches_brute_force_small():
     for facs in ([9], [3, 3]):
         g = make_group(facs)
         for pair in build_sets(g).stilde:
+            dec = decomposition_subgroup(pair.inertia, pair.frob)
             mod = inertia_module(pair.inertia, pair.frob)
             for h in enumerate_subgroups(g):
                 t = tate_cohomology(mod, h)
-                big, c = prediction_data(pair.decomposition, tate_key(pair.inertia, h))
+                big, c = prediction_data(dec, tate_key(pair.inertia, h))
                 for side in (t.h0, t.hminus1):
                     assert prediction_verdict(side, big, c) == "pass", (facs, pair, h)
 
@@ -393,9 +398,10 @@ def test_generator_search_past_the_cap():
 def test_prediction_is_generated_by_the_first_basis_vector():
     g = make_group([3, 3])
     for pair in build_sets(g).stilde:
+        dec = decomposition_subgroup(pair.inertia, pair.frob)
         for h in enumerate_subgroups(g):
             pred = ref_closed_form_inertia_tate(g, pair.inertia, pair.frob, h)
-            big, c = prediction_data(pair.decomposition, tate_key(pair.inertia, h))
+            big, c = prediction_data(dec, tate_key(pair.inertia, h))
             assert prediction_verdict(pred, big, c) == "pass", (pair, h)
             if pred.order > 1:
                 x, _ = find_cyclic_generator(pred)
@@ -425,14 +431,14 @@ def ref_closed_form_inertia_tate(group, inertia, frob, sub):
     qring = group_ring(qd.group)
     n = qring.n
     relations = [[c if i == j else 0 for j in range(n)] for i in range(n)]
-    actions = [qring.mult_matrix(qring.delta(qd.proj(g))) for g in group.generators()]
+    actions = [ref_mult_matrix(qring, qring.delta(qd.proj(g))) for g in group.generators()]
     return FiniteModule.build(group, relations, actions)
 
 
 def ref_annihilator_lattice(module, x):
     """The lattice {c in Z^{|G|} : sum_g c_g (x.g) lies in relations}."""
     rows = [im.vec_mat(list(x), module.action_matrix(g)) for g in module.group.elements()]
-    return im.preimage_lattice(rows, [list(r) for r in module.relations])
+    return ref_preimage_lattice(rows, [list(r) for r in module.relations])
 
 
 def ref_module_equivalent(m1, m2):
@@ -475,11 +481,12 @@ def test_prediction_verdict_matches_two_sided_comparison(factors):
     g = make_group(factors)
     subs = enumerate_subgroups(g)
     for pair in build_sets(g).stilde:
+        dec = decomposition_subgroup(pair.inertia, pair.frob)
         mod = inertia_module(pair.inertia, pair.frob)
         for h in subs:
             t = tate_cohomology(mod, h)
             pred = ref_closed_form_inertia_tate(g, pair.inertia, pair.frob, h)
-            big, c = prediction_data(pair.decomposition, tate_key(pair.inertia, h))
+            big, c = prediction_data(dec, tate_key(pair.inertia, h))
             for side in (t.h0, t.hminus1):
                 out = ref_module_equivalent(side, pred)
                 old = ("pass" if out.isomorphic else "fail") if out.decided else "undecided"
@@ -686,11 +693,12 @@ def test_closed_form_tate_groups_match_the_orbit_route(factors):
     g = make_group(factors)
     subs = enumerate_subgroups(g)
     for pair in build_sets(g).stilde:
+        dec = decomposition_subgroup(pair.inertia, pair.frob)
         mod = inertia_module(pair.inertia, pair.frob)
         ref = ref_inertia_module(pair.inertia, pair.frob)
         for h in subs:
             t, t_ref = tate_cohomology(mod, h), tate_cohomology(ref, h)
-            big, c = prediction_data(pair.decomposition, tate_key(pair.inertia, h))
+            big, c = prediction_data(dec, tate_key(pair.inertia, h))
             for side, ref_side in ((t.h0, t_ref.h0), (t.hminus1, t_ref.hminus1)):
                 assert side.invariants() == ref_side.invariants(), (factors, pair, h)
                 assert prediction_verdict(side, big, c) == prediction_verdict(ref_side, big, c), (factors, pair, h)
@@ -705,8 +713,9 @@ def test_keyed_prediction_data_matches_the_per_row_route(factors):
     g = make_group(factors)
     subs = enumerate_subgroups(g)
     for pair in build_sets(g).stilde:
+        dec = decomposition_subgroup(pair.inertia, pair.frob)
         for h in subs:
-            keyed = prediction_data(pair.decomposition, tate_key(pair.inertia, h))
+            keyed = prediction_data(dec, tate_key(pair.inertia, h))
             assert keyed == ref_prediction_data(g, pair.inertia, pair.frob, h), (factors, pair, h)
 
 
@@ -737,7 +746,7 @@ def ref_lattice_intersection(a_rows, b_rows):
     if not a_rows or not b_rows:
         return []
     stacked = [list(r) for r in a_rows] + [[-x for x in r] for r in b_rows]
-    ker = im.left_kernel(stacked)
+    ker = ref_left_kernel(stacked)
     na = len(a_rows)
     out = [im.vec_mat(k[:na], a_rows) for k in ker]
     return im.hnf(out) if out else []
@@ -760,14 +769,14 @@ def ref_tate_cohomology(module, sub):
     for h in gens:
         a = module.action_matrix(h)
         d = [[a[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-        pre = im.preimage_lattice(d, rel)
+        pre = ref_preimage_lattice(d, rel)
         inv = ref_lattice_intersection(inv, pre)
 
     nm = ref_norm_matrix(module, sub)
     norm_image = im.lattice_sum([im.vec_mat(list(e), nm) for e in im.identity(n)], rel)
     h0 = ref_quotient_module(module.group, inv, norm_image, module.gen_actions)
 
-    ker = im.preimage_lattice(nm, rel)
+    ker = ref_preimage_lattice(nm, rel)
     aug_rows = list(rel)
     for h in gens:
         a = module.action_matrix(h)
@@ -788,3 +797,30 @@ def test_subquotient_tate_groups_match_the_rebuilt_presentations(factors):
         for h in subs:
             t = tate_cohomology(mod, h)
             assert (t.h0, t.hminus1) == ref_tate_cohomology(mod, h), (factors, pair, h)
+
+
+@pytest.mark.parametrize("factors", CRITERION_4_GROUPS + ([2, 2, 8],))
+def test_kernel_mod_tate_groups_match_the_preimage_route(factors):
+    # both kernels of tate_cohomology by kernel_mod, against the same call
+    # with the left-kernel route it replaced patched in: the preimage of
+    # diag(d), repeated once per generator of H for the invariants; one
+    # H per key of each pair, as the verify command computes them
+    routed = []
+
+    def preimage_route(rows, mods):
+        routed.append(len(mods))
+        return ref_preimage_lattice(rows, im.diagonal(mods))
+
+    fam = build_sets(make_group(factors))
+    compared = 0
+    for pair in fam.stilde:
+        mod = inertia_module(pair.inertia, pair.frob)
+        first = {}
+        for h in fam.subgroups:
+            first.setdefault(tate_key(pair.inertia, h), h)
+        for h in first.values():
+            got = tate_cohomology(mod, h)
+            with mock.patch.object(im, "kernel_mod", preimage_route):
+                assert got == tate_cohomology(mod, h), (factors, pair, h)
+            compared += 1
+    assert compared and len(routed) == 2 * compared

@@ -8,7 +8,10 @@ sparse HNF elimination is also compared entry for entry with the dense
 elimination it replaced, kept here as ref_echelon, on tall sparse
 matrices and group-ring orbit matrices, and the packed-row elimination
 behind smith_valuations with the list elimination it replaced,
-ref_smith_valuations_mod.
+ref_smith_valuations_mod.  kernel_mod, one HNF of [F | I ; diag(mods) | 0],
+is compared with the left-kernel route it replaced in the Tate sweep,
+ref_preimage_lattice over ref_hnf_with_transform; those references are
+checked against their own contracts here too.
 """
 
 from math import prod
@@ -23,7 +26,16 @@ import grlat.intmat as im
 from grlat.abelian import make_group
 from grlat.errors import ContainmentError, NotFullRankError
 from grlat.grouprings import group_ring
-from reference import ref_det, ref_lattice_quotient_coords, ref_smith_valuations_mod
+from reference import (
+    ref_det,
+    ref_hnf_with_transform,
+    ref_lattice_eq,
+    ref_lattice_quotient_coords,
+    ref_left_kernel,
+    ref_mult_matrix,
+    ref_preimage_lattice,
+    ref_smith_valuations_mod,
+)
 
 small_entries = st.integers(min_value=-30, max_value=30)
 
@@ -119,7 +131,7 @@ def orbit_matrices(draw):
         coeffs = [0] * ring.n
         for i in draw(st.lists(st.integers(0, ring.n - 1), min_size=1, max_size=3)):
             coeffs[i] = draw(st.integers(-6, 6))
-        rows += ring.mult_matrix(ring.from_coeffs(coeffs))
+        rows += ref_mult_matrix(ring, ring.from_coeffs(coeffs))
     return rows, ring.n
 
 
@@ -193,7 +205,7 @@ def test_smith_coordinates_are_an_isomorphism(rows, x):
 @given(square(3))
 @settings(max_examples=80, deadline=None)
 def test_hnf_preserves_row_space(rows):
-    h, _, piv = im.hnf_with_transform([list(r) for r in rows], 3)
+    h, _, piv = ref_hnf_with_transform([list(r) for r in rows], 3)
     for r in rows:
         assert im.in_span(h, piv, list(r))
 
@@ -227,7 +239,7 @@ def test_hnf_spans_the_lattice_of_sympys_hnf(n, data):
 def test_hnf_with_transform_contract(case):
     rows, width = case
     m = len(rows)
-    h, u, pivots = im.hnf_with_transform(rows, width)
+    h, u, pivots = ref_hnf_with_transform(rows, width)
     assert h == im.hnf(rows, width) and len(pivots) == len(h)
     assert len(u) == m and all(len(r) == m for r in u)
     assert abs(ref_det(u)) == 1
@@ -241,7 +253,7 @@ dense_wide = st.lists(st.lists(small_entries, min_size=4, max_size=4), min_size=
 @settings(max_examples=120, deadline=None)
 def test_left_kernel_annihilates(case):
     rows, width = case
-    ker = im.left_kernel([list(r) for r in rows], width)
+    ker = ref_left_kernel([list(r) for r in rows], width)
     for k in ker:
         out = im.vec_mat(k, rows)
         assert all(x == 0 for x in out)
@@ -256,7 +268,7 @@ def test_left_kernel_annihilates(case):
 
 def test_left_kernel_anchor():
     # x + y + z = 0 over Z: kernel rank 2
-    ker = im.left_kernel([[1], [1], [1]])
+    ker = ref_left_kernel([[1], [1], [1]])
     assert len(ker) == 2
     for k in ker:
         assert sum(k) == 0
@@ -300,8 +312,8 @@ def test_lattice_index_and_eq():
     ha, hb = im.hnf(a, 2), im.hnf(b, 2)
     assert im.hnf_index(ha) == 6
     assert im.hnf_index(hb) == 12
-    assert im.lattice_eq(a, [[2, 0], [2, 3]])
-    assert not im.lattice_eq(a, b)
+    assert ref_lattice_eq(a, [[2, 0], [2, 3]])
+    assert not ref_lattice_eq(a, b)
     assert all(im.in_span(ha, range(2), r) for r in b)
     assert not all(im.in_span(hb, range(2), r) for r in a)
 
@@ -310,8 +322,8 @@ def test_lattice_index_and_eq():
 @settings(max_examples=60, deadline=None)
 def test_sum_contains_intersection(a, b):
     s = im.lattice_sum([list(r) for r in a], [list(r) for r in b])
-    i = [im.vec_mat(c, a) for c in im.preimage_lattice(a, [list(r) for r in b])]
-    h, _, piv = im.hnf_with_transform(s, 2)
+    i = [im.vec_mat(c, a) for c in ref_preimage_lattice(a, [list(r) for r in b])]
+    h, _, piv = ref_hnf_with_transform(s, 2)
     for r in i:
         assert im.in_span(h, piv, list(r))
 
@@ -320,13 +332,41 @@ def test_preimage_lattice_anchor():
     # f(x, y) = (2x, 2y); preimage of 4Z^2 is 2Z^2
     f = [[2, 0], [0, 2]]
     target = [[4, 0], [0, 4]]
-    pre = im.preimage_lattice(f, target)
-    assert im.lattice_eq(pre, [[2, 0], [0, 2]])
+    pre = ref_preimage_lattice(f, target)
+    assert ref_lattice_eq(pre, [[2, 0], [0, 2]])
+    assert im.kernel_mod(f, [4, 4]) == [[2, 0], [0, 2]]
+
+
+@st.composite
+def kernel_cases(draw):
+    """(F, mods): a random small F with 0-4 rows and 0-4 columns, the
+    reduction of F mod mods included, and one mod >= 2 per column."""
+    a, b = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(small_entries, min_size=b, max_size=b), min_size=a, max_size=a))
+    return rows, draw(st.lists(st.integers(2, 40), min_size=b, max_size=b))
+
+
+@given(kernel_cases())
+@settings(max_examples=300, deadline=None)
+def test_kernel_mod_matches_the_preimage_of_the_diagonal(case):
+    rows, mods = case
+    ker = im.kernel_mod(rows, mods)
+    assert ker == ref_preimage_lattice(rows, im.diagonal(mods))
+    # a full-rank canonical HNF, as FiniteModule.subquotient needs
+    assert ker == im.hnf(ker, len(rows)) and len(ker) == len(rows)
+    for x in ker:
+        assert all(c % m == 0 for c, m in zip(im.vec_mat(x, rows), mods))
+
+
+def test_kernel_mod_with_no_rows_or_no_columns():
+    assert im.kernel_mod([], [3, 5]) == [] == ref_preimage_lattice([], im.diagonal([3, 5]))
+    assert im.kernel_mod([[], []], []) == im.identity(2) == ref_preimage_lattice([[], []], [])
+    assert im.kernel_mod([], []) == []
 
 
 def test_span_coefficients_roundtrip():
     rows = [[1, 2, 0], [0, 3, 1]]
-    h, _, piv = im.hnf_with_transform([list(r) for r in rows], 3)
+    h, _, piv = ref_hnf_with_transform([list(r) for r in rows], 3)
     v = [2, 7, 1]  # 2*r0 + r1
     c = im.span_coefficients(h, piv, v)
     assert c is not None

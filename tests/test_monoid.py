@@ -22,6 +22,7 @@ import grlat
 
 from grlat.abelian import (
     Subgroup,
+    decomposition_subgroup,
     enumerate_subgroups,
     is_elementary,
     make_group,
@@ -67,7 +68,7 @@ def test_stilde_structure():
     fam = build_sets(make_group([9]))
     for pair in fam.stilde:
         assert not pair.inertia.is_trivial
-        assert pair.decomposition.contains(pair.frob)
+        assert decomposition_subgroup(pair.inertia, pair.frob).contains(pair.frob)
     assert len(fam.projection) == len(fam.stilde)
     assert set(fam.projection) == set(range(len(fam.s_pairs)))
 
@@ -501,7 +502,7 @@ def ref_build_sets(group):
             stilde.append(InertiaPair(inertia, frob))
     stilde.sort(key=lambda pr: (pr.inertia.basis, pr.frob.coords))
     projection = tuple(
-        s_index[(pr.inertia.basis, pr.decomposition.basis)] for pr in stilde
+        s_index[(pr.inertia.basis, decomposition_subgroup(pr.inertia, pr.frob).basis)] for pr in stilde
     )
     primes = sorted(prime_factors(group.order))
     s_p = {}
