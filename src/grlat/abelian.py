@@ -246,8 +246,7 @@ class Subgroup:
         for g in gens:
             if g.group != group:
                 raise ParentMismatchError("generator from a different group")
-        rows = [list(g.coords) for g in gens] + im.diagonal(group.factors)
-        return cls(group, im.hnf(rows, group.rank))
+        return cls(group, im.hnf([g.coords for g in gens], group.rank, group.factors))
 
     # -- basic data ---------------------------------------------------------
 

@@ -13,6 +13,7 @@ import functools
 import gc
 import json
 import math
+import os
 import sys
 from importlib import resources
 
@@ -37,7 +38,7 @@ from .lattices import (
     verify_kernel_presentation,
     verify_unit_transport,
 )
-from .monoid import analyze_monoid, build_sets
+from .monoid import analyze_monoid, build_pair_sets
 from .spectrum import _check_scope, predicted_membership, sample_spectrum, verify_claims
 
 EXIT_OK = 0
@@ -263,7 +264,7 @@ def cmd_verify(args) -> dict:
         "triviality": _triviality_rows,
         "unit": _unit_rows,
     }
-    inputs = _SweepInputs(build_sets(group), names)
+    inputs = _SweepInputs(build_pair_sets(group), names)
     rows = []
     for name in names:
         rows.extend(sweeps[name](inputs))
@@ -495,7 +496,15 @@ def main(argv=None) -> int:
         # a check the results depend on failed inside a computation
         print(f"grlat: check failed: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_CHECK
-    emit(report, args.json, sys.stdout)
+    try:
+        emit(report, args.json, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (grlat ... | head): the verdict still decides the
+        # exit code, and stdout goes to devnull so that the flush at
+        # interpreter exit cannot raise again (Python docs, signal: "Note
+        # on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK if report["verdict"] == "pass" else EXIT_CHECK
 
 

@@ -61,19 +61,21 @@ class TateResult:
     hminus1: FiniteModule
 
 
-def norm_matrix(module: FiniteModule, sub: Subgroup):
+def norm_matrix(module: FiniteModule, sub: Subgroup, mats: dict):
     """Matrix of the sum of the actions of all elements of sub.
 
     sub.basis is a square HNF, so its rows h_j, h_(j+1), ... span S_j,
     the elements of sub whose first j coordinates vanish, and the t h_j
     with t < o_j = factor_j / basis[j][j] represent S_j / S_(j+1).
     So the norm of sub = S_0 is the product over j of 1 + A + ... +
-    A^(o_j - 1), A = A_(h_j)."""
+    A^(o_j - 1), A = A_(h_j), read from mats, which maps each of
+    sub.generators() to its matrix (the basis rows with o_j > 1 are
+    among them)."""
     out = im.identity(module.rank)
     for j, (row, factor) in enumerate(zip(sub.basis, sub.group.factors)):
         if factor == row[j]:
             continue
-        a = module.action_matrix(sub.group.element(row))
+        a = mats[sub.group.element(row)]
         # out <- sum_t A^t out, the sparse A on the left of every product
         term = out
         for _ in range(factor // row[j] - 1):
@@ -86,24 +88,26 @@ def tate_cohomology(module: FiniteModule, sub: Subgroup) -> TateResult:
     if sub.group != module.group:
         raise ParentMismatchError("subgroup of a different group")
     n = module.rank
-    rel = [list(r) for r in module.relations]
-    # A_h - 1 for the generators h of sub
+    # A_h for the generators h of sub, each built once for both Tate groups
+    mats = {h: module.action_matrix(h) for h in sub.generators()}
+    # A_h - 1
     diffs = [
-        [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(module.action_matrix(h))]
-        for h in sub.generators()
+        [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+        for a in mats.values()
     ]
     mods = module.invariants()
     # invariants: x with x(A_h - 1) = 0 mod d for every h, one kernel with
     # the maps side by side
     side = [[x for d in diffs for x in d[i]] for i in range(n)]
     inv = im.kernel_mod(side, mods * len(diffs))
-    nm = norm_matrix(module, sub)
-    norm_image = im.lattice_sum(nm, rel)
+    nm = norm_matrix(module, sub, mats)
+    # the relations are diag(d), taken as the moduli of both images
+    norm_image = im.hnf(nm, n, mods)
     h0 = module.subquotient(inv, norm_image)
 
     # norm kernel: x with x N = 0 mod d
     ker = im.kernel_mod(nm, mods)
-    aug = im.hnf(rel + [row for d in diffs for row in d], n)
+    aug = im.hnf([row for d in diffs for row in d], n, mods)
     hm1 = module.subquotient(ker, aug)
     return TateResult(h0, hm1)
 
@@ -163,13 +167,14 @@ def find_cyclic_generator(module: FiniteModule):
     n = module.rank
     if module.order == 1:
         return [0] * n, True
-    rel = [list(r) for r in module.relations]
+    # the relations are diag(d): every span is taken mod d
+    mods = module.invariants()
     reps = coset_representatives(module)
     for x in chain(im.identity(n), reps or ()):
-        span, last = im.hnf([x] + rel, n), None
+        span, last = im.hnf([x], n, mods), None
         while span != last and im.hnf_index(span) > 1:
             last = span
-            span = im.hnf(span + [im.vec_mat(r, a) for a in module.gen_actions for r in span], n)
+            span = im.hnf(span + [im.vec_mat(r, a) for a in module.gen_actions for r in span], n, mods)
         if im.hnf_index(span) == 1:
             return x, True
     return None, reps is not None

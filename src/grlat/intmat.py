@@ -10,13 +10,22 @@ Conventions:
   * vectors are rows, maps act on the right (x -> x @ A),
   * hnf() returns the canonical row Hermite form: echelon, positive
     pivots, entries above each pivot reduced into [0, pivot),
-  * every HNF and kernel runs through one elimination, _echelon: rows
-    filed under their leading column, the least entry of a column as
-    pivot, and each reduction touching only the pivot row's nonzeros,
+  * every HNF, index and kernel runs through one elimination, _echelon:
+    rows filed under their leading column, the least entry of a column
+    as pivot, and each reduction touching only the pivot row's nonzeros,
     which keeps the sparse orbit matrices of ideal lattices cheap,
+  * moduli: hnf(rows, width, mods) is the canonical HNF of rows stacked
+    over diag(mods), mods[j] >= 0 for column j and 0 meaning no
+    modulus, but the diagonal rows are never stacked: the elimination
+    keeps column j reduced mod mods[j] and takes mods[j] e_j in only
+    when column j is reached (HNF modulo D, Cohen, GTM 138, 2.4.8), so
+    a caller that knows its lattice holds diag(d) passes d instead,
+  * index_mod(rows, mods) is [Z^b : L] for L the span of rows and
+    diag(mods), every mod >= 1: the product of the pivots of that
+    elimination, with no reduction above them,
   * kernel_mod(F, mods) is the canonical HNF of the x with x F = 0 mod
-    mods[j] in column j, read off one HNF of F reduced mod mods with an
-    identity block beside it, stacked over diag(mods),
+    mods[j] in column j, read off one HNF of F with an identity block
+    beside it, taken mod mods in the F block,
   * a full-rank square HNF has its pivots on the diagonal, so callers
     that store one test membership with in_span(h, range(n), v) and
     take its index with hnf_index(h) and walk its cosets with
@@ -36,7 +45,7 @@ Conventions:
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, product
 from math import prod
 
 from .errors import NotFullRankError
@@ -102,11 +111,11 @@ def _leading(row, start, width):
     return width
 
 
-def _echelon(mat, width):
-    """In-place canonical row Hermite form on the first width columns, by
-    least-entry elimination (Cohen, GTM 138, 2.4.2).  Returns the pivot
-    columns; mat[:len(pivots)] is the HNF and every later row is zero in
-    columns < width.
+def _echelon(mat, width, mods=(), reduce_above=True):
+    """In-place canonical row Hermite form on the first width columns of
+    the span of mat and diag(mods), by least-entry elimination (Cohen,
+    GTM 138, 2.4.2).  Returns the pivot columns; mat[:len(pivots)] is
+    the HNF and every later row is zero in columns < width.
 
     Each row is filed once under its leading column, so column c works
     only on the rows that start there.  A round picks the entry of least
@@ -116,69 +125,127 @@ def _echelon(mat, width):
     absolute value; a row whose entry at c becomes 0 moves to the bucket
     of its next nonzero column.  Entries stay small since the pivot is
     always least.  Finally each entry above a pivot is reduced into
-    [0, pivot).
+    [0, pivot), unless reduce_above is false; then only the pivots are
+    read, and a pivot row mods[j] e_j is cut after its entry j.
+
+    mods[j] >= 0 is the modulus of column j < len(mods), 0 meaning none:
+    the lattice holds mods[j] e_j, so the entries of column j are kept
+    in [0, mods[j]) while an earlier column is worked (HNF modulo D:
+    Cohen, GTM 138, 2.4.8; Domich, Kannan and Trotter, Math. Oper. Res.
+    12, 1987).  The row mods[j] e_j joins column j's bucket only when
+    that column is reached, and is its pivot row outright when the
+    bucket is empty; a row that vanishes mod mods leaves the
+    elimination.
     """
+    modded = [j for j, d in enumerate(mods) if d]
     buckets = [[] for _ in range(width + 1)]
     for row in mat:
+        if modded:
+            for j in compress(range(len(mods)), row):
+                if mods[j]:
+                    row[j] %= mods[j]
         buckets[_leading(row, 0, width)].append(row)
+    length = len(mat[0]) if mat else width
+    dmod = [*mods, *[0] * (length - len(mods))]
     out = []
     pivots = []
     for col in range(width):
         bucket = buckets[col]
-        while len(bucket) > 1:
-            prow = bucket[0]
-            least = abs(prow[col])
-            if least > 1:
+        d = dmod[col]
+        while True:
+            while len(bucket) > 1:
+                prow = bucket[0]
+                least = abs(prow[col])
+                if least > 1:
+                    for row in bucket:
+                        a = abs(row[col])
+                        if a < least:
+                            prow, least = row, a
+                            if a == 1:
+                                break
+                piv = prow[col]
+                nz = [j for j in range(col, len(prow)) if prow[j]]
+                red = ()
+                if modded:
+                    # nz[0] is col, whose remainders stay below |piv| unreduced
+                    red = [j for j in nz[1:] if dmod[j]]
+                    if red:
+                        nz = [col] + [j for j in nz[1:] if not dmod[j]]
+                keep = [prow]
                 for row in bucket:
-                    a = abs(row[col])
-                    if a < least:
-                        prow, least = row, a
-                        if a == 1:
-                            break
-            piv = prow[col]
-            nz = [j for j in range(col, len(prow)) if prow[j]]
-            keep = [prow]
-            for row in bucket:
-                if row is prow:
-                    continue
-                q = row[col] // piv
-                for j in nz:
-                    row[j] -= q * prow[j]
-                if row[col]:
-                    keep.append(row)
-                else:
-                    buckets[_leading(row, col + 1, width)].append(row)
-            bucket = keep
+                    if row is prow:
+                        continue
+                    q = row[col] // piv
+                    for j in nz:
+                        row[j] -= q * prow[j]
+                    for j in red:
+                        row[j] = (row[j] - q * prow[j]) % dmod[j]
+                    if row[col]:
+                        keep.append(row)
+                    else:
+                        buckets[_leading(row, col + 1, width)].append(row)
+                bucket = keep
+            if not d:
+                break
+            if not bucket:
+                # without reduce_above only the pivot is read, so the
+                # zeros after it are not written
+                prow = [0] * col + [d]
+                bucket = [prow + [0] * (length - col - 1) if reduce_above else prow]
+                break
+            prow = bucket[0]
+            if d % prow[col]:
+                bucket.append([0] * col + [d] + [0] * (length - col - 1))
+                d = 0
+                continue
+            # prow[col] divides d, so d e_col is replaced by d e_col - q prow,
+            # q = d / prow[col], nonzero at most at prow's later nonzeros
+            q, row = d // prow[col], None
+            for j in compress(range(col + 1, length), prow[col + 1 :]):
+                v = -q * prow[j]
+                if dmod[j]:
+                    v %= dmod[j]
+                if v:
+                    if row is None:
+                        row, lead = [0] * length, min(j, width)
+                    row[j] = v
+            if row is not None:
+                buckets[lead].append(row)
+            break
         if bucket:
             prow = bucket[0]
             if prow[col] < 0:
                 for j in range(col, len(prow)):
                     prow[j] = -prow[j]
+                for j in modded:
+                    if j > col:
+                        prow[j] %= mods[j]
             out.append(prow)
             pivots.append(col)
-    # increasing order: step k only touches columns >= pivots[k], so
-    # already-canonical earlier pivot columns stay put
-    for k, col in enumerate(pivots):
-        prow = out[k]
-        piv = prow[col]
-        nz = [j for j in range(col, len(prow)) if prow[j]]
-        for row in out[:k]:
-            q = row[col] // piv
-            if q:
-                for j in nz:
-                    row[j] -= q * prow[j]
+    if reduce_above:
+        # increasing order: step k only touches columns >= pivots[k], so
+        # already-canonical earlier pivot columns stay put
+        for k, col in enumerate(pivots):
+            prow = out[k]
+            piv = prow[col]
+            nz = [j for j in range(col, len(prow)) if prow[j]]
+            for row in out[:k]:
+                q = row[col] // piv
+                if q:
+                    for j in nz:
+                        row[j] -= q * prow[j]
     mat[:] = out + buckets[width]
     return pivots
 
 
-def hnf(rows, width=None):
-    """Canonical row Hermite normal form of the row span (zero rows dropped)."""
+def hnf(rows, width=None, mods=()):
+    """Canonical row Hermite normal form of the span of rows and
+    diag(mods) (zero rows dropped); mods as in _echelon, one modulus
+    >= 0 per leading column, 0 meaning none."""
     rows = [list(r) for r in rows]
-    if not rows:
-        return []
     if width is None:
-        width = len(rows[0])
-    pivots = _echelon(rows, width)
+        width = len(rows[0]) if rows else len(mods)
+    pivots = _echelon(rows, width, mods)
     return rows[: len(pivots)]
 
 
@@ -448,13 +515,22 @@ def kernel_mod(rows, mods):
     """Canonical HNF of {x in Z^a : x F = 0 mod mods[j] in column j}, for
     F = rows, a rows of len(mods) entries, every mod >= 1.
 
-    One HNF of [F mod mods | I_a ; diag(mods) | 0]: its rows whose F part
-    is zero span exactly the (0, x) in its row span, so their trailing
-    blocks are the kernel's canonical HNF (Cohen, GTM 138, 2.4)."""
-    b, a = len(mods), len(rows)
-    mat = [[x % m for x, m in zip(r, mods)] + e for r, e in zip(rows, identity(a))]
-    mat += [row + [0] * a for row in diagonal(mods)]
-    return [r[b:] for r in hnf(mat, b + a) if not any(r[:b])]
+    One HNF of [F | I_a] taken mod mods in the F block, the span of
+    [F | I_a ; diag(mods) | 0]: its rows whose F part is zero span
+    exactly the (0, x) in that span, so their trailing blocks are the
+    kernel's canonical HNF (Cohen, GTM 138, 2.4)."""
+    b = len(mods)
+    mat = [list(r) + e for r, e in zip(rows, identity(len(rows)))]
+    return [r[b:] for r in hnf(mat, b + len(rows), mods) if not any(r[:b])]
+
+
+def index_mod(rows, mods):
+    """[Z^b : L] for L the span of rows and diag(mods), b = len(mods),
+    every mod >= 1: the product of the forward pivots of one
+    elimination mod mods, with no reduction above them."""
+    mat = [list(r) for r in rows]
+    pivots = _echelon(mat, len(mods), mods, reduce_above=False)
+    return prod(r[c] for r, c in zip(mat, pivots))
 
 
 def frozen(rows):

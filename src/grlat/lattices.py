@@ -66,11 +66,13 @@ M^e = |det M_g|, so it is an isomorphism (Washington, Introduction to
 Cyclotomic Fields, GTM 83, ch. 1).  When g is one of the claimed first
 coordinates xs, [Z[G] : (xs)] is then the index in Z^e of the images of
 x sigma^s for s < e (sigma^e acts as a scalar) together with M Z^e: one
-HNF of width e, where the forward representative's orbit HNF had 2n
-rows of width n (_projection_index).  sigma acts invertibly, so an
-image that repeats an emitted row ends its orbit, and zero rows are
-dropped: with phi in I (e = n) the HNF gets n/#I + n rows, not 3n.  The
-kernel path builds no lattice and no ring element: N_I, g and the
+elimination of width e mod M, where the forward representative's orbit
+HNF had 2n rows of width n (_projection_index).  sigma acts invertibly,
+so an image that repeats an emitted row ends its orbit, and zero rows
+are dropped; M Z^e is not stacked but kept as the modulus of every
+column (intmat.index_mod), so with phi in I (e = n) the elimination
+gets the n/#I images of N_I's rotations, not 3n rows.  The kernel path
+builds no lattice and no ring element: N_I, g and the
 claims are term maps {j: c}, c != 0, of Z[X]/(X^n - 1), sigma -> X,
 multiplied mod n; forward_rep densifies N_I and g once.
 """
@@ -109,11 +111,11 @@ def _forward_generators(
         lift = canonical_lift(inertia, frob)
     elif not inertia.contains(lift - frob):
         raise ContainmentError("lift is not in the coset of frob")
-    n, j = ring.n, -ring.group.index_of(lift) % ring.n
+    n, j, order = ring.n, -ring.group.index_of(lift) % ring.n, inertia.order
     # I = <sigma^h> with h = n/#I, and lift^{-1} is X^j
-    g = {0: 1 + inertia.order}
+    g = {0: 1 + order}
     g[j] = g.get(j, 0) - 1
-    return lift, dict.fromkeys(range(0, n, n // inertia.order), 1), g
+    return lift, dict.fromkeys(range(0, n, n // order), 1), g
 
 
 def forward_rep(
@@ -188,8 +190,9 @@ def verify_kernel_presentation(
     width gcd(l, n) in Z[G]/(g), and the two principal indices are
     closed forms; no lattice is built.
     """
-    if inertia.is_trivial or not inertia.is_cyclic:
-        raise ScopeError("inertia must be nontrivial cyclic")
+    # a noncyclic I lies in a noncyclic G, which _forward_generators refuses
+    if inertia.is_trivial:
+        raise ScopeError("inertia must be nontrivial")
     lift, n_i, g = _forward_generators(ring, inertia, frob, lift)
     claimed = [(n_i, {}), (g, {0: 1, ring.n // inertia.order: -1})]
     return _kernel_identity(ring, inertia, lift, g, claimed)
@@ -217,7 +220,8 @@ def _projection_index(xs, a: int, ell: int, n: int) -> int:
     terms; sigma shifts f_c to f_{c+1} and f_{e-1} to a^{t_e} f_0, and
     the images of x sigma^s for s < e with M Z^e span the image, as
     sigma^e acts as the scalar a^{t_e}.  Each row is emitted once, and
-    a repeat ends the orbit of x (module docstring)."""
+    a repeat ends the orbit of x (module docstring); the index is read
+    mod M, with M Z^e as the moduli, not as stacked rows."""
     e = gcd(ell, n)
     f = n // e
     m = a**f - 1
@@ -235,7 +239,7 @@ def _projection_index(xs, a: int, ell: int, n: int) -> int:
             seen.add(v)
             rows.append(v)
             v = (twist * v[-1] % m, *v[:-1])
-    return im.hnf_index(im.hnf(rows + im.diagonal([m] * e), e))
+    return im.index_mod(rows, [m] * e)
 
 
 def _vanishes(pairs, n: int) -> bool:
@@ -273,13 +277,13 @@ def _kernel_identity(
     xs = [x for x, _ in claimed]
     if g not in xs:
         raise ContainmentError("g is not one of the claimed first coordinates")
-    n = ring.n
+    n, order = ring.n, inertia.order
     # G is cyclic, so I = <sigma^h> with h = n/#I and tau - 1 = X^h - 1
-    t_minus_1 = {0: -1, n // inertia.order: 1}
+    t_minus_1 = {0: -1, n // order: 1}
     contained = all(_vanishes([(t_minus_1, x), (g, y)], n) for x, y in claimed)
-    a, ell = 1 + inertia.order, ring.group.index_of(lift)
+    a, ell = 1 + order, ring.group.index_of(lift)
     det_g = _principal_index(a, ell, n)
-    quotient_index = _principal_index(a, ell, n // inertia.order)
+    quotient_index = _principal_index(a, ell, n // order)
     projection_matches = _projection_index(xs, a, ell, n) * quotient_index == det_g
     return KernelReport(contained and projection_matches, projection_matches)
 

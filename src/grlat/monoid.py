@@ -39,7 +39,7 @@ from .errors import CapacityError, ScopeError
 # more candidate vectors than this
 VECTOR_CAP = 400_000
 
-# build_sets refuses a group with more (I, phi) pairs, or more (inertia
+# build_pair_sets refuses a group with more (I, phi) pairs, or more (inertia
 # group, subgroup) combinations, than this, before it builds any pair.
 # The (I, phi) pairs bound the (I, D) pairs, and the local pairs over
 # each Sylow p-part are among them.
@@ -49,8 +49,8 @@ PAIR_CAP = 200_000
 @dataclass(frozen=True)
 class InertiaPair:
     """(I, phi): nontrivial elementary inertia plus a coset of G/I,
-    stored through its canonical (lex-least) lift.  build_sets, the only
-    constructor, picks I and the lift itself."""
+    stored through its canonical (lex-least) lift.  build_pair_sets,
+    the only constructor, picks I and the lift itself."""
 
     inertia: Subgroup
     frob: GroupElement
@@ -59,7 +59,7 @@ class InertiaPair:
 @dataclass(frozen=True)
 class DecompositionPair:
     """(I, D) with I nontrivial elementary, I inside D, D/I cyclic;
-    build_sets, the only constructor, reads each off an (I, phi)."""
+    build_pair_sets, the only constructor, reads each off an (I, phi)."""
 
     inertia: Subgroup
     dec: Subgroup
@@ -84,15 +84,13 @@ class LocalTuple:
 
 
 @dataclass(frozen=True)
-class SetFamily:
-    """All index sets of one group, in canonical order.
+class PairSets:
+    """The index sets of one group that the verify sweeps read, in
+    canonical order.
 
     subgroups: every subgroup, as enumerate_subgroups lists them;
     stilde: the (I, phi) generator pairs; s_pairs: the (I, D) pairs;
-    projection[i]: index into s_pairs of the image of stilde[i];
-    t_tuples: the target index set;
-    s_prime / s_dprime: indices into s_pairs of the irreducible locus
-    (D noncyclic or #I a prime power) and of the prime-power-#I locus.
+    projection[i]: index into s_pairs of the image of stilde[i].
     """
 
     group: FinAbGroup
@@ -100,6 +98,17 @@ class SetFamily:
     stilde: tuple
     s_pairs: tuple
     projection: tuple
+
+
+@dataclass(frozen=True)
+class SetFamily(PairSets):
+    """All index sets of one group, in canonical order: the PairSets and
+
+    t_tuples: the target index set;
+    s_prime / s_dprime: indices into s_pairs of the irreducible locus
+    (D noncyclic or #I a prime power) and of the prime-power-#I locus.
+    """
+
     t_tuples: tuple
     s_prime: tuple
     s_dprime: tuple
@@ -145,17 +154,15 @@ def _p_part(sub: Subgroup, p: int) -> Subgroup:
     also the image of sub in the maximal p-quotient of G, which the
     Sylow p-part of G maps onto isomorphically."""
     m = p_split(sub.group.order, p)[1]
-    rows = [[m * x for x in b] for b in sub.basis] + im.diagonal(sub.group.factors)
-    return Subgroup(sub.group, im.hnf(rows, sub.group.rank))
+    rows = [[m * x for x in b] for b in sub.basis]
+    return Subgroup(sub.group, im.hnf(rows, sub.group.rank, sub.group.factors))
 
 
-def build_sets(group: FinAbGroup) -> SetFamily:
-    """Enumerate every index set of the group, including the projection
-    from generator pairs to (I, D) pairs.  The local pairs over p are
-    the (I, D) pairs with D a p-group, the pairs of the Sylow p-part of
-    G, so the subgroups are enumerated once.  Past PAIR_CAP (I, phi)
-    pairs, counted as the sum of [G:I], or PAIR_CAP (inertia group,
-    subgroup) combinations: CapacityError, before any pair is built."""
+def build_pair_sets(group: FinAbGroup) -> PairSets:
+    """The subgroups, the (I, phi) and (I, D) pairs and the projection
+    between them.  Past PAIR_CAP (I, phi) pairs, counted as the sum of
+    [G:I], or PAIR_CAP (inertia group, subgroup) combinations:
+    CapacityError, before any pair is built."""
     subs = enumerate_subgroups(group)
     inertias = [s for s in subs if not s.is_trivial and is_elementary(s.structure())]
     if len(inertias) * len(subs) > PAIR_CAP:
@@ -166,17 +173,25 @@ def build_sets(group: FinAbGroup) -> SetFamily:
     npairs = sum(group.order // inertia.order for inertia in inertias)
     if npairs > PAIR_CAP:
         raise CapacityError(f"{npairs} (I, phi) pairs exceed the pair cap {PAIR_CAP}")
-    stilde, s_pairs, projection = _pair_sets(group, inertias)
+    return PairSets(group, tuple(subs), *_pair_sets(group, inertias))
+
+
+def build_sets(group: FinAbGroup) -> SetFamily:
+    """Enumerate every index set of the group: the PairSets of
+    build_pair_sets and the monoid's target tuples and loci.  The local
+    pairs over p are the (I, D) pairs with D a p-group, the pairs of
+    the Sylow p-part of G, so the subgroups are enumerated once."""
+    pairs = build_pair_sets(group)
     # (H, #G/H) for every H with G/H cyclic, tested once per H
     full = Subgroup.full(group)
     cyclic_quotients = [
         (h, group.order // h.order)
-        for h in subs
+        for h in pairs.subgroups
         if len(full.quotient_structure(h)) <= 1
     ]
     t_tuples = []
     for p in sorted(prime_factors(group.order)):
-        local = [pr for pr in s_pairs if p_split(pr.dec.order, p)[1] == 1]
+        local = [pr for pr in pairs.s_pairs if p_split(pr.dec.order, p)[1] == 1]
         t_tuples += [
             LocalTuple(p, h, pr.inertia, pr.dec)
             for h, quotient_order in cyclic_quotients
@@ -185,18 +200,18 @@ def build_sets(group: FinAbGroup) -> SetFamily:
         ]
     t_tuples.sort(key=LocalTuple.sort_key)
     s_prime, s_dprime = [], []
-    for i, pr in enumerate(s_pairs):
+    for i, pr in enumerate(pairs.s_pairs):
         prime_power = len(prime_factors(pr.inertia.order)) == 1
         if prime_power or not pr.dec.is_cyclic:
             s_prime.append(i)
         if prime_power:
             s_dprime.append(i)
     return SetFamily(
-        group,
-        tuple(subs),
-        stilde,
-        s_pairs,
-        projection,
+        pairs.group,
+        pairs.subgroups,
+        pairs.stilde,
+        pairs.s_pairs,
+        pairs.projection,
         tuple(t_tuples),
         tuple(s_prime),
         tuple(s_dprime),

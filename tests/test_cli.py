@@ -18,12 +18,12 @@ from pathlib import Path
 import pytest
 
 import grlat
-from grlat import abelian, cli, spectrum
+from grlat import abelian, cli, monoid, spectrum
 from grlat.abelian import make_group
 from grlat.cli import main
 from grlat.errors import ContainmentError
 from grlat.grouprings import inertia_module
-from grlat.monoid import build_sets
+from grlat.monoid import build_pair_sets, build_sets
 import reference
 
 
@@ -105,7 +105,7 @@ def test_verify_builds_index_sets_once(capsys, monkeypatch):
 
     def counted(group):
         calls.append(group)
-        return build_sets(group)
+        return build_pair_sets(group)
 
     # every binding of enumerate_subgroups in the package counts its calls
     enumerations = []
@@ -118,11 +118,11 @@ def test_verify_builds_index_sets_once(capsys, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("grlat") and getattr(module, "enumerate_subgroups", None) is original:
             monkeypatch.setattr(module, "enumerate_subgroups", counted_enumeration)
-    build_sets(make_group([9]))
+    build_pair_sets(make_group([9]))
     alone = len(enumerations)
     enumerations.clear()
 
-    monkeypatch.setattr(cli, "build_sets", counted)
+    monkeypatch.setattr(cli, "build_pair_sets", counted)
     code, out, _ = run(["verify", "9"], capsys)
     assert code == 0
     assert "config.checks\ttate,kernel,ext,triviality,unit" in out
@@ -230,12 +230,54 @@ def test_verify_tate_takes_each_key_once_per_inertia_group(capsys, monkeypatch):
     assert len(joins) <= 6360
 
 
+def test_verify_builds_no_target_tuples_or_cyclic_quotients(capsys, monkeypatch):
+    # the sweeps read the subgroups and the pairs; the target tuples, the
+    # quotients G/H tested for cyclicity and the loci are the monoid's
+    tuples, quotients = [], []
+    real_init = monoid.LocalTuple.__init__
+    real_quotient = abelian.Subgroup.quotient_structure
+
+    def counted_init(self, *args):
+        tuples.append(args)
+        real_init(self, *args)
+
+    def counted_quotient(self, sub):
+        # structure() quotients by the trivial subgroup; G/H for H != 1 is
+        # the cyclic-quotient test
+        if self == abelian.Subgroup.full(self.group) and not sub.is_trivial:
+            quotients.append(sub)
+        return real_quotient(self, sub)
+
+    monkeypatch.setattr(monoid.LocalTuple, "__init__", counted_init)
+    monkeypatch.setattr(abelian.Subgroup, "quotient_structure", counted_quotient)
+    code, out, _ = run(["verify", "12", "--checks", "tate"], capsys)
+    assert code == 0 and "verdict\tpass" in out
+    assert tuples == [] and quotients == []
+
+
+def test_closed_pipe_ends_with_the_verdict_and_no_traceback():
+    # a reader that leaves after one line of a 203 KB report
+    env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "grlat", "verify", "2,2,2,2,2", "--checks", "ext"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"command\tverify\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_OK
+    assert err == b""
+
+
 @pytest.mark.parametrize("spec, checks", [("3,3", "tate,kernel"), ("6", "tate,unit")])
 def test_inapplicable_check_refused_before_any_sweep(spec, checks, capsys, monkeypatch):
     def never(group):
         raise AssertionError("index sets built for a refused command")
 
-    monkeypatch.setattr(cli, "build_sets", never)
+    monkeypatch.setattr(cli, "build_pair_sets", never)
     code, out, err = run(["verify", spec, "--checks", checks], capsys)
     assert code == 64 and out == ""
     assert "usage error" in err
@@ -312,7 +354,7 @@ def test_oversized_ring_refused_before_any_sweep(spec, checks, capsys, monkeypat
     def never(group):
         raise AssertionError("index sets built for a refused command")
 
-    monkeypatch.setattr(cli, "build_sets", never)
+    monkeypatch.setattr(cli, "build_pair_sets", never)
     argv = ["verify", spec] + (["--checks", checks] if checks else [])
     code, out, err = run(argv, capsys)
     assert code == 65 and out == ""
@@ -328,7 +370,7 @@ def test_ring_cap_admits_its_own_order_and_ringless_sweeps(spec, checks, monkeyp
     def reached(group):
         raise Reached
 
-    monkeypatch.setattr(cli, "build_sets", reached)
+    monkeypatch.setattr(cli, "build_pair_sets", reached)
     with pytest.raises(Reached):
         main(["verify", spec] + (["--checks", checks] if checks else []))
 
@@ -679,6 +721,7 @@ def test_too_many_inertia_pairs_are_refused_at_once(argv):
         (["verify", "128", "--checks", "kernel"], "858e42fa2c822c2df594b8ce18a4912386fef1bec9658e87002dc06152f79557"),
         (["verify", "256", "--checks", "kernel"], "5ab4e655514eccde63cad755cab05c2133d9adec7447cecbad18d67565e8bde1"),
         (["verify", "512", "--checks", "kernel"], "6fbf90ecfb2ac959b8f2a1299938a79898a841318fa984b747552206e787a464"),
+        (["verify", "1024", "--checks", "kernel"], "ebfc945599e0a65cb1702f3349bc418dbfaf0b7ccbdeb7126a0b4f30f9f6f905"),
         (
             ["spectrum", "--p", "3", "--r", "1", "--samples", "200", "--seed", "2"],
             "5d8052f43afcd73dcd5e31f11fe4feb5739e93db73e82f22af5a5608933ae9b6",
@@ -734,6 +777,7 @@ def test_too_many_inertia_pairs_are_refused_at_once(argv):
         "128-kernel",
         "256-kernel",
         "512-kernel",
+        "1024-kernel",
         "3^1-spectrum",
         "3^4-spectrum",
         "7^2-spectrum",
@@ -766,7 +810,10 @@ def test_large_verify_reports_are_pinned(argv, digest):
     # the 128 and 256 kernel sweeps as printed when [Z[G] : (N_I, g)] was
     # the HNF index of the 2n-row orbit matrix of (N_I, g), and the 512
     # kernel sweep as printed when it was read in Z[G]/(g) on dense
-    # group-ring elements, every rotation row included; four spectrum
+    # group-ring elements, every rotation row included; the 1024 kernel
+    # sweep as printed when each row's index in Z[G]/(g) was the HNF index
+    # of its rotation rows stacked over M times the e x e identity, and
+    # each row took a Smith form to test I for cyclicity; four spectrum
     # shapes the bench leaves out, as printed when each sample was built
     # by GroupRing products and its Smith rows read off mult_matrix; the
     # 256, 3,27 and 2,2,8 unit sweeps as printed when the witness identity

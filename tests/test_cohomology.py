@@ -505,7 +505,8 @@ def test_norm_and_generator_search_match_the_whole_group_routes(factors):
         mod = inertia_module(pair.inertia, pair.frob)
         d = mod.invariants()
         for h in subs:
-            nm, ref = cohomology.norm_matrix(mod, h), ref_norm_matrix(mod, h)
+            mats = {g: mod.action_matrix(g) for g in h.generators()}
+            nm, ref = cohomology.norm_matrix(mod, h, mats), ref_norm_matrix(mod, h)
             assert all((x - y) % m == 0 for r, s in zip(nm, ref) for x, y, m in zip(r, s, d)), (factors, pair, h)
             t = tate_cohomology(mod, h)
             for side in (t.h0, t.hminus1):

@@ -358,6 +358,47 @@ def test_kernel_mod_matches_the_preimage_of_the_diagonal(case):
         assert all(c % m == 0 for c, m in zip(im.vec_mat(x, rows), mods))
 
 
+@st.composite
+def modular_cases(draw, positive=False):
+    """(rows, width, mods): up to 6 rows of width <= 5 with negative
+    entries, possibly none, and one modulus per leading column, 0 (no
+    modulus) and 1 included; with positive, one modulus >= 1 per column."""
+    width = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(small_entries, min_size=width, max_size=width), max_size=6))
+    if positive:
+        return rows, width, draw(st.lists(st.integers(1, 12), min_size=width, max_size=width))
+    return rows, width, draw(st.lists(st.integers(0, 12), max_size=width))
+
+
+def padded_diagonal(mods, width):
+    return [[d if j == i else 0 for j in range(width)] for i, d in enumerate(mods)]
+
+
+@given(modular_cases())
+@settings(max_examples=400, deadline=None)
+def test_hnf_mod_is_the_hnf_with_the_diagonal_stacked(case):
+    rows, width, mods = case
+    assert im.hnf(rows, width, mods) == im.hnf(rows + padded_diagonal(mods, width), width)
+
+
+@given(modular_cases(positive=True))
+@settings(max_examples=400, deadline=None)
+def test_index_mod_is_the_index_of_the_stacked_hnf(case):
+    rows, width, mods = case
+    h = im.hnf(rows + padded_diagonal(mods, width), width)
+    assert im.index_mod(rows, mods) == im.hnf_index(h) == abs(ref_det(h))
+
+
+def test_hnf_mod_anchors():
+    # the modulus row is the pivot of an empty column, and a row that
+    # vanishes mod d leaves the elimination
+    assert im.hnf([], 2, [3, 0]) == [[3, 0]]
+    assert im.hnf([[6, 4]], 2, [3, 2]) == [[3, 0], [0, 2]]
+    assert im.hnf([[2, 1]], 2, [4]) == [[2, 1], [0, 2]]
+    assert im.index_mod([[1, 1]], [2, 2]) == 2
+    assert im.index_mod([], [5, 7]) == 35
+
+
 def test_kernel_mod_with_no_rows_or_no_columns():
     assert im.kernel_mod([], [3, 5]) == [] == ref_preimage_lattice([], im.diagonal([3, 5]))
     assert im.kernel_mod([[], []], []) == im.identity(2) == ref_preimage_lattice([[], []], [])

@@ -449,6 +449,36 @@ def test_ext_sweep_builds_no_multiplication_matrix_kernel_smith_form_or_element(
     assert rows and not calls
 
 
+def test_kernel_rows_take_no_smith_form():
+    # inside the kernel rows only: the index sets take Smith forms of their
+    # own; a noncyclic inertia group lies in a noncyclic G, which the
+    # forward generators refuse, so no row tests I for cyclicity
+    rows, inside, calls = [], [], []
+    real_kernel = cli.verify_kernel_presentation
+
+    def kernel(ring, inertia, frob):
+        rows.append(inertia)
+        inside.append(True)
+        try:
+            return real_kernel(ring, inertia, frob)
+        finally:
+            inside.pop()
+
+    real_snf = im.snf_with_transform
+
+    def snf(*args, **kwargs):
+        if inside:
+            calls.append(args)
+        return real_snf(*args, **kwargs)
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(cli, "verify_kernel_presentation", kernel))
+        stack.enter_context(mock.patch.object(im, "snf_with_transform", snf))
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        assert cli.main(["verify", "64", "--checks", "kernel"]) == cli.EXIT_OK
+    assert len(rows) == 63 and not calls
+
+
 def _fraction_solve_left(rows, target):
     """Reference: the unique rational x with x @ rows = target, for rows
     of full row rank, by Gaussian elimination over Fraction; None when

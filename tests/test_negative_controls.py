@@ -431,13 +431,13 @@ def test_unit_transport_in_the_quotient_refuses_what_the_norm_copy_refuses(facs,
 
 def test_verify_unit_exits_2_on_pairs_merged_by_inertia(monkeypatch):
     bypass_decomposition_guard(monkeypatch)
-    real = cli.build_sets
+    real = cli.build_pair_sets
 
     def merged_by_inertia(group):
         fam = real(group)
         return dataclasses.replace(fam, projection=tuple(pair.inertia for pair in fam.stilde))
 
-    monkeypatch.setattr(cli, "build_sets", merged_by_inertia)
+    monkeypatch.setattr(cli, "build_pair_sets", merged_by_inertia)
     code, out = run_main(["verify", "9", "--checks", "unit"])
     assert code == EXIT_CHECK
     rows = [line for line in out.splitlines() if line.startswith("results.rows\tunit\t")]
