@@ -150,12 +150,14 @@ def _tate_rows(inputs):
             inertia = pair.inertia
             keys = [tate_key(inertia, h) for h in fam.subgroups]
         dec = fam.s_pairs[proj].dec
-        statuses = {}
+        # the matrix of each group element on mod, for both Tate groups
+        # of every key of the pair and the generators of every B
+        statuses, mats = {}, {}
         for h, key in zip(fam.subgroups, keys):
             if key not in statuses:
-                t = tate_cohomology(mod, h)
+                t = tate_cohomology(mod, h, mats)
                 big, c = prediction_data(dec, key)
-                verdicts = [prediction_verdict(m, big, c) for m in (t.h0, t.hminus1)]
+                verdicts = [prediction_verdict(mod, side, big, c, mats) for side in (t.h0, t.hminus1)]
                 statuses[key] = "pass" if verdicts == ["pass", "pass"] else ";".join(verdicts)
             rows.append(["tate", fmt_sub(inertia), fmt_elem(pair.frob), fmt_sub(h), statuses[key]])
     return rows

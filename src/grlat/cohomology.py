@@ -7,33 +7,35 @@ subgroup H of the acting group, the two Tate groups in play are
     H^0  = (H-invariants of M) / (norm image + L)
     H^-1 = (kernel of the norm on M) / (augmentation image + L)
 
-both computed as quotients of explicit lattices in Z^g and returned as
-modules again, so the residual action can be compared.  Every module
-comes in Smith coordinates (see grouprings): L = diag(d) and g is the
-number of invariants d_i of M = (+) Z/d_i (an inertia module is
-(Z/(a^f - 1))^[G:D]).  So both kernels are kernels mod d
+Every module comes in Smith coordinates (see grouprings): L = diag(d)
+and g is the number of invariants d_i of M = (+) Z/d_i (an inertia
+module is (Z/(a^f - 1))^[G:D]).  So both kernels are kernels mod d
 (intmat.kernel_mod): the invariants are the x that the k maps A_h - 1
 of H's generators, side by side, send to 0 mod d in each of the k
-blocks, and the norm kernel the x with x N = 0 mod d.  Both Tate groups
-are FiniteModule.subquotient of M, so they inherit its validated action
-and are not checked again.
+blocks, and the norm kernel the x with x N = 0 mod d.  Each Tate group
+is kept as the lattice pair (top, bottom) it is the quotient of: two
+square canonical HNFs in M's own coordinates with L <= bottom <= top
+(Cohen, GTM 138, 2.4.8).  No quotient module is built: its order is
+the index ratio [top : bottom], and every fact the verdict needs is a
+membership in bottom or an HNF of a span inside top.  A whole module
+is the pair (identity, L).
 
 The Tate groups of an inertia module over H depend on H only through
 tate_key(I, H), and are checked against the closed form (Z/c)[G/B] =
 Z[G]/J, J = (c, b - 1 : b in B), which is never built.  Z[G] is
 commutative, so every generator of a cyclic module has the module's
-annihilator, and M is isomorphic to Z[G]/J exactly when its order is
-c^[G:B], J annihilates it, and it is cyclic: an order comparison, row
-memberships in the relation lattice, and a generator sought among the
-basis vectors first, whatever the module's size; an exhaustive walk over
-the cosets of a small module proves it is not cyclic, and a large module
-with no basis-vector generator is reported undecided rather than guessed.
+annihilator, and top / bottom is isomorphic to Z[G]/J exactly when its
+order is c^[G:B], J annihilates it, and it is cyclic: an index
+comparison, row memberships in bottom, and a generator sought among the
+rows of top first, whatever the group's size; an exhaustive walk over
+the cosets of a small group proves it is not cyclic, and a large group
+with no generator among the rows of top is reported undecided rather
+than guessed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from math import gcd
 
 from . import intmat as im
@@ -57,8 +59,24 @@ from .grouprings import FiniteModule
 
 @dataclass(frozen=True)
 class TateResult:
-    h0: FiniteModule
-    hminus1: FiniteModule
+    """H^0 and H^-1, each the pair (top, bottom) of square canonical
+    HNFs it is the quotient of: (invariants, norm image) and (norm
+    kernel, augmentation image)."""
+
+    h0: tuple
+    hminus1: tuple
+
+
+def _actions(module: FiniteModule, elems, mats: dict) -> list:
+    """The matrices of elems on module, read from mats (group element ->
+    matrix) and stored there when missing."""
+    out = []
+    for h in elems:
+        a = mats.get(h)
+        if a is None:
+            a = mats[h] = module.action_matrix(h)
+        out.append(a)
+    return out
 
 
 def norm_matrix(module: FiniteModule, sub: Subgroup, mats: dict):
@@ -84,16 +102,19 @@ def norm_matrix(module: FiniteModule, sub: Subgroup, mats: dict):
     return out
 
 
-def tate_cohomology(module: FiniteModule, sub: Subgroup) -> TateResult:
+def tate_cohomology(module: FiniteModule, sub: Subgroup, mats: dict | None = None) -> TateResult:
+    """Both Tate groups of module over sub as lattice pairs.  mats, when
+    given, caches the matrix of each group element and is shared with
+    other calls on the same module."""
     if sub.group != module.group:
         raise ParentMismatchError("subgroup of a different group")
+    if mats is None:
+        mats = {}
     n = module.rank
-    # A_h for the generators h of sub, each built once for both Tate groups
-    mats = {h: module.action_matrix(h) for h in sub.generators()}
-    # A_h - 1
+    # A_h - 1 for the generators h of sub
     diffs = [
         [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
-        for a in mats.values()
+        for a in _actions(module, sub.generators(), mats)
     ]
     mods = module.invariants()
     # invariants: x with x(A_h - 1) = 0 mod d for every h, one kernel with
@@ -103,13 +124,17 @@ def tate_cohomology(module: FiniteModule, sub: Subgroup) -> TateResult:
     nm = norm_matrix(module, sub, mats)
     # the relations are diag(d), taken as the moduli of both images
     norm_image = im.hnf(nm, n, mods)
-    h0 = module.subquotient(inv, norm_image)
-
     # norm kernel: x with x N = 0 mod d
     ker = im.kernel_mod(nm, mods)
     aug = im.hnf([row for d in diffs for row in d], n, mods)
-    hm1 = module.subquotient(ker, aug)
-    return TateResult(h0, hm1)
+    return TateResult((inv, norm_image), (ker, aug))
+
+
+def tate_order(pair) -> int:
+    """#(top / bottom) for square full-rank HNFs bottom <= top: the
+    ratio of their indices in Z^g."""
+    top, bottom = pair
+    return im.hnf_index(bottom) // im.hnf_index(top)
 
 
 def is_cohomologically_trivial(module: FiniteModule) -> bool:
@@ -118,7 +143,7 @@ def is_cohomologically_trivial(module: FiniteModule) -> bool:
         return True
     for q in module.group.primes():
         t = tate_cohomology(module, sylow(module.group, q))
-        if t.h0.order != 1 or t.hminus1.order != 1:
+        if tate_order(t.h0) != 1 or tate_order(t.hminus1) != 1:
             return False
     return True
 
@@ -140,44 +165,60 @@ def p_part(module: FiniteModule, p: int) -> FiniteModule:
 # comparison with the predicted Tate module
 
 
-# Past this order a module is not walked coset by coset: without a
-# basis-vector generator its comparison is reported undecided.
+# Past this order a Tate group is not walked coset by coset: without a
+# generator among the rows of top its comparison is reported undecided.
 GENERATOR_SEARCH_CAP = 30_000
 
 
-def coset_representatives(module: FiniteModule):
-    """An iterator over the coset representatives of Z^g / relations,
-    the residues of diag(d), or None past GENERATOR_SEARCH_CAP."""
-    if module.order > GENERATOR_SEARCH_CAP:
+def coset_representatives(pair):
+    """An iterator over representatives of the cosets of top / bottom,
+    or None past GENERATOR_SEARCH_CAP.
+
+    In the basis top, bottom has a triangular basis with diagonal
+    m_i = bottom[i][i] / top[i][i], so the sums of k_i top_i with
+    0 <= k_i < m_i, first coordinate fastest, are one per coset: for
+    (identity, diag(d)) the residues of diag(d)."""
+    if tate_order(pair) > GENERATOR_SEARCH_CAP:
         return None
-    return im.hnf_residues(module.relations)
+    top, bottom = pair
+    steps = im.diagonal([b[i] // t[i] for i, (t, b) in enumerate(zip(top, bottom))])
+    return (tuple(im.vec_mat(k, top)) for k in im.hnf_residues(steps))
 
 
-def find_cyclic_generator(module: FiniteModule):
-    """(generator coords, searched_all): a vector generating the module
-    over the group ring, or None.
+def find_cyclic_generator(module: FiniteModule, pair):
+    """(generator, searched_all): a vector x of top whose image generates
+    top / bottom over the group ring, or None.
 
-    x generates when the span of x and the relations, grown by its
-    images under the generator matrices until it stops growing, is Z^g.
-    The basis vectors e_1..e_g are tried first, whatever the module's
-    order.  Only a module of order at most GENERATOR_SEARCH_CAP is then
-    walked coset by coset, which proves it is not cyclic;
-    searched_all=False means no generator was found and the module was
-    too large to walk."""
+    x generates when the span of x and bottom, grown by its images under
+    the generator matrices until it stops growing, is top.  The rows of
+    top are tried first, whatever the order of top / bottom.  Only a
+    group of order at most GENERATOR_SEARCH_CAP is then walked coset by
+    coset, which proves it is not cyclic; searched_all=False means no
+    generator was found and the group was too large to walk."""
+    top, bottom = pair
     n = module.rank
-    if module.order == 1:
+    if tate_order(pair) == 1:
         return [0] * n, True
-    # the relations are diag(d): every span is taken mod d
+    # relations <= bottom: every span is taken mod d
     mods = module.invariants()
-    reps = coset_representatives(module)
-    for x in chain(im.identity(n), reps or ()):
-        span, last = im.hnf([x], n, mods), None
-        while span != last and im.hnf_index(span) > 1:
-            last = span
-            span = im.hnf(span + [im.vec_mat(r, a) for a in module.gen_actions for r in span], n, mods)
-        if im.hnf_index(span) == 1:
-            return x, True
-    return None, reps is not None
+    target = im.hnf_index(top)
+
+    def generates(x):
+        span = im.hnf([x, *bottom], n, mods)
+        while im.hnf_index(span) > target:
+            grown = im.hnf(span + [im.vec_mat(r, a) for a in module.gen_actions for r in span], n, mods)
+            if grown == span:
+                return False
+            span = grown
+        return True
+
+    x = next(filter(generates, top), None)
+    if x is not None:
+        return x, True
+    reps = coset_representatives(pair)
+    if reps is None:
+        return None, False
+    return next(filter(generates, reps), None), True
 
 
 def tate_key(inertia: Subgroup, sub: Subgroup) -> tuple[Subgroup, int]:
@@ -196,29 +237,33 @@ def prediction_data(dec: Subgroup, key: tuple[Subgroup, int]) -> tuple[Subgroup,
     return dec.join(key[0]), key[1]
 
 
-def prediction_verdict(module: FiniteModule, big: Subgroup, c: int) -> str:
-    """'pass' if the module is isomorphic to (Z/c)[G/B] = Z[G]/J with
-    J = (c, b - 1 : b in B), 'fail' if it is not, and 'undecided' for a
-    module too large to walk that has no basis-vector generator.
+def prediction_verdict(
+    module: FiniteModule, pair, big: Subgroup, c: int, mats: dict | None = None
+) -> str:
+    """'pass' if top / bottom, for a lattice pair of module, is isomorphic
+    to (Z/c)[G/B] = Z[G]/J with J = (c, b - 1 : b in B), 'fail' if it is
+    not, and 'undecided' for a group too large to walk that has no
+    generator among the rows of top.  mats is as in tate_cohomology.
 
-    The module is isomorphic to Z[G]/J exactly when it has order
+    top / bottom is isomorphic to Z[G]/J exactly when it has order
     c^[G:B], J annihilates it, and it is cyclic: a generator x gives
-    M = Z[G]/Ann(x), Ann(x) = Ann(M) contains J, and the orders force
-    equality."""
+    Z[G]/Ann(x), Ann(x) = Ann(top / bottom) contains J, and the orders
+    force equality.  J annihilates it when c r and r (A_b - 1) lie in
+    bottom for every row r of top and every generator b of B."""
     group = module.group
     if big.group != group:
         raise ParentMismatchError("subgroup of a different group")
-    if module.order != c ** (group.order // big.order):
+    if tate_order(pair) != c ** (group.order // big.order):
         return "fail"
-    n = module.rank
-    # J annihilates M: the rows of c and of A_b - 1 lie in the relations
-    j_rows = im.diagonal([c] * n)
-    for b in big.generators():
-        a = module.action_matrix(b)
-        j_rows += [[a[i][j] - (i == j) for j in range(n)] for i in range(n)]
-    if not all(im.in_span(module.relations, range(n), r) for r in j_rows):
+    top, bottom = pair
+    pivots = range(module.rank)
+    if not all(im.in_span(bottom, pivots, [c * x for x in r]) for r in top):
         return "fail"
-    x, searched_all = find_cyclic_generator(module)
+    for a in _actions(module, big.generators(), {} if mats is None else mats):
+        for r in top:
+            if not im.in_span(bottom, pivots, [x - y for x, y in zip(im.vec_mat(r, a), r)]):
+                return "fail"
+    x, searched_all = find_cyclic_generator(module, pair)
     if x is not None:
         return "pass"
     return "fail" if searched_all else "undecided"
@@ -361,6 +406,33 @@ def _root_power_traces(m: int, p: int, prec: int):
     return traces
 
 
+def _complement_actions(module: FiniteModule, gens):
+    """(coords, matrix) of every element of the prime-to-p part, first
+    coordinate fastest, for gens = complement_generators(group, p): the
+    matrix is action_matrix's unreduced product A_1^(c_1) ... A_r^(c_r),
+    each taken by one product from an earlier one.  Digit i counts the
+    steps s_i along the i-th triple (j, s_i, m_i) of gens, and an element
+    whose digits below i are 0 has the matrix S_i = A_j^(s_i) times that
+    of the element with digit i one less, kept in saved[i]."""
+    steps = [im.mat_pow(module.gen_actions[j], s) for j, s, _ in gens]
+    coords, digits = [0] * module.group.rank, [0] * len(gens)
+    cur = im.identity(module.rank)
+    saved = [cur] * len(gens)
+    yield tuple(coords), cur
+    while True:
+        i = 0
+        while i < len(gens) and digits[i] == gens[i][2] - 1:
+            digits[i] = coords[gens[i][0]] = 0
+            i += 1
+        if i == len(gens):
+            return
+        digits[i] += 1
+        coords[gens[i][0]] += gens[i][1]
+        cur = im.mat_mul(steps[i], saved[i])
+        saved[: i + 1] = [cur] * (i + 1)
+        yield tuple(coords), cur
+
+
 def chi_idempotent_matrix(module: FiniteModule, chi: ChiClass, prec: int):
     """Action on the module of the conjugacy-class idempotent of chi,
     with entries reduced mod p^prec.
@@ -377,15 +449,14 @@ def chi_idempotent_matrix(module: FiniteModule, chi: ChiClass, prec: int):
     if tuple(m for _, _, m in gens) != chi.gen_orders:
         raise ParentMismatchError("character domain does not match group")
     n = module.rank
-    part = sylow_complement(group, p)
-    inv_size = pow(part.order % q, -1, q) if q > 1 else 0
+    inv_size = pow(sylow_complement(group, p).order % q, -1, q) if q > 1 else 0
     m = chi.order
     traces = _root_power_traces(m, p, prec)
     out = im.zeros(n, n)
-    for d in part.elements():
-        coeff = traces[-_chi_exponent_at(chi, gens, d.coords) % m] * inv_size % q
+    for coords, a in _complement_actions(module, gens):
+        coeff = traces[-_chi_exponent_at(chi, gens, coords) % m] * inv_size % q
         if coeff:
-            for row, arow in zip(out, module.action_matrix(d)):
+            for row, arow in zip(out, a):
                 for j, x in enumerate(arow):
                     row[j] += coeff * x
     out = [[x % q for x in row] for row in out]

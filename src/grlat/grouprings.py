@@ -24,11 +24,12 @@ and each group generator acts by an integer matrix on row vectors from
 the right, column j reduced mod d_j.  FiniteModule.build takes any
 full-rank presentation Z^n / L and moves it there with
 intmat.smith_coordinates, so every later step works at rank len(d),
-not n, and validates the action.  A Tate group, p-part or
-chi-component is FiniteModule.subquotient of a validated module: the
-same Smith step, no second validation, as the induced action keeps its
-parent's identities.  The matrix of a group element is the product of
-its generators' matrix powers.  An inertia module is written down in
+not n, and validates the action.  A p-part or chi-component is
+FiniteModule.with_extra_relations, a subquotient of a validated module:
+the same Smith step, no second validation, as the induced action keeps
+its parent's identities (a Tate group is not built as a module; see
+cohomology).  The matrix of a group element is the product of its
+generators' matrix powers.  An inertia module is written down in
 closed form (inertia_module).
 """
 

@@ -117,8 +117,19 @@ inertia module per pair, and for every subgroup H its own Tate groups,
 (B, c) and two verdicts.  Its (B, c) comes from ref_prediction_data,
 the per-row route prediction_data took before it was keyed:
 B = I + <frob> + H and c = #I #H / #(I + H), from the pair and H alone.
+
+ref_tate_modules, ref_module_verdict, ref_module_cyclic_generator and
+ref_coset_representatives are the Tate route as it ran before each
+Tate group was kept as the lattice pair (top, bottom) it is the
+quotient of: tate_cohomology took both groups as
+FiniteModule.subquotient of the module (a Smith step per group, in the
+group's own coordinates), and prediction_verdict read the order, the
+memberships of c e_i and the rows of A_b - 1 in the relation lattice,
+and a generator among e_1..e_g, then the residues of diag(d), of that
+subquotient.  RefTateModules holds the two subquotients.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -136,7 +147,8 @@ from grlat.abelian import (
 )
 from grlat.cli import fmt_elem, fmt_sub
 from grlat.cohomology import (
-    coset_representatives,
+    GENERATOR_SEARCH_CAP,
+    norm_matrix,
     prediction_verdict,
     tate_cohomology,
 )
@@ -752,7 +764,7 @@ def ref_tate_rows(fam):
         for h in fam.subgroups:
             t = tate_cohomology(mod, h)
             big, c = ref_prediction_data(group, pair.inertia, pair.frob, h)
-            statuses = [prediction_verdict(m, big, c) for m in (t.h0, t.hminus1)]
+            statuses = [prediction_verdict(mod, side, big, c) for side in (t.h0, t.hminus1)]
             status = "pass" if statuses == ["pass", "pass"] else ";".join(statuses)
             rows.append(
                 ["tate", fmt_sub(pair.inertia), fmt_elem(pair.frob), fmt_sub(h), status]
@@ -784,13 +796,90 @@ def ref_find_cyclic_generator(module):
     if module.order == 1:
         return [0] * n, True
     rel = [list(r) for r in module.relations]
-    reps = coset_representatives(module)
+    reps = ref_coset_representatives(module)
     actions = [ref_action_matrix(module, e) for e in module.group.elements()]
     for x in chain(im.identity(n), reps or ()):
         h = im.hnf([im.vec_mat(x, a) for a in actions] + rel, n)
         if len(h) == n and all(h[i][i] == 1 for i in range(n)):
             return x, True
     return None, reps is not None
+
+
+# -- Tate groups as modules ------------------------------------------------------
+
+
+RefTateModules = namedtuple("RefTateModules", "h0 hminus1")
+
+
+def ref_tate_modules(module, sub):
+    if sub.group != module.group:
+        raise ParentMismatchError("subgroup of a different group")
+    n = module.rank
+    # A_h for the generators h of sub, each built once for both Tate groups
+    mats = {h: module.action_matrix(h) for h in sub.generators()}
+    # A_h - 1
+    diffs = [
+        [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+        for a in mats.values()
+    ]
+    mods = module.invariants()
+    # invariants: x with x(A_h - 1) = 0 mod d for every h, one kernel with
+    # the maps side by side
+    side = [[x for d in diffs for x in d[i]] for i in range(n)]
+    inv = im.kernel_mod(side, mods * len(diffs))
+    nm = norm_matrix(module, sub, mats)
+    # the relations are diag(d), taken as the moduli of both images
+    norm_image = im.hnf(nm, n, mods)
+    h0 = module.subquotient(inv, norm_image)
+
+    # norm kernel: x with x N = 0 mod d
+    ker = im.kernel_mod(nm, mods)
+    aug = im.hnf([row for d in diffs for row in d], n, mods)
+    hm1 = module.subquotient(ker, aug)
+    return RefTateModules(h0, hm1)
+
+
+def ref_coset_representatives(module):
+    if module.order > GENERATOR_SEARCH_CAP:
+        return None
+    return im.hnf_residues(module.relations)
+
+
+def ref_module_cyclic_generator(module):
+    n = module.rank
+    if module.order == 1:
+        return [0] * n, True
+    # the relations are diag(d): every span is taken mod d
+    mods = module.invariants()
+    reps = ref_coset_representatives(module)
+    for x in chain(im.identity(n), reps or ()):
+        span, last = im.hnf([x], n, mods), None
+        while span != last and im.hnf_index(span) > 1:
+            last = span
+            span = im.hnf(span + [im.vec_mat(r, a) for a in module.gen_actions for r in span], n, mods)
+        if im.hnf_index(span) == 1:
+            return x, True
+    return None, reps is not None
+
+
+def ref_module_verdict(module, big, c):
+    group = module.group
+    if big.group != group:
+        raise ParentMismatchError("subgroup of a different group")
+    if module.order != c ** (group.order // big.order):
+        return "fail"
+    n = module.rank
+    # J annihilates M: the rows of c and of A_b - 1 lie in the relations
+    j_rows = im.diagonal([c] * n)
+    for b in big.generators():
+        a = module.action_matrix(b)
+        j_rows += [[a[i][j] - (i == j) for j in range(n)] for i in range(n)]
+    if not all(im.in_span(module.relations, range(n), r) for r in j_rows):
+        return "fail"
+    x, searched_all = ref_module_cyclic_generator(module)
+    if x is not None:
+        return "pass"
+    return "fail" if searched_all else "undecided"
 
 
 # -- the kernel identity by three HNF indices ----------------------------------

@@ -19,10 +19,11 @@ import pytest
 
 import grlat
 from grlat import abelian, cli, monoid, spectrum
+from grlat import intmat as im
 from grlat.abelian import make_group
 from grlat.cli import main
 from grlat.errors import ContainmentError
-from grlat.grouprings import inertia_module
+from grlat.grouprings import FiniteModule, inertia_module
 from grlat.monoid import build_pair_sets, build_sets
 import reference
 
@@ -194,8 +195,8 @@ def test_keyed_tate_rows_match_the_per_row_sweep(factors, perturbed, monkeypatch
     if perturbed:
         real = cli.prediction_verdict
 
-        def shifted(module, big, c):
-            return real(module, big, c + (c > 1 and big.order < big.group.order))
+        def shifted(module, pair, big, c, mats=None):
+            return real(module, pair, big, c + (c > 1 and big.order < big.group.order), mats)
 
         monkeypatch.setattr(cli, "prediction_verdict", shifted)
         monkeypatch.setattr(reference, "prediction_verdict", shifted)
@@ -228,6 +229,44 @@ def test_verify_tate_takes_each_key_once_per_inertia_group(capsys, monkeypatch):
     assert code == 0
     assert len(keys) == len(set(keys)) == 1406
     assert len(joins) <= 6360
+
+
+def test_tate_rows_take_no_subquotient_or_smith_form(monkeypatch):
+    # 2,2,8: every module is built (and its Smith step taken) before the
+    # sweeps; the tate rows then read each Tate group off its lattice
+    # pair, and the triviality rows take subquotients only for p-parts
+    # and chi-components, through with_extra_relations
+    fam = build_pair_sets(make_group([2, 2, 8]))
+    inputs = cli._SweepInputs(fam, ["tate", "triviality"])
+    inputs.modules()
+    calls, inside = {"subquotient": [], "snf": []}, []
+    real_sub, real_extra = FiniteModule.subquotient, FiniteModule.with_extra_relations
+    real_snf = im.snf_with_transform
+
+    def subquotient(self, big, small):
+        calls["subquotient"].append(bool(inside))
+        return real_sub(self, big, small)
+
+    def snf(*args, **kwargs):
+        calls["snf"].append(bool(inside))
+        return real_snf(*args, **kwargs)
+
+    def extra(self, rows):
+        inside.append(True)
+        try:
+            return real_extra(self, rows)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(FiniteModule, "subquotient", subquotient)
+    monkeypatch.setattr(FiniteModule, "with_extra_relations", extra)
+    monkeypatch.setattr(im, "snf_with_transform", snf)
+    rows = cli._tate_rows(inputs)
+    assert len(rows) == len(fam.stilde) * len(fam.subgroups) and {r[-1] for r in rows} == {"pass"}
+    assert calls == {"subquotient": [], "snf": []}
+    rows = cli._triviality_rows(inputs)
+    assert rows and {r[-1] for r in rows} == {"pass"}
+    assert calls["subquotient"] and all(calls["subquotient"])
 
 
 def test_verify_builds_no_target_tuples_or_cyclic_quotients(capsys, monkeypatch):
@@ -895,6 +934,7 @@ def test_package_is_integral():
         ["monoid", "720"],
         ["verify", "3,3", "--checks", "tate"],
         ["verify", "2,2,2", "--checks", "tate,ext"],
+        ["verify", "2,4", "--checks", "tate,triviality"],
         ["verify", "27", "--checks", "unit"],
     ],
 )

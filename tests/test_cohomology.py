@@ -1,9 +1,10 @@
 """Tate cohomology, the closed-form comparison, character components.
 
 Brute-force Tate groups come straight from the definition (invariants /
-norm image, norm kernel / augmentation image); the closed form predicts
-both groups for inertia modules, and the two must agree as modules, not
-just as abelian groups.
+norm image, norm kernel / augmentation image), each as the lattice pair
+(top, bottom) it is the quotient of; the closed form predicts both
+groups for inertia modules, and the two must agree as modules, not just
+as abelian groups.  A whole module M is the pair (identity, relations).
 """
 
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from grlat.abelian import (
     p_split,
     prime_factors,
     quotient_data,
+    sylow_complement,
 )
 from grlat.cli import main
 from grlat.cohomology import (
@@ -42,6 +44,7 @@ from grlat.cohomology import (
     prediction_verdict,
     tate_cohomology,
     tate_key,
+    tate_order,
     triviality_criterion,
 )
 from grlat.errors import ParentMismatchError, PrecisionError, ScopeError
@@ -54,12 +57,20 @@ from reference import (
     ref_lattice_quotient_coords,
     ref_left_kernel,
     ref_meet,
+    ref_module_cyclic_generator,
+    ref_module_verdict,
     ref_mult_matrix,
     ref_norm_matrix,
     ref_preimage_lattice,
     ref_prediction_data,
     ref_root_power_traces,
+    ref_tate_modules,
 )
+
+
+def whole(module):
+    """The lattice pair (identity, relations): module itself."""
+    return im.identity(module.rank), module.relations
 
 
 def regular_quotient(ring, x):
@@ -76,15 +87,15 @@ def full_inertia_module(n):
 def test_tate_trivial_subgroup_vanishes():
     ring, mod = full_inertia_module(3)
     t = tate_cohomology(mod, Subgroup.trivial(ring.group))
-    assert t.h0.order == 1 and t.hminus1.order == 1
+    assert tate_order(t.h0) == 1 and tate_order(t.hminus1) == 1
 
 
 def test_tate_full_group_anchor():
     # A over Z/3 with full inertia is Z/3 with trivial action; H^0(G) = Z/3
     ring, mod = full_inertia_module(3)
     t = tate_cohomology(mod, Subgroup.full(ring.group))
-    assert t.h0.invariants() == (3,)
-    assert t.hminus1.invariants() == (3,)
+    assert mod.subquotient(*t.h0).invariants() == (3,)
+    assert mod.subquotient(*t.hminus1).invariants() == (3,)
 
 
 def test_tate_induced_module_vanishes():
@@ -93,7 +104,7 @@ def test_tate_induced_module_vanishes():
     mod = regular_quotient(ring, ring.one().scale(3))
     for h in (Subgroup.full(ring.group), Subgroup.from_generators(ring.group, [ring.group.element((3,))])):
         t = tate_cohomology(mod, h)
-        assert t.h0.order == 1 and t.hminus1.order == 1
+        assert tate_order(t.h0) == 1 and tate_order(t.hminus1) == 1
 
 
 def test_tate_exponent_bound():
@@ -106,7 +117,7 @@ def test_tate_exponent_bound():
         Subgroup.from_generators(ring.group, [ring.group.element((1, 3))]),
     ):
         t = tate_cohomology(mod, h)
-        for m in (t.h0, t.hminus1):
+        for m in (mod.subquotient(*t.h0), mod.subquotient(*t.hminus1)):
             if m.order > 1:
                 assert h.order % m.exponent() == 0
 
@@ -121,7 +132,7 @@ def test_closed_form_matches_brute_force_small():
                 t = tate_cohomology(mod, h)
                 big, c = prediction_data(dec, tate_key(pair.inertia, h))
                 for side in (t.h0, t.hminus1):
-                    assert prediction_verdict(side, big, c) == "pass", (facs, pair, h)
+                    assert prediction_verdict(mod, side, big, c) == "pass", (facs, pair, h)
 
 
 @pytest.mark.parametrize(
@@ -131,8 +142,8 @@ def test_tate_groups_are_equal_within_a_key_class(factors):
     # the verify command computes one (pair, H) row per key tate_key(I, H)
     # and reuses its status for the rest of the class: I acts trivially
     # on the module, so the Tate groups and the per-row reference (B, c)
-    # depend on the key alone, and the canonical HNFs make the groups
-    # equal, relations and generator matrices alike, not just isomorphic
+    # depend on the key alone, and the canonical HNFs make the lattice
+    # pairs equal, not just the groups isomorphic
     g = make_group(factors)
     fam = build_sets(g)
     repeats = 0
@@ -142,10 +153,7 @@ def test_tate_groups_are_equal_within_a_key_class(factors):
         for h in fam.subgroups:
             key = tate_key(pair.inertia, h)
             t = tate_cohomology(mod, h)
-            seen = (
-                [(m.relations, m.gen_actions) for m in (t.h0, t.hminus1)],
-                ref_prediction_data(g, pair.inertia, pair.frob, h),
-            )
+            seen = (t, ref_prediction_data(g, pair.inertia, pair.frob, h))
             if key in first:
                 repeats += 1
                 assert seen == first[key], (factors, pair, h)
@@ -313,37 +321,37 @@ def test_prediction_verdict_distinguishes_twists():
     g = make_group([4])
     m_twist = FiniteModule.build(g, [[5]], [[[2]]])
     m_triv = FiniteModule.build(g, [[5]], [[[1]]])
-    assert prediction_verdict(m_twist, Subgroup.full(g), 5) == "fail"
-    assert prediction_verdict(m_triv, Subgroup.full(g), 5) == "pass"
+    assert prediction_verdict(m_twist, whole(m_twist), Subgroup.full(g), 5) == "fail"
+    assert prediction_verdict(m_triv, whole(m_triv), Subgroup.full(g), 5) == "pass"
     # with B trivial the prediction is Z/5[C4], of order 5^4
-    assert prediction_verdict(m_twist, Subgroup.trivial(g), 5) == "fail"
+    assert prediction_verdict(m_twist, whole(m_twist), Subgroup.trivial(g), 5) == "fail"
 
 
 def test_prediction_verdict_order_and_exponent_mismatch():
     g = make_group([2])
     z2 = FiniteModule.build(g, [[2]], [[[1]]])
-    assert prediction_verdict(z2, Subgroup.full(g), 4) == "fail"
+    assert prediction_verdict(z2, whole(z2), Subgroup.full(g), 4) == "fail"
     # Z/4 with trivial action has the order of Z/2[C2] = (Z/2)[G/1] but
     # is not killed by 2
     z4 = FiniteModule.build(g, [[4]], [[[1]]])
     assert z4.order == 2 ** g.order
-    assert prediction_verdict(z4, Subgroup.trivial(g), 2) == "fail"
-    assert prediction_verdict(z4, Subgroup.full(g), 4) == "pass"
+    assert prediction_verdict(z4, whole(z4), Subgroup.trivial(g), 2) == "fail"
+    assert prediction_verdict(z4, whole(z4), Subgroup.full(g), 4) == "pass"
     with pytest.raises(ParentMismatchError):
-        prediction_verdict(z4, Subgroup.full(make_group([4])), 4)
+        prediction_verdict(z4, whole(z4), Subgroup.full(make_group([4])), 4)
 
 
 def test_coset_representatives_and_generator_search():
     ring = GroupRing(make_group([3]))
     mod = regular_quotient(ring, ring.one().scale(2))
-    reps = list(coset_representatives(mod))
-    assert len(reps) == mod.order == 8
-    x, complete = find_cyclic_generator(mod)
+    reps = list(coset_representatives(whole(mod)))
+    assert reps == list(im.hnf_residues(mod.relations)) and len(reps) == mod.order == 8
+    x, complete = find_cyclic_generator(mod, whole(mod))
     assert complete and x is not None
     # (Z/3)^2 with trivial action needs two generators
     g = make_group([3])
     flat = FiniteModule.build(g, [[3, 0], [0, 3]], [[[1, 0], [0, 1]]])
-    x, complete = find_cyclic_generator(flat)
+    x, complete = find_cyclic_generator(flat, whole(flat))
     assert complete and x is None
 
 
@@ -357,8 +365,8 @@ def test_closure_generator_search_matches_the_image_route_on_hand_built_modules(
         FiniteModule.build(make_group([2]), [[3, 0], [0, 3]], [[[1, 0], [0, 2]]]),
     ]
     for mod in modules:
-        assert find_cyclic_generator(mod) == ref_find_cyclic_generator(mod)
-    assert find_cyclic_generator(modules[-1]) == ((1, 1), True)
+        assert find_cyclic_generator(mod, whole(mod)) == ref_find_cyclic_generator(mod)
+    assert find_cyclic_generator(modules[-1], whole(modules[-1])) == ((1, 1), True)
 
 
 def test_prediction_verdict_cyclicity_mismatch():
@@ -370,9 +378,9 @@ def test_prediction_verdict_cyclicity_mismatch():
     flat = FiniteModule.build(g, [[3, 0], [0, 3]], [[[1, 0], [0, 1]]])
     regular = FiniteModule.build(g, [[3, 0], [0, 3]], [[[0, 1], [1, 0]]])
     assert flat.invariants() == regular.invariants()
-    assert find_cyclic_generator(flat) == (None, True)
-    assert prediction_verdict(flat, Subgroup.trivial(g), 3) == "fail"
-    assert prediction_verdict(regular, Subgroup.trivial(g), 3) == "pass"
+    assert find_cyclic_generator(flat, whole(flat)) == (None, True)
+    assert prediction_verdict(flat, whole(flat), Subgroup.trivial(g), 3) == "fail"
+    assert prediction_verdict(regular, whole(regular), Subgroup.trivial(g), 3) == "pass"
 
 
 def test_generator_search_past_the_cap():
@@ -381,18 +389,18 @@ def test_generator_search_past_the_cap():
     ring = GroupRing(g)
     regular = regular_quotient(ring, ring.one().scale(2))
     assert regular.order > GENERATOR_SEARCH_CAP
-    assert coset_representatives(regular) is None
-    x, complete = find_cyclic_generator(regular)
+    assert coset_representatives(whole(regular)) is None
+    x, complete = find_cyclic_generator(regular, whole(regular))
     assert complete and x == [1] + [0] * 15
-    assert prediction_verdict(regular, Subgroup.trivial(g), 2) == "pass"
+    assert prediction_verdict(regular, whole(regular), Subgroup.trivial(g), 2) == "pass"
     # (Z/2)^16 with trivial action: the order and annihilator of
     # Z/2[C16], but no basis vector generates and the walk that would
     # prove it non-cyclic is over the cap
     n = 16
     flat = FiniteModule.build(g, [[2 * (i == j) for j in range(n)] for i in range(n)], [im.identity(n)])
     assert flat.order > GENERATOR_SEARCH_CAP
-    assert find_cyclic_generator(flat) == (None, False)
-    assert prediction_verdict(flat, Subgroup.trivial(g), 2) == "undecided"
+    assert find_cyclic_generator(flat, whole(flat)) == (None, False)
+    assert prediction_verdict(flat, whole(flat), Subgroup.trivial(g), 2) == "undecided"
 
 
 def test_prediction_is_generated_by_the_first_basis_vector():
@@ -402,9 +410,9 @@ def test_prediction_is_generated_by_the_first_basis_vector():
         for h in enumerate_subgroups(g):
             pred = ref_closed_form_inertia_tate(g, pair.inertia, pair.frob, h)
             big, c = prediction_data(dec, tate_key(pair.inertia, h))
-            assert prediction_verdict(pred, big, c) == "pass", (pair, h)
+            assert prediction_verdict(pred, whole(pred), big, c) == "pass", (pair, h)
             if pred.order > 1:
-                x, _ = find_cyclic_generator(pred)
+                x, _ = find_cyclic_generator(pred, whole(pred))
                 assert x == im.identity(pred.rank)[0], (pair, h)
 
 
@@ -459,8 +467,8 @@ def ref_module_equivalent(m1, m2):
     if m1.order == 1:
         return RefComparisonOutcome(True, True, "both-trivial")
 
-    x1, full1 = find_cyclic_generator(m1)
-    x2, full2 = find_cyclic_generator(m2)
+    x1, full1 = ref_module_cyclic_generator(m1)
+    x2, full2 = ref_module_cyclic_generator(m2)
     if x1 is not None and x2 is not None:
         a1 = ref_annihilator_lattice(m1, x1)
         a2 = ref_annihilator_lattice(m2, x2)
@@ -488,9 +496,9 @@ def test_prediction_verdict_matches_two_sided_comparison(factors):
             pred = ref_closed_form_inertia_tate(g, pair.inertia, pair.frob, h)
             big, c = prediction_data(dec, tate_key(pair.inertia, h))
             for side in (t.h0, t.hminus1):
-                out = ref_module_equivalent(side, pred)
+                out = ref_module_equivalent(mod.subquotient(*side), pred)
                 old = ("pass" if out.isomorphic else "fail") if out.decided else "undecided"
-                assert prediction_verdict(side, big, c) == old, (factors, pair, h)
+                assert prediction_verdict(mod, side, big, c) == old, (factors, pair, h)
 
 
 @pytest.mark.parametrize("factors", OLD_ROUTE_GROUPS)
@@ -498,7 +506,9 @@ def test_norm_and_generator_search_match_the_whole_group_routes(factors):
     # the norm as a product of geometric sums over sub.basis against the
     # element sum, column j compared mod d_j as a module map is only
     # defined there; the closure generator test against the images
-    # under every element of the group, on every Tate group
+    # under every element of the group, on every Tate group taken as a
+    # module, and on its lattice pair, where only whether a generator is
+    # found and the walk completed can be compared
     g = make_group(factors)
     subs = enumerate_subgroups(g)
     for pair in build_sets(g).stilde:
@@ -510,7 +520,11 @@ def test_norm_and_generator_search_match_the_whole_group_routes(factors):
             assert all((x - y) % m == 0 for r, s in zip(nm, ref) for x, y, m in zip(r, s, d)), (factors, pair, h)
             t = tate_cohomology(mod, h)
             for side in (t.h0, t.hminus1):
-                assert find_cyclic_generator(side) == ref_find_cyclic_generator(side), (factors, pair, h)
+                sq = mod.subquotient(*side)
+                ref_x, ref_full = ref_find_cyclic_generator(sq)
+                assert find_cyclic_generator(sq, whole(sq)) == (ref_x, ref_full), (factors, pair, h)
+                x, full = find_cyclic_generator(mod, side)
+                assert (x is None, full) == (ref_x is None, ref_full), (factors, pair, h)
 
 
 # -- reference: the chi idempotent from per-generator power tables ----------
@@ -607,6 +621,22 @@ def test_chi_idempotents_match_power_tables_and_sum_to_one(factors):
                 ), (factors, pair, p)
 
 
+@pytest.mark.parametrize("factors", [[12], [15], [2, 6], [3, 6], [6, 6]])
+def test_complement_matrices_are_the_element_matrices(factors):
+    # each element of the prime-to-p part, stepped by one product from an
+    # earlier one, against FiniteModule.action_matrix: the same order, the
+    # same coordinates and the same unreduced integer entries; 3,6 and 6,6
+    # at p = 2 have two digits, so a digit wraps
+    g = make_group(factors)
+    for pair in build_sets(g).stilde:
+        mod = inertia_module(pair.inertia, pair.frob)
+        for p in g.primes():
+            stepped = cohomology._complement_actions(mod, complement_generators(g, p))
+            got = [(c, im.frozen(a)) for c, a in stepped]
+            want = [(d.coords, mod.action_matrix(d)) for d in sylow_complement(g, p).elements()]
+            assert got == want, (factors, pair, p)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_root_power_traces_match_the_hensel_route(p, monkeypatch):
     # every m < 40 prime to p at six precisions, 1104 cases over the six
@@ -701,8 +731,10 @@ def test_closed_form_tate_groups_match_the_orbit_route(factors):
             t, t_ref = tate_cohomology(mod, h), tate_cohomology(ref, h)
             big, c = prediction_data(dec, tate_key(pair.inertia, h))
             for side, ref_side in ((t.h0, t_ref.h0), (t.hminus1, t_ref.hminus1)):
-                assert side.invariants() == ref_side.invariants(), (factors, pair, h)
-                assert prediction_verdict(side, big, c) == prediction_verdict(ref_side, big, c), (factors, pair, h)
+                invariants = mod.subquotient(*side).invariants()
+                assert invariants == ref.subquotient(*ref_side).invariants(), (factors, pair, h)
+                verdict = prediction_verdict(mod, side, big, c)
+                assert verdict == prediction_verdict(ref, ref_side, big, c), (factors, pair, h)
 
 
 # criterion 4's catalogue, then noncyclic 2-groups with many subgroups
@@ -736,7 +768,8 @@ def test_orbit_route_invariants_match_sympy(factors):
 
 
 # -- reference: Tate groups built as fresh presentations ------------------------
-# Verbatim copies of the route before FiniteModule.subquotient: the
+# Verbatim copies of the route before FiniteModule.subquotient, against
+# the subquotients of tate_cohomology's lattice pairs: the
 # invariants as one preimage and one intersection per generator of H, and
 # each quotient re-solved against its big lattice and rebuilt, validation
 # included, by FiniteModule.build.
@@ -797,7 +830,8 @@ def test_subquotient_tate_groups_match_the_rebuilt_presentations(factors):
         mod = inertia_module(pair.inertia, pair.frob)
         for h in subs:
             t = tate_cohomology(mod, h)
-            assert (t.h0, t.hminus1) == ref_tate_cohomology(mod, h), (factors, pair, h)
+            got = (mod.subquotient(*t.h0), mod.subquotient(*t.hminus1))
+            assert got == ref_tate_cohomology(mod, h), (factors, pair, h)
 
 
 @pytest.mark.parametrize("factors", CRITERION_4_GROUPS + ([2, 2, 8],))
@@ -825,3 +859,35 @@ def test_kernel_mod_tate_groups_match_the_preimage_route(factors):
                 assert got == tate_cohomology(mod, h), (factors, pair, h)
             compared += 1
     assert compared and len(routed) == 2 * compared
+
+
+# criterion 4's catalogue, then noncyclic 2-groups with many subgroups
+# per key class
+@pytest.mark.parametrize("factors", CRITERION_4_GROUPS + ([2, 4], [2, 2, 2], [2, 2, 4]))
+def test_lattice_pair_verdicts_match_the_module_route(factors):
+    # every (pair, H) row of the verify command: the verdict and the order
+    # of both Tate groups read off their lattice pairs, with one matrix
+    # cache per module as the sweep keeps it, against the subquotient
+    # modules and the verdict on them (tests/reference.py).  Each row is
+    # compared at the prediction (B, c) and at the trivial-action claim
+    # (G, #group), which the cyclic groups pass and the rest fail by
+    # their action or, past the order, by the generator search
+    g = make_group(factors)
+    fam = build_sets(g)
+    seen = set()
+    for pair in fam.stilde:
+        dec = decomposition_subgroup(pair.inertia, pair.frob)
+        mod = inertia_module(pair.inertia, pair.frob)
+        mats = {}
+        for h in fam.subgroups:
+            t, ref = tate_cohomology(mod, h, mats), ref_tate_modules(mod, h)
+            for side, ref_side in ((t.h0, ref.h0), (t.hminus1, ref.hminus1)):
+                assert tate_order(side) == ref_side.order, (factors, pair, h)
+                for big, c in (
+                    prediction_data(dec, tate_key(pair.inertia, h)),
+                    (Subgroup.full(g), ref_side.order),
+                ):
+                    verdict = prediction_verdict(mod, side, big, c, mats)
+                    assert verdict == ref_module_verdict(ref_side, big, c), (factors, pair, h, big, c)
+                    seen.add(verdict)
+    assert seen == {"pass", "fail"}

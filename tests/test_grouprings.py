@@ -336,7 +336,7 @@ def test_action_table_matches_mat_pow_products(factors):
         modules = [mod]
         for h in subs:
             t = tate_cohomology(mod, h)
-            modules += [t.h0, t.hminus1]
+            modules += [mod.subquotient(*t.h0), mod.subquotient(*t.hminus1)]
         for m in modules:
             for e in g.elements():
                 assert m.action_matrix(e) == intmat.frozen(ref_action_matrix(m, e)), (factors, pair, e)

@@ -24,7 +24,7 @@ t.install()
 from grlat.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [
-        main(["verify", "9", "--checks", "tate,triviality,unit"]),
+        main(["verify", "9", "--checks", "tate,ext,triviality,unit"]),
         main(["monoid", "2,6"]),
     ]
 calls = {}
