@@ -48,8 +48,9 @@ EXIT_CAPACITY = 65
 EXIT_DATA = 66
 
 VERIFY_CHECKS = ("tate", "kernel", "ext", "triviality", "unit")
-# the sweeps handed the group ring Z[G], capped at RING_ORDER_CAP
-# (unit reads only its group and multiplies in Z[G/I])
+# the sweeps refused past RING_ORDER_CAP: kernel and ext multiply in the
+# group ring Z[G]; unit multiplies only in Z[G/I], but keeps the cap until
+# verify has a cost bound of its own (ROADMAP, open item 2)
 RING_CHECKS = frozenset({"kernel", "ext", "unit"})
 CHECK_ALIASES = {"propfree": "triviality"}
 
@@ -207,7 +208,6 @@ def _triviality_rows(inputs):
 
 def _unit_rows(inputs):
     fam = inputs.fam
-    ring = group_ring(fam.group)
     rows = []
     # equal projections: the same inertia and decomposition subgroups,
     # paired within each projection's index list, in (i, j) order
@@ -220,7 +220,7 @@ def _unit_rows(inputs):
     for i, j in pairs:
         a, b = fam.stilde[i], fam.stilde[j]
         try:
-            ok = verify_unit_transport(ring, a.inertia, a.frob, b.frob)
+            ok = verify_unit_transport(fam.group, a.inertia, a.frob, b.frob)
         except UnitNotFoundError:
             ok = False
         rows.append(

@@ -24,13 +24,12 @@ and each group generator acts by an integer matrix on row vectors from
 the right, column j reduced mod d_j.  FiniteModule.build takes any
 full-rank presentation Z^n / L and moves it there with
 intmat.smith_coordinates, so every later step works at rank len(d),
-not n, and validates the action.  A p-part or chi-component is
-FiniteModule.with_extra_relations, a subquotient of a validated module:
-the same Smith step, no second validation, as the induced action keeps
-its parent's identities (a Tate group is not built as a module; see
-cohomology).  The matrix of a group element is the product of its
-generators' matrix powers.  An inertia module is written down in
-closed form (inertia_module).
+not n, and validates the action.  No module is derived from another
+by a second Smith step: a p-part keeps the coordinates with p | d_i in
+closed form, and a Tate group or chi-component is read off a lattice
+pair in the module's own coordinates (see cohomology).  The matrix of a
+group element is the product of its generators' matrix powers.  An
+inertia module is written down in closed form (inertia_module).
 """
 
 from __future__ import annotations
@@ -240,21 +239,6 @@ class FiniteModule:
             actions.append(im.frozen(_mod_columns(im.mat_mul(q, ap), d)))
         return cls(group, len(d), im.frozen(im.diagonal(d)), tuple(actions))
 
-    def subquotient(self, big, small) -> "FiniteModule":
-        """big / small for stable lattices relations <= small <= big of
-        Z^rank, big a full-rank square HNF: coordinates by reduction
-        against big, then the Smith step.  Not validated again: the
-        induced action keeps the identities this module's action has."""
-        k = len(big)
-
-        def coords(v):
-            c = im.span_coefficients(big, range(k), v)
-            if c is None:
-                raise ContainmentError("sublattice not contained in the big lattice")
-            return c
-        actions = [[coords(im.vec_mat(r, a)) for r in big] for a in self.gen_actions]
-        return self._in_smith_coordinates(self.group, k, [coords(r) for r in small], actions)
-
     @property
     def order(self) -> int:
         return im.hnf_index(self.relations)
@@ -297,10 +281,6 @@ class FiniteModule:
             for b in gens[i + 1 :]:
                 if not vanishes(im.mat_mul(a, b), im.mat_mul(b, a)):
                     raise ContainmentError("generator actions do not commute on the module")
-
-    def with_extra_relations(self, extra_rows) -> "FiniteModule":
-        rows = [list(r) for r in self.relations] + [list(r) for r in extra_rows]
-        return self.subquotient(im.identity(self.rank), rows)
 
 
 def inertia_module(inertia: Subgroup, frob: GroupElement) -> FiniteModule:

@@ -23,9 +23,10 @@ u = sum_{t<k} phi_a^{-t}, which telescopes to the identity; its
 augmentation k is prime to p, so u is a unit of the local ring
 Z_p[G/I].  The identity is checked exactly in Z[G/I], on G/I in Smith
 coordinates (abelian.quotient_data), and a unit row computes nothing
-else: k, p not dividing k, and that identity.  Comparing the backward
-lattice L with L w, for w = 1 + nu (u~ - 1) and u~ a lift of u to
-Z[G], modulo a power of p cannot fail once p does not divide k, so
+else: k, p not dividing k, and that identity, so it takes G and builds
+no ring of G.  Comparing the backward lattice L with L w, for
+w = 1 + nu (u~ - 1) and u~ a lift of u to Z[G], modulo a power of p
+cannot fail once p does not divide k, so
 that comparison lives in the tests as an oracle: L is a ring holding
 w, so L w is in L, and [L : L w] = |det M_w| is the norm of u over
 Q[G/I] (w acts as 1 off nu Q[G]), which is k^|G/I| mod p as F_p[G/I]
@@ -84,6 +85,7 @@ from math import gcd
 
 from . import intmat as im
 from .abelian import (
+    FinAbGroup,
     GroupElement,
     Subgroup,
     canonical_lift,
@@ -314,7 +316,7 @@ def verify_extension_sequence(ring: GroupRing, inertia: Subgroup) -> ExtensionRe
 
 
 def verify_unit_transport(
-    ring: GroupRing,
+    group: FinAbGroup,
     inertia: Subgroup,
     frob_a: GroupElement,
     frob_b: GroupElement,
@@ -329,13 +331,12 @@ def verify_unit_transport(
     1 - phi_a^{-k} = 1 - phi_b^{-1} in Z[G/I].  Its augmentation k is
     prime to p, so u is a unit of the local ring Z_p[G/I].  k is read
     off the images of phi_a and phi_b in G/I, and the identity is one
-    product in Z[G/I]; of the ring only its group is used.  Returns True
+    product in Z[G/I]: no ring of G is built.  Returns True
     once it holds; a missing k, a k divisible by p or a witness that
     fails its identity raises.  The p-adic comparison of the backward
     lattice L with L w, w = 1 + nu (u~ - 1), is a test oracle only: with
     p not dividing k it cannot fail (module docstring).
     """
-    group = ring.group
     ps = sorted(prime_factors(group.order))
     if len(ps) != 1:
         raise ScopeError("unit transport needs a nontrivial p-group")

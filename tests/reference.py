@@ -66,6 +66,8 @@ worked in Z[G/I]: k found by a Subgroup.contains search in G, and the
 witness identity u~ (1 - phi_a^{-1}) = 1 - phi_b^{-1} checked on
 N_I Z[G], a faithful copy of Z[G/I] (x mod I |-> N_I x), by three dense
 products in Z[G].  Its k search and u~ are ref_unit_witness.
+Both ref_verify_unit_transport and ref_verify_unit_on_norm_copy take G,
+as verify_unit_transport does, and build Z[G] themselves.
 unit_route_outcome maps a route's answer to True or the name of the
 error it raised, so routes can be compared pair by pair.
 
@@ -127,6 +129,15 @@ group's own coordinates), and prediction_verdict read the order, the
 memberships of c e_i and the rows of A_b - 1 in the relation lattice,
 and a generator among e_1..e_g, then the residues of diag(d), of that
 subquotient.  RefTateModules holds the two subquotients.
+
+ref_subquotient, ref_with_extra_relations, ref_p_part,
+ref_chi_component, ref_is_cohomologically_trivial and
+ref_triviality_criterion are the triviality route as it ran before
+each chi-component was read off one lattice pair of M_p: the p-part
+and every chi-component were built as modules, the quotient by p^e
+and by (1 - e_chi) taken by a Smith step (FiniteModule.subquotient
+and FiniteModule.with_extra_relations), and each component's Tate
+groups were taken over every Sylow subgroup of G.
 """
 
 from collections import namedtuple
@@ -144,13 +155,21 @@ from grlat.abelian import (
     p_split,
     prime_factors,
     quotient_data,
+    sylow,
 )
 from grlat.cli import fmt_elem, fmt_sub
 from grlat.cohomology import (
     GENERATOR_SEARCH_CAP,
+    CriterionReport,
+    CriterionRow,
+    _predicted_component_triviality,
+    character_classes,
+    chi_idempotent_matrix,
+    complement_generators,
     norm_matrix,
     prediction_verdict,
     tate_cohomology,
+    tate_order,
 )
 from grlat.errors import (
     ContainmentError,
@@ -608,10 +627,10 @@ def ref_backward_rep(ring, inertia, frob):
     return RefLattice.from_elements(ring, [nu, w2])
 
 
-def ref_verify_unit_transport(ring, inertia, frob_a, frob_b):
+def ref_verify_unit_transport(group, inertia, frob_a, frob_b):
     """Unit transport on the rational lattices, compared inside
     (1/common) Z[G] at precision n * v_p(common) + 1."""
-    group = ring.group
+    ring = group_ring(group)
     (p,) = prime_factors(group.order)
     if decomposition_subgroup(inertia, frob_a) != decomposition_subgroup(inertia, frob_b):
         raise ScopeError("pairs have different decomposition subgroups")
@@ -679,9 +698,9 @@ def ref_unit_witness(ring, inertia, frob_a, frob_b):
     return ring.from_coeffs(ucoeffs)
 
 
-def ref_verify_unit_on_norm_copy(ring, inertia, frob_a, frob_b):
+def ref_verify_unit_on_norm_copy(group, inertia, frob_a, frob_b):
     """The witness identity on N_I Z[G], after the guards of unit transport."""
-    group = ring.group
+    ring = group_ring(group)
     ps = sorted(prime_factors(group.order))
     if len(ps) != 1:
         raise ScopeError("unit transport needs a nontrivial p-group")
@@ -830,12 +849,12 @@ def ref_tate_modules(module, sub):
     nm = norm_matrix(module, sub, mats)
     # the relations are diag(d), taken as the moduli of both images
     norm_image = im.hnf(nm, n, mods)
-    h0 = module.subquotient(inv, norm_image)
+    h0 = ref_subquotient(module, inv, norm_image)
 
     # norm kernel: x with x N = 0 mod d
     ker = im.kernel_mod(nm, mods)
     aug = im.hnf([row for d in diffs for row in d], n, mods)
-    hm1 = module.subquotient(ker, aug)
+    hm1 = ref_subquotient(module, ker, aug)
     return RefTateModules(h0, hm1)
 
 
@@ -880,6 +899,89 @@ def ref_module_verdict(module, big, c):
     if x is not None:
         return "pass"
     return "fail" if searched_all else "undecided"
+
+
+# -- chi-components as modules -------------------------------------------------
+
+
+def ref_subquotient(module, big, small):
+    """big / small for stable lattices relations <= small <= big of
+    Z^rank, big a full-rank square HNF: coordinates by reduction
+    against big, then the Smith step.  Not validated again: the
+    induced action keeps the identities this module's action has."""
+    k = len(big)
+
+    def coords(v):
+        c = im.span_coefficients(big, range(k), v)
+        if c is None:
+            raise ContainmentError("sublattice not contained in the big lattice")
+        return c
+    actions = [[coords(im.vec_mat(r, a)) for r in big] for a in module.gen_actions]
+    return module._in_smith_coordinates(module.group, k, [coords(r) for r in small], actions)
+
+
+def ref_with_extra_relations(module, extra_rows):
+    rows = [list(r) for r in module.relations] + [list(r) for r in extra_rows]
+    return ref_subquotient(module, im.identity(module.rank), rows)
+
+
+def ref_is_cohomologically_trivial(module):
+    """Nakayama test: both Tate groups vanish for every Sylow subgroup."""
+    if module.order == 1:
+        return True
+    for q in module.group.primes():
+        t = tate_cohomology(module, sylow(module.group, q))
+        if tate_order(t.h0) != 1 or tate_order(t.hminus1) != 1:
+            return False
+    return True
+
+
+def ref_p_part(module, p):
+    """The p-primary part, presented as a quotient of the same Z^g.
+
+    Quotienting by p^e M (p^e the p-part of the exponent) kills every
+    q-primary part for q != p, where p^e is invertible, and fixes the
+    p-part, which p^e annihilates.
+    """
+    e, rest = p_split(module.exponent(), p)
+    if rest == 1:
+        return module
+    return ref_with_extra_relations(module, im.diagonal([p**e] * module.rank))
+
+
+def ref_chi_component(module, chi):
+    """The direct summand of a p-primary module cut out by the
+    conjugacy-class idempotent of chi, presented as the quotient of the
+    module by (1 - e_chi).
+
+    Exact, as the idempotent is taken mod the module exponent p^e."""
+    p = chi.p
+    e, rest = p_split(module.exponent(), p)
+    if rest != 1:
+        raise ScopeError("module is not p-primary; take its p-part first")
+    if e == 0:
+        return module
+    ep = chi_idempotent_matrix(module, chi, e)
+    n = module.rank
+    extra = [
+        [(1 if i == j else 0) - ep[i][j] for j in range(n)] for i in range(n)
+    ]
+    return ref_with_extra_relations(module, extra)
+
+
+def ref_triviality_criterion(module, inertia, frob, p):
+    group = module.group
+    if inertia.group != group or frob.group != group:
+        raise ParentMismatchError("inputs from a different group")
+    mp = ref_p_part(module, p)
+    gens, dec = complement_generators(group, p), decomposition_subgroup(inertia, frob)
+    rows = []
+    for chi in character_classes(group, p):
+        comp = ref_chi_component(mp, chi)
+        lhs = ref_is_cohomologically_trivial(comp)
+        rhs = _predicted_component_triviality(gens, inertia, dec, p, chi)
+        rows.append(CriterionRow(chi, lhs, rhs))
+    return CriterionReport(tuple(rows), all(r.agree for r in rows))
 
 
 # -- the kernel identity by three HNF indices ----------------------------------

@@ -30,6 +30,7 @@ from grlat.lattices import (
 )
 from grlat.monoid import analyze_monoid, build_sets, cardinality_formulas
 from grlat.spectrum import predicted_membership, sample_spectrum, verify_claims
+from reference import ref_subquotient
 
 # five-group module catalogue for the cohomology criteria
 MODULE_CATALOGUE = ([9], [27], [3, 3], [15], [3, 9])
@@ -160,7 +161,7 @@ def test_criterion_4_tate_closed_form(announce):
                 invariants = (c,) * (g.order // big.order) if c > 1 else ()
                 for side in (t.h0, t.hminus1):
                     verdict = prediction_verdict(mod, side, big, c)
-                    if mod.subquotient(*side).invariants() != invariants:
+                    if ref_subquotient(mod, *side).invariants() != invariants:
                         failures.append((facs, pair, h, "invariants"))
                     elif verdict != "pass":
                         failures.append((facs, pair, h, verdict))
@@ -228,7 +229,6 @@ def test_criterion_6_lattice_identities(announce):
     unit_cases = 0
     for facs in P_GROUPS_27:
         g = make_group(facs)
-        ring = GroupRing(g)
         by_class = {}
         for pair in build_sets(g).stilde:
             key = (pair.inertia.basis, decomposition_subgroup(pair.inertia, pair.frob).basis)
@@ -236,7 +236,7 @@ def test_criterion_6_lattice_identities(announce):
         for pairs in by_class.values():
             for a, b in combinations(pairs, 2):
                 unit_cases += 1
-                if not verify_unit_transport(ring, a.inertia, a.frob, b.frob):
+                if not verify_unit_transport(g, a.inertia, a.frob, b.frob):
                     failures.append(("unit", facs, a, b))
     elapsed = time.monotonic() - t0
     counts_ok = (kernel_cases, ext_cases, unit_cases) == (2114, 88, 242)

@@ -23,7 +23,7 @@ from grlat import intmat as im
 from grlat.abelian import make_group
 from grlat.cli import main
 from grlat.errors import ContainmentError
-from grlat.grouprings import FiniteModule, inertia_module
+from grlat.grouprings import inertia_module
 from grlat.monoid import build_pair_sets, build_sets
 import reference
 
@@ -234,39 +234,25 @@ def test_verify_tate_takes_each_key_once_per_inertia_group(capsys, monkeypatch):
 def test_tate_rows_take_no_subquotient_or_smith_form(monkeypatch):
     # 2,2,8: every module is built (and its Smith step taken) before the
     # sweeps; the tate rows then read each Tate group off its lattice
-    # pair, and the triviality rows take subquotients only for p-parts
-    # and chi-components, through with_extra_relations
+    # pair, and the triviality rows read every chi-component off the
+    # Tate pairs of the closed-form p-part: no Smith form in either
     fam = build_pair_sets(make_group([2, 2, 8]))
     inputs = cli._SweepInputs(fam, ["tate", "triviality"])
     inputs.modules()
-    calls, inside = {"subquotient": [], "snf": []}, []
-    real_sub, real_extra = FiniteModule.subquotient, FiniteModule.with_extra_relations
+    calls = []
     real_snf = im.snf_with_transform
 
-    def subquotient(self, big, small):
-        calls["subquotient"].append(bool(inside))
-        return real_sub(self, big, small)
-
     def snf(*args, **kwargs):
-        calls["snf"].append(bool(inside))
+        calls.append(args)
         return real_snf(*args, **kwargs)
 
-    def extra(self, rows):
-        inside.append(True)
-        try:
-            return real_extra(self, rows)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(FiniteModule, "subquotient", subquotient)
-    monkeypatch.setattr(FiniteModule, "with_extra_relations", extra)
     monkeypatch.setattr(im, "snf_with_transform", snf)
     rows = cli._tate_rows(inputs)
     assert len(rows) == len(fam.stilde) * len(fam.subgroups) and {r[-1] for r in rows} == {"pass"}
-    assert calls == {"subquotient": [], "snf": []}
+    assert calls == []
     rows = cli._triviality_rows(inputs)
     assert rows and {r[-1] for r in rows} == {"pass"}
-    assert calls["subquotient"] and all(calls["subquotient"])
+    assert calls == []
 
 
 def test_verify_builds_no_target_tuples_or_cyclic_quotients(capsys, monkeypatch):

@@ -33,12 +33,10 @@ from grlat.cohomology import (
     ChiClass,
     _root_power_traces,
     character_classes,
-    chi_component,
     chi_idempotent_matrix,
     complement_generators,
     coset_representatives,
     find_cyclic_generator,
-    is_cohomologically_trivial,
     p_part,
     prediction_data,
     prediction_verdict,
@@ -51,9 +49,11 @@ from grlat.errors import ParentMismatchError, PrecisionError, ScopeError
 from grlat.grouprings import FiniteModule, GroupRing, IdealLattice, group_ring, inertia_module
 from grlat.monoid import build_sets
 from reference import (
+    ref_chi_component,
     ref_find_cyclic_generator,
     ref_inertia_module,
     ref_inertia_presentation,
+    ref_is_cohomologically_trivial,
     ref_lattice_quotient_coords,
     ref_left_kernel,
     ref_meet,
@@ -61,10 +61,13 @@ from reference import (
     ref_module_verdict,
     ref_mult_matrix,
     ref_norm_matrix,
+    ref_p_part,
     ref_preimage_lattice,
     ref_prediction_data,
     ref_root_power_traces,
+    ref_subquotient,
     ref_tate_modules,
+    ref_triviality_criterion,
 )
 
 
@@ -94,8 +97,8 @@ def test_tate_full_group_anchor():
     # A over Z/3 with full inertia is Z/3 with trivial action; H^0(G) = Z/3
     ring, mod = full_inertia_module(3)
     t = tate_cohomology(mod, Subgroup.full(ring.group))
-    assert mod.subquotient(*t.h0).invariants() == (3,)
-    assert mod.subquotient(*t.hminus1).invariants() == (3,)
+    assert ref_subquotient(mod, *t.h0).invariants() == (3,)
+    assert ref_subquotient(mod, *t.hminus1).invariants() == (3,)
 
 
 def test_tate_induced_module_vanishes():
@@ -117,7 +120,7 @@ def test_tate_exponent_bound():
         Subgroup.from_generators(ring.group, [ring.group.element((1, 3))]),
     ):
         t = tate_cohomology(mod, h)
-        for m in (mod.subquotient(*t.h0), mod.subquotient(*t.hminus1)):
+        for m in (ref_subquotient(mod, *t.h0), ref_subquotient(mod, *t.hminus1)):
             if m.order > 1:
                 assert h.order % m.exponent() == 0
 
@@ -189,13 +192,13 @@ def test_cohomological_triviality_anchors():
     x = ring.one().scale(2) - ring.delta(ring.group.element((2,)))
     mod = regular_quotient(ring, x)
     assert mod.order == 7
-    assert is_cohomologically_trivial(mod)
+    assert ref_is_cohomologically_trivial(mod)
     # full inertia module over Z/3 is not c.t.
     _, bad = full_inertia_module(3)
-    assert not is_cohomologically_trivial(bad)
+    assert not ref_is_cohomologically_trivial(bad)
     # trivial inertia: every local part trivial, module c.t.
     triv = inertia_module(Subgroup.trivial(ring.group), ring.group.element((1,)))
-    assert is_cohomologically_trivial(triv)
+    assert ref_is_cohomologically_trivial(triv)
 
 
 def test_p_part():
@@ -238,7 +241,7 @@ def test_chi_idempotent_and_components():
     classes = character_classes(g, 7)
     orders = []
     for chi in classes:
-        comp = chi_component(m7, chi)
+        comp = ref_chi_component(m7, chi)
         orders.append(comp.order)
     assert sorted(orders) == [1, 1, 1, 1, 7]
     # partition: orders multiply to the p-part order
@@ -248,7 +251,7 @@ def test_chi_idempotent_and_components():
     assert prod == m7.order
     # p = 3 side: single class swallows the whole 3-part
     m3 = p_part(mod, 3)
-    assert chi_component(m3, character_classes(g, 3)[0]).order == m3.order == 9
+    assert ref_chi_component(m3, character_classes(g, 3)[0]).order == m3.order == 9
 
 
 def test_chi_idempotent_on_a_p_group_multiplies_only_to_check_idempotence(monkeypatch):
@@ -272,7 +275,7 @@ def test_chi_component_guards():
     mod = inertia_module(i3, g.element((1,)))  # order 63, not 7-primary
     chi = character_classes(g, 7)[0]
     with pytest.raises(ScopeError):
-        chi_component(mod, chi)
+        ref_chi_component(mod, chi)
     m7 = p_part(mod, 7)
     other = make_group([3, 3])
     with pytest.raises(ParentMismatchError):
@@ -313,6 +316,44 @@ def test_triviality_criterion_sweep_small():
             for p in sorted(prime_factors(g.order)):
                 rep = triviality_criterion(mod, pair.inertia, pair.frob, p)
                 assert rep.all_agree, (facs, pair, p)
+
+
+# criterion 5's catalogue, then 2,6, whose p = 2 rows differ in their
+# components' triviality, and four groups with several chi or a large
+# 2-part
+TRIVIALITY_GROUPS = ([9], [27], [3, 3], [15], [3, 9], [2, 6], [2, 2, 2], [2, 4], [36], [2, 2, 8])
+
+
+def test_lattice_pair_triviality_matches_the_module_route():
+    # each chi-component read off the Tate pairs of the closed-form p-part
+    # against the route that built the p-part and every component as a
+    # module (a Smith step each) and took its Tate groups over every Sylow
+    rows, outcomes = 0, set()
+    for facs in TRIVIALITY_GROUPS:
+        g = make_group(facs)
+        for pair in build_sets(g).stilde:
+            mod = inertia_module(pair.inertia, pair.frob)
+            for p in g.primes():
+                mp, ref_mp = p_part(mod, p), ref_p_part(mod, p)
+                assert (mp.invariants(), mp.order) == (ref_mp.invariants(), ref_mp.order)
+                got = triviality_criterion(mod, pair.inertia, pair.frob, p)
+                assert got == ref_triviality_criterion(mod, pair.inertia, pair.frob, p), (facs, pair, p)
+                rows += len(got.rows)
+                outcomes |= {r.component_ct for r in got.rows}
+    assert rows == 958 and outcomes == {True, False}
+
+
+def test_closed_form_p_part_matches_the_smith_step():
+    # Z/2 + Z/12 + Z/36 with a generator of Z/2 acting by -1: at p = 2 the
+    # coordinates are read mod 2, 4, 4 and at p = 3 the first is dropped
+    g = make_group([2])
+    mod = FiniteModule.build(g, im.diagonal([2, 12, 36]), [im.diagonal([-1] * 3)])
+    for p, invariants, action in [(2, (2, 4, 4), [1, 3, 3]), (3, (3, 9), [2, 8])]:
+        mp, ref_mp = p_part(mod, p), ref_p_part(mod, p)
+        assert mp.invariants() == ref_mp.invariants() == invariants
+        assert mp.order == ref_mp.order
+        assert mp.gen_actions == (im.frozen(im.diagonal(action)),)
+    assert p_part(mod, 5).rank == 0 and ref_p_part(mod, 5).order == 1
 
 
 def test_prediction_verdict_distinguishes_twists():
@@ -496,7 +537,7 @@ def test_prediction_verdict_matches_two_sided_comparison(factors):
             pred = ref_closed_form_inertia_tate(g, pair.inertia, pair.frob, h)
             big, c = prediction_data(dec, tate_key(pair.inertia, h))
             for side in (t.h0, t.hminus1):
-                out = ref_module_equivalent(mod.subquotient(*side), pred)
+                out = ref_module_equivalent(ref_subquotient(mod, *side), pred)
                 old = ("pass" if out.isomorphic else "fail") if out.decided else "undecided"
                 assert prediction_verdict(mod, side, big, c) == old, (factors, pair, h)
 
@@ -520,7 +561,7 @@ def test_norm_and_generator_search_match_the_whole_group_routes(factors):
             assert all((x - y) % m == 0 for r, s in zip(nm, ref) for x, y, m in zip(r, s, d)), (factors, pair, h)
             t = tate_cohomology(mod, h)
             for side in (t.h0, t.hminus1):
-                sq = mod.subquotient(*side)
+                sq = ref_subquotient(mod, *side)
                 ref_x, ref_full = ref_find_cyclic_generator(sq)
                 assert find_cyclic_generator(sq, whole(sq)) == (ref_x, ref_full), (factors, pair, h)
                 x, full = find_cyclic_generator(mod, side)
@@ -731,8 +772,8 @@ def test_closed_form_tate_groups_match_the_orbit_route(factors):
             t, t_ref = tate_cohomology(mod, h), tate_cohomology(ref, h)
             big, c = prediction_data(dec, tate_key(pair.inertia, h))
             for side, ref_side in ((t.h0, t_ref.h0), (t.hminus1, t_ref.hminus1)):
-                invariants = mod.subquotient(*side).invariants()
-                assert invariants == ref.subquotient(*ref_side).invariants(), (factors, pair, h)
+                invariants = ref_subquotient(mod, *side).invariants()
+                assert invariants == ref_subquotient(ref, *ref_side).invariants(), (factors, pair, h)
                 verdict = prediction_verdict(mod, side, big, c)
                 assert verdict == prediction_verdict(ref, ref_side, big, c), (factors, pair, h)
 
@@ -830,7 +871,7 @@ def test_subquotient_tate_groups_match_the_rebuilt_presentations(factors):
         mod = inertia_module(pair.inertia, pair.frob)
         for h in subs:
             t = tate_cohomology(mod, h)
-            got = (mod.subquotient(*t.h0), mod.subquotient(*t.hminus1))
+            got = (ref_subquotient(mod, *t.h0), ref_subquotient(mod, *t.hminus1))
             assert got == ref_tate_cohomology(mod, h), (factors, pair, h)
 
 

@@ -560,15 +560,15 @@ def test_unit_transport_positive():
     # same inertia, same decomposition group, genuinely different cosets
     r9 = ring_of([9])
     i3 = Subgroup.from_generators(r9.group, [r9.group.element((3,))])
-    assert verify_unit_transport(r9, i3, r9.group.element((1,)), r9.group.element((2,)))
+    assert verify_unit_transport(r9.group, i3, r9.group.element((1,)), r9.group.element((2,)))
     r33 = ring_of([3, 3])
     i = Subgroup.from_generators(r33.group, [r33.group.element((1, 0))])
     assert verify_unit_transport(
-        r33, i, r33.group.element((0, 1)), r33.group.element((0, 2))
+        r33.group, i, r33.group.element((0, 1)), r33.group.element((0, 2))
     )
     r8 = ring_of([8])
     i2 = Subgroup.from_generators(r8.group, [r8.group.element((4,))])
-    assert verify_unit_transport(r8, i2, r8.group.element((1,)), r8.group.element((3,)))
+    assert verify_unit_transport(r8.group, i2, r8.group.element((1,)), r8.group.element((3,)))
 
 
 def test_unit_transport_guards():
@@ -576,17 +576,17 @@ def test_unit_transport_guards():
     i3 = Subgroup.from_generators(r9.group, [r9.group.element((3,))])
     # different decomposition subgroups
     with pytest.raises(ScopeError):
-        verify_unit_transport(r9, i3, r9.group.element((1,)), r9.group.element((3,)))
+        verify_unit_transport(r9.group, i3, r9.group.element((1,)), r9.group.element((3,)))
     # not a p-group
     r6 = ring_of([6])
     i2 = Subgroup.from_generators(r6.group, [r6.group.element((3,))])
     with pytest.raises(ScopeError):
-        verify_unit_transport(r6, i2, r6.group.element((1,)), r6.group.element((5,)))
+        verify_unit_transport(r6.group, i2, r6.group.element((1,)), r6.group.element((5,)))
 
 
-def unit_outcome(check, ring, inertia, frob_a, frob_b):
+def unit_outcome(check, group, inertia, frob_a, frob_b):
     try:
-        return check(ring, inertia, frob_a, frob_b)
+        return check(group, inertia, frob_a, frob_b)
     except UnitNotFoundError:
         return "no unit"
 
@@ -611,7 +611,7 @@ def test_unit_transport_repairs_the_augmentation_on_frobenius_in_inertia():
     # augmentation a unit, while the witness is u = 1 (k = 1)
     r9 = ring_of([9])
     i3 = Subgroup.from_generators(r9.group, [r9.group.element((3,))])
-    args = (r9, i3, r9.group.element((0,)), r9.group.element((3,)))
+    args = (r9.group, i3, r9.group.element((0,)), r9.group.element((3,)))
     assert verify_unit_transport(*args) is True
     assert ref_verify_unit_transport(*args) is True
 
@@ -623,7 +623,7 @@ def test_unit_transport_matches_the_rational_route_on_frobenius_in_inertia(facs)
         elems = list(inertia.elements())
         for a in elems:
             for b in elems:
-                args = (r, inertia, a, b)
+                args = (r.group, inertia, a, b)
                 assert unit_outcome(verify_unit_transport, *args) == unit_outcome(
                     ref_verify_unit_transport, *args
                 ), (facs, inertia, a, b)
@@ -638,7 +638,7 @@ def test_unit_transport_matches_the_rational_route(facs, pairs):
     r = group_ring(make_group(facs))
     compared = 0
     for a, b in unit_pairs(r.group):
-        args = (r, a.inertia, a.frob, b.frob)
+        args = (r.group, a.inertia, a.frob, b.frob)
         assert unit_outcome(verify_unit_transport, *args) == unit_outcome(
             ref_verify_unit_transport, *args
         ), (facs, a, b)
@@ -670,7 +670,7 @@ def test_unit_comparison_also_accepts_an_unrelated_multiplier(facs):
     r = group_ring(make_group(facs))
     compared = 0
     for a, b in unit_pairs(r.group):
-        assert verify_unit_transport(r, a.inertia, a.frob, b.frob)
+        assert verify_unit_transport(r.group, a.inertia, a.frob, b.frob)
         utilde = r.one() + (r.delta(a.frob) - r.one()).scale(3)
         assert ref_unit_comparison(r, a.inertia, utilde), (facs, a, b)
         compared += 1
@@ -684,7 +684,7 @@ def test_unit_comparison_passes_wherever_the_witness_does():
     for facs in P_GROUPS_27:
         r = group_ring(make_group(facs))
         for a, b in unit_pairs(r.group):
-            assert verify_unit_transport(r, a.inertia, a.frob, b.frob), (facs, a, b)
+            assert verify_unit_transport(r.group, a.inertia, a.frob, b.frob), (facs, a, b)
             utilde = ref_unit_witness(r, a.inertia, a.frob, b.frob)
             assert ref_unit_comparison(r, a.inertia, utilde), (facs, a, b)
             compared += 1
@@ -700,7 +700,7 @@ def test_unit_transport_builds_no_lattice(facs, pairs):
         IdealLattice, "__init__", autospec=True, side_effect=IdealLattice.__init__
     ) as lattice_spy:
         for a, b in unit_pairs(r.group):
-            assert verify_unit_transport(r, a.inertia, a.frob, b.frob), (facs, a, b)
+            assert verify_unit_transport(r.group, a.inertia, a.frob, b.frob), (facs, a, b)
             compared += 1
     assert compared == pairs
     assert not lattice_spy.called
@@ -713,7 +713,7 @@ def test_unit_transport_in_the_quotient_matches_the_norm_copy():
     for facs in P_GROUPS_27:
         r = group_ring(make_group(facs))
         for a, b in unit_pairs(r.group):
-            args = (r, a.inertia, a.frob, b.frob)
+            args = (r.group, a.inertia, a.frob, b.frob)
             assert unit_route_outcome(verify_unit_transport, *args) == unit_route_outcome(
                 ref_verify_unit_on_norm_copy, *args
             ), (facs, a, b)
@@ -731,7 +731,7 @@ def test_unit_transport_matches_the_norm_copy_on_frobenius_in_inertia(facs):
         elems = list(inertia.elements())
         for a in elems:
             for b in elems:
-                args = (r, inertia, a, b)
+                args = (r.group, inertia, a, b)
                 got = unit_route_outcome(verify_unit_transport, *args)
                 assert got == unit_route_outcome(ref_verify_unit_on_norm_copy, *args), (facs, a, b)
                 outcomes.add(got)
@@ -750,9 +750,9 @@ def test_unit_sweep_multiplies_once_in_the_quotient_and_builds_no_norm(spec):
         events.append(("mul", self.ring.n, sum(1 for c in self.coeffs if c)))
         return real_mul(self, other)
 
-    def unit(ring, inertia, frob_a, frob_b):
-        events.append(("row", ring.n // inertia.order))
-        return real_unit(ring, inertia, frob_a, frob_b)
+    def unit(group, inertia, frob_a, frob_b):
+        events.append(("row", group.order // inertia.order))
+        return real_unit(group, inertia, frob_a, frob_b)
 
     with mock.patch.object(GroupRingElem, "__mul__", mul), mock.patch.object(
         cli, "verify_unit_transport", unit

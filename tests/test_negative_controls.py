@@ -397,7 +397,7 @@ def test_unit_transport_refuses_pairs_of_different_decomposition(facs, pairs, mo
             # the same I and a different (I, D) pair: a different D
             if a.inertia != b.inertia or proj[i] == proj[j]:
                 continue
-            args = (ring, a.inertia, a.frob, b.frob)
+            args = (ring.group, a.inertia, a.frob, b.frob)
             assert refused(lattices.verify_unit_transport, *args), (facs, a, b)
             assert refused(ref_verify_unit_transport, *args), (facs, a, b)
             compared += 1
@@ -421,7 +421,7 @@ def test_unit_transport_in_the_quotient_refuses_what_the_norm_copy_refuses(facs,
             # the same I and a different (I, D) pair: a different D
             if a.inertia != b.inertia or proj[i] == proj[j]:
                 continue
-            args = (ring, a.inertia, a.frob, b.frob)
+            args = (ring.group, a.inertia, a.frob, b.frob)
             assert unit_route_outcome(lattices.verify_unit_transport, *args) == unit_route_outcome(
                 ref_verify_unit_on_norm_copy, *args
             ), (facs, a, b)

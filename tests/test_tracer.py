@@ -50,11 +50,12 @@ def test_tracer_installs_and_counts_the_layers():
         "abelian.decomposition_subgroup",
         "abelian.Subgroup.elements",
         "grouprings.FiniteModule.build",
-        "grouprings.FiniteModule.subquotient",
         "grouprings.GroupRing.__init__",
         "intmat.snf_with_transform",
         "cohomology.tate_cohomology",
         "cohomology.tate_key",
+        "cohomology.p_part",
+        "cohomology.chi_idempotent_matrix",
         "cohomology.prediction_data",
         "cohomology.triviality_criterion",
         "lattices.verify_unit_transport",
