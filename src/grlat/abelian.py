@@ -223,13 +223,18 @@ class GroupElement:
 class Subgroup:
     """Subgroup of a FinAbGroup, held as the canonical square HNF basis of
     its preimage lattice; order, membership, structure and the canonical
-    coset lift are all read off that basis."""
+    coset lift are all read off that basis.  The order and the hash are
+    computed once, on construction, and the structure on its first
+    successful call, so a subgroup met again reuses them."""
 
-    __slots__ = ("group", "basis")
+    __slots__ = ("group", "basis", "order", "_hash", "_structure")
 
     def __init__(self, group: FinAbGroup, basis):
         self.group = group
         self.basis = im.frozen(basis)
+        self.order = group.order // im.hnf_index(self.basis)
+        self._hash = hash((group, self.basis))
+        self._structure = None
 
     # -- constructors -------------------------------------------------------
 
@@ -250,10 +255,6 @@ class Subgroup:
 
     # -- basic data ---------------------------------------------------------
 
-    @property
-    def order(self) -> int:
-        return self.group.order // im.hnf_index(self.basis)
-
     def quotient_structure(self, sub: "Subgroup"):
         """Invariant factors of self/sub: the Smith form of sub's rows in
         the coordinates of self's basis, or None when sub is not inside
@@ -268,11 +269,13 @@ class Subgroup:
     def structure(self) -> tuple[int, ...]:
         """Invariant factors of this subgroup as an abstract group: its
         quotient by the trivial subgroup, whose rows d_i e_i it must
-        contain."""
-        out = self.quotient_structure(Subgroup.trivial(self.group))
-        if out is None:
-            raise ContainmentError(f"basis of {self!r} does not contain the relations")
-        return out
+        contain.  Kept after the first call; a failure is not kept."""
+        if self._structure is None:
+            out = self.quotient_structure(Subgroup.trivial(self.group))
+            if out is None:
+                raise ContainmentError(f"basis of {self!r} does not contain the relations")
+            self._structure = out
+        return self._structure
 
     @property
     def is_cyclic(self) -> bool:
@@ -336,14 +339,15 @@ class Subgroup:
             raise ParentMismatchError("subgroups of different groups")
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, Subgroup)
+            and self._hash == other._hash
             and self.group == other.group
             and self.basis == other.basis
         )
 
     def __hash__(self):
-        return hash((self.group, self.basis))
+        return self._hash
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.group!r})"

@@ -29,7 +29,8 @@ by a second Smith step: a p-part keeps the coordinates with p | d_i in
 closed form, and a Tate group or chi-component is read off a lattice
 pair in the module's own coordinates (see cohomology).  The matrix of a
 group element is the product of its generators' matrix powers.  An
-inertia module is written down in closed form (inertia_module).
+inertia module is written down in closed form, already in Smith
+coordinates, and validated with no Smith step (inertia_module).
 """
 
 from __future__ import annotations
@@ -292,7 +293,10 @@ def inertia_module(inertia: Subgroup, frob: GroupElement) -> FiniteModule:
     (else IdentityCheckError), is that e_0 is killed by A_(-frob) - a and
     by A_i - 1 for the generators i of I.  So x -> e_0 x maps M onto N (t
     sends e_0 to a unit times e_t), and |M| = |det(a - fbar^-1)| =
-    prod_chi (a - chi(fbar)^-1) = m^[G:D] = |N|.  M = N = 0 when m = 1."""
+    prod_chi (a - chi(fbar)^-1) = m^[G:D] = |N|.  M = N = 0 when m = 1.
+    N is stored as it is written: diag(m)^[G:D] is its own Smith form and
+    every action entry is reduced mod m, so it is validated with no Smith
+    step (FiniteModule.build of the same data gives the same module)."""
     dec = decomposition_subgroup(inertia, frob)
     a = 1 + inertia.order
     m = a ** (dec.order // inertia.order) - 1
@@ -306,7 +310,10 @@ def inertia_module(inertia: Subgroup, frob: GroupElement) -> FiniteModule:
                 v = [x % m for x in im.vec_mat(v, mat)]
         if v != [scale % m] + e0[1:]:
             raise IdentityCheckError(f"e_0 is not killed by a - fbar^-1 and by I at {frob!r}")
-    return FiniteModule.build(inertia.group, im.diagonal([m] * rank), actions)
+    relations = im.frozen(im.diagonal([m] * rank))
+    mod = FiniteModule(inertia.group, rank, relations, tuple(map(im.frozen, actions)))
+    mod.validate()
+    return mod
 
 
 def _induced_actions(inertia: Subgroup, dec: Subgroup, frob: GroupElement, unit: int, m: int):

@@ -13,6 +13,13 @@ over all target tuples with D inside H, Istar = I_p and Dstar = D_p,
 and the analysis below certifies its decomposition law, injectivity on
 the irreducible locus, irreducibility of the generator images, and the
 freeness verdict for the image monoid.
+
+Each D is built once per I, by one HNF from the first phi that reaches
+it; the other phi that generate D/I, the canonical lifts of k phi with
+gcd(k, [D:I]) = 1, are mapped to it by reduction alone.  Every
+subgroup the index sets hold, p-parts included, is the object
+enumerate_subgroups made for its basis, so its order, hash and
+structure are computed once per command.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 from . import intmat as im
 from .abelian import (
@@ -59,7 +66,8 @@ class InertiaPair:
 @dataclass(frozen=True)
 class DecompositionPair:
     """(I, D) with I nontrivial elementary, I inside D, D/I cyclic;
-    build_pair_sets, the only constructor, reads each off an (I, phi)."""
+    build_pair_sets, the only constructor, builds each D once, from the
+    first (I, phi) that reaches it."""
 
     inertia: Subgroup
     dec: Subgroup
@@ -113,6 +121,22 @@ class SetFamily(PairSets):
     s_prime: tuple
     s_dprime: tuple
 
+    @cached_property
+    def _p_parts(self) -> dict:
+        return {}
+
+    @cached_property
+    def _interned(self) -> dict:
+        return {s.basis: s for s in self.subgroups}
+
+    def p_part(self, sub: Subgroup, p: int) -> Subgroup:
+        """_p_part(sub, p) as the enumerated subgroup of its basis, taken
+        once per (p, sub) for _beta_values and the decomposition law."""
+        key = (p, sub)
+        if key not in self._p_parts:
+            self._p_parts[key] = self._interned[_p_part(sub, p).basis]
+        return self._p_parts[key]
+
     @property
     def counts(self):
         return {
@@ -124,29 +148,39 @@ class SetFamily(PairSets):
         }
 
 
-def _pair_sets(group: FinAbGroup, inertias):
+def _pair_sets(group: FinAbGroup, inertias, interned):
     """(stilde, s_pairs, projection) of a group whose nontrivial
-    elementary subgroups are inertias.
+    elementary subgroups are inertias; interned maps a basis to the
+    enumerated subgroup that holds it.
 
-    Every D with D/I cyclic is I + <phi> for a phi whose image generates
-    D/I, so the (I, D) pairs are the images of the (I, phi) pairs: each
-    D is built once, from its (I, phi), and no pair is tested."""
-    # the residues of I's basis are the canonical lifts of G/I
-    stilde = sorted(
-        (
-            InertiaPair(inertia, GroupElement(group, x))
-            for inertia in inertias
-            for x in im.hnf_residues(inertia.basis)
-        ),
-        key=lambda pr: (pr.inertia.basis, pr.frob.coords),
-    )
-    images = [
-        DecompositionPair(pr.inertia, decomposition_subgroup(pr.inertia, pr.frob))
-        for pr in stilde
-    ]
-    s_pairs = tuple(sorted(set(images), key=DecompositionPair.sort_key))
-    s_index = {pr: i for i, pr in enumerate(s_pairs)}
-    return tuple(stilde), s_pairs, tuple(s_index[pr] for pr in images)
+    Every D with D/I cyclic is I + <x> for the residues x of I's basis
+    whose image generates D/I, the canonical lifts of k x with
+    gcd(k, [D:I]) = 1 for any one of them.  So each D is built once, by
+    one HNF from the first residue that reaches it, its other residues
+    are mapped to it by reduction alone, and it is the enumerated
+    subgroup of its basis; no pair is tested."""
+    pivots = range(group.rank)
+    stilde, s_pairs, projection = [], [], []
+    for inertia in sorted(inertias, key=lambda s: s.basis):
+        basis = inertia.basis
+        dec_of = {}  # residue of I's basis -> D = I + <residue>
+        for x in im.hnf_residues(basis):
+            if x in dec_of:
+                continue
+            dec = interned[decomposition_subgroup(inertia, GroupElement(group, x)).basis]
+            f = dec.order // inertia.order
+            for k in range(f):
+                if math.gcd(k, f) == 1:
+                    # the canonical lift of k x (see abelian.canonical_lift)
+                    _, lift = im.reduce_against(basis, pivots, [k * c for c in x])
+                    dec_of[tuple(lift)] = dec
+        decs = sorted(set(dec_of.values()), key=lambda s: s.basis)
+        index = {dec: len(s_pairs) + i for i, dec in enumerate(decs)}
+        s_pairs += [DecompositionPair(inertia, dec) for dec in decs]
+        for x in sorted(dec_of):
+            stilde.append(InertiaPair(inertia, GroupElement(group, x)))
+            projection.append(index[dec_of[x]])
+    return tuple(stilde), tuple(s_pairs), tuple(projection)
 
 
 def _p_part(sub: Subgroup, p: int) -> Subgroup:
@@ -173,7 +207,8 @@ def build_pair_sets(group: FinAbGroup) -> PairSets:
     npairs = sum(group.order // inertia.order for inertia in inertias)
     if npairs > PAIR_CAP:
         raise CapacityError(f"{npairs} (I, phi) pairs exceed the pair cap {PAIR_CAP}")
-    return PairSets(group, tuple(subs), *_pair_sets(group, inertias))
+    interned = {s.basis: s for s in subs}
+    return PairSets(group, tuple(subs), *_pair_sets(group, inertias, interned))
 
 
 def build_sets(group: FinAbGroup) -> SetFamily:
@@ -223,27 +258,25 @@ def _beta_values(family: SetFamily, pairs) -> list:
     as a bitmask: bit i is set when t_tuples[i] = (p, H, Istar, Dstar)
     has D inside H and the Sylow p-parts of I and D equal to Istar and
     Dstar.  A D recurs under many I, so each subgroup's p-part is taken
-    once per prime and each D <= H is tested once."""
+    once per prime (family.p_part, which the decomposition law shares)
+    and each D <= H is tested once."""
     targets = family.t_tuples
-    # the basis comparison is a dict lookup, so only the target tuples
-    # with matching p-parts reach the HNF containment test D <= H
+    # the p-parts and the target tuples hold the enumerated subgroups, so
+    # the comparison is a dict lookup, and only the target tuples with
+    # matching p-parts reach the HNF containment test D <= H
     by_parts = {}
     h_ids = {}
     h_of = []  # target index -> index of its H among the distinct H
     for i, t in enumerate(targets):
         by_parts.setdefault((t.p, t.istar, t.dstar), []).append(i)
         h_of.append(h_ids.setdefault(t.h, len(h_ids)))
-    parts = {}
     inside = {}  # D -> {index of H: D <= H}
     out = []
     for pair in pairs:
         mask = 0
         below = inside.setdefault(pair.dec, {})
         for p in prime_factors(pair.inertia.order):
-            for sub in (pair.inertia, pair.dec):
-                if (p, sub) not in parts:
-                    parts[p, sub] = _p_part(sub, p)
-            key = (p, parts[p, pair.inertia], parts[p, pair.dec])
+            key = (p, family.p_part(pair.inertia, p), family.p_part(pair.dec, p))
             for i in by_parts.get(key, ()):
                 j = h_of[i]
                 if j not in below:
@@ -365,9 +398,7 @@ def analyze_monoid(
     family = build_sets(group)
     s_pairs = family.s_pairs
     beta_values = tuple(_beta_values(family, s_pairs))
-    pair_index = {
-        (pr.inertia.basis, pr.dec.basis): i for i, pr in enumerate(s_pairs)
-    }
+    pair_index = {(pr.inertia, pr.dec): i for i, pr in enumerate(s_pairs)}
     # decomposition law on S minus the irreducible locus
     decomposition_ok = True
     sprime_set = set(family.s_prime)
@@ -380,7 +411,7 @@ def analyze_monoid(
         # (a & b), so a shared bit makes the sum exceed the union.
         total = union = 0
         for p in prime_factors(pr.inertia.order):
-            part = beta_values[pair_index[(_p_part(pr.inertia, p).basis, pr.dec.basis)]]
+            part = beta_values[pair_index[(family.p_part(pr.inertia, p), pr.dec)]]
             total += part
             union |= part
         if not total == union == beta_values[i]:

@@ -130,6 +130,11 @@ memberships of c e_i and the rows of A_b - 1 in the relation lattice,
 and a generator among e_1..e_g, then the residues of diag(d), of that
 subquotient.  RefTateModules holds the two subquotients.
 
+ref_pair_sets is the (I, D) route build_pair_sets took before it built
+each D once per subgroup: one D = I + <phi> by an HNF for every (I, phi)
+pair, a fresh Subgroup each, the distinct pairs found by hashing them
+all, and the projection read off that hash.
+
 ref_subquotient, ref_with_extra_relations, ref_p_part,
 ref_chi_component, ref_is_cohomologically_trivial and
 ref_triviality_criterion are the triviality route as it ran before
@@ -181,6 +186,7 @@ from grlat.errors import (
 )
 from grlat.grouprings import FiniteModule, GroupRingElem, IdealLattice, group_ring, inertia_module
 from grlat.lattices import ExtensionReport, KernelReport, backward_rep
+from grlat.monoid import DecompositionPair, InertiaPair
 from grlat.polys import poly_divmod_monic, trim
 
 
@@ -1068,3 +1074,31 @@ def ref_smith_valuations_mod(rows, width, p, k):
         a = rest
         vals.append(shift)
     return vals
+
+
+# -- (I, D) pairs, one decomposition subgroup per (I, phi) ---------------------
+
+
+def ref_pair_sets(group, inertias):
+    """(stilde, s_pairs, projection) of a group whose nontrivial
+    elementary subgroups are inertias.
+
+    Every D with D/I cyclic is I + <phi> for a phi whose image generates
+    D/I, so the (I, D) pairs are the images of the (I, phi) pairs: each
+    D is built once, from its (I, phi), and no pair is tested."""
+    # the residues of I's basis are the canonical lifts of G/I
+    stilde = sorted(
+        (
+            InertiaPair(inertia, GroupElement(group, x))
+            for inertia in inertias
+            for x in im.hnf_residues(inertia.basis)
+        ),
+        key=lambda pr: (pr.inertia.basis, pr.frob.coords),
+    )
+    images = [
+        DecompositionPair(pr.inertia, decomposition_subgroup(pr.inertia, pr.frob))
+        for pr in stilde
+    ]
+    s_pairs = tuple(sorted(set(images), key=DecompositionPair.sort_key))
+    s_index = {pr: i for i, pr in enumerate(s_pairs)}
+    return tuple(stilde), s_pairs, tuple(s_index[pr] for pr in images)

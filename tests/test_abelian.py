@@ -274,6 +274,53 @@ def test_structure_rejects_a_basis_without_the_relations():
         Subgroup(make_group([4]), [[3]]).structure()
 
 
+def test_a_failed_structure_is_not_kept():
+    sub = Subgroup(make_group([2, 4]), [[1, 0], [0, 3]])
+    for _ in range(3):
+        with pytest.raises(ContainmentError):
+            sub.structure()
+    with pytest.raises(ContainmentError):
+        sub.is_cyclic
+
+
+@pytest.mark.parametrize("factors", [[2, 4, 8], [3, 9]], ids=str)
+def test_kept_order_hash_and_structure_match_a_fresh_subgroup(factors):
+    # each value is read twice from the enumerated subgroup, the second
+    # time from what the first call kept, against a subgroup made anew
+    # and against the formulas it is kept from
+    g = make_group(factors)
+    for sub in enumerate_subgroups(g):
+        for _ in range(2):
+            fresh = Subgroup(g, sub.basis)
+            assert sub.order == fresh.order == g.order // im.hnf_index(sub.basis) == len(sub.elements())
+            assert hash(sub) == hash(fresh) == hash((g, sub.basis))
+            assert sub.structure() == fresh.structure() == ref_structure(sub)
+            assert sub.is_cyclic == (len(ref_structure(sub)) <= 1)
+
+
+@pytest.mark.parametrize("factors", [[2, 4, 8], [3, 9]], ids=str)
+def test_equal_subgroups_from_different_routes_compare_and_hash_equal(factors):
+    g = make_group(factors)
+    subs = enumerate_subgroups(g)
+    index = {sub: i for i, sub in enumerate(subs)}
+    for i, sub in enumerate(subs):
+        routes = [
+            Subgroup.from_generators(g, sub.generators()),
+            sub.join(Subgroup.trivial(g)),
+            Subgroup.trivial(g).join(sub),
+        ]
+        for other in routes:
+            assert other is not sub
+            assert other == sub and hash(other) == hash(sub) and index[other] == i
+    # a join of two enumerated subgroups is the enumerated subgroup of its basis
+    by_basis = {sub.basis: sub for sub in subs}
+    for a in subs[:: max(1, len(subs) // 12)]:
+        for b in subs:
+            joined = a.join(b)
+            assert joined == by_basis[joined.basis] and hash(joined) == hash(by_basis[joined.basis])
+            assert index[joined] == index[by_basis[joined.basis]]
+
+
 # -- the subgroup lattice against the join closure and closed forms -------
 
 

@@ -232,13 +232,12 @@ def test_verify_tate_takes_each_key_once_per_inertia_group(capsys, monkeypatch):
 
 
 def test_tate_rows_take_no_subquotient_or_smith_form(monkeypatch):
-    # 2,2,8: every module is built (and its Smith step taken) before the
+    # 2,2,8: every module is written down in Smith coordinates before the
     # sweeps; the tate rows then read each Tate group off its lattice
     # pair, and the triviality rows read every chi-component off the
-    # Tate pairs of the closed-form p-part: no Smith form in either
+    # Tate pairs of the closed-form p-part: no Smith form in any of them
     fam = build_pair_sets(make_group([2, 2, 8]))
     inputs = cli._SweepInputs(fam, ["tate", "triviality"])
-    inputs.modules()
     calls = []
     real_snf = im.snf_with_transform
 
@@ -247,6 +246,8 @@ def test_tate_rows_take_no_subquotient_or_smith_form(monkeypatch):
         return real_snf(*args, **kwargs)
 
     monkeypatch.setattr(im, "snf_with_transform", snf)
+    assert len(inputs.modules()) == len(fam.stilde)
+    assert calls == []
     rows = cli._tate_rows(inputs)
     assert len(rows) == len(fam.stilde) * len(fam.subgroups) and {r[-1] for r in rows} == {"pass"}
     assert calls == []
@@ -922,6 +923,8 @@ def test_package_is_integral():
         ["verify", "2,2,2", "--checks", "tate,ext"],
         ["verify", "2,4", "--checks", "tate,triviality"],
         ["verify", "27", "--checks", "unit"],
+        ["monoid", "3,3,3"],
+        ["verify", "81", "--checks", "kernel"],
     ],
 )
 def test_optimized_interpreter_gives_identical_reports(argv):

@@ -19,7 +19,7 @@ from sympy import Poly, resultant
 from sympy.abc import X
 
 from grlat import intmat
-from grlat.abelian import Subgroup, enumerate_subgroups, make_group
+from grlat.abelian import Subgroup, decomposition_subgroup, enumerate_subgroups, make_group
 from grlat.cohomology import tate_cohomology
 from grlat.errors import (
     CapacityError,
@@ -34,10 +34,11 @@ from grlat.grouprings import (
     GroupRing,
     IdealLattice,
     check_ring_order,
+    _induced_actions,
     group_ring,
     inertia_module,
 )
-from grlat.monoid import build_sets
+from grlat.monoid import build_pair_sets, build_sets
 from reference import (
     ref_action_matrix,
     ref_det,
@@ -132,6 +133,34 @@ def test_inertia_module_cardinality_lift_independent():
         inertia_module(inertia, r9.group.element((k,))).order for k in (1, 4, 7)
     }
     assert orders == {63}
+
+
+@pytest.mark.parametrize("factors", [[9], [27], [3, 3], [15], [3, 9], [2, 2, 8]], ids=str)
+def test_inertia_module_is_the_built_module_of_its_presentation(factors, monkeypatch):
+    # the criterion-4/5 catalogue and 2,2,8: inertia_module stores
+    # diag(m)^[G:D] and the induced actions as written, with no Smith
+    # form, and FiniteModule.build of the same relations and actions
+    # gives the same module
+    g = make_group(factors)
+    pairs = build_pair_sets(g).stilde
+    built = []
+    for pair in pairs:
+        dec = decomposition_subgroup(pair.inertia, pair.frob)
+        a = 1 + pair.inertia.order
+        m = a ** (dec.order // pair.inertia.order) - 1
+        actions = _induced_actions(pair.inertia, dec, pair.frob, pow(a, -1, m), m)
+        built.append(FiniteModule.build(g, intmat.diagonal([m] * (g.order // dec.order)), actions))
+    calls = []
+    real_snf = intmat.snf_with_transform
+
+    def snf(*args, **kwargs):
+        calls.append(args)
+        return real_snf(*args, **kwargs)
+
+    monkeypatch.setattr(intmat, "snf_with_transform", snf)
+    direct = [inertia_module(pair.inertia, pair.frob) for pair in pairs]
+    assert calls == []
+    assert direct == built
 
 
 def test_finite_module_rejects_infinite():

@@ -45,10 +45,11 @@ from grlat.monoid import (
     _p_part,
     _vector_count,
     analyze_monoid,
+    build_pair_sets,
     build_sets,
     cardinality_formulas,
 )
-from reference import ref_meet
+from reference import ref_meet, ref_pair_sets
 from test_abelian import push
 
 FROZEN_COUNTS = {
@@ -617,3 +618,48 @@ def test_build_sets_enumerates_subgroups_once(factors, monkeypatch):
     g = make_group(factors)
     build_sets(g)
     assert calls == [g]
+
+
+# the criterion-3 catalogue, which holds 2,2,2,2 and the 18 groups of the
+# benchmark's monoid workload, the cyclic orders 2-81 and three p-groups
+PAIR_ROUTE_GROUPS = [
+    *CATALOGUE_100,
+    *([n] for n in range(2, 82) if [n] not in CATALOGUE_100),
+    [2, 2, 8], [3, 27], [4, 16],
+]
+
+
+@pytest.mark.parametrize("factors", PAIR_ROUTE_GROUPS, ids=str)
+def test_pair_route_matches_the_per_phi_route(factors):
+    """Building each D once per inertia group, its other generators
+    mapped to it by reduction, gives the stilde, s_pairs and projection
+    of one decomposition subgroup per (I, phi)."""
+    g = make_group(factors)
+    fam = build_pair_sets(g)
+    inertias = [s for s in fam.subgroups if not s.is_trivial and is_elementary(s.structure())]
+    assert (fam.stilde, fam.s_pairs, fam.projection) == ref_pair_sets(g, inertias)
+
+
+@pytest.mark.parametrize("factors", [[3, 3, 3], [2, 2, 12]], ids=str)
+def test_each_pair_is_built_once_from_the_enumerated_subgroups(factors, monkeypatch):
+    """One decomposition subgroup per (I, D) pair, not per (I, phi), and
+    every subgroup an index set holds is the object enumerate_subgroups
+    made for its basis."""
+    calls = []
+    real = monoid.decomposition_subgroup
+
+    def counted(inertia, frob):
+        calls.append(frob)
+        return real(inertia, frob)
+
+    monkeypatch.setattr(monoid, "decomposition_subgroup", counted)
+    fam = build_sets(make_group(factors))
+    assert len(calls) == len(fam.s_pairs) < len(fam.stilde)
+    made = {id(s) for s in fam.subgroups}
+    held = [sub for pr in fam.s_pairs for sub in (pr.inertia, pr.dec)]
+    held += [sub for t in fam.t_tuples for sub in (t.h, t.istar, t.dstar)]
+    held += [pr.inertia for pr in fam.stilde]
+    assert all(id(sub) in made for sub in held)
+    for pr in fam.s_pairs:
+        for p in prime_factors(pr.inertia.order):
+            assert id(fam.p_part(pr.inertia, p)) in made and id(fam.p_part(pr.dec, p)) in made

@@ -49,7 +49,7 @@ def test_tracer_installs_and_counts_the_layers():
         "abelian.QuotientData.proj",
         "abelian.decomposition_subgroup",
         "abelian.Subgroup.elements",
-        "grouprings.FiniteModule.build",
+        "grouprings.FiniteModule.validate",
         "grouprings.GroupRing.__init__",
         "intmat.snf_with_transform",
         "cohomology.tate_cohomology",
