@@ -8,11 +8,13 @@ pivots on the diagonal.  A join is one lattice sum (see intmat), and
 the order (a pivot product), membership and the canonical coset lift
 are read off the stored basis by reduction, with no second HNF.  Its
 residues (intmat.hnf_residues) are a transversal of G/S made of
-canonical lifts, the invariants of a quotient S/T are one Smith form of
-T's rows in S's coordinates, and enumerate_subgroups builds each of
-these bases once, directly.  A
-quotient G/S is read in the Smith coordinates of S's basis
-(intmat.smith_coordinates): x -> x P mod d.
+canonical lifts, and enumerate_subgroups builds each of these bases
+once, directly.  Whether S, its Sylow subgroups or G/S are cyclic is
+read off element orders, with no Smith form: the exponent of S is the
+lcm of the orders of its generators, and that of G/S the lcm of the
+orders of the cosets e_j + S, each read off the basis one column at a
+time (intmat.hnf_order).  A quotient G/S is read in the Smith
+coordinates of S's basis (intmat.smith_coordinates): x -> x P mod d.
 
 make_group() accepts any factor list and CRT-normalizes it, so callers
 can say make_group([6, 3]) and get the canonical chain (3, 6).
@@ -21,7 +23,7 @@ can say make_group([6, 3]) and get the canonical chain (3, 6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator
 
 from . import intmat as im
@@ -35,10 +37,6 @@ from .errors import (
 
 ELEMENT_CAP = 1_000_000
 SUBGROUP_CAP = 10_000
-
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
 
 
 def prime_factors(n):
@@ -209,7 +207,7 @@ class GroupElement:
     def order(self) -> int:
         out = 1
         for a, d in zip(self.coords, self.group.factors):
-            out = _lcm(out, d // gcd(d, a))
+            out = lcm(out, d // gcd(d, a))
         return out
 
     def _check(self, other):
@@ -222,19 +220,19 @@ class GroupElement:
 
 class Subgroup:
     """Subgroup of a FinAbGroup, held as the canonical square HNF basis of
-    its preimage lattice; order, membership, structure and the canonical
+    its preimage lattice; order, membership, exponent and the canonical
     coset lift are all read off that basis.  The order and the hash are
-    computed once, on construction, and the structure on its first
+    computed once, on construction, and the exponent on its first
     successful call, so a subgroup met again reuses them."""
 
-    __slots__ = ("group", "basis", "order", "_hash", "_structure")
+    __slots__ = ("group", "basis", "order", "_hash", "_exponent")
 
     def __init__(self, group: FinAbGroup, basis):
         self.group = group
         self.basis = im.frozen(basis)
         self.order = group.order // im.hnf_index(self.basis)
         self._hash = hash((group, self.basis))
-        self._structure = None
+        self._exponent = None
 
     # -- constructors -------------------------------------------------------
 
@@ -255,31 +253,36 @@ class Subgroup:
 
     # -- basic data ---------------------------------------------------------
 
-    def quotient_structure(self, sub: "Subgroup"):
-        """Invariant factors of self/sub: the Smith form of sub's rows in
-        the coordinates of self's basis, or None when sub is not inside
-        self."""
-        self._check(sub)
-        k = self.group.rank
-        coords = [im.span_coefficients(self.basis, range(k), r) for r in sub.basis]
-        if None in coords:
-            return None
-        return im.invariant_factors(coords, k)
-
-    def structure(self) -> tuple[int, ...]:
-        """Invariant factors of this subgroup as an abstract group: its
-        quotient by the trivial subgroup, whose rows d_i e_i it must
-        contain.  Kept after the first call; a failure is not kept."""
-        if self._structure is None:
-            out = self.quotient_structure(Subgroup.trivial(self.group))
-            if out is None:
+    @property
+    def exponent(self) -> int:
+        """The lcm of the orders of the generators, once the basis is
+        checked to hold the relations d_i e_i, the trivial subgroup's
+        rows.  Kept after the first call; a failure is not kept."""
+        if self._exponent is None:
+            if not Subgroup.trivial(self.group).is_subset_of(self):
                 raise ContainmentError(f"basis of {self!r} does not contain the relations")
-            self._structure = out
-        return self._structure
+            self._exponent = lcm(*(g.order() for g in self.generators()))
+        return self._exponent
 
     @property
     def is_cyclic(self) -> bool:
-        return len(self.structure()) <= 1
+        return self.exponent == self.order
+
+    @property
+    def is_elementary(self) -> bool:
+        """At most one Sylow subgroup is noncyclic.  The Sylow p-subgroup
+        is cyclic exactly when p divides the order and the exponent
+        equally often, so the noncyclic ones are the primes of
+        order / exponent."""
+        return len(prime_factors(self.order // self.exponent)) <= 1
+
+    @property
+    def quotient_is_cyclic(self) -> bool:
+        """Whether G/self is cyclic: whether its exponent, the lcm of the
+        orders of the cosets e_j + self of the rows e_j of G's basis,
+        equals its order [G:self]."""
+        top = Subgroup.full(self.group)
+        return lcm(*(im.hnf_order(self.basis, e) for e in top.basis)) == top.order // self.order
 
     @property
     def is_trivial(self) -> bool:
@@ -458,21 +461,3 @@ def quotient_data(group: FinAbGroup, sub: Subgroup) -> QuotientData:
         raise NotFullRankError("subgroup basis does not have full rank")
     d, p, _ = coords
     return QuotientData(group, FinAbGroup(d), im.frozen(p))
-
-
-# ---------------------------------------------------------------------------
-# classification helpers
-
-
-def noncyclic_sylow_primes(factors: tuple[int, ...]):
-    """Primes p whose p-Sylow is noncyclic: those dividing d_{k-1}."""
-    if len(factors) < 2:
-        return frozenset()
-    return frozenset(prime_factors(factors[-2]))
-
-
-def is_elementary(factors: tuple[int, ...]) -> bool:
-    """True when at most one Sylow subgroup is noncyclic (trivial group: True)."""
-    if not factors:
-        return True
-    return len(noncyclic_sylow_primes(factors)) <= 1

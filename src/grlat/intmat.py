@@ -27,9 +27,10 @@ Conventions:
     mods[j] in column j, read off one HNF of F with an identity block
     beside it, taken mod mods in the F block,
   * a full-rank square HNF has its pivots on the diagonal, so callers
-    that store one test membership with in_span(h, range(n), v) and
-    take its index with hnf_index(h) and walk its cosets with
-    hnf_residues(h), without a second HNF,
+    that store one test membership with in_span(h, range(n), v),
+    take its index with hnf_index(h), the order of v + L with
+    hnf_order(h, v), and walk its cosets with hnf_residues(h), without
+    a second HNF,
   * snf_with_transform() returns (diag, V, V^-1): U @ A @ V = diag(diag)
     for a unimodular U it does not keep, and diag[i] | diag[i+1],
   * smith_coordinates() keeps the invariants d_i > 1 of a full-rank A
@@ -46,7 +47,7 @@ Conventions:
 from __future__ import annotations
 
 from itertools import compress, product
-from math import prod
+from math import gcd, prod
 
 from .errors import NotFullRankError
 
@@ -270,13 +271,6 @@ def in_span(hrows, pivots, v):
     return not any(rem)
 
 
-def span_coefficients(hrows, pivots, v):
-    coeffs, rem = reduce_against(hrows, pivots, v)
-    if any(rem):
-        return None
-    return coeffs
-
-
 def snf_with_transform(rows, width=None):
     """Smith form.  Returns (diag, V, Vinv): U @ A @ V = diag(diag), chained.
 
@@ -480,16 +474,6 @@ def _pack(entries, w):
     return r
 
 
-def snf_diagonal(rows, width=None):
-    diag, _, _ = snf_with_transform(rows, width)
-    return diag
-
-
-def invariant_factors(rows, width=None):
-    """Positive Smith invariants > 1 of coker (Z^width / row span)."""
-    return tuple(d for d in snf_diagonal(rows, width) if d > 1)
-
-
 def lattice_sum(*lattices):
     rows = []
     for lat in lattices:
@@ -501,6 +485,24 @@ def hnf_index(h):
     """|Z^n / L| for the lattice L spanned by a full-rank square HNF h:
     the product of its pivots, which sit on the diagonal."""
     return prod(r[i] for i, r in enumerate(h))
+
+
+def hnf_order(h, v):
+    """The order of v + L in Z^n / L, for the lattice L spanned by a
+    full-rank square HNF h: the least k > 0 with k v in L.  Column by
+    column, what is left of k v is multiplied by the least factor that
+    makes its entry a multiple of the pivot, and the pivot row then
+    clears that entry, so the product of those factors is the order;
+    O(n^2) integer steps."""
+    k = 1
+    left = list(v)
+    for j, row in enumerate(h):
+        piv = row[j]
+        m = piv // gcd(left[j], piv)
+        c = m * left[j] // piv
+        k *= m
+        left = [m * x - c * y for x, y in zip(left, row)]
+    return k
 
 
 def hnf_residues(h):

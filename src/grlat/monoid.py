@@ -19,7 +19,10 @@ it; the other phi that generate D/I, the canonical lifts of k phi with
 gcd(k, [D:I]) = 1, are mapped to it by reduction alone.  Every
 subgroup the index sets hold, p-parts included, is the object
 enumerate_subgroups made for its basis, so its order, hash and
-structure are computed once per command.
+exponent are computed once per command, and the inertia filter, "D
+cyclic" and "G/H cyclic" are read off element orders with no Smith
+form.  The irreducibility check searches the image monoid trying only
+the generators that hold the target's lowest bit (_MonoidMembership).
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .abelian import (
     Subgroup,
     decomposition_subgroup,
     enumerate_subgroups,
-    is_elementary,
     p_split,
     prime_factors,
 )
@@ -198,7 +200,7 @@ def build_pair_sets(group: FinAbGroup) -> PairSets:
     [G:I], or PAIR_CAP (inertia group, subgroup) combinations:
     CapacityError, before any pair is built."""
     subs = enumerate_subgroups(group)
-    inertias = [s for s in subs if not s.is_trivial and is_elementary(s.structure())]
+    inertias = [s for s in subs if not s.is_trivial and s.is_elementary]
     if len(inertias) * len(subs) > PAIR_CAP:
         raise CapacityError(
             f"{len(inertias)} inertia groups times {len(subs)} subgroups "
@@ -218,11 +220,8 @@ def build_sets(group: FinAbGroup) -> SetFamily:
     the Sylow p-part of G, so the subgroups are enumerated once."""
     pairs = build_pair_sets(group)
     # (H, #G/H) for every H with G/H cyclic, tested once per H
-    full = Subgroup.full(group)
     cyclic_quotients = [
-        (h, group.order // h.order)
-        for h in pairs.subgroups
-        if len(full.quotient_structure(h)) <= 1
+        (h, group.order // h.order) for h in pairs.subgroups if h.quotient_is_cyclic
     ]
     t_tuples = []
     for p in sorted(prime_factors(group.order)):
@@ -313,10 +312,22 @@ class _MonoidMembership:
     from a 0/1 vector leaves a 0/1 vector, so the search never leaves
     bitmasks.  Whether a vector is a sum of generators does not depend
     on the order they are tried in.
+
+    Only the generators whose lowest set bit is that of v are tried
+    (by_low[v & -v]), and this loses nothing.  The summands of any
+    decomposition of the 0/1 vector v have disjoint supports, so exactly
+    one of them holds the lowest bit of v; being <= v, it holds no lower
+    bit, so that bit is its own lowest.  A sum of generators equal to v
+    thus has a summand g in by_low[v & -v], and v - g is the sum of the
+    others; and v = a + b with a and b nonzero members splits into
+    generators the same way, the summand g holding the lowest bit
+    leaving v - g nonzero, a sum of the others.
     """
 
     def __init__(self, generators):
-        self.gens = sorted(set(generators) - {0}, reverse=True)
+        self.by_low = {}
+        for g in sorted(set(generators) - {0}, reverse=True):
+            self.by_low.setdefault(g & -g, []).append(g)
         self.memo = {}
 
     def _contains(self, v: int) -> bool:
@@ -326,7 +337,7 @@ class _MonoidMembership:
             return self.memo[v]
         self.memo[v] = False  # cuts cycles; sums only shrink, so safe
         out = False
-        for g in self.gens:
+        for g in self.by_low.get(v & -v, ()):
             if g & v == g and self._contains(v ^ g):
                 out = True
                 break
@@ -335,7 +346,7 @@ class _MonoidMembership:
 
     def decomposable(self, v: int) -> bool:
         """v = a + b with both parts nonzero members."""
-        for g in self.gens:
+        for g in self.by_low.get(v & -v, ()):
             if g & v == g:
                 rest = v ^ g
                 if rest and self._contains(rest):

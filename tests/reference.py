@@ -135,6 +135,20 @@ each D once per subgroup: one D = I + <phi> by an HNF for every (I, phi)
 pair, a fresh Subgroup each, the distinct pairs found by hashing them
 all, and the projection read off that hash.
 
+ref_span_coefficients, ref_snf_diagonal, ref_invariant_factors,
+ref_quotient_structure, ref_subgroup_structure,
+ref_noncyclic_sylow_primes and ref_is_elementary are the Smith-form
+route to a subgroup's invariants that the package took before it read
+its predicates off element orders: the invariant factors of S/T as the
+Smith form of T's rows in the coordinates of S's basis, those of S as
+its quotient by the trivial subgroup, and "elementary" (at most one
+noncyclic Sylow) off the invariant factors, the noncyclic Sylow primes
+being those of the second largest.
+
+RefMonoidMembership is the membership search of the image monoid as it
+ran before it tried only the generators holding the target's lowest
+bit: every generator is tried against every target.
+
 ref_subquotient, ref_with_extra_relations, ref_p_part,
 ref_chi_component, ref_is_cohomologically_trivial and
 ref_triviality_criterion are the triviality route as it ran before
@@ -504,7 +518,7 @@ def ref_lattice_quotient_coords(big_rows, small_rows):
     h, u, piv = ref_hnf_with_transform(big_rows)
     coords = []
     for r in small_rows:
-        c = im.span_coefficients(h, piv, r)
+        c = ref_span_coefficients(h, piv, r)
         if c is None:
             raise ContainmentError("sublattice not contained in the big lattice")
         coords.append(im.vec_mat(c, u))
@@ -579,9 +593,9 @@ def ref_verify_extension_sequence(ring, inertia, lat):
         list(ref_translate(n_i, GroupElement(ring.group, x)).coeffs)
         for x in im.hnf_residues(inertia.basis)
     ]
-    coords = [im.span_coefficients(basis, range(n), row) for row in fnum]
+    coords = [ref_span_coefficients(basis, range(n), row) for row in fnum]
     embedding_primitive = None not in coords and all(
-        d == 1 for d in im.snf_diagonal(coords, n)
+        d == 1 for d in ref_snf_diagonal(coords, n)
     )
     return ExtensionReport(image_matches, embedding_primitive)
 
@@ -918,7 +932,7 @@ def ref_subquotient(module, big, small):
     k = len(big)
 
     def coords(v):
-        c = im.span_coefficients(big, range(k), v)
+        c = ref_span_coefficients(big, range(k), v)
         if c is None:
             raise ContainmentError("sublattice not contained in the big lattice")
         return c
@@ -1102,3 +1116,102 @@ def ref_pair_sets(group, inertias):
     s_pairs = tuple(sorted(set(images), key=DecompositionPair.sort_key))
     s_index = {pr: i for i, pr in enumerate(s_pairs)}
     return tuple(stilde), s_pairs, tuple(s_index[pr] for pr in images)
+
+
+# -- subgroup invariants by Smith forms ----------------------------------------
+
+
+def ref_span_coefficients(hrows, pivots, v):
+    coeffs, rem = im.reduce_against(hrows, pivots, v)
+    if any(rem):
+        return None
+    return coeffs
+
+
+def ref_snf_diagonal(rows, width=None):
+    diag, _, _ = im.snf_with_transform(rows, width)
+    return diag
+
+
+def ref_invariant_factors(rows, width=None):
+    """Positive Smith invariants > 1 of coker (Z^width / row span)."""
+    return tuple(d for d in ref_snf_diagonal(rows, width) if d > 1)
+
+
+def ref_quotient_structure(big, small):
+    """Invariant factors of big/small: the Smith form of small's rows in
+    the coordinates of big's basis, or None when small is not inside
+    big."""
+    if big.group != small.group:
+        raise ParentMismatchError("subgroups of different groups")
+    k = big.group.rank
+    coords = [ref_span_coefficients(big.basis, range(k), r) for r in small.basis]
+    if None in coords:
+        return None
+    return ref_invariant_factors(coords, k)
+
+
+def ref_subgroup_structure(sub):
+    """Invariant factors of sub as an abstract group: its quotient by the
+    trivial subgroup, whose rows d_i e_i it must contain."""
+    out = ref_quotient_structure(sub, Subgroup.trivial(sub.group))
+    if out is None:
+        raise ContainmentError(f"basis of {sub!r} does not contain the relations")
+    return out
+
+
+def ref_noncyclic_sylow_primes(factors):
+    """Primes p whose p-Sylow is noncyclic: those dividing d_{k-1}."""
+    if len(factors) < 2:
+        return frozenset()
+    return frozenset(prime_factors(factors[-2]))
+
+
+def ref_is_elementary(factors):
+    """True when at most one Sylow subgroup is noncyclic (trivial group: True)."""
+    if not factors:
+        return True
+    return len(ref_noncyclic_sylow_primes(factors)) <= 1
+
+
+# -- the membership search over every generator ---------------------------------
+
+
+class RefMonoidMembership:
+    """Decides membership in the monoid generated by 0/1 generator
+    vectors, by depth-first search over dominated generator subtractions
+    with a shared memo.
+
+    Vectors are bitmasks, as _beta_values builds them: g <= v is
+    g & v == g, and v - g is v ^ g.  A dominated 0/1 vector subtracted
+    from a 0/1 vector leaves a 0/1 vector, so the search never leaves
+    bitmasks.  Whether a vector is a sum of generators does not depend
+    on the order they are tried in.
+    """
+
+    def __init__(self, generators):
+        self.gens = sorted(set(generators) - {0}, reverse=True)
+        self.memo = {}
+
+    def _contains(self, v: int) -> bool:
+        if not v:
+            return True
+        if v in self.memo:
+            return self.memo[v]
+        self.memo[v] = False  # cuts cycles; sums only shrink, so safe
+        out = False
+        for g in self.gens:
+            if g & v == g and self._contains(v ^ g):
+                out = True
+                break
+        self.memo[v] = out
+        return out
+
+    def decomposable(self, v: int) -> bool:
+        """v = a + b with both parts nonzero members."""
+        for g in self.gens:
+            if g & v == g:
+                rest = v ^ g
+                if rest and self._contains(rest):
+                    return True
+        return False

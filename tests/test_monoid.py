@@ -8,6 +8,7 @@ injectivity sweep is pinned.
 
 import dataclasses
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -19,12 +20,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import grlat
+import grlat.intmat as im
 
 from grlat.abelian import (
     Subgroup,
     decomposition_subgroup,
     enumerate_subgroups,
-    is_elementary,
     make_group,
     prime_factors,
     quotient_data,
@@ -49,7 +50,14 @@ from grlat.monoid import (
     build_sets,
     cardinality_formulas,
 )
-from reference import ref_meet, ref_pair_sets
+from reference import (
+    RefMonoidMembership,
+    ref_is_elementary,
+    ref_meet,
+    ref_pair_sets,
+    ref_quotient_structure,
+    ref_subgroup_structure,
+)
 from test_abelian import push
 
 FROZEN_COUNTS = {
@@ -348,10 +356,10 @@ def _tuple_bounded_injectivity(generators, bound: int) -> bool:
 
 
 @st.composite
-def zero_one_generators(draw, max_size):
-    """A list of 0/1 vectors of one width in 1..40, possibly with a
-    repeated vector and the zero vector mixed in."""
-    width = draw(st.integers(1, 40))
+def zero_one_generators(draw, max_size, max_width=40):
+    """A list of 0/1 vectors of one width in 1..max_width, possibly with
+    a repeated vector and the zero vector mixed in."""
+    width = draw(st.integers(1, max_width))
     vec = st.tuples(*[st.integers(0, 1)] * width)
     gens = draw(st.lists(vec, max_size=max_size))
     if gens and draw(st.booleans()):
@@ -420,7 +428,7 @@ def test_bounded_injectivity_verdicts_on_anchors():
     assert _bounded_injectivity([], 3)
 
 
-@given(zero_one_generators(max_size=9), st.data())
+@given(zero_one_generators(max_size=16, max_width=80), st.data())
 @settings(max_examples=300, deadline=None)
 def test_membership_matches_tuple_search(case, data):
     width, gens = case
@@ -428,8 +436,8 @@ def test_membership_matches_tuple_search(case, data):
     queries = list(gens) + data.draw(st.lists(vec, max_size=6))
     # unions of generators: those of disjoint generators are their sums,
     # so members and non-members both occur
-    pick = st.lists(st.sampled_from(gens or [(0,) * width]), max_size=4)
-    for picks in data.draw(st.lists(pick, max_size=4)):
+    pick = st.lists(st.sampled_from(gens or [(0,) * width]), max_size=6)
+    for picks in data.draw(st.lists(pick, max_size=6)):
         queries.append(tuple(max(c) for c in zip((0,) * width, *picks)))
     new, old = _MonoidMembership([_mask(g) for g in gens]), _TupleMonoidMembership(gens)
     for q in queries:
@@ -446,24 +454,28 @@ def test_membership_matches_tuple_search(case, data):
 # the least element of the coset's listing.
 
 
+def ref_is_cyclic(sub):
+    return len(ref_subgroup_structure(sub)) <= 1
+
+
 def ref_inertia_pair_checks(inertia, frob):
     if inertia.group != frob.group:
         raise ParentMismatchError("subgroup and element parents differ")
     if inertia.is_trivial:
         raise ScopeError("inertia must be nontrivial")
-    if not is_elementary(inertia.structure()):
+    if not ref_is_elementary(ref_subgroup_structure(inertia)):
         raise ScopeError("inertia must be elementary")
 
 
 def ref_decomposition_pair_checks(inertia, dec):
     if inertia.is_trivial:
         raise ScopeError("inertia must be nontrivial")
-    if not is_elementary(inertia.structure()):
+    if not ref_is_elementary(ref_subgroup_structure(inertia)):
         raise ScopeError("inertia must be elementary")
     if not inertia.is_subset_of(dec):
         raise ScopeError("inertia must sit inside the decomposition part")
     qd = quotient_data(inertia.group, inertia)
-    if not push(qd, dec).is_cyclic:
+    if not ref_is_cyclic(push(qd, dec)):
         raise ScopeError("quotient dec/inertia must be cyclic")
 
 
@@ -474,11 +486,11 @@ def ref_canonical_lift(sub, elem):
 def ref_cyclic_quotient_pairs(group, subs):
     out = []
     for inertia in subs:
-        if inertia.is_trivial or not is_elementary(inertia.structure()):
+        if inertia.is_trivial or not ref_is_elementary(ref_subgroup_structure(inertia)):
             continue
         qd = quotient_data(group, inertia)
         for dec in subs:
-            if inertia.is_subset_of(dec) and push(qd, dec).is_cyclic:
+            if inertia.is_subset_of(dec) and ref_is_cyclic(push(qd, dec)):
                 ref_decomposition_pair_checks(inertia, dec)
                 out.append(DecompositionPair(inertia, dec))
     out.sort(key=DecompositionPair.sort_key)
@@ -493,7 +505,7 @@ def ref_build_sets(group):
     }
     stilde = []
     for inertia in subs:
-        if inertia.is_trivial or not is_elementary(inertia.structure()):
+        if inertia.is_trivial or not ref_is_elementary(ref_subgroup_structure(inertia)):
             continue
         qd = quotient_data(group, inertia)
         preimage = {qd.proj(e): e for e in group.elements()}
@@ -523,7 +535,7 @@ def ref_build_sets(group):
     s_prime = tuple(
         i
         for i, pr in enumerate(s_pairs)
-        if not pr.dec.is_cyclic or len(prime_factors(pr.inertia.order)) == 1
+        if not ref_is_cyclic(pr.dec) or len(prime_factors(pr.inertia.order)) == 1
     )
     s_dprime = tuple(
         i
@@ -585,23 +597,31 @@ def test_build_sets_matches_reference(factors):
 
 
 def test_build_sets_tests_each_subgroup_a_bounded_number_of_times(monkeypatch):
-    # one quotient_structure call per subgroup for "G/H cyclic" and one
-    # per nontrivial subgroup for "elementary"; the local pairs are
-    # G's own, so no subgroup is tested again, and no (I, D) pair is
+    # one "G/H cyclic" test per subgroup and one exponent, for
+    # "elementary" and "cyclic", per nontrivial subgroup; the local pairs
+    # are G's own, so no subgroup is tested again, and no (I, D) pair is
     # tested at all
     g = make_group([2, 2, 2, 2])
     nsubs = len(enumerate_subgroups(g))
     assert nsubs == 67
-    calls = []
-    original = Subgroup.quotient_structure
+    exponents, quotients = [], []
+    real_exponent = Subgroup.exponent.fget
+    real_quotient = Subgroup.quotient_is_cyclic.fget
 
-    def spy(self, sub):
-        calls.append(sub)
-        return original(self, sub)
+    def exponent(self):
+        if self._exponent is None:
+            exponents.append(self)
+        return real_exponent(self)
 
-    monkeypatch.setattr(Subgroup, "quotient_structure", spy)
+    def quotient_is_cyclic(self):
+        quotients.append(self)
+        return real_quotient(self)
+
+    monkeypatch.setattr(Subgroup, "exponent", property(exponent))
+    monkeypatch.setattr(Subgroup, "quotient_is_cyclic", property(quotient_is_cyclic))
     build_sets(g)
-    assert len(calls) <= 2 * nsubs
+    assert len(exponents) + len(quotients) <= 2 * nsubs
+    assert len(set(map(id, exponents))) == len(exponents)
 
 
 @pytest.mark.parametrize("factors", [[10, 10], [2, 2, 30]], ids=str)
@@ -636,7 +656,9 @@ def test_pair_route_matches_the_per_phi_route(factors):
     of one decomposition subgroup per (I, phi)."""
     g = make_group(factors)
     fam = build_pair_sets(g)
-    inertias = [s for s in fam.subgroups if not s.is_trivial and is_elementary(s.structure())]
+    inertias = [
+        s for s in fam.subgroups if not s.is_trivial and ref_is_elementary(ref_subgroup_structure(s))
+    ]
     assert (fam.stilde, fam.s_pairs, fam.projection) == ref_pair_sets(g, inertias)
 
 
@@ -663,3 +685,74 @@ def test_each_pair_is_built_once_from_the_enumerated_subgroups(factors, monkeypa
     for pr in fam.s_pairs:
         for p in prime_factors(pr.inertia.order):
             assert id(fam.p_part(pr.inertia, p)) in made and id(fam.p_part(pr.dec, p)) in made
+
+
+# the groups of the benchmark's monoid workload: the noncyclic groups of
+# the criterion-3 catalogue but 2,2,4 and 2,2,2,2
+MONOID_WORKLOAD_GROUPS = [
+    [3, 3], [2, 4], [5, 5], [4, 8], [3, 3, 3], [7, 7], [2, 32], [3, 6], [2, 6],
+    [6, 6], [2, 30], [2, 2, 12], [10, 10], [3, 21], [2, 50], [4, 12], [3, 9],
+    [2, 2, 18],
+]
+
+
+def assert_predicates_match_the_smith_forms(g):
+    """is_cyclic, the inertia filter and "G/H cyclic" of every subgroup,
+    read off element orders, against the invariant factors of the
+    subgroup and of G/H."""
+    full = Subgroup.full(g)
+    for sub in enumerate_subgroups(g):
+        structure = ref_subgroup_structure(sub)
+        assert sub.is_cyclic == (len(structure) <= 1), sub
+        assert sub.is_elementary == ref_is_elementary(structure), sub
+        assert sub.quotient_is_cyclic == (len(ref_quotient_structure(full, sub)) <= 1), sub
+
+
+@pytest.mark.parametrize("factors", [*CATALOGUE_100, [2, 6, 12]], ids=str)
+def test_subgroup_predicates_match_the_smith_forms(factors):
+    assert_predicates_match_the_smith_forms(make_group(factors))
+
+
+@given(st.lists(st.integers(2, 16), min_size=1, max_size=3).filter(lambda f: reduce(int.__mul__, f) <= 400))
+@settings(max_examples=40, deadline=None)
+def test_subgroup_predicates_match_the_smith_forms_on_drawn_groups(factors):
+    assert_predicates_match_the_smith_forms(make_group(factors))
+
+
+def test_build_sets_takes_no_smith_form(monkeypatch):
+    # is_cyclic, the inertia filter and "G/H cyclic" are read off element
+    # orders; the parent of this test took 742 Smith forms here, two per
+    # subgroup
+    calls = []
+    real = im.snf_with_transform
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(im, "snf_with_transform", counted)
+    for factors in MONOID_WORKLOAD_GROUPS:
+        build_sets(make_group(factors))
+    assert calls == []
+
+
+@pytest.mark.parametrize("factors", [[2, 6, 12], [2, 2, 30], [2, 2, 2, 2, 2]], ids=str)
+def test_membership_matches_the_exhaustive_search_on_beta_values(factors):
+    """Trying only the generators that hold the target's lowest bit gives
+    the verdicts of trying every generator, on every beta value and on
+    unions of two: all of them for 2,2,30, and for the other two, where
+    the exhaustive search takes minutes over all of them (1.06 million
+    unions for 2,6,12), 2000 overlapping and 2000 arbitrary pairs drawn
+    with a fixed seed."""
+    fam = build_sets(make_group(factors))
+    beta = _beta_values(fam, fam.s_pairs)
+    values = sorted(set(beta))
+    new, old = _MonoidMembership(beta), RefMonoidMembership(beta)
+    pairs = [(x, y) for i, x in enumerate(values) for y in values[i + 1 :]]
+    if len(pairs) > 100_000:
+        rng = random.Random(0)
+        overlapping = [(x, y) for x, y in pairs if x & y]
+        pairs = rng.sample(overlapping, min(2000, len(overlapping))) + rng.sample(pairs, 2000)
+    for v in values + [x | y for x, y in pairs]:
+        assert new._contains(v) == old._contains(v), v
+        assert new.decomposable(v) == old.decomposable(v), v
