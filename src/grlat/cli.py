@@ -142,25 +142,28 @@ class _SweepInputs:
 
 
 def _tate_rows(inputs):
-    # keys are taken per inertia group (stilde is sorted by it), statuses per key of a pair
+    # keys are taken per inertia group (stilde is sorted by it), statuses
+    # per key of a pair, each read off the H-orbit of coordinate 0, and
+    # B = D + (H + I) once per (D, H + I) of the command
     fam = inputs.fam
     rows = []
     inertia = keys = None
+    bigs = {}
+    names = [fmt_sub(h) for h in fam.subgroups]
     for pair, proj, mod in zip(fam.stilde, fam.projection, inputs.modules()):
         if pair.inertia != inertia:
-            inertia = pair.inertia
+            inertia, inertia_name = pair.inertia, fmt_sub(pair.inertia)
             keys = [tate_key(inertia, h) for h in fam.subgroups]
-        dec = fam.s_pairs[proj].dec
-        # the matrix of each group element on mod, for both Tate groups
-        # of every key of the pair and the generators of every B
-        statuses, mats = {}, {}
-        for h, key in zip(fam.subgroups, keys):
+        dec, frob_name = fam.s_pairs[proj].dec, fmt_elem(pair.frob)
+        statuses = {}
+        for h, key, name in zip(fam.subgroups, keys, names):
             if key not in statuses:
-                t = tate_cohomology(mod, h, mats)
-                big, c = prediction_data(dec, key)
-                verdicts = [prediction_verdict(mod, side, big, c, mats) for side in (t.h0, t.hminus1)]
-                statuses[key] = "pass" if verdicts == ["pass", "pass"] else ";".join(verdicts)
-            rows.append(["tate", fmt_sub(inertia), fmt_elem(pair.frob), fmt_sub(h), statuses[key]])
+                big = bigs.get((dec, key[0]))
+                if big is None:
+                    big = bigs[dec, key[0]] = prediction_data(dec, key)[0]
+                verdicts = prediction_verdict(mod, tate_cohomology(mod, h, 0), big, key[1])
+                statuses[key] = "pass" if verdicts == ("pass", "pass") else ";".join(verdicts)
+            rows.append(["tate", inertia_name, frob_name, name, statuses[key]])
     return rows
 
 

@@ -7,37 +7,45 @@ subgroup H of the acting group, the two Tate groups in play are
     H^0  = (H-invariants of M) / (norm image + L)
     H^-1 = (kernel of the norm on M) / (augmentation image + L)
 
-Every module comes in Smith coordinates (see grouprings): L = diag(d)
-and g is the number of invariants d_i of M = (+) Z/d_i (an inertia
-module is (Z/(a^f - 1))^[G:D]).  So both kernels are kernels mod d
-(intmat.kernel_mod): the invariants are the x that the k maps A_h - 1
-of H's generators, side by side, send to 0 mod d in each of the k
-blocks, and the norm kernel the x with x N = 0 mod d.  Each Tate group
-is kept as the lattice pair (top, bottom) it is the quotient of: two
-square canonical HNFs in M's own coordinates with L <= bottom <= top
-(Cohen, GTM 138, 2.4.8).  No quotient module is built: its order is
-the index ratio [top : bottom], and every fact the verdict needs is a
-membership in bottom or an HNF of a span inside top.  A whole module
-is the pair (identity, L).
+Every module comes in Smith coordinates (see grouprings), and the ones
+the commands reach, inertia modules and their p-parts, are monomial:
+M = (Z/m)^g, L = diag(m), and each generator sends every e_t to a unit
+times one e_t' (FiniteModule.monomial).  So an element's action is a
+(permutation, units) pair, two of them compose in O(g), and the norm of
+H is a sum of #H monomials with no matrix product.  H permutes the
+coordinates, every matrix of the definition is block diagonal on the
+H-orbits, and each Tate group is computed one orbit at a time
+(tate_cohomology): the invariants and the norm kernel are kernels mod m
+(intmat.kernel_mod), the images HNFs mod m, each on one block.  Each
+Tate group is kept as the lattice pair (top, bottom) it is the quotient
+of: two square canonical HNFs with L <= bottom <= top (HNF modulo D,
+Cohen, GTM 138, 2.4.8), those of the whole module being the union of
+the blocks'.  No quotient module is built: its order is the index ratio
+[top : bottom], and every fact a verdict needs is a membership in
+bottom or an index.
 
 The Tate groups of an inertia module over H depend on H only through
-tate_key(I, H), and are checked against the closed form (Z/c)[G/B] =
-Z[G]/J, J = (c, b - 1 : b in B), which is never built.  Z[G] is
-commutative, so every generator of a cyclic module has the module's
-annihilator, and top / bottom is isomorphic to Z[G]/J exactly when its
-order is c^[G:B], J annihilates it, and it is cyclic: an index
-comparison, row memberships in bottom, and a generator sought among the
-rows of top first, whatever the group's size; an exhaustive walk over
-the cosets of a small group proves it is not cyclic, and a large group
-with no generator among the rows of top is reported undecided rather
-than guessed.
+tate_key(I, H), and are checked against the closed form (Z/c)[G/B],
+B = D + H, which is never built, on the H-orbit of coordinate 0 alone
+(prediction_verdict).  An inertia module is induced from D (Brown,
+Cohomology of Groups, GTM 87, III.5): its coordinates are G/D, on which
+G acts transitively, and the H-orbit of 0 has rank [B : D] instead of
+[G : D].  g in G maps that orbit onto the orbit of g and commutes with
+H, so top / bottom is Z[G] (x)_Z[B] X for X = top_0 / bottom_0, the
+part on the orbit of 0.  Restricted to B it is [G:B] copies of X, and
+(Z/c)[G/B] is [G:B] copies of Z/c with B acting trivially, so the two
+are isomorphic exactly when X is Z/c with B acting trivially.  That is
+three exact tests on the orbit's pair: [top_0 : bottom_0] = c;
+r (A_b - 1) lies in bottom_0 for every row r of top_0 and every
+generator b of B; and [top_0 : bottom_0 + q top_0] = q for each prime
+q | c.  So the verdict is exact at every size, with no generator search.
 
 The triviality criterion builds no component module either.  The
 p-part M_p is M's coordinates with p | d_i, read mod p^v_p(d_i)
 (p_part), and the chi-component M_p e_chi is a direct summand, so its
 Tate groups are those of M_p times e_chi (Brown, GTM 87, VI): one
-lattice pair per Tate group of M_p over the p-Sylow answers for every
-chi, by row memberships in bottom.
+lattice pair of the whole p-part per Tate group over the p-Sylow
+answers for every chi, by row memberships in bottom.
 """
 
 from __future__ import annotations
@@ -53,95 +61,151 @@ from .abelian import (
     Subgroup,
     decomposition_subgroup,
     p_split,
+    prime_factors,
     sylow,
     sylow_complement,
 )
-from .errors import IdentityCheckError, ParentMismatchError, PrecisionError
-from .grouprings import FiniteModule
+from .errors import IdentityCheckError, ParentMismatchError, PrecisionError, ScopeError
+from .grouprings import FiniteModule, coordinate_orbit
 
 
 # ---------------------------------------------------------------------------
-# Tate cohomology
+# Tate cohomology, one orbit of coordinates at a time
 
 
 @dataclass(frozen=True)
 class TateResult:
     """H^0 and H^-1, each the pair (top, bottom) of square canonical
     HNFs it is the quotient of: (invariants, norm image) and (norm
-    kernel, augmentation image)."""
+    kernel, augmentation image), written in the coordinates coords of
+    the module, in increasing order: all of them, or one orbit of H."""
 
     h0: tuple
     hminus1: tuple
+    coords: tuple
 
 
-def _actions(module: FiniteModule, elems, mats: dict) -> list:
-    """The matrices of elems on module, read from mats (group element ->
-    matrix) and stored there when missing."""
-    out = []
-    for h in elems:
-        a = mats.get(h)
-        if a is None:
-            a = mats[h] = module.action_matrix(h)
-        out.append(a)
+def _mono_mul(a, b, m):
+    """The monomial of x -> x A B, for the monomials a of A and b of B."""
+    (pa, ua), (pb, ub) = a, b
+    return [pb[t] for t in pa], [u * ub[t] % m for u, t in zip(ua, pa)]
+
+
+def _element_monomial(module: FiniteModule, elem: GroupElement):
+    """(perm, units) of elem on a monomial module: the product of its
+    generators' powers, each taken by squaring."""
+    form = module.monomial
+    out = (range(module.rank), [1] * module.rank)
+    for c, a in zip(elem.coords, form.gens):
+        while c:
+            if c & 1:
+                out = _mono_mul(out, a, form.modulus)
+            c >>= 1
+            if c:
+                a = _mono_mul(a, a, form.modulus)
     return out
 
 
-def norm_matrix(module: FiniteModule, sub: Subgroup, mats: dict):
-    """Matrix of the sum of the actions of all elements of sub.
-
-    sub.basis is a square HNF, so its rows h_j, h_(j+1), ... span S_j,
-    the elements of sub whose first j coordinates vanish, and the t h_j
-    with t < o_j = factor_j / basis[j][j] represent S_j / S_(j+1).
-    So the norm of sub = S_0 is the product over j of 1 + A + ... +
-    A^(o_j - 1), A = A_(h_j), read from mats, which maps each of
-    sub.generators() to its matrix (the basis rows with o_j > 1 are
-    among them)."""
-    out = im.identity(module.rank)
-    for j, (row, factor) in enumerate(zip(sub.basis, sub.group.factors)):
-        if factor == row[j]:
-            continue
-        a = mats[sub.group.element(row)]
-        # out <- sum_t A^t out, the sparse A on the left of every product
-        term = out
-        for _ in range(factor // row[j] - 1):
-            term = im.mat_mul(a, term)
-            out = [[x + y for x, y in zip(r, s)] for r, s in zip(out, term)]
-    return out
+def _restrict(mono, coords):
+    """A monomial on the stable coordinates coords, in their own indices."""
+    perm, units = mono
+    pos = {t: i for i, t in enumerate(coords)}
+    return [pos[perm[t]] for t in coords], [units[t] for t in coords]
 
 
-def tate_cohomology(module: FiniteModule, sub: Subgroup, mats: dict | None = None) -> TateResult:
-    """Both Tate groups of module over sub as lattice pairs.  mats, when
-    given, caches the matrix of each group element and is shared with
-    other calls on the same module."""
+def _block_pairs(monos, steps, coords, m):
+    """(H^0, H^-1) on the H-orbit coords of the module, in the orbit's
+    own indices, for monos the monomials of H's generators and steps the
+    (monomial, o_j) of the rows h_j of H's basis with o_j > 1.
+
+    The elements sum_j k_j h_j, 0 <= k_j < o_j, are the elements of H,
+    once each (see Subgroup), so the norm is the sum of their monomials,
+    kept as distinct monomials with multiplicities: no matrix product,
+    and one composition per distinct product e A_j^k."""
+    s = len(coords)
+    gens = [_restrict(a, coords) for a in monos]
+    steps = [(_restrict(a, coords), o) for a, o in steps]
+    mods = [m] * s
+    # A_h - 1 for the generators h of H
+    diffs = []
+    for perm, units in gens:
+        d = [[0] * s for _ in range(s)]
+        for t, (j, u) in enumerate(zip(perm, units)):
+            d[t][j] += u
+            d[t][t] -= 1
+        diffs.append(d)
+    # invariants: x with x(A_h - 1) = 0 mod m for every h, one kernel with
+    # the maps side by side
+    side = [[x for d in diffs for x in d[i]] for i in range(s)]
+    inv = im.kernel_mod(side, mods * len(diffs))
+    one = (list(range(s)), [1] * s)
+    elems = {(tuple(one[0]), tuple(one[1])): 1}
+    for a, o in steps:
+        # A^k for k < o, taken until A^k = 1: then A^k repeats with
+        # period k, and each A^i, i < k, stands for every i + k j < o
+        powers = [one]
+        while len(powers) < o and (nxt := _mono_mul(powers[-1], a, m)) != one:
+            powers.append(nxt)
+        full, rest = divmod(o, len(powers))
+        grown = {}
+        for e, w in elems.items():
+            for i, power in enumerate(powers):
+                perm, units = _mono_mul(e, power, m)
+                key = (tuple(perm), tuple(units))
+                grown[key] = grown.get(key, 0) + w * (full + (i < rest))
+        elems = grown
+    norm = [[0] * s for _ in range(s)]
+    for (perm, units), w in elems.items():
+        for row, j, u in zip(norm, perm, units):
+            row[j] += w * u
+    # the relations are diag(m), taken as the moduli of both images; the
+    # norm kernel is the x with x N = 0 mod m
+    norm_image, ker = im.image_kernel_mod(norm, mods)
+    aug = im.hnf([row for d in diffs for row in d], s, mods)
+    return (inv, norm_image), (ker, aug)
+
+
+def tate_cohomology(module: FiniteModule, sub: Subgroup, start: int | None = None) -> TateResult:
+    """Both Tate groups of a monomial module over sub as lattice pairs:
+    of the whole module, or, given a coordinate start, of its sub-orbit,
+    in the orbit's own coordinates.
+
+    Each generator of sub maps every orbit onto itself, so every matrix
+    of the definition (the A_h - 1 and the norm) is block diagonal on
+    the orbits, and each kernel and image is the direct sum of its
+    blocks'.  The canonical HNF of a direct sum over disjoint coordinates
+    is the union of the blocks' canonical HNFs written back in the
+    module's coordinates: the projection of a row of the sum's HNF onto
+    the block of its pivot lies in the lattice and is in canonical form,
+    so by uniqueness it is the row."""
     if sub.group != module.group:
         raise ParentMismatchError("subgroup of a different group")
-    if mats is None:
-        mats = {}
-    n = module.rank
-    # A_h - 1 for the generators h of sub
-    diffs = [
-        [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
-        for a in _actions(module, sub.generators(), mats)
-    ]
-    mods = module.invariants()
-    # invariants: x with x(A_h - 1) = 0 mod d for every h, one kernel with
-    # the maps side by side
-    side = [[x for d in diffs for x in d[i]] for i in range(n)]
-    inv = im.kernel_mod(side, mods * len(diffs))
-    nm = norm_matrix(module, sub, mats)
-    # the relations are diag(d), taken as the moduli of both images
-    norm_image = im.hnf(nm, n, mods)
-    # norm kernel: x with x N = 0 mod d
-    ker = im.kernel_mod(nm, mods)
-    aug = im.hnf([row for d in diffs for row in d], n, mods)
-    return TateResult((inv, norm_image), (ker, aug))
-
-
-def tate_order(pair) -> int:
-    """#(top / bottom) for square full-rank HNFs bottom <= top: the
-    ratio of their indices in Z^g."""
-    top, bottom = pair
-    return im.hnf_index(bottom) // im.hnf_index(top)
+    r, m = module.rank, module.monomial.modulus
+    # the generators of sub are its nonzero basis rows, among them every
+    # row h_j with o_j = factor_j / h_j[j] > 1
+    monos, steps = [], []
+    for j, (row, factor) in enumerate(zip(sub.basis, sub.group.factors)):
+        elem = sub.group.element(row)
+        if not elem.is_zero:
+            monos.append(_element_monomial(module, elem))
+            if factor > row[j]:
+                steps.append((monos[-1], factor // row[j]))
+    if start is not None:
+        coords = coordinate_orbit(monos, start) if r else []
+        return TateResult(*_block_pairs(monos, steps, coords, m), tuple(coords))
+    wide = [([None] * r, [None] * r), ([None] * r, [None] * r)]
+    for t in range(r):
+        if wide[0][0][t] is not None:
+            continue
+        coords = coordinate_orbit(monos, t)
+        for full, pair in zip(wide, _block_pairs(monos, steps, coords, m)):
+            # row i of the orbit's HNF has its pivot at coords[i]
+            for out, hnf in zip(full, pair):
+                for u, row in zip(coords, hnf):
+                    out[u] = [0] * r
+                    for j, x in zip(coords, row):
+                        out[u][j] = x
+    return TateResult(*wide, tuple(range(r)))
 
 
 def p_part(module: FiniteModule, p: int) -> FiniteModule:
@@ -164,62 +228,6 @@ def p_part(module: FiniteModule, p: int) -> FiniteModule:
 # comparison with the predicted Tate module
 
 
-# Past this order a Tate group is not walked coset by coset: without a
-# generator among the rows of top its comparison is reported undecided.
-GENERATOR_SEARCH_CAP = 30_000
-
-
-def coset_representatives(pair):
-    """An iterator over representatives of the cosets of top / bottom,
-    or None past GENERATOR_SEARCH_CAP.
-
-    In the basis top, bottom has a triangular basis with diagonal
-    m_i = bottom[i][i] / top[i][i], so the sums of k_i top_i with
-    0 <= k_i < m_i, first coordinate fastest, are one per coset: for
-    (identity, diag(d)) the residues of diag(d)."""
-    if tate_order(pair) > GENERATOR_SEARCH_CAP:
-        return None
-    top, bottom = pair
-    steps = im.diagonal([b[i] // t[i] for i, (t, b) in enumerate(zip(top, bottom))])
-    return (tuple(im.vec_mat(k, top)) for k in im.hnf_residues(steps))
-
-
-def find_cyclic_generator(module: FiniteModule, pair):
-    """(generator, searched_all): a vector x of top whose image generates
-    top / bottom over the group ring, or None.
-
-    x generates when the span of x and bottom, grown by its images under
-    the generator matrices until it stops growing, is top.  The rows of
-    top are tried first, whatever the order of top / bottom.  Only a
-    group of order at most GENERATOR_SEARCH_CAP is then walked coset by
-    coset, which proves it is not cyclic; searched_all=False means no
-    generator was found and the group was too large to walk."""
-    top, bottom = pair
-    n = module.rank
-    if tate_order(pair) == 1:
-        return [0] * n, True
-    # relations <= bottom: every span is taken mod d
-    mods = module.invariants()
-    target = im.hnf_index(top)
-
-    def generates(x):
-        span = im.hnf([x, *bottom], n, mods)
-        while im.hnf_index(span) > target:
-            grown = im.hnf(span + [im.vec_mat(r, a) for a in module.gen_actions for r in span], n, mods)
-            if grown == span:
-                return False
-            span = grown
-        return True
-
-    x = next(filter(generates, top), None)
-    if x is not None:
-        return x, True
-    reps = coset_representatives(pair)
-    if reps is None:
-        return None, False
-    return next(filter(generates, reps), None), True
-
-
 def tate_key(inertia: Subgroup, sub: Subgroup) -> tuple[Subgroup, int]:
     """(H + I, c), c = #(H meet I) = #I #H / #(H + I).  I acts trivially on
     the inertia module M, so M^H = M^(H + I), I_H M = I_(H + I) M and N_H =
@@ -236,36 +244,54 @@ def prediction_data(dec: Subgroup, key: tuple[Subgroup, int]) -> tuple[Subgroup,
     return dec.join(key[0]), key[1]
 
 
-def prediction_verdict(
-    module: FiniteModule, pair, big: Subgroup, c: int, mats: dict | None = None
-) -> str:
-    """'pass' if top / bottom, for a lattice pair of module, is isomorphic
-    to (Z/c)[G/B] = Z[G]/J with J = (c, b - 1 : b in B), 'fail' if it is
-    not, and 'undecided' for a group too large to walk that has no
-    generator among the rows of top.  mats is as in tate_cohomology.
+def _block_verdict(pair, gens, c: int, m: int) -> str:
+    """'pass' if X = top / bottom is Z/c with trivial action of the
+    generators whose monomials on the pair's coordinates are gens: it
+    has order c, each r (A_b - 1) lies in bottom, and X / qX has order q
+    for each prime q | c, so every Sylow subgroup of X is cyclic."""
+    top, bottom = pair
+    index = im.hnf_index(top)
+    if im.hnf_index(bottom) != c * index:
+        return "fail"
+    pivots = range(len(top))
+    for perm, units in gens:
+        for row in top:
+            # row (A_b - 1)
+            moved = [-x for x in row]
+            for x, j, u in zip(row, perm, units):
+                moved[j] += x * u
+            if not im.in_span(bottom, pivots, moved):
+                return "fail"
+    mods = [m] * len(top)
+    for q in prime_factors(c):
+        if im.index_mod([*bottom, *([q * x for x in row] for row in top)], mods) != q * index:
+            return "fail"
+    return "pass"
 
-    top / bottom is isomorphic to Z[G]/J exactly when it has order
-    c^[G:B], J annihilates it, and it is cyclic: a generator x gives
-    Z[G]/Ann(x), Ann(x) = Ann(top / bottom) contains J, and the orders
-    force equality.  J annihilates it when c r and r (A_b - 1) lie in
-    bottom for every row r of top and every generator b of B."""
+
+def prediction_verdict(module: FiniteModule, block: TateResult, big: Subgroup, c: int) -> tuple:
+    """The verdicts, 'pass' or 'fail', of H^0 and of H^-1 of a monomial
+    module over H against (Z/c)[G/B], read off block = tate_cohomology(
+    module, H, t) alone, the lattice pairs of the H-orbit of one
+    coordinate t, by the three tests of the module docstring.  They
+    decide the whole Tate groups when G joins every coordinate to t and
+    B is the stabiliser of the orbit, as B = D + H is for an inertia
+    module: [G:B] orbits of the orbit's size fill the coordinates, and
+    the generators of B map t into it.  Otherwise ScopeError."""
     group = module.group
     if big.group != group:
         raise ParentMismatchError("subgroup of a different group")
-    if tate_order(pair) != c ** (group.order // big.order):
-        return "fail"
-    top, bottom = pair
-    pivots = range(module.rank)
-    if not all(im.in_span(bottom, pivots, [c * x for x in r]) for r in top):
-        return "fail"
-    for a in _actions(module, big.generators(), {} if mats is None else mats):
-        for r in top:
-            if not im.in_span(bottom, pivots, [x - y for x, y in zip(im.vec_mat(r, a), r)]):
-                return "fail"
-    x, searched_all = find_cyclic_generator(module, pair)
-    if x is not None:
-        return "pass"
-    return "fail" if searched_all else "undecided"
+    form = module.monomial
+    coords = block.coords
+    bs = [_element_monomial(module, b) for b in big.generators()]
+    if (
+        not form.transitive
+        or len(coords) * (group.order // big.order) != module.rank
+        or any(perm[t] not in coords for perm, _ in bs for t in coords[:1])
+    ):
+        raise ScopeError("the orbit's stabiliser is not B, or G does not join the coordinates")
+    gens = [_restrict(b, coords) for b in bs]
+    return tuple(_block_verdict(pair, gens, c, form.modulus) for pair in (block.h0, block.hminus1))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +434,7 @@ def _root_power_traces(m: int, p: int, prec: int):
 def _complement_actions(module: FiniteModule, gens):
     """(coords, matrix) of every element of the prime-to-p part, first
     coordinate fastest, for gens = complement_generators(group, p): the
-    matrix is action_matrix's unreduced product A_1^(c_1) ... A_r^(c_r),
+    matrix is the unreduced product A_1^(c_1) ... A_r^(c_r),
     each taken by one product from an earlier one.  Digit i counts the
     steps s_i along the i-th triple (j, s_i, m_i) of gens, and an element
     whose digits below i are 0 has the matrix S_i = A_j^(s_i) times that

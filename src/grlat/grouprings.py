@@ -27,16 +27,20 @@ intmat.smith_coordinates, so every later step works at rank len(d),
 not n, and validates the action.  No module is derived from another
 by a second Smith step: a p-part keeps the coordinates with p | d_i in
 closed form, and a Tate group or chi-component is read off a lattice
-pair in the module's own coordinates (see cohomology).  The matrix of a
-group element is the product of its generators' matrix powers.  An
-inertia module is written down in closed form, already in Smith
-coordinates, and validated with no Smith step (inertia_module).
+pair in the module's own coordinates (see cohomology).  An inertia
+module is written down in closed form, already in Smith coordinates,
+and validated with no Smith step (inertia_module).  It and its p-parts
+are monomial: each generator sends every e_t to a unit times one e_t',
+and FiniteModule.monomial reads that (permutation, units) form off the
+matrices once per module, for cohomology to compose instead of
+multiplying matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from . import intmat as im
 from .abelian import FinAbGroup, GroupElement, Subgroup, canonical_lift, decomposition_subgroup
@@ -47,6 +51,7 @@ from .errors import (
     InfiniteModuleError,
     NotFullRankError,
     ParentMismatchError,
+    ScopeError,
 )
 
 RING_ORDER_CAP = 4096
@@ -193,6 +198,29 @@ class IdealLattice:
         return im.hnf_index(self.basis)
 
 
+class Monomial(NamedTuple):
+    """A module (Z/m)^r in monomial form: gens[i] = (perm, units) says
+    that generator i sends e_t to units[t] e_perm[t], and transitive
+    that the generators' permutations join every coordinate to 0."""
+
+    modulus: int
+    gens: tuple
+    transitive: bool
+
+
+def coordinate_orbit(monos, start):
+    """The coordinates that the permutations of monos, (perm, units)
+    pairs, reach from start, in increasing order."""
+    seen = {start}
+    todo = [start]
+    for t in todo:
+        for perm, _ in monos:
+            if perm[t] not in seen:
+                seen.add(perm[t])
+                todo.append(perm[t])
+    return sorted(seen)
+
+
 def _mod_columns(rows, d):
     """rows with column j reduced mod d[j]: the same map into (+) Z/d_j."""
     return [[x % m for x, m in zip(row, d)] for row in rows]
@@ -251,16 +279,32 @@ class FiniteModule:
         inv = self.invariants()
         return inv[-1] if inv else 1
 
-    def action_matrix(self, elem: GroupElement):
-        """The matrix of elem, the product of A_i^(c_i) over its
-        coordinates c_i, entries left unreduced."""
-        if elem.group != self.group:
-            raise ParentMismatchError("element of a different group")
-        out = im.identity(self.rank)
-        for c, a in zip(elem.coords, self.gen_actions):
-            if c:
-                out = im.mat_mul(out, im.mat_pow(a, c))
-        return im.frozen(out)
+    @cached_property
+    def monomial(self) -> Monomial:
+        """The monomial form of the action, read once off gen_actions.
+
+        A module is monomial when it is (Z/m)^r and each generator sends
+        every e_t to a unit times one e_t': its matrix has one entry
+        nonzero mod m in each row, in a column that no other row uses.
+        Inertia modules and their p-parts are monomial; any other module
+        raises ScopeError."""
+        m = self.exponent()
+        if any(d != m for d in self.invariants()):
+            raise ScopeError(f"invariants {self.invariants()} are not all equal")
+        gens = []
+        for gi, a in enumerate(self.gen_actions):
+            perm, units = [], []
+            for row in a:
+                cols = [j for j, x in enumerate(row) if x % m]
+                if len(cols) != 1:
+                    raise ScopeError(f"generator {gi} is not monomial on the module")
+                perm.append(cols[0])
+                units.append(row[cols[0]] % m)
+            if len(set(perm)) != self.rank:
+                raise ScopeError(f"generator {gi} does not permute the coordinates")
+            gens.append((tuple(perm), tuple(units)))
+        transitive = not self.rank or len(coordinate_orbit(gens, 0)) == self.rank
+        return Monomial(m, tuple(gens), transitive)
 
     def validate(self):
         """Each generator has order dividing its group factor on the

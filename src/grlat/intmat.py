@@ -25,7 +25,9 @@ Conventions:
     elimination, with no reduction above them,
   * kernel_mod(F, mods) is the canonical HNF of the x with x F = 0 mod
     mods[j] in column j, read off one HNF of F with an identity block
-    beside it, taken mod mods in the F block,
+    beside it, taken mod mods in the F block and mod lcm(mods) in the
+    identity block; image_kernel_mod reads the HNF of F's rows and
+    diag(mods) off the same elimination,
   * a full-rank square HNF has its pivots on the diagonal, so callers
     that store one test membership with in_span(h, range(n), v),
     take its index with hnf_index(h), the order of v + L with
@@ -47,7 +49,7 @@ Conventions:
 from __future__ import annotations
 
 from itertools import compress, product
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .errors import NotFullRankError
 
@@ -513,17 +515,28 @@ def hnf_residues(h):
         yield x[::-1]
 
 
-def kernel_mod(rows, mods):
-    """Canonical HNF of {x in Z^a : x F = 0 mod mods[j] in column j}, for
-    F = rows, a rows of len(mods) entries, every mod >= 1.
+def image_kernel_mod(rows, mods):
+    """(image, kernel) for F = rows, a rows of len(mods) entries, every
+    mod >= 1: the canonical HNFs of the span of F's rows and diag(mods),
+    and of {x in Z^a : x F = 0 mod mods[j] in column j}.
 
     One HNF of [F | I_a] taken mod mods in the F block, the span of
-    [F | I_a ; diag(mods) | 0]: its rows whose F part is zero span
+    [F | I_a ; diag(mods) | 0].  Its rows whose F part is zero span
     exactly the (0, x) in that span, so their trailing blocks are the
-    kernel's canonical HNF (Cohen, GTM 138, 2.4)."""
+    kernel's canonical HNF (Cohen, GTM 138, 2.4); the F parts of the
+    others are the image's.  That span holds (0 | e e_i) = e (F_i | e_i)
+    - (e F_i | 0) for e = lcm(mods), so the identity block is taken mod
+    e too: the same HNF, with no entry above e."""
     b = len(mods)
-    mat = [list(r) + e for r, e in zip(rows, identity(len(rows)))]
-    return [r[b:] for r in hnf(mat, b + len(rows), mods) if not any(r[:b])]
+    e = lcm(*mods)
+    mat = [list(r) + row for r, row in zip(rows, identity(len(rows)))]
+    h = hnf(mat, b + len(rows), [*mods, *[e] * len(rows)])
+    return [r[:b] for r in h[:b]], [r[b:] for r in h[b:]]
+
+
+def kernel_mod(rows, mods):
+    """The kernel of image_kernel_mod(rows, mods)."""
+    return image_kernel_mod(rows, mods)[1]
 
 
 def index_mod(rows, mods):

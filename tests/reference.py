@@ -79,12 +79,30 @@ rank |G/I|; FiniteModule.build then moves it to Smith coordinates.
 
 ref_action_matrix is FiniteModule.action_matrix as it was before the
 module cached a table of every element's matrix (intmat spelled out):
-the product of the generator matrices' powers, unreduced.
-ref_norm_matrix is the element sum that norm_matrix was before it took
-the product of geometric sums over the rows of the subgroup's HNF, and
-ref_find_cyclic_generator the generator search that tested x by its
-images under every element of the group, one HNF of |G| rows each,
-before it grew the span of x by the generator matrices alone.
+the product of the generator matrices' powers, unreduced.  The package
+dropped action_matrix once its Tate route composed monomials instead.
+ref_tate_order is the order of top / bottom for a lattice pair, the
+ratio of the two indices, which no route of the package reads.
+ref_norm_matrix is the element sum that the dense norm was before it
+took the product of geometric sums over the rows of the subgroup's HNF
+(ref_geometric_norm_matrix), and ref_find_cyclic_generator the
+generator search that tested x by its images under every element of
+the group, one HNF of |G| rows each, before it grew the span of x by
+the generator matrices alone (ref_pair_cyclic_generator).
+
+ref_dense_tate_cohomology, ref_pair_verdict, ref_pair_cyclic_generator,
+ref_pair_coset_representatives, GENERATOR_SEARCH_CAP,
+ref_geometric_norm_matrix, ref_actions and ref_kernel_mod are the Tate
+route as it ran before cohomology took each module in monomial form and
+computed its Tate groups one orbit of coordinates at a time: the lattice
+pairs of the whole module from the dense matrices of H's generators
+(cached per group element in mats), the norm as a product of geometric
+sums of dense matrices, both kernels by kernel_mod with its identity
+block unreduced, and the verdict on the whole pair, its cyclicity
+decided by a generator sought among the rows of top and then by a walk
+over the cosets of a group of order at most GENERATOR_SEARCH_CAP,
+larger groups with no generator among the rows of top reported
+undecided.  The dense route takes any module, monomial or not.
 
 ref_kernel_identity is the kernel check's index identity as it was
 computed before the two principal indices were read off their closed
@@ -116,9 +134,10 @@ root power traces shares no code with the library's factorization.
 ref_tate_rows is the tate sweep as the verify command ran it before it
 computed each pair's rows once per key (H + I, #(H meet I)): one
 inertia module per pair, and for every subgroup H its own Tate groups,
-(B, c) and two verdicts.  Its (B, c) comes from ref_prediction_data,
-the per-row route prediction_data took before it was keyed:
-B = I + <frob> + H and c = #I #H / #(I + H), from the pair and H alone.
+(B, c) and two verdicts, all on the dense route above.  Its (B, c)
+comes from ref_prediction_data, the per-row route prediction_data took
+before it was keyed: B = I + <frob> + H and c = #I #H / #(I + H), from
+the pair and H alone.
 
 ref_tate_modules, ref_module_verdict, ref_module_cyclic_generator and
 ref_coset_representatives are the Tate route as it ran before each
@@ -178,17 +197,12 @@ from grlat.abelian import (
 )
 from grlat.cli import fmt_elem, fmt_sub
 from grlat.cohomology import (
-    GENERATOR_SEARCH_CAP,
     CriterionReport,
     CriterionRow,
     _predicted_component_triviality,
     character_classes,
     chi_idempotent_matrix,
     complement_generators,
-    norm_matrix,
-    prediction_verdict,
-    tate_cohomology,
-    tate_order,
 )
 from grlat.errors import (
     ContainmentError,
@@ -801,9 +815,9 @@ def ref_tate_rows(fam):
     for pair in fam.stilde:
         mod = inertia_module(pair.inertia, pair.frob)
         for h in fam.subgroups:
-            t = tate_cohomology(mod, h)
+            t = ref_dense_tate_cohomology(mod, h)
             big, c = ref_prediction_data(group, pair.inertia, pair.frob, h)
-            statuses = [prediction_verdict(mod, side, big, c) for side in (t.h0, t.hminus1)]
+            statuses = [ref_pair_verdict(mod, side, big, c) for side in (t.h0, t.hminus1)]
             status = "pass" if statuses == ["pass", "pass"] else ";".join(statuses)
             rows.append(
                 ["tate", fmt_sub(pair.inertia), fmt_elem(pair.frob), fmt_sub(h), status]
@@ -811,7 +825,184 @@ def ref_tate_rows(fam):
     return rows
 
 
+# -- Tate groups of the whole module by dense matrices -------------------------
+
+
+def ref_kernel_mod(rows, mods):
+    """Canonical HNF of {x in Z^a : x F = 0 mod mods[j] in column j}, for
+    F = rows, a rows of len(mods) entries, every mod >= 1.
+
+    One HNF of [F | I_a] taken mod mods in the F block, the span of
+    [F | I_a ; diag(mods) | 0]: its rows whose F part is zero span
+    exactly the (0, x) in that span, so their trailing blocks are the
+    kernel's canonical HNF (Cohen, GTM 138, 2.4)."""
+    b = len(mods)
+    mat = [list(r) + e for r, e in zip(rows, im.identity(len(rows)))]
+    return [r[b:] for r in im.hnf(mat, b + len(rows), mods) if not any(r[:b])]
+
+
+RefTatePairs = namedtuple("RefTatePairs", "h0 hminus1")
+
+
+def ref_actions(module, elems, mats):
+    """The matrices of elems on module, read from mats (group element ->
+    matrix) and stored there when missing."""
+    out = []
+    for h in elems:
+        a = mats.get(h)
+        if a is None:
+            a = mats[h] = ref_action_matrix(module, h)
+        out.append(a)
+    return out
+
+
+def ref_geometric_norm_matrix(module, sub, mats):
+    """Matrix of the sum of the actions of all elements of sub.
+
+    sub.basis is a square HNF, so its rows h_j, h_(j+1), ... span S_j,
+    the elements of sub whose first j coordinates vanish, and the t h_j
+    with t < o_j = factor_j / basis[j][j] represent S_j / S_(j+1).
+    So the norm of sub = S_0 is the product over j of 1 + A + ... +
+    A^(o_j - 1), A = A_(h_j), read from mats, which maps each of
+    sub.generators() to its matrix (the basis rows with o_j > 1 are
+    among them)."""
+    out = im.identity(module.rank)
+    for j, (row, factor) in enumerate(zip(sub.basis, sub.group.factors)):
+        if factor == row[j]:
+            continue
+        a = mats[sub.group.element(row)]
+        # out <- sum_t A^t out, the sparse A on the left of every product
+        term = out
+        for _ in range(factor // row[j] - 1):
+            term = im.mat_mul(a, term)
+            out = [[x + y for x, y in zip(r, s)] for r, s in zip(out, term)]
+    return out
+
+
+def ref_dense_tate_cohomology(module, sub, mats=None):
+    """Both Tate groups of any module over sub as lattice pairs of the
+    whole module, from the dense matrices of sub's generators and the
+    product form of the norm; mats, when given, caches the matrix of
+    each group element and is shared with other calls on the module."""
+    if sub.group != module.group:
+        raise ParentMismatchError("subgroup of a different group")
+    if mats is None:
+        mats = {}
+    n = module.rank
+    # A_h - 1 for the generators h of sub
+    diffs = [
+        [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+        for a in ref_actions(module, sub.generators(), mats)
+    ]
+    mods = module.invariants()
+    # invariants: x with x(A_h - 1) = 0 mod d for every h, one kernel with
+    # the maps side by side
+    side = [[x for d in diffs for x in d[i]] for i in range(n)]
+    inv = ref_kernel_mod(side, mods * len(diffs))
+    nm = ref_geometric_norm_matrix(module, sub, mats)
+    # the relations are diag(d), taken as the moduli of both images
+    norm_image = im.hnf(nm, n, mods)
+    # norm kernel: x with x N = 0 mod d
+    ker = ref_kernel_mod(nm, mods)
+    aug = im.hnf([row for d in diffs for row in d], n, mods)
+    return RefTatePairs((inv, norm_image), (ker, aug))
+
+
+# Past this order a Tate group is not walked coset by coset: without a
+# generator among the rows of top its comparison is reported undecided.
+GENERATOR_SEARCH_CAP = 30_000
+
+
+def ref_pair_coset_representatives(pair):
+    """An iterator over representatives of the cosets of top / bottom,
+    or None past GENERATOR_SEARCH_CAP.
+
+    In the basis top, bottom has a triangular basis with diagonal
+    m_i = bottom[i][i] / top[i][i], so the sums of k_i top_i with
+    0 <= k_i < m_i, first coordinate fastest, are one per coset: for
+    (identity, diag(d)) the residues of diag(d)."""
+    if ref_tate_order(pair) > GENERATOR_SEARCH_CAP:
+        return None
+    top, bottom = pair
+    steps = im.diagonal([b[i] // t[i] for i, (t, b) in enumerate(zip(top, bottom))])
+    return (tuple(im.vec_mat(k, top)) for k in im.hnf_residues(steps))
+
+
+def ref_pair_cyclic_generator(module, pair):
+    """(generator, searched_all): a vector x of top whose image generates
+    top / bottom over the group ring, or None.
+
+    x generates when the span of x and bottom, grown by its images under
+    the generator matrices until it stops growing, is top.  The rows of
+    top are tried first, whatever the order of top / bottom.  Only a
+    group of order at most GENERATOR_SEARCH_CAP is then walked coset by
+    coset, which proves it is not cyclic; searched_all=False means no
+    generator was found and the group was too large to walk."""
+    top, bottom = pair
+    n = module.rank
+    if ref_tate_order(pair) == 1:
+        return [0] * n, True
+    # relations <= bottom: every span is taken mod d
+    mods = module.invariants()
+    target = im.hnf_index(top)
+
+    def generates(x):
+        span = im.hnf([x, *bottom], n, mods)
+        while im.hnf_index(span) > target:
+            grown = im.hnf(span + [im.vec_mat(r, a) for a in module.gen_actions for r in span], n, mods)
+            if grown == span:
+                return False
+            span = grown
+        return True
+
+    x = next(filter(generates, top), None)
+    if x is not None:
+        return x, True
+    reps = ref_pair_coset_representatives(pair)
+    if reps is None:
+        return None, False
+    return next(filter(generates, reps), None), True
+
+
+def ref_pair_verdict(module, pair, big, c, mats=None):
+    """'pass' if top / bottom, for a lattice pair of the whole module, is
+    isomorphic to (Z/c)[G/B] = Z[G]/J with J = (c, b - 1 : b in B), 'fail'
+    if it is not, and 'undecided' for a group too large to walk that has
+    no generator among the rows of top.  mats is as in
+    ref_dense_tate_cohomology.
+
+    top / bottom is isomorphic to Z[G]/J exactly when it has order
+    c^[G:B], J annihilates it, and it is cyclic: a generator x gives
+    Z[G]/Ann(x), Ann(x) = Ann(top / bottom) contains J, and the orders
+    force equality.  J annihilates it when c r and r (A_b - 1) lie in
+    bottom for every row r of top and every generator b of B."""
+    group = module.group
+    if big.group != group:
+        raise ParentMismatchError("subgroup of a different group")
+    if ref_tate_order(pair) != c ** (group.order // big.order):
+        return "fail"
+    top, bottom = pair
+    pivots = range(module.rank)
+    if not all(im.in_span(bottom, pivots, [c * x for x in r]) for r in top):
+        return "fail"
+    for a in ref_actions(module, big.generators(), {} if mats is None else mats):
+        for r in top:
+            if not im.in_span(bottom, pivots, [x - y for x, y in zip(im.vec_mat(r, a), r)]):
+                return "fail"
+    x, searched_all = ref_pair_cyclic_generator(module, pair)
+    if x is not None:
+        return "pass"
+    return "fail" if searched_all else "undecided"
+
+
 # -- element matrices, norms and generators over the whole group --------------
+
+
+def ref_tate_order(pair):
+    """#(top / bottom) for square full-rank HNFs bottom <= top: the
+    ratio of their indices in Z^g."""
+    top, bottom = pair
+    return im.hnf_index(bottom) // im.hnf_index(top)
 
 
 def ref_action_matrix(self, elem):
@@ -826,7 +1017,7 @@ def ref_action_matrix(self, elem):
 
 def ref_norm_matrix(module, sub):
     """Matrix of the sum of the actions of all elements of sub."""
-    mats = [module.action_matrix(e) for e in sub.elements()]
+    mats = [ref_action_matrix(module, e) for e in sub.elements()]
     return [[sum(col) for col in zip(*rows)] for rows in zip(*mats)]
 
 
@@ -855,7 +1046,7 @@ def ref_tate_modules(module, sub):
         raise ParentMismatchError("subgroup of a different group")
     n = module.rank
     # A_h for the generators h of sub, each built once for both Tate groups
-    mats = {h: module.action_matrix(h) for h in sub.generators()}
+    mats = {h: ref_action_matrix(module, h) for h in sub.generators()}
     # A_h - 1
     diffs = [
         [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
@@ -865,14 +1056,14 @@ def ref_tate_modules(module, sub):
     # invariants: x with x(A_h - 1) = 0 mod d for every h, one kernel with
     # the maps side by side
     side = [[x for d in diffs for x in d[i]] for i in range(n)]
-    inv = im.kernel_mod(side, mods * len(diffs))
-    nm = norm_matrix(module, sub, mats)
+    inv = ref_kernel_mod(side, mods * len(diffs))
+    nm = ref_geometric_norm_matrix(module, sub, mats)
     # the relations are diag(d), taken as the moduli of both images
     norm_image = im.hnf(nm, n, mods)
     h0 = ref_subquotient(module, inv, norm_image)
 
     # norm kernel: x with x N = 0 mod d
-    ker = im.kernel_mod(nm, mods)
+    ker = ref_kernel_mod(nm, mods)
     aug = im.hnf([row for d in diffs for row in d], n, mods)
     hm1 = ref_subquotient(module, ker, aug)
     return RefTateModules(h0, hm1)
@@ -911,7 +1102,7 @@ def ref_module_verdict(module, big, c):
     # J annihilates M: the rows of c and of A_b - 1 lie in the relations
     j_rows = im.diagonal([c] * n)
     for b in big.generators():
-        a = module.action_matrix(b)
+        a = ref_action_matrix(module, b)
         j_rows += [[a[i][j] - (i == j) for j in range(n)] for i in range(n)]
     if not all(im.in_span(module.relations, range(n), r) for r in j_rows):
         return "fail"
@@ -950,8 +1141,8 @@ def ref_is_cohomologically_trivial(module):
     if module.order == 1:
         return True
     for q in module.group.primes():
-        t = tate_cohomology(module, sylow(module.group, q))
-        if tate_order(t.h0) != 1 or tate_order(t.hminus1) != 1:
+        t = ref_dense_tate_cohomology(module, sylow(module.group, q))
+        if ref_tate_order(t.h0) != 1 or ref_tate_order(t.hminus1) != 1:
             return False
     return True
 

@@ -187,19 +187,24 @@ KEYED_TATE_GROUPS = ([9], [27], [3, 3], [15], [3, 9], [2, 4], [2, 2, 2], [2, 2, 
 @pytest.mark.parametrize("perturbed", [False, True], ids=["as-is", "c-shifted"])
 @pytest.mark.parametrize("factors", KEYED_TATE_GROUPS, ids=lambda f: ",".join(map(str, f)))
 def test_keyed_tate_rows_match_the_per_row_sweep(factors, perturbed, monkeypatch):
-    # the keyed sweep takes (B, c) from prediction_data and tate_key, the
-    # reference from ref_prediction_data, one (pair, H) at a time.
+    # the keyed sweep takes B from prediction_data and c from tate_key and
+    # reads its verdicts off the orbit of coordinate 0; the reference
+    # takes (B, c) from ref_prediction_data and the verdict of the dense
+    # route's whole pairs, one (pair, H) at a time.
     # perturbed: each verdict sees c + 1 wherever c > 1 and B is a proper
     # subgroup, a fault that reads both parts of the key, so rows that
     # share only H + I or only #(H meet I) can get different statuses
     if perturbed:
-        real = cli.prediction_verdict
+        real, real_ref = cli.prediction_verdict, reference.ref_pair_verdict
 
-        def shifted(module, pair, big, c, mats=None):
-            return real(module, pair, big, c + (c > 1 and big.order < big.group.order), mats)
+        def shifted(module, block, big, c):
+            return real(module, block, big, c + (c > 1 and big.order < big.group.order))
+
+        def shifted_ref(module, pair, big, c):
+            return real_ref(module, pair, big, c + (c > 1 and big.order < big.group.order))
 
         monkeypatch.setattr(cli, "prediction_verdict", shifted)
-        monkeypatch.setattr(reference, "prediction_verdict", shifted)
+        monkeypatch.setattr(reference, "ref_pair_verdict", shifted_ref)
     fam = build_sets(make_group(factors))
     want = reference.ref_tate_rows(fam)
     assert cli._tate_rows(cli._SweepInputs(fam, ["tate"])) == want
@@ -209,9 +214,10 @@ def test_keyed_tate_rows_match_the_per_row_sweep(factors, perturbed, monkeypatch
 
 def test_verify_tate_takes_each_key_once_per_inertia_group(capsys, monkeypatch):
     # 2,2,8: 259 pairs over 37 inertia groups, 38 subgroups.  One key per
-    # (I, H), 1406 in all, each one join, plus one join per computed key
-    # for B, 4954 of them; a key join per (pair, H) and a second join per
-    # computed key made 19,750
+    # (I, H), 1406 in all, each one join, plus one join for B per
+    # (D, H + I) of the command, 859 of them; one B join per computed key
+    # made 6360, and a key join per (pair, H) and a second join per
+    # computed key 19,750
     keys, joins = [], []
     real_key, real_join = cli.tate_key, abelian.Subgroup.join
 
@@ -228,7 +234,7 @@ def test_verify_tate_takes_each_key_once_per_inertia_group(capsys, monkeypatch):
     code, _, _ = run(["verify", "2,2,8", "--checks", "tate"], capsys)
     assert code == 0
     assert len(keys) == len(set(keys)) == 1406
-    assert len(joins) <= 6360
+    assert len(joins) <= 2265
 
 
 def test_tate_rows_take_no_subquotient_or_smith_form(monkeypatch):
@@ -253,6 +259,22 @@ def test_tate_rows_take_no_subquotient_or_smith_form(monkeypatch):
     assert calls == []
     rows = cli._triviality_rows(inputs)
     assert rows and {r[-1] for r in rows} == {"pass"}
+    assert calls == []
+
+
+@pytest.mark.parametrize("spec", ["2,2,8", "256"])
+def test_tate_rows_multiply_no_matrices_and_search_no_generator(spec, monkeypatch):
+    # once the modules are built, a tate row composes monomials: no dense
+    # product, power or vector-matrix product, and no coset walk (the
+    # generator search of the whole-pair verdict walked hnf_residues)
+    fam = build_pair_sets(cli.parse_group_spec(spec))
+    inputs = cli._SweepInputs(fam, ["tate", "triviality"])
+    assert len(inputs.modules()) == len(fam.stilde)
+    calls = []
+    for name in ("mat_mul", "mat_pow", "vec_mat", "hnf_residues"):
+        monkeypatch.setattr(im, name, lambda *args, name=name: calls.append(name))
+    rows = cli._tate_rows(inputs)
+    assert len(rows) == len(fam.stilde) * len(fam.subgroups) and {r[-1] for r in rows} == {"pass"}
     assert calls == []
 
 
@@ -342,8 +364,9 @@ def test_failed_internal_check_exits_2_without_traceback(capsys, monkeypatch):
 
 @pytest.mark.parametrize("spec", ["30", "32"])
 def test_verify_decides_every_tate_row(spec, capsys):
-    # some Tate groups here are too large for the exhaustive coset walk;
-    # a basis-vector generator still decides every row
+    # some Tate groups here were too large for the exhaustive coset walk
+    # of the whole-pair verdict; the block verdict decides every row by
+    # three exact tests
     code, out, _ = run(["verify", spec], capsys)
     assert code == 0
     assert "undecided" not in out
@@ -716,6 +739,7 @@ def test_too_many_inertia_pairs_are_refused_at_once(argv):
         (["verify", "2,2,8", "--checks", "tate"], "63f81c8b8a480556e040dc8bbf57e1142ebde8d17513536a3fea55a0845f1fa7"),
         (["verify", "3,27", "--checks", "tate"], "f90827864ea147809294e1484afa8624fecc20ba7b42e7554bdd615a06273157"),
         (["verify", "4,16", "--checks", "tate"], "344933ae8ceb3d4d69569e1717b93f5f0ed2e0054a2202d37133e8e561a3c07a"),
+        (["verify", "256", "--checks", "tate"], "f8694eab6cecc2e05e99cc47c9922145e27bc1ae1f355719234f4cf9a9f20061"),
         (["verify", "243", "--checks", "ext"], "f2e2768599b8c8f436abd8194f5863972ec342e36fc7af7b97f98ecd713a1221"),
         (["verify", "256", "--checks", "ext"], "b1008508e64c3c67d5bc51583c310da27d7b0dec08d1c3e4450306b5a4795404"),
         (["verify", "28", "--checks", "triviality"], "4a6e86b9fbb75a54c505d2bb84147d9245ee8bb33e69217c844fe015c6c6d28f"),
@@ -773,6 +797,7 @@ def test_too_many_inertia_pairs_are_refused_at_once(argv):
         "2,2,8-tate",
         "3,27-tate",
         "4,16-tate",
+        "256-tate",
         "243-ext",
         "256-ext",
         "28-triviality",
@@ -850,7 +875,9 @@ def test_large_verify_reports_are_pinned(argv, digest):
     # from the 2n-row orbit HNF of (N_I, #I); the 3,27 and 4,16 tate
     # sweeps as printed when both kernels of a Tate row were the domain
     # half of a left kernel, read off an HNF with unimodular transform of
-    # the maps stacked over the relations, and put in HNF again
+    # the maps stacked over the relations, and put in HNF again; the 256
+    # tate sweep as printed when every row took the Tate pairs of the
+    # whole module from dense matrices and searched them for a generator
     env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-m", "grlat", *argv], capture_output=True, env=env, timeout=120)
     assert done.returncode == 0
@@ -926,6 +953,8 @@ def test_package_is_integral():
         ["verify", "27", "--checks", "unit"],
         ["monoid", "3,3,3"],
         ["verify", "81", "--checks", "kernel"],
+        ["verify", "2,2,8", "--checks", "tate"],
+        ["verify", "12", "--checks", "triviality"],
     ],
 )
 def test_optimized_interpreter_gives_identical_reports(argv):

@@ -19,8 +19,8 @@ from sympy import Poly, resultant
 from sympy.abc import X
 
 from grlat import intmat
-from grlat.abelian import Subgroup, decomposition_subgroup, enumerate_subgroups, make_group
-from grlat.cohomology import tate_cohomology
+from grlat.abelian import Subgroup, decomposition_subgroup, make_group
+from grlat.cohomology import _element_monomial, p_part
 from grlat.errors import (
     CapacityError,
     ContainmentError,
@@ -360,19 +360,24 @@ def test_translate_rejects_foreign_element():
         ref_translate(r8.one(), make_group([2, 4]).zero())
 
 
-# -- element matrices against per-element mat_pow products ------------------
+# -- element monomials against per-element mat_pow products -----------------
 
 
 @pytest.mark.parametrize("factors", [[8], [2, 4], [3, 3], [2, 6], [12], [15], [2, 2, 2]])
-def test_action_table_matches_mat_pow_products(factors):
+def test_element_monomials_match_mat_pow_products(factors):
+    # every inertia module and each of its p-parts is monomial, and the
+    # monomial of every element, composed from the generators' by
+    # squaring, is its dense matrix reduced mod m
     g = make_group(factors)
-    subs = enumerate_subgroups(g)
     for pair in build_sets(g).stilde:
         mod = inertia_module(pair.inertia, pair.frob)
-        modules = [mod]
-        for h in subs:
-            t = tate_cohomology(mod, h)
-            modules += [ref_subquotient(mod, *t.h0), ref_subquotient(mod, *t.hminus1)]
-        for m in modules:
+        for m in [mod, *(p_part(mod, p) for p in g.primes())]:
+            modulus, n = m.monomial.modulus, m.rank
+            assert m.monomial.transitive
             for e in g.elements():
-                assert m.action_matrix(e) == intmat.frozen(ref_action_matrix(m, e)), (factors, pair, e)
+                perm, units = _element_monomial(m, e)
+                dense = [[0] * n for _ in range(n)]
+                for t, (j, u) in enumerate(zip(perm, units)):
+                    dense[t][j] = u
+                want = [[x % modulus for x in row] for row in ref_action_matrix(m, e)]
+                assert dense == want, (factors, pair, e)

@@ -10,11 +10,14 @@ matrices and group-ring orbit matrices, and the packed-row elimination
 behind smith_valuations with the list elimination it replaced,
 ref_smith_valuations_mod.  kernel_mod, one HNF of [F | I ; diag(mods) | 0],
 is compared with the left-kernel route it replaced in the Tate sweep,
-ref_preimage_lattice over ref_hnf_with_transform; those references are
-checked against their own contracts here too.
+ref_preimage_lattice over ref_hnf_with_transform, and with
+ref_kernel_mod, the same HNF with its identity block unreduced, which
+it was before it took that block modulo lcm(mods); those references
+are checked against their own contracts here too.
 """
 
-from math import prod
+import random
+from math import lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -35,6 +38,7 @@ from reference import (
     ref_mult_matrix,
     ref_preimage_lattice,
     ref_invariant_factors,
+    ref_kernel_mod,
     ref_smith_valuations_mod,
     ref_snf_diagonal,
     ref_span_coefficients,
@@ -400,6 +404,34 @@ def test_hnf_mod_anchors():
     assert im.hnf([[2, 1]], 2, [4]) == [[2, 1], [0, 2]]
     assert im.index_mod([[1, 1]], [2, 2]) == 2
     assert im.index_mod([], [5, 7]) == 35
+
+
+@given(kernel_cases())
+@settings(max_examples=300, deadline=None)
+def test_kernel_mod_matches_the_unreduced_identity_block(case):
+    # the identity block taken mod lcm(mods) gives the same canonical HNF;
+    # image_kernel_mod's image is the HNF of the rows and diag(mods)
+    rows, mods = case
+    image, ker = im.image_kernel_mod(rows, mods)
+    assert ker == im.kernel_mod(rows, mods) == ref_kernel_mod(rows, mods)
+    assert image == im.hnf(rows, len(mods), mods)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_mod_matches_the_unreduced_identity_block_on_larger_inputs(seed):
+    # 50 cases a seed up to 12 x 12 with moduli up to 10^6, including
+    # all-equal moduli as the Tate blocks have, where the unreduced
+    # identity block grows; every kernel entry is at most lcm(mods)
+    rng = random.Random(seed)
+    for _ in range(50):
+        a, b = rng.randint(1, 12), rng.randint(1, 12)
+        mods = [rng.choice([2, 4, 9, 2**20, 10**6 + 3])] * b if rng.random() < 0.5 else [
+            rng.randint(1, 10**6) for _ in range(b)
+        ]
+        rows = [[rng.randint(-(10**6), 10**6) for _ in range(b)] for _ in range(a)]
+        ker = im.kernel_mod(rows, mods)
+        assert ker == ref_kernel_mod(rows, mods), (seed, rows, mods)
+        assert all(0 <= x <= lcm(*mods) for row in ker for x in row)
 
 
 def test_kernel_mod_with_no_rows_or_no_columns():

@@ -317,13 +317,14 @@ def test_verify_triviality_exits_2_on_a_non_factor(monkeypatch):
 
 
 def test_verify_tate_exits_2_on_a_wrong_c(monkeypatch):
-    real = cli.prediction_data
+    # the sweep reads c off the key and B off prediction_data
+    real = cli.tate_key
 
     def off_by_one(*args):
-        big, c = real(*args)
-        return big, c + 1
+        joined, c = real(*args)
+        return joined, c + 1
 
-    monkeypatch.setattr(cli, "prediction_data", off_by_one)
+    monkeypatch.setattr(cli, "tate_key", off_by_one)
     code, out = run_main(["verify", "9", "--checks", "tate"])
     assert code == EXIT_CHECK
     rows = [line for line in out.splitlines() if line.startswith("results.rows\ttate\t")]
