@@ -13,8 +13,10 @@ once, directly.  Whether S, its Sylow subgroups or G/S are cyclic is
 read off element orders, with no Smith form: the exponent of S is the
 lcm of the orders of its generators, and that of G/S the lcm of the
 orders of the cosets e_j + S, each read off the basis one column at a
-time (intmat.hnf_order).  A quotient G/S is read in the Smith
-coordinates of S's basis (intmat.smith_coordinates): x -> x P mod d.
+time (intmat.hnf_order).  quotient_data reads a quotient G/S in the
+Smith coordinates of S's basis (intmat.smith_coordinates):
+x -> x P mod d.  No command calls it: the package names each coset of
+S by its canonical lift.
 
 make_group() accepts any factor list and CRT-normalizes it, so callers
 can say make_group([6, 3]) and get the canonical chain (3, 6).
@@ -221,16 +223,18 @@ class GroupElement:
 class Subgroup:
     """Subgroup of a FinAbGroup, held as the canonical square HNF basis of
     its preimage lattice; order, membership, exponent and the canonical
-    coset lift are all read off that basis.  The order and the hash are
-    computed once, on construction, and the exponent on its first
-    successful call, so a subgroup met again reuses them."""
+    coset lift are all read off that basis.  The basis must hold the
+    relations d_i e_i (else ContainmentError on construction), so it is
+    the preimage of a subgroup and its pivot product divides #G.  The
+    order and the hash are computed once, on construction, and the
+    exponent on its first call, so a subgroup met again reuses them."""
 
     __slots__ = ("group", "basis", "order", "_hash", "_exponent")
 
     def __init__(self, group: FinAbGroup, basis):
         self.group = group
         self.basis = im.frozen(basis)
-        self.order = group.order // im.hnf_index(self.basis)
+        self.order = self._order_holding_relations()
         self._hash = hash((group, self.basis))
         self._exponent = None
 
@@ -255,12 +259,9 @@ class Subgroup:
 
     @property
     def exponent(self) -> int:
-        """The lcm of the orders of the generators, once the basis is
-        checked to hold the relations d_i e_i, the trivial subgroup's
-        rows.  Kept after the first call; a failure is not kept."""
+        """The lcm of the orders of the generators, kept after the first
+        call."""
         if self._exponent is None:
-            if not Subgroup.trivial(self.group).is_subset_of(self):
-                raise ContainmentError(f"basis of {self!r} does not contain the relations")
             self._exponent = lcm(*(g.order() for g in self.generators()))
         return self._exponent
 
@@ -281,8 +282,8 @@ class Subgroup:
         """Whether G/self is cyclic: whether its exponent, the lcm of the
         orders of the cosets e_j + self of the rows e_j of G's basis,
         equals its order [G:self]."""
-        top = Subgroup.full(self.group)
-        return lcm(*(im.hnf_order(self.basis, e) for e in top.basis)) == top.order // self.order
+        rows = im.identity(self.group.rank)
+        return lcm(*(im.hnf_order(self.basis, e) for e in rows)) == self.group.order // self.order
 
     @property
     def is_trivial(self) -> bool:
@@ -295,6 +296,25 @@ class Subgroup:
 
     def _spans(self, row) -> bool:
         return im.in_span(self.basis, range(len(self.basis)), row)
+
+    def _order_holding_relations(self) -> int:
+        """#S, the product of d_i / h_i over the pivots h_i, once the basis
+        is checked to hold every d_i e_i (else ContainmentError).  Row i
+        is h_i e_i plus a tail past the pivot, so d_i e_i is in the
+        lattice exactly when h_i divides d_i and d_i / h_i times the tail
+        is; only a nonzero tail needs that membership test."""
+        if len(self.basis) != self.group.rank:
+            raise ContainmentError(f"basis {self.basis} of {self.group!r} is not square")
+        order = 1
+        for i, (row, d) in enumerate(zip(self.basis, self.group.factors)):
+            c, r = divmod(d, row[i])
+            tail = row[i + 1 :]
+            if r or (any(tail) and not self._spans([0] * (i + 1) + [c * x for x in tail])):
+                raise ContainmentError(
+                    f"basis {self.basis} of {self.group!r} does not contain the relations"
+                )
+            order *= c
+        return order
 
     def contains(self, elem: GroupElement) -> bool:
         if elem.group != self.group:
@@ -327,10 +347,6 @@ class Subgroup:
                 if coset[0] in pts:
                     break
                 pts.update(coset)
-        if len(pts) != self.order:
-            raise ContainmentError(
-                f"basis of {self!r} does not contain the relation lattice"
-            )
         # FinAbGroup.elements() order: the first coordinate varies fastest
         return [
             GroupElement(self.group, c)

@@ -48,8 +48,8 @@ EXIT_CAPACITY = 65
 EXIT_DATA = 66
 
 VERIFY_CHECKS = ("tate", "kernel", "ext", "triviality", "unit")
-# the sweeps refused past RING_ORDER_CAP: kernel and ext multiply in the
-# group ring Z[G]; unit multiplies only in Z[G/I], but keeps the cap until
+# the sweeps refused past RING_ORDER_CAP: kernel and ext work in the
+# group ring Z[G]; unit builds no ring at all, but keeps the cap until
 # verify has a cost bound of its own (ROADMAP, open item 2)
 RING_CHECKS = frozenset({"kernel", "ext", "unit"})
 CHECK_ALIASES = {"propfree": "triviality"}

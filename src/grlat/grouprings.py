@@ -8,10 +8,11 @@ GroupRing.shift(j), cached per j, maps i to the index of the sum of
 elements i and j (a rotation for cyclic groups).  Translation
 permutes coefficients along it, multiplication scatters products along
 it, and the ideal generated by x is spanned by the translates of x.
-group_ring() memoises one ring per group.  spectrum, whose rings are
-all cyclic, builds none: it works on coefficient lists mod X^n - 1.
-The kernel check of lattices builds no element of its cyclic ring: it
-works on term maps {j: c} mod X^n - 1.
+group_ring() memoises the ring of the last group it was asked for.
+spectrum, whose rings are all cyclic, builds none: it works on
+coefficient lists mod X^n - 1.  The kernel check of lattices builds no
+element of its cyclic ring: it works on term maps {j: c} mod X^n - 1.
+The unit check builds no ring at all: it walks canonical coset lifts.
 
 An ideal lattice is a full-rank lattice in Z[G], stored as its
 canonical integer row-HNF basis so equal lattices compare equal; the
@@ -117,11 +118,10 @@ class GroupRing:
         return GroupRingElem(self, coeffs)
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def group_ring(group: FinAbGroup) -> GroupRing:
-    """The shared GroupRing of group, memoised for the last two groups:
-    one verify command's kernel, ext and unit sweeps share one ring of
-    G, the rows of a unit sweep reuse the ring of their quotient G/I, and
+    """The shared GroupRing of group, memoised for the last group: one
+    verify command's kernel and ext sweeps share one ring of G, and
     GroupRingElem._check compares rings by identity."""
     return GroupRing(group)
 

@@ -21,16 +21,20 @@ u (1 - phi_a^{-1}) = 1 - phi_b^{-1}.  The same D gives phi_b = k phi_a
 mod I with p not dividing k, and the witness is the geometric sum
 u = sum_{t<k} phi_a^{-t}, which telescopes to the identity; its
 augmentation k is prime to p, so u is a unit of the local ring
-Z_p[G/I].  The identity is checked exactly in Z[G/I], on G/I in Smith
-coordinates (abelian.quotient_data), and a unit row computes nothing
-else: k, p not dividing k, and that identity, so it takes G and builds
-no ring of G.  Comparing the backward lattice L with L w, for
-w = 1 + nu (u~ - 1) and u~ a lift of u to Z[G], modulo a power of p
-cannot fail once p does not divide k, so
-that comparison lives in the tests as an oracle: L is a ring holding
-w, so L w is in L, and [L : L w] = |det M_w| is the norm of u over
-Q[G/I] (w acts as 1 off nu Q[G]), which is k^|G/I| mod p as F_p[G/I]
-is local with residue field F_p.
+Z_p[G/I].  The identity is checked exactly in Z[G/I] on canonical lifts
+mod I (abelian.canonical_lift): one walk v |-> lift(v - phi_a) from 0
+lists the terms phi_a^{-t} of u and the step that multiplication by
+phi_a^{-1} takes, and k is the walk position of lift(-phi_b).  G is a
+p-group, so D_a / I is cyclic of p-power order and D_b = D_a exactly
+when the walk meets lift(-phi_b) at a k prime to p; the walk is the
+decomposition guard.  A unit row computes nothing else: it builds no
+quotient group and no ring.  Comparing the backward lattice L with L w,
+for w = 1 + nu (u~ - 1) and u~ a lift of u to Z[G], modulo a power of p
+cannot fail once p does not divide k, so that comparison lives in the
+tests as an oracle: L is a ring holding w, so L w is in L, and
+[L : L w] = |det M_w| is the norm of u over Q[G/I] (w acts as 1 off
+nu Q[G]), which is k^|G/I| mod p as F_p[G/I] is local with residue
+field F_p.
 
 The extension check reads two facts off the cosets of I, each listed
 with its canonical lift x0 first.  The projection pi of Q[G] killing
@@ -81,6 +85,7 @@ multiplied mod n; forward_rep densifies N_I and g once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from . import intmat as im
@@ -89,16 +94,15 @@ from .abelian import (
     GroupElement,
     Subgroup,
     canonical_lift,
-    decomposition_subgroup,
     prime_factors,
-    quotient_data,
 )
 from .errors import (
     ContainmentError,
+    ParentMismatchError,
     ScopeError,
     UnitNotFoundError,
 )
-from .grouprings import GroupRing, IdealLattice, group_ring
+from .grouprings import GroupRing, IdealLattice
 
 
 def _forward_generators(
@@ -315,6 +319,23 @@ def verify_extension_sequence(ring: GroupRing, inertia: Subgroup) -> ExtensionRe
     return ExtensionReport(image_matches, embedding_primitive)
 
 
+@lru_cache(maxsize=1)
+def _coset_walk(inertia: Subgroup, step: tuple) -> tuple[tuple, tuple, dict]:
+    """The walk v |-> lift(v - step) from 0 on canonical lifts mod I
+    (abelian.canonical_lift), stopped where it returns to 0: the lifts
+    lift(-t step) in walk order, each one's successor, and the position
+    of each.  A unit sweep checks the rows of one phi_a one after
+    another, so the last walk serves them all."""
+    basis, pivots = inertia.basis, range(len(inertia.basis))
+    lifts, v = [], (0,) * len(step)
+    while True:
+        lifts.append(v)
+        v = tuple(im.reduce_against(basis, pivots, [a - b for a, b in zip(v, step)])[1])
+        if not any(v):
+            break
+    return tuple(lifts), (*lifts[1:], lifts[0]), {v: t for t, v in enumerate(lifts)}
+
+
 def verify_unit_transport(
     group: FinAbGroup,
     inertia: Subgroup,
@@ -329,38 +350,39 @@ def verify_unit_transport(
     the least such k >= 1, and k is prime to p, and the witness
     u = sum_{t<k} phi_a^{-t} telescopes to u (1 - phi_a^{-1}) =
     1 - phi_a^{-k} = 1 - phi_b^{-1} in Z[G/I].  Its augmentation k is
-    prime to p, so u is a unit of the local ring Z_p[G/I].  k is read
-    off the images of phi_a and phi_b in G/I, and the identity is one
-    product in Z[G/I]: no ring of G is built.  Returns True
-    once it holds; a missing k, a k divisible by p or a witness that
-    fails its identity raises.  The p-adic comparison of the backward
+    prime to p, so u is a unit of the local ring Z_p[G/I].  Everything is
+    read off the walk of phi_a^{-1} over the canonical lifts mod I
+    (_coset_walk): k is the position of lift(-phi_b), and the identity
+    is compared as term maps keyed by those lifts; no quotient group and
+    no ring is built.  Returns True once it holds.  A lift(-phi_b) off
+    the walk or at a k divisible by p (the pairs have different
+    decomposition subgroups), or a witness that fails its identity,
+    raises UnitNotFoundError.  The p-adic comparison of the backward
     lattice L with L w, w = 1 + nu (u~ - 1), is a test oracle only: with
     p not dividing k it cannot fail (module docstring).
     """
-    ps = sorted(prime_factors(group.order))
+    ps = prime_factors(group.order)
     if len(ps) != 1:
         raise ScopeError("unit transport needs a nontrivial p-group")
-    p = ps[0]
-    dec_a = decomposition_subgroup(inertia, frob_a)
-    dec_b = decomposition_subgroup(inertia, frob_b)
-    if dec_a != dec_b:
-        raise ScopeError("pairs have different decomposition subgroups")
-    quot = quotient_data(group, inertia)
-    qring = group_ring(quot.group)
-    bar_a, bar_b = quot.proj(frob_a), quot.proj(frob_b)
-    # k bar_a runs through <bar_a> back to 0 (index 0), one addition per
-    # step on element indices: shift(j)[i] is the index of i + j
-    plus, minus = (qring.shift(qring.index_of(x)) for x in (bar_a, -bar_a))
-    k, j, target = 1, plus[0], qring.index_of(bar_b)
-    while j != target and j:
-        k, j = k + 1, plus[j]
-    if j != target or k % p == 0:
+    (p,) = ps
+    if not group == inertia.group == frob_a.group == frob_b.group:
+        raise ParentMismatchError("inputs from different groups")
+    lifts, succ, position = _coset_walk(inertia, frob_a.coords)
+    basis = inertia.basis
+    target = tuple(im.reduce_against(basis, range(len(basis)), [-c for c in frob_b.coords])[1])
+    t = position.get(target)
+    # position 0 is phi_b in I, where the walk first meets it again after
+    # a full period
+    k = t or len(lifts)
+    if t is None or k % p == 0:
         raise UnitNotFoundError("no unit carries one coset difference to the other")
-    ucoeffs, j = [0] * qring.n, 0
-    for _ in range(k):
-        ucoeffs[j], j = 1, minus[j]
-    one = qring.one()
-    # the two-term factor on the left: __mul__ walks its left nonzeros
-    if (one - qring.delta(-bar_a)) * qring.from_coeffs(ucoeffs) != one - qring.delta(-bar_b):
+    # u (1 - phi_a^{-1}) = 1 - phi_b^{-1}, as u + [lift(-phi_b)] =
+    # u phi_a^{-1} + [0]: multiplying by phi_a^{-1} moves each term of u
+    # one step along the walk, whose lifts are distinct (it stops at its
+    # first return to 0), so every term of u has coefficient 1
+    left, right = dict.fromkeys(lifts[:k], 1), dict.fromkeys(succ[:k], 1)
+    left[target] = left.get(target, 0) + 1
+    right[lifts[0]] = right.get(lifts[0], 0) + 1
+    if left != right:
         raise UnitNotFoundError("the witness does not carry one coset difference to the other")
     return True

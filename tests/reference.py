@@ -66,6 +66,14 @@ worked in Z[G/I]: k found by a Subgroup.contains search in G, and the
 witness identity u~ (1 - phi_a^{-1}) = 1 - phi_b^{-1} checked on
 N_I Z[G], a faithful copy of Z[G/I] (x mod I |-> N_I x), by three dense
 products in Z[G].  Its k search and u~ are ref_unit_witness.
+ref_unit_transport_in_quotient is unit transport as it ran before it
+walked the canonical lifts mod I: the two decomposition subgroups
+compared by two HNFs (ScopeError when they differ), G/I in Smith
+coordinates (abelian.quotient_data), k found on the shift table of a
+GroupRing of G/I, and the witness identity checked by one dense product
+in Z[G/I].  Its decomposition guard is a ScopeError where the walk
+raises UnitNotFoundError; with the guard bypassed its k search refuses
+the same pairs.
 Both ref_verify_unit_transport and ref_verify_unit_on_norm_copy take G,
 as verify_unit_transport does, and build Z[G] themselves.
 unit_route_outcome maps a route's answer to True or the name of the
@@ -748,6 +756,39 @@ def ref_verify_unit_on_norm_copy(group, inertia, frob_a, frob_b):
     n_i = ref_norm_element(ring, inertia)
     one = ring.one()
     if n_i * (utilde * (one - ring.delta(-frob_a))) != n_i * (one - ring.delta(-frob_b)):
+        raise UnitNotFoundError("the witness does not carry one coset difference to the other")
+    return True
+
+
+def ref_unit_transport_in_quotient(group, inertia, frob_a, frob_b):
+    """Unit transport with k read off the images of phi_a and phi_b in
+    G/I and the witness identity checked by one dense product in
+    Z[G/I], after comparing the two decomposition subgroups."""
+    ps = sorted(prime_factors(group.order))
+    if len(ps) != 1:
+        raise ScopeError("unit transport needs a nontrivial p-group")
+    p = ps[0]
+    dec_a = decomposition_subgroup(inertia, frob_a)
+    dec_b = decomposition_subgroup(inertia, frob_b)
+    if dec_a != dec_b:
+        raise ScopeError("pairs have different decomposition subgroups")
+    quot = quotient_data(group, inertia)
+    qring = group_ring(quot.group)
+    bar_a, bar_b = quot.proj(frob_a), quot.proj(frob_b)
+    # k bar_a runs through <bar_a> back to 0 (index 0), one addition per
+    # step on element indices: shift(j)[i] is the index of i + j
+    plus, minus = (qring.shift(qring.index_of(x)) for x in (bar_a, -bar_a))
+    k, j, target = 1, plus[0], qring.index_of(bar_b)
+    while j != target and j:
+        k, j = k + 1, plus[j]
+    if j != target or k % p == 0:
+        raise UnitNotFoundError("no unit carries one coset difference to the other")
+    ucoeffs, j = [0] * qring.n, 0
+    for _ in range(k):
+        ucoeffs[j], j = 1, minus[j]
+    one = qring.one()
+    # the two-term factor on the left: __mul__ walks its left nonzeros
+    if (one - qring.delta(-bar_a)) * qring.from_coeffs(ucoeffs) != one - qring.delta(-bar_b):
         raise UnitNotFoundError("the witness does not carry one coset difference to the other")
     return True
 

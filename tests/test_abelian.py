@@ -8,6 +8,7 @@ reassembling.
 """
 
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -137,9 +138,10 @@ def test_subgroup_elements_match_membership_scan(factors):
 
 
 def test_subgroup_elements_rejects_a_basis_without_the_relations():
-    # 3Z does not contain 4Z, so this basis describes no subgroup of Z/4
+    # 3Z does not contain 4Z, so this basis describes no subgroup of Z/4;
+    # it is refused on construction, before any element is listed
     with pytest.raises(ContainmentError):
-        Subgroup(make_group([4]), [[3]]).elements()
+        Subgroup(make_group([4]), [[3]])
 
 
 def test_structure_invariants():
@@ -280,26 +282,27 @@ def test_stored_basis_facts_match_reference_routes(factors):
 
 
 def test_structure_rejects_a_basis_without_the_relations():
-    sub = Subgroup(make_group([4]), [[3]])
+    # no Subgroup holds such a basis, so no structure is read off one;
+    # the Smith-form reference refuses the same lattice on its own
+    g = make_group([4])
     with pytest.raises(ContainmentError):
-        ref_subgroup_structure(sub)
+        Subgroup(g, [[3]])
     with pytest.raises(ContainmentError):
-        sub.exponent
+        ref_subgroup_structure(SimpleNamespace(group=g, basis=((3,),)))
 
 
-def test_a_failed_structure_is_not_kept():
-    # the exponent, which is kept, is never kept from a basis that fails
-    # the check, so every predicate read off it raises on every call
-    sub = Subgroup(make_group([2, 4]), [[1, 0], [0, 3]])
+@pytest.mark.parametrize(
+    "basis", [[[1, 0], [0, 3]], [[1, 0], [0, 8]], [[2, 1], [0, 4]], [[1, 0]]], ids=str
+)
+def test_a_failed_structure_is_not_kept(basis):
+    # a basis without the relations d_i e_i is refused on construction,
+    # on every try, where its pivot product would have floored the order
+    # (2 and 1 for the first two, of no subgroup of those bases); the
+    # third has pivots dividing the factors, but 2 e_1 - (2, 1) = -e_2 is
+    # not in its lattice, and the fourth is missing a row
     for _ in range(3):
         with pytest.raises(ContainmentError):
-            ref_subgroup_structure(sub)
-        with pytest.raises(ContainmentError):
-            sub.exponent
-    with pytest.raises(ContainmentError):
-        sub.is_cyclic
-    with pytest.raises(ContainmentError):
-        sub.is_elementary
+            Subgroup(make_group([2, 4]), basis)
 
 
 @pytest.mark.parametrize("factors", [[2, 4, 8], [3, 9]], ids=str)

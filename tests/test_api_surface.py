@@ -21,6 +21,11 @@ ALLOWED = {
     ("lattices", "forward_rep"): "README-documented API",
     ("grouprings", "IdealLattice.integral_index"): "README-documented API",
     ("abelian", "Subgroup.from_generators"): "README-documented API",
+    ("abelian", "Subgroup.trivial"): "README-documented API",
+    ("abelian", "quotient_data"): (
+        "bench/tracer.py looks up abelian.QuotientData when it installs; both move "
+        "to tests/reference.py with the tracer's next refresh (ROADMAP, open item 5)"
+    ),
     ("grouprings", "FiniteModule.build"): "README-documented API",
     ("monoid", "cardinality_formulas"): "acceptance criterion 2 checks the cardinality formulas with it",
 }

@@ -14,15 +14,20 @@ per-pair rational (den, basis) route it replaced, for every Frobenius.  Unit
 transport's geometric-sum witness is compared with the unit that route
 solved for modulo p^M, and the p-adic lattice comparison a unit row
 made after its witness, kept in the reference, is checked to pass
-wherever the witness does.  The witness identity, checked in Z[G/I], is
-compared with the same identity on N_I Z[G], the route it replaced.
+wherever the witness does.  The witness identity, checked on the walk
+of phi_a^{-1} over the canonical lifts mod I, is compared with the same
+identity on N_I Z[G] and with its dense product in Z[G/I] in Smith
+coordinates, the two routes it replaced, and a unit sweep is spied on
+for any Smith form, quotient group or group-ring arithmetic.
 The extension check, read off the cosets of I, is compared flag by flag
 with the multiplication-matrix, left-kernel and Smith-form route it
 replaced, and an ext sweep is spied on for any of those.
 """
 
 import contextlib
+import inspect
 import io
+import sys
 from fractions import Fraction
 from math import lcm
 from unittest import mock
@@ -31,10 +36,11 @@ import pytest
 import sympy
 
 import grlat.intmat as im
-from grlat import cli
+from grlat import cli, lattices
 from grlat.abelian import (
     Subgroup,
     canonical_lift,
+    decomposition_subgroup,
     enumerate_subgroups,
     make_group,
     prime_factors,
@@ -75,6 +81,7 @@ from reference import (
     ref_preimage_is_standard,
     ref_projection_index,
     ref_unit_comparison,
+    ref_unit_transport_in_quotient,
     ref_unit_witness,
     ref_verify_extension_sequence,
     ref_verify_unit_on_norm_copy,
@@ -574,8 +581,9 @@ def test_unit_transport_positive():
 def test_unit_transport_guards():
     r9 = ring_of([9])
     i3 = Subgroup.from_generators(r9.group, [r9.group.element((3,))])
-    # different decomposition subgroups
-    with pytest.raises(ScopeError):
+    # different decomposition subgroups: the walk of phi_a = 1 over Z/9
+    # mod <3> meets lift(-3) = 0 only at k = 3
+    with pytest.raises(UnitNotFoundError):
         verify_unit_transport(r9.group, i3, r9.group.element((1,)), r9.group.element((3,)))
     # not a p-group
     r6 = ring_of([6])
@@ -707,58 +715,90 @@ def test_unit_transport_builds_no_lattice(facs, pairs):
 
 
 def test_unit_transport_in_the_quotient_matches_the_norm_copy():
-    # the identity checked in Z[G/I] against the same identity checked
-    # on N_I Z[G], over criterion 6's catalogue
+    # the identity checked on the walk over the canonical lifts mod I
+    # against the two routes it replaced, over criterion 6's catalogue:
+    # one dense product in Z[G/I] in Smith coordinates, and the same
+    # identity on N_I Z[G]
     compared = 0
     for facs in P_GROUPS_27:
-        r = group_ring(make_group(facs))
-        for a, b in unit_pairs(r.group):
-            args = (r.group, a.inertia, a.frob, b.frob)
-            assert unit_route_outcome(verify_unit_transport, *args) == unit_route_outcome(
-                ref_verify_unit_on_norm_copy, *args
-            ), (facs, a, b)
+        g = make_group(facs)
+        for a, b in unit_pairs(g):
+            args = (g, a.inertia, a.frob, b.frob)
+            got = unit_route_outcome(verify_unit_transport, *args)
+            assert got == unit_route_outcome(ref_unit_transport_in_quotient, *args), (facs, a, b)
+            assert got == unit_route_outcome(ref_verify_unit_on_norm_copy, *args), (facs, a, b)
             compared += 1
     assert compared == 242
 
 
 @pytest.mark.parametrize("facs", [*P_GROUPS_27, [6], [12]])
 def test_unit_transport_matches_the_norm_copy_on_frobenius_in_inertia(facs):
-    # both Frobenius elements in I: k = 1 and u = 1; off p-groups both
-    # routes raise ScopeError
-    r = group_ring(make_group(facs))
+    # both Frobenius elements in I: k = 1 and u = 1; off p-groups every
+    # route raises ScopeError
+    g = make_group(facs)
     outcomes = set()
-    for inertia in {pair.inertia for pair in build_sets(r.group).stilde}:
-        elems = list(inertia.elements())
+    for inertia in {pair.inertia for pair in build_sets(g).stilde}:
+        elems = inertia.elements()
         for a in elems:
             for b in elems:
-                args = (r.group, inertia, a, b)
+                args = (g, inertia, a, b)
                 got = unit_route_outcome(verify_unit_transport, *args)
+                assert got == unit_route_outcome(ref_unit_transport_in_quotient, *args), (facs, a, b)
                 assert got == unit_route_outcome(ref_verify_unit_on_norm_copy, *args), (facs, a, b)
                 outcomes.add(got)
-    assert outcomes == ({True} if len(prime_factors(r.n)) == 1 else {"ScopeError"})
+    assert outcomes == ({True} if len(prime_factors(g.order)) == 1 else {"ScopeError"})
+
+
+def test_unit_transport_rejects_inputs_from_another_group():
+    g, h = make_group([9]), make_group([3, 3])
+    i3 = Subgroup.from_generators(g, [g.element((3,))])
+    with pytest.raises(ParentMismatchError):
+        verify_unit_transport(g, i3, g.element((1,)), h.element((1, 0)))
+
+
+def test_lattices_imports_no_quotient_or_ring_builder():
+    for name in ("quotient_data", "decomposition_subgroup", "group_ring"):
+        assert not hasattr(lattices, name), name
 
 
 @pytest.mark.parametrize("spec", ["27", "3,9"])
-def test_unit_sweep_multiplies_once_in_the_quotient_and_builds_no_norm(spec):
-    # each unit row makes one ring product, in Z[G/I] for its inertia I,
-    # with a left factor of at most two terms; N_I in Z[G] is built only
-    # by tests/reference.py
-    events = []
-    real_mul, real_unit = GroupRingElem.__mul__, cli.verify_unit_transport
+def test_unit_sweep_takes_no_smith_form_and_no_ring_arithmetic(spec):
+    # every function called inside the unit sweep, seen by a profile hook
+    # so that no alias escapes: no Smith form, no quotient group, no
+    # decomposition subgroup, and no group ring or ring element
+    banned = {
+        im.snf_with_transform.__code__: "snf_with_transform",
+        im.smith_coordinates.__code__: "smith_coordinates",
+        quotient_data.__code__: "quotient_data",
+        decomposition_subgroup.__code__: "decomposition_subgroup",
+        GroupRing.__init__.__code__: "GroupRing.__init__",
+    }
+    for attr, obj in vars(GroupRingElem).items():
+        if isinstance(obj, property):
+            obj = obj.fget
+        if inspect.isfunction(obj):
+            banned[obj.__code__] = f"GroupRingElem.{attr}"
+    seen, rows = set(), []
+    real_rows, real_unit = cli._unit_rows, cli.verify_unit_transport
 
-    def mul(self, other):
-        events.append(("mul", self.ring.n, sum(1 for c in self.coeffs if c)))
-        return real_mul(self, other)
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in banned:
+            seen.add(banned[frame.f_code])
 
-    def unit(group, inertia, frob_a, frob_b):
-        events.append(("row", group.order // inertia.order))
-        return real_unit(group, inertia, frob_a, frob_b)
+    def unit_rows(inputs):
+        previous = sys.getprofile()
+        sys.setprofile(hook)
+        try:
+            return real_rows(inputs)
+        finally:
+            sys.setprofile(previous)
 
-    with mock.patch.object(GroupRingElem, "__mul__", mul), mock.patch.object(
+    def unit(*args):
+        rows.append(args)
+        return real_unit(*args)
+
+    with mock.patch.object(cli, "_unit_rows", unit_rows), mock.patch.object(
         cli, "verify_unit_transport", unit
     ), contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", spec, "--checks", "unit"]) == cli.EXIT_OK
-    rows, muls = events[0::2], events[1::2]
-    assert rows and len(rows) == len(muls)
-    for (row, order), (mul, n, terms) in zip(rows, muls):
-        assert (row, mul) == ("row", "mul") and n == order and terms <= 2
+    assert rows and not seen, sorted(seen)

@@ -32,14 +32,15 @@ that e_0 is killed by A_(-phi) - a must refuse it, and the tate and
 triviality sweeps must exit 2.  For f <= 2 the sign cannot show, as
 a^-1 = a^(f-1) modulo a^f - 1.
 
-Unit transport is run with the decomposition guard bypassed, on every
-pair of pairs with the same inertia I and different decomposition
-subgroups D: no unit of Z_p[G/I] carries one coset difference to the
-other there (phi_b = k phi_a mod I forces p | k, or has no solution),
-so both the witness and the rational route's solve must refuse each
-pair.  Through `cli.main`, the same bypass with a family whose
-projection merges pairs by inertia alone puts such pairs in the unit
-sweep, which must exit 2.
+Unit transport is run on every pair of pairs with the same inertia I
+and different decomposition subgroups D: no unit of Z_p[G/I] carries
+one coset difference to the other there (phi_b = k phi_a mod I forces
+p | k, or has no solution), so the walk over the cosets of I must
+refuse each pair, and so must the reference routes with their
+decomposition guard bypassed: the rational route's solve, and the k
+searches in Z[G/I] in Smith coordinates and on N_I Z[G].  Through `cli.main`, a family whose projection
+merges pairs by inertia alone puts such pairs in the unit sweep, which
+must exit 2.
 
 Through `cli.main`, every other check is fed a wrong ingredient and must
 exit 2: a Tate prediction with c off by one, an inertia norm scaled by a
@@ -75,6 +76,7 @@ from grlat.monoid import build_sets
 from reference import (
     ref_norm_element,
     ref_preimage_is_standard,
+    ref_unit_transport_in_quotient,
     ref_verify_unit_on_norm_copy,
     ref_verify_unit_transport,
     unit_route_outcome,
@@ -369,10 +371,11 @@ def test_monoid_exits_2_on_a_flipped_beta_bit(spec, check, monkeypatch):
 
 
 def bypass_decomposition_guard(monkeypatch):
-    # both routes compare decomposition_subgroup(I, phi_a) with that of
-    # phi_b; answering I for every phi lets every same-I pair through
-    for module in (lattices, reference):
-        monkeypatch.setattr(module, "decomposition_subgroup", lambda inertia, frob: inertia)
+    # the reference routes compare decomposition_subgroup(I, phi_a) with
+    # that of phi_b; answering I for every phi lets every same-I pair
+    # through to their k search.  verify_unit_transport has no such
+    # guard to bypass: its walk over the cosets of I refuses them itself
+    monkeypatch.setattr(reference, "decomposition_subgroup", lambda inertia, frob: inertia)
 
 
 def refused(check, *args):
@@ -410,8 +413,9 @@ def test_unit_transport_refuses_pairs_of_different_decomposition(facs, pairs, mo
     [([9], 2), ([27], 22), ([3, 3], 8), ([2, 4], 19), ([8], 6), ([16], 27), ([3, 9], 100)],
 )
 def test_unit_transport_in_the_quotient_refuses_what_the_norm_copy_refuses(facs, pairs, monkeypatch):
-    # the same guard-bypassed pairs of different D, with the identity
-    # checked in Z[G/I] and on N_I Z[G]
+    # the same pairs of different D, refused by the walk over the cosets
+    # of I, and by the guard-bypassed k searches of the identity in
+    # Z[G/I] in Smith coordinates and on N_I Z[G]
     ring = group_ring(make_group(facs))
     fam = build_sets(ring.group)
     stilde, proj = fam.stilde, fam.projection
@@ -423,15 +427,14 @@ def test_unit_transport_in_the_quotient_refuses_what_the_norm_copy_refuses(facs,
             if a.inertia != b.inertia or proj[i] == proj[j]:
                 continue
             args = (ring.group, a.inertia, a.frob, b.frob)
-            assert unit_route_outcome(lattices.verify_unit_transport, *args) == unit_route_outcome(
-                ref_verify_unit_on_norm_copy, *args
-            ), (facs, a, b)
+            got = unit_route_outcome(lattices.verify_unit_transport, *args)
+            assert got == unit_route_outcome(ref_verify_unit_on_norm_copy, *args), (facs, a, b)
+            assert got == unit_route_outcome(ref_unit_transport_in_quotient, *args), (facs, a, b)
             compared += 1
     assert compared == pairs
 
 
 def test_verify_unit_exits_2_on_pairs_merged_by_inertia(monkeypatch):
-    bypass_decomposition_guard(monkeypatch)
     real = cli.build_pair_sets
 
     def merged_by_inertia(group):
