@@ -136,9 +136,6 @@ class FinAbGroup:
     def is_cyclic(self) -> bool:
         return len(self.factors) <= 1
 
-    def primes(self):
-        return sorted(prime_factors(self.order))
-
     def element(self, coords) -> "GroupElement":
         coords = tuple(coords)
         if len(coords) != self.rank:
@@ -321,10 +318,6 @@ class Subgroup:
             raise ParentMismatchError("element from a different group")
         return self._spans(elem.coords)
 
-    def is_subset_of(self, other: "Subgroup") -> bool:
-        self._check(other)
-        return all(other._spans(r) for r in self.basis)
-
     def join(self, other: "Subgroup") -> "Subgroup":
         self._check(other)
         return Subgroup(self.group, im.lattice_sum(self.basis, other.basis))
@@ -336,7 +329,7 @@ class Subgroup:
         # either S or disjoint from it, so adding multiples of g stops at
         # the first coset that is already in S
         factors = self.group.factors
-        pts = {(0,) * self.group.rank}
+        pts = {self.group.zero().coords}
         for g in self.generators():
             coset = list(pts)
             while True:

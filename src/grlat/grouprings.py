@@ -101,16 +101,6 @@ class GroupRing:
 
     # -- element constructors ------------------------------------------------
 
-    def one(self) -> "GroupRingElem":
-        return self.delta(self.group.zero())
-
-    def delta(self, elem: GroupElement) -> "GroupRingElem":
-        if elem.group != self.group:
-            raise ParentMismatchError("element from a different group")
-        c = [0] * self.n
-        c[self.index_of(elem)] = 1
-        return GroupRingElem(self, tuple(c))
-
     def from_coeffs(self, coeffs) -> "GroupRingElem":
         coeffs = tuple(coeffs)
         if len(coeffs) != self.n:

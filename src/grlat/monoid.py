@@ -7,22 +7,32 @@ D = I v <phi>, which makes D/I cyclic.  Locally, over the Sylow p-part
 G_p of G, the targets are tuples (p, H, Istar, Dstar) with G/H cyclic
 of order prime to p and (Istar, Dstar) an (I, D) pair inside G_p.  G_p
 is canonically the maximal p-quotient of G, and the image of a
-subgroup S there is its p-part S_p = m S, for m the prime-to-p part of
-#G.  The structure map beta sends (I, D) to the sum of basis vectors
-over all target tuples with D inside H, Istar = I_p and Dstar = D_p,
-and the analysis below certifies its decomposition law, injectivity on
-the irreducible locus, irreducibility of the generator images, and the
-freeness verdict for the image monoid.
+subgroup S there is its p-part S_p = S meet G_p.  The structure map
+beta sends (I, D) to the sum of basis vectors over all target tuples
+with D inside H, Istar = I_p and Dstar = D_p, and the analysis below
+certifies its decomposition law, injectivity on the irreducible locus,
+irreducibility of the generator images, and the freeness verdict for
+the image monoid.
 
-Each D is built once per I, by one HNF from the first phi that reaches
-it; the other phi that generate D/I, the canonical lifts of k phi with
-gcd(k, [D:I]) = 1, are mapped to it by reduction alone.  Every
-subgroup the index sets hold, p-parts included, is the object
-enumerate_subgroups made for its basis, so its order, hash and
-exponent are computed once per command, and the inertia filter, "D
-cyclic" and "G/H cyclic" are read off element orders with no Smith
-form.  The irreducibility check searches the image monoid trying only
-the generators that hold the target's lowest bit (_MonoidMembership).
+Every subgroup is held as the bitmask of its elements over G (bit i is
+the element of mixed-radix index i, FinAbGroup.index_of), built once
+per command from its stored basis by whole-int translations
+(_ElementBits), and the three relations the index sets need are read
+off these masks with no HNF and no new Subgroup:
+  * D for each residue x of I's basis (a canonical lift of G/I): the
+    subgroups over I, walked by (order, basis), each claim the residues
+    that no smaller one holds, and x is claimed by I + <x>, since every
+    subgroup over I holding x holds I + <x>, and one of the same order
+    is I + <x> itself;
+  * the p-part of S: the enumerated subgroup whose mask is
+    mask(S) & mask(G_p);
+  * D <= H: mask(D) & ~mask(H) == 0.
+Every subgroup the index sets hold, p-parts included, is therefore the
+object enumerate_subgroups made, so its order, hash and exponent are
+computed once per command, and the inertia filter, "D cyclic" and "G/H
+cyclic" are read off element orders with no Smith form.  The
+irreducibility check searches the image monoid trying only the
+generators that hold the target's lowest bit (_MonoidMembership).
 """
 
 from __future__ import annotations
@@ -31,13 +41,12 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import product
 
-from . import intmat as im
 from .abelian import (
     FinAbGroup,
     GroupElement,
     Subgroup,
-    decomposition_subgroup,
     enumerate_subgroups,
     p_split,
     prime_factors,
@@ -55,6 +64,95 @@ VECTOR_CAP = 400_000
 PAIR_CAP = 200_000
 
 
+class _ElementBits:
+    """Sets of elements of one group as bitmasks: bit i is the element of
+    mixed-radix index i, first coordinate fastest (FinAbGroup.index_of),
+    so coordinate j is the digit of stride s_j = d_1 ... d_{j-1}.
+
+    Adding c to coordinate j moves the elements with x_j < d_j - c up by
+    c s_j and the others down by (d_j - c) s_j: one rotation per moved
+    axis, split by the periodic mask of the low slots x_j < d_j - c,
+    which is kept per (j, c)."""
+
+    def __init__(self, group: FinAbGroup):
+        self.factors = group.factors
+        self.strides = []
+        stride = 1
+        for d in self.factors:
+            self.strides.append(stride)
+            stride *= d
+        self.whole = (1 << stride) - 1
+        self._low = {}
+
+    def low(self, j: int, c: int) -> int:
+        """The elements with x_j < d_j - c: a block of (d_j - c) s_j ones
+        repeated with period d_j s_j.  On the last axis the block is the
+        whole mask, made by one shift and not kept."""
+        d, s = self.factors[j], self.strides[j]
+        if j == len(self.factors) - 1:
+            return (1 << (d - c) * s) - 1
+        key = (j, c)
+        if key not in self._low:
+            repeats = self.whole // ((1 << d * s) - 1)
+            self._low[key] = ((1 << (d - c) * s) - 1) * repeats
+        return self._low[key]
+
+    def translate(self, mask: int, v) -> int:
+        """The mask of the set translated by the element v."""
+        for j, (c, d, s) in enumerate(zip(v, self.factors, self.strides)):
+            c %= d
+            if c:
+                stay = mask & self.low(j, c)
+                mask = stay << c * s | (mask ^ stay) >> (d - c) * s
+        return mask
+
+    def of_basis(self, basis) -> int:
+        """The mask of the subgroup with this stored basis, from the bottom
+        row up.  With S' the span of the rows below row i (zero in every
+        coordinate up to i) and m = d_i / h_i, S' + <row i> is the union
+        of S' + c row_i over c < m, and c row_i + S' depends on c mod m
+        only, since m row_i lies in S' + diag(d).  So ceil(log2 m)
+        doublings, each the union of the mask with its translate by
+        (its count of cosets) row_i, give that union."""
+        mask = 1
+        for i in reversed(range(len(basis))):
+            row = basis[i]
+            m = self.factors[i] // row[i]
+            count = 1
+            while count < m:
+                mask |= self.translate(mask, [count * x for x in row])
+                count *= 2
+        return mask
+
+    def box(self, basis) -> int:
+        """The residues of a stored basis, 0 <= x_j < h_j for its pivots
+        h_j: the canonical lifts of G/S (intmat.hnf_residues)."""
+        mask = self.whole
+        for j, (row, d) in enumerate(zip(basis, self.factors)):
+            if row[j] < d:
+                mask &= self.low(j, d - row[j])
+        return mask
+
+    def points(self, mask: int):
+        """The coordinates of the elements of mask, its set bits read off
+        its binary digits."""
+        digits = bin(mask)[:1:-1]
+        i = digits.find("1")
+        while i >= 0:
+            x, rest = [], i
+            for d in self.factors:
+                rest, c = divmod(rest, d)
+                x.append(c)
+            yield tuple(x)
+            i = digits.find("1", i + 1)
+
+
+def _keeping_masks(sets, masks):
+    """sets, holding masks as the masks its cached property would build."""
+    sets.__dict__["masks"] = masks
+    return sets
+
+
 @dataclass(frozen=True)
 class InertiaPair:
     """(I, phi): nontrivial elementary inertia plus a coset of G/I,
@@ -68,8 +166,9 @@ class InertiaPair:
 @dataclass(frozen=True)
 class DecompositionPair:
     """(I, D) with I nontrivial elementary, I inside D, D/I cyclic;
-    build_pair_sets, the only constructor, builds each D once, from the
-    first (I, phi) that reaches it."""
+    build_pair_sets, the only constructor, reads each D off the
+    subgroups' masks, as the subgroup claiming the residues of I's basis
+    that generate D/I."""
 
     inertia: Subgroup
     dec: Subgroup
@@ -109,6 +208,13 @@ class PairSets:
     s_pairs: tuple
     projection: tuple
 
+    @cached_property
+    def masks(self) -> dict:
+        """Each subgroup's element bitmask over G (_ElementBits); the sets
+        build_pair_sets makes hold the masks it built them with."""
+        bits = _ElementBits(self.group)
+        return {s: bits.of_basis(s.basis) for s in self.subgroups}
+
 
 @dataclass(frozen=True)
 class SetFamily(PairSets):
@@ -124,20 +230,23 @@ class SetFamily(PairSets):
     s_dprime: tuple
 
     @cached_property
-    def _p_parts(self) -> dict:
-        return {}
+    def _by_mask(self) -> dict:
+        return {m: s for s, m in self.masks.items()}
 
     @cached_property
-    def _interned(self) -> dict:
-        return {s.basis: s for s in self.subgroups}
+    def _sylow_masks(self) -> dict:
+        """p -> the mask of G_p, the one subgroup of order p^v_p(#G)."""
+        return {
+            p: next(m for s, m in self.masks.items() if s.order == p**e)
+            for p, e in prime_factors(self.group.order).items()
+        }
 
     def p_part(self, sub: Subgroup, p: int) -> Subgroup:
-        """_p_part(sub, p) as the enumerated subgroup of its basis, taken
-        once per (p, sub) for _beta_values and the decomposition law."""
-        key = (p, sub)
-        if key not in self._p_parts:
-            self._p_parts[key] = self._interned[_p_part(sub, p).basis]
-        return self._p_parts[key]
+        """The Sylow p-part of sub, S meet G_p, as the enumerated subgroup
+        whose mask is the meet of the two masks; it is also m S for m the
+        prime-to-p part of #G, and the image of S in the maximal
+        p-quotient of G, which G_p maps onto isomorphically."""
+        return self._by_mask[self.masks[sub] & self._sylow_masks[p]]
 
     @property
     def counts(self):
@@ -150,55 +259,57 @@ class SetFamily(PairSets):
         }
 
 
-def _pair_sets(group: FinAbGroup, inertias, interned):
+def _pair_sets(bits: _ElementBits, group: FinAbGroup, inertias, masks):
     """(stilde, s_pairs, projection) of a group whose nontrivial
-    elementary subgroups are inertias; interned maps a basis to the
-    enumerated subgroup that holds it.
+    elementary subgroups are inertias, masks holding every subgroup's
+    element bitmask.
 
-    Every D with D/I cyclic is I + <x> for the residues x of I's basis
-    whose image generates D/I, the canonical lifts of k x with
-    gcd(k, [D:I]) = 1 for any one of them.  So each D is built once, by
-    one HNF from the first residue that reaches it, its other residues
-    are mapped to it by reduction alone, and it is the enumerated
-    subgroup of its basis; no pair is tested."""
-    pivots = range(group.rank)
+    The residues x of I's basis are the canonical lifts of G/I, and the
+    D of (I, x) is I + <x>, the least subgroup over I that holds x.  So
+    the subgroups over I, walked by (order, basis) among the orders
+    that #I divides, each claim the residues that no earlier one holds:
+    a subgroup over I that holds x holds I + <x>, and one of the same
+    order is I + <x>.  The earlier claims are decoded off their bits;
+    the last claimant takes every residue left, and no pair is tested."""
+    by_order = {}
+    for sub in masks:  # enumerate_subgroups' (order, basis) order
+        by_order.setdefault(sub.order, []).append(sub)
     stilde, s_pairs, projection = [], [], []
     for inertia in sorted(inertias, key=lambda s: s.basis):
-        basis = inertia.basis
+        basis, inside = inertia.basis, masks[inertia]
+        box, held = bits.box(basis), 0
+        left = group.order // inertia.order  # residues not yet claimed
         dec_of = {}  # residue of I's basis -> D = I + <residue>
-        for x in im.hnf_residues(basis):
-            if x in dec_of:
-                continue
-            dec = interned[decomposition_subgroup(inertia, GroupElement(group, x)).basis]
-            f = dec.order // inertia.order
-            for k in range(f):
-                if math.gcd(k, f) == 1:
-                    # the canonical lift of k x (see abelian.canonical_lift)
-                    _, lift = im.reduce_against(basis, pivots, [k * c for c in x])
-                    dec_of[tuple(lift)] = dec
-        decs = sorted(set(dec_of.values()), key=lambda s: s.basis)
-        index = {dec: len(s_pairs) + i for i, dec in enumerate(decs)}
-        s_pairs += [DecompositionPair(inertia, dec) for dec in decs]
-        for x in sorted(dec_of):
+        # of the order of I, only I itself is over I
+        supers = (
+            sub
+            for order, subs in by_order.items()
+            if order % inertia.order == 0
+            for sub in (subs if order > inertia.order else [inertia])
+            if not inside & ~masks[sub]
+        )
+        for dec in supers:
+            claim = masks[dec] & box & ~held
+            left -= claim.bit_count()
+            if not left:
+                break
+            held |= claim
+            dec_of.update(dict.fromkeys(bits.points(claim), dec))
+        decs = sorted({*dec_of.values(), dec}, key=lambda s: s.basis)
+        index = {d: len(s_pairs) + i for i, d in enumerate(decs)}
+        s_pairs += [DecompositionPair(inertia, d) for d in decs]
+        # the residues in lex order, which stilde is sorted by
+        for x in product(*(range(row[j]) for j, row in enumerate(basis))):
             stilde.append(InertiaPair(inertia, GroupElement(group, x)))
-            projection.append(index[dec_of[x]])
+            projection.append(index[dec_of.get(x, dec)])
     return tuple(stilde), tuple(s_pairs), tuple(projection)
-
-
-def _p_part(sub: Subgroup, p: int) -> Subgroup:
-    """The Sylow p-part of sub, m sub for m the prime-to-p part of #G:
-    also the image of sub in the maximal p-quotient of G, which the
-    Sylow p-part of G maps onto isomorphically."""
-    m = p_split(sub.group.order, p)[1]
-    rows = [[m * x for x in b] for b in sub.basis]
-    return Subgroup(sub.group, im.hnf(rows, sub.group.rank, sub.group.factors))
 
 
 def build_pair_sets(group: FinAbGroup) -> PairSets:
     """The subgroups, the (I, phi) and (I, D) pairs and the projection
     between them.  Past PAIR_CAP (I, phi) pairs, counted as the sum of
     [G:I], or PAIR_CAP (inertia group, subgroup) combinations:
-    CapacityError, before any pair is built."""
+    CapacityError, before any pair or mask is built."""
     subs = enumerate_subgroups(group)
     inertias = [s for s in subs if not s.is_trivial and s.is_elementary]
     if len(inertias) * len(subs) > PAIR_CAP:
@@ -209,8 +320,10 @@ def build_pair_sets(group: FinAbGroup) -> PairSets:
     npairs = sum(group.order // inertia.order for inertia in inertias)
     if npairs > PAIR_CAP:
         raise CapacityError(f"{npairs} (I, phi) pairs exceed the pair cap {PAIR_CAP}")
-    interned = {s.basis: s for s in subs}
-    return PairSets(group, tuple(subs), *_pair_sets(group, inertias, interned))
+    bits = _ElementBits(group)
+    masks = {s: bits.of_basis(s.basis) for s in subs}
+    pairs = PairSets(group, tuple(subs), *_pair_sets(bits, group, inertias, masks))
+    return _keeping_masks(pairs, masks)
 
 
 def build_sets(group: FinAbGroup) -> SetFamily:
@@ -240,7 +353,7 @@ def build_sets(group: FinAbGroup) -> SetFamily:
             s_prime.append(i)
         if prime_power:
             s_dprime.append(i)
-    return SetFamily(
+    family = SetFamily(
         pairs.group,
         pairs.subgroups,
         pairs.stilde,
@@ -250,40 +363,37 @@ def build_sets(group: FinAbGroup) -> SetFamily:
         tuple(s_prime),
         tuple(s_dprime),
     )
+    return _keeping_masks(family, pairs.masks)
 
 
 def _beta_values(family: SetFamily, pairs) -> list:
     """beta of each (I, D) pair, a 0/1 vector over the target tuples held
     as a bitmask: bit i is set when t_tuples[i] = (p, H, Istar, Dstar)
     has D inside H and the Sylow p-parts of I and D equal to Istar and
-    Dstar.  A D recurs under many I, so each subgroup's p-part is taken
-    once per prime (family.p_part, which the decomposition law shares)
-    and each D <= H is tested once."""
+    Dstar.  The p-parts and the target tuples hold the enumerated
+    subgroups, so the comparison is a dict lookup, and D <= H is one
+    test on the element masks."""
     targets = family.t_tuples
-    # the p-parts and the target tuples hold the enumerated subgroups, so
-    # the comparison is a dict lookup, and only the target tuples with
-    # matching p-parts reach the HNF containment test D <= H
+    masks = family.masks
     by_parts = {}
     h_ids = {}
     h_of = []  # target index -> index of its H among the distinct H
     for i, t in enumerate(targets):
         by_parts.setdefault((t.p, t.istar, t.dstar), []).append(i)
         h_of.append(h_ids.setdefault(t.h, len(h_ids)))
-    inside = {}  # D -> {index of H: D <= H}
+    outside = [~masks[h] for h in h_ids]  # the elements of G not in H
     out = []
     for pair in pairs:
         mask = 0
-        below = inside.setdefault(pair.dec, {})
+        dec = masks[pair.dec]
         for p in prime_factors(pair.inertia.order):
             key = (p, family.p_part(pair.inertia, p), family.p_part(pair.dec, p))
             for i in by_parts.get(key, ()):
-                j = h_of[i]
-                if j not in below:
-                    below[j] = pair.dec.is_subset_of(targets[i].h)
-                if below[j]:
+                if not dec & outside[h_of[i]]:
                     mask |= 1 << i
         out.append(mask)
     return out
+
 
 
 def cardinality_formulas(group: FinAbGroup):

@@ -35,11 +35,13 @@ transform, the left kernel as its last rows, the preimage of a lattice
 as the domain half of the left kernel of F stacked over -target, put in
 HNF again, and equality of two lattices as equality of their HNFs.
 
-ref_mult_matrix, ref_norm_element and ref_translate are the group-ring
-helpers GroupRing.mult_matrix, GroupRing.norm_element and
-GroupRingElem.translate, which no command reached any more: the
-multiplication matrix of x (row i is x translated by element i), the
-sum of a subgroup's elements, and multiplication by one element.
+ref_mult_matrix, ref_norm_element, ref_translate, ref_delta and ref_one
+are the group-ring helpers GroupRing.mult_matrix, GroupRing.norm_element,
+GroupRingElem.translate, GroupRing.delta and GroupRing.one, which no
+command reached any more: the multiplication matrix of x (row i is x
+translated by element i), the sum of a subgroup's elements,
+multiplication by one element, the basis element at one element, and
+the unit.
 
 ref_lattice_quotient_coords is the exact solve X @ big = small by an
 HNF with transform that unit transport used to find its unit modulo
@@ -132,6 +134,12 @@ preimage lattices, which the package dropped once monoid took Sylow
 p-parts as m S, m the prime-to-p part of #G, instead of S meet G_p.
 preimage_lattice has no domain rows any more, so the intersection is
 the preimage of b's lattice under a's basis, mapped back by that basis.
+
+ref_subgroup_p_part and ref_is_subset_of are the lattice routes monoid
+took to a subgroup's Sylow p-part and to D <= H before it read both off
+the subgroups' element bitmasks: the p-part as the HNF of m S, m the
+prime-to-p part of #G, and containment as Subgroup.is_subset_of did it,
+every row of one stored basis reduced against the other.
 
 ref_factor_cyclotomic_mod_p is the route factor_cyclotomic_mod_p took
 before it split Phi_m mod p by its cyclotomic cosets: sympy's
@@ -506,6 +514,20 @@ def ref_preimage_lattice(f_matrix, target_rows):
 # -- group-ring matrices, norms and translates --------------------------------
 
 
+def ref_delta(ring, elem):
+    """The basis element of Z[G] at elem."""
+    if elem.group != ring.group:
+        raise ParentMismatchError("element from a different group")
+    c = [0] * ring.n
+    c[ring.index_of(elem)] = 1
+    return GroupRingElem(ring, tuple(c))
+
+
+def ref_one(ring):
+    """The unit of Z[G], the basis element at 0."""
+    return ref_delta(ring, ring.group.zero())
+
+
 def ref_mult_matrix(ring, x):
     """Rows M with (coeffs of y) @ M = coeffs of y*x."""
     if x.ring is not ring:
@@ -547,7 +569,7 @@ def ref_lattice_quotient_coords(big_rows, small_rows):
     return coords
 
 
-# -- the meet of two subgroups ----------------------------------------------
+# -- the meet, p-parts and containment of subgroups -------------------------
 
 
 def ref_meet(a, b):
@@ -556,6 +578,18 @@ def ref_meet(a, b):
     coeffs = ref_preimage_lattice(a.basis, b.basis)
     rows = [im.vec_mat(c, a.basis) for c in coeffs]
     return Subgroup(a.group, im.hnf(rows, a.group.rank))
+
+
+def ref_subgroup_p_part(sub, p):
+    m = p_split(sub.group.order, p)[1]
+    rows = [[m * x for x in b] for b in sub.basis]
+    return Subgroup(sub.group, im.hnf(rows, sub.group.rank, sub.group.factors))
+
+
+def ref_is_subset_of(inner, outer):
+    if inner.group != outer.group:
+        raise ParentMismatchError("subgroups of different groups")
+    return all(im.in_span(outer.basis, range(len(outer.basis)), r) for r in inner.basis)
 
 
 # -- the preimage fact of the extension check -------------------------------
@@ -592,7 +626,7 @@ def ref_preimage_is_standard(ring, inertia, lat):
 def ref_backward_ideal(ring, inertia):
     """The ideal (N_I, #I), spanned by the full orbit of both generators."""
     return IdealLattice.from_elements(
-        ring, [ref_norm_element(ring, inertia), ring.one().scale(inertia.order)]
+        ring, [ref_norm_element(ring, inertia), ref_one(ring).scale(inertia.order)]
     )
 
 
@@ -665,7 +699,7 @@ def ref_coeffs_to_int_rows(elems):
 def ref_backward_rep(ring, inertia, frob):
     """(nu, 1 - nu phi^{-1}) with nu = N_I / #I, over Fraction."""
     nu = ref_norm_element(ring, inertia).scale(Fraction(1, inertia.order))
-    w2 = ring.one() - nu * ring.delta(-frob)
+    w2 = ref_one(ring) - nu * ref_delta(ring, -frob)
     return RefLattice.from_elements(ring, [nu, w2])
 
 
@@ -686,8 +720,8 @@ def ref_verify_unit_transport(group, inertia, frob_a, frob_b):
     qd = quotient_data(group, inertia)
     qring = group_ring(qd.group)
     nbar = qring.n
-    tmat = ref_mult_matrix(qring, qring.one() - qring.delta(-qd.proj(frob_a)))
-    target = list((qring.one() - qring.delta(-qd.proj(frob_b))).coeffs)
+    tmat = ref_mult_matrix(qring, ref_one(qring) - ref_delta(qring, -qd.proj(frob_a)))
+    target = list((ref_one(qring) - ref_delta(qring, -qd.proj(frob_b))).coeffs)
     stacked = [list(r) for r in tmat] + im.diagonal([q] * nbar)
     try:
         sol = ref_lattice_quotient_coords(stacked, [target])[0]
@@ -713,7 +747,7 @@ def ref_verify_unit_transport(group, inertia, frob_a, frob_b):
         ucoeffs[ring.index_of(rep)] = u[qring.index_of(qd.proj(rep))]
     utilde = ring.from_coeffs(tuple(ucoeffs))
     nu = ref_norm_element(ring, inertia).scale(Fraction(1, inertia.order))
-    w = ring.one() + nu * (utilde - ring.one())
+    w = ref_one(ring) + nu * (utilde - ref_one(ring))
     transported = lat_a.multiply_element(w)
     rows_a = [[v * (common // transported.den) for v in row] for row in transported.basis]
     rows_b = [[v * (common // lat_b.den) for v in row] for row in lat_b.basis]
@@ -754,8 +788,8 @@ def ref_verify_unit_on_norm_copy(group, inertia, frob_a, frob_b):
     if utilde is None:
         raise UnitNotFoundError("no unit carries one coset difference to the other")
     n_i = ref_norm_element(ring, inertia)
-    one = ring.one()
-    if n_i * (utilde * (one - ring.delta(-frob_a))) != n_i * (one - ring.delta(-frob_b)):
+    one = ref_one(ring)
+    if n_i * (utilde * (one - ref_delta(ring, -frob_a))) != n_i * (one - ref_delta(ring, -frob_b)):
         raise UnitNotFoundError("the witness does not carry one coset difference to the other")
     return True
 
@@ -786,9 +820,9 @@ def ref_unit_transport_in_quotient(group, inertia, frob_a, frob_b):
     ucoeffs, j = [0] * qring.n, 0
     for _ in range(k):
         ucoeffs[j], j = 1, minus[j]
-    one = qring.one()
+    one = ref_one(qring)
     # the two-term factor on the left: __mul__ walks its left nonzeros
-    if (one - qring.delta(-bar_a)) * qring.from_coeffs(ucoeffs) != one - qring.delta(-bar_b):
+    if (one - ref_delta(qring, -bar_a)) * qring.from_coeffs(ucoeffs) != one - ref_delta(qring, -bar_b):
         raise UnitNotFoundError("the witness does not carry one coset difference to the other")
     return True
 
@@ -804,7 +838,7 @@ def ref_unit_comparison(ring, inertia, utilde):
     """Whether the backward lattice L of I equals L w, w = 1 + nu (u~ - 1),
     modulo p^(2 n v_p(#I) + 1)."""
     (p,) = prime_factors(ring.n)
-    one = ring.one()
+    one = ref_one(ring)
     n_i = ref_norm_element(ring, inertia)
     # the multiplier W = #I w = #I + N_I (u~ - 1); compare
     # #I^2 L w = (#I L) W with #I^2 L = #I (#I L), from the stored #I L
@@ -830,9 +864,9 @@ def ref_inertia_presentation(inertia, frob):
     group = inertia.group
     qd = quotient_data(group, inertia)
     qring = group_ring(qd.group)
-    tau = qring.one().scale(1 + inertia.order) - qring.delta(-qd.proj(frob))
+    tau = ref_one(qring).scale(1 + inertia.order) - ref_delta(qring, -qd.proj(frob))
     rel = IdealLattice.from_elements(qring, [tau])
-    actions = [ref_mult_matrix(qring, qring.delta(qd.proj(g))) for g in group.generators()]
+    actions = [ref_mult_matrix(qring, ref_delta(qring, qd.proj(g))) for g in group.generators()]
     return [list(r) for r in rel.basis], actions
 
 
@@ -1181,7 +1215,7 @@ def ref_is_cohomologically_trivial(module):
     """Nakayama test: both Tate groups vanish for every Sylow subgroup."""
     if module.order == 1:
         return True
-    for q in module.group.primes():
+    for q in prime_factors(module.group.order):
         t = ref_dense_tate_cohomology(module, sylow(module.group, q))
         if ref_tate_order(t.h0) != 1 or ref_tate_order(t.hminus1) != 1:
             return False
@@ -1240,7 +1274,7 @@ def ref_triviality_criterion(module, inertia, frob, p):
 
 
 def ref_kernel_identity(ring, inertia, g, claimed, projection):
-    t_minus_1 = ring.delta(ring.group.element(inertia.basis[0])) - ring.one()
+    t_minus_1 = ref_delta(ring, ring.group.element(inertia.basis[0])) - ref_one(ring)
     contained = all(not any((x * t_minus_1 + y * g).coeffs) for x, y in claimed)
     det_g = IdealLattice.from_elements(ring, [g]).integral_index()
     # I is the subgroup of the indices divisible by k = n/#I, so G -> G/I

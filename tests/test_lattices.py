@@ -72,12 +72,14 @@ import reference
 from reference import (
     ref_backward_ideal,
     ref_backward_rep,
+    ref_delta,
     ref_kernel_identity,
     ref_lattice_eq,
     ref_lattice_quotient_coords,
     ref_left_kernel,
     ref_mult_matrix,
     ref_norm_element,
+    ref_one,
     ref_preimage_is_standard,
     ref_projection_index,
     ref_unit_comparison,
@@ -177,7 +179,7 @@ def test_kernel_presentation_z27_spot():
 
 
 def shift_generator(ring, order, lift):
-    return ring.one() - ring.delta(-lift) + ring.one().scale(order)
+    return ref_one(ring) - ref_delta(ring, -lift) + ref_one(ring).scale(order)
 
 
 def terms(x):
@@ -190,10 +192,10 @@ def claimed_generators(ring, inertia, lift, norm_scale=1, tau_scale=1):
     multiplies 1 - tau, to perturb the claim."""
     tau = ring.group.element(inertia.basis[0])
     g = shift_generator(ring, inertia.order, lift)
-    zero = ring.one().scale(0)
+    zero = ref_one(ring).scale(0)
     return [
         (ref_norm_element(ring, inertia).scale(norm_scale), zero),
-        (g, (ring.one() - ring.delta(tau)).scale(tau_scale)),
+        (g, (ref_one(ring) - ref_delta(ring, tau)).scale(tau_scale)),
     ]
 
 
@@ -204,8 +206,8 @@ def ref_kernel_presentation(ring, inertia, lift, claimed):
     projection with the ideal of their first components."""
     n = ring.n
     tau = ring.group.element(inertia.basis[0])
-    t_minus_1 = ring.delta(tau) - ring.one()
-    g = ring.one() - ring.delta(-lift) + ring.one().scale(inertia.order)
+    t_minus_1 = ref_delta(ring, tau) - ref_one(ring)
+    g = ref_one(ring) - ref_delta(ring, -lift) + ref_one(ring).scale(inertia.order)
     mg = ref_mult_matrix(ring, g)
     kernel = ref_left_kernel(ref_mult_matrix(ring, t_minus_1) + mg)
     rows = []
@@ -351,10 +353,10 @@ def test_principal_index_matches_the_hnf_index_and_the_resultant():
     for m in range(1, 41):
         r = GroupRing(make_group([m]))
         for ell in range(m):
-            sigma_minus_ell = r.delta(r.group.element((-ell,)) if m > 1 else r.group.zero())
+            sigma_minus_ell = ref_delta(r, r.group.element((-ell,)) if m > 1 else r.group.zero())
             for a in (2, 3, 4, 5, 9):
                 index = _principal_index(a, ell, m)
-                hnf_index = IdealLattice.from_elements(r, [r.one().scale(a) - sigma_minus_ell]).integral_index()
+                hnf_index = IdealLattice.from_elements(r, [ref_one(r).scale(a) - sigma_minus_ell]).integral_index()
                 resultant = abs(sympy.resultant(x**m - 1, a - x ** ((m - ell) % m), x))
                 assert index == hnf_index == resultant, (a, ell, m)
                 cases += 1
@@ -368,7 +370,7 @@ def test_tau_minus_one_index_is_quotient_principal_index(facs):
     for pair in build_sets(r.group).stilde:
         inertia = pair.inertia
         lift = canonical_lift(inertia, pair.frob)
-        t_minus_1 = r.delta(r.group.element(inertia.basis[0])) - r.one()
+        t_minus_1 = ref_delta(r, r.group.element(inertia.basis[0])) - ref_one(r)
         g = shift_generator(r, inertia.order, lift)
         qd = quotient_data(r.group, inertia)
         q = GroupRing(qd.group)
@@ -663,7 +665,7 @@ def test_backward_rep_is_the_ideal_of_the_inertia_norm_and_order(facs):
     for pair in build_sets(r.group).stilde:
         n_i = ref_norm_element(r, pair.inertia)
         per_pair = IdealLattice.from_elements(
-            r, [n_i, r.one().scale(pair.inertia.order) - n_i * r.delta(-pair.frob)]
+            r, [n_i, ref_one(r).scale(pair.inertia.order) - n_i * ref_delta(r, -pair.frob)]
         )
         assert backward_rep(r, pair.inertia).basis == per_pair.basis, pair
 
@@ -679,7 +681,7 @@ def test_unit_comparison_also_accepts_an_unrelated_multiplier(facs):
     compared = 0
     for a, b in unit_pairs(r.group):
         assert verify_unit_transport(r.group, a.inertia, a.frob, b.frob)
-        utilde = r.one() + (r.delta(a.frob) - r.one()).scale(3)
+        utilde = ref_one(r) + (ref_delta(r, a.frob) - ref_one(r)).scale(3)
         assert ref_unit_comparison(r, a.inertia, utilde), (facs, a, b)
         compared += 1
     assert compared > 0

@@ -32,7 +32,7 @@ from grlat.abelian import (
     sylow,
     sylow_complement,
 )
-from grlat import monoid
+from grlat import abelian, monoid
 from grlat.errors import CapacityError, ParentMismatchError, ScopeError
 from grlat.monoid import (
     VECTOR_CAP,
@@ -41,9 +41,9 @@ from grlat.monoid import (
     LocalTuple,
     SetFamily,
     _beta_values,
+    _ElementBits,
     _bounded_injectivity,
     _MonoidMembership,
-    _p_part,
     _vector_count,
     analyze_monoid,
     build_pair_sets,
@@ -53,9 +53,11 @@ from grlat.monoid import (
 from reference import (
     RefMonoidMembership,
     ref_is_elementary,
+    ref_is_subset_of,
     ref_meet,
     ref_pair_sets,
     ref_quotient_structure,
+    ref_subgroup_p_part,
     ref_subgroup_structure,
 )
 from test_abelian import push
@@ -267,7 +269,7 @@ def test_subgroup_recovery():
         subs = enumerate_subgroups(g)
         cyc = [h for h in subs if quotient_data(g, h).group.is_cyclic]
         for d in subs:
-            over = [h for h in cyc if d.is_subset_of(h)]
+            over = [h for h in cyc if ref_is_subset_of(d, h)]
             assert over and reduce(ref_meet, over) == d, (facs, d)
 
 
@@ -472,7 +474,7 @@ def ref_decomposition_pair_checks(inertia, dec):
         raise ScopeError("inertia must be nontrivial")
     if not ref_is_elementary(ref_subgroup_structure(inertia)):
         raise ScopeError("inertia must be elementary")
-    if not inertia.is_subset_of(dec):
+    if not ref_is_subset_of(inertia, dec):
         raise ScopeError("inertia must sit inside the decomposition part")
     qd = quotient_data(inertia.group, inertia)
     if not ref_is_cyclic(push(qd, dec)):
@@ -490,7 +492,7 @@ def ref_cyclic_quotient_pairs(group, subs):
             continue
         qd = quotient_data(group, inertia)
         for dec in subs:
-            if inertia.is_subset_of(dec) and ref_is_cyclic(push(qd, dec)):
+            if ref_is_subset_of(inertia, dec) and ref_is_cyclic(push(qd, dec)):
                 ref_decomposition_pair_checks(inertia, dec)
                 out.append(DecompositionPair(inertia, dec))
     out.sort(key=DecompositionPair.sort_key)
@@ -566,15 +568,18 @@ CATALOGUE_100 = (
 
 @pytest.mark.parametrize("factors", CATALOGUE_100, ids=str)
 def test_p_part_is_the_sylow_meet_and_the_p_quotient_image(factors):
-    """m S, for m the prime-to-p part of #G, is S meet G_p, and it has
-    the image of S in the Smith quotient by the p-complement."""
+    """The p-part read off the masks is the enumerated subgroup of S meet
+    G_p and of m S, for m the prime-to-p part of #G, and it has the
+    image of S in the Smith quotient by the p-complement."""
     g = make_group(factors)
-    subs = enumerate_subgroups(g)
+    fam = build_sets(g)
+    made = {id(s) for s in fam.subgroups}
     for p in prime_factors(g.order):
         qd = quotient_data(g, sylow_complement(g, p))
-        for sub in subs:
-            part = _p_part(sub, p)
-            assert part == ref_meet(sub, sylow(g, p)), (p, sub)
+        for sub in fam.subgroups:
+            part = fam.p_part(sub, p)
+            assert id(part) in made, (p, sub)
+            assert part == ref_meet(sub, sylow(g, p)) == ref_subgroup_p_part(sub, p), (p, sub)
             assert push(qd, part) == push(qd, sub), (p, sub)
 
 
@@ -663,20 +668,36 @@ def test_pair_route_matches_the_per_phi_route(factors):
 
 
 @pytest.mark.parametrize("factors", [[3, 3, 3], [2, 2, 12]], ids=str)
-def test_each_pair_is_built_once_from_the_enumerated_subgroups(factors, monkeypatch):
-    """One decomposition subgroup per (I, D) pair, not per (I, phi), and
-    every subgroup an index set holds is the object enumerate_subgroups
+def test_each_pair_is_read_off_the_enumerated_subgroups(factors, monkeypatch):
+    """After enumerate_subgroups, build_sets takes no HNF, builds no
+    decomposition subgroup and makes no Subgroup: every subgroup an
+    index set holds, p-parts included, is the object enumerate_subgroups
     made for its basis."""
     calls = []
-    real = monoid.decomposition_subgroup
+    enumerated = []
 
-    def counted(inertia, frob):
-        calls.append(frob)
-        return real(inertia, frob)
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            if enumerated:
+                calls.append(name)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(monoid, "decomposition_subgroup", counted)
+        return counted
+
+    def enumerate_once(group):
+        subs = enumerate_subgroups(group)
+        enumerated.append(group)
+        return subs
+
+    monkeypatch.setattr(monoid, "enumerate_subgroups", enumerate_once)
+    monkeypatch.setattr(im, "hnf", spy("hnf", im.hnf))
+    monkeypatch.setattr(abelian, "decomposition_subgroup", spy("decomposition_subgroup", decomposition_subgroup))
+    monkeypatch.setattr(Subgroup, "__init__", spy("Subgroup", Subgroup.__init__))
     fam = build_sets(make_group(factors))
-    assert len(calls) == len(fam.s_pairs) < len(fam.stilde)
+    for p in prime_factors(fam.group.order):
+        for sub in fam.subgroups:
+            fam.p_part(sub, p)
+    assert enumerated and calls == []
     made = {id(s) for s in fam.subgroups}
     held = [sub for pr in fam.s_pairs for sub in (pr.inertia, pr.dec)]
     held += [sub for t in fam.t_tuples for sub in (t.h, t.istar, t.dstar)]
@@ -685,6 +706,58 @@ def test_each_pair_is_built_once_from_the_enumerated_subgroups(factors, monkeypa
     for pr in fam.s_pairs:
         for p in prime_factors(pr.inertia.order):
             assert id(fam.p_part(pr.inertia, p)) in made and id(fam.p_part(pr.dec, p)) in made
+
+
+def assert_masks_match_the_lattice(g):
+    """Each subgroup's mask is its elements() through index_of, the p-part
+    of the masks is the Sylow meet, and containment of the masks is
+    containment of the lattices."""
+    fam = build_sets(g)
+    subs = fam.subgroups
+    assert set(fam.masks) == set(subs)
+    for sub in subs:
+        assert fam.masks[sub] == sum(1 << g.index_of(e) for e in sub.elements()), sub
+        for p in prime_factors(g.order):
+            assert fam.p_part(sub, p) == ref_meet(sub, sylow(g, p)), (p, sub)
+    for small in subs:
+        for big in subs:
+            inside = not fam.masks[small] & ~fam.masks[big]
+            assert inside == ref_is_subset_of(small, big), (small, big)
+
+
+@pytest.mark.parametrize("factors", PAIR_ROUTE_GROUPS, ids=str)
+def test_masks_match_the_lattice(factors):
+    assert_masks_match_the_lattice(make_group(factors))
+
+
+@given(st.lists(st.integers(2, 16), min_size=1, max_size=3).filter(lambda f: reduce(int.__mul__, f) <= 400))
+@settings(max_examples=40, deadline=None)
+def test_masks_match_the_lattice_on_drawn_groups(factors):
+    assert_masks_match_the_lattice(make_group(factors))
+
+
+@pytest.mark.parametrize("factors", [[999983], [131072]], ids=str)
+def test_a_mask_takes_one_translation_per_doubling(factors, monkeypatch):
+    """A mask is built by ceil(log2(d_i / h_i)) translations per row, not
+    element by element: 20 translations for the whole of 999983, where
+    an element-wise build takes 999,983 steps."""
+    count = []
+    real = _ElementBits.translate
+
+    def counted(self, mask, v):
+        count.append(v)
+        return real(self, mask, v)
+
+    monkeypatch.setattr(_ElementBits, "translate", counted)
+    g = make_group(factors)
+    pairs = build_pair_sets(g)
+    bound = sum(
+        (d // row[i] - 1).bit_length()
+        for sub in pairs.subgroups
+        for i, (row, d) in enumerate(zip(sub.basis, g.factors))
+    )
+    assert len(count) <= bound
+    assert bound == (20 if factors == [999983] else sum(range(18)))
 
 
 # the groups of the benchmark's monoid workload: the noncyclic groups of

@@ -74,7 +74,9 @@ from grlat.grouprings import IdealLattice, group_ring, inertia_module
 from grlat.lattices import ExtensionReport
 from grlat.monoid import build_sets
 from reference import (
+    ref_delta,
     ref_norm_element,
+    ref_one,
     ref_preimage_is_standard,
     ref_unit_transport_in_quotient,
     ref_verify_unit_on_norm_copy,
@@ -86,11 +88,11 @@ GROUPS = ([9], [27], [3, 3], [2, 4], [15])
 
 
 def index_too_large_order(ring, inertia, p):
-    return [ref_norm_element(ring, inertia), ring.one().scale(p * inertia.order)]
+    return [ref_norm_element(ring, inertia), ref_one(ring).scale(p * inertia.order)]
 
 
 def index_too_small_norm(ring, inertia, p):
-    return [ref_norm_element(ring, inertia).scale(p), ring.one().scale(inertia.order)]
+    return [ref_norm_element(ring, inertia).scale(p), ref_one(ring).scale(inertia.order)]
 
 
 def wrong_backward_rep(generators):
@@ -164,12 +166,12 @@ def perturbed_lattices(ring, inertia, rng):
     | #I, and small random elements added to a generator or as a third
     generator."""
     n_i = ref_norm_element(ring, inertia)
-    order = ring.one().scale(inertia.order)
+    order = ref_one(ring).scale(inertia.order)
     p = min(prime_factors(inertia.order))
     elems = list(ring.group.elements())
 
     def shift():
-        return ring.delta(rng.choice(elems))
+        return ref_delta(ring, rng.choice(elems))
 
     def small():
         return ring.from_coeffs(rng.randrange(-2, 3) for _ in range(ring.n))
@@ -217,7 +219,7 @@ def test_ext_passes_exactly_on_the_ideal_of_the_inertia_norm_and_order(facs, mon
     seen = set()
     for ring, inertia, lat in perturbation_set(facs):
         ideal = IdealLattice.from_elements(
-            ring, [ref_norm_element(ring, inertia), ring.one().scale(inertia.order)]
+            ring, [ref_norm_element(ring, inertia), ref_one(ring).scale(inertia.order)]
         )
         ok = ext_on(ring, inertia, lat, monkeypatch).ok
         assert ok == (lat.basis == ideal.basis), (facs, inertia)
