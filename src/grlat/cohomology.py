@@ -7,14 +7,13 @@ subgroup H of the acting group, the two Tate groups in play are
     H^0  = (H-invariants of M) / (norm image + L)
     H^-1 = (kernel of the norm on M) / (augmentation image + L)
 
-Every module comes in Smith coordinates (see grouprings), and the ones
-the commands reach, inertia modules and their p-parts, are monomial:
-M = (Z/m)^g, L = diag(m), and each generator sends every e_t to a unit
-times one e_t' (FiniteModule.monomial).  So an element's action is a
-(permutation, units) pair, two of them compose in O(g), and the norm of
-H is a sum of #H monomials with no matrix product.  H permutes the
-coordinates, every matrix of the definition is block diagonal on the
-H-orbits, and each Tate group is computed one orbit at a time
+Every module is monomial (see grouprings): M = (Z/m)^g, L = diag(m),
+and each generator sends every e_t to a unit times one e_t'.  So an
+element's action is a (permutation, units) pair (FiniteModule.act), two
+of them compose in O(g) (mono_mul), and the norm of H is a sum of #H
+monomials with no matrix product.  H permutes the coordinates, every
+matrix of the definition is block diagonal on the H-orbits, and each
+Tate group is computed one orbit at a time
 (tate_cohomology): the invariants and the norm kernel are kernels mod m
 (intmat.kernel_mod), the images HNFs mod m, each on one block.  Each
 Tate group is kept as the lattice pair (top, bottom) it is the quotient
@@ -41,7 +40,7 @@ generator b of B; and [top_0 : bottom_0 + q top_0] = q for each prime
 q | c.  So the verdict is exact at every size, with no generator search.
 
 The triviality criterion builds no component module either.  The
-p-part M_p is M's coordinates with p | d_i, read mod p^v_p(d_i)
+p-part M_p is M read mod p^v_p(m), under the same permutations
 (p_part), and the chi-component M_p e_chi is a direct summand, so its
 Tate groups are those of M_p times e_chi (Brown, GTM 87, VI): one
 lattice pair of the whole p-part per Tate group over the p-Sylow
@@ -66,7 +65,7 @@ from .abelian import (
     sylow_complement,
 )
 from .errors import IdentityCheckError, ParentMismatchError, PrecisionError, ScopeError
-from .grouprings import FiniteModule, coordinate_orbit
+from .grouprings import FiniteModule, coordinate_orbit, mono_mul, mono_pow
 
 
 # ---------------------------------------------------------------------------
@@ -83,27 +82,6 @@ class TateResult:
     h0: tuple
     hminus1: tuple
     coords: tuple
-
-
-def _mono_mul(a, b, m):
-    """The monomial of x -> x A B, for the monomials a of A and b of B."""
-    (pa, ua), (pb, ub) = a, b
-    return [pb[t] for t in pa], [u * ub[t] % m for u, t in zip(ua, pa)]
-
-
-def _element_monomial(module: FiniteModule, elem: GroupElement):
-    """(perm, units) of elem on a monomial module: the product of its
-    generators' powers, each taken by squaring."""
-    form = module.monomial
-    out = (range(module.rank), [1] * module.rank)
-    for c, a in zip(elem.coords, form.gens):
-        while c:
-            if c & 1:
-                out = _mono_mul(out, a, form.modulus)
-            c >>= 1
-            if c:
-                a = _mono_mul(a, a, form.modulus)
-    return out
 
 
 def _restrict(mono, coords):
@@ -138,27 +116,26 @@ def _block_pairs(monos, steps, coords, m):
     # the maps side by side
     side = [[x for d in diffs for x in d[i]] for i in range(s)]
     inv = im.kernel_mod(side, mods * len(diffs))
-    one = (list(range(s)), [1] * s)
-    elems = {(tuple(one[0]), tuple(one[1])): 1}
+    one = (tuple(range(s)), (1,) * s)
+    elems = {one: 1}
     for a, o in steps:
         # A^k for k < o, taken until A^k = 1: then A^k repeats with
         # period k, and each A^i, i < k, stands for every i + k j < o
         powers = [one]
-        while len(powers) < o and (nxt := _mono_mul(powers[-1], a, m)) != one:
+        while len(powers) < o and (nxt := mono_mul(powers[-1], a, m)) != one:
             powers.append(nxt)
         full, rest = divmod(o, len(powers))
         grown = {}
         for e, w in elems.items():
             for i, power in enumerate(powers):
-                perm, units = _mono_mul(e, power, m)
-                key = (tuple(perm), tuple(units))
+                key = mono_mul(e, power, m)
                 grown[key] = grown.get(key, 0) + w * (full + (i < rest))
         elems = grown
     norm = [[0] * s for _ in range(s)]
     for (perm, units), w in elems.items():
         for row, j, u in zip(norm, perm, units):
             row[j] += w * u
-    # the relations are diag(m), taken as the moduli of both images; the
+    # L = diag(m) is taken as the moduli of both images; the
     # norm kernel is the x with x N = 0 mod m
     norm_image, ker = im.image_kernel_mod(norm, mods)
     aug = im.hnf([row for d in diffs for row in d], s, mods)
@@ -180,14 +157,14 @@ def tate_cohomology(module: FiniteModule, sub: Subgroup, start: int | None = Non
     so by uniqueness it is the row."""
     if sub.group != module.group:
         raise ParentMismatchError("subgroup of a different group")
-    r, m = module.rank, module.monomial.modulus
+    r, m = module.rank, module.modulus
     # the generators of sub are its nonzero basis rows, among them every
     # row h_j with o_j = factor_j / h_j[j] > 1
     monos, steps = [], []
     for j, (row, factor) in enumerate(zip(sub.basis, sub.group.factors)):
         elem = sub.group.element(row)
         if not elem.is_zero:
-            monos.append(_element_monomial(module, elem))
+            monos.append(module.act(elem))
             if factor > row[j]:
                 steps.append((monos[-1], factor // row[j]))
     if start is not None:
@@ -209,19 +186,16 @@ def tate_cohomology(module: FiniteModule, sub: Subgroup, start: int | None = Non
 
 
 def p_part(module: FiniteModule, p: int) -> FiniteModule:
-    """The p-primary part M / p^e M, p^e the p-part of the exponent, in
-    closed form.
-
-    M = (+) Z/d_i, so M / p^e M = (+) Z/d_i' with d_i' = p^v_p(d_i): p^e
-    is invertible on every q-primary part, q != p, and annihilates the
-    p-part.  The coordinates with p | d_i are kept, already in Smith
-    coordinates as d_i | d_(i+1), and each generator acts by the same
-    matrix restricted to them, column j reduced mod d_j'."""
-    keep = [(i, p ** p_split(d, p)[0]) for i, d in enumerate(module.invariants()) if d % p == 0]
-    actions = tuple(
-        im.frozen([[a[i][j] % d for j, d in keep] for i, _ in keep]) for a in module.gen_actions
-    )
-    return FiniteModule(module.group, len(keep), im.frozen(im.diagonal([d for _, d in keep])), actions)
+    """The p-primary part M / p^v M, p^v the p-part of m: (Z/p^v)^rank
+    under the same permutations, units reduced mod p^v, or rank 0 when p
+    does not divide m (p^v is invertible on every q-primary part, q != p,
+    and annihilates the p-part)."""
+    v = p_split(module.modulus, p)[0]
+    if not v:
+        return FiniteModule(module.group, 1, 0, tuple(((), ()) for _ in module.gens))
+    q = p**v
+    gens = tuple((perm, tuple([u % q for u in units])) for perm, units in module.gens)
+    return FiniteModule(module.group, q, module.rank, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -281,17 +255,16 @@ def prediction_verdict(module: FiniteModule, block: TateResult, big: Subgroup, c
     group = module.group
     if big.group != group:
         raise ParentMismatchError("subgroup of a different group")
-    form = module.monomial
     coords = block.coords
-    bs = [_element_monomial(module, b) for b in big.generators()]
+    bs = [module.act(b) for b in big.generators()]
     if (
-        not form.transitive
+        not module.transitive
         or len(coords) * (group.order // big.order) != module.rank
         or any(perm[t] not in coords for perm, _ in bs for t in coords[:1])
     ):
         raise ScopeError("the orbit's stabiliser is not B, or G does not join the coordinates")
     gens = [_restrict(b, coords) for b in bs]
-    return tuple(_block_verdict(pair, gens, c, form.modulus) for pair in (block.h0, block.hminus1))
+    return tuple(_block_verdict(pair, gens, c, module.modulus) for pair in (block.h0, block.hminus1))
 
 
 # ---------------------------------------------------------------------------
@@ -432,16 +405,16 @@ def _root_power_traces(m: int, p: int, prec: int):
 
 
 def _complement_actions(module: FiniteModule, gens):
-    """(coords, matrix) of every element of the prime-to-p part, first
-    coordinate fastest, for gens = complement_generators(group, p): the
-    matrix is the unreduced product A_1^(c_1) ... A_r^(c_r),
-    each taken by one product from an earlier one.  Digit i counts the
-    steps s_i along the i-th triple (j, s_i, m_i) of gens, and an element
-    whose digits below i are 0 has the matrix S_i = A_j^(s_i) times that
-    of the element with digit i one less, kept in saved[i]."""
-    steps = [im.mat_pow(module.gen_actions[j], s) for j, s, _ in gens]
+    """(coords, monomial) of every element of the prime-to-p part, first
+    coordinate fastest, for gens = complement_generators(group, p), each
+    monomial taken by one composition from an earlier one.  Digit i
+    counts the steps s_i along the i-th triple (j, s_i, m_i) of gens, and
+    an element whose digits below i are 0 has the monomial S_i = A_j^(s_i)
+    times that of the element with digit i one less, kept in saved[i]."""
+    m = module.modulus
+    steps = [mono_pow(module.gens[j], s, m) for j, s, _ in gens]
     coords, digits = [0] * module.group.rank, [0] * len(gens)
-    cur = im.identity(module.rank)
+    cur = (tuple(range(module.rank)), (1,) * module.rank)
     saved = [cur] * len(gens)
     yield tuple(coords), cur
     while True:
@@ -453,7 +426,7 @@ def _complement_actions(module: FiniteModule, gens):
             return
         digits[i] += 1
         coords[gens[i][0]] += gens[i][1]
-        cur = im.mat_mul(steps[i], saved[i])
+        cur = mono_mul(steps[i], saved[i], m)
         saved[: i + 1] = [cur] * (i + 1)
         yield tuple(coords), cur
 
@@ -478,17 +451,16 @@ def chi_idempotent_matrix(module: FiniteModule, chi: ChiClass, prec: int):
     m = chi.order
     traces = _root_power_traces(m, p, prec)
     out = im.zeros(n, n)
-    for coords, a in _complement_actions(module, gens):
+    for coords, (perm, units) in _complement_actions(module, gens):
         coeff = traces[-_chi_exponent_at(chi, gens, coords) % m] * inv_size % q
         if coeff:
-            for row, arow in zip(out, a):
-                for j, x in enumerate(arow):
-                    row[j] += coeff * x
+            for row, j, u in zip(out, perm, units):
+                row[j] += coeff * u
     out = [[x % q for x in row] for row in out]
-    # column j of a module map is only defined mod d_j
-    mods = [gcd(q, d) for d in module.invariants()]
+    # a module map is only defined mod the modulus
+    mod = gcd(q, module.modulus)
     sq = im.mat_mul(out, out)
-    if any((x - y) % m for srow, row in zip(sq, out) for x, y, m in zip(srow, row, mods)):
+    if any((x - y) % mod for srow, row in zip(sq, out) for x, y in zip(srow, row)):
         raise PrecisionError(f"chi idempotent is not idempotent mod {p}^{prec}")
     return out
 
@@ -573,7 +545,7 @@ def triviality_criterion(
     if inertia.group != group or frob.group != group:
         raise ParentMismatchError("inputs from a different group")
     mp = p_part(module, p)
-    k = p_split(mp.exponent(), p)[0]
+    k = p_split(mp.modulus, p)[0]
     if k:
         t = tate_cohomology(mp, sylow(group, p))
     gens, dec = complement_generators(group, p), decomposition_subgroup(inertia, frob)

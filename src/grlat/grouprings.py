@@ -19,29 +19,18 @@ canonical integer row-HNF basis so equal lattices compare equal; the
 backward representative of an inertia group I, L = Z[G] + nu Z[G] with
 nu = N_I / #I, is stored as the ideal #I L = (N_I, #I).
 
-A finite module is stored in Smith coordinates: as an abelian group it
-is (+) Z/d_i with d_i > 1 and d_i | d_(i+1), its relations are diag(d),
-and each group generator acts by an integer matrix on row vectors from
-the right, column j reduced mod d_j.  FiniteModule.build takes any
-full-rank presentation Z^n / L and moves it there with
-intmat.smith_coordinates, so every later step works at rank len(d),
-not n, and validates the action.  No module is derived from another
-by a second Smith step: a p-part keeps the coordinates with p | d_i in
-closed form, and a Tate group or chi-component is read off a lattice
-pair in the module's own coordinates (see cohomology).  An inertia
-module is written down in closed form, already in Smith coordinates,
-and validated with no Smith step (inertia_module).  It and its p-parts
-are monomial: each generator sends every e_t to a unit times one e_t',
-and FiniteModule.monomial reads that (permutation, units) form off the
-matrices once per module, for cohomology to compose instead of
-multiplying matrices.
+A finite module is (Z/m)^r with each group generator in monomial form
+(perm, units): it sends e_t to units[t] e_perm[t].  Every module a
+command reaches is of this kind, an inertia module being induced from
+its decomposition group (inertia_module).  mono_mul and mono_pow
+compose monomials, FiniteModule.act gives an element's, and validate
+checks each generator's order and that the generators commute.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 from . import intmat as im
 from .abelian import FinAbGroup, GroupElement, Subgroup, canonical_lift, decomposition_subgroup
@@ -49,10 +38,8 @@ from .errors import (
     CapacityError,
     ContainmentError,
     IdentityCheckError,
-    InfiniteModuleError,
     NotFullRankError,
     ParentMismatchError,
-    ScopeError,
 )
 
 RING_ORDER_CAP = 4096
@@ -188,16 +175,6 @@ class IdealLattice:
         return im.hnf_index(self.basis)
 
 
-class Monomial(NamedTuple):
-    """A module (Z/m)^r in monomial form: gens[i] = (perm, units) says
-    that generator i sends e_t to units[t] e_perm[t], and transitive
-    that the generators' permutations join every coordinate to 0."""
-
-    modulus: int
-    gens: tuple
-    transitive: bool
-
-
 def coordinate_orbit(monos, start):
     """The coordinates that the permutations of monos, (perm, units)
     pairs, reach from start, in increasing order."""
@@ -211,110 +188,63 @@ def coordinate_orbit(monos, start):
     return sorted(seen)
 
 
-def _mod_columns(rows, d):
-    """rows with column j reduced mod d[j]: the same map into (+) Z/d_j."""
-    return [[x % m for x, m in zip(row, d)] for row in rows]
+def mono_mul(a, b, m):
+    """The monomial of x -> x A B, for the monomials a of A and b of B,
+    its units reduced mod m."""
+    (pa, ua), (pb, ub) = a, b
+    return tuple([pb[t] for t in pa]), tuple([u * ub[t] % m for u, t in zip(ua, pa)])
+
+
+def mono_pow(a, k, m):
+    """The monomial of x -> x A^k, k >= 0, taken by squaring."""
+    n = len(a[0])
+    out = (tuple(range(n)), (1,) * n)
+    while k:
+        if k & 1:
+            out = mono_mul(out, a, m)
+        k >>= 1
+        if k:
+            a = mono_mul(a, a, m)
+    return out
 
 
 @dataclass(frozen=True)
 class FiniteModule:
-    """Finite module (+) Z/d_i with an abelian group action, in Smith
-    coordinates.
-
-    relations is diag(d) with d_i > 1 and d_i | d_(i+1), so rank is the
-    number of invariants, and the order and every membership test are
-    read off the diagonal.  gen_actions[i] is the integer matrix of the
-    i-th group generator, acting on row vectors from the right.
-    """
+    """The module (Z/m)^rank, m = modulus, with an abelian group action
+    in monomial form: gens[i] = (perm, units) says that the i-th group
+    generator sends e_t to units[t] e_perm[t], units reduced mod m."""
 
     group: FinAbGroup
+    modulus: int
     rank: int
-    relations: tuple
-    gen_actions: tuple
-
-    @classmethod
-    def build(cls, group: FinAbGroup, relations, gen_actions) -> "FiniteModule":
-        """The module Z^n / L, L the span of relations, where generator i
-        acts by gen_actions[i], moved to Smith coordinates and validated.
-        L must be full rank and stable under every action."""
-        n = len(gen_actions[0]) if gen_actions else (len(relations[0]) if relations else 0)
-        mod = cls._in_smith_coordinates(group, n, relations, gen_actions)
-        mod.validate()
-        return mod
-
-    @classmethod
-    def _in_smith_coordinates(cls, group, n, relations, gen_actions) -> "FiniteModule":
-        """Z^n / L in intmat.smith_coordinates (d, P, Q); L A <= L, A -> Q A P."""
-        coords = im.smith_coordinates(relations, n)
-        if coords is None:
-            raise InfiniteModuleError(f"relation lattice has rank < {n}; module is infinite")
-        d, p, q = coords
-        actions = []
-        for gi, a in enumerate(gen_actions):
-            ap = im.mat_mul(a, p)
-            # x lies in L exactly when x P = 0 mod d
-            if any(map(any, _mod_columns([im.vec_mat(r, ap) for r in relations], d))):
-                raise ContainmentError(f"relations not stable under generator {gi}")
-            actions.append(im.frozen(_mod_columns(im.mat_mul(q, ap), d)))
-        return cls(group, len(d), im.frozen(im.diagonal(d)), tuple(actions))
-
-    @property
-    def order(self) -> int:
-        return im.hnf_index(self.relations)
-
-    def invariants(self) -> tuple:
-        return tuple(r[i] for i, r in enumerate(self.relations))
-
-    def exponent(self) -> int:
-        inv = self.invariants()
-        return inv[-1] if inv else 1
+    gens: tuple
 
     @cached_property
-    def monomial(self) -> Monomial:
-        """The monomial form of the action, read once off gen_actions.
+    def transitive(self) -> bool:
+        """Whether the generators' permutations join every coordinate to 0."""
+        return not self.rank or len(coordinate_orbit(self.gens, 0)) == self.rank
 
-        A module is monomial when it is (Z/m)^r and each generator sends
-        every e_t to a unit times one e_t': its matrix has one entry
-        nonzero mod m in each row, in a column that no other row uses.
-        Inertia modules and their p-parts are monomial; any other module
-        raises ScopeError."""
-        m = self.exponent()
-        if any(d != m for d in self.invariants()):
-            raise ScopeError(f"invariants {self.invariants()} are not all equal")
-        gens = []
-        for gi, a in enumerate(self.gen_actions):
-            perm, units = [], []
-            for row in a:
-                cols = [j for j, x in enumerate(row) if x % m]
-                if len(cols) != 1:
-                    raise ScopeError(f"generator {gi} is not monomial on the module")
-                perm.append(cols[0])
-                units.append(row[cols[0]] % m)
-            if len(set(perm)) != self.rank:
-                raise ScopeError(f"generator {gi} does not permute the coordinates")
-            gens.append((tuple(perm), tuple(units)))
-        transitive = not self.rank or len(coordinate_orbit(gens, 0)) == self.rank
-        return Monomial(m, tuple(gens), transitive)
+    def act(self, elem: GroupElement) -> tuple:
+        """(perm, units) of elem: the product of its generators' powers."""
+        m, out = self.modulus, (tuple(range(self.rank)), (1,) * self.rank)
+        for c, a in zip(elem.coords, self.gens):
+            if c:
+                out = mono_mul(out, mono_pow(a, c, m), m)
+        return out
 
     def validate(self):
         """Each generator has order dividing its group factor on the
-        module, and the generators commute: matrix identities that
-        hold column j mod d_j."""
-        d = self.invariants()
-
-        def vanishes(a, b):
-            return not any((x - y) % m for ra, rb in zip(a, b) for x, y, m in zip(ra, rb, d))
-
-        eye = im.identity(self.rank)
-        gens = self.gen_actions
+        module, and the generators commute.  A perm that is not a
+        bijection, or a unit not invertible mod m, has no power equal to
+        the identity, so the order test refuses both."""
+        m, gens = self.modulus, self.gens
+        one = (tuple(range(self.rank)), (1 % m,) * self.rank)
         for gi, (a, order) in enumerate(zip(gens, self.group.factors)):
-            if not vanishes(im.mat_pow(a, order), eye):
-                raise ContainmentError(
-                    f"generator {gi} does not have order dividing {order} on the module"
-                )
+            if mono_pow(a, order, m) != one:
+                raise ContainmentError(f"generator {gi} does not have order dividing {order} on the module")
         for i, a in enumerate(gens):
             for b in gens[i + 1 :]:
-                if not vanishes(im.mat_mul(a, b), im.mat_mul(b, a)):
+                if mono_mul(a, b, m) != mono_mul(b, a, m):
                     raise ContainmentError("generator actions do not commute on the module")
 
 
@@ -328,38 +258,37 @@ def inertia_module(inertia: Subgroup, frob: GroupElement) -> FiniteModule:
     by A_i - 1 for the generators i of I.  So x -> e_0 x maps M onto N (t
     sends e_0 to a unit times e_t), and |M| = |det(a - fbar^-1)| =
     prod_chi (a - chi(fbar)^-1) = m^[G:D] = |N|.  M = N = 0 when m = 1.
-    N is stored as it is written: diag(m)^[G:D] is its own Smith form and
-    every action entry is reduced mod m, so it is validated with no Smith
-    step (FiniteModule.build of the same data gives the same module)."""
+    N is stored as it is written, in monomial form, and validated."""
     dec = decomposition_subgroup(inertia, frob)
     a = 1 + inertia.order
     m = a ** (dec.order // inertia.order) - 1
-    actions = _induced_actions(inertia, dec, frob, pow(a, -1, m), m)
     rank = inertia.group.order // dec.order if m > 1 else 0
-    e0 = [1] + [0] * (rank - 1)
+    mod = FiniteModule(inertia.group, m, rank, _induced_actions(inertia, dec, frob, pow(a, -1, m), m))
     for elem, scale in [(-frob, a), *((i, 1) for i in inertia.generators())] if rank else []:
-        v = e0  # e_0 times the matrix of elem, one generator at a time
-        for c, mat in zip(elem.coords, actions):
-            for _ in range(c):
-                v = [x % m for x in im.vec_mat(v, mat)]
-        if v != [scale % m] + e0[1:]:
+        # e_0 A = units[0] e_perm[0]
+        perm, units = mod.act(elem)
+        if perm[0] != 0 or units[0] != scale % m:
             raise IdentityCheckError(f"e_0 is not killed by a - fbar^-1 and by I at {frob!r}")
-    relations = im.frozen(im.diagonal([m] * rank))
-    mod = FiniteModule(inertia.group, rank, relations, tuple(map(im.frozen, actions)))
     mod.validate()
     return mod
 
 
 def _induced_actions(inertia: Subgroup, dec: Subgroup, frob: GroupElement, unit: int, m: int):
-    """The generator matrices of inertia_module's N, fbar acting as unit."""
+    """The (perm, units) of each group generator on inertia_module's N,
+    fbar acting as unit."""
     lifts = [GroupElement(inertia.group, t) for t in im.hnf_residues(dec.basis)] if m > 1 else []
     index = {t: k for k, t in enumerate(lifts)}
-    steps = {canonical_lift(inertia, frob.scale(j)): j for j in range(dec.order // inertia.order)}
-    actions = []
+    # the lift of j frob mod I -> unit^j
+    twists, u = {}, 1
+    for j in range(dec.order // inertia.order):
+        twists[canonical_lift(inertia, frob.scale(j))] = u
+        u = u * unit % m
+    gens = []
     for g in inertia.group.generators():
-        mat = im.zeros(len(lifts), len(lifts))
-        for row, t in zip(mat, lifts):
+        perm, units = [], []
+        for t in lifts:
             moved = canonical_lift(dec, t + g)
-            row[index[moved]] = pow(unit, steps[canonical_lift(inertia, t + g - moved)], m)
-        actions.append(mat)
-    return actions
+            perm.append(index[moved])
+            units.append(twists[canonical_lift(inertia, t + g - moved)])
+        gens.append((tuple(perm), tuple(units)))
+    return tuple(gens)

@@ -38,8 +38,7 @@ Conventions:
   * smith_coordinates() keeps the invariants d_i > 1 of a full-rank A
     and the matching columns P of V and rows Q of V^-1: x -> x P mod d
     is an isomorphism Z^n / L -> (+) Z/d_i (Cohen, GTM 138, 2.4) with
-    inverse y -> y Q, the coordinates every quotient group and finite
-    module is stored in,
+    inverse y -> y Q, the coordinates quotient groups are stored in,
   * smith_valuations() gives only the p-parts of the Smith invariants
     of a full-rank lattice, by elimination mod p^k with no HNF, each
     working row packed into one int so that a row update is one
@@ -93,17 +92,6 @@ def vec_mat(v, b):
                 if y:
                     acc[j] += x * y
     return acc
-
-
-def mat_pow(a, k):
-    result = identity(len(a))
-    while k:
-        if k & 1:
-            result = mat_mul(result, a)
-        k >>= 1
-        if k:
-            a = mat_mul(a, a)
-    return result
 
 
 def _leading(row, start, width):

@@ -81,16 +81,28 @@ as verify_unit_transport does, and build Z[G] themselves.
 unit_route_outcome maps a route's answer to True or the name of the
 error it raised, so routes can be compared pair by pair.
 
+RefDenseModule is a finite module as the package stored one before it
+kept only the monomial form: (+) Z/d_i, relations diag(d), d_i | d_(i+1),
+and one integer matrix per group generator, column j reduced mod d_j.
+The dense routes below take one, and the subquotients, p-parts and
+chi-components they build need not be monomial.  ref_build_module is
+FiniteModule.build: Z^n / L moved to Smith coordinates (ref_smith_module)
+and validated by matrix identities, with intmat's old mat_pow.
+ref_dense views a monomial module of the package densely.
+
 ref_inertia_presentation and ref_inertia_module are the route
 inertia_module took before it wrote its module down in closed form: the
 HNF of the ideal (a - fbar^-1), a = 1 + #I, in the group ring of the
 quotient G/I, with G acting by translation through the quotient, at
-rank |G/I|; FiniteModule.build then moves it to Smith coordinates.
+rank |G/I|; ref_build_module then moves it to Smith coordinates.
 
 ref_action_matrix is FiniteModule.action_matrix as it was before the
 module cached a table of every element's matrix (intmat spelled out):
-the product of the generator matrices' powers, unreduced.  The package
-dropped action_matrix once its Tate route composed monomials instead.
+the product of the generator matrices' powers, unreduced.
+ref_dense_chi_idempotent_matrix is chi_idempotent_matrix on a dense
+module: the trace coefficients times the unreduced matrices of the
+prime-to-p part's elements.  The package dropped action_matrix once
+its Tate route composed monomials instead.
 ref_tate_order is the order of top / bottom for a lattice pair, the
 ratio of the two indices, which no route of the package reads.
 ref_norm_matrix is the element sum that the dense norm was before it
@@ -195,6 +207,7 @@ groups were taken over every Sylow subgroup of G.
 """
 
 from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -202,6 +215,7 @@ from math import gcd, lcm
 import grlat.intmat as im
 from grlat import polys
 from grlat.abelian import (
+    FinAbGroup,
     GroupElement,
     Subgroup,
     decomposition_subgroup,
@@ -210,25 +224,28 @@ from grlat.abelian import (
     prime_factors,
     quotient_data,
     sylow,
+    sylow_complement,
 )
 from grlat.cli import fmt_elem, fmt_sub
 from grlat.cohomology import (
     CriterionReport,
     CriterionRow,
+    _chi_exponent_at,
     _predicted_component_triviality,
+    _root_power_traces,
     character_classes,
-    chi_idempotent_matrix,
     complement_generators,
 )
 from grlat.errors import (
     ContainmentError,
     IdentityCheckError,
+    InfiniteModuleError,
     NotFullRankError,
     ParentMismatchError,
     ScopeError,
     UnitNotFoundError,
 )
-from grlat.grouprings import FiniteModule, GroupRingElem, IdealLattice, group_ring, inertia_module
+from grlat.grouprings import GroupRingElem, IdealLattice, group_ring, inertia_module
 from grlat.lattices import ExtensionReport, KernelReport, backward_rep
 from grlat.monoid import DecompositionPair, InertiaPair
 from grlat.polys import poly_divmod_monic, trim
@@ -871,7 +888,86 @@ def ref_inertia_presentation(inertia, frob):
 
 
 def ref_inertia_module(inertia, frob):
-    return FiniteModule.build(inertia.group, *ref_inertia_presentation(inertia, frob))
+    return ref_build_module(inertia.group, *ref_inertia_presentation(inertia, frob))
+
+
+# -- dense modules in Smith coordinates ------------------------------------------
+
+
+def mat_pow(a, k):
+    result = im.identity(len(a))
+    while k:
+        if k & 1:
+            result = im.mat_mul(result, a)
+        k >>= 1
+        if k:
+            a = im.mat_mul(a, a)
+    return result
+
+
+@dataclass(frozen=True)
+class RefDenseModule:
+    group: FinAbGroup
+    rank: int
+    relations: tuple
+    gen_actions: tuple
+
+    @property
+    def order(self) -> int:
+        return im.hnf_index(self.relations)
+
+    def invariants(self) -> tuple:
+        return tuple(r[i] for i, r in enumerate(self.relations))
+
+    def exponent(self) -> int:
+        return max(self.invariants(), default=1)
+
+
+def ref_smith_module(group, n, relations, gen_actions):
+    """Z^n / L in intmat.smith_coordinates (d, P, Q); L A <= L, A -> Q A P."""
+    coords = im.smith_coordinates(relations, n)
+    if coords is None:
+        raise InfiniteModuleError(f"relation lattice has rank < {n}; module is infinite")
+    d, p, q = coords
+    actions = []
+    for gi, a in enumerate(gen_actions):
+        ap = im.mat_mul(a, p)
+        # x lies in L exactly when x P = 0 mod d; column j is read mod d_j
+        if any(x % m for r in relations for x, m in zip(im.vec_mat(r, ap), d)):
+            raise ContainmentError(f"relations not stable under generator {gi}")
+        actions.append(im.frozen([[x % m for x, m in zip(row, d)] for row in im.mat_mul(q, ap)]))
+    return RefDenseModule(group, len(d), im.frozen(im.diagonal(d)), tuple(actions))
+
+
+def ref_build_module(group, relations, gen_actions):
+    """ref_smith_module of Z^n / L, validated: each generator has order
+    dividing its group factor, and the generators commute, column j
+    compared mod d_j."""
+    n = len(gen_actions[0]) if gen_actions else (len(relations[0]) if relations else 0)
+    mod = ref_smith_module(group, n, relations, gen_actions)
+    d, gens = mod.invariants(), mod.gen_actions
+
+    def vanishes(a, b):
+        return not any((x - y) % m for ra, rb in zip(a, b) for x, y, m in zip(ra, rb, d))
+
+    for gi, (a, order) in enumerate(zip(gens, group.factors)):
+        if not vanishes(mat_pow(a, order), im.identity(mod.rank)):
+            raise ContainmentError(f"generator {gi} does not have order dividing {order} on the module")
+    if not all(vanishes(im.mat_mul(a, b), im.mat_mul(b, a)) for i, a in enumerate(gens) for b in gens[i + 1 :]):
+        raise ContainmentError("generator actions do not commute on the module")
+    return mod
+
+
+def ref_dense(module):
+    """A monomial module of the package as a RefDenseModule."""
+    n, m = module.rank, module.modulus
+    actions = []
+    for perm, units in module.gens:
+        mat = im.zeros(n, n)
+        for row, j, u in zip(mat, perm, units):
+            row[j] = u
+        actions.append(im.frozen(mat))
+    return RefDenseModule(module.group, n, im.frozen(im.diagonal([m] * n)), tuple(actions))
 
 
 # -- the tate sweep, one row at a time ----------------------------------------
@@ -888,7 +984,7 @@ def ref_tate_rows(fam):
     group = fam.group
     rows = []
     for pair in fam.stilde:
-        mod = inertia_module(pair.inertia, pair.frob)
+        mod = ref_dense(inertia_module(pair.inertia, pair.frob))
         for h in fam.subgroups:
             t = ref_dense_tate_cohomology(mod, h)
             big, c = ref_prediction_data(group, pair.inertia, pair.frob, h)
@@ -1086,7 +1182,7 @@ def ref_action_matrix(self, elem):
     out = im.identity(self.rank)
     for c, a in zip(elem.coords, self.gen_actions):
         if c:
-            out = im.mat_mul(out, im.mat_pow([list(r) for r in a], c))
+            out = im.mat_mul(out, mat_pow([list(r) for r in a], c))
     return out
 
 
@@ -1203,7 +1299,7 @@ def ref_subquotient(module, big, small):
             raise ContainmentError("sublattice not contained in the big lattice")
         return c
     actions = [[coords(im.vec_mat(r, a)) for r in big] for a in module.gen_actions]
-    return module._in_smith_coordinates(module.group, k, [coords(r) for r in small], actions)
+    return ref_smith_module(module.group, k, [coords(r) for r in small], actions)
 
 
 def ref_with_extra_relations(module, extra_rows):
@@ -1247,12 +1343,27 @@ def ref_chi_component(module, chi):
         raise ScopeError("module is not p-primary; take its p-part first")
     if e == 0:
         return module
-    ep = chi_idempotent_matrix(module, chi, e)
+    ep = ref_dense_chi_idempotent_matrix(module, chi, e)
     n = module.rank
     extra = [
         [(1 if i == j else 0) - ep[i][j] for j in range(n)] for i in range(n)
     ]
     return ref_with_extra_relations(module, extra)
+
+
+def ref_dense_chi_idempotent_matrix(module, chi, prec):
+    p, q, m = chi.p, chi.p**prec, chi.order
+    gens = complement_generators(module.group, p)
+    part = sylow_complement(module.group, p)
+    inv_size = pow(part.order % q, -1, q) if q > 1 else 0
+    traces = _root_power_traces(m, p, prec)
+    out = im.zeros(module.rank, module.rank)
+    for d in part.elements():
+        coeff = traces[-_chi_exponent_at(chi, gens, d.coords) % m] * inv_size % q
+        for row, arow in zip(out, ref_action_matrix(module, d)):
+            for j, x in enumerate(arow):
+                row[j] += coeff * x
+    return [[x % q for x in row] for row in out]
 
 
 def ref_triviality_criterion(module, inertia, frob, p):

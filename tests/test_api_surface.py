@@ -33,7 +33,6 @@ ALLOWED = {
     ("abelian", "Subgroup.full"): "README-documented API",
     ("abelian", "quotient_data"): QUOTIENT_DATA,
     ("abelian", "QuotientData.proj"): QUOTIENT_DATA,
-    ("grouprings", "FiniteModule.build"): "README-documented API",
     ("monoid", "cardinality_formulas"): "acceptance criterion 2 checks the cardinality formulas with it",
 }
 

@@ -264,15 +264,23 @@ def test_tate_rows_take_no_subquotient_or_smith_form(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["2,2,8", "256"])
 def test_tate_rows_multiply_no_matrices_and_search_no_generator(spec, monkeypatch):
-    # once the modules are built, a tate row composes monomials: no dense
-    # product, power or vector-matrix product, and no coset walk (the
-    # generator search of the whole-pair verdict walked hnf_residues)
+    # the inertia modules are written and validated as monomials, and a
+    # tate row composes them: no dense product or vector-matrix product
+    # (intmat has no matrix power at all), and no coset walk in a row
+    # (the generator search of the whole-pair verdict walked
+    # hnf_residues, which the modules use to list their coordinates)
+    assert not hasattr(im, "mat_pow")
+    calls = []
+
+    def spy(*names):
+        for name in names:
+            monkeypatch.setattr(im, name, lambda *args, name=name: calls.append(name))
+
+    spy("mat_mul", "vec_mat")
     fam = build_pair_sets(cli.parse_group_spec(spec))
     inputs = cli._SweepInputs(fam, ["tate", "triviality"])
     assert len(inputs.modules()) == len(fam.stilde)
-    calls = []
-    for name in ("mat_mul", "mat_pow", "vec_mat", "hnf_residues"):
-        monkeypatch.setattr(im, name, lambda *args, name=name: calls.append(name))
+    spy("hnf_residues")
     rows = cli._tate_rows(inputs)
     assert len(rows) == len(fam.stilde) * len(fam.subgroups) and {r[-1] for r in rows} == {"pass"}
     assert calls == []

@@ -20,7 +20,7 @@ from sympy.abc import X
 
 from grlat import intmat
 from grlat.abelian import Subgroup, decomposition_subgroup, make_group, prime_factors
-from grlat.cohomology import _element_monomial, p_part
+from grlat.cohomology import p_part
 from grlat.errors import (
     CapacityError,
     ContainmentError,
@@ -41,7 +41,9 @@ from grlat.grouprings import (
 from grlat.monoid import build_pair_sets, build_sets
 from reference import (
     ref_action_matrix,
+    ref_build_module,
     ref_delta,
+    ref_dense,
     ref_det,
     ref_mult_matrix,
     ref_norm_element,
@@ -109,7 +111,7 @@ def test_ideal_lattice_gamma_stable():
 def test_regular_quotient_invariants_anchor():
     r = ring_of([3])
     three = IdealLattice.from_elements(r, [ref_one(r).scale(3)])
-    mod = FiniteModule.build(r.group, three.basis, [ref_mult_matrix(r, ref_delta(r, g)) for g in r.group.generators()])
+    mod = ref_build_module(r.group, three.basis, [ref_mult_matrix(r, ref_delta(r, g)) for g in r.group.generators()])
     # 3 Z[Z/3] inside Z[Z/3]: quotient is (Z/3)^3
     assert mod.invariants() == (3, 3, 3)
     assert mod.order == 27
@@ -119,30 +121,33 @@ def test_inertia_module_anchors():
     # full inertia over Z/3 with trivial frobenius: Z[G/G]/(1 - 1 + 3) = Z/3
     r3 = ring_of([3])
     m = inertia_module(Subgroup.full(r3.group), r3.group.zero())
-    assert m.order == 3
-    assert m.invariants() == (3,)
+    assert (m.modulus, m.rank) == (3, 1)
     # order-3 inertia inside Z/9 with frobenius generating the quotient
     r9 = ring_of([9])
     inertia = Subgroup.from_generators(r9.group, [r9.group.element((3,))])
     m = inertia_module(inertia, r9.group.element((1,)))
-    assert m.order == 63
+    assert (m.modulus, m.rank) == (63, 1)
 
 
 def test_inertia_module_cardinality_lift_independent():
     r9 = ring_of([9])
     inertia = Subgroup.from_generators(r9.group, [r9.group.element((3,))])
     orders = {
-        inertia_module(inertia, r9.group.element((k,))).order for k in (1, 4, 7)
+        inertia_module(inertia, r9.group.element((k,))).modulus for k in (1, 4, 7)
     }
     assert orders == {63}
 
 
-@pytest.mark.parametrize("factors", [[9], [27], [3, 3], [15], [3, 9], [2, 2, 8]], ids=str)
+# the criterion-4/5 catalogue, then larger and mixed-prime groups
+MODULE_GROUPS = ([9], [27], [3, 3], [15], [3, 9], [2, 2, 8], [4, 16], [3, 27], [12], [21], [28])
+
+
+@pytest.mark.parametrize("factors", MODULE_GROUPS, ids=str)
 def test_inertia_module_is_the_built_module_of_its_presentation(factors, monkeypatch):
-    # the criterion-4/5 catalogue and 2,2,8: inertia_module stores
-    # diag(m)^[G:D] and the induced actions as written, with no Smith
-    # form, and FiniteModule.build of the same relations and actions
-    # gives the same module
+    # inertia_module writes (Z/m)^[G:D] and the induced monomials down
+    # with no Smith form, and viewed densely it is the module that the
+    # reference builds, Smith step and dense validation included, from
+    # diag(m)^[G:D] and the matrices of the same monomials
     g = make_group(factors)
     pairs = build_pair_sets(g).stilde
     built = []
@@ -150,8 +155,9 @@ def test_inertia_module_is_the_built_module_of_its_presentation(factors, monkeyp
         dec = decomposition_subgroup(pair.inertia, pair.frob)
         a = 1 + pair.inertia.order
         m = a ** (dec.order // pair.inertia.order) - 1
-        actions = _induced_actions(pair.inertia, dec, pair.frob, pow(a, -1, m), m)
-        built.append(FiniteModule.build(g, intmat.diagonal([m] * (g.order // dec.order)), actions))
+        gens = _induced_actions(pair.inertia, dec, pair.frob, pow(a, -1, m), m)
+        written = ref_dense(FiniteModule(g, m, g.order // dec.order if m > 1 else 0, gens))
+        built.append(ref_build_module(g, written.relations, written.gen_actions))
     calls = []
     real_snf = intmat.snf_with_transform
 
@@ -162,40 +168,52 @@ def test_inertia_module_is_the_built_module_of_its_presentation(factors, monkeyp
     monkeypatch.setattr(intmat, "snf_with_transform", snf)
     direct = [inertia_module(pair.inertia, pair.frob) for pair in pairs]
     assert calls == []
-    assert direct == built
+    assert [ref_dense(mod) for mod in direct] == built
 
 
 def test_finite_module_rejects_infinite():
     g = make_group([2])
     with pytest.raises(InfiniteModuleError):
-        FiniteModule.build(g, [[0, 0], [0, 0]], [[[0, 1], [1, 0]]])
+        ref_build_module(g, [[0, 0], [0, 0]], [[[0, 1], [1, 0]]])
 
 
 def test_finite_module_validates_action_stability():
     g = make_group([2])
     # relations 2Z x 4Z are not stable under the swap action
     with pytest.raises(ContainmentError):
-        FiniteModule.build(g, [[2, 0], [0, 4]], [[[0, 1], [1, 0]]])
+        ref_build_module(g, [[2, 0], [0, 4]], [[[0, 1], [1, 0]]])
 
 
 def test_finite_module_validates_generator_order():
     g = make_group([2])
-    # multiplication by 2 on Z/5 keeps 5Z but has order 4, not dividing 2
+    # multiplication by 2 on Z/5 has order 4, not dividing 2; the power
+    # is taken as a monomial, as the element 2 e_0 of C2 is the identity
+    mod = FiniteModule(g, 5, 1, (((0,), (2,)),))
     with pytest.raises(ContainmentError, match="order dividing 2"):
-        FiniteModule.build(g, [[5]], [[[2]]])
+        mod.validate()
+    FiniteModule(g, 5, 1, (((0,), (4,)),)).validate()
 
 
 def test_finite_module_validates_commutation():
     g = make_group([2, 2])
     # the swap and diag(1, -1) are involutions on (Z/3)^2 that do not commute
+    mod = FiniteModule(g, 3, 2, (((1, 0), (1, 1)), ((0, 1), (1, 2))))
     with pytest.raises(ContainmentError, match="do not commute"):
-        FiniteModule.build(g, [[3, 0], [0, 3]], [[[0, 1], [1, 0]], [[1, 0], [0, 2]]])
+        mod.validate()
+
+
+def test_finite_module_validate_refuses_a_perm_that_is_not_a_bijection():
+    # e_0 and e_1 both sent to e_0: no power of the map is the identity
+    g = make_group([2])
+    mod = FiniteModule(g, 3, 2, (((0, 0), (1, 1)),))
+    with pytest.raises(ContainmentError, match="order dividing 2"):
+        mod.validate()
 
 
 def test_subquotient_matches_index():
     r = ring_of([4])
     actions = [ref_mult_matrix(r, ref_delta(r, g)) for g in r.group.generators()]
-    parent = FiniteModule.build(r.group, intmat.diagonal([8] * r.n), actions)
+    parent = ref_build_module(r.group, intmat.diagonal([8] * r.n), actions)
     small = IdealLattice.from_elements(r, [ref_one(r).scale(2)])
     mod = ref_subquotient(parent, intmat.identity(r.n), small.basis)
     assert mod.invariants() == (2, 2, 2, 2)
@@ -365,21 +383,27 @@ def test_translate_rejects_foreign_element():
 # -- element monomials against per-element mat_pow products -----------------
 
 
-@pytest.mark.parametrize("factors", [[8], [2, 4], [3, 3], [2, 6], [12], [15], [2, 2, 2]])
+# the earlier groups of this test, then the rest of MODULE_GROUPS
+@pytest.mark.parametrize(
+    "factors",
+    [[8], [2, 4], [3, 3], [2, 6], [12], [15], [2, 2, 2], [9], [27], [3, 9], [2, 2, 8], [4, 16], [3, 27], [21], [28]],
+)
 def test_element_monomials_match_mat_pow_products(factors):
-    # every inertia module and each of its p-parts is monomial, and the
-    # monomial of every element, composed from the generators' by
-    # squaring, is its dense matrix reduced mod m
+    # every inertia module and each of its p-parts is transitive, and
+    # the monomial of every element, composed from the generators' by
+    # squaring, is its dense matrix, a product of mat_pow powers of the
+    # generator matrices, reduced mod m
     g = make_group(factors)
+    elems = list(g.elements())
     for pair in build_sets(g).stilde:
         mod = inertia_module(pair.inertia, pair.frob)
         for m in [mod, *(p_part(mod, p) for p in prime_factors(g.order))]:
-            modulus, n = m.monomial.modulus, m.rank
-            assert m.monomial.transitive
-            for e in g.elements():
-                perm, units = _element_monomial(m, e)
-                dense = [[0] * n for _ in range(n)]
+            assert m.transitive
+            dense_m = ref_dense(m)
+            for e in elems:
+                perm, units = m.act(e)
+                dense = [[0] * m.rank for _ in range(m.rank)]
                 for t, (j, u) in enumerate(zip(perm, units)):
                     dense[t][j] = u
-                want = [[x % modulus for x in row] for row in ref_action_matrix(m, e)]
+                want = [[x % m.modulus for x in row] for row in ref_action_matrix(dense_m, e)]
                 assert dense == want, (factors, pair, e)
