@@ -233,13 +233,15 @@ class FiniteModule:
         return out
 
     def validate(self):
-        """Each generator has order dividing its group factor on the
-        module, and the generators commute.  A perm that is not a
-        bijection, or a unit not invertible mod m, has no power equal to
-        the identity, so the order test refuses both."""
-        m, gens = self.modulus, self.gens
-        one = (tuple(range(self.rank)), (1 % m,) * self.rank)
+        """Each generator has order dividing its group factor, and the
+        generators commute.  Past a check of lengths and perm entries, a
+        perm that is not a bijection or a unit not invertible mod m has no
+        power equal to the identity, so the order test refuses both."""
+        n, m, gens = self.rank, self.modulus, self.gens
+        one = (tuple(range(n)), (1 % m,) * n)
         for gi, (a, order) in enumerate(zip(gens, self.group.factors)):
+            if len(a[0]) != n or len(a[1]) != n or not all(0 <= t < n for t in a[0]):
+                raise ContainmentError(f"generator {gi} is not a monomial map of (Z/{m})^{n}")
             if mono_pow(a, order, m) != one:
                 raise ContainmentError(f"generator {gi} does not have order dividing {order} on the module")
         for i, a in enumerate(gens):

@@ -99,10 +99,11 @@ rank |G/I|; ref_build_module then moves it to Smith coordinates.
 ref_action_matrix is FiniteModule.action_matrix as it was before the
 module cached a table of every element's matrix (intmat spelled out):
 the product of the generator matrices' powers, unreduced.
-ref_dense_chi_idempotent_matrix is chi_idempotent_matrix on a dense
-module: the trace coefficients times the unreduced matrices of the
-prime-to-p part's elements.  The package dropped action_matrix once
-its Tate route composed monomials instead.
+ref_chi_idempotent_matrix is chi_idempotent_matrix on a dense module:
+an odometer over the powers of the prime-to-p generators, each trace
+coefficient, read off chi's values there, times the element's matrix.
+The package dropped action_matrix once its Tate route composed
+monomials instead.
 ref_tate_order is the order of top / bottom for a lattice pair, the
 ratio of the two indices, which no route of the package reads.
 ref_norm_matrix is the element sum that the dense norm was before it
@@ -209,8 +210,8 @@ groups were taken over every Sylow subgroup of G.
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from math import gcd, lcm
+from itertools import chain, product
+from math import gcd, lcm, prod
 
 import grlat.intmat as im
 from grlat import polys
@@ -224,13 +225,11 @@ from grlat.abelian import (
     prime_factors,
     quotient_data,
     sylow,
-    sylow_complement,
 )
 from grlat.cli import fmt_elem, fmt_sub
 from grlat.cohomology import (
     CriterionReport,
     CriterionRow,
-    _chi_exponent_at,
     _predicted_component_triviality,
     _root_power_traces,
     character_classes,
@@ -961,13 +960,10 @@ def ref_build_module(group, relations, gen_actions):
 def ref_dense(module):
     """A monomial module of the package as a RefDenseModule."""
     n, m = module.rank, module.modulus
-    actions = []
-    for perm, units in module.gens:
-        mat = im.zeros(n, n)
-        for row, j, u in zip(mat, perm, units):
-            row[j] = u
-        actions.append(im.frozen(mat))
-    return RefDenseModule(module.group, n, im.frozen(im.diagonal([m] * n)), tuple(actions))
+    actions = tuple(
+        im.frozen([[u * (k == j) for k in range(n)] for j, u in zip(perm, units)]) for perm, units in module.gens
+    )
+    return RefDenseModule(module.group, n, im.frozen(im.diagonal([m] * n)), actions)
 
 
 # -- the tate sweep, one row at a time ----------------------------------------
@@ -1343,27 +1339,29 @@ def ref_chi_component(module, chi):
         raise ScopeError("module is not p-primary; take its p-part first")
     if e == 0:
         return module
-    ep = ref_dense_chi_idempotent_matrix(module, chi, e)
-    n = module.rank
-    extra = [
-        [(1 if i == j else 0) - ep[i][j] for j in range(n)] for i in range(n)
-    ]
+    ep = ref_chi_idempotent_matrix(module, chi, e)
+    extra = [[(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(ep)]
     return ref_with_extra_relations(module, extra)
 
 
-def ref_dense_chi_idempotent_matrix(module, chi, prec):
-    p, q, m = chi.p, chi.p**prec, chi.order
-    gens = complement_generators(module.group, p)
-    part = sylow_complement(module.group, p)
-    inv_size = pow(part.order % q, -1, q) if q > 1 else 0
+def ref_chi_idempotent_matrix(module, chi, prec):
+    p, q, m, group = chi.p, chi.p**prec, chi.order, module.group
+    gens = complement_generators(group, p)
+    orders = tuple(mj for _, _, mj in gens)
+    if orders != chi.gen_orders:
+        raise ParentMismatchError("character domain does not match group")
+    inv_size = pow(prod(orders) % q, -1, q) if q > 1 else 0
     traces = _root_power_traces(m, p, prec)
+    cexp = [b * m // mj % m for b, mj in zip(chi.values, orders)]  # chi(gens[i]) = zeta_m ^ cexp[i]
     out = im.zeros(module.rank, module.rank)
-    for d in part.elements():
-        coeff = traces[-_chi_exponent_at(chi, gens, d.coords) % m] * inv_size % q
-        for row, arow in zip(out, ref_action_matrix(module, d)):
-            for j, x in enumerate(arow):
-                row[j] += coeff * x
-    return [[x % q for x in row] for row in out]
+    for ys in product(*map(range, orders)):
+        coords = [0] * group.rank
+        for (j, s, _), y in zip(gens, ys):
+            coords[j] = s * y
+        coeff = traces[-sum(y * c for y, c in zip(ys, cexp)) % m] * inv_size % q
+        act = ref_action_matrix(module, group.element(tuple(coords)))
+        out = [[(x + coeff * a) % q for x, a in zip(row, arow)] for row, arow in zip(out, act)]
+    return out
 
 
 def ref_triviality_criterion(module, inertia, frob, p):

@@ -56,9 +56,9 @@ from reference import (
     ref_action_matrix,
     ref_build_module,
     ref_chi_component,
+    ref_chi_idempotent_matrix,
     ref_delta,
     ref_dense,
-    ref_dense_chi_idempotent_matrix,
     ref_dense_tate_cohomology,
     ref_find_cyclic_generator,
     ref_geometric_norm_matrix,
@@ -388,7 +388,7 @@ def test_closed_form_p_parts_and_chi_idempotents_match_the_dense_routes(factors)
             assert dense == ref_p_part(ref_dense(mod), p), (factors, pair, p)
             k = p_split(mp.modulus, p)[0]
             for chi in character_classes(g, p) if k else ():
-                want = ref_dense_chi_idempotent_matrix(dense, chi, k)
+                want = ref_chi_idempotent_matrix(dense, chi, k)
                 assert chi_idempotent_matrix(mp, chi, k) == want, (factors, pair, p, chi)
                 idempotents += 1
     assert idempotents
@@ -670,85 +670,12 @@ def test_norm_and_generator_search_match_the_whole_group_routes(factors):
                 assert (x is None, full) == (ref_x is None, ref_full), (factors, pair, h)
 
 
-# -- reference: the chi idempotent from per-generator power tables ----------
-# Verbatim copies of the generator list and the odometer over mod-q power
-# tables that the sum over the prime-to-p part replaced, less the final
-# idempotency assert (now a PrecisionError in the tested code).
-
-
-def ref_complement_generators(group, p):
-    gens = []
-    orders = []
-    for j, d in enumerate(group.factors):
-        e, m = p_split(d, p)
-        if m > 1:
-            coords = [0] * group.rank
-            coords[j] = p**e
-            gens.append(group.element(tuple(coords)))
-            orders.append(m)
-    return gens, orders
-
-
-def ref_chi_idempotent_matrix(module, chi, prec):
-    p = chi.p
-    q = p**prec
-    gens, orders = ref_complement_generators(module.group, p)
-    if tuple(orders) != chi.gen_orders:
-        raise ParentMismatchError("character domain does not match group")
-    n = module.rank
-    size = 1
-    for mi in orders:
-        size *= mi
-    inv_size = pow(size % q, -1, q) if q > 1 else 0
-    m = chi.order
-    traces = _root_power_traces(m, p, prec)
-    # chi(gens[i]) = zeta_m ^ cexp[i]
-    cexp = []
-    for b, mi in zip(chi.values, orders):
-        assert (b * m) % mi == 0
-        cexp.append((b * m // mi) % m)
-    gen_pows = []
-    for g, mi in zip(gens, orders):
-        a = ref_action_matrix(module, g)
-        pows = [im.identity(n)]
-        for _ in range(mi - 1):
-            nxt = im.mat_mul(pows[-1], a)
-            pows.append([[x % q for x in row] for row in nxt])
-        gen_pows.append(pows)
-    out = im.zeros(n, n)
-    coords = [0] * len(orders)
-    while True:
-        e_val = 0
-        for y, c in zip(coords, cexp):
-            e_val = (e_val + y * c) % m
-        coeff = (traces[(-e_val) % m] * inv_size) % q
-        if coeff:
-            act = im.identity(n)
-            for pows, y in zip(gen_pows, coords):
-                if y:
-                    act = im.mat_mul(act, pows[y])
-            for i in range(n):
-                row = out[i]
-                arow = act[i]
-                for j in range(n):
-                    row[j] = (row[j] + coeff * arow[j]) % q
-        k = len(coords) - 1
-        while k >= 0:
-            coords[k] += 1
-            if coords[k] < orders[k]:
-                break
-            coords[k] = 0
-            k -= 1
-        if k < 0:
-            break
-    return out
-
-
 @pytest.mark.parametrize("factors", [[6], [12], [15], [3, 6], [2, 6]])
 def test_chi_idempotents_match_power_tables_and_sum_to_one(factors):
-    # a module map is only defined mod the modulus, and the monomials
-    # reduce their units there, so past the p-part's own precision e the
-    # matrices are compared mod p^e
+    # the monomials compose their units mod the modulus and the dense
+    # products do not, so past the p-part's own precision e an idempotent
+    # is compared with the dense one mod p^e; the sum over chi is the
+    # identity mod p^prec whatever the units are
     g = make_group(factors)
     for pair in build_sets(g).stilde:
         mod = inertia_module(pair.inertia, pair.frob)
@@ -756,13 +683,13 @@ def test_chi_idempotents_match_power_tables_and_sum_to_one(factors):
             mp = p_part(mod, p)
             e, _ = p_split(mp.modulus, p)
             for prec in {max(e, 1), e + 1}:
-                q = gcd(p**prec, mp.modulus)
+                q = p**prec
                 total = im.zeros(mp.rank, mp.rank)
                 for chi in character_classes(g, p):
                     ep = chi_idempotent_matrix(mp, chi, prec)
                     want = ref_chi_idempotent_matrix(ref_dense(mp), chi, prec)
                     assert all(
-                        (x - y) % q == 0 for r, s in zip(ep, want) for x, y in zip(r, s)
+                        (x - y) % gcd(q, mp.modulus) == 0 for r, s in zip(ep, want) for x, y in zip(r, s)
                     ), (factors, pair, p, chi)
                     total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, ep)]
                 assert all(

@@ -208,6 +208,11 @@ def test_finite_module_validate_refuses_a_perm_that_is_not_a_bijection():
     mod = FiniteModule(g, 3, 2, (((0, 0), (1, 1)),))
     with pytest.raises(ContainmentError, match="order dividing 2"):
         mod.validate()
+    # entries past the rank or below 0, and units of the wrong length,
+    # are refused before any composition reads them
+    for gen in (((0, 5), (1, 1)), ((-1, 0), (1, 1)), ((1, 0), (1,))):
+        with pytest.raises(ContainmentError, match="not a monomial map"):
+            FiniteModule(g, 3, 2, (gen,)).validate()
 
 
 def test_subquotient_matches_index():
