@@ -4,16 +4,17 @@ A group is a chain of invariant factors d_1 | d_2 | ... | d_k, all >= 2,
 and its elements are coordinate tuples mod the d_i.  A subgroup is stored
 as the canonical row-HNF basis of its preimage lattice L with
 diag(d) Z^k <= L <= Z^k: a square upper-triangular matrix with its
-pivots on the diagonal.  A join is one lattice sum (see intmat), and
-the order (a pivot product), membership and the canonical coset lift
-are read off the stored basis by reduction, with no second HNF.  Its
-residues (intmat.hnf_residues) are a transversal of G/S made of
-canonical lifts, and enumerate_subgroups builds each of these bases
-once, directly.  Whether S, its Sylow subgroups or G/S are cyclic is
-read off element orders, with no Smith form: the exponent of S is the
-lcm of the orders of its generators, and that of G/S the lcm of the
-orders of the cosets e_j + S, each read off the basis one column at a
-time (intmat.hnf_order).  quotient_data reads a quotient G/S in the
+pivots on the diagonal.  The order (a pivot product), membership and
+the canonical coset lift are read off the stored basis by reduction,
+with no second HNF.  Its residues (intmat.hnf_residues) are a
+transversal of G/S made of canonical lifts, and enumerate_subgroups
+builds each of these bases once, directly.  The only join is I + <frob>
+(decomposition_subgroup); meets are read off the subgroups' element
+bitmasks (monoid.PairSets.meet).  Whether S, its Sylow subgroups or
+G/S are cyclic is read off element orders, with no Smith form: the
+exponent of S is the lcm of the orders of its generators, and that of
+G/S the lcm of the orders of the cosets e_j + S, each read off the
+basis one column at a time (intmat.hnf_order).  quotient_data reads a quotient G/S in the
 Smith coordinates of S's basis (intmat.smith_coordinates):
 x -> x P mod d.  No command calls it: the package names each coset of
 S by its canonical lift.
@@ -318,10 +319,6 @@ class Subgroup:
             raise ParentMismatchError("element from a different group")
         return self._spans(elem.coords)
 
-    def join(self, other: "Subgroup") -> "Subgroup":
-        self._check(other)
-        return Subgroup(self.group, im.lattice_sum(self.basis, other.basis))
-
     def elements(self) -> list[GroupElement]:
         if self.order > ELEMENT_CAP:
             raise CapacityError(f"subgroup of order {self.order} exceeds cap {ELEMENT_CAP}")
@@ -345,10 +342,6 @@ class Subgroup:
             GroupElement(self.group, c)
             for c in sorted(pts, key=lambda c: c[::-1])
         ]
-
-    def _check(self, other):
-        if self.group != other.group:
-            raise ParentMismatchError("subgroups of different groups")
 
     def __eq__(self, other):
         return other is self or (

@@ -18,13 +18,7 @@ import sys
 from importlib import resources
 
 from .abelian import ELEMENT_CAP, is_prime, make_group, p_split, prime_factors
-from .cohomology import (
-    prediction_data,
-    prediction_verdict,
-    tate_cohomology,
-    tate_key,
-    triviality_criterion,
-)
+from .cohomology import prediction_verdict, triviality_criterion
 from .errors import (
     CapacityError,
     GrlatError,
@@ -142,26 +136,20 @@ class _SweepInputs:
 
 
 def _tate_rows(inputs):
-    # keys are taken per inertia group (stilde is sorted by it), statuses
-    # per key of a pair, each read off the H-orbit of coordinate 0, and
-    # B = D + (H + I) once per (D, H + I) of the command
+    # the statuses of a pair depend on H only through (H meet D, #(H meet
+    # I)): D is the stabiliser of coordinate 0, and H meet D and c decide
+    # the verdict (cohomology.prediction_verdict)
     fam = inputs.fam
     rows = []
-    inertia = keys = None
-    bigs = {}
     names = [fmt_sub(h) for h in fam.subgroups]
     for pair, proj, mod in zip(fam.stilde, fam.projection, inputs.modules()):
-        if pair.inertia != inertia:
-            inertia, inertia_name = pair.inertia, fmt_sub(pair.inertia)
-            keys = [tate_key(inertia, h) for h in fam.subgroups]
-        dec, frob_name = fam.s_pairs[proj].dec, fmt_elem(pair.frob)
+        dec = fam.s_pairs[proj].dec
+        inertia_name, frob_name = fmt_sub(pair.inertia), fmt_elem(pair.frob)
         statuses = {}
-        for h, key, name in zip(fam.subgroups, keys, names):
+        for h, name in zip(fam.subgroups, names):
+            key = (fam.meet(h, dec), fam.meet(h, pair.inertia).order)
             if key not in statuses:
-                big = bigs.get((dec, key[0]))
-                if big is None:
-                    big = bigs[dec, key[0]] = prediction_data(dec, key)[0]
-                verdicts = prediction_verdict(mod, tate_cohomology(mod, h, 0), big, key[1])
+                verdicts = prediction_verdict(mod, dec, *key)
                 statuses[key] = "pass" if verdicts == ("pass", "pass") else ";".join(verdicts)
             rows.append(["tate", inertia_name, frob_name, name, statuses[key]])
     return rows
@@ -291,18 +279,20 @@ def cmd_spectrum(args) -> dict:
     # a bad n is a usage error, refused first; sample_spectrum then
     # refuses a ring past the ring cap, a bad p, r, --coeff-exp or
     # --samples and a run past the cost cap, all before its first draw
-    # (predicted_membership checks n again per sample)
     if args.n < 1:
         raise ScopeError("n must be at least 1")
     samples = sample_spectrum(args.p, args.r, args.coeff_exp, args.samples, args.seed)
     histogram = {}
-    oracle = membership = claims = rejections = 0
+    oracle = claims = rejections = 0
     for s in samples:
         histogram[s.total] = histogram.get(s.total, 0) + 1
         oracle += s.total == s.snf_total
-        membership += predicted_membership(s.total, args.p, args.r, args.n)
         claims += verify_claims(s).ok
         rejections += s.attempts - 1
+    # membership depends on the total alone: one test per distinct total
+    membership = sum(
+        k for total, k in histogram.items() if predicted_membership(total, args.p, args.r, args.n)
+    )
     count = len(samples)
     checks = [
         ["oracle_identity", _flag(oracle == count)],

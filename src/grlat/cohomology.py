@@ -20,24 +20,31 @@ Tate group is kept as the lattice pair (top, bottom) it is the quotient
 of: two square canonical HNFs with L <= bottom <= top (HNF modulo D,
 Cohen, GTM 138, 2.4.8), those of the whole module being the union of
 the blocks'.  No quotient module is built: its order is the index ratio
-[top : bottom], and every fact a verdict needs is a membership in
-bottom or an index.
+[top : bottom], and every fact the triviality criterion needs of it is
+a membership in bottom.
 
-The Tate groups of an inertia module over H depend on H only through
-tate_key(I, H), and are checked against the closed form (Z/c)[G/B],
-B = D + H, which is never built, on the H-orbit of coordinate 0 alone
-(prediction_verdict).  An inertia module is induced from D (Brown,
-Cohomology of Groups, GTM 87, III.5): its coordinates are G/D, on which
-G acts transitively, and the H-orbit of 0 has rank [B : D] instead of
-[G : D].  g in G maps that orbit onto the orbit of g and commutes with
-H, so top / bottom is Z[G] (x)_Z[B] X for X = top_0 / bottom_0, the
-part on the orbit of 0.  Restricted to B it is [G:B] copies of X, and
-(Z/c)[G/B] is [G:B] copies of Z/c with B acting trivially, so the two
-are isomorphic exactly when X is Z/c with B acting trivially.  That is
-three exact tests on the orbit's pair: [top_0 : bottom_0] = c;
-r (A_b - 1) lies in bottom_0 for every row r of top_0 and every
-generator b of B; and [top_0 : bottom_0 + q top_0] = q for each prime
-q | c.  So the verdict is exact at every size, with no generator search.
+The tate sweep checks the Tate groups of an inertia module over H
+against the closed form (Z/c)[G/B], B = D + H and c = #(H meet I), with
+no lattice at all (prediction_verdict).  An inertia module is induced
+from D (Brown, Cohomology of Groups, GTM 87, III.5): M = Ind_D^G Z/m(psi),
+its coordinates G/D, D the stabiliser of coordinate 0 and psi the
+character by which D acts on e_0.  G acts transitively on the
+coordinates, and g in G maps the H-orbit of 0 onto that of g and
+commutes with H, so the Tate groups over H are Z[G] (x)_Z[B] X, for X
+those of the orbit of 0, whose stabiliser is B.  Restricted to B that is
+[G:B] copies of X, and (Z/c)[G/B] is [G:B] copies of Z/c with B acting
+trivially, so the two are isomorphic exactly when X is Z/c with B acting
+trivially.  The orbit of 0 is Ind_K^H Z/m(psi), K = H meet D, so by
+Shapiro's lemma for Tate cohomology (Brown, GTM 87, ch. VI) X is the Tate
+group of K on the rank-1 module Z/m(psi).  With g = gcd(m, psi(k) - 1
+over the generators k of K) and n = gcd(m, N), N the sum of psi over K,
+
+    H^0  = (m/g) Z/m / n Z/m,    H^-1 = (m/n) Z/m / g Z/m,
+
+both cyclic of order g n / m.  H acts trivially on its own cohomology
+and d in D acts on both as psi(d), so the two verdicts are one, a few
+gcds mod m, exact at every size: g n / m = c, and c divides psi(d) - 1
+for each generator d of D.
 
 The triviality criterion builds no component module either.  The
 p-part M_p is M read mod p^v_p(m), under the same permutations
@@ -60,7 +67,6 @@ from .abelian import (
     Subgroup,
     decomposition_subgroup,
     p_split,
-    prime_factors,
     sylow,
     sylow_complement,
 )
@@ -76,12 +82,10 @@ from .grouprings import FiniteModule, coordinate_orbit, mono_mul, mono_pow
 class TateResult:
     """H^0 and H^-1, each the pair (top, bottom) of square canonical
     HNFs it is the quotient of: (invariants, norm image) and (norm
-    kernel, augmentation image), written in the coordinates coords of
-    the module, in increasing order: all of them, or one orbit of H."""
+    kernel, augmentation image), in the coordinates of the module."""
 
     h0: tuple
     hminus1: tuple
-    coords: tuple
 
 
 def _restrict(mono, coords):
@@ -142,10 +146,8 @@ def _block_pairs(monos, steps, coords, m):
     return (inv, norm_image), (ker, aug)
 
 
-def tate_cohomology(module: FiniteModule, sub: Subgroup, start: int | None = None) -> TateResult:
-    """Both Tate groups of a monomial module over sub as lattice pairs:
-    of the whole module, or, given a coordinate start, of its sub-orbit,
-    in the orbit's own coordinates.
+def tate_cohomology(module: FiniteModule, sub: Subgroup) -> TateResult:
+    """Both Tate groups of a monomial module over sub as lattice pairs.
 
     Each generator of sub maps every orbit onto itself, so every matrix
     of the definition (the A_h - 1 and the norm) is block diagonal on
@@ -167,9 +169,6 @@ def tate_cohomology(module: FiniteModule, sub: Subgroup, start: int | None = Non
             monos.append(module.act(elem))
             if factor > row[j]:
                 steps.append((monos[-1], factor // row[j]))
-    if start is not None:
-        coords = coordinate_orbit(monos, start) if r else []
-        return TateResult(*_block_pairs(monos, steps, coords, m), tuple(coords))
     wide = [([None] * r, [None] * r), ([None] * r, [None] * r)]
     for t in range(r):
         if wide[0][0][t] is not None:
@@ -182,7 +181,7 @@ def tate_cohomology(module: FiniteModule, sub: Subgroup, start: int | None = Non
                     out[u] = [0] * r
                     for j, x in zip(coords, row):
                         out[u][j] = x
-    return TateResult(*wide, tuple(range(r)))
+    return TateResult(*wide)
 
 
 def p_part(module: FiniteModule, p: int) -> FiniteModule:
@@ -202,69 +201,47 @@ def p_part(module: FiniteModule, p: int) -> FiniteModule:
 # comparison with the predicted Tate module
 
 
-def tate_key(inertia: Subgroup, sub: Subgroup) -> tuple[Subgroup, int]:
-    """(H + I, c), c = #(H meet I) = #I #H / #(H + I).  I acts trivially on
-    the inertia module M, so M^H = M^(H + I), I_H M = I_(H + I) M and N_H =
-    c N_(H mod I) (Brown, GTM 87, III): one key, equal Tate groups (canonical
-    HNFs) and one prediction, so verify computes one row per key of a pair."""
-    joined = sub.join(inertia)
-    return joined, inertia.order * sub.order // joined.order
+def prediction_verdict(module: FiniteModule, dec: Subgroup, meet: Subgroup, c: int) -> tuple:
+    """The verdicts, 'pass' or 'fail', of H^0 and of H^-1 of an induced
+    module over H against (Z/c)[G/B], B = D + H, for dec = D the
+    stabiliser of coordinate 0 and meet = K = H meet D, by the gcds of
+    the module docstring.  D must be exactly that stabiliser and G must
+    join every coordinate to 0: the module is transitive, rank #D = #G,
+    and every generator of D (and of K) fixes coordinate 0.  Otherwise
+    ScopeError.
 
-
-def prediction_data(dec: Subgroup, key: tuple[Subgroup, int]) -> tuple[Subgroup, int]:
-    """(B, c) of the predicted Tate module (Z/c)[G/B] of the inertia module of
-    (I, frob), dec = D = I + <frob>, over every H with tate_key(I, H) = key:
-    B = D + H = D + (H + I) and c the key's."""
-    return dec.join(key[0]), key[1]
-
-
-def _block_verdict(pair, gens, c: int, m: int) -> str:
-    """'pass' if X = top / bottom is Z/c with trivial action of the
-    generators whose monomials on the pair's coordinates are gens: it
-    has order c, each r (A_b - 1) lies in bottom, and X / qX has order q
-    for each prime q | c, so every Sylow subgroup of X is cyclic."""
-    top, bottom = pair
-    index = im.hnf_index(top)
-    if im.hnf_index(bottom) != c * index:
-        return "fail"
-    pivots = range(len(top))
-    for perm, units in gens:
-        for row in top:
-            # row (A_b - 1)
-            moved = [-x for x in row]
-            for x, j, u in zip(row, perm, units):
-                moved[j] += x * u
-            if not im.in_span(bottom, pivots, moved):
-                return "fail"
-    mods = [m] * len(top)
-    for q in prime_factors(c):
-        if im.index_mod([*bottom, *([q * x for x in row] for row in top)], mods) != q * index:
-            return "fail"
-    return "pass"
-
-
-def prediction_verdict(module: FiniteModule, block: TateResult, big: Subgroup, c: int) -> tuple:
-    """The verdicts, 'pass' or 'fail', of H^0 and of H^-1 of a monomial
-    module over H against (Z/c)[G/B], read off block = tate_cohomology(
-    module, H, t) alone, the lattice pairs of the H-orbit of one
-    coordinate t, by the three tests of the module docstring.  They
-    decide the whole Tate groups when G joins every coordinate to t and
-    B is the stabiliser of the orbit, as B = D + H is for an inertia
-    module: [G:B] orbits of the orbit's size fill the coordinates, and
-    the generators of B map t into it.  Otherwise ScopeError."""
+    psi(d) is the unit by which d scales e_0.  The elements of K are the
+    sum_j s_j k_j, s_j < o_j, over the rows k_j of its basis with o_j =
+    factor_j / k_j[j] > 1, once each (see Subgroup), and psi is a
+    character, so N = prod_j (1 + u_j + ... + u_j^(o_j - 1)), u_j =
+    psi(k_j): (u^o - 1) / (u - 1) mod m, read off u^o mod m (u - 1)."""
     group = module.group
-    if big.group != group:
+    if dec.group != group or meet.group != group:
         raise ParentMismatchError("subgroup of a different group")
-    coords = block.coords
-    bs = [module.act(b) for b in big.generators()]
+    m = module.modulus
+    ds = [module.act(d) for d in dec.generators()]
+    ks = [
+        (module.act(group.element(row)), factor // row[j])
+        for j, (row, factor) in enumerate(zip(meet.basis, group.factors))
+        if factor > row[j]
+    ]
     if (
         not module.transitive
-        or len(coords) * (group.order // big.order) != module.rank
-        or any(perm[t] not in coords for perm, _ in bs for t in coords[:1])
+        or module.rank * dec.order != group.order
+        or any(perm[0] for perm, _ in ds + [a for a, _ in ks])
     ):
-        raise ScopeError("the orbit's stabiliser is not B, or G does not join the coordinates")
-    gens = [_restrict(b, coords) for b in bs]
-    return tuple(_block_verdict(pair, gens, c, module.modulus) for pair in (block.h0, block.hminus1))
+        raise ScopeError("dec is not the stabiliser of coordinate 0, or G does not join the coordinates")
+    g, norm = m, 1
+    for (_, units), o in ks:
+        u = units[0]
+        g = gcd(g, u - 1)
+        norm = norm * (o if u == 1 else (pow(u, o, m * (u - 1)) - 1) // (u - 1)) % m
+    n = gcd(m, norm)
+    # d fixes the generator m/g of H^0 = (m/g) Z/m / n Z/m when n divides
+    # (psi(d) - 1) m/g, and the generator m/n of H^-1 when g divides
+    # (psi(d) - 1) m/n: both say that g n / m divides psi(d) - 1
+    ok = g * n == c * m and all((units[0] - 1) % c == 0 for _, units in ds)
+    return ("pass", "pass") if ok else ("fail", "fail")
 
 
 # ---------------------------------------------------------------------------

@@ -464,13 +464,6 @@ def _pack(entries, w):
     return r
 
 
-def lattice_sum(*lattices):
-    rows = []
-    for lat in lattices:
-        rows.extend(list(r) for r in lat)
-    return hnf(rows)
-
-
 def hnf_index(h):
     """|Z^n / L| for the lattice L spanned by a full-rank square HNF h:
     the product of its pivots, which sit on the diagonal."""

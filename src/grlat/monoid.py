@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import product
 
@@ -147,12 +147,6 @@ class _ElementBits:
             i = digits.find("1", i + 1)
 
 
-def _keeping_masks(sets, masks):
-    """sets, holding masks as the masks its cached property would build."""
-    sets.__dict__["masks"] = masks
-    return sets
-
-
 @dataclass(frozen=True)
 class InertiaPair:
     """(I, phi): nontrivial elementary inertia plus a coset of G/I,
@@ -199,7 +193,8 @@ class PairSets:
 
     subgroups: every subgroup, as enumerate_subgroups lists them;
     stilde: the (I, phi) generator pairs; s_pairs: the (I, D) pairs;
-    projection[i]: index into s_pairs of the image of stilde[i].
+    projection[i]: index into s_pairs of the image of stilde[i];
+    masks: each subgroup's element bitmask over G (_ElementBits).
     """
 
     group: FinAbGroup
@@ -207,13 +202,16 @@ class PairSets:
     stilde: tuple
     s_pairs: tuple
     projection: tuple
+    masks: dict = field(compare=False, repr=False)
 
     @cached_property
-    def masks(self) -> dict:
-        """Each subgroup's element bitmask over G (_ElementBits); the sets
-        build_pair_sets makes hold the masks it built them with."""
-        bits = _ElementBits(self.group)
-        return {s: bits.of_basis(s.basis) for s in self.subgroups}
+    def _by_mask(self) -> dict:
+        return {m: s for s, m in self.masks.items()}
+
+    def meet(self, a: Subgroup, b: Subgroup) -> Subgroup:
+        """a meet b, the enumerated subgroup whose mask is the meet of the
+        two masks."""
+        return self._by_mask[self.masks[a] & self.masks[b]]
 
 
 @dataclass(frozen=True)
@@ -230,23 +228,18 @@ class SetFamily(PairSets):
     s_dprime: tuple
 
     @cached_property
-    def _by_mask(self) -> dict:
-        return {m: s for s, m in self.masks.items()}
-
-    @cached_property
-    def _sylow_masks(self) -> dict:
-        """p -> the mask of G_p, the one subgroup of order p^v_p(#G)."""
+    def _sylows(self) -> dict:
+        """p -> G_p, the one subgroup of order p^v_p(#G)."""
         return {
-            p: next(m for s, m in self.masks.items() if s.order == p**e)
+            p: next(s for s in self.subgroups if s.order == p**e)
             for p, e in prime_factors(self.group.order).items()
         }
 
     def p_part(self, sub: Subgroup, p: int) -> Subgroup:
-        """The Sylow p-part of sub, S meet G_p, as the enumerated subgroup
-        whose mask is the meet of the two masks; it is also m S for m the
+        """The Sylow p-part of sub, S meet G_p; it is also m S for m the
         prime-to-p part of #G, and the image of S in the maximal
         p-quotient of G, which G_p maps onto isomorphically."""
-        return self._by_mask[self.masks[sub] & self._sylow_masks[p]]
+        return self.meet(sub, self._sylows[p])
 
     @property
     def counts(self):
@@ -322,8 +315,7 @@ def build_pair_sets(group: FinAbGroup) -> PairSets:
         raise CapacityError(f"{npairs} (I, phi) pairs exceed the pair cap {PAIR_CAP}")
     bits = _ElementBits(group)
     masks = {s: bits.of_basis(s.basis) for s in subs}
-    pairs = PairSets(group, tuple(subs), *_pair_sets(bits, group, inertias, masks))
-    return _keeping_masks(pairs, masks)
+    return PairSets(group, tuple(subs), *_pair_sets(bits, group, inertias, masks), masks)
 
 
 def build_sets(group: FinAbGroup) -> SetFamily:
@@ -353,17 +345,17 @@ def build_sets(group: FinAbGroup) -> SetFamily:
             s_prime.append(i)
         if prime_power:
             s_dprime.append(i)
-    family = SetFamily(
+    return SetFamily(
         pairs.group,
         pairs.subgroups,
         pairs.stilde,
         pairs.s_pairs,
         pairs.projection,
+        pairs.masks,
         tuple(t_tuples),
         tuple(s_prime),
         tuple(s_dprime),
     )
-    return _keeping_masks(family, pairs.masks)
 
 
 def _beta_values(family: SetFamily, pairs) -> list:

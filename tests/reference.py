@@ -230,7 +230,9 @@ from grlat.cli import fmt_elem, fmt_sub
 from grlat.cohomology import (
     CriterionReport,
     CriterionRow,
+    _block_pairs,
     _predicted_component_triviality,
+    _restrict,
     _root_power_traces,
     character_classes,
     complement_generators,
@@ -244,7 +246,7 @@ from grlat.errors import (
     ScopeError,
     UnitNotFoundError,
 )
-from grlat.grouprings import GroupRingElem, IdealLattice, group_ring, inertia_module
+from grlat.grouprings import GroupRingElem, IdealLattice, coordinate_orbit, group_ring, inertia_module
 from grlat.lattices import ExtensionReport, KernelReport, backward_rep
 from grlat.monoid import DecompositionPair, InertiaPair
 from grlat.polys import poly_divmod_monic, trim
@@ -594,6 +596,12 @@ def ref_meet(a, b):
     coeffs = ref_preimage_lattice(a.basis, b.basis)
     rows = [im.vec_mat(c, a.basis) for c in coeffs]
     return Subgroup(a.group, im.hnf(rows, a.group.rank))
+
+
+def ref_join(a, b):
+    if a.group != b.group:
+        raise ParentMismatchError("subgroups of different groups")
+    return Subgroup(a.group, im.hnf([*map(list, a.basis), *map(list, b.basis)]))
 
 
 def ref_subgroup_p_part(sub, p):
@@ -972,8 +980,8 @@ def ref_dense(module):
 def ref_prediction_data(group, inertia, frob, sub):
     if inertia.group != group or frob.group != group or sub.group != group:
         raise ParentMismatchError("inputs from a different group")
-    big = decomposition_subgroup(inertia, frob).join(sub)
-    return big, inertia.order * sub.order // inertia.join(sub).order
+    big = ref_join(decomposition_subgroup(inertia, frob), sub)
+    return big, inertia.order * sub.order // ref_join(inertia, sub).order
 
 
 def ref_tate_rows(fam):
@@ -990,6 +998,65 @@ def ref_tate_rows(fam):
                 ["tate", fmt_sub(pair.inertia), fmt_elem(pair.frob), fmt_sub(h), status]
             )
     return rows
+
+
+# -- the tate verdict read off the lattice pairs of the orbit of 0 -------------
+
+
+def ref_block_verdict(pair, gens, c, m):
+    """'pass' if X = top / bottom is Z/c with trivial action of the
+    generators whose monomials on the pair's coordinates are gens: it
+    has order c, each r (A_b - 1) lies in bottom, and X / qX has order q
+    for each prime q | c, so every Sylow subgroup of X is cyclic."""
+    top, bottom = pair
+    index = im.hnf_index(top)
+    if im.hnf_index(bottom) != c * index:
+        return "fail"
+    pivots = range(len(top))
+    for perm, units in gens:
+        for row in top:
+            # row (A_b - 1)
+            moved = [-x for x in row]
+            for x, j, u in zip(row, perm, units):
+                moved[j] += x * u
+            if not im.in_span(bottom, pivots, moved):
+                return "fail"
+    mods = [m] * len(top)
+    for q in prime_factors(c):
+        if im.index_mod([*bottom, *([q * x for x in row] for row in top)], mods) != q * index:
+            return "fail"
+    return "pass"
+
+
+def ref_orbit_verdict(module, sub, big, c):
+    """The verdicts of H^0 and H^-1 of a monomial module over sub = H
+    against (Z/c)[G/B], big = B, read off the lattice pairs of the
+    H-orbit of coordinate 0 alone by three exact tests: order c, B
+    acting trivially, and X / qX of order q for each prime q | c.  They
+    decide the whole Tate groups when G joins every coordinate to 0 and
+    B is the stabiliser of the orbit, as B = D + H is for an inertia
+    module; otherwise ScopeError."""
+    group, m = module.group, module.modulus
+    if sub.group != group or big.group != group:
+        raise ParentMismatchError("subgroup of a different group")
+    monos, steps = [], []
+    for j, (row, factor) in enumerate(zip(sub.basis, group.factors)):
+        elem = group.element(row)
+        if not elem.is_zero:
+            monos.append(module.act(elem))
+            if factor > row[j]:
+                steps.append((monos[-1], factor // row[j]))
+    coords = coordinate_orbit(monos, 0) if module.rank else []
+    bs = [module.act(b) for b in big.generators()]
+    if (
+        not module.transitive
+        or len(coords) * (group.order // big.order) != module.rank
+        or any(perm[t] not in coords for perm, _ in bs for t in coords[:1])
+    ):
+        raise ScopeError("the orbit's stabiliser is not B, or G does not join the coordinates")
+    gens = [_restrict(b, coords) for b in bs]
+    pairs = _block_pairs(monos, steps, coords, m)
+    return tuple(ref_block_verdict(pair, gens, c, m) for pair in pairs)
 
 
 # -- Tate groups of the whole module by dense matrices -------------------------

@@ -187,24 +187,26 @@ KEYED_TATE_GROUPS = ([9], [27], [3, 3], [15], [3, 9], [2, 4], [2, 2, 2], [2, 2, 
 @pytest.mark.parametrize("perturbed", [False, True], ids=["as-is", "c-shifted"])
 @pytest.mark.parametrize("factors", KEYED_TATE_GROUPS, ids=lambda f: ",".join(map(str, f)))
 def test_keyed_tate_rows_match_the_per_row_sweep(factors, perturbed, monkeypatch):
-    # the keyed sweep takes B from prediction_data and c from tate_key and
-    # reads its verdicts off the orbit of coordinate 0; the reference
-    # takes (B, c) from ref_prediction_data and the verdict of the dense
-    # route's whole pairs, one (pair, H) at a time.
-    # perturbed: each verdict sees c + 1 wherever c > 1 and B is a proper
-    # subgroup, a fault that reads both parts of the key, so rows that
-    # share only H + I or only #(H meet I) can get different statuses
+    # the keyed sweep reads its verdicts off (H meet D, #(H meet I)) by
+    # Shapiro's lemma; the reference takes (B, c) from ref_prediction_data
+    # and the verdict of the dense route's whole pairs, one (pair, H) at a
+    # time.
+    # perturbed: each verdict sees c + 1 wherever c > 1 and H meet D is a
+    # proper subgroup of D (as #H < #B), a fault that reads both parts of
+    # the key, so rows that share only H meet D or only #(H meet I) can
+    # get different statuses
     if perturbed:
-        real, real_ref = cli.prediction_verdict, reference.ref_pair_verdict
+        real, real_ref = cli.prediction_verdict, reference.ref_prediction_data
 
-        def shifted(module, block, big, c):
-            return real(module, block, big, c + (c > 1 and big.order < big.group.order))
+        def shifted(module, dec, meet, c):
+            return real(module, dec, meet, c + (c > 1 and meet.order < dec.order))
 
-        def shifted_ref(module, pair, big, c):
-            return real_ref(module, pair, big, c + (c > 1 and big.order < big.group.order))
+        def shifted_ref(group, inertia, frob, sub):
+            big, c = real_ref(group, inertia, frob, sub)
+            return big, c + (c > 1 and sub.order < big.order)
 
         monkeypatch.setattr(cli, "prediction_verdict", shifted)
-        monkeypatch.setattr(reference, "ref_pair_verdict", shifted_ref)
+        monkeypatch.setattr(reference, "ref_prediction_data", shifted_ref)
     fam = build_sets(make_group(factors))
     want = reference.ref_tate_rows(fam)
     assert cli._tate_rows(cli._SweepInputs(fam, ["tate"])) == want
@@ -212,29 +214,38 @@ def test_keyed_tate_rows_match_the_per_row_sweep(factors, perturbed, monkeypatch
     assert statuses == ({"pass", "fail;fail"} if perturbed else {"pass"})
 
 
-def test_verify_tate_takes_each_key_once_per_inertia_group(capsys, monkeypatch):
-    # 2,2,8: 259 pairs over 37 inertia groups, 38 subgroups.  One key per
-    # (I, H), 1406 in all, each one join, plus one join for B per
-    # (D, H + I) of the command, 859 of them; one B join per computed key
-    # made 6360, and a key join per (pair, H) and a second join per
-    # computed key 19,750
-    keys, joins = [], []
-    real_key, real_join = cli.tate_key, abelian.Subgroup.join
+def test_tate_rows_run_no_intmat_routine_and_build_no_subgroup(monkeypatch):
+    # 2,2,8: with the modules built, every tate row is two mask meets, a
+    # dict lookup and, once per key of a pair, a few gcds mod m; no
+    # elimination and no new Subgroup
+    fam = build_pair_sets(make_group([2, 2, 8]))
+    inputs = cli._SweepInputs(fam, ["tate", "triviality"])
+    assert len(inputs.modules()) == len(fam.stilde) == 259
+    calls = []
 
-    def counted_key(inertia, sub):
-        keys.append((inertia, sub))
-        return real_key(inertia, sub)
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
 
-    def counted_join(self, other):
-        joins.append(None)
-        return real_join(self, other)
+        return wrapper
 
-    monkeypatch.setattr(cli, "tate_key", counted_key)
-    monkeypatch.setattr(abelian.Subgroup, "join", counted_join)
-    code, _, _ = run(["verify", "2,2,8", "--checks", "tate"], capsys)
-    assert code == 0
-    assert len(keys) == len(set(keys)) == 1406
-    assert len(joins) <= 2265
+    for name, fn in list(vars(im).items()):
+        if callable(fn) and getattr(fn, "__module__", None) == im.__name__:
+            monkeypatch.setattr(im, name, spy(name, fn))
+    real_init = abelian.Subgroup.__init__
+
+    def init(self, *args):
+        calls.append("Subgroup")
+        real_init(self, *args)
+
+    monkeypatch.setattr(abelian.Subgroup, "__init__", init)
+    rows = cli._tate_rows(inputs)
+    assert len(rows) == len(fam.stilde) * len(fam.subgroups) and {r[-1] for r in rows} == {"pass"}
+    assert calls == []
+    # the spies see what they are meant to see
+    abelian.Subgroup.trivial(fam.group)
+    assert {"diagonal", "Subgroup"} <= set(calls)
 
 
 def test_tate_rows_take_no_subquotient_or_smith_form(monkeypatch):

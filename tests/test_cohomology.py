@@ -5,10 +5,12 @@ norm image, norm kernel / augmentation image), each as the lattice pair
 (top, bottom) it is the quotient of; the closed form predicts both
 groups for inertia modules, and the two must agree as modules, not just
 as abelian groups.  A whole module M is the pair (identity, relations).
-The package takes the pairs one orbit of coordinates at a time and reads
-the verdict off the orbit of coordinate 0; tests/reference.py keeps the
-dense whole-module route and its generator-search verdict, which the
-differential tests here compare against.
+The package takes the pairs one orbit of coordinates at a time, and
+reads the tate verdict off the rank-1 module of coordinate 0 over H meet
+D by Shapiro's lemma; tests/reference.py keeps the verdict read off the
+lattice pairs of the orbit of coordinate 0, and the dense whole-module
+route and its generator-search verdict, which the differential tests
+here compare against.
 """
 
 import time
@@ -17,6 +19,8 @@ from math import gcd
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
@@ -36,20 +40,17 @@ from grlat.abelian import (
 from grlat.cli import main
 from grlat.cohomology import (
     ChiClass,
-    TateResult,
     _root_power_traces,
     character_classes,
     chi_idempotent_matrix,
     complement_generators,
     p_part,
-    prediction_data,
     prediction_verdict,
     tate_cohomology,
-    tate_key,
     triviality_criterion,
 )
 from grlat.errors import ParentMismatchError, PrecisionError, ScopeError
-from grlat.grouprings import FiniteModule, GroupRing, IdealLattice, group_ring, inertia_module
+from grlat.grouprings import FiniteModule, GroupRing, IdealLattice, coordinate_orbit, group_ring, inertia_module
 from grlat.monoid import build_sets
 from reference import (
     GENERATOR_SEARCH_CAP,
@@ -65,6 +66,7 @@ from reference import (
     ref_inertia_module,
     ref_inertia_presentation,
     ref_is_cohomologically_trivial,
+    ref_join,
     ref_lattice_quotient_coords,
     ref_left_kernel,
     ref_meet,
@@ -73,7 +75,9 @@ from reference import (
     ref_mult_matrix,
     ref_norm_matrix,
     ref_one,
+    ref_orbit_verdict,
     ref_p_part,
+    ref_block_verdict,
     ref_pair_coset_representatives,
     ref_pair_cyclic_generator,
     ref_pair_verdict,
@@ -154,12 +158,13 @@ def test_tate_exponent_bound():
 def test_closed_form_matches_brute_force_small():
     for facs in ([9], [3, 3]):
         g = make_group(facs)
-        for pair in build_sets(g).stilde:
+        fam = build_sets(g)
+        for pair in fam.stilde:
             dec = decomposition_subgroup(pair.inertia, pair.frob)
             mod = inertia_module(pair.inertia, pair.frob)
-            for h in enumerate_subgroups(g):
-                big, c = prediction_data(dec, tate_key(pair.inertia, h))
-                verdicts = prediction_verdict(mod, tate_cohomology(mod, h, 0), big, c)
+            for h in fam.subgroups:
+                _, c = ref_prediction_data(g, pair.inertia, pair.frob, h)
+                verdicts = prediction_verdict(mod, dec, fam.meet(h, dec), c)
                 assert verdicts == ("pass", "pass"), (facs, pair, h)
 
 
@@ -167,10 +172,9 @@ def test_closed_form_matches_brute_force_small():
     "factors", [[2, 2], [2, 4], [3, 3], [2, 2, 2], [6, 6]], ids=lambda f: ",".join(map(str, f))
 )
 def test_tate_groups_are_equal_within_a_key_class(factors):
-    # the verify command computes one (pair, H) row per key tate_key(I, H)
-    # and reuses its status for the rest of the class: I acts trivially
-    # on the module, so the Tate groups and the per-row reference (B, c)
-    # depend on the key alone, and the canonical HNFs make the lattice
+    # I acts trivially on the module, so the Tate groups over H and the
+    # per-row reference (B, c) depend on H only through (H + I, #(H meet
+    # I)) (Brown, GTM 87, III), and the canonical HNFs make the lattice
     # pairs equal, not just the groups isomorphic
     g = make_group(factors)
     fam = build_sets(g)
@@ -179,7 +183,7 @@ def test_tate_groups_are_equal_within_a_key_class(factors):
         mod = inertia_module(pair.inertia, pair.frob)
         first = {}
         for h in fam.subgroups:
-            key = tate_key(pair.inertia, h)
+            key = (ref_join(h, pair.inertia), fam.meet(h, pair.inertia).order)
             t = tate_cohomology(mod, h)
             seen = (t, ref_prediction_data(g, pair.inertia, pair.frob, h))
             if key in first:
@@ -192,7 +196,7 @@ def test_tate_groups_are_equal_within_a_key_class(factors):
 
 def test_closed_form_anchor_values():
     def predict(inertia, frob, h):
-        return prediction_data(decomposition_subgroup(inertia, frob), tate_key(inertia, h))
+        return ref_prediction_data(h.group, inertia, frob, h)
 
     # I = D = G = Z/3, H = G: prediction Z[1]/(3) = Z/3
     g = make_group([3])
@@ -205,10 +209,12 @@ def test_closed_form_anchor_values():
     assert predict(i3, g9.element((1,)), i3) == (Subgroup.full(g9), 3)
     # I = <3>, frob = 0, H trivial: Z[G/I] = Z[C3] modulo 1, the zero module
     assert predict(i3, g9.zero(), Subgroup.trivial(g9)) == (i3, 1)
+    # the verdict refuses subgroups of another group
+    mod = inertia_module(i3, g9.element((1,)))
     with pytest.raises(ParentMismatchError):
-        tate_key(i3, Subgroup.full(g))
+        prediction_verdict(mod, Subgroup.full(g), Subgroup.full(g), 3)
     with pytest.raises(ParentMismatchError):
-        prediction_data(Subgroup.full(g), tate_key(i3, i3))
+        prediction_verdict(mod, Subgroup.full(g9), Subgroup.full(g), 3)
 
 
 def test_cohomological_triviality_anchors():
@@ -433,52 +439,101 @@ def test_pair_verdict_order_and_exponent_mismatch():
         ref_pair_verdict(z4, whole(z4), Subgroup.full(make_group([4])), 4)
 
 
-def whole_block(module):
-    """A monomial module itself as the lattice pair of both Tate groups,
-    on all of its coordinates."""
-    pair = whole(ref_dense(module))
-    return TateResult(pair, pair, tuple(range(module.rank)))
+def scalar_module(n, m, u):
+    """Z/m with a generator of C_n acting by u, in monomial form."""
+    mod = FiniteModule(make_group([n]), m, 1, (((0,), (u,)),))
+    mod.validate()
+    return mod
 
 
-def test_block_verdict_decides_each_test_with_a_return():
-    # the rank-1 modules above, each its own orbit, whose stabiliser is G
-    g = make_group([4])
-    m_twist = FiniteModule(g, 5, 1, (((0,), (2,)),))
-    m_triv = FiniteModule(g, 5, 1, (((0,), (1,)),))
-    full = Subgroup.full(g)
+def test_shapiro_verdict_decides_the_order_and_the_action():
+    # C6 acting on Z/3 by 2, H = <2> = K: psi(2) = 4 = 1, so g = 3, N = 3
+    # and n = 3, and H^0 = H^-1 = Z/3 has the order c = 3; but D = G acts
+    # on it by 2 = -1, so it is not (Z/3)[G/G]
+    mod = scalar_module(6, 3, 2)
+    g = mod.group
+    full, h = Subgroup.full(g), Subgroup.from_generators(g, [g.element((2,))])
+    assert prediction_verdict(mod, full, h, 3) == ref_orbit_verdict(mod, h, full, 3) == ("fail", "fail")
+    # with C6 acting trivially, H^0 = Z/3 / 3 Z/3 has trivial action
+    triv = scalar_module(6, 3, 1)
+    assert prediction_verdict(triv, full, h, 3) == ref_orbit_verdict(triv, h, full, 3) == ("pass", "pass")
+    # the order test: over C2, Z/4 with trivial action has H^0 = Z/2
+    z4 = scalar_module(2, 4, 1)
+    full2 = Subgroup.full(z4.group)
+    for c, want in ((2, "pass"), (4, "fail"), (1, "fail")):
+        assert prediction_verdict(z4, full2, full2, c) == ref_orbit_verdict(z4, full2, full2, c) == (want, want)
+    # K trivial: no Tate cohomology, so only c = 1 passes
+    trivial = Subgroup.trivial(g)
+    assert prediction_verdict(mod, full, trivial, 1) == ("pass", "pass")
+    assert prediction_verdict(mod, full, trivial, 3) == ("fail", "fail")
+
+
+def test_orbit_oracle_tests_the_order_the_action_and_cyclicity():
+    # the three tests of ref_orbit_verdict on hand-made pairs; the Shapiro
+    # verdict's Tate groups are cyclic, so its differential tests never
+    # reach the third
+    m_twist = scalar_module(4, 5, 2)
+    trivial = scalar_module(4, 5, 1)
+    pair = whole(ref_dense(trivial))
     # the action test: 1 (A_g - 1) = 1 is not in 5Z
-    assert prediction_verdict(m_twist, whole_block(m_twist), full, 5) == ("fail", "fail")
-    assert prediction_verdict(m_triv, whole_block(m_triv), full, 5) == ("pass", "pass")
+    assert ref_block_verdict(pair, m_twist.gens, 5, 5) == "fail"
+    assert ref_block_verdict(pair, trivial.gens, 5, 5) == "pass"
     # the order test
-    assert prediction_verdict(m_triv, whole_block(m_triv), full, 25) == ("fail", "fail")
-    z4 = FiniteModule(make_group([2]), 4, 1, (((0,), (1,)),))
-    assert prediction_verdict(z4, whole_block(z4), Subgroup.full(z4.group), 4) == ("pass", "pass")
+    assert ref_block_verdict(pair, trivial.gens, 25, 5) == "fail"
     # the cyclicity test: C2 swapping the coordinates of (Z/4)^2, top =
     # <(1, 1), (0, 2)> over bottom = <(2, 2), (0, 4)> is Z/2 + Z/2 with
     # trivial action, of order 4 = c, but [top : bottom + 2 top] = 4
     swap = FiniteModule(make_group([2]), 4, 2, (((1, 0), (1, 1)),))
-    assert swap.transitive
     pair = ([[1, 1], [0, 2]], [[2, 2], [0, 4]])
     assert im.hnf(pair[1], 2) == pair[1] and ref_tate_order(pair) == 4
-    block = TateResult(pair, whole(ref_dense(swap)), (0, 1))
-    assert prediction_verdict(swap, block, Subgroup.full(swap.group), 4) == ("fail", "fail")
+    assert ref_block_verdict(pair, swap.gens, 4, 4) == "fail"
     assert ref_pair_verdict(ref_dense(swap), pair, Subgroup.full(swap.group), 4) == "fail"
-    with pytest.raises(ParentMismatchError):
-        prediction_verdict(z4, whole_block(z4), Subgroup.full(g), 4)
 
 
-def test_block_verdict_refuses_what_it_cannot_decide():
+def test_shapiro_verdict_refuses_what_it_cannot_decide():
+    # C4 swapping the two coordinates of (Z/5)^2 through C4 / <2>: the
+    # stabiliser of coordinate 0 is D = <2>
     g = make_group([4])
-    m_twist = FiniteModule(g, 5, 1, (((0,), (2,)),))
-    # B trivial is not the stabiliser G of the one orbit
+    swap = FiniteModule(g, 5, 2, (((1, 0), (1, 1)),))
+    swap.validate()
+    assert swap.transitive
+    full, dec = Subgroup.full(g), Subgroup.from_generators(g, [g.element((2,))])
+    assert prediction_verdict(swap, dec, dec, 1) == ref_orbit_verdict(swap, dec, dec, 1) == ("pass", "pass")
+    # a dec that moves coordinate 0, and a meet outside the stabiliser
     with pytest.raises(ScopeError):
-        prediction_verdict(m_twist, whole_block(m_twist), Subgroup.trivial(g), 5)
+        prediction_verdict(swap, full, dec, 1)
+    with pytest.raises(ScopeError):
+        prediction_verdict(swap, dec, full, 1)
+    # a dec smaller than the stabiliser: rank #D != #G
+    with pytest.raises(ScopeError):
+        prediction_verdict(swap, Subgroup.trivial(g), Subgroup.trivial(g), 1)
     # (Z/3)^2 with trivial action: G does not join its two coordinates
     flat = FiniteModule(make_group([2]), 3, 2, (((0, 1), (1, 1)),))
     assert not flat.transitive
-    block = tate_cohomology(flat, Subgroup.full(flat.group), 0)
+    trivial = Subgroup.trivial(flat.group)
     with pytest.raises(ScopeError):
-        prediction_verdict(flat, block, Subgroup.full(flat.group), 3)
+        prediction_verdict(flat, trivial, trivial, 1)
+
+
+@st.composite
+def scalar_cases(draw):
+    """(module, H, c): Z/m, m < 30, with C_n, n <= 6, acting by a unit
+    of order dividing n, a subgroup H and a claim c."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(2, 29))
+    units = [u for u in range(1, m) if gcd(u, m) == 1 and pow(u, n, m) == 1]
+    mod = scalar_module(n, m, draw(st.sampled_from(units)))
+    h = draw(st.sampled_from(enumerate_subgroups(mod.group)))
+    return mod, h, draw(st.integers(1, m + 1))
+
+
+@given(scalar_cases())
+@settings(max_examples=300, deadline=None)
+def test_shapiro_verdict_matches_the_orbit_route_on_scalar_modules(case):
+    # a rank-1 module is its own orbit, with stabiliser D = B = G
+    mod, h, c = case
+    full = Subgroup.full(mod.group)
+    assert prediction_verdict(mod, full, h, c) == ref_orbit_verdict(mod, h, full, c)
 
 
 def test_coset_representatives_and_generator_search():
@@ -549,7 +604,7 @@ def test_prediction_is_generated_by_the_first_basis_vector():
         dec = decomposition_subgroup(pair.inertia, pair.frob)
         for h in enumerate_subgroups(g):
             pred = ref_closed_form_inertia_tate(g, pair.inertia, pair.frob, h)
-            big, c = prediction_data(dec, tate_key(pair.inertia, h))
+            big, c = ref_prediction_data(g, pair.inertia, pair.frob, h)
             assert ref_pair_verdict(pred, whole(pred), big, c) == "pass", (pair, h)
             if pred.order > 1:
                 x, _ = ref_pair_cyclic_generator(pred, whole(pred))
@@ -572,8 +627,8 @@ class RefComparisonOutcome:
 def ref_closed_form_inertia_tate(group, inertia, frob, sub):
     """Predicted Tate module of an inertia module: the group ring of the
     quotient by (decomposition subgroup + sub), modulo #(inertia meet sub)."""
-    dec = inertia.join(Subgroup.from_generators(frob.group, [frob]))
-    big = dec.join(sub)
+    dec = ref_join(inertia, Subgroup.from_generators(frob.group, [frob]))
+    big = ref_join(dec, sub)
     c = ref_meet(inertia, sub).order
     qd = quotient_data(group, big)
     qring = group_ring(qd.group)
@@ -627,19 +682,19 @@ OLD_ROUTE_GROUPS = ([9], [27], [3, 3], [15], [3, 9], [2, 4], [2, 6], [12], [16],
 @pytest.mark.parametrize("factors", OLD_ROUTE_GROUPS)
 def test_prediction_verdict_matches_two_sided_comparison(factors):
     g = make_group(factors)
-    subs = enumerate_subgroups(g)
-    for pair in build_sets(g).stilde:
+    fam = build_sets(g)
+    for pair in fam.stilde:
         dec = decomposition_subgroup(pair.inertia, pair.frob)
         mod = inertia_module(pair.inertia, pair.frob)
-        for h in subs:
+        for h in fam.subgroups:
             t = tate_cohomology(mod, h)
             pred = ref_closed_form_inertia_tate(g, pair.inertia, pair.frob, h)
-            big, c = prediction_data(dec, tate_key(pair.inertia, h))
+            _, c = ref_prediction_data(g, pair.inertia, pair.frob, h)
             old = []
             for side in (t.h0, t.hminus1):
                 out = ref_module_equivalent(ref_subquotient(ref_dense(mod), *side), pred)
                 old.append(("pass" if out.isomorphic else "fail") if out.decided else "undecided")
-            assert prediction_verdict(mod, tate_cohomology(mod, h, 0), big, c) == tuple(old), (factors, pair, h)
+            assert prediction_verdict(mod, dec, fam.meet(h, dec), c) == tuple(old), (factors, pair, h)
 
 
 @pytest.mark.parametrize("factors", OLD_ROUTE_GROUPS)
@@ -797,15 +852,15 @@ def test_smith_presentation_matches_the_build_rank_presentation(factors):
 @pytest.mark.parametrize("factors", CRITERION_4_GROUPS + ([8], [2, 4], [2, 2, 2]))
 def test_closed_form_tate_groups_match_the_orbit_route(factors):
     g = make_group(factors)
-    subs = enumerate_subgroups(g)
-    for pair in build_sets(g).stilde:
+    fam = build_sets(g)
+    for pair in fam.stilde:
         dec = decomposition_subgroup(pair.inertia, pair.frob)
         mod = inertia_module(pair.inertia, pair.frob)
         ref = ref_inertia_module(pair.inertia, pair.frob)
-        for h in subs:
+        for h in fam.subgroups:
             t, t_ref = tate_cohomology(mod, h), ref_dense_tate_cohomology(ref, h)
-            big, c = prediction_data(dec, tate_key(pair.inertia, h))
-            verdicts = prediction_verdict(mod, tate_cohomology(mod, h, 0), big, c)
+            big, c = ref_prediction_data(g, pair.inertia, pair.frob, h)
+            verdicts = prediction_verdict(mod, dec, fam.meet(h, dec), c)
             sides = ((t.h0, t_ref.h0), (t.hminus1, t_ref.hminus1))
             for verdict, (side, ref_side) in zip(verdicts, sides):
                 invariants = ref_subquotient(ref_dense(mod), *side).invariants()
@@ -813,19 +868,25 @@ def test_closed_form_tate_groups_match_the_orbit_route(factors):
                 assert verdict == ref_pair_verdict(ref, ref_side, big, c), (factors, pair, h)
 
 
-# criterion 4's catalogue, then noncyclic 2-groups with many subgroups
-# per key class
-@pytest.mark.parametrize("factors", CRITERION_4_GROUPS + ([2, 4], [2, 2, 2], [2, 2, 4]))
-def test_keyed_prediction_data_matches_the_per_row_route(factors):
-    # B = D + (H + I) with c read off tate_key, against B = I + <frob> + H
-    # and c = #I #H / #(I + H) built from the pair and H alone
+# criterion 4's catalogue, then noncyclic groups and orders with two primes
+@pytest.mark.parametrize("factors", CRITERION_4_GROUPS + ([2, 4], [2, 2, 2], [12], [21], [6, 6]), ids=str)
+def test_shapiro_verdict_matches_the_orbit_route(factors):
+    # every (pair, H): the gcds over H meet D against the three tests on
+    # the lattice pairs of the H-orbit of coordinate 0, at the
+    # prediction (B, c) and at (B, c + 1)
     g = make_group(factors)
-    subs = enumerate_subgroups(g)
-    for pair in build_sets(g).stilde:
-        dec = decomposition_subgroup(pair.inertia, pair.frob)
-        for h in subs:
-            keyed = prediction_data(dec, tate_key(pair.inertia, h))
-            assert keyed == ref_prediction_data(g, pair.inertia, pair.frob, h), (factors, pair, h)
+    fam = build_sets(g)
+    seen = set()
+    for pair, proj in zip(fam.stilde, fam.projection):
+        dec = fam.s_pairs[proj].dec
+        mod = inertia_module(pair.inertia, pair.frob)
+        for h in fam.subgroups:
+            big, c = ref_prediction_data(g, pair.inertia, pair.frob, h)
+            for claim in (c, c + 1):
+                verdicts = prediction_verdict(mod, dec, fam.meet(h, dec), claim)
+                assert verdicts == ref_orbit_verdict(mod, h, big, claim), (factors, pair, h, claim)
+                seen.update(verdicts)
+    assert seen == {"pass", "fail"}
 
 
 @pytest.mark.parametrize("factors", CRITERION_4_GROUPS + ([8], [16], [2, 4], [2, 2, 2]))
@@ -883,7 +944,7 @@ def ref_tate_cohomology(module, sub):
         inv = ref_lattice_intersection(inv, pre)
 
     nm = ref_norm_matrix(module, sub)
-    norm_image = im.lattice_sum([im.vec_mat(list(e), nm) for e in im.identity(n)], rel)
+    norm_image = im.hnf([*(im.vec_mat(list(e), nm) for e in im.identity(n)), *rel])
     h0 = ref_quotient_module(module.group, inv, norm_image, module.gen_actions)
 
     ker = ref_preimage_lattice(nm, rel)
@@ -917,7 +978,7 @@ def test_kernel_mod_tate_groups_match_the_preimage_route(factors):
     # against the same call with the left-kernel route they replaced
     # patched in: the preimage of diag(d), repeated once per generator of
     # H for the invariants, and the norm image by its own HNF; one H per
-    # key of each pair, as the verify command computes them
+    # class (H + I, #(H meet I)) of each pair
     routed = []
 
     def preimage_route(rows, mods):
@@ -933,7 +994,7 @@ def test_kernel_mod_tate_groups_match_the_preimage_route(factors):
         mod = inertia_module(pair.inertia, pair.frob)
         first = {}
         for h in fam.subgroups:
-            first.setdefault(tate_key(pair.inertia, h), h)
+            first.setdefault((ref_join(h, pair.inertia), fam.meet(h, pair.inertia).order), h)
         for h in first.values():
             got = tate_cohomology(mod, h)
             blocks = len(routed)
@@ -942,7 +1003,8 @@ def test_kernel_mod_tate_groups_match_the_preimage_route(factors):
             ):
                 assert got == tate_cohomology(mod, h), (factors, pair, h)
             # two kernels for each orbit of H on the coordinates
-            orbits = {tate_cohomology(mod, h, t).coords for t in range(mod.rank)}
+            monos = [mod.act(e) for e in h.generators()]
+            orbits = {tuple(coordinate_orbit(monos, t)) for t in range(mod.rank)}
             assert len(routed) - blocks == 2 * len(orbits), (factors, pair, h)
             compared += 1
     assert compared
@@ -952,7 +1014,7 @@ def test_kernel_mod_tate_groups_match_the_preimage_route(factors):
 # per key class
 @pytest.mark.parametrize("factors", CRITERION_4_GROUPS + ([2, 4], [2, 2, 2], [2, 2, 4]))
 def test_lattice_pair_verdicts_match_the_module_route(factors):
-    # every (pair, H) row of the verify command: the block verdict and
+    # every (pair, H) row of the verify command: the Shapiro verdict and
     # the order of both Tate groups read off their lattice pairs, against
     # the subquotient modules and the verdict on them
     # (tests/reference.py).  Each row is compared at the prediction
@@ -964,12 +1026,12 @@ def test_lattice_pair_verdicts_match_the_module_route(factors):
         dec = decomposition_subgroup(pair.inertia, pair.frob)
         mod = inertia_module(pair.inertia, pair.frob)
         for h in fam.subgroups:
-            t, block, ref = tate_cohomology(mod, h), tate_cohomology(mod, h, 0), ref_tate_modules(ref_dense(mod), h)
+            t, ref = tate_cohomology(mod, h), ref_tate_modules(ref_dense(mod), h)
             for side, ref_side in ((t.h0, ref.h0), (t.hminus1, ref.hminus1)):
                 assert ref_tate_order(side) == ref_side.order, (factors, pair, h)
-            big, c = prediction_data(dec, tate_key(pair.inertia, h))
+            big, c = ref_prediction_data(g, pair.inertia, pair.frob, h)
             for claim in (c, c + 1):
-                verdicts = prediction_verdict(mod, block, big, claim)
+                verdicts = prediction_verdict(mod, dec, fam.meet(h, dec), claim)
                 want = tuple(ref_module_verdict(side, big, claim) for side in ref)
                 assert verdicts == want, (factors, pair, h, big, claim)
                 seen.update(verdicts)
@@ -994,7 +1056,6 @@ def test_blockwise_tate_pairs_are_the_dense_pairs(factors):
         for module, h in cases:
             got, want = tate_cohomology(module, h), ref_dense_tate_cohomology(ref_dense(module), h)
             assert (got.h0, got.hminus1) == (want.h0, want.hminus1), (factors, pair, h)
-            assert got.coords == tuple(range(module.rank))
 
 
 def rank_512_module():
@@ -1007,15 +1068,15 @@ def rank_512_module():
 
 # the criterion-4/5 catalogue, then the groups of the largest tate sweeps
 # that tier 1 runs
-BLOCK_VERDICT_GROUPS = CRITERION_4_GROUPS + ([2, 2, 8], [4, 16], [3, 27])
+SHAPIRO_VERDICT_GROUPS = CRITERION_4_GROUPS + ([2, 2, 8], [4, 16], [3, 27])
 
 
-@pytest.mark.parametrize("factors", BLOCK_VERDICT_GROUPS, ids=lambda f: ",".join(map(str, f)))
-def test_block_verdict_matches_the_full_pair_verdict(factors):
-    # the verdict read off the orbit of coordinate 0 against the dense
-    # route's verdict on the whole Tate pairs (coset walk and generator
-    # search included), one H per key of each pair as verify computes
-    # them, at the prediction (B, c) and at (B, c + 1)
+@pytest.mark.parametrize("factors", SHAPIRO_VERDICT_GROUPS, ids=lambda f: ",".join(map(str, f)))
+def test_shapiro_verdict_matches_the_full_pair_verdict(factors):
+    # the verdict read off H meet D against the dense route's verdict on
+    # the whole Tate pairs (coset walk and generator search included),
+    # one H per key (H meet D, #(H meet I)) of each pair as verify
+    # computes them, at the prediction (B, c) and at (B, c + 1)
     g = make_group(factors)
     fam = build_sets(g)
     keys = 0
@@ -1025,18 +1086,18 @@ def test_block_verdict_matches_the_full_pair_verdict(factors):
         dense = ref_dense(mod)
         first = {}
         for h in fam.subgroups:
-            first.setdefault(tate_key(pair.inertia, h), h)
-        for key, h in first.items():
-            t, block = tate_cohomology(mod, h), tate_cohomology(mod, h, 0)
-            big, c = prediction_data(dec, key)
+            first.setdefault((fam.meet(h, dec), fam.meet(h, pair.inertia).order), h)
+        for (meet, _), h in first.items():
+            t = tate_cohomology(mod, h)
+            big, c = ref_prediction_data(g, pair.inertia, pair.frob, h)
             for claim in (c, c + 1):
                 want = tuple(ref_pair_verdict(dense, side, big, claim) for side in (t.h0, t.hminus1))
-                assert prediction_verdict(mod, block, big, claim) == want, (factors, pair, h, claim)
+                assert prediction_verdict(mod, dec, meet, claim) == want, (factors, pair, h, claim)
             keys += 1
     assert keys
 
 
-def test_block_verdict_matches_the_full_pair_verdict_on_the_rank_512_module():
+def test_shapiro_verdict_matches_the_full_pair_verdict_on_the_rank_512_module():
     # H = G and three of its subgroups; at #H = 128 the generator
     # search of the full pair takes about a second, and it grows as #H
     # falls
@@ -1045,24 +1106,23 @@ def test_block_verdict_matches_the_full_pair_verdict_on_the_rank_512_module():
     dec = decomposition_subgroup(inertia, g.zero())
     for k in (1, 2, 4, 8):
         h = Subgroup.from_generators(g, [g.element((k,))])
-        big, c = prediction_data(dec, tate_key(inertia, h))
-        t, block = tate_cohomology(mod, h), tate_cohomology(mod, h, 0)
-        assert len(block.coords) == h.order // 2
+        big, c = ref_prediction_data(g, inertia, g.zero(), h)
+        t = tate_cohomology(mod, h)
         want = tuple(ref_pair_verdict(dense, side, big, c) for side in (t.h0, t.hminus1))
-        assert prediction_verdict(mod, block, big, c) == want == ("pass", "pass"), k
+        assert prediction_verdict(mod, dec, ref_meet(h, dec), c) == want == ("pass", "pass"), k
 
 
 def test_the_whole_group_key_of_the_rank_512_module_takes_seconds():
     # at H = G the dense norm took 1023 products of 512 x 512 matrices
     # and tate_cohomology about 28 s; the monomial norm is a sum over the
-    # 1024 elements.  The block verdict and the full pair (which the
-    # triviality sweep takes over the 2-Sylow, G) each took under a
-    # second on a 2-core machine
+    # 1024 elements.  The full pair (which the triviality sweep takes
+    # over the 2-Sylow, G) took under a second on a 2-core machine
     inertia, mod = rank_512_module()
     g = mod.group
     t0 = time.monotonic()
-    big, c = prediction_data(decomposition_subgroup(inertia, g.zero()), tate_key(inertia, Subgroup.full(g)))
-    assert prediction_verdict(mod, tate_cohomology(mod, Subgroup.full(g), 0), big, c) == ("pass", "pass")
+    dec = decomposition_subgroup(inertia, g.zero())
+    _, c = ref_prediction_data(g, inertia, g.zero(), Subgroup.full(g))
+    assert prediction_verdict(mod, dec, dec, c) == ("pass", "pass")
     t = tate_cohomology(mod, Subgroup.full(g))
     assert ref_tate_order(t.h0) == ref_tate_order(t.hminus1) == 2
     assert time.monotonic() - t0 < 10.0

@@ -328,7 +328,7 @@ def test_lattice_index_and_eq():
 @given(square(2), square(2))
 @settings(max_examples=60, deadline=None)
 def test_sum_contains_intersection(a, b):
-    s = im.lattice_sum([list(r) for r in a], [list(r) for r in b])
+    s = im.hnf([list(r) for r in (*a, *b)])
     i = [im.vec_mat(c, a) for c in ref_preimage_lattice(a, [list(r) for r in b])]
     h, _, piv = ref_hnf_with_transform(s, 2)
     for r in i:

@@ -322,14 +322,13 @@ def test_verify_triviality_exits_2_on_a_non_factor(monkeypatch):
 
 
 def test_verify_tate_exits_2_on_a_wrong_c(monkeypatch):
-    # the sweep reads c off the key and B off prediction_data
-    real = cli.tate_key
+    # the sweep hands each verdict c = #(H meet I) from its key
+    real = cli.prediction_verdict
 
-    def off_by_one(*args):
-        joined, c = real(*args)
-        return joined, c + 1
+    def off_by_one(module, dec, meet, c):
+        return real(module, dec, meet, c + 1)
 
-    monkeypatch.setattr(cli, "tate_key", off_by_one)
+    monkeypatch.setattr(cli, "prediction_verdict", off_by_one)
     code, out = run_main(["verify", "9", "--checks", "tate"])
     assert code == EXIT_CHECK
     rows = [line for line in out.splitlines() if line.startswith("results.rows\ttate\t")]

@@ -54,10 +54,9 @@ def test_tracer_installs_and_counts_the_layers():
         "grouprings.FiniteModule.validate",
         "grouprings.GroupRing.__init__",
         "cohomology.tate_cohomology",
-        "cohomology.tate_key",
+        "cohomology.prediction_verdict",
         "cohomology.p_part",
         "cohomology.chi_idempotent_matrix",
-        "cohomology.prediction_data",
         "cohomology.triviality_criterion",
         "lattices.verify_unit_transport",
         "monoid.build_sets",
