@@ -18,7 +18,7 @@ import sys
 from importlib import resources
 
 from .abelian import ELEMENT_CAP, is_prime, make_group, p_split, prime_factors
-from .cohomology import prediction_verdict, triviality_criterion
+from .cohomology import induced_unit, prediction_verdict, triviality_criterion
 from .errors import (
     CapacityError,
     GrlatError,
@@ -136,20 +136,23 @@ class _SweepInputs:
 
 
 def _tate_rows(inputs):
-    # the statuses of a pair depend on H only through (H meet D, #(H meet
-    # I)): D is the stabiliser of coordinate 0, and H meet D and c decide
-    # the verdict (cohomology.prediction_verdict)
+    # the statuses of a pair depend on H only through #(H meet D) and #(H
+    # meet I), two popcounts of mask meets, and psi(frob), read once per
+    # pair (cohomology.prediction_verdict); c = #(H meet I) is the claim
     fam = inputs.fam
     rows = []
     names = [fmt_sub(h) for h in fam.subgroups]
+    masks = [fam.masks[h] for h in fam.subgroups]
     for pair, proj, mod in zip(fam.stilde, fam.projection, inputs.modules()):
         dec = fam.s_pairs[proj].dec
+        psi = induced_unit(mod, pair.inertia, pair.frob, dec)
+        d_mask, i_mask = fam.masks[dec], fam.masks[pair.inertia]
         inertia_name, frob_name = fmt_sub(pair.inertia), fmt_elem(pair.frob)
         statuses = {}
-        for h, name in zip(fam.subgroups, names):
-            key = (fam.meet(h, dec), fam.meet(h, pair.inertia).order)
+        for mask, name in zip(masks, names):
+            key = ((mask & d_mask).bit_count(), (mask & i_mask).bit_count())
             if key not in statuses:
-                verdicts = prediction_verdict(mod, dec, *key)
+                verdicts = prediction_verdict(psi, mod.modulus, dec.order, pair.inertia.order, *key, key[1])
                 statuses[key] = "pass" if verdicts == ("pass", "pass") else ";".join(verdicts)
             rows.append(["tate", inertia_name, frob_name, name, statuses[key]])
     return rows

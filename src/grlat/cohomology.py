@@ -44,7 +44,11 @@ over the generators k of K) and n = gcd(m, N), N the sum of psi over K,
 both cyclic of order g n / m.  H acts trivially on its own cohomology
 and d in D acts on both as psi(d), so the two verdicts are one, a few
 gcds mod m, exact at every size: g n / m = c, and c divides psi(d) - 1
-for each generator d of D.
+for each d in D.  psi is trivial on I and D/I is cyclic on frob, so psi
+is read once per pair, as psi(frob) (induced_unit).  On an inertia
+module psi(frob) = 1/a, a = 1 + #I, and m = a^f - 1, so that g =
+a^(f / f_K) - 1 and c | a - 1 | g: the true c passes on every key, and
+the sweep catches a wrong psi or a wrong c, nothing more.
 
 The triviality criterion builds no component module either.  The
 p-part M_p is M read mod p^v_p(m), under the same permutations
@@ -201,46 +205,39 @@ def p_part(module: FiniteModule, p: int) -> FiniteModule:
 # comparison with the predicted Tate module
 
 
-def prediction_verdict(module: FiniteModule, dec: Subgroup, meet: Subgroup, c: int) -> tuple:
-    """The verdicts, 'pass' or 'fail', of H^0 and of H^-1 of an induced
-    module over H against (Z/c)[G/B], B = D + H, for dec = D the
-    stabiliser of coordinate 0 and meet = K = H meet D, by the gcds of
-    the module docstring.  D must be exactly that stabiliser and G must
-    join every coordinate to 0: the module is transitive, rank #D = #G,
-    and every generator of D (and of K) fixes coordinate 0.  Otherwise
-    ScopeError.
-
-    psi(d) is the unit by which d scales e_0.  The elements of K are the
-    sum_j s_j k_j, s_j < o_j, over the rows k_j of its basis with o_j =
-    factor_j / k_j[j] > 1, once each (see Subgroup), and psi is a
-    character, so N = prod_j (1 + u_j + ... + u_j^(o_j - 1)), u_j =
-    psi(k_j): (u^o - 1) / (u - 1) mod m, read off u^o mod m (u - 1)."""
+def induced_unit(module: FiniteModule, inertia: Subgroup, frob: GroupElement, dec: Subgroup) -> int:
+    """psi(frob), the unit by which frob scales e_0, for an induced module
+    with dec = D = inertia + <frob> the stabiliser of coordinate 0: the
+    module is transitive, rank #D = #G, frob fixes coordinate 0 and every
+    generator of inertia fixes e_0 with unit 1.  Otherwise ScopeError."""
     group = module.group
-    if dec.group != group or meet.group != group:
-        raise ParentMismatchError("subgroup of a different group")
-    m = module.modulus
-    ds = [module.act(d) for d in dec.generators()]
-    ks = [
-        (module.act(group.element(row)), factor // row[j])
-        for j, (row, factor) in enumerate(zip(meet.basis, group.factors))
-        if factor > row[j]
-    ]
-    if (
-        not module.transitive
-        or module.rank * dec.order != group.order
-        or any(perm[0] for perm, _ in ds + [a for a, _ in ks])
-    ):
-        raise ScopeError("dec is not the stabiliser of coordinate 0, or G does not join the coordinates")
-    g, norm = m, 1
-    for (_, units), o in ks:
-        u = units[0]
-        g = gcd(g, u - 1)
-        norm = norm * (o if u == 1 else (pow(u, o, m * (u - 1)) - 1) // (u - 1)) % m
-    n = gcd(m, norm)
-    # d fixes the generator m/g of H^0 = (m/g) Z/m / n Z/m when n divides
-    # (psi(d) - 1) m/g, and the generator m/n of H^-1 when g divides
-    # (psi(d) - 1) m/n: both say that g n / m divides psi(d) - 1
-    ok = g * n == c * m and all((units[0] - 1) % c == 0 for _, units in ds)
+    if inertia.group != group or frob.group != group or dec.group != group:
+        raise ParentMismatchError("inputs from a different group")
+    if module.transitive and module.rank * dec.order == group.order:
+        (perm, units), *fixed = map(module.act, [frob, *inertia.generators()])
+        if not perm[0] and not any(p[0] or (u[0] - 1) % module.modulus for p, u in fixed):
+            return units[0]
+    raise ScopeError("D is not the stabiliser of coordinate 0, I moves e_0, or G does not join the coordinates")
+
+
+def prediction_verdict(psi: int, m: int, d: int, i: int, k: int, ki: int, c: int) -> tuple:
+    """The verdicts, 'pass' or 'fail', of H^0 and of H^-1 of an induced
+    module over H against (Z/c)[G/B], for psi = psi(frob), m the modulus
+    and d, i, k, ki the orders of D, I, K = H meet D and H meet I.  K maps
+    onto the subgroup of order f_K = k / ki of D/I, cyclic of order f =
+    d / i on frob, so psi(K) is the powers of u = psi^(f / f_K): g =
+    gcd(m, u - 1) and N = ki (1 + u + ... + u^(f_K - 1)), the claim c read
+    into neither.  Orders that no subgroups have are refused: ScopeError."""
+    if min(d, i, k, ki) < 1 or d % i or k % ki or (d // i) % (k // ki):
+        raise ScopeError(f"no K <= D and I <= D have #K = {k}, #(K meet I) = {ki}, #D = {d}, #I = {i}")
+    fk = k // ki
+    u = pow(psi, d // i // fk, m)
+    g = gcd(m, u - 1)
+    n = gcd(m, ki * (fk if u == 1 else (pow(u, fk, m * (u - 1)) - 1) // (u - 1)))
+    # x in D fixes the generator m/g of H^0 when n divides (psi(x) - 1) m/g,
+    # and m/n of H^-1 when g divides (psi(x) - 1) m/n: both say that g n / m
+    # divides psi(x) - 1, and psi(D) is the powers of psi
+    ok = g * n == c * m and (psi - 1) % c == 0
     return ("pass", "pass") if ok else ("fail", "fail")
 
 

@@ -168,6 +168,13 @@ comes from ref_prediction_data, the per-row route prediction_data took
 before it was keyed: B = I + <frob> + H and c = #I #H / #(I + H), from
 the pair and H alone.
 
+ref_shapiro_verdict is the tate verdict as it ran before it was split
+into a per-pair reader of psi(frob) and a per-key function on orders:
+each key took a module, D and K = H meet D as subgroups, composed the
+full monomials of D's generators and of K's basis rows to read psi
+off their units at coordinate 0, and refused a D or K moving
+coordinate 0.
+
 ref_tate_modules, ref_module_verdict, ref_module_cyclic_generator and
 ref_coset_representatives are the Tate route as it ran before each
 Tate group was kept as the lattice pair (top, bottom) it is the
@@ -1057,6 +1064,40 @@ def ref_orbit_verdict(module, sub, big, c):
     gens = [_restrict(b, coords) for b in bs]
     pairs = _block_pairs(monos, steps, coords, m)
     return tuple(ref_block_verdict(pair, gens, c, m) for pair in pairs)
+
+
+def ref_shapiro_verdict(module, dec, meet, c):
+    """The verdicts of H^0 and H^-1 of an induced module over H against
+    (Z/c)[G/B], for dec = D the stabiliser of coordinate 0 and meet = K =
+    H meet D: g = gcd(m, psi(k_j) - 1) and N = prod_j (1 + u_j + ... +
+    u_j^(o_j - 1)), u_j = psi(k_j), over the rows k_j of K's basis with
+    o_j > 1, and pass when g n / m = c and c divides psi(d) - 1 for every
+    generator d of D.  ScopeError unless the module is transitive, rank
+    #D = #G and every generator of D and of K fixes coordinate 0."""
+    group = module.group
+    if dec.group != group or meet.group != group:
+        raise ParentMismatchError("subgroup of a different group")
+    m = module.modulus
+    ds = [module.act(d) for d in dec.generators()]
+    ks = [
+        (module.act(group.element(row)), factor // row[j])
+        for j, (row, factor) in enumerate(zip(meet.basis, group.factors))
+        if factor > row[j]
+    ]
+    if (
+        not module.transitive
+        or module.rank * dec.order != group.order
+        or any(perm[0] for perm, _ in ds + [a for a, _ in ks])
+    ):
+        raise ScopeError("dec is not the stabiliser of coordinate 0, or G does not join the coordinates")
+    g, norm = m, 1
+    for (_, units), o in ks:
+        u = units[0]
+        g = gcd(g, u - 1)
+        norm = norm * (o if u == 1 else (pow(u, o, m * (u - 1)) - 1) // (u - 1)) % m
+    n = gcd(m, norm)
+    ok = g * n == c * m and all((units[0] - 1) % c == 0 for _, units in ds)
+    return ("pass", "pass") if ok else ("fail", "fail")
 
 
 # -- Tate groups of the whole module by dense matrices -------------------------

@@ -15,7 +15,7 @@ import pytest
 
 from grlat.abelian import decomposition_subgroup, enumerate_subgroups, make_group, prime_factors
 from grlat.cli import main
-from grlat.cohomology import prediction_verdict, tate_cohomology, triviality_criterion
+from grlat.cohomology import induced_unit, prediction_verdict, tate_cohomology, triviality_criterion
 from grlat.grouprings import GroupRing, inertia_module
 from grlat.lattices import (
     verify_extension_sequence,
@@ -148,13 +148,15 @@ def test_criterion_4_tate_closed_form(announce):
         for pair in fam.stilde:
             dec = decomposition_subgroup(pair.inertia, pair.frob)
             mod = inertia_module(pair.inertia, pair.frob)
+            orders = (induced_unit(mod, pair.inertia, pair.frob, dec), mod.modulus, dec.order, pair.inertia.order)
             for h in subs:
                 cases += 1
                 t = tate_cohomology(mod, h)
                 big, c = ref_prediction_data(g, pair.inertia, pair.frob, h)
                 # (Z/c)[G/B] is (Z/c)^[G:B] as an abelian group
                 invariants = (c,) * (g.order // big.order) if c > 1 else ()
-                verdicts = prediction_verdict(mod, dec, fam.meet(h, dec), c)
+                meets = (fam.meet(h, dec).order, fam.meet(h, pair.inertia).order)
+                verdicts = prediction_verdict(*orders, *meets, c)
                 for side, verdict in zip((t.h0, t.hminus1), verdicts):
                     if ref_subquotient(ref_dense(mod), *side).invariants() != invariants:
                         failures.append((facs, pair, h, "invariants"))

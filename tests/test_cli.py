@@ -23,7 +23,7 @@ from grlat import intmat as im
 from grlat.abelian import make_group
 from grlat.cli import main
 from grlat.errors import ContainmentError
-from grlat.grouprings import inertia_module
+from grlat.grouprings import FiniteModule, inertia_module
 from grlat.monoid import build_pair_sets, build_sets
 import reference
 
@@ -187,19 +187,19 @@ KEYED_TATE_GROUPS = ([9], [27], [3, 3], [15], [3, 9], [2, 4], [2, 2, 2], [2, 2, 
 @pytest.mark.parametrize("perturbed", [False, True], ids=["as-is", "c-shifted"])
 @pytest.mark.parametrize("factors", KEYED_TATE_GROUPS, ids=lambda f: ",".join(map(str, f)))
 def test_keyed_tate_rows_match_the_per_row_sweep(factors, perturbed, monkeypatch):
-    # the keyed sweep reads its verdicts off (H meet D, #(H meet I)) by
+    # the keyed sweep reads its verdicts off (#(H meet D), #(H meet I)) by
     # Shapiro's lemma; the reference takes (B, c) from ref_prediction_data
     # and the verdict of the dense route's whole pairs, one (pair, H) at a
     # time.
     # perturbed: each verdict sees c + 1 wherever c > 1 and H meet D is a
-    # proper subgroup of D (as #H < #B), a fault that reads both parts of
-    # the key, so rows that share only H meet D or only #(H meet I) can
-    # get different statuses
+    # proper subgroup of D, #(H meet D) < #D (as #H < #B), a fault that
+    # reads both parts of the key, so rows that share only #(H meet D) or
+    # only #(H meet I) can get different statuses
     if perturbed:
         real, real_ref = cli.prediction_verdict, reference.ref_prediction_data
 
-        def shifted(module, dec, meet, c):
-            return real(module, dec, meet, c + (c > 1 and meet.order < dec.order))
+        def shifted(psi, m, d, i, k, ki, c):
+            return real(psi, m, d, i, k, ki, c + (c > 1 and k < d))
 
         def shifted_ref(group, inertia, frob, sub):
             big, c = real_ref(group, inertia, frob, sub)
@@ -246,6 +246,29 @@ def test_tate_rows_run_no_intmat_routine_and_build_no_subgroup(monkeypatch):
     # the spies see what they are meant to see
     abelian.Subgroup.trivial(fam.group)
     assert {"diagonal", "Subgroup"} <= set(calls)
+
+
+def test_tate_rows_act_at_most_rank_i_plus_one_times_per_pair(monkeypatch):
+    # 2,2,8: with the modules built, a pair reads psi(frob) and checks its
+    # inertia generators once, rank(I) + 1 calls of act, and every key is
+    # arithmetic on orders; the verdict that composed the monomials of D
+    # and of H meet D for every key made 15,013 calls over the 259 pairs
+    fam = build_pair_sets(make_group([2, 2, 8]))
+    inputs = cli._SweepInputs(fam, ["tate", "triviality"])
+    modules = inputs.modules()
+    calls = {}
+    real_act = FiniteModule.act
+
+    def act(self, elem):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return real_act(self, elem)
+
+    monkeypatch.setattr(FiniteModule, "act", act)
+    rows = cli._tate_rows(inputs)
+    assert len(rows) == len(fam.stilde) * len(fam.subgroups) and {r[-1] for r in rows} == {"pass"}
+    assert len(calls) == len(fam.stilde)
+    for pair, mod in zip(fam.stilde, modules):
+        assert calls[id(mod)] <= len(pair.inertia.generators()) + 1, pair
 
 
 def test_tate_rows_take_no_subquotient_or_smith_form(monkeypatch):
@@ -756,6 +779,7 @@ def test_too_many_inertia_pairs_are_refused_at_once(argv):
         (["verify", "2,2,4", "--checks", "tate"], "5e71449cc9c0e51346d321525e0e94f7d33774069d586586f2c5b31aeb5a3018"),
         (["verify", "2,2,2,2", "--checks", "tate"], "fab640a676cfc164e915c84dfaa4902730a970af8f31ab40ea893e565d99bec1"),
         (["verify", "2,2,8", "--checks", "tate"], "63f81c8b8a480556e040dc8bbf57e1142ebde8d17513536a3fea55a0845f1fa7"),
+        (["verify", "2,2,2,4", "--checks", "tate"], "aeb95cc9f42076e0ac2206dd0ceb5592d01c3b78d2552f9b080232500a6293b7"),
         (["verify", "3,27", "--checks", "tate"], "f90827864ea147809294e1484afa8624fecc20ba7b42e7554bdd615a06273157"),
         (["verify", "4,16", "--checks", "tate"], "344933ae8ceb3d4d69569e1717b93f5f0ed2e0054a2202d37133e8e561a3c07a"),
         (["verify", "256", "--checks", "tate"], "f8694eab6cecc2e05e99cc47c9922145e27bc1ae1f355719234f4cf9a9f20061"),
@@ -814,6 +838,7 @@ def test_too_many_inertia_pairs_are_refused_at_once(argv):
         "2,2,4-tate",
         "2,2,2,2-tate",
         "2,2,8-tate",
+        "2,2,2,4-tate",
         "3,27-tate",
         "4,16-tate",
         "256-tate",
@@ -896,7 +921,9 @@ def test_large_verify_reports_are_pinned(argv, digest):
     # half of a left kernel, read off an HNF with unimodular transform of
     # the maps stacked over the relations, and put in HNF again; the 256
     # tate sweep as printed when every row took the Tate pairs of the
-    # whole module from dense matrices and searched them for a generator
+    # whole module from dense matrices and searched them for a generator;
+    # the 2,2,2,4 tate sweep as printed when every key composed the
+    # monomials of D's generators and of the basis rows of H meet D
     env = dict(os.environ, PYTHONPATH=str(Path(grlat.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-m", "grlat", *argv], capture_output=True, env=env, timeout=120)
     assert done.returncode == 0
@@ -974,6 +1001,7 @@ def test_package_is_integral():
         ["verify", "81", "--checks", "kernel"],
         ["verify", "2,2,8", "--checks", "tate"],
         ["verify", "12", "--checks", "triviality"],
+        ["verify", "2,2,2,4", "--checks", "tate"],
     ],
 )
 def test_optimized_interpreter_gives_identical_reports(argv):

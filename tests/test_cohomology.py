@@ -44,6 +44,7 @@ from grlat.cohomology import (
     character_classes,
     chi_idempotent_matrix,
     complement_generators,
+    induced_unit,
     p_part,
     prediction_verdict,
     tate_cohomology,
@@ -84,6 +85,7 @@ from reference import (
     ref_prediction_data,
     ref_preimage_lattice,
     ref_root_power_traces,
+    ref_shapiro_verdict,
     ref_subquotient,
     ref_tate_modules,
     ref_tate_order,
@@ -110,6 +112,20 @@ def regular_module(ring, m):
     mod = FiniteModule(ring.group, m, n, gens)
     mod.validate()
     return mod
+
+
+def verdict_at(mod, inertia, frob, dec, k, ki, c):
+    """The package's tate verdict for #(H meet D) = k and #(H meet I) =
+    ki: psi(frob) read off the module, then the gcds on the orders."""
+    psi = induced_unit(mod, inertia, frob, dec)
+    return prediction_verdict(psi, mod.modulus, dec.order, inertia.order, k, ki, c)
+
+
+def row_verdict(fam, pair, dec, mod, h, c):
+    """verdict_at for the row H of a pair, its orders read off the
+    element masks as the tate sweep reads them."""
+    k, ki = ((fam.masks[h] & fam.masks[s]).bit_count() for s in (dec, pair.inertia))
+    return verdict_at(mod, pair.inertia, pair.frob, dec, k, ki, c)
 
 
 def full_inertia_module(n):
@@ -164,7 +180,7 @@ def test_closed_form_matches_brute_force_small():
             mod = inertia_module(pair.inertia, pair.frob)
             for h in fam.subgroups:
                 _, c = ref_prediction_data(g, pair.inertia, pair.frob, h)
-                verdicts = prediction_verdict(mod, dec, fam.meet(h, dec), c)
+                verdicts = row_verdict(fam, pair, dec, mod, h, c)
                 assert verdicts == ("pass", "pass"), (facs, pair, h)
 
 
@@ -209,12 +225,12 @@ def test_closed_form_anchor_values():
     assert predict(i3, g9.element((1,)), i3) == (Subgroup.full(g9), 3)
     # I = <3>, frob = 0, H trivial: Z[G/I] = Z[C3] modulo 1, the zero module
     assert predict(i3, g9.zero(), Subgroup.trivial(g9)) == (i3, 1)
-    # the verdict refuses subgroups of another group
+    # the verdict's reader refuses subgroups of another group
     mod = inertia_module(i3, g9.element((1,)))
     with pytest.raises(ParentMismatchError):
-        prediction_verdict(mod, Subgroup.full(g), Subgroup.full(g), 3)
+        induced_unit(mod, Subgroup.full(g), g.zero(), Subgroup.full(g))
     with pytest.raises(ParentMismatchError):
-        prediction_verdict(mod, Subgroup.full(g9), Subgroup.full(g), 3)
+        induced_unit(mod, i3, g9.element((1,)), Subgroup.full(g))
 
 
 def test_cohomological_triviality_anchors():
@@ -447,25 +463,28 @@ def scalar_module(n, m, u):
 
 
 def test_shapiro_verdict_decides_the_order_and_the_action():
-    # C6 acting on Z/3 by 2, H = <2> = K: psi(2) = 4 = 1, so g = 3, N = 3
-    # and n = 3, and H^0 = H^-1 = Z/3 has the order c = 3; but D = G acts
-    # on it by 2 = -1, so it is not (Z/3)[G/G]
+    # C6 acting on Z/3 by 2, I trivial and frob = 1, so D = G and psi = 2;
+    # H = <2> = K: psi(2) = 4 = 1, so g = 3, N = 3 and n = 3, and H^0 =
+    # H^-1 = Z/3 has the order c = 3; but D = G acts on it by 2 = -1, so
+    # it is not (Z/3)[G/G]
     mod = scalar_module(6, 3, 2)
     g = mod.group
     full, h = Subgroup.full(g), Subgroup.from_generators(g, [g.element((2,))])
-    assert prediction_verdict(mod, full, h, 3) == ref_orbit_verdict(mod, h, full, 3) == ("fail", "fail")
+    trivial, frob = Subgroup.trivial(g), g.element((1,))
+    assert verdict_at(mod, trivial, frob, full, 3, 1, 3) == ref_orbit_verdict(mod, h, full, 3) == ("fail", "fail")
     # with C6 acting trivially, H^0 = Z/3 / 3 Z/3 has trivial action
     triv = scalar_module(6, 3, 1)
-    assert prediction_verdict(triv, full, h, 3) == ref_orbit_verdict(triv, h, full, 3) == ("pass", "pass")
+    assert verdict_at(triv, trivial, frob, full, 3, 1, 3) == ref_orbit_verdict(triv, h, full, 3) == ("pass", "pass")
     # the order test: over C2, Z/4 with trivial action has H^0 = Z/2
     z4 = scalar_module(2, 4, 1)
-    full2 = Subgroup.full(z4.group)
+    g2 = z4.group
+    full2 = Subgroup.full(g2)
     for c, want in ((2, "pass"), (4, "fail"), (1, "fail")):
-        assert prediction_verdict(z4, full2, full2, c) == ref_orbit_verdict(z4, full2, full2, c) == (want, want)
+        got = verdict_at(z4, Subgroup.trivial(g2), g2.element((1,)), full2, 2, 1, c)
+        assert got == ref_orbit_verdict(z4, full2, full2, c) == (want, want)
     # K trivial: no Tate cohomology, so only c = 1 passes
-    trivial = Subgroup.trivial(g)
-    assert prediction_verdict(mod, full, trivial, 1) == ("pass", "pass")
-    assert prediction_verdict(mod, full, trivial, 3) == ("fail", "fail")
+    assert verdict_at(mod, trivial, frob, full, 1, 1, 1) == ("pass", "pass")
+    assert verdict_at(mod, trivial, frob, full, 1, 1, 3) == ("fail", "fail")
 
 
 def test_orbit_oracle_tests_the_order_the_action_and_cyclicity():
@@ -492,27 +511,66 @@ def test_orbit_oracle_tests_the_order_the_action_and_cyclicity():
 
 def test_shapiro_verdict_refuses_what_it_cannot_decide():
     # C4 swapping the two coordinates of (Z/5)^2 through C4 / <2>: the
-    # stabiliser of coordinate 0 is D = <2>
+    # stabiliser of coordinate 0 is D = <2>, I + <frob> for I trivial and
+    # frob = 2, and psi(2) = 1
     g = make_group([4])
     swap = FiniteModule(g, 5, 2, (((1, 0), (1, 1)),))
     swap.validate()
     assert swap.transitive
-    full, dec = Subgroup.full(g), Subgroup.from_generators(g, [g.element((2,))])
-    assert prediction_verdict(swap, dec, dec, 1) == ref_orbit_verdict(swap, dec, dec, 1) == ("pass", "pass")
-    # a dec that moves coordinate 0, and a meet outside the stabiliser
+    full, trivial = Subgroup.full(g), Subgroup.trivial(g)
+    two = g.element((2,))
+    dec = Subgroup.from_generators(g, [two])
+    assert induced_unit(swap, trivial, two, dec) == 1
+    want = ref_orbit_verdict(swap, dec, dec, 1)
+    assert verdict_at(swap, trivial, two, dec, 2, 1, 1) == want == ref_shapiro_verdict(swap, dec, dec, 1) == ("pass", "pass")
+    # a dec that moves coordinate 0, and a dec smaller than the
+    # stabiliser: rank #D != #G
     with pytest.raises(ScopeError):
-        prediction_verdict(swap, full, dec, 1)
+        induced_unit(swap, trivial, two, full)
     with pytest.raises(ScopeError):
-        prediction_verdict(swap, dec, full, 1)
-    # a dec smaller than the stabiliser: rank #D != #G
+        induced_unit(swap, trivial, g.zero(), trivial)
+    # a frob that moves coordinate 0, and an inertia group that does
     with pytest.raises(ScopeError):
-        prediction_verdict(swap, Subgroup.trivial(g), Subgroup.trivial(g), 1)
+        induced_unit(swap, trivial, g.element((1,)), dec)
+    with pytest.raises(ScopeError):
+        induced_unit(swap, full, two, dec)
+    # a meet outside the stabiliser: #K = 4 with K meet I trivial over
+    # f = [D : I] = 2
+    with pytest.raises(ScopeError):
+        prediction_verdict(1, 5, 2, 1, 4, 1, 1)
+    # C2 acting on Z/5 by -1: an inertia group that scales e_0, where the
+    # same module read with I trivial has psi(1) = 4
+    neg = scalar_module(2, 5, 4)
+    g2 = neg.group
+    with pytest.raises(ScopeError):
+        induced_unit(neg, Subgroup.full(g2), g2.zero(), Subgroup.full(g2))
+    assert induced_unit(neg, Subgroup.trivial(g2), g2.element((1,)), Subgroup.full(g2)) == 4
     # (Z/3)^2 with trivial action: G does not join its two coordinates
     flat = FiniteModule(make_group([2]), 3, 2, (((0, 1), (1, 1)),))
     assert not flat.transitive
     trivial = Subgroup.trivial(flat.group)
     with pytest.raises(ScopeError):
-        prediction_verdict(flat, trivial, trivial, 1)
+        induced_unit(flat, trivial, flat.group.zero(), trivial)
+
+
+def test_integer_verdict_refuses_inconsistent_orders():
+    # Z/63 of the pair (<3>, 1) of Z/9: #D = 9, #I = 3, f = 3, psi = 4^-1
+    g = make_group([9])
+    i3 = Subgroup.from_generators(g, [g.element((3,))])
+    mod = inertia_module(i3, g.element((1,)))
+    psi = induced_unit(mod, i3, g.element((1,)), Subgroup.full(g))
+    assert psi == 16 and mod.modulus == 63
+    assert prediction_verdict(psi, 63, 9, 3, 9, 3, 3) == ("pass", "pass")
+    for d, i, k, ki in [
+        (9, 3, 1, 3),  # #(K meet I) > #K: f_K would be 0
+        (9, 3, 3, 2),  # #(K meet I) does not divide #K
+        (9, 3, 6, 3),  # f_K = 2 does not divide f = 3
+        (9, 2, 9, 3),  # #I does not divide #D
+        (9, 3, 0, 3),
+        (9, 3, 3, 0),
+    ]:
+        with pytest.raises(ScopeError):
+            prediction_verdict(psi, 63, d, i, k, ki, 3)
 
 
 @st.composite
@@ -532,8 +590,10 @@ def scalar_cases(draw):
 def test_shapiro_verdict_matches_the_orbit_route_on_scalar_modules(case):
     # a rank-1 module is its own orbit, with stabiliser D = B = G
     mod, h, c = case
-    full = Subgroup.full(mod.group)
-    assert prediction_verdict(mod, full, h, c) == ref_orbit_verdict(mod, h, full, c)
+    g = mod.group
+    full = Subgroup.full(g)
+    got = verdict_at(mod, Subgroup.trivial(g), g.element((1,)), full, h.order, 1, c)
+    assert got == ref_orbit_verdict(mod, h, full, c) == ref_shapiro_verdict(mod, full, h, c)
 
 
 def test_coset_representatives_and_generator_search():
@@ -694,7 +754,7 @@ def test_prediction_verdict_matches_two_sided_comparison(factors):
             for side in (t.h0, t.hminus1):
                 out = ref_module_equivalent(ref_subquotient(ref_dense(mod), *side), pred)
                 old.append(("pass" if out.isomorphic else "fail") if out.decided else "undecided")
-            assert prediction_verdict(mod, dec, fam.meet(h, dec), c) == tuple(old), (factors, pair, h)
+            assert row_verdict(fam, pair, dec, mod, h, c) == tuple(old), (factors, pair, h)
 
 
 @pytest.mark.parametrize("factors", OLD_ROUTE_GROUPS)
@@ -860,7 +920,7 @@ def test_closed_form_tate_groups_match_the_orbit_route(factors):
         for h in fam.subgroups:
             t, t_ref = tate_cohomology(mod, h), ref_dense_tate_cohomology(ref, h)
             big, c = ref_prediction_data(g, pair.inertia, pair.frob, h)
-            verdicts = prediction_verdict(mod, dec, fam.meet(h, dec), c)
+            verdicts = row_verdict(fam, pair, dec, mod, h, c)
             sides = ((t.h0, t_ref.h0), (t.hminus1, t_ref.hminus1))
             for verdict, (side, ref_side) in zip(verdicts, sides):
                 invariants = ref_subquotient(ref_dense(mod), *side).invariants()
@@ -883,10 +943,39 @@ def test_shapiro_verdict_matches_the_orbit_route(factors):
         for h in fam.subgroups:
             big, c = ref_prediction_data(g, pair.inertia, pair.frob, h)
             for claim in (c, c + 1):
-                verdicts = prediction_verdict(mod, dec, fam.meet(h, dec), claim)
+                verdicts = row_verdict(fam, pair, dec, mod, h, claim)
                 assert verdicts == ref_orbit_verdict(mod, h, big, claim), (factors, pair, h, claim)
                 seen.update(verdicts)
     assert seen == {"pass", "fail"}
+
+
+# criterion 4's catalogue, then the densest tate sweeps of rank 3 and 4
+@pytest.mark.parametrize("factors", CRITERION_4_GROUPS + ([2, 2, 8], [2, 2, 2, 4]), ids=str)
+def test_integer_verdict_matches_the_subgroup_verdict(factors):
+    # every (pair, H) at c and c + 1: psi read once per pair and the
+    # orders off the masks, against the verdict that took the module, D
+    # and H meet D and composed their monomials (reference.py); that one
+    # depends on (H meet D, claim) alone, so it is taken once per value
+    g = make_group(factors)
+    fam = build_sets(g)
+    seen, rows = set(), 0
+    for pair, proj in zip(fam.stilde, fam.projection):
+        dec = fam.s_pairs[proj].dec
+        mod = inertia_module(pair.inertia, pair.frob)
+        psi = induced_unit(mod, pair.inertia, pair.frob, dec)
+        orders = (psi, mod.modulus, dec.order, pair.inertia.order)
+        old = {}
+        for h in fam.subgroups:
+            meet = fam.meet(h, dec)
+            k, ki = meet.order, fam.meet(h, pair.inertia).order
+            for claim in (ki, ki + 1):
+                if (meet, claim) not in old:
+                    old[meet, claim] = ref_shapiro_verdict(mod, dec, meet, claim)
+                verdicts = prediction_verdict(*orders, k, ki, claim)
+                assert verdicts == old[meet, claim], (factors, pair, h, claim)
+                seen.update(verdicts)
+            rows += 1
+    assert rows == len(fam.stilde) * len(fam.subgroups) and seen == {"pass", "fail"}
 
 
 @pytest.mark.parametrize("factors", CRITERION_4_GROUPS + ([8], [16], [2, 4], [2, 2, 2]))
@@ -1031,7 +1120,7 @@ def test_lattice_pair_verdicts_match_the_module_route(factors):
                 assert ref_tate_order(side) == ref_side.order, (factors, pair, h)
             big, c = ref_prediction_data(g, pair.inertia, pair.frob, h)
             for claim in (c, c + 1):
-                verdicts = prediction_verdict(mod, dec, fam.meet(h, dec), claim)
+                verdicts = row_verdict(fam, pair, dec, mod, h, claim)
                 want = tuple(ref_module_verdict(side, big, claim) for side in ref)
                 assert verdicts == want, (factors, pair, h, big, claim)
                 seen.update(verdicts)
@@ -1073,10 +1162,10 @@ SHAPIRO_VERDICT_GROUPS = CRITERION_4_GROUPS + ([2, 2, 8], [4, 16], [3, 27])
 
 @pytest.mark.parametrize("factors", SHAPIRO_VERDICT_GROUPS, ids=lambda f: ",".join(map(str, f)))
 def test_shapiro_verdict_matches_the_full_pair_verdict(factors):
-    # the verdict read off H meet D against the dense route's verdict on
-    # the whole Tate pairs (coset walk and generator search included),
-    # one H per key (H meet D, #(H meet I)) of each pair as verify
-    # computes them, at the prediction (B, c) and at (B, c + 1)
+    # the verdict read off #(H meet D) and #(H meet I) against the dense
+    # route's verdict on the whole Tate pairs (coset walk and generator
+    # search included), one H per key of each pair as verify computes
+    # them, at the prediction (B, c) and at (B, c + 1)
     g = make_group(factors)
     fam = build_sets(g)
     keys = 0
@@ -1086,13 +1175,13 @@ def test_shapiro_verdict_matches_the_full_pair_verdict(factors):
         dense = ref_dense(mod)
         first = {}
         for h in fam.subgroups:
-            first.setdefault((fam.meet(h, dec), fam.meet(h, pair.inertia).order), h)
-        for (meet, _), h in first.items():
+            first.setdefault(tuple((fam.masks[h] & fam.masks[s]).bit_count() for s in (dec, pair.inertia)), h)
+        for (k, ki), h in first.items():
             t = tate_cohomology(mod, h)
             big, c = ref_prediction_data(g, pair.inertia, pair.frob, h)
             for claim in (c, c + 1):
                 want = tuple(ref_pair_verdict(dense, side, big, claim) for side in (t.h0, t.hminus1))
-                assert prediction_verdict(mod, dec, meet, claim) == want, (factors, pair, h, claim)
+                assert verdict_at(mod, pair.inertia, pair.frob, dec, k, ki, claim) == want, (factors, pair, h, claim)
             keys += 1
     assert keys
 
@@ -1109,7 +1198,8 @@ def test_shapiro_verdict_matches_the_full_pair_verdict_on_the_rank_512_module():
         big, c = ref_prediction_data(g, inertia, g.zero(), h)
         t = tate_cohomology(mod, h)
         want = tuple(ref_pair_verdict(dense, side, big, c) for side in (t.h0, t.hminus1))
-        assert prediction_verdict(mod, dec, ref_meet(h, dec), c) == want == ("pass", "pass"), k
+        got = verdict_at(mod, inertia, g.zero(), dec, ref_meet(h, dec).order, ref_meet(h, inertia).order, c)
+        assert got == want == ("pass", "pass"), k
 
 
 def test_the_whole_group_key_of_the_rank_512_module_takes_seconds():
@@ -1122,7 +1212,7 @@ def test_the_whole_group_key_of_the_rank_512_module_takes_seconds():
     t0 = time.monotonic()
     dec = decomposition_subgroup(inertia, g.zero())
     _, c = ref_prediction_data(g, inertia, g.zero(), Subgroup.full(g))
-    assert prediction_verdict(mod, dec, dec, c) == ("pass", "pass")
+    assert verdict_at(mod, inertia, g.zero(), dec, 2, 2, c) == ("pass", "pass")
     t = tate_cohomology(mod, Subgroup.full(g))
     assert ref_tate_order(t.h0) == ref_tate_order(t.hminus1) == 2
     assert time.monotonic() - t0 < 10.0

@@ -322,11 +322,11 @@ def test_verify_triviality_exits_2_on_a_non_factor(monkeypatch):
 
 
 def test_verify_tate_exits_2_on_a_wrong_c(monkeypatch):
-    # the sweep hands each verdict c = #(H meet I) from its key
+    # the sweep hands each verdict the claim c = #(H meet I) from its key
     real = cli.prediction_verdict
 
-    def off_by_one(module, dec, meet, c):
-        return real(module, dec, meet, c + 1)
+    def off_by_one(psi, m, d, i, k, ki, c):
+        return real(psi, m, d, i, k, ki, c + 1)
 
     monkeypatch.setattr(cli, "prediction_verdict", off_by_one)
     code, out = run_main(["verify", "9", "--checks", "tate"])
